@@ -128,9 +128,12 @@ bench-ledger:
 	$(GO) run ./cmd/benchledger -check BENCH_predserve.json
 
 # Throughput floors, explicitly non-short: JSON must hold 100k events/sec
-# end to end, COHWIRE1 must hold 500k (CI runs this as a smoke step).
+# end to end, COHWIRE1 must hold 500k direct to a backend, with recording
+# on, and routed through the cluster router. CI runs this as a smoke step;
+# it is the only place the floors run, because `make check` uses the race
+# detector, under which every floor skips.
 throughput-smoke:
-	$(GO) test ./internal/serve -run='TestThroughputFloor' -count=1 -v
+	$(GO) test ./internal/serve ./internal/cluster -run='TestThroughputFloor' -count=1 -v
 
 # Coverage ratchet: per-package statement-coverage floors sit a few points
 # below measured coverage, so a change that lands a chunk of untested code

@@ -172,6 +172,8 @@ type Record struct {
 	totalNS  int64 // derived at Finish
 
 	// Stamped by shard workers, possibly concurrently from several shards.
+	// A post lands in at most one micro-batch per shard it touches, so
+	// batches never exceeds the session's shard count.
 	firstExec atomic.Int64  // earliest micro-batch execution start
 	batchNS   atomic.Int64  // accumulated coalescing wait across batches
 	execNS    atomic.Int64  // accumulated processing time across batches
@@ -289,8 +291,9 @@ func (r *Record) MarkFault(bits uint32) {
 // (request, micro-batch): execStart is the batch's processing start,
 // wait its coalescing wait, exec its processing time. batchID must be
 // non-zero and unique across the session's shards; consecutive calls
-// with the same id (several of the request's events in one batch) are
-// deduplicated, so a request's accounting counts each micro-batch once.
+// with the same id are deduplicated, so a request's accounting counts
+// each micro-batch once. The serve layer calls it once per run, and a
+// post sends each shard at most one run.
 // Cost: a handful of atomic ops per batch, zero allocation. Safe on nil.
 //
 //predlint:hotpath

@@ -6,9 +6,9 @@ import (
 )
 
 // checkGoroutineOwn enforces single-owner handoff on types annotated
-// //predlint:owned (the flight ring's Records, serve's pooled wireBufs):
-// once a value of such a type is handed to another owner, the handing
-// function may not touch it again. A handoff is
+// //predlint:owned (the flight ring's Records, serve's pooled wireBufs and
+// per-post dispatch states): once a value of such a type is handed to
+// another owner, the handing function may not touch it again. A handoff is
 //
 //   - a channel send of the value,
 //   - Put on a sync.Pool,

@@ -166,8 +166,10 @@ func DefaultConfig(root, modulePath string) *Config {
 			modulePath + "/internal/eval.Engine.Step",
 			modulePath + "/internal/eval.Uvarint",
 			modulePath + "/internal/eval.UvarintLen",
-			// The serve path: shard worker loop and the COHWIRE1 codec
-			// kernels the allocation-free binary transport is built from.
+			// The serve path: the post's run-splitting kernel, the shard
+			// worker loop, and the COHWIRE1 codec kernels the
+			// allocation-free binary transport is built from.
+			modulePath + "/internal/serve.post.split",
 			modulePath + "/internal/serve.shard.process",
 			modulePath + "/internal/serve.AppendWireBatch",
 			modulePath + "/internal/serve.AppendWireEvents",

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"cohpredict/internal/bitmap"
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/machine"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 	"cohpredict/internal/trace"
 	"cohpredict/internal/workload"
@@ -249,5 +251,113 @@ func TestEquivalenceSecondWorkload(t *testing.T) {
 	st := c.stats(sess.ID)
 	if st.TP != eng.Confusion().TP || st.FN != eng.Confusion().FN {
 		t.Fatalf("confusion mismatch: %+v vs %+v", st, eng.Confusion())
+	}
+}
+
+// TestOfflineEquivalenceDispatchEdges holds the dispatch layer's corner
+// inputs to the same contract: per-event predictions equal to
+// eval.Engine.Step and confusion counts equal to eval.Evaluate. A post is
+// split into one run per shard it touches, so the corners are a post
+// that touches one shard of eight (the seven empty runs must not be
+// sent), posts of a single event, and one post of MaxBatchEvents events.
+func TestOfflineEquivalenceDispatchEdges(t *testing.T) {
+	tr := genTrace(t, "em3d", 3)
+	m := core.Machine{Nodes: 16, LineBytes: 64}
+	const schemeStr = "union(dir+add8)2[forwarded]"
+	sc, err := core.ParseScheme(schemeStr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const target = 3
+	router := serve.NewRouter(sc, m, 8)
+	var oneShard []trace.Event
+	for i := range tr.Events {
+		if router.RouteEvent(&tr.Events[i]) == target {
+			oneShard = append(oneShard, tr.Events[i])
+		}
+	}
+	maxBatch := make([]trace.Event, serve.MaxBatchEvents)
+	for i := range maxBatch {
+		maxBatch[i] = tr.Events[i%len(tr.Events)]
+	}
+
+	cases := []struct {
+		name   string
+		events []trace.Event
+		shards int
+		chunk  int
+		only   int // the one shard every event routes to, or -1
+	}{
+		{"one-shard-of-8", oneShard, 8, 17, target},
+		{"single-event/shards=1", tr.Events[:200], 1, 1, -1},
+		{"single-event/shards=8", tr.Events[:200], 8, 1, -1},
+		{"max-batch/shards=8", maxBatch, 8, serve.MaxBatchEvents, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := eval.NewEngine(sc, m)
+			want := make([]bitmap.Bitmap, len(tc.events))
+			for i, ev := range tc.events {
+				want[i] = eng.Step(ev)
+			}
+			wantConf := eval.Evaluate(sc, m, &trace.Trace{Events: tc.events}).Confusion
+
+			reg := obs.New()
+			srv := serve.NewServer(serve.Options{Registry: reg})
+			defer srv.Shutdown()
+			c, closeTS := newClient(t, srv)
+			defer closeTS()
+			sess := c.createSession(serve.CreateSessionRequest{
+				Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: tc.shards,
+				FlushMicros: -1, MaxPending: serve.MaxBatchEvents,
+			})
+
+			posts := 0
+			got := make([]bitmap.Bitmap, 0, len(tc.events))
+			for lo := 0; lo < len(tc.events); lo += tc.chunk {
+				hi := min(lo+tc.chunk, len(tc.events))
+				frame := serve.AppendWireBatch(nil, tc.events[lo:hi])
+				code, _, body := c.doRaw("POST", "/v1/sessions/"+sess.ID+"/events", frame,
+					map[string]string{"Content-Type": serve.ContentTypeWire})
+				if code != http.StatusOK {
+					t.Fatalf("post at %d: status %d: %s", lo, code, body)
+				}
+				preds, err := serve.DecodeWireReply(body)
+				if err != nil {
+					t.Fatalf("decoding reply at %d: %v", lo, err)
+				}
+				got = append(got, preds...)
+				posts++
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("event %d: served %#x != offline %#x", i, got[i], want[i])
+				}
+			}
+			st := c.stats(sess.ID)
+			if st.TP != wantConf.TP || st.FP != wantConf.FP ||
+				st.TN != wantConf.TN || st.FN != wantConf.FN {
+				t.Fatalf("confusion mismatch: served {%d %d %d %d}, offline {%d %d %d %d}",
+					st.TP, st.FP, st.TN, st.FN,
+					wantConf.TP, wantConf.FP, wantConf.TN, wantConf.FN)
+			}
+			if st.Events != uint64(len(tc.events)) {
+				t.Fatalf("events %d, want %d", st.Events, len(tc.events))
+			}
+			if tc.only < 0 {
+				return
+			}
+			for k, sh := range st.Shards {
+				if k != tc.only && sh.Events != 0 {
+					t.Fatalf("shard %d processed %d events; every event routes to shard %d", k, sh.Events, tc.only)
+				}
+			}
+			// Serial posts at flush-when-idle: one run, so one micro-batch,
+			// per post. An empty run sent to an idle shard would add one.
+			if b := reg.Snapshot().Counters["serve_batches_total"]; b != int64(posts) {
+				t.Fatalf("%d micro-batches for %d single-shard posts: empty runs were dispatched", b, posts)
+			}
+		})
 	}
 }

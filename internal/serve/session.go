@@ -17,9 +17,10 @@ import (
 
 // Session limits and defaults. A session's queue is bounded: admission
 // reserves slots for a whole batch or rejects it outright (ErrBacklog →
-// 429), so a batch is never half-enqueued. Shard channels are sized to the
-// full pending limit, making every post-admission enqueue non-blocking
-// even if the router sends the entire queue to one shard.
+// 429), so a batch is never half-enqueued. A post sends each shard at
+// most one run, and every admitted post holds at least one pending
+// event, so shard channels sized to the pending limit hold one run per
+// admitted post and every post-admission enqueue is non-blocking.
 const (
 	DefaultShardBatch  = 256
 	DefaultFlushMicros = 200
@@ -253,9 +254,13 @@ func (s *Session) PostInto(evs []trace.Event, preds []bitmap.Bitmap) error {
 }
 
 // PostIntoStamped is PostInto carrying a flight record: the enqueue
-// instant is stamped after admission, and the record rides each op into
+// instant is stamped after admission, and the record rides each run into
 // the shard workers so the micro-batch loop can account queue-wait,
 // batch-wait, and execute time to this request. st may be nil (untraced).
+//
+// The batch is routed once and split into one run per shard it touches;
+// each run is a single channel send and a single WaitGroup.Done, so the
+// dispatch cost is paid per (post, shard), not per event.
 func (s *Session) PostIntoStamped(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) error {
 	if len(evs) > MaxBatchEvents {
 		return fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
@@ -274,14 +279,19 @@ func (s *Session) PostIntoStamped(evs []trace.Event, preds []bitmap.Bitmap, st *
 	defer s.om.queueDepth.Add(-float64(len(evs)))
 
 	st.SetEnqueue(flight.Nanos())
-	var wg sync.WaitGroup
-	wg.Add(len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		sh := s.shards[s.router.RouteEvent(ev)]
-		sh.in <- op{ev: ev, out: &preds[i], wg: &wg, st: st}
+	p := posts.Get().(*post)
+	p.evs, p.preds, p.st = evs, preds, st
+	p.wg.Add(p.split(s.router))
+	lo := int32(0)
+	for k, hi := range p.ends[:len(s.shards)] {
+		if hi > lo {
+			s.shards[k].in <- op{p: p, run: p.pos[lo:hi]}
+		}
+		lo = hi
 	}
-	wg.Wait()
+	p.wg.Wait()
+	p.evs, p.preds, p.st = nil, nil, nil // the pool must not pin request buffers
+	posts.Put(p)
 	if err := s.shardErr(); err != nil {
 		return err
 	}
@@ -292,6 +302,75 @@ func (s *Session) PostIntoStamped(evs []trace.Event, preds []bitmap.Bitmap, st *
 		s.cfg.Record.RecordEvents(s.ID, st.ID(), evs)
 	}
 	return nil
+}
+
+// post is one PostInto call's dispatch state, pooled so a warm session
+// dispatches without allocating. split fills the scratch; each shard
+// worker reads evs, stores into preds and stamps st for its own run only,
+// then releases the run with wg.Done. The posting goroutine owns a post
+// from Get to Put and lends its runs to the workers until wg.Wait
+// returns, so touching one after Put is a goroutineown finding.
+//
+//predlint:owned
+type post struct {
+	evs   []trace.Event
+	preds []bitmap.Bitmap
+	st    *flight.Record
+	wg    sync.WaitGroup
+
+	// Scratch grown to the largest batch seen: each event's shard, and
+	// the event positions grouped by shard. After split, shard k's run is
+	// pos[ends[k-1]:ends[k]], with ends[-1] taken as 0.
+	route []uint8
+	pos   []int32
+	ends  [maxShards]int32
+}
+
+var posts = sync.Pool{New: func() interface{} { return new(post) }}
+
+// split routes the post's events once and groups their positions by shard
+// with a counting sort, so each shard's run keeps the request's order. It
+// returns the number of non-empty runs. A single-shard router needs no
+// routing: its one run is the whole batch.
+//
+//predlint:hotpath
+func (p *post) split(r Router) int {
+	n := len(p.evs)
+	if cap(p.pos) < n {
+		p.pos = make([]int32, n)
+		p.route = make([]uint8, n)
+	}
+	pos := p.pos[:n]
+	if r.Shards() == 1 {
+		for i := range pos {
+			pos[i] = int32(i)
+		}
+		p.ends[0] = int32(n)
+		return 1
+	}
+	route, ends := p.route[:n], p.ends[:r.Shards()]
+	clear(ends)
+	for i := range p.evs {
+		k := r.RouteEvent(&p.evs[i])
+		route[i] = uint8(k)
+		ends[k]++
+	}
+	// Counts become run starts; placing each event advances its shard's
+	// cursor, which leaves ends[k] at the end of shard k's run.
+	runs := 0
+	var start int32
+	for k, c := range ends {
+		ends[k] = start
+		start += c
+		if c > 0 {
+			runs++
+		}
+	}
+	for i, k := range route {
+		pos[ends[k]] = int32(i)
+		ends[k]++
+	}
+	return runs
 }
 
 // PostKeyed is Post with an idempotency key: the first arrival of a key

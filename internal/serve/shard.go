@@ -2,37 +2,35 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"cohpredict/internal/bitmap"
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
 	"cohpredict/internal/flight"
 	"cohpredict/internal/metrics"
-	"cohpredict/internal/trace"
 )
 
-// op is one event in flight through a shard: a pointer into the request's
-// decoded event slice, the response slot the prediction lands in, and the
-// request's completion group. wg.Done both signals completion and provides
-// the happens-before edge for the handler to read the response slot. st,
-// when non-nil, is the request's flight record; the worker stamps batch
-// timings into it through its atomic kernels only.
+// op is one post's run on one shard: the post's pooled dispatch state
+// and the positions, in request order, of the post's events that route
+// to this shard. A post sends at most one op per shard and never an
+// empty one, so a shard holds at most one op per admitted post. The
+// worker reads the run's events from p.evs, stores each prediction in
+// p.preds, stamps p.st once per micro-batch, and releases the run with
+// one p.wg.Done; that Done is its last touch of p and the happens-before
+// edge for the poster to read the prediction slots.
 type op struct {
-	ev  *trace.Event
-	out *bitmap.Bitmap
-	wg  *sync.WaitGroup
-	st  *flight.Record
+	p   *post
+	run []int32
 }
 
 // shard owns one partition of a session's predictor table and processes
-// its ops strictly FIFO. The worker goroutine is the only writer of the
-// table and the local tallies; after each micro-batch it publishes the
-// tallies to atomics the stats endpoint reads, so the hot loop itself is
-// free of atomics, locks, and allocation.
+// its runs strictly FIFO, each run's events in request order. The worker
+// goroutine is the only writer of the table and the local tallies; after
+// each micro-batch it publishes the tallies to atomics the stats endpoint
+// reads, so the hot loop itself is free of atomics, locks, and
+// allocation.
 type shard struct {
 	id     int
 	update core.UpdateMode
@@ -44,13 +42,17 @@ type shard struct {
 	done  chan struct{}
 	batch int
 	flush time.Duration
+	// timer is the flush deadline, reused across micro-batches so a
+	// partial batch costs no allocation. Worker-owned; stopped and
+	// drained between batches.
+	timer *time.Timer
 
 	// Worker-local state (owned by the worker goroutine).
 	conf   metrics.Confusion
 	events uint64
-	cur    []op // batch being processed; completed by recover on panic
+	cur    []op // batch being processed; released by recover on panic
 
-	// fail is set (once, before the pending ops are released) if the
+	// fail is set (once, before the pending runs are released) if the
 	// worker panics; Post and Close surface it.
 	fail atomic.Value
 
@@ -72,7 +74,7 @@ type shard struct {
 }
 
 func newShard(id int, s core.Scheme, m core.Machine, batch int, flush time.Duration, depth int, flt *fault.Injector, om *serveMetrics) *shard {
-	return &shard{
+	sh := &shard{
 		id:        id,
 		update:    s.Update,
 		idx:       s.Index,
@@ -88,11 +90,16 @@ func newShard(id int, s core.Scheme, m core.Machine, batch int, flush time.Durat
 		batchBase: uint64(id+1) << 40,
 		om:        om,
 	}
+	if flush > 0 {
+		sh.timer = time.NewTimer(flush)
+		sh.stopTimer()
+	}
+	return sh
 }
 
 // run is the shard worker: loop until the input channel closes or a panic
 // escapes a batch. A panic does not kill the shard silently — loop's
-// recover records it, releases every pending op (with zero predictions
+// recover records it, releases every pending run (with zero predictions
 // that Post never returns, see failure), and keeps consuming the queue so
 // producers never block; Close surfaces the failure to the caller.
 func (s *shard) run() {
@@ -101,15 +108,16 @@ func (s *shard) run() {
 		// Panic path: the queue must keep draining until the session
 		// closes it, or Post goroutines would wedge on a full channel.
 		for o := range s.in {
-			o.wg.Done()
+			o.p.wg.Done()
 		}
 	}
 }
 
-// loop is the normal worker body: block for one op, micro-batch more until
-// the batch size is reached, the flush deadline passes, or (flush == 0)
-// the queue momentarily empties, then process and publish. It returns true
-// only when a panic was recovered (the channel may still be open).
+// loop is the normal worker body: block for one run, micro-batch more
+// until the batch holds the batch size in events, the flush deadline
+// passes, or (flush == 0) the queue momentarily empties, then process and
+// publish. It returns true only when a panic was recovered (the channel
+// may still be open).
 func (s *shard) loop() (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -118,12 +126,14 @@ func (s *shard) loop() (panicked bool) {
 			s.fail.Store(fmt.Errorf("%w: shard %d worker panicked: %v", ErrShardFailed, s.id, r))
 			s.om.shardPanics.Inc()
 			for i := range s.cur {
-				s.cur[i].wg.Done()
+				s.cur[i].p.wg.Done()
 			}
 			s.cur = nil
 			panicked = true
 		}
 	}()
+	// Every run holds at least one event and fill stops once the batch
+	// holds s.batch events, so a batch never exceeds s.batch ops.
 	buf := make([]op, 0, s.batch)
 	for {
 		o, ok := <-s.in
@@ -132,9 +142,9 @@ func (s *shard) loop() (panicked bool) {
 		}
 		fillStart := flight.Nanos()
 		buf = append(buf[:0], o)
-		ok = s.fill(&buf)
+		n, ok := s.fill(&buf, len(o.run))
 		s.cur = buf
-		s.flushBatch(fillStart, buf)
+		s.flushBatch(fillStart, buf, n)
 		s.cur = nil
 		if !ok {
 			return false
@@ -150,51 +160,68 @@ func (s *shard) failure() error {
 	return nil
 }
 
-// fill collects more ops into buf up to the batch size. With a positive
-// flush interval it waits for stragglers until the deadline; with zero it
-// drains whatever is immediately queued. It returns false when the input
-// channel has closed.
-func (s *shard) fill(buf *[]op) bool {
+// fill collects more runs into buf until it holds the batch size in
+// events; n is the count already aboard. A run is never split, so one
+// large run is a micro-batch of its own. With a positive flush interval
+// fill waits for stragglers until the deadline; with zero it drains
+// whatever is immediately queued. It returns the batch's event count,
+// and false if the input channel has closed.
+func (s *shard) fill(buf *[]op, n int) (int, bool) {
+	if n >= s.batch {
+		return n, true
+	}
 	if s.flush <= 0 {
-		for len(*buf) < s.batch {
+		for n < s.batch {
 			select {
 			case o, ok := <-s.in:
 				if !ok {
-					return false
+					return n, false
 				}
 				*buf = append(*buf, o)
+				n += len(o.run)
 			default:
-				return true
+				return n, true
 			}
 		}
-		return true
+		return n, true
 	}
-	timer := time.NewTimer(s.flush)
-	defer timer.Stop()
-	for len(*buf) < s.batch {
+	s.timer.Reset(s.flush)
+	for n < s.batch {
 		select {
 		case o, ok := <-s.in:
 			if !ok {
-				return false
+				s.stopTimer()
+				return n, false
 			}
 			*buf = append(*buf, o)
-		case <-timer.C:
-			return true
+			n += len(o.run)
+		case <-s.timer.C:
+			return n, true
 		}
 	}
-	return true
+	s.stopTimer()
+	return n, true
 }
 
-// flushBatch processes one micro-batch, publishes the shard's tallies and
-// metrics, stamps the batch into every distinct flight record aboard, and
-// only then releases the waiting handlers. The wall-clock reads (via
-// flight.Nanos, the allowlisted clock) feed the obs busy-ns counter and
-// the trace records only, never results. The two fault hooks run before
-// processing: an injected delay models a slow shard (it cannot change
-// results — ops are already ordered), and an injected panic exercises the
-// failure path above. fillStart is when the batch's first op arrived; the
-// interval to processing start is the batch's coalescing wait.
-func (s *shard) flushBatch(fillStart int64, buf []op) {
+// stopTimer stops a flush timer that has not been received from. A fire
+// that raced the stop is drained, so the next Reset starts clean under
+// both the asynchronous and the synchronous timer-channel semantics.
+func (s *shard) stopTimer() {
+	if !s.timer.Stop() {
+		<-s.timer.C
+	}
+}
+
+// flushBatch processes one micro-batch of n events, publishes the shard's
+// tallies and metrics, then stamps each run's flight record and releases
+// the run. The wall-clock reads (via flight.Nanos, the allowlisted
+// clock) feed the obs busy-ns counter and the trace records only, never
+// results. The two fault hooks run before processing: an injected delay
+// models a slow shard (it cannot change results — runs are already
+// ordered), and an injected panic exercises the failure path above.
+// fillStart is when the batch's first run arrived; the interval to
+// processing start is the batch's coalescing wait.
+func (s *shard) flushBatch(fillStart int64, buf []op, n int) {
 	delayed := false
 	if d := s.flt.Delay(s.delaySite); d > 0 {
 		delayed = true
@@ -217,47 +244,43 @@ func (s *shard) flushBatch(fillStart int64, buf []op) {
 	s.pubEntries.Store(uint64(s.table.Entries()))
 	s.pubBusyNS.Add(busy)
 
-	s.om.eventsTotal.Add(int64(len(buf)))
+	s.om.eventsTotal.Add(int64(n))
 	s.om.batchesTotal.Inc()
-	s.om.batchSize.Observe(float64(len(buf)))
+	s.om.batchSize.Observe(float64(n))
 	s.om.shardBusyNS.Add(busy)
 
-	// Stamp each distinct record once per batch. Ops from one request
-	// arrive in posting order, so the prev check skips most duplicates
-	// cheaply; NoteBatch's own batch-id dedup catches interleavings.
+	// A post has at most one run per shard, so every op aboard belongs to
+	// a distinct post and each record is stamped once per batch.
 	s.batchSeq++
 	batchID := s.batchBase | s.batchSeq
 	wait := start - fillStart
-	var prev *flight.Record
 	for i := range buf {
-		st := buf[i].st
-		if st != nil && st != prev {
-			st.NoteBatch(batchID, start, wait, busy)
-			if delayed {
-				st.MarkFault(flight.FaultDelay)
-			}
+		p := buf[i].p
+		p.st.NoteBatch(batchID, start, wait, busy)
+		if delayed {
+			p.st.MarkFault(flight.FaultDelay)
 		}
-		prev = st
-	}
-
-	for i := range buf {
-		buf[i].wg.Done()
+		p.wg.Done()
 	}
 }
 
-// process applies every op of the batch to the shard's table partition in
-// arrival order and scores the predictions into the worker-local tallies.
-// This is the serving hot path: one eval.Apply, one bitmap score, and one
+// process applies every run of the batch to the shard's table partition,
+// runs in arrival order and each run's events in request order, and
+// scores the predictions into the worker-local tallies. This is the
+// serving hot path: one eval.Apply, one bitmap score, and one
 // response-slot store per event — no allocation, locks, or atomics.
 //
 //predlint:hotpath
 func (s *shard) process(buf []op) {
 	for i := range buf {
-		o := &buf[i]
-		pred := eval.Apply(s.update, s.idx, s.table, s.mach, o.ev)
-		s.conf.AddBitmaps(pred, o.ev.FutureReaders, s.mach.Nodes)
-		s.events++
-		*o.out = pred
+		p, run := buf[i].p, buf[i].run
+		for _, j := range run {
+			ev := &p.evs[j]
+			pred := eval.Apply(s.update, s.idx, s.table, s.mach, ev)
+			s.conf.AddBitmaps(pred, ev.FutureReaders, s.mach.Nodes)
+			p.preds[j] = pred
+		}
+		s.events += uint64(len(run))
 	}
 }
 
