@@ -102,14 +102,18 @@ cluster-demo:
 
 # Short native-fuzzing pass over the serialized attack surfaces: the JSON
 # event decoder, the COHWIRE1 batch/reply decoders (plus the JSON↔binary
-# cross-equivalence property), the shard router's co-location invariants,
-# the engine-checkpoint wire decoder, the COHTRACE1 trace decoders, and
-# the cluster control-plane codecs.
+# cross-equivalence property and the differential check against the
+# two-pass reference decoders), the session snapshot's Extra section, the
+# shard router's co-location invariants, the engine-checkpoint wire
+# decoder, the COHTRACE1 trace decoders, and the cluster control-plane
+# codecs.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventRequest -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireBatch -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireReply -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireJSONCross -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireDecodeDifferential -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeSessionExtra -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRouteKey -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceFile -fuzztime=10s

@@ -408,7 +408,7 @@ func (c *Client) attempt(method, url string, body []byte, contentType, accept, i
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -424,6 +424,32 @@ func (c *Client) attempt(method, url string, body []byte, contentType, accept, i
 		}
 	}
 	return data, nil
+}
+
+// readBody reads a response body into one buffer sized from its
+// Content-Length, a byte over so that the read which meets EOF needs no
+// second buffer. The size is capped at the largest legal COHWIRE1 reply:
+// a header claiming more is not trusted, and the buffer then grows only
+// as the bytes arrive.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := int64(512)
+	if n := resp.ContentLength; n >= 0 {
+		size = min(n+1, int64(serve.MaxWireReplyBytes))
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func (c *Client) doJSON(method, path string, reqBody, out interface{}, idemKey, reqID string, retry func(error) bool) error {
@@ -509,7 +535,7 @@ func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventReque
 // policy already ran inside do); 415 is the downgrade signal.
 func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
 	c.binaryPosts.Add(1)
-	body := serve.AppendWireEvents(nil, evs)
+	body := serve.AppendWireEvents(nil, evs) // sized once, exactly
 	data, err := c.do(http.MethodPost, path, body, serve.ContentTypeWire, serve.ContentTypeWire, key, reqID, Retryable)
 	if err != nil {
 		return nil, err
@@ -517,15 +543,14 @@ func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventReques
 	if !serve.IsWireFrame(data) {
 		return nil, fmt.Errorf("client: wire post got a non-wire reply body")
 	}
-	preds, err := serve.DecodeWireReply(data)
+	preds, err := serve.DecodeWireReplyInto(data, []uint64(nil))
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding wire reply: %w", err)
 	}
-	out := make([]uint64, len(preds))
-	for i, p := range preds {
-		out[i] = uint64(p)
+	if preds == nil {
+		preds = []uint64{}
 	}
-	return out, nil
+	return preds, nil
 }
 
 // Stats fetches the session's screening statistics.

@@ -177,8 +177,7 @@ type Record struct {
 	firstExec atomic.Int64  // earliest micro-batch execution start
 	batchNS   atomic.Int64  // accumulated coalescing wait across batches
 	execNS    atomic.Int64  // accumulated processing time across batches
-	batches   atomic.Int64  // distinct micro-batches that carried this request
-	lastBatch atomic.Uint64 // dedup: last batch id noted by this record
+	batches   atomic.Int64  // micro-batches that carried this request
 	fault     atomic.Uint32 // Fault* bits
 }
 
@@ -193,7 +192,6 @@ func (r *Record) reset() {
 	r.batchNS.Store(0)
 	r.execNS.Store(0)
 	r.batches.Store(0)
-	r.lastBatch.Store(0)
 	r.fault.Store(0)
 }
 
@@ -289,16 +287,14 @@ func (r *Record) MarkFault(bits uint32) {
 
 // NoteBatch is the shard worker's stamping kernel, called once per
 // (request, micro-batch): execStart is the batch's processing start,
-// wait its coalescing wait, exec its processing time. batchID must be
-// non-zero and unique across the session's shards; consecutive calls
-// with the same id are deduplicated, so a request's accounting counts
-// each micro-batch once. The serve layer calls it once per run, and a
-// post sends each shard at most one run.
+// wait its coalescing wait, exec its processing time. A post sends each
+// shard at most one run, and a run rides exactly one micro-batch, so no
+// batch stamps a record twice.
 // Cost: a handful of atomic ops per batch, zero allocation. Safe on nil.
 //
 //predlint:hotpath
-func (r *Record) NoteBatch(batchID uint64, execStart, wait, exec int64) {
-	if r == nil || r.lastBatch.Swap(batchID) == batchID {
+func (r *Record) NoteBatch(execStart, wait, exec int64) {
+	if r == nil {
 		return
 	}
 	r.batches.Add(1)

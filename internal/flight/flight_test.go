@@ -35,7 +35,7 @@ func TestNilSafety(t *testing.T) {
 	r.SetEnqueue(6)
 	r.MarkReplay()
 	r.MarkFault(FaultDrop)
-	r.NoteBatch(1, 2, 3, 4)
+	r.NoteBatch(2, 3, 4)
 	if r.ID() != "" {
 		t.Fatalf("nil record ID = %q, want empty", r.ID())
 	}
@@ -85,7 +85,7 @@ func TestLifecycleAndCapture(t *testing.T) {
 	r.AddDecode(500)
 	r.AddEncode(2000)
 	r.SetEnqueue(r.start + 10)
-	r.NoteBatch(7, r.start+100, 40, 60)
+	r.NoteBatch(r.start+100, 40, 60)
 	rec.Finish(r, 200)
 
 	if rec.Seen() != 1 {
@@ -196,19 +196,11 @@ func TestReplayFlagSurvivesCapture(t *testing.T) {
 	}
 }
 
-func TestNoteBatchDedupAndFirstExec(t *testing.T) {
+func TestNoteBatchFirstExec(t *testing.T) {
 	r := new(Record)
-	// Two ops of the same request in one micro-batch: counted once.
-	r.NoteBatch(10, 500, 30, 70)
-	r.NoteBatch(10, 500, 30, 70)
-	if got := r.batches.Load(); got != 1 {
-		t.Fatalf("batches after dup = %d, want 1", got)
-	}
-	if r.batchNS.Load() != 30 || r.execNS.Load() != 70 {
-		t.Fatalf("batch/exec after dup = %d/%d, want 30/70", r.batchNS.Load(), r.execNS.Load())
-	}
-	// A different batch accumulates; an earlier execStart wins firstExec.
-	r.NoteBatch(11, 400, 5, 25)
+	// Each batch accumulates; an earlier execStart wins firstExec.
+	r.NoteBatch(500, 30, 70)
+	r.NoteBatch(400, 5, 25)
 	if got := r.batches.Load(); got != 2 {
 		t.Fatalf("batches = %d, want 2", got)
 	}
@@ -219,7 +211,7 @@ func TestNoteBatchDedupAndFirstExec(t *testing.T) {
 		t.Fatalf("firstExec = %d, want 400 (earliest)", got)
 	}
 	// A later execStart does not move firstExec back.
-	r.NoteBatch(12, 900, 1, 1)
+	r.NoteBatch(900, 1, 1)
 	if got := r.firstExec.Load(); got != 400 {
 		t.Fatalf("firstExec after later batch = %d, want 400", got)
 	}
@@ -327,11 +319,11 @@ func TestConcurrentStampingAndCapture(t *testing.T) {
 				var sg sync.WaitGroup
 				for s := 0; s < 3; s++ {
 					sg.Add(1)
-					go func(s int) {
+					go func() {
 						defer sg.Done()
-						r.NoteBatch(uint64(s+1), Nanos(), 1, 1)
+						r.NoteBatch(Nanos(), 1, 1)
 						r.MarkFault(FaultDelay)
-					}(s)
+					}()
 				}
 				sg.Wait()
 				rec.Finish(r, 200)

@@ -161,11 +161,14 @@ func DefaultConfig(root, modulePath string) *Config {
 			modulePath + "/internal/core.UpdateMode",
 		},
 		RequiredHotpaths: []string{
-			// The offline evaluation kernel and its canonical varint pair.
+			// The offline evaluation kernel and the canonical varint
+			// kernels every binary format decodes and encodes with.
 			modulePath + "/internal/eval.Apply",
 			modulePath + "/internal/eval.Engine.Step",
 			modulePath + "/internal/eval.Uvarint",
 			modulePath + "/internal/eval.UvarintLen",
+			modulePath + "/internal/eval.AppendUvarint",
+			modulePath + "/internal/eval.PutUvarint",
 			// The serve path: the post's run-splitting kernel, the shard
 			// worker loop, and the COHWIRE1 codec kernels the
 			// allocation-free binary transport is built from.
@@ -184,7 +187,6 @@ func DefaultConfig(root, modulePath string) *Config {
 			// accepted path (once per trained batch): append-only into one
 			// warmed buffer, zero steady-state allocation.
 			modulePath + "/internal/traffic.Recorder.RecordEvents",
-			modulePath + "/internal/traffic.appendUvarint",
 			modulePath + "/internal/traffic.appendTraceEvent",
 			modulePath + "/internal/traffic.appendRequestRecord",
 		},

@@ -8,6 +8,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cohpredict/internal/bitmap"
@@ -40,7 +41,7 @@ func newTestSession(t *testing.T, shards int) *Session {
 // with zero predictions and the batch would silently never train.
 func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	s := newTestSession(t, 1)
-	complete := &idemEntry{done: make(chan struct{}), preds: []bitmap.Bitmap{3, 5}}
+	complete := &idemEntry{done: make(chan struct{}), frame: AppendWireReply(nil, []bitmap.Bitmap{3, 5})}
 	close(complete.done)
 	open := &idemEntry{done: make(chan struct{})}
 	failed := &idemEntry{done: make(chan struct{}), err: errors.New("injected")}
@@ -59,8 +60,8 @@ func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	if len(extra.idem) != 1 || extra.idem[0].key != "complete" {
 		t.Fatalf("snapshot idem entries = %+v, want only the completed one", extra.idem)
 	}
-	if len(extra.idem[0].preds) != 2 {
-		t.Fatalf("preds = %v, want the 2 recorded predictions", extra.idem[0].preds)
+	if preds, err := DecodeWireReply(extra.idem[0].frame); err != nil || len(preds) != 2 {
+		t.Fatalf("preds = %v (%v), want the 2 recorded predictions", preds, err)
 	}
 }
 
@@ -152,5 +153,57 @@ func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
 	}
 	if got := s.Stats().Events; got != trained {
 		t.Fatalf("replay re-trained: %d events, want %d", got, trained)
+	}
+}
+
+// TestDecodeSessionExtraBoundsCounts: no count makes the decoder allocate
+// more than the bytes behind it can fill. A section of 20 bytes that
+// declares one entry of 65535 predictions is rejected without reserving
+// room for them, and so is one declaring more keys than it has bytes for.
+func TestDecodeSessionExtraBoundsCounts(t *testing.T) {
+	for name, extra := range map[string][]byte{
+		// version, shards, batch, flush, pending, one key "k", 65535
+		// predictions (ff ff 03), then only nine of them.
+		"predictions": {1, 1, 0, 0, 0, 1, 1, 'k', 0xff, 0xff, 0x03, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		// 1024 keys (80 08) declared, four bytes behind them.
+		"keys": {1, 1, 0, 0, 0, 0x80, 0x08, 1, 'k', 0, 1},
+	} {
+		if _, err := decodeSessionExtra(extra); err == nil {
+			t.Fatalf("%s: accepted a count the section cannot back", name)
+		}
+		const runs = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_, _ = decodeSessionExtra(extra)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {
+			t.Fatalf("%s: rejecting a %d-byte section allocates %d bytes, want under 4 KiB", name, len(extra), per)
+		}
+	}
+}
+
+// TestDecodeSessionExtraCanonical: the section is read with the canonical
+// uvarint kernel, so a non-minimal prediction (or any other non-minimal
+// field) is rejected — copied verbatim into a reply frame, it would make
+// every replay of its key fail the client's decoder.
+func TestDecodeSessionExtraCanonical(t *testing.T) {
+	valid := []byte{1, 1, 0, 0, 0, 1, 1, 'k', 2, 0x80, 0x01, 5}
+	x, err := decodeSessionExtra(valid)
+	if err != nil {
+		t.Fatalf("control section rejected: %v", err)
+	}
+	if preds, err := DecodeWireReply(x.idem[0].frame); err != nil || len(preds) != 2 || preds[0] != 0x80 || preds[1] != 5 {
+		t.Fatalf("restored frame decodes to %v (%v), want [0x80 5]", preds, err)
+	}
+	for _, bad := range [][]byte{
+		{1, 1, 0, 0, 0, 1, 1, 'k', 2, 0x80, 0x00, 5}, // non-minimal prediction
+		{1, 1, 0, 0, 0, 1, 1, 'k', 0x82, 0x00, 1, 5}, // non-minimal count
+		{1, 0x81, 0x00, 0, 0, 0, 0},                  // non-minimal tuning field
+	} {
+		if _, err := decodeSessionExtra(bad); err == nil {
+			t.Errorf("accepted non-canonical section %x", bad)
+		}
 	}
 }

@@ -1,0 +1,374 @@
+package serve_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"cohpredict/internal/bitmap"
+	"cohpredict/internal/core"
+	"cohpredict/internal/eval"
+	"cohpredict/internal/obs"
+	"cohpredict/internal/serve"
+	"cohpredict/internal/trace"
+)
+
+// The idempotency cache keeps each keyed post's COHWIRE1 reply frame.
+// These tests pin what that must not change: a replay answers with the
+// original predictions whichever transport carried either attempt, the
+// snapshot's Extra section keeps its version-1 layout byte for byte, and
+// a warm keyed post costs its frame rather than a bitmap per event.
+
+// sharingEvents is hammerEvents with readers to learn from: each store
+// invalidates one reader, spread over all sixteen nodes, so the predicted
+// bitmaps take 1-, 2- and 3-byte uvarints.
+func sharingEvents(n int) []trace.Event {
+	evs := hammerEvents(n, 16)
+	for i := range evs {
+		evs[i].InvReaders = 1 << uint((i*5+3)%16)
+	}
+	return evs
+}
+
+// postKeyed posts evs under key as JSON or as a COHWIRE1 frame and
+// returns the predictions from the reply.
+func (c *client) postKeyed(id, key string, evs []trace.Event, wire bool) []uint64 {
+	c.t.Helper()
+	path := "/v1/sessions/" + id + "/events"
+	if wire {
+		code, _, body := c.doRaw("POST", path, serve.AppendWireBatch(nil, evs), map[string]string{
+			"Content-Type": serve.ContentTypeWire, "Accept": serve.ContentTypeWire, "Idempotency-Key": key,
+		})
+		if code != http.StatusOK {
+			c.t.Fatalf("wire post %s: status %d: %s", key, code, body)
+		}
+		preds, err := serve.DecodeWireReplyInto(body, []uint64(nil))
+		if err != nil {
+			c.t.Fatalf("wire post %s: %v", key, err)
+		}
+		return preds
+	}
+	reqBody, err := json.Marshal(wireEvents(evs))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	code, _, body := c.doRaw("POST", path, reqBody, map[string]string{"Idempotency-Key": key})
+	var resp serve.EventsResponse
+	if code != http.StatusOK || json.Unmarshal(body, &resp) != nil {
+		c.t.Fatalf("json post %s: status %d: %s", key, code, body)
+	}
+	return resp.Predictions
+}
+
+// TestIdemReplayCrossTransport: a key first posted as JSON and retried as
+// COHWIRE1, or the reverse, replays the original predictions, counts one
+// replay, and never trains the batch a second time.
+func TestIdemReplayCrossTransport(t *testing.T) {
+	reg := obs.New()
+	srv := serve.NewServer(serve.Options{Registry: reg})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 2, FlushMicros: -1}).ID
+	replays := reg.Counter("serve_idempotent_replays_total")
+	evs := sharingEvents(300)
+
+	for _, firstWire := range []bool{false, true} {
+		key := fmt.Sprintf("cross-%v", firstWire)
+		first := c.postKeyed(id, key, evs, firstWire)
+		if slices.Max(first) == 0 {
+			t.Fatalf("%s: every prediction is empty; the replay check needs real bitmaps", key)
+		}
+		events, hits := c.stats(id).Events, replays.Value()
+		again := c.postKeyed(id, key, evs, !firstWire)
+		if len(again) != len(first) {
+			t.Fatalf("%s: replay returned %d predictions, original %d", key, len(again), len(first))
+		}
+		for i := range first {
+			if again[i] != first[i] {
+				t.Fatalf("%s: replayed prediction %d = %#x, original %#x", key, i, again[i], first[i])
+			}
+		}
+		if got := replays.Value(); got != hits+1 {
+			t.Fatalf("%s: serve_idempotent_replays_total moved %d → %d, want one replay", key, hits, got)
+		}
+		if got := c.stats(id).Events; got != events {
+			t.Fatalf("%s: replay trained the engine: %d events, want %d", key, got, events)
+		}
+	}
+}
+
+// TestIdemConcurrentSameKey: posts racing on one key — through the binary
+// handler's session call and through PostKeyed — train the batch once,
+// and every one of them gets the winner's reply: the same frame bytes, or
+// the predictions decoded from them.
+func TestIdemConcurrentSameKey(t *testing.T) {
+	sc, err := core.ParseScheme("last(add8)1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := serve.NewSession("race", serve.SessionConfig{
+		Scheme: sc, Machine: core.Machine{Nodes: 16, LineBytes: 64}, Shards: 4,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	evs := sharingEvents(512)
+	if _, err := sess.PostKeyed("warm", evs); err != nil {
+		t.Fatal(err)
+	}
+
+	const racers = 8
+	frames := make([][]byte, racers)
+	preds := make([][]bitmap.Bitmap, racers)
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				frames[g], errs[g] = sess.PostFrame("race-key", evs, new(serve.WireBuf))
+				return
+			}
+			preds[g], errs[g] = sess.PostKeyed("race-key", evs)
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("racer %d: %v", g, err)
+		}
+	}
+	want, err := serve.DecodeWireReply(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < racers; g++ {
+		got := preds[g]
+		if g%2 == 0 {
+			if !bytes.Equal(frames[g], frames[0]) {
+				t.Fatalf("racer %d got different frame bytes", g)
+			}
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("racer %d got predictions that differ from the cached frame", g)
+		}
+	}
+	if got := sess.Stats().Events; got != 2*uint64(len(evs)) {
+		t.Fatalf("trained %d events, want %d: the racing key must train once", got, 2*len(evs))
+	}
+}
+
+// sessionExtraLayout spells out the version-1 Extra section with
+// binary.AppendUvarint: version, tuning, then each key with its
+// prediction count and predictions.
+func sessionExtraLayout(shards, batch int, flushNS, pending uint64, keys []string, preds [][]uint64) []byte {
+	b := binary.AppendUvarint(nil, 1)
+	b = binary.AppendUvarint(b, uint64(shards))
+	b = binary.AppendUvarint(b, uint64(batch))
+	b = binary.AppendUvarint(b, flushNS)
+	b = binary.AppendUvarint(b, pending)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for i, k := range keys {
+		b = binary.AppendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
+		b = binary.AppendUvarint(b, uint64(len(preds[i])))
+		for _, p := range preds[i] {
+			b = binary.AppendUvarint(b, p)
+		}
+	}
+	return b
+}
+
+func (c *client) snapshot(id string) ([]byte, *eval.Snapshot) {
+	c.t.Helper()
+	code, _, data := c.doRaw("GET", "/v1/sessions/"+id+"/snapshot", nil, nil)
+	if code != http.StatusOK {
+		c.t.Fatalf("snapshot %s: status %d: %s", id, code, data)
+	}
+	snap, err := eval.DecodeSnapshot(data)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return data, snap
+}
+
+func (c *client) restore(id string, data []byte, shards int) {
+	c.t.Helper()
+	path := fmt.Sprintf("/v1/sessions/%s/snapshot?shards=%d", id, shards)
+	if code, _, body := c.doRaw("PUT", path, data, nil); code != http.StatusCreated {
+		c.t.Fatalf("restore %s: status %d: %s", id, code, body)
+	}
+}
+
+// TestSnapshotExtraLayoutPinned: for a cache whose predictions take 1-,
+// 2- and 3-byte uvarints, the snapshot's Extra section is exactly the
+// version-1 layout. A restore at another shard count snapshots to the
+// same layout at that count, restoring it back snapshots byte-identical
+// to the original, and a replay after the restore serves the original
+// reply bytes without training.
+func TestSnapshotExtraLayoutPinned(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	id := c.createSession(serve.CreateSessionRequest{
+		Scheme: "last(add8)1", Shards: 2, BatchSize: 64, FlushMicros: -1, MaxPending: 4096,
+	}).ID
+
+	keys := []string{"k-a", "k-b", "k-c"}
+	batches := [][]trace.Event{sharingEvents(40), sharingEvents(300), sharingEvents(7)}
+	frames := make([][]byte, len(keys))
+	preds := make([][]uint64, len(keys))
+	widths := map[int]bool{}
+	for i, k := range keys {
+		hdr := map[string]string{"Content-Type": serve.ContentTypeWire, "Idempotency-Key": k}
+		code, _, body := c.doRaw("POST", "/v1/sessions/"+id+"/events", serve.AppendWireBatch(nil, batches[i]), hdr)
+		if code != http.StatusOK {
+			t.Fatalf("post %s: status %d", k, code)
+		}
+		frames[i] = body
+		p, err := serve.DecodeWireReplyInto(body, []uint64(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds[i] = p
+		for _, v := range p {
+			widths[eval.UvarintLen(v)] = true
+		}
+	}
+	if !widths[1] || !widths[2] || !widths[3] {
+		t.Fatalf("prediction widths %v: the pin needs 1-, 2- and 3-byte uvarints", widths)
+	}
+
+	orig, snap := c.snapshot(id)
+	if want := sessionExtraLayout(2, 64, 0, 4096, keys, preds); !bytes.Equal(snap.Extra, want) {
+		t.Fatalf("Extra section changed layout:\n got %x\nwant %x", snap.Extra, want)
+	}
+
+	c.restore("twin", orig, 3)
+	twinData, twin := c.snapshot("twin")
+	if want := sessionExtraLayout(3, 64, 0, 4096, keys, preds); !bytes.Equal(twin.Extra, want) {
+		t.Fatalf("restored Extra section at 3 shards:\n got %x\nwant %x", twin.Extra, want)
+	}
+	c.restore("back", twinData, 2)
+	if back, _ := c.snapshot("back"); !bytes.Equal(back, orig) {
+		t.Fatal("snapshot → restore at 3 shards → restore at 2 shards → snapshot is not byte-identical")
+	}
+
+	events := c.stats("twin").Events
+	for i, k := range keys {
+		hdr := map[string]string{"Content-Type": serve.ContentTypeWire, "Idempotency-Key": k}
+		code, _, body := c.doRaw("POST", "/v1/sessions/twin/events", serve.AppendWireBatch(nil, batches[i]), hdr)
+		if code != http.StatusOK || !bytes.Equal(body, frames[i]) {
+			t.Fatalf("replay of %s after restore: status %d, bytes differ from the original reply", k, code)
+		}
+	}
+	if got := c.stats("twin").Events; got != events {
+		t.Fatalf("replays after restore trained the engine: %d events, want %d", got, events)
+	}
+}
+
+// TestKeyedWirePostAllocs pins what a warm keyed binary post costs: its
+// reply frame, kept by the idempotency cache, plus a constant. A cache of
+// predictions kept as bitmaps costs 8 bytes per event on its own.
+func TestKeyedWirePostAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops puts on purpose")
+	}
+	sc, err := core.ParseScheme("last(add8)1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := serve.NewSession("mem", serve.SessionConfig{
+		Scheme: sc, Machine: core.Machine{Nodes: 16, LineBytes: 64}, Shards: 2,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	const events, posts = 4096, 50
+	evs := sharingEvents(events)
+	keys := make([]string, posts+4)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	buf := new(serve.WireBuf)
+	for _, k := range keys[posts:] { // warm the buffers, the pools and the cache
+		if _, err := sess.PostFrame(k, evs, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	frameBytes := 0
+	for _, k := range keys[:posts] {
+		frame, err := sess.PostFrame(k, evs, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frameBytes += len(frame)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / posts / events
+	t.Logf("%.2f bytes allocated per event; frames average %.2f bytes per event",
+		perEvent, float64(frameBytes)/posts/events)
+	if perEvent >= 3 {
+		t.Fatalf("a warm keyed 4096-event post allocates %.2f bytes per event, want under 3", perEvent)
+	}
+}
+
+// FuzzDecodeSessionExtra drives the snapshot Extra decoder with arbitrary
+// bytes: it must never panic, and every section it accepts must re-encode
+// byte for byte — so no two encodings of a cache are both accepted, and a
+// restored frame replays exactly what the client's canonical decoder
+// accepts.
+func FuzzDecodeSessionExtra(f *testing.F) {
+	sc, err := core.ParseScheme("last(add8)1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	sess, err := serve.NewSession("seed", serve.SessionConfig{
+		Scheme: sc, Machine: core.Machine{Nodes: 16, LineBytes: 64}, Shards: 2,
+	}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, n := range []int{0, 3, 40} {
+		if _, err := sess.PostKeyed(fmt.Sprintf("seed-%d", i), sharingEvents(n)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Extra)
+	f.Add([]byte{1, 1, 0, 0, 0, 0})                           // no cache
+	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 1, 0x80, 0x00})    // non-minimal prediction
+	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 0xff, 0xff, 0x03}) // 65535 predictions declared
+	f.Add([]byte{2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		again, err := serve.ReencodeSessionExtra(data)
+		if err != nil || len(data) == 0 {
+			return
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted Extra section is not canonical:\n in: %x\nout: %x", data, again)
+		}
+	})
+}

@@ -429,17 +429,14 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, rec *flight
 		return httpErr(http.StatusBadRequest, err)
 	}
 	rec.SetEvents(len(evs))
+	if wantsWire(r) {
+		buf := wireBufs.Get().(*wireBuf)
+		defer wireBufs.Put(buf)
+		return s.writeFrame(w, r, sess, evs, buf, rec)
+	}
 	preds, err := sess.PostKeyedStamped(r.Header.Get("Idempotency-Key"), evs, rec)
 	if err != nil {
 		return err
-	}
-	if wantsWire(r) {
-		t1 := flight.Nanos()
-		frame := AppendWireReply(nil, preds)
-		rec.AddEncode(flight.Nanos() - t1)
-		rec.SetBytesOut(len(frame))
-		writeWire(w, frame)
-		return nil
 	}
 	resp := EventsResponse{Events: len(preds), Predictions: make([]uint64, len(preds))}
 	for i, p := range preds {

@@ -117,16 +117,17 @@ func (c *SessionConfig) fillDefaults() error {
 }
 
 // idemEntry is one idempotency-cache slot. The winner of a key closes done
-// after filling preds; duplicates wait on done and return the cached
-// predictions without re-training the engine.
+// after filling frame — the post's encoded COHWIRE1 reply, sized to fit
+// and never written again; duplicates wait on done and serve those bytes
+// without re-training the engine.
 type idemEntry struct {
 	done  chan struct{}
-	preds []bitmap.Bitmap
+	frame []byte
 	err   error
 }
 
 // completed reports whether the entry's winner has finished: done is
-// closed and preds/err are final and safe to read.
+// closed and frame/err are final and safe to read.
 func (e *idemEntry) completed() bool {
 	select {
 	case <-e.done:
@@ -384,13 +385,63 @@ func (s *Session) PostKeyed(key string, evs []trace.Event) ([]bitmap.Bitmap, err
 
 // PostKeyedStamped is PostKeyed carrying a flight record (nil = untraced):
 // a replay served from the idempotency cache marks the record instead of
-// stamping shard stages — no engine work happened.
+// stamping shard stages — no engine work happened. The cache keeps each
+// post's reply frame, so a replay decodes its predictions from there.
 func (s *Session) PostKeyedStamped(key string, evs []trace.Event, st *flight.Record) ([]bitmap.Bitmap, error) {
 	if key == "" {
 		return s.postStamped(evs, st)
 	}
+	preds := make([]bitmap.Bitmap, len(evs))
+	frame, replay, err := s.postKeyed(key, evs, preds, st)
+	if err != nil {
+		return nil, err
+	}
+	if replay {
+		if preds, err = DecodeWireReplyInto(frame, preds[:0]); err != nil {
+			return nil, err
+		}
+	}
+	return preds, nil
+}
+
+// postFrame posts evs and returns the COHWIRE1 reply frame, the way the
+// binary handler serves it. buf lends the pooled prediction slots and, for
+// an unkeyed post, the output buffer the frame is encoded into, valid
+// until buf goes back to the pool. A keyed post's frame is the
+// idempotency cache's copy, which nobody writes to.
+func (s *Session) postFrame(key string, evs []trace.Event, buf *wireBuf, st *flight.Record) ([]byte, error) {
+	if cap(buf.preds) < len(evs) {
+		buf.preds = make([]bitmap.Bitmap, len(evs))
+	}
+	preds := buf.preds[:len(evs)]
+	if key != "" {
+		frame, _, err := s.postKeyed(key, evs, preds, st)
+		return frame, err
+	}
+	if err := s.PostIntoStamped(evs, preds, st); err != nil {
+		return nil, err
+	}
+	buf.out = encodeReply(buf.out[:0], preds, st)
+	return buf.out, nil
+}
+
+// encodeReply appends the reply frame for preds to dst, stamping the
+// encode stage on st.
+func encodeReply(dst []byte, preds []bitmap.Bitmap, st *flight.Record) []byte {
+	t := flight.Nanos()
+	dst = AppendWireReply(dst, preds)
+	st.AddEncode(flight.Nanos() - t)
+	return dst
+}
+
+// postKeyed runs a keyed post through the idempotency cache. The first
+// arrival of key trains the engine with preds (len(evs) caller-owned
+// slots) as its response buffer, encodes the reply frame once at its
+// exact size and caches it; a duplicate waits for the original and gets
+// the same frame with replay set, its preds untouched.
+func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) (frame []byte, replay bool, err error) {
 	if len(key) > maxIdemKeyLen {
-		return nil, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
+		return nil, false, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
 	}
 
 	s.idemMu.Lock()
@@ -398,11 +449,11 @@ func (s *Session) PostKeyedStamped(key string, evs []trace.Event, st *flight.Rec
 		s.idemMu.Unlock()
 		<-e.done
 		if e.err != nil {
-			return nil, e.err
+			return nil, false, e.err
 		}
 		s.om.idemHits.Inc()
 		st.MarkReplay()
-		return e.preds, nil
+		return e.frame, true, nil
 	}
 	e := &idemEntry{done: make(chan struct{})}
 	s.idem[key] = e
@@ -423,8 +474,7 @@ func (s *Session) PostKeyedStamped(key string, evs []trace.Event, st *flight.Rec
 	}
 	s.idemMu.Unlock()
 
-	preds, err := s.postStamped(evs, st)
-	if err != nil {
+	if err := s.PostIntoStamped(evs, preds, st); err != nil {
 		if errors.Is(err, ErrShardFailed) {
 			// Permanent: every retry fails identically, but its Post would
 			// still re-train the healthy shards' partitions first. Keep
@@ -432,7 +482,7 @@ func (s *Session) PostKeyedStamped(key string, evs []trace.Event, st *flight.Rec
 			// fails fast without touching the engine.
 			e.err = err
 			close(e.done)
-			return nil, err
+			return nil, false, err
 		}
 		// Nothing was trained (drops and backlog refuse before enqueue):
 		// release the key so the client's retry re-runs instead of
@@ -450,11 +500,11 @@ func (s *Session) PostKeyedStamped(key string, evs []trace.Event, st *flight.Rec
 		s.idemMu.Unlock()
 		e.err = err
 		close(e.done)
-		return nil, err
+		return nil, false, err
 	}
-	e.preds = preds
+	e.frame = encodeReply(nil, preds, st)
 	close(e.done)
-	return preds, nil
+	return e.frame, false, nil
 }
 
 // Stats is a session's aggregated (per-batch-published) state. While
@@ -633,7 +683,7 @@ func (s *Session) importSnapshot(snap *eval.Snapshot, extra *sessionExtra) error
 	s.baseConf = snap.Conf
 	s.baseEvents = snap.Events
 	for _, it := range extra.idem {
-		e := &idemEntry{done: make(chan struct{}), preds: it.preds}
+		e := &idemEntry{done: make(chan struct{}), frame: it.frame}
 		close(e.done)
 		//predlint:ignore guardedby pre-publication: the session is freshly built and unshared, see the function comment
 		s.idem[it.key] = e

@@ -64,12 +64,6 @@ type shard struct {
 	flt                  *fault.Injector
 	delaySite, panicSite string
 
-	// batchSeq numbers this worker's micro-batches; OR-ed with batchBase
-	// (shard id in the high bits) it yields the session-unique batch id
-	// the flight records dedup on. Worker-local, no atomics needed.
-	batchSeq  uint64
-	batchBase uint64
-
 	om *serveMetrics
 }
 
@@ -87,7 +81,6 @@ func newShard(id int, s core.Scheme, m core.Machine, batch int, flush time.Durat
 		flt:       flt,
 		delaySite: fmt.Sprintf("shard%d.delay", id),
 		panicSite: fmt.Sprintf("shard%d.panic", id),
-		batchBase: uint64(id+1) << 40,
 		om:        om,
 	}
 	if flush > 0 {
@@ -251,12 +244,10 @@ func (s *shard) flushBatch(fillStart int64, buf []op, n int) {
 
 	// A post has at most one run per shard, so every op aboard belongs to
 	// a distinct post and each record is stamped once per batch.
-	s.batchSeq++
-	batchID := s.batchBase | s.batchSeq
 	wait := start - fillStart
 	for i := range buf {
 		p := buf[i].p
-		p.st.NoteBatch(batchID, start, wait, busy)
+		p.st.NoteBatch(start, wait, busy)
 		if delayed {
 			p.st.MarkFault(flight.FaultDelay)
 		}

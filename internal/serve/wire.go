@@ -22,13 +22,18 @@ package serve
 //
 // The codec kernels are the serving hot path — one frame per HTTP request,
 // one field group per event at a target of a million events per second —
-// so they are //predlint:hotpath: no allocation (decoders append into
-// caller-owned buffers, encoders append in place), no fmt (errors are
-// static sentinels; the HTTP layer adds request context), no interface
-// boxing.
+// so they are //predlint:hotpath: no fmt (errors are static sentinels; the
+// HTTP layer adds request context), no interface boxing, and one pass over
+// the frame. A decoder bounds the count against the input, grows its
+// destination once to that count, and reads each field at a local index
+// through eval.Uvarint, whose one-byte case inlines. An encoder sizes the
+// frame, reserves that capacity once, and writes each field by index.
+// Decoders into a pooled destination and encoders into a pooled buffer
+// allocate nothing once the buffers have warmed up.
 
 import (
 	"errors"
+	"slices"
 
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/eval"
@@ -47,6 +52,15 @@ const (
 	wireKindBatch = 1
 	wireKindReply = 2
 )
+
+// wireHeaderLen is the length of a frame's header: the magic, then the
+// kind, which encodes in one byte. The count follows it.
+const wireHeaderLen = len(wireMagic) + 1
+
+// MaxWireReplyBytes is the length of the largest legal reply frame:
+// MaxBatchEvents predictions of up to ten bytes each, behind the header
+// and a three-byte count.
+const MaxWireReplyBytes = wireHeaderLen + 3 + 10*MaxBatchEvents
 
 // minWireEventBytes is the smallest possible encoded event (seven
 // single-byte uvarints: pid pc dir addr inv has_prev future); the batch
@@ -67,114 +81,126 @@ var (
 	errWireNodes      = errors.New("serve: wire decoder node count out of range")
 )
 
-// wireReader consumes canonical uvarints from a frame; the first failure
-// sticks in err and every later read returns zero.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-//predlint:hotpath
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := eval.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errWireTruncated
-		return 0
-	case !ok:
-		r.err = errWireNonMinimal
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// header checks the magic and the expected frame kind, returning false
-// (with r.err set) on mismatch.
+// wireUvarintErr is the sentinel for a failed eval.Uvarint read that
+// consumed n bytes: none means truncation, some a non-minimal encoding.
 //
 //predlint:hotpath
-func (r *wireReader) header(kind uint64) bool {
-	if len(r.b) < len(wireMagic) || string(r.b[:len(wireMagic)]) != wireMagic {
-		r.err = errWireMagic
-		return false
+func wireUvarintErr(n int) error {
+	if n == 0 {
+		return errWireTruncated
 	}
-	r.b = r.b[len(wireMagic):]
-	k := r.uvarint()
-	if r.err != nil {
-		return false
+	return errWireNonMinimal
+}
+
+// wireBody checks a frame's magic and kind and reads its count, returning
+// the count and the index of the first item.
+//
+//predlint:hotpath
+func wireBody(data []byte, kind uint64) (count uint64, i int, err error) {
+	if !IsWireFrame(data) {
+		return 0, 0, errWireMagic
+	}
+	k, n, ok := eval.Uvarint(data[len(wireMagic):])
+	if !ok {
+		return 0, 0, wireUvarintErr(n)
 	}
 	if k != kind {
-		r.err = errWireKind
-		return false
+		return 0, 0, errWireKind
 	}
-	return true
+	i = len(wireMagic) + n
+	if count, n, ok = eval.Uvarint(data[i:]); !ok {
+		return 0, 0, wireUvarintErr(n)
+	}
+	return count, i + n, nil
 }
 
-// appendWireEvent encodes one event's field group (shared by the
-// trace.Event and EventRequest encoders so the layout lives in one place).
+// growWireFrame extends dst by a whole frame of the given kind and count
+// whose items take body bytes — the one capacity reservation an encoder
+// makes — writes the header and count, and returns the extended slice
+// with the index of the first item.
 //
 //predlint:hotpath
-func appendWireEvent(dst []byte, pid int, pc uint64, dir int, addr, inv uint64,
-	hasPrev bool, prevPID int, prevPC, future uint64) []byte {
-	dst = appendUvarint(dst, uint64(pid))
-	dst = appendUvarint(dst, pc)
-	dst = appendUvarint(dst, uint64(dir))
-	dst = appendUvarint(dst, addr)
-	dst = appendUvarint(dst, inv)
-	if hasPrev {
-		dst = appendUvarint(dst, 1)
-		dst = appendUvarint(dst, uint64(prevPID))
-		dst = appendUvarint(dst, prevPC)
-	} else {
-		dst = appendUvarint(dst, 0)
-	}
-	return appendUvarint(dst, future)
-}
-
-// appendUvarint is binary.AppendUvarint without the import cycle bait: a
-// local spelling keeps the encoder self-contained and inlinable.
-//
-//predlint:hotpath
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
+func growWireFrame(dst []byte, kind byte, count, body int) ([]byte, int) {
+	i := len(dst)
+	size := wireHeaderLen + eval.UvarintLen(uint64(count)) + body
+	dst = slices.Grow(dst, size)[:i+size]
+	i += copy(dst[i:], wireMagic)
+	dst[i] = kind
+	return dst, eval.PutUvarint(dst, i+1, uint64(count))
 }
 
 // AppendWireBatch appends the COHWIRE1 batch frame for evs to dst and
 // returns the extended slice. It is the canonical encoder the round-trip
-// proofs (and the server-side tests) re-encode with.
+// proofs (and the server-side tests) re-encode with. It spells the event
+// layout out in full, as AppendWireEvents does — a call per field group
+// would cost more than the fields themselves — and TestWireBatchRoundTrip
+// holds the two to the same bytes.
 //
 //predlint:hotpath
 func AppendWireBatch(dst []byte, evs []trace.Event) []byte {
-	dst = append(dst, wireMagic...)
-	dst = appendUvarint(dst, wireKindBatch)
-	dst = appendUvarint(dst, uint64(len(evs)))
+	body := 0
 	for i := range evs {
 		ev := &evs[i]
-		dst = appendWireEvent(dst, ev.PID, ev.PC, ev.Dir, ev.Addr, uint64(ev.InvReaders),
-			ev.HasPrev, ev.PrevPID, ev.PrevPC, uint64(ev.FutureReaders))
+		body += eval.UvarintLen(uint64(ev.PID)) + eval.UvarintLen(ev.PC) + eval.UvarintLen(uint64(ev.Dir)) +
+			eval.UvarintLen(ev.Addr) + eval.UvarintLen(uint64(ev.InvReaders)) + 1 +
+			eval.UvarintLen(uint64(ev.FutureReaders))
+		if ev.HasPrev {
+			body += eval.UvarintLen(uint64(ev.PrevPID)) + eval.UvarintLen(ev.PrevPC)
+		}
+	}
+	dst, at := growWireFrame(dst, wireKindBatch, len(evs), body)
+	for i := range evs {
+		ev := &evs[i]
+		at = eval.PutUvarint(dst, at, uint64(ev.PID))
+		at = eval.PutUvarint(dst, at, ev.PC)
+		at = eval.PutUvarint(dst, at, uint64(ev.Dir))
+		at = eval.PutUvarint(dst, at, ev.Addr)
+		at = eval.PutUvarint(dst, at, uint64(ev.InvReaders))
+		if ev.HasPrev {
+			dst[at] = 1
+			at = eval.PutUvarint(dst, at+1, uint64(ev.PrevPID))
+			at = eval.PutUvarint(dst, at, ev.PrevPC)
+		} else {
+			dst[at] = 0
+			at++
+		}
+		at = eval.PutUvarint(dst, at, uint64(ev.FutureReaders))
 	}
 	return dst
 }
 
-// AppendWireEvents appends the batch frame for API-form events (the
-// client-side encoder; field layout is identical to AppendWireBatch).
+// AppendWireEvents appends the batch frame for API-form events: the
+// client-side encoder, with AppendWireBatch's layout. Appending to nil
+// allocates the frame once, at its exact size.
 //
 //predlint:hotpath
 func AppendWireEvents(dst []byte, evs []EventRequest) []byte {
-	dst = append(dst, wireMagic...)
-	dst = appendUvarint(dst, wireKindBatch)
-	dst = appendUvarint(dst, uint64(len(evs)))
+	body := 0
 	for i := range evs {
 		r := &evs[i]
-		dst = appendWireEvent(dst, r.PID, r.PC, r.Dir, r.Addr, r.InvReaders,
-			r.HasPrev, r.PrevPID, r.PrevPC, r.FutureReaders)
+		body += eval.UvarintLen(uint64(r.PID)) + eval.UvarintLen(r.PC) + eval.UvarintLen(uint64(r.Dir)) +
+			eval.UvarintLen(r.Addr) + eval.UvarintLen(r.InvReaders) + 1 + eval.UvarintLen(r.FutureReaders)
+		if r.HasPrev {
+			body += eval.UvarintLen(uint64(r.PrevPID)) + eval.UvarintLen(r.PrevPC)
+		}
+	}
+	dst, at := growWireFrame(dst, wireKindBatch, len(evs), body)
+	for i := range evs {
+		r := &evs[i]
+		at = eval.PutUvarint(dst, at, uint64(r.PID))
+		at = eval.PutUvarint(dst, at, r.PC)
+		at = eval.PutUvarint(dst, at, uint64(r.Dir))
+		at = eval.PutUvarint(dst, at, r.Addr)
+		at = eval.PutUvarint(dst, at, r.InvReaders)
+		if r.HasPrev {
+			dst[at] = 1
+			at = eval.PutUvarint(dst, at+1, uint64(r.PrevPID))
+			at = eval.PutUvarint(dst, at, r.PrevPC)
+		} else {
+			dst[at] = 0
+			at++
+		}
+		at = eval.PutUvarint(dst, at, r.FutureReaders)
 	}
 	return dst
 }
@@ -182,72 +208,97 @@ func AppendWireEvents(dst []byte, evs []EventRequest) []byte {
 // DecodeWireBatchInto decodes a COHWIRE1 batch frame for an n-node
 // machine, appending the validated events to dst (pass a pooled slice at
 // length 0 to decode without allocating once its capacity has warmed up)
-// and returning the extended slice. Validation matches the JSON decoder
-// exactly: in-range pids and dirs, bitmaps confined to the machine,
-// prev fields only under has_prev. The decoder never panics, and accepts
-// only the canonical form — AppendWireBatch over the result reproduces
-// the input byte for byte.
+// and returning the extended slice; on error it returns dst at its
+// original length. Validation matches the JSON decoder exactly: in-range
+// pids and dirs, bitmaps confined to the machine, prev fields only under
+// has_prev. The decoder never panics, and accepts only the canonical form
+// — AppendWireBatch over the result reproduces the input byte for byte.
 //
 //predlint:hotpath
 func DecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.Event, error) {
 	if nodes <= 0 || nodes > bitmap.MaxNodes {
 		return dst, errWireNodes
 	}
-	full := uint64(bitmap.Full(nodes))
-	r := wireReader{b: data}
-	if !r.header(wireKindBatch) {
-		return dst, r.err
+	count, i, err := wireBody(data, wireKindBatch)
+	if err != nil {
+		return dst, err
 	}
-	n := r.uvarint()
-	if r.err != nil {
-		return dst, r.err
-	}
-	if n > MaxBatchEvents || n > uint64(len(r.b))/minWireEventBytes {
+	if count > MaxBatchEvents || count > uint64(len(data)-i)/minWireEventBytes {
 		return dst, errWireCount
 	}
-	for i := uint64(0); i < n; i++ {
-		var ev trace.Event
-		pid := r.uvarint()
-		ev.PC = r.uvarint()
-		dir := r.uvarint()
-		ev.Addr = r.uvarint()
-		inv := r.uvarint()
-		hp := r.uvarint()
-		if r.err != nil {
-			return dst, r.err
+	full, nn := uint64(bitmap.Full(nodes)), uint64(nodes)
+	base := len(dst)
+	dst = slices.Grow(dst, int(count))
+	evs := dst[base : base+int(count)]
+	for k := range evs {
+		// Each field is read where it is used, so a field that fails to
+		// decode wins over every check on the fields after it.
+		pid, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
 		}
-		if hp > 1 {
+		i += n
+		pc, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
+		}
+		i += n
+		dir, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
+		}
+		i += n
+		addr, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
+		}
+		i += n
+		inv, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
+		}
+		i += n
+		hasPrev, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
+		}
+		i += n
+		if hasPrev > 1 {
 			return dst, errWireBool
 		}
-		if hp == 1 {
-			ev.HasPrev = true
-			prevPID := r.uvarint()
-			ev.PrevPC = r.uvarint()
-			if prevPID >= uint64(nodes) {
-				if r.err != nil {
-					return dst, r.err
-				}
+		var prevPID, prevPC uint64
+		if hasPrev == 1 {
+			if prevPID, n, ok = eval.Uvarint(data[i:]); !ok {
+				return dst, wireUvarintErr(n)
+			}
+			i += n
+			if prevPC, n, ok = eval.Uvarint(data[i:]); !ok {
+				return dst, wireUvarintErr(n)
+			}
+			i += n
+			if prevPID >= nn {
 				return dst, errWireRange
 			}
-			ev.PrevPID = int(prevPID)
 		}
-		future := r.uvarint()
-		if r.err != nil {
-			return dst, r.err
+		future, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
 		}
-		if pid >= uint64(nodes) || dir >= uint64(nodes) || inv&^full != 0 || future&^full != 0 {
+		i += n
+		if pid >= nn || dir >= nn || inv&^full != 0 || future&^full != 0 {
 			return dst, errWireRange
 		}
-		ev.PID = int(pid)
-		ev.Dir = int(dir)
-		ev.InvReaders = bitmap.Bitmap(inv)
-		ev.FutureReaders = bitmap.Bitmap(future)
-		dst = append(dst, ev)
+		evs[k] = trace.Event{
+			PID: int(pid), PC: pc, Dir: int(dir), Addr: addr,
+			InvReaders: bitmap.Bitmap(inv),
+			HasPrev:    hasPrev == 1, PrevPID: int(prevPID), PrevPC: prevPC,
+			FutureReaders: bitmap.Bitmap(future),
+		}
 	}
-	if len(r.b) != 0 {
+	if i != len(data) {
 		return dst, errWireTrailing
 	}
-	return dst, nil
+	return dst[:base+len(evs)], nil
 }
 
 // DecodeWireBatch is DecodeWireBatchInto with a fresh destination (the
@@ -264,52 +315,57 @@ func DecodeWireBatch(data []byte, nodes int) ([]trace.Event, error) {
 }
 
 // AppendWireReply appends the COHWIRE1 reply frame carrying one predicted
-// sharing bitmap per event, in request order.
+// sharing bitmap per event, in request order. Appending to nil allocates
+// the frame once, at its exact size.
 //
 //predlint:hotpath
 func AppendWireReply(dst []byte, preds []bitmap.Bitmap) []byte {
-	dst = append(dst, wireMagic...)
-	dst = appendUvarint(dst, wireKindReply)
-	dst = appendUvarint(dst, uint64(len(preds)))
+	body := 0
 	for _, p := range preds {
-		dst = appendUvarint(dst, uint64(p))
+		body += eval.UvarintLen(uint64(p))
+	}
+	dst, at := growWireFrame(dst, wireKindReply, len(preds), body)
+	for _, p := range preds {
+		at = eval.PutUvarint(dst, at, uint64(p))
 	}
 	return dst
 }
 
 // DecodeWireReplyInto decodes a reply frame, appending the predictions to
-// dst. Like the batch decoder it is total (never panics) and canonical
-// (AppendWireReply over the result reproduces the input exactly).
+// dst — bitmaps on the server, the client's plain []uint64 — and
+// returning dst at its original length on error. Like the batch decoder
+// it is total (never panics) and canonical (AppendWireReply over the
+// result reproduces the input exactly).
 //
 //predlint:hotpath
-func DecodeWireReplyInto(data []byte, dst []bitmap.Bitmap) ([]bitmap.Bitmap, error) {
-	r := wireReader{b: data}
-	if !r.header(wireKindReply) {
-		return dst, r.err
+func DecodeWireReplyInto[T ~uint64](data []byte, dst []T) ([]T, error) {
+	count, i, err := wireBody(data, wireKindReply)
+	if err != nil {
+		return dst, err
 	}
-	n := r.uvarint()
-	if r.err != nil {
-		return dst, r.err
-	}
-	if n > MaxBatchEvents || n > uint64(len(r.b)) {
+	if count > MaxBatchEvents || count > uint64(len(data)-i) {
 		return dst, errWireCount
 	}
-	for i := uint64(0); i < n; i++ {
-		p := r.uvarint()
-		if r.err != nil {
-			return dst, r.err
+	base := len(dst)
+	dst = slices.Grow(dst, int(count))
+	preds := dst[base : base+int(count)]
+	for k := range preds {
+		v, n, ok := eval.Uvarint(data[i:])
+		if !ok {
+			return dst, wireUvarintErr(n)
 		}
-		dst = append(dst, bitmap.Bitmap(p))
+		preds[k] = T(v)
+		i += n
 	}
-	if len(r.b) != 0 {
+	if i != len(data) {
 		return dst, errWireTrailing
 	}
-	return dst, nil
+	return dst[:base+len(preds)], nil
 }
 
 // DecodeWireReply is DecodeWireReplyInto with a fresh destination.
 func DecodeWireReply(data []byte) ([]bitmap.Bitmap, error) {
-	preds, err := DecodeWireReplyInto(data, nil)
+	preds, err := DecodeWireReplyInto(data, []bitmap.Bitmap(nil))
 	if err != nil {
 		return nil, err
 	}

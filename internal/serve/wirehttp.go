@@ -1,13 +1,13 @@
 package serve
 
-// The HTTP face of COHWIRE1: content negotiation and the allocation-free
-// request path. A binary events post flows through pooled buffers end to
-// end — body bytes, decoded events, prediction slots, and the encoded
-// reply all live in a per-request *wireBuf recycled through a sync.Pool —
-// so the steady-state cost per event is the codec kernels plus the shard
-// work, with no per-event garbage. (Idempotent posts are the exception:
-// their predictions are cached for replay, so they must own heap slices;
-// see handleEventsWire.)
+// The HTTP face of COHWIRE1: content negotiation and the pooled request
+// path. A binary events post flows through pooled buffers end to end —
+// body bytes, decoded events, prediction slots, and the encoded reply all
+// live in a per-request *wireBuf recycled through a sync.Pool — so the
+// steady-state cost per event is the codec kernels plus the shard work.
+// An idempotent post (every post the Go client sends) allocates one thing
+// more: its reply frame at its exact size, which the idempotency cache
+// keeps for replays; see Session.postFrame.
 
 import (
 	"fmt"
@@ -83,12 +83,10 @@ func writeWire(w http.ResponseWriter, frame []byte) {
 	_, _ = w.Write(frame)
 }
 
-// handleEventsWire is the binary events path. Unkeyed posts (the
-// throughput case) are allocation-free: pooled body/event/prediction/reply
-// buffers, the batch decoded straight into the event structs the shard
-// ops point at, the reply encoded in place. Keyed posts allocate their
-// prediction slice because the idempotency cache retains it for replays —
-// a pooled slice would be recycled under the cache's feet.
+// handleEventsWire is the binary events path: the batch decoded straight
+// into the pooled event structs the shard runs point at, the predictions
+// stored into pooled slots, and the reply frame — pooled for an unkeyed
+// post, the idempotency cache's own bytes for a keyed one — written as is.
 func (s *Server) handleEventsWire(w http.ResponseWriter, r *http.Request, sess *Session, rec *flight.Record) error {
 	buf := wireBufs.Get().(*wireBuf)
 	defer wireBufs.Put(buf)
@@ -102,34 +100,23 @@ func (s *Server) handleEventsWire(w http.ResponseWriter, r *http.Request, sess *
 	t0 := flight.Nanos()
 	evs, err := DecodeWireBatchInto(body, sess.cfg.Machine.Nodes, buf.evs[:0])
 	rec.AddDecode(flight.Nanos() - t0)
-	if evs != nil {
-		buf.evs = evs[:0]
-	}
+	buf.evs = evs[:0]
 	if err != nil {
 		return httpErr(http.StatusBadRequest, fmt.Errorf("serve: decoding wire batch: %w", err))
 	}
 	s.om.wireRequests.Inc()
 	rec.SetEvents(len(evs))
+	return s.writeFrame(w, r, sess, evs, buf, rec)
+}
 
-	var preds []bitmap.Bitmap
-	if key := r.Header.Get("Idempotency-Key"); key != "" {
-		preds, err = sess.PostKeyedStamped(key, evs, rec)
-	} else {
-		if cap(buf.preds) < len(evs) {
-			buf.preds = make([]bitmap.Bitmap, len(evs))
-		}
-		preds = buf.preds[:len(evs)]
-		err = sess.PostIntoStamped(evs, preds, rec)
-	}
+// writeFrame posts evs and writes the COHWIRE1 reply, for either request
+// encoding; buf is the caller's pooled wireBuf.
+func (s *Server) writeFrame(w http.ResponseWriter, r *http.Request, sess *Session, evs []trace.Event, buf *wireBuf, rec *flight.Record) error {
+	frame, err := sess.postFrame(r.Header.Get("Idempotency-Key"), evs, buf, rec)
 	if err != nil {
 		return err
 	}
-
-	t1 := flight.Nanos()
-	out := AppendWireReply(buf.out[:0], preds)
-	rec.AddEncode(flight.Nanos() - t1)
-	rec.SetBytesOut(len(out))
-	buf.out = out[:0]
-	writeWire(w, out)
+	rec.SetBytesOut(len(frame))
+	writeWire(w, frame)
 	return nil
 }

@@ -115,24 +115,11 @@ type TraceRecord struct {
 	Request TraceRequest // valid when Kind == TraceKindRequest
 }
 
-// appendUvarint is the canonical little-endian base-128 encoder (the
-// same spelling as the COHWIRE1 kernels; a local copy keeps the codec
-// self-contained and inlinable).
-//
-//predlint:hotpath
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 // appendTraceString encodes a length-prefixed string.
 //
 //predlint:hotpath
 func appendTraceString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
+	dst = eval.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
@@ -142,31 +129,31 @@ func appendTraceString(dst []byte, s string) []byte {
 //
 //predlint:hotpath
 func appendTraceEvent(dst []byte, ev *trace.Event) []byte {
-	dst = appendUvarint(dst, uint64(ev.PID))
-	dst = appendUvarint(dst, ev.PC)
-	dst = appendUvarint(dst, uint64(ev.Dir))
-	dst = appendUvarint(dst, ev.Addr)
-	dst = appendUvarint(dst, uint64(ev.InvReaders))
+	dst = eval.AppendUvarint(dst, uint64(ev.PID))
+	dst = eval.AppendUvarint(dst, ev.PC)
+	dst = eval.AppendUvarint(dst, uint64(ev.Dir))
+	dst = eval.AppendUvarint(dst, ev.Addr)
+	dst = eval.AppendUvarint(dst, uint64(ev.InvReaders))
 	if ev.HasPrev {
-		dst = appendUvarint(dst, 1)
-		dst = appendUvarint(dst, uint64(ev.PrevPID))
-		dst = appendUvarint(dst, ev.PrevPC)
+		dst = eval.AppendUvarint(dst, 1)
+		dst = eval.AppendUvarint(dst, uint64(ev.PrevPID))
+		dst = eval.AppendUvarint(dst, ev.PrevPC)
 	} else {
-		dst = appendUvarint(dst, 0)
+		dst = eval.AppendUvarint(dst, 0)
 	}
-	return appendUvarint(dst, uint64(ev.FutureReaders))
+	return eval.AppendUvarint(dst, uint64(ev.FutureReaders))
 }
 
 // appendSessionRecord encodes a kind-1 record.
 //
 //predlint:hotpath
 func appendSessionRecord(dst []byte, seq uint64, scheme string, nodes, lineBytes, shards int) []byte {
-	dst = appendUvarint(dst, TraceKindSession)
-	dst = appendUvarint(dst, seq)
+	dst = eval.AppendUvarint(dst, TraceKindSession)
+	dst = eval.AppendUvarint(dst, seq)
 	dst = appendTraceString(dst, scheme)
-	dst = appendUvarint(dst, uint64(nodes))
-	dst = appendUvarint(dst, uint64(lineBytes))
-	return appendUvarint(dst, uint64(shards))
+	dst = eval.AppendUvarint(dst, uint64(nodes))
+	dst = eval.AppendUvarint(dst, uint64(lineBytes))
+	return eval.AppendUvarint(dst, uint64(shards))
 }
 
 // appendRequestRecord encodes a kind-2 record. It is the recorder's
@@ -176,11 +163,11 @@ func appendSessionRecord(dst []byte, seq uint64, scheme string, nodes, lineBytes
 //
 //predlint:hotpath
 func appendRequestRecord(dst []byte, sess, arrivalNS uint64, id string, evs []trace.Event) []byte {
-	dst = appendUvarint(dst, TraceKindRequest)
-	dst = appendUvarint(dst, sess)
-	dst = appendUvarint(dst, arrivalNS)
+	dst = eval.AppendUvarint(dst, TraceKindRequest)
+	dst = eval.AppendUvarint(dst, sess)
+	dst = eval.AppendUvarint(dst, arrivalNS)
 	dst = appendTraceString(dst, id)
-	dst = appendUvarint(dst, uint64(len(evs)))
+	dst = eval.AppendUvarint(dst, uint64(len(evs)))
 	for i := range evs {
 		dst = appendTraceEvent(dst, &evs[i])
 	}
@@ -203,7 +190,7 @@ func AppendTraceRecord(dst []byte, rec *TraceRecord) []byte {
 // records in order.
 func EncodeTraceFile(recs []TraceRecord) []byte {
 	dst := append([]byte(nil), traceMagic...)
-	dst = appendUvarint(dst, uint64(len(recs)))
+	dst = eval.AppendUvarint(dst, uint64(len(recs)))
 	for i := range recs {
 		dst = AppendTraceRecord(dst, &recs[i])
 	}

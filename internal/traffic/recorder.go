@@ -13,6 +13,7 @@ package traffic
 import (
 	"sync"
 
+	"cohpredict/internal/eval"
 	"cohpredict/internal/flight"
 	"cohpredict/internal/trace"
 )
@@ -130,7 +131,7 @@ func (r *Recorder) Bytes() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	dst := append([]byte(nil), traceMagic...)
-	dst = appendUvarint(dst, uint64(r.count))
+	dst = eval.AppendUvarint(dst, uint64(r.count))
 	return append(dst, r.buf...)
 }
 
