@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo serve-demo chaos-demo trace-demo load-demo cluster-demo fuzz-smoke cover bench-ledger throughput-smoke
+.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo load-demo cluster-demo fuzz-smoke cover bench-ledger throughput-smoke
 
 check: vet lint race
 
@@ -64,25 +64,6 @@ bench-all:
 obs-demo:
 	$(GO) run ./cmd/predsim -scale test -quick -obs obs.json
 
-# Prediction-service demo: start predserve on a loopback port, drive every
-# endpoint with a scripted session, print each exchange, drain.
-serve-demo:
-	$(GO) run ./cmd/predserve -demo
-
-# Chaos demo: stream a trace at a fault-injected server (drops, delays,
-# 500s, connection resets), kill it mid-stream, restore the checkpoint in
-# a second server at a different shard count, and verify the served
-# predictions byte-identical against the fault-free offline engine.
-chaos-demo:
-	$(GO) run ./cmd/predserve -chaos-demo
-
-# Flight-recorder demo: boot an in-process server with seeded chaos
-# faults, stream batches at it, fetch /v1/debug/{requests,slow}, and
-# render the per-stage waterfall — every injected fault correlated to a
-# client request ID, or the demo exits non-zero.
-trace-demo:
-	$(GO) run ./cmd/predtrace -demo
-
 # Load-generator demo: boot an in-process server, drive it with a seeded
 # 2-second open-loop poisson run over the binary transport, write the
 # predload-slo/v1 ledger, and re-validate it through benchledger.
@@ -90,13 +71,9 @@ load-demo:
 	$(GO) run ./cmd/predload -demo -out BENCH_predload.json
 	$(GO) run ./cmd/benchledger -check BENCH_predload.json
 
-# Cluster demo: the self-contained predroute walkthrough (3 backends +
-# standby in-process; live migration under load, a mid-stream kill with
-# standby failover, served predictions verified byte-identical against
-# the fault-free offline engine), then the capacity-planning mode over
-# an in-process cluster, its predload-cluster/v1 ledger re-validated.
+# Cluster demo: the capacity-planning mode over an in-process cluster,
+# its predload-cluster/v1 ledger re-validated.
 cluster-demo:
-	$(GO) run ./cmd/predroute -demo
 	$(GO) run ./cmd/predload -demo -cluster -out BENCH_cluster.json
 	$(GO) run ./cmd/benchledger -check BENCH_cluster.json
 

@@ -8,8 +8,6 @@
 //
 //	predroute -backends http://10.0.0.1:8091,http://10.0.0.2:8091
 //	predroute -backends ... -standby http://10.0.0.9:8091 -ship-interval 5s
-//	predroute -demo      # 3 backends + standby in-process: live migration,
-//	                     # kill, failover — verified against the offline engine
 //	predroute -version   # build identity
 //
 // The control surface: GET /v1/cluster reports topology, the routing
@@ -43,14 +41,11 @@ func main() {
 func run() error {
 	var (
 		addr     = flag.String("addr", ":8090", "listen address")
-		backends = flag.String("backends", "", "comma-separated predserve base URLs (required unless -demo)")
+		backends = flag.String("backends", "", "comma-separated predserve base URLs (required)")
 		standby  = flag.String("standby", "", "warm-standby predserve base URL (enables snapshot shipping and failover)")
 		healthI  = flag.Duration("health-interval", 2*time.Second, "background health-probe interval (0 disables)")
 		shipI    = flag.Duration("ship-interval", 5*time.Second, "standby snapshot-ship interval (0 disables)")
-		direct   = flag.Bool("direct", false, "redirect event posts to the owning backend with 307 instead of proxying them")
 		logS     = flag.String("log", "info", "log level: quiet, info, debug")
-		demo     = flag.Bool("demo", false, "run the self-contained cluster walkthrough (3 backends + standby, live migration, kill, failover) and exit")
-		seed     = flag.Int64("seed", 42, "demo chaos seed; the walkthrough replays from this value alone")
 		version  = flag.Bool("version", false, "print version and build identity, then exit")
 	)
 	flag.Parse()
@@ -59,7 +54,7 @@ func run() error {
 		fmt.Println("predroute", obs.Version())
 		return nil
 	}
-	level, err := parseLevel(*logS)
+	level, err := obs.ParseLevel(*logS)
 	if err != nil {
 		return err
 	}
@@ -67,11 +62,8 @@ func run() error {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
 
-	if *demo {
-		return runDemo(*seed, logger)
-	}
 	if *backends == "" {
-		return fmt.Errorf("need -backends (or -demo)")
+		return fmt.Errorf("need -backends")
 	}
 
 	reg := obs.Default()
@@ -80,7 +72,6 @@ func run() error {
 		Standby:        *standby,
 		Registry:       reg,
 		Log:            logger,
-		Direct:         *direct,
 		HealthInterval: *healthI,
 		ShipInterval:   *shipI,
 	})
@@ -121,17 +112,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseLevel(s string) (obs.Level, error) {
-	switch s {
-	case "quiet":
-		return obs.Quiet, nil
-	case "info":
-		return obs.Info, nil
-	case "debug":
-		return obs.Debug, nil
-	default:
-		return 0, fmt.Errorf("unknown log level %q (want quiet, info, or debug)", s)
-	}
 }

@@ -6,7 +6,6 @@
 //
 //	predserve                      # serve on :8091
 //	predserve -addr :9000 -log info
-//	predserve -demo                # self-contained demo: serve, drive, drain
 //	predserve -version             # build identity
 //
 // On SIGINT/SIGTERM the server drains gracefully: listeners close,
@@ -15,12 +14,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -58,7 +54,6 @@ func run() error {
 		shards  = flag.Int("shards", 0, "default shard count for sessions that don't request one (0 = min(cores, 8)); results are identical at any value")
 		obsOut  = flag.String("obs", "", "write the final observability snapshot to this JSON file on shutdown")
 		record  = flag.String("record", "", "capture the accepted event stream to this COHTRACE1 file on shutdown (predload -replay plays it back)")
-		demo    = flag.Bool("demo", false, "start on a loopback port, run a scripted session against the API, print the stats, and exit")
 		version = flag.Bool("version", false, "print version and build identity, then exit")
 
 		traceSample = flag.Int("trace-sample", flight.DefaultSample, "flight recorder: record every Nth healthy events request (1 = all; errors, faults, and slow requests always record)")
@@ -70,7 +65,6 @@ func run() error {
 		chaosMaxDelay = flag.Duration("chaos-max-delay", 200*time.Microsecond, "upper bound of an injected shard stall")
 		chaosReset    = flag.Float64("chaos-reset", 0, "probability of resetting the connection after processing (lost response)")
 		chaosError    = flag.Float64("chaos-error", 0, "probability of failing an events request with an injected 500")
-		chaosDemo     = flag.Bool("chaos-demo", false, "run the seeded chaos walkthrough: drops+delays+500s+resets+one kill/restore, verified byte-identical against the offline engine, then exit")
 	)
 	var restores []restoreSpec
 	flag.Func("restore", "restore a session at boot from `id=snapshot-file` (repeatable)", func(v string) error {
@@ -88,17 +82,13 @@ func run() error {
 		return nil
 	}
 
-	level, err := parseLevel(*logS)
+	level, err := obs.ParseLevel(*logS)
 	if err != nil {
 		return err
 	}
 	logger := obs.NewLogger(level, func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
-
-	if *chaosDemo {
-		return runChaosDemo(*chaosSeed, logger)
-	}
 
 	reg := obs.Default()
 	var inj *fault.Injector
@@ -136,17 +126,6 @@ func run() error {
 		logger.Infof("predserve: recording accepted events to %s", *record)
 	}
 	srv := serve.NewServer(opts)
-	writeRecord := func() error {
-		if rec == nil {
-			return nil
-		}
-		if err := os.WriteFile(*record, rec.Bytes(), 0o644); err != nil {
-			return err
-		}
-		logger.Infof("predserve: wrote %s (%d records, %d batches skipped)",
-			*record, rec.Records(), rec.Skipped())
-		return nil
-	}
 
 	for _, rs := range restores {
 		data, err := os.ReadFile(rs.path)
@@ -162,13 +141,6 @@ func run() error {
 			return fmt.Errorf("restore %s: %w", rs.id, err)
 		}
 		logger.Infof("predserve: restored session %s from %s (%d events)", rs.id, rs.path, sess.Stats().Events)
-	}
-
-	if *demo {
-		if err := runDemo(srv, logger); err != nil {
-			return err
-		}
-		return writeRecord()
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -198,8 +170,12 @@ func run() error {
 		return err
 	}
 	srv.Shutdown()
-	if err := writeRecord(); err != nil {
-		return err
+	if rec != nil {
+		if err := os.WriteFile(*record, rec.Bytes(), 0o644); err != nil {
+			return err
+		}
+		logger.Infof("predserve: wrote %s (%d records, %d batches skipped)",
+			*record, rec.Records(), rec.Skipped())
 	}
 
 	if *obsOut != "" {
@@ -212,118 +188,5 @@ func run() error {
 		}
 		logger.Infof("predserve: wrote %s", *obsOut)
 	}
-	return nil
-}
-
-func parseLevel(s string) (obs.Level, error) {
-	switch s {
-	case "quiet":
-		return obs.Quiet, nil
-	case "info":
-		return obs.Info, nil
-	case "debug":
-		return obs.Debug, nil
-	default:
-		return 0, fmt.Errorf("unknown log level %q (want quiet, info, or debug)", s)
-	}
-}
-
-// runDemo exercises the whole API against a loopback listener: create a
-// session, post a producer-consumer event stream (single and batched
-// forms), read the stats, drain. Its stdout is a worked example of every
-// endpoint.
-func runDemo(srv *serve.Server, logger *obs.Logger) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Infof("predserve: demo server: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("demo server on %s\n", base)
-
-	post := func(path, body string) (string, error) {
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode/100 != 2 {
-			return "", fmt.Errorf("%s: %s: %s", path, resp.Status, out)
-		}
-		return string(bytes.TrimSpace(out)), nil
-	}
-	get := func(path string) (string, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", err
-		}
-		return string(bytes.TrimSpace(out)), nil
-	}
-
-	// A 4-node producer-consumer pattern: node 0 writes block 0x1000,
-	// nodes 1 and 2 read it, round after round. After the first round the
-	// last-scheme predictor has learned the reader set.
-	created, err := post("/v1/sessions", `{"scheme":"last(dir+add8)1","nodes":4,"shards":2}`)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("POST /v1/sessions\n  -> %s\n", created)
-
-	single, err := post("/v1/sessions/s1/events",
-		`{"pid":0,"pc":20,"dir":0,"addr":4096,"inv_readers":6,"future_readers":6}`)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("POST /v1/sessions/s1/events (single, cold)\n  -> %s\n", single)
-
-	var batch bytes.Buffer
-	batch.WriteByte('[')
-	for i := 0; i < 8; i++ {
-		if i > 0 {
-			batch.WriteByte(',')
-		}
-		fmt.Fprintf(&batch,
-			`{"pid":0,"pc":20,"dir":0,"addr":4096,"inv_readers":6,"has_prev":true,"prev_pid":0,"prev_pc":20,"future_readers":6}`)
-	}
-	batch.WriteByte(']')
-	batched, err := post("/v1/sessions/s1/events", batch.String())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("POST /v1/sessions/s1/events (batch of 8, warm: predicts readers {1,2} = bitmap 6)\n  -> %s\n", batched)
-
-	stats, err := get("/v1/sessions/s1/stats")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("GET /v1/sessions/s1/stats\n  -> %s\n", stats)
-
-	health, err := get("/healthz")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("GET /healthz\n  -> %s\n", health)
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return err
-	}
-	srv.Shutdown()
-	fmt.Println("drained.")
 	return nil
 }

@@ -8,14 +8,9 @@
 //	predtrace -base http://host:8091 -save now.json
 //	predtrace -in before.json          # render a saved capture
 //	predtrace -diff before.json        # fetched capture vs a saved one, per-stage delta
-//	predtrace -demo                    # self-contained: server + chaos + trace + render
 //
 // Captures are the exact JSON the debug endpoints serve, so a saved file
-// from last week diffs cleanly against a live fetch today. The demo mode
-// boots an in-process predserve with a seeded fault injector, streams
-// batches at it through the resilient client, and renders both captures —
-// every injected fault shows up in the slow-log under the request ID the
-// client minted, which is the whole point of the recorder.
+// from last week diffs cleanly against a live fetch today.
 package main
 
 import (
@@ -24,18 +19,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"cohpredict/internal/client"
-	"cohpredict/internal/fault"
 	"cohpredict/internal/flight"
-	"cohpredict/internal/obs"
-	"cohpredict/internal/serve"
 )
 
 func main() {
@@ -54,13 +44,9 @@ func run(w io.Writer, argv []string) error {
 		save = fs.String("save", "", "write the capture JSON to this file as well")
 		diff = fs.String("diff", "", "compare the capture against this saved one (per-stage p50/p99 delta)")
 		top  = fs.Int("top", 10, "waterfall rows to render (slowest first)")
-		demo = fs.Bool("demo", false, "run the self-contained demo: in-process server, chaos faults, render")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
-	}
-	if *demo {
-		return runDemo(w)
 	}
 
 	var (
@@ -286,119 +272,4 @@ func delta(before, after float64) string {
 		return "new"
 	}
 	return fmt.Sprintf("%+.0f%%", (after-before)/before*100)
-}
-
-// runDemo is the self-contained walkthrough: an in-process server with a
-// seeded fault injector and an always-sampling recorder, driven by the
-// resilient client, then both captures rendered. Every injected fault
-// lands in the slow-log under a client-minted request ID, and every ID
-// the client retried names a slow-log entry.
-func runDemo(w io.Writer) error {
-	reg := obs.New()
-	inj := fault.New(fault.Config{
-		Seed:     7,
-		Drop:     0.05,
-		Delay:    0.10,
-		MaxDelay: 200 * time.Microsecond,
-		Error:    0.05,
-		Reset:    0.02,
-	}, reg)
-	srv := serve.NewServer(serve.Options{
-		Registry: reg,
-		Fault:    inj,
-		Flight: flight.New(flight.Options{
-			Registry:      reg,
-			Sample:        1,
-			SlowThreshold: 2 * time.Millisecond,
-		}),
-	})
-	defer srv.Shutdown()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(w, "demo server on %s (chaos seed 7: drops, delays, 500s, resets)\n", base)
-
-	cl := client.New(client.Options{
-		BaseURL: base,
-		Seed:    7,
-		Binary:  true,
-		Sleep:   func(time.Duration) {}, // skip backoff waits; the demo is about traces
-	})
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: "union(dir+add8)2[forwarded]", Nodes: 16, Shards: 2,
-	})
-	if err != nil {
-		return err
-	}
-
-	const batches, batch = 48, 256
-	for i := 0; i < batches; i++ {
-		if _, err := cl.PostEvents(sess.ID, demoEvents(i, batch, 16)); err != nil {
-			return fmt.Errorf("posting batch %d: %w", i, err)
-		}
-	}
-
-	slow, err := fetchCapture(base, "/v1/debug/slow")
-	if err != nil {
-		return err
-	}
-	reqs, err := fetchCapture(base, "/v1/debug/requests")
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "\n== sampled ring ==\n")
-	renderCapture(w, reqs, 5)
-	fmt.Fprintf(w, "\n== slow-log (faulted and slow requests) ==\n")
-	renderCapture(w, slow, 10)
-
-	slowIDs := make(map[string]bool, len(slow.Requests))
-	faulted := 0
-	for _, e := range slow.Requests {
-		slowIDs[e.ID] = true
-		if len(e.Faults) > 0 {
-			faulted++
-		}
-	}
-	st := cl.Stats()
-	missing := 0
-	for _, id := range st.RetriedIDs {
-		if !slowIDs[id] {
-			missing++
-		}
-	}
-	fmt.Fprintf(w, "\nclient retried %d request(s); %d of those IDs missing from the slow-log\n",
-		len(st.RetriedIDs), missing)
-	fmt.Fprintf(w, "slow-log holds %d entries, %d carrying injected-fault tags: %+v\n",
-		len(slow.Requests), faulted, inj.Stats())
-	if missing > 0 {
-		return fmt.Errorf("%d retried request IDs not found in the slow-log", missing)
-	}
-	if faulted == 0 {
-		return fmt.Errorf("chaos run injected faults but the slow-log shows none")
-	}
-	return nil
-}
-
-// demoEvents builds one producer-consumer batch: each producer writes a
-// block its neighbours then read, so the predictor has something to learn.
-func demoEvents(round, n, nodes int) []serve.EventRequest {
-	evs := make([]serve.EventRequest, n)
-	for i := range evs {
-		pid := (round + i) % nodes
-		evs[i] = serve.EventRequest{
-			PID:           pid,
-			PC:            uint64(40 + i%4),
-			Addr:          uint64(0x1000 + (i%32)*64),
-			InvReaders:    uint64(3 << uint(pid%4)),
-			FutureReaders: uint64(3 << uint(pid%4)),
-		}
-	}
-	return evs
 }

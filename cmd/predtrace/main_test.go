@@ -4,12 +4,17 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"cohpredict/internal/client"
 	"cohpredict/internal/flight"
+	"cohpredict/internal/serve"
 )
 
 func entry(seq uint64, id string, totalNS int64) flight.Entry {
@@ -190,22 +195,71 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestDemo runs the whole self-contained walkthrough: chaos server,
-// client drive, capture fetches, renders, and the ID-correlation checks
-// the demo itself enforces.
-func TestDemo(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, []string{"-demo"}); err != nil {
-		t.Fatalf("demo: %v\n%s", err, b.String())
+// tracedServer boots a server whose flight recorder keeps every events
+// post, in the sampled ring or, at or above slow, in the slow-log, and
+// posts one batch under each request id.
+func tracedServer(t *testing.T, slow time.Duration, ids []string) string {
+	t.Helper()
+	srv := serve.NewServer(serve.Options{
+		Flight: flight.New(flight.Options{Sample: 1, SlowThreshold: slow}),
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Shutdown()
+	})
+	cl := client.New(client.Options{BaseURL: ts.URL, Seed: 7, Binary: true})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir+add8)1", Nodes: 16, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		"== sampled ring ==",
-		"== slow-log",
-		"0 of those IDs missing from the slow-log",
+	for i, id := range ids {
+		evs := []serve.EventRequest{{PID: i, PC: 40, Addr: 0x1000, InvReaders: 6, FutureReaders: 6}}
+		if _, err := cl.PostEventsKeyedID(sess.ID, cl.NextIdempotencyKey(), id, evs); err != nil {
+			t.Fatalf("post %s: %v", id, err)
+		}
+	}
+	return ts.URL
+}
+
+// TestRunFetch drives run() against a live server's flight recorder:
+// the sampled ring, then the slow-log, then a server without the debug
+// endpoints, whose error must name the path it tried.
+func TestRunFetch(t *testing.T) {
+	ids := []string{"fetch-a", "fetch-b", "fetch-c"}
+	for _, tc := range []struct {
+		slow   time.Duration
+		args   []string
+		header string
+	}{
+		{time.Hour, nil, "capture: requests (sample 1/1"},
+		{time.Nanosecond, []string{"-slow"}, "capture: slow (sample 1/1"},
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("demo output missing %q:\n%s", want, out)
+		base := tracedServer(t, tc.slow, ids)
+		var b strings.Builder
+		if err := run(&b, append([]string{"-base", base + "/"}, tc.args...)); err != nil {
+			t.Fatalf("run %v: %v", tc.args, err)
+		}
+		out := b.String()
+		for _, want := range append([]string{tc.header, "3 records", "slowest 3 of 3"}, ids...) {
+			if !strings.Contains(out, want) {
+				t.Fatalf("run %v output missing %q:\n%s", tc.args, want, out)
+			}
+		}
+	}
+
+	missing := httptest.NewServer(http.NotFoundHandler())
+	defer missing.Close()
+	for _, tc := range []struct {
+		args []string
+		path string
+	}{
+		{nil, "/v1/debug/requests"},
+		{[]string{"-slow"}, "/v1/debug/slow"},
+	} {
+		err := run(io.Discard, append([]string{"-base", missing.URL}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.path) || !strings.Contains(err.Error(), "404") {
+			t.Fatalf("run %v against a 404 server: got %v, want an error naming %s", tc.args, err, tc.path)
 		}
 	}
 }

@@ -14,10 +14,9 @@
 //   - every event post carries an Idempotency-Key, so a batch whose
 //     response was lost after processing is replayed from the server's
 //     cache instead of training the engine twice;
-//   - a 307/308 from a router (predroute's direct mode hands out the
-//     owning backend's URL after a migration) is followed as the SAME
-//     logical request — same body, same Idempotency-Key, same
-//     X-Request-ID — never re-minted as a fresh post.
+//   - the default transport never follows a redirect: a 3xx returns as
+//     a non-retryable *APIError, so a keyed post never leaves the URL
+//     it was keyed for.
 //
 // Determinism matters here the same way it does everywhere else in this
 // repo: a chaos run is an experiment, and experiments replay from their
@@ -36,7 +35,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	neturl "net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -75,19 +73,17 @@ type Options struct {
 	// HTTP, when non-nil, replaces the default transport (which disables
 	// keep-alives; see the package comment).
 	HTTP *http.Client
-	// Binary posts event batches as COHWIRE1 frames instead of JSON. A
-	// server that does not speak the wire format answers 415, and the
-	// client downgrades to JSON once — for the whole client, not per
-	// request — so a mixed-version cluster costs one wasted attempt, ever.
+	// Binary posts event batches as COHWIRE1 frames instead of JSON. The
+	// transport is fixed for the client's lifetime: a server that does not
+	// speak the wire format answers 415, which returns like any other 4xx.
 	Binary bool
 }
 
 // APIError is a non-2xx response from the service.
 type APIError struct {
-	Status   int
-	Code     string // machine classifier from the error envelope, if any
-	Message  string
-	Location string // Location header on a redirect response, if any
+	Status  int
+	Code    string // machine classifier from the error envelope, if any
+	Message string
 }
 
 func (e *APIError) Error() string {
@@ -132,21 +128,12 @@ func retrySafeResponse(err error) bool {
 // maxRetriedIDs bounds the retried-request-ID window Stats surfaces.
 const maxRetriedIDs = 64
 
-// maxRedirects bounds how many Location hops one logical request will
-// follow before the redirect itself is surfaced as the error.
-const maxRedirects = 4
-
 // Stats is the client's view of a retry loop's work.
 type Stats struct {
-	Requests    int64  // HTTP attempts issued
-	Retries     int64  // attempts beyond the first
-	Replays     int64  // event posts retried under their idempotency key
-	SleptNS     int64  // total backoff requested
-	Transport   string // negotiated event-post transport: "cohwire" or "json"
-	BinaryPosts int64  // event batches sent as COHWIRE1 frames
-	JSONPosts   int64  // event batches sent as JSON
-	Downgrades  int64  // binary→JSON downgrades (0 or 1: the switch is one-way)
-	Redirects   int64  // 307/308 Location hops followed under the same key
+	Requests int64 // HTTP attempts issued
+	Retries  int64 // attempts beyond the first
+	Replays  int64 // event posts retried under their idempotency key
+	SleptNS  int64 // total backoff requested
 	// RetriedIDs are the X-Request-IDs of the most recent event posts
 	// (up to maxRetriedIDs) that needed at least one retry — the handle
 	// for correlating a client-side retry with the server's flight
@@ -172,12 +159,6 @@ type Client struct {
 
 	idsMu      sync.Mutex
 	retriedIDs []string //predlint:guardedby idsMu
-
-	binary      atomic.Bool // still posting COHWIRE1 (cleared by the one-way downgrade)
-	binaryPosts atomic.Int64
-	jsonPosts   atomic.Int64
-	downgrades  atomic.Int64
-	redirects   atomic.Int64
 }
 
 // New builds a client for the server at opts.BaseURL.
@@ -201,44 +182,31 @@ func New(opts Options) *Client {
 		h = &http.Client{
 			Timeout:   opts.Timeout,
 			Transport: &http.Transport{DisableKeepAlives: true},
-			// Redirects are followed by do(), not by net/http: Go's
-			// automatic redirect would re-send without the original
-			// Idempotency-Key discipline being visible in our stats,
-			// and we want the hop accounted and bounded ourselves.
+			// A redirect is returned, not followed: attempt() turns it
+			// into a non-retryable *APIError.
 			CheckRedirect: func(req *http.Request, via []*http.Request) error {
 				return http.ErrUseLastResponse
 			},
 		}
 	}
-	c := &Client{
+	return &Client{
 		opts: opts,
 		http: h,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}
-	c.binary.Store(opts.Binary)
-	return c
 }
 
 // Stats returns the cumulative retry-loop tallies.
 func (c *Client) Stats() Stats {
-	transport := "json"
-	if c.binary.Load() {
-		transport = "cohwire"
-	}
 	c.idsMu.Lock()
 	ids := append([]string(nil), c.retriedIDs...)
 	c.idsMu.Unlock()
 	return Stats{
-		Requests:    c.requests.Load(),
-		Retries:     c.retries.Load(),
-		Replays:     c.replays.Load(),
-		SleptNS:     c.sleptNS.Load(),
-		Transport:   transport,
-		BinaryPosts: c.binaryPosts.Load(),
-		JSONPosts:   c.jsonPosts.Load(),
-		Downgrades:  c.downgrades.Load(),
-		Redirects:   c.redirects.Load(),
-		RetriedIDs:  ids,
+		Requests:   c.requests.Load(),
+		Retries:    c.retries.Load(),
+		Replays:    c.replays.Load(),
+		SleptNS:    c.sleptNS.Load(),
+		RetriedIDs: ids,
 	}
 }
 
@@ -296,21 +264,12 @@ func (c *Client) nextRequestID() string {
 // for idempotent requests, retrySafeResponse for non-idempotent ones).
 // idemKey, when non-empty, is sent as the Idempotency-Key header on every
 // attempt; reqID likewise as X-Request-ID — the SAME id on every attempt,
-// by design. A 307/308 with a Location is a routing hop, not a failure:
-// the same request — body, key, request id — is re-issued against the
-// new URL without consuming a retry, bounded by maxRedirects. A
-// retryable failure after a hop falls back to the original URL (the
-// redirect bound one attempt, not the request's future), so retries
-// re-resolve through the router instead of camping on a dead target.
-// The response body (for 2xx) is returned whole.
+// by design. The response body (for 2xx) is returned whole.
 func (c *Client) do(method, path string, body []byte, contentType, accept, idemKey, reqID string, retry func(error) bool) ([]byte, error) {
-	origURL := c.opts.BaseURL + path
-	url := origURL
-	redirects := 0
-	hop := false
+	url := c.opts.BaseURL + path
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 && !hop {
+		if attempt > 0 {
 			if attempt > c.opts.MaxRetries {
 				return nil, fmt.Errorf("client: %s %s: retries exhausted after %d attempts: %w",
 					method, path, attempt, lastErr)
@@ -324,62 +283,16 @@ func (c *Client) do(method, path string, body []byte, contentType, accept, idemK
 			}
 			c.sleep(c.backoff(attempt - 1))
 		}
-		hop = false
 		c.requests.Add(1)
 		resp, err := c.attempt(method, url, body, contentType, accept, idemKey, reqID)
 		if err == nil {
 			return resp, nil
 		}
-		var ae *APIError
-		if errors.As(err, &ae) && redirectStatus(ae.Status) && ae.Location != "" && redirects < maxRedirects {
-			next, rerr := resolveLocation(url, ae.Location)
-			if rerr == nil {
-				url = next
-				redirects++
-				c.redirects.Add(1)
-				hop = true // a hop, not a retry: no backoff, no retry budget
-				attempt--
-				continue
-			}
-			err = fmt.Errorf("client: bad redirect location %q: %w", ae.Location, rerr)
-		}
 		lastErr = err
 		if !retry(err) {
 			return nil, err
 		}
-		if url != origURL {
-			// A 307 binds only the attempt that followed it; a
-			// retryable failure at the hop target (often the very
-			// backend whose death the router is about to notice) must
-			// not pin the remaining retries there. Go back through the
-			// original URL so the next attempt re-resolves — and can
-			// follow a fresh redirect, on a fresh hop budget.
-			url = origURL
-			redirects = 0
-		}
 	}
-}
-
-func redirectStatus(status int) bool {
-	return status == http.StatusTemporaryRedirect || status == http.StatusPermanentRedirect
-}
-
-// resolveLocation resolves a Location header against the URL that
-// produced it (absolute locations pass through).
-func resolveLocation(base, location string) (string, error) {
-	b, err := neturl.Parse(base)
-	if err != nil {
-		return "", err
-	}
-	l, err := neturl.Parse(location)
-	if err != nil {
-		return "", err
-	}
-	res := b.ResolveReference(l)
-	if res.Scheme != "http" && res.Scheme != "https" {
-		return "", fmt.Errorf("client: refusing redirect to scheme %q", res.Scheme)
-	}
-	return res.String(), nil
 }
 
 func (c *Client) attempt(method, url string, body []byte, contentType, accept, idemKey, reqID string) ([]byte, error) {
@@ -418,10 +331,7 @@ func (c *Client) attempt(method, url string, body []byte, contentType, accept, i
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return nil, &APIError{
-			Status: resp.StatusCode, Code: er.Code, Message: msg,
-			Location: resp.Header.Get("Location"),
-		}
+		return nil, &APIError{Status: resp.StatusCode, Code: er.Code, Message: msg}
 	}
 	return data, nil
 }
@@ -497,12 +407,10 @@ func (c *Client) PostEvents(id string, evs []serve.EventRequest) ([]uint64, erro
 
 // PostEventsKeyed is PostEvents under a caller-chosen idempotency key
 // (replays across client restarts use the same key). With Options.Binary
-// set it posts a COHWIRE1 frame; the first 415 from a server that does
-// not speak the format downgrades the whole client to JSON — once, not
-// per request — so every later batch skips the doomed attempt.
+// set it posts a COHWIRE1 frame, otherwise JSON.
 func (c *Client) PostEventsKeyed(id, key string, evs []serve.EventRequest) ([]uint64, error) {
-	// One id per logical post: it survives every retry AND the one-way
-	// wire→JSON downgrade, so the whole saga is one thread server-side.
+	// One id per logical post: it survives every retry, so the whole
+	// saga is one thread server-side.
 	return c.PostEventsKeyedID(id, key, c.nextRequestID(), evs)
 }
 
@@ -512,17 +420,9 @@ func (c *Client) PostEventsKeyed(id, key string, evs []serve.EventRequest) ([]ui
 // recorded one in the server's flight recorder.
 func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
 	path := "/v1/sessions/" + id + "/events"
-	if c.binary.Load() {
-		preds, err := c.postEventsWire(path, key, reqID, evs)
-		var ae *APIError
-		if err == nil || !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
-			return preds, err
-		}
-		if c.binary.CompareAndSwap(true, false) {
-			c.downgrades.Add(1)
-		}
+	if c.opts.Binary {
+		return c.postEventsWire(path, key, reqID, evs)
 	}
-	c.jsonPosts.Add(1)
 	var out serve.EventsResponse
 	if err := c.doJSON(http.MethodPost, path, evs, &out, key, reqID, Retryable); err != nil {
 		return nil, err
@@ -531,10 +431,8 @@ func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventReque
 }
 
 // postEventsWire posts the batch as a COHWIRE1 frame and decodes the
-// binary reply. Any error other than 415 is final (the caller's retry
-// policy already ran inside do); 415 is the downgrade signal.
+// binary reply.
 func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
-	c.binaryPosts.Add(1)
 	body := serve.AppendWireEvents(nil, evs) // sized once, exactly
 	data, err := c.do(http.MethodPost, path, body, serve.ContentTypeWire, serve.ContentTypeWire, key, reqID, Retryable)
 	if err != nil {

@@ -2,10 +2,10 @@ package client_test
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,216 +13,33 @@ import (
 	"cohpredict/internal/serve"
 )
 
-// TestRedirectReusesIdempotencyKey pins the redirect contract: a 307
-// from a router must be followed as the SAME logical request — same
-// body, same Idempotency-Key, same X-Request-ID — never re-minted as a
-// fresh post. A redirect that dropped the key would let a retry after
-// the hop train the engine twice.
-func TestRedirectReusesIdempotencyKey(t *testing.T) {
-	type seen struct{ key, reqID string }
-	var atBackend, atRouter seen
-
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atBackend = seen{r.Header.Get("Idempotency-Key"), r.Header.Get("X-Request-ID")}
-		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"predictions":[0]}`)
-	}))
-	defer backend.Close()
-
-	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atRouter = seen{r.Header.Get("Idempotency-Key"), r.Header.Get("X-Request-ID")}
-		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Location", backend.URL+r.URL.Path)
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer router.Close()
-
-	cl := client.New(client.Options{BaseURL: router.URL, Seed: 9})
-	preds, err := cl.PostEvents("s1", []serve.EventRequest{{PID: 0, PC: 1, Dir: 1, Addr: 64}})
-	if err != nil {
-		t.Fatalf("post through redirect: %v", err)
-	}
-	if len(preds) != 1 {
-		t.Fatalf("got %d predictions, want 1", len(preds))
-	}
-
-	if atRouter.key == "" || atRouter.reqID == "" {
-		t.Fatalf("router saw no key/request id: %+v", atRouter)
-	}
-	if atBackend != atRouter {
-		t.Fatalf("the hop changed the request identity:\n router: %+v\nbackend: %+v", atRouter, atBackend)
-	}
-	st := cl.Stats()
-	if st.Redirects != 1 {
-		t.Fatalf("stats count %d redirects, want 1", st.Redirects)
-	}
-	if st.Requests != 2 {
-		t.Fatalf("one logical post over one hop should be 2 attempts, stats say %d", st.Requests)
-	}
-	if st.Retries != 0 || st.Replays != 0 {
-		t.Fatalf("a redirect hop must not consume retry budget: %+v", st)
-	}
-}
-
-// TestRedirectThenRetrySameKey chains the two recovery mechanisms: the
-// router 307s to the backend, whose first answer is a 500. The retry
-// must go back out under the original idempotency key — that key is
-// what dedupes the attempt that may already have trained.
-func TestRedirectThenRetrySameKey(t *testing.T) {
-	var keys []string
-	fails := 1
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		keys = append(keys, r.Header.Get("Idempotency-Key"))
-		io.Copy(io.Discard, r.Body)
-		if fails > 0 {
-			fails--
-			http.Error(w, `{"error":"injected"}`, http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"predictions":[0]}`)
-	}))
-	defer backend.Close()
-
-	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Location", backend.URL+r.URL.Path)
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer router.Close()
-
-	cl := client.New(client.Options{BaseURL: router.URL, Seed: 10, Sleep: func(time.Duration) {}})
-	preds, err := cl.PostEvents("s1", []serve.EventRequest{{PID: 0, PC: 1, Dir: 1, Addr: 64}})
-	if err != nil {
-		t.Fatalf("post through redirect+retry: %v", err)
-	}
-	if len(preds) != 1 {
-		t.Fatalf("got %d predictions, want 1", len(preds))
-	}
-	if len(keys) != 2 {
-		t.Fatalf("backend saw %d attempts, want 2 (the 500 and its retry)", len(keys))
-	}
-	if keys[0] == "" || keys[0] != keys[1] {
-		t.Fatalf("retry after the hop changed the idempotency key: %q then %q", keys[0], keys[1])
-	}
-	st := cl.Stats()
-	if st.Retries != 1 || st.Replays != 1 || st.Redirects < 1 {
-		t.Fatalf("want 1 retry, 1 replay, >=1 redirect; got %+v", st)
-	}
-}
-
-// TestRedirectRetryFallsBackToRouter: a 307 binds only the attempt that
-// followed it. When the hop target fails retryably (the backend died
-// right after the router handed it out), the retry must go back through
-// the router — which re-resolves, possibly to a failed-over backend —
-// instead of camping on the dead target until the budget runs out. The
-// idempotency key survives the whole detour.
-func TestRedirectRetryFallsBackToRouter(t *testing.T) {
-	var deadHits, liveHits int
-	var deadKey, liveKey string
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		deadHits++
-		deadKey = r.Header.Get("Idempotency-Key")
-		io.Copy(io.Discard, r.Body)
-		http.Error(w, `{"error":"dying"}`, http.StatusInternalServerError)
-	}))
-	defer dead.Close()
-	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		liveHits++
-		liveKey = r.Header.Get("Idempotency-Key")
-		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"predictions":[0]}`)
-	}))
-	defer live.Close()
-
-	// The router hands out the doomed backend first, then — as a real
-	// router does after marking it down — the live one.
-	routerHits := 0
-	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		routerHits++
-		io.Copy(io.Discard, r.Body)
-		target := live.URL
-		if routerHits == 1 {
-			target = dead.URL
-		}
-		w.Header().Set("Location", target+r.URL.Path)
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer router.Close()
-
-	cl := client.New(client.Options{BaseURL: router.URL, Seed: 13, MaxRetries: 3, Sleep: func(time.Duration) {}})
-	preds, err := cl.PostEvents("s1", []serve.EventRequest{{PID: 0, PC: 1, Dir: 1, Addr: 64}})
-	if err != nil {
-		t.Fatalf("post across the failover detour: %v", err)
-	}
-	if len(preds) != 1 {
-		t.Fatalf("got %d predictions, want 1", len(preds))
-	}
-	if deadHits != 1 {
-		t.Fatalf("dead backend saw %d attempts, want 1 — retries camped on the hop target", deadHits)
-	}
-	if routerHits != 2 || liveHits != 1 {
-		t.Fatalf("want the retry back through the router (2 router, 1 live hits), got %d/%d", routerHits, liveHits)
-	}
-	if deadKey == "" || deadKey != liveKey {
-		t.Fatalf("the detour changed the idempotency key: %q then %q", deadKey, liveKey)
-	}
-	st := cl.Stats()
-	if st.Retries != 1 || st.Redirects != 2 {
-		t.Fatalf("want 1 retry over 2 hops, got %+v", st)
-	}
-}
-
-// TestRedirectLoopBounded: a router that keeps answering 307 must not
-// spin the client forever — after the hop budget the redirect itself
-// surfaces as the error, Location intact for diagnosis.
+// TestRedirectLoopBounded: a redirect is an answer, not a hop. Against a
+// server that 307s every request back to itself, the client returns the
+// 307 as a non-retryable *APIError after exactly one request.
 func TestRedirectLoopBounded(t *testing.T) {
-	var hits int
+	var hits atomic.Int32
 	var loop *httptest.Server
 	loop = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits++
+		hits.Add(1)
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Location", loop.URL+r.URL.Path)
 		w.WriteHeader(http.StatusTemporaryRedirect)
 	}))
 	defer loop.Close()
 
-	cl := client.New(client.Options{BaseURL: loop.URL, Seed: 11, MaxRetries: 1, Sleep: func(time.Duration) {}})
+	cl := client.New(client.Options{BaseURL: loop.URL, Seed: 11, Binary: true, Sleep: func(time.Duration) {}})
 	_, err := cl.PostEvents("s1", []serve.EventRequest{{PID: 0, PC: 1, Dir: 1, Addr: 64}})
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect loop: want the 307 surfaced, got %v", err)
+		t.Fatalf("want the 307 returned as *APIError, got %v", err)
 	}
-	if ae.Location == "" {
-		t.Fatal("surfaced redirect lost its Location header")
+	if client.Retryable(err) {
+		t.Fatal("a 307 must not be retryable")
 	}
-	st := cl.Stats()
-	if st.Redirects != 4 {
-		t.Fatalf("client followed %d hops, want exactly the maxRedirects budget of 4", st.Redirects)
+	if hits.Load() != 1 {
+		t.Fatalf("server saw %d requests for one post, want 1", hits.Load())
 	}
-	if hits > 12 {
-		t.Fatalf("server saw %d hits for one bounded post", hits)
-	}
-}
-
-// TestRedirectRefusesNonHTTP: a Location pointing off the http(s)
-// schemes is an error, not a hop.
-func TestRedirectRefusesNonHTTP(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Location", "ftp://evil/path")
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer srv.Close()
-
-	cl := client.New(client.Options{BaseURL: srv.URL, Seed: 12, MaxRetries: 1, Sleep: func(time.Duration) {}})
-	_, err := cl.PostEvents("s1", []serve.EventRequest{{PID: 0, PC: 1, Dir: 1, Addr: 64}})
-	if err == nil {
-		t.Fatal("post following an ftp redirect succeeded")
-	}
-	if st := cl.Stats(); st.Redirects != 0 {
-		t.Fatalf("client counted %d hops to a refused scheme", st.Redirects)
+	if st := cl.Stats(); st.Requests != 1 || st.Retries != 0 {
+		t.Fatalf("stats %+v, want one request and no retry", st)
 	}
 }

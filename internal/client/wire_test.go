@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,8 +40,7 @@ func wireEcho(t *testing.T, wirePosts *atomic.Int32) http.HandlerFunc {
 }
 
 // TestBinaryPostsWire: a Binary client encodes event posts as COHWIRE1
-// frames, decodes the binary reply, and reports the wire transport in its
-// stats.
+// frames and decodes the binary reply.
 func TestBinaryPostsWire(t *testing.T) {
 	var wirePosts atomic.Int32
 	ts := httptest.NewServer(wireEcho(t, &wirePosts))
@@ -60,17 +60,12 @@ func TestBinaryPostsWire(t *testing.T) {
 	if wirePosts.Load() != 1 {
 		t.Fatalf("server saw %d wire posts, want 1", wirePosts.Load())
 	}
-	st := c.Stats()
-	if st.Transport != "cohwire" || st.BinaryPosts != 1 || st.JSONPosts != 0 || st.Downgrades != 0 {
-		t.Fatalf("stats %+v, want cohwire transport with one binary post", st)
-	}
 }
 
-// TestBinaryDowngradeOnce is the mixed-version cluster contract: against
-// a server that does not speak COHWIRE1 (it answers 415), a Binary client
-// falls back to JSON and — critically — downgrades the whole client, not
-// the request: the doomed wire attempt happens exactly once, and every
-// later batch goes straight to JSON.
+// TestBinaryDowngradeOnce pins that the transport never changes under
+// the client: against a server that does not speak COHWIRE1 (it answers
+// 415), a Binary client returns the 415 as an *APIError after exactly
+// one request — no JSON fallback post, no retry.
 func TestBinaryDowngradeOnce(t *testing.T) {
 	var wirePosts, jsonPosts atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -88,30 +83,16 @@ func TestBinaryDowngradeOnce(t *testing.T) {
 	defer ts.Close()
 
 	c := New(Options{BaseURL: ts.URL, Binary: true, Sleep: func(time.Duration) {}})
-	for i := 0; i < 3; i++ {
-		preds, err := c.PostEvents("s1", []serve.EventRequest{{PID: 0, FutureReaders: 9}})
-		if err != nil {
-			t.Fatalf("post %d: %v", i, err)
-		}
-		if len(preds) != 1 || preds[0] != 9 {
-			t.Fatalf("post %d: predictions = %v", i, preds)
-		}
+	_, err := c.PostEvents("s1", []serve.EventRequest{{PID: 0, FutureReaders: 9}})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
+		t.Fatalf("post against a JSON-only server: want *APIError 415, got %v", err)
 	}
-
-	if wirePosts.Load() != 1 {
-		t.Fatalf("server saw %d wire attempts, want exactly 1 (downgrade is per client, not per request)", wirePosts.Load())
+	if wirePosts.Load() != 1 || jsonPosts.Load() != 0 {
+		t.Fatalf("server saw %d wire and %d JSON posts, want 1 and 0", wirePosts.Load(), jsonPosts.Load())
 	}
-	if jsonPosts.Load() != 3 {
-		t.Fatalf("server saw %d JSON posts, want 3", jsonPosts.Load())
-	}
-	st := c.Stats()
-	if st.Transport != "json" || st.Downgrades != 1 || st.BinaryPosts != 1 || st.JSONPosts != 3 {
-		t.Fatalf("stats %+v, want one downgrade to json", st)
-	}
-	// 415 must not burn retry budget: the downgrade attempt and the three
-	// JSON posts are the only requests.
-	if st.Requests != 4 || st.Retries != 0 {
-		t.Fatalf("stats %+v: the 415 was retried instead of downgraded", st)
+	if st := c.Stats(); st.Requests != 1 || st.Retries != 0 {
+		t.Fatalf("stats %+v: the 415 was retried", st)
 	}
 }
 
@@ -130,15 +111,10 @@ func TestJSONClientNeverSendsWire(t *testing.T) {
 	if _, err := c.PostEvents("s1", []serve.EventRequest{{}}); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Transport != "json" || st.BinaryPosts != 0 || st.JSONPosts != 1 {
-		t.Fatalf("stats %+v, want pure JSON", st)
-	}
 }
 
 // TestBinaryRetryKeepsKey: wire-transport retries carry the same
-// idempotency key, exactly like JSON ones — chaos-grade faults on the
-// binary path replay, they do not downgrade.
+// idempotency key, exactly like JSON ones.
 func TestBinaryRetryKeepsKey(t *testing.T) {
 	var keys []string
 	var fails atomic.Int32
@@ -171,9 +147,5 @@ func TestBinaryRetryKeepsKey(t *testing.T) {
 		if k == "" || k != keys[0] {
 			t.Fatalf("retry changed the idempotency key: %q vs %q", k, keys[0])
 		}
-	}
-	st := c.Stats()
-	if st.Transport != "cohwire" || st.Downgrades != 0 {
-		t.Fatalf("stats %+v: 503s must retry on the wire, not downgrade", st)
 	}
 }

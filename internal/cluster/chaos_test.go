@@ -125,9 +125,6 @@ func runClusterChaos(t *testing.T, evs []serve.EventRequest, schemeStr string, b
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if cs := cl.Stats(); cs.Transport != "cohwire" || cs.Downgrades != 0 {
-		t.Fatalf("chaos knocked the client off the wire transport: %+v", cs)
-	}
 	var faults fault.Stats
 	for _, inj := range injs {
 		fs := inj.Stats()

@@ -103,11 +103,6 @@ type Options struct {
 	Registry *obs.Registry
 	// Log receives router progress lines; nil is silent.
 	Log *obs.Logger
-	// Direct switches the events data plane from proxying to 307
-	// redirects: the router answers event posts with the owning
-	// backend's URL and the client re-posts there directly, reusing
-	// its idempotency key. Control traffic is always proxied.
-	Direct bool
 	// MaxParked bounds requests parked per session during a migration
 	// flip; overflow is refused with 503 (retryable). Default 64.
 	MaxParked int

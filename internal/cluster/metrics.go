@@ -13,7 +13,6 @@ type clusterMetrics struct {
 	proxiedTotal    *obs.Counter // cluster_proxied_total: requests forwarded to a backend
 	proxyErrors     *obs.Counter // cluster_proxy_errors_total: transport failures router→backend
 	staleRetries    *obs.Counter // cluster_stale_retries_total: 404 re-resolves after a route moved
-	redirects       *obs.Counter // cluster_redirects_total: 307s issued in direct mode
 	parked          *obs.Counter // cluster_parked_total: requests parked during a migration flip
 	migrationsTotal *obs.Counter // cluster_migrations_total: completed live migrations
 	migrationAborts *obs.Counter // cluster_migration_aborts_total
@@ -30,7 +29,6 @@ func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 		proxiedTotal:    r.Counter("cluster_proxied_total"),
 		proxyErrors:     r.Counter("cluster_proxy_errors_total"),
 		staleRetries:    r.Counter("cluster_stale_retries_total"),
-		redirects:       r.Counter("cluster_redirects_total"),
 		parked:          r.Counter("cluster_parked_total"),
 		migrationsTotal: r.Counter("cluster_migrations_total"),
 		migrationAborts: r.Counter("cluster_migration_aborts_total"),

@@ -4,33 +4,11 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	resclient "cohpredict/internal/client"
 	"cohpredict/internal/cluster"
-	"cohpredict/internal/core"
-	"cohpredict/internal/eval"
-	"cohpredict/internal/fault"
-	"cohpredict/internal/metrics"
 	"cohpredict/internal/serve"
-	"cohpredict/internal/trace"
 )
-
-// goldenRun replays the trace through the fault-free offline engine:
-// the equivalence baseline for every cluster path.
-func goldenRun(t *testing.T, tr *trace.Trace, schemeStr string) ([]uint64, metrics.Confusion) {
-	t.Helper()
-	sc, err := core.ParseScheme(schemeStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := eval.NewEngine(sc, core.Machine{Nodes: 16, LineBytes: 64})
-	preds := make([]uint64, len(tr.Events))
-	for i, ev := range tr.Events {
-		preds[i] = uint64(eng.Step(ev))
-	}
-	return preds, eng.Confusion()
-}
 
 // TestMigrationUnderConcurrentLoad is the drain/flip race test: four
 // goroutines hammer one session with event posts while the main
@@ -316,74 +294,5 @@ func TestFailoverAfterMidMigrationKill(t *testing.T) {
 	}
 	if st.Events != 100 {
 		t.Fatalf("events %d after failover, want 100 (50 shipped + 50 posted)", st.Events)
-	}
-}
-
-// TestDirectModeRedirect runs the 307 data plane end to end under
-// faults: the router answers event posts with the owning backend's URL,
-// the client re-posts there under the SAME idempotency key, and backend
-// faults retry against the backend directly — still under that key. The
-// proof is equivalence: predictions and event count must match the
-// fault-free engine exactly, so no redirect hop minted a fresh key or
-// trained a batch twice.
-func TestDirectModeRedirect(t *testing.T) {
-	inj := fault.New(fault.Config{
-		Seed: 7, Drop: 0.15, Reset: 0.10, Error: 0.10,
-		Delay: 0.05, MaxDelay: 100 * time.Microsecond,
-	}, nil)
-	tc := startCluster(t, clusterConfig{
-		backends: 1,
-		injFor:   func(int) *fault.Injector { return inj },
-		mod:      func(o *cluster.Options) { o.Direct = true },
-	})
-	cl := newTestClient(tc, 14, true)
-
-	tr := genTrace(t, "em3d", 3)
-	evs := wireEvents(tr.Events)
-	const schemeStr = "union(dir+add8)2[forwarded]"
-	wantPreds, wantConf := goldenRun(t, tr, schemeStr)
-
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: 2, FlushMicros: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const chunk = 173
-	batches := 0
-	preds := make([]uint64, 0, len(evs))
-	for lo := 0; lo < len(evs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		got, err := cl.PostEvents(sess.ID, evs[lo:hi])
-		if err != nil {
-			t.Fatalf("post at %d: %v", lo, err)
-		}
-		preds = append(preds, got...)
-		batches++
-	}
-
-	cs := cl.Stats()
-	if cs.Redirects < int64(batches) {
-		t.Fatalf("client followed %d redirects over %d batches; direct mode is not redirecting", cs.Redirects, batches)
-	}
-	fs := inj.Stats()
-	if fs.Drops == 0 && fs.Resets == 0 && fs.Errors == 0 {
-		t.Fatalf("no faults fired; the redirect+retry path went unexercised: %+v", fs)
-	}
-	for i := range wantPreds {
-		if preds[i] != wantPreds[i] {
-			t.Fatalf("prediction %d diverged through the redirect plane: %#x vs %#x", i, preds[i], wantPreds[i])
-		}
-	}
-	st, err := cl.SessionStats(sess.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Events != uint64(len(evs)) || st.TP != wantConf.TP || st.FN != wantConf.FN {
-		t.Fatalf("stats diverged: %+v, want %d events and %+v", st, len(evs), wantConf)
 	}
 }

@@ -208,13 +208,6 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 		if rerr != nil {
 			return rerr
 		}
-		if rt.opts.Direct {
-			e.release()
-			rt.cm.redirects.Inc()
-			w.Header().Set("Location", n.url+"/v1/sessions/"+localID+"/events")
-			w.WriteHeader(http.StatusTemporaryRedirect)
-			return nil
-		}
 		if testHookPreForward != nil {
 			testHookPreForward(cid)
 		}

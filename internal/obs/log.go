@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Level filters logger output: Quiet drops everything, Info passes
 // progress lines, Debug adds per-evaluation detail.
@@ -24,6 +27,17 @@ func (l Level) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseLevel is the inverse of String: it maps a flag-style name back
+// to its Level.
+func ParseLevel(s string) (Level, error) {
+	for l := Quiet; l <= Debug; l++ {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown log level %q (want quiet, info, or debug)", s)
 }
 
 // Logger is a minimal leveled logger writing printf-style lines to a sink.

@@ -250,6 +250,21 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+// TestParseLevel round-trips every level through String and ParseLevel,
+// and rejects names no level prints — including String's "unknown".
+func TestParseLevel(t *testing.T) {
+	for _, lv := range []Level{Quiet, Info, Debug} {
+		if got, err := ParseLevel(lv.String()); err != nil || got != lv {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", lv.String(), got, err, lv)
+		}
+	}
+	for _, name := range []string{"unknown", "", "INFO", "verbose"} {
+		if _, err := ParseLevel(name); err == nil {
+			t.Errorf("ParseLevel(%q) accepted an unknown name", name)
+		}
+	}
+}
+
 func TestManifest(t *testing.T) {
 	m := NewManifest(42, "test", 4)
 	if m.Seed != 42 || m.Scale != "test" || m.Workers != 4 {

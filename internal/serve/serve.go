@@ -396,8 +396,7 @@ func (s *Server) session(r *http.Request) (*Session, error) {
 
 // serveEvents negotiates the events route's two encodings: a COHWIRE1
 // Content-Type takes the allocation-free binary path, JSON (or no type)
-// the debugging/compat path, and anything else is refused with 415 — the
-// signal the resilient client downgrades on in a mixed-version cluster.
+// the debugging/compat path, and anything else is refused with 415.
 // Either request form may ask for a binary reply via Accept. Along the
 // way it stamps the flight record: byte sizes, event count, and the
 // decode/encode stage times (queue/batch/exec stamping happens below, in

@@ -172,9 +172,9 @@ func TestWireDecodeRejects(t *testing.T) {
 }
 
 // TestWireNegotiation pins the HTTP contract: Content-Type selects the
-// request decoder (unknown types draw the 415 the client's downgrade
-// rides on), Accept selects the reply encoder, and the two transports
-// return identical predictions for identical batches.
+// request decoder (unknown types draw a 415), Accept selects the reply
+// encoder, and the two transports return identical predictions for
+// identical batches.
 func TestWireNegotiation(t *testing.T) {
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()

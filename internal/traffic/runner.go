@@ -142,10 +142,14 @@ func Run(plan *Plan, opts RunOptions) (*Report, error) {
 	wg.Wait()
 	elapsed := flight.Nanos() - start
 
+	transport := "json"
+	if opts.Binary {
+		transport = "cohwire"
+	}
 	rep := &Report{
 		Schema:      SLOSchema,
 		Arrival:     plan.Arrival,
-		Transport:   c.Stats().Transport,
+		Transport:   transport,
 		Seed:        plan.Seed,
 		TargetRPS:   plan.Rate,
 		DurationSec: float64(elapsed) / 1e9,
