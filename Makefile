@@ -47,9 +47,13 @@ race:
 # structure the new guardedby/atomiconly annotations claim to protect
 # exercised concurrently. Static checking proves lock discipline on every
 # path; this proves the locks are the *right* locks at runtime. -short
-# trims the scheme matrix to keep the CI step tight.
+# trims the scheme matrix to keep the CI step tight. The shard panic and
+# parked-sender tests then run twenty times each: a post that finds its
+# shard channel full blocks in its send, and those interleavings are
+# rarely reached by a single pass.
 race-hammer:
 	$(GO) test -race -short -count=1 ./internal/serve -run 'TestChaos'
+	$(GO) test -race -count=20 ./internal/serve -run 'TestShardPanic|TestParkedPosts'
 
 # Benchmark the sweep engine only (serial baseline + parallel family).
 bench:

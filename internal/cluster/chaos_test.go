@@ -71,7 +71,7 @@ func runClusterChaos(t *testing.T, evs []serve.EventRequest, schemeStr string, b
 	cl := newTestClient(tc, seed, true)
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: shards, FlushMicros: -1,
+		Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: shards,
 	})
 	if err != nil {
 		t.Fatalf("create session: %v", err)

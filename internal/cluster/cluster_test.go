@@ -281,7 +281,7 @@ func TestClusterBasics(t *testing.T) {
 	evs := wireEvents(tr.Events)
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: "union(dir+add8)2[forwarded]", Shards: 2, FlushMicros: -1,
+		Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
 	})
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -375,7 +375,7 @@ func TestCreateSkipsRestoredID(t *testing.T) {
 	cl := newTestClient(tc, 5, false)
 	evs := wireEvents(genTrace(t, "em3d", 3).Events)
 
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestCreateSkipsRestoredID(t *testing.T) {
 		t.Fatalf("restore as c2: %v", err)
 	}
 
-	sess2, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1})
+	sess2, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestClusterPlacementSpread(t *testing.T) {
 	const n = 24
 	for i := 0; i < n; i++ {
 		if _, err := cl.CreateSession(serve.CreateSessionRequest{
-			Scheme: "last(dir)1", Shards: 1, FlushMicros: -1,
+			Scheme: "last(dir)1", Shards: 1,
 		}); err != nil {
 			t.Fatalf("create %d: %v", i, err)
 		}
@@ -472,7 +472,7 @@ func TestClusterErrorSurface(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("malformed migrate: %d: %s", code, body)
 	}
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	reg := obs.New()
 	tc := startCluster(t, clusterConfig{backends: 1, mod: func(o *cluster.Options) { o.Registry = reg }})
 	cl := newTestClient(tc, 4, false)
-	if _, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1}); err != nil {
+	if _, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"}); err != nil {
 		t.Fatal(err)
 	}
 	code, _, body := tc.doRaw(t, "GET", "/metrics", nil, nil)

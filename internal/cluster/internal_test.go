@@ -140,7 +140,7 @@ func TestShipFailureClearsShippedMark(t *testing.T) {
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"scheme":"last(dir)1","flush_micros":-1}`))
+		strings.NewReader(`{"scheme":"last(dir)1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestStaleRouteRetry(t *testing.T) {
 		return resp.StatusCode, data
 	}
 
-	code, body := post(ts.URL+"/v1/sessions", `{"scheme":"last(dir)1","flush_micros":-1}`, "application/json")
+	code, body := post(ts.URL+"/v1/sessions", `{"scheme":"last(dir)1"}`, "application/json")
 	if code != http.StatusCreated {
 		t.Fatalf("create: %d: %s", code, body)
 	}

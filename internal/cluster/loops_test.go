@@ -34,7 +34,7 @@ func TestBackgroundLoops(t *testing.T) {
 	}})
 
 	code, _, body := tc.doRaw(t, "POST", "/v1/sessions",
-		[]byte(`{"scheme":"last(dir)1","flush_micros":-1}`),
+		[]byte(`{"scheme":"last(dir)1"}`),
 		map[string]string{"Content-Type": "application/json"})
 	if code != 201 {
 		t.Fatalf("create: %d: %s", code, body)

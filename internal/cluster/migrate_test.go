@@ -24,7 +24,7 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 	evs := wireEvents(tr.Events)
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: "union(dir+add8)2[forwarded]", Shards: 2, FlushMicros: -1,
+		Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 
 	evs := wireEvents(genTrace(t, "em3d", 3).Events)
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: "last(dir)1", Shards: 1, FlushMicros: -1,
+		Scheme: "last(dir)1", Shards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestFailoverUnshippedSessionLost(t *testing.T) {
 	cl := newTestClient(tc, 12, false)
 
 	evs := wireEvents(genTrace(t, "em3d", 3).Events)
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFailoverWithDeadStandby(t *testing.T) {
 	cl := newTestClient(tc, 13, false)
 
 	evs := wireEvents(genTrace(t, "em3d", 3).Events)
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFailoverAfterMidMigrationKill(t *testing.T) {
 	cl := newTestClient(tc, 15, false)
 
 	evs := wireEvents(genTrace(t, "em3d", 3).Events)
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
 	}

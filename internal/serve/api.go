@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/core"
@@ -20,25 +19,32 @@ import (
 // paper's notation (core.ParseScheme), e.g. "union(dir+add8)2[forwarded]".
 // Zero-valued tuning fields take the server defaults.
 type CreateSessionRequest struct {
-	Scheme      string `json:"scheme"`
-	Nodes       int    `json:"nodes,omitempty"`        // default 16
-	LineBytes   int    `json:"line_bytes,omitempty"`   // default 64
-	Shards      int    `json:"shards,omitempty"`       // default: server option
-	BatchSize   int    `json:"batch_size,omitempty"`   // default 256
-	FlushMicros int    `json:"flush_micros,omitempty"` // default 200; -1 = flush when idle
-	MaxPending  int    `json:"max_pending,omitempty"`  // default 16384
+	Scheme    string `json:"scheme"`
+	Nodes     int    `json:"nodes,omitempty"`      // default 16
+	LineBytes int    `json:"line_bytes,omitempty"` // default 64
+	Shards    int    `json:"shards,omitempty"`     // default: server option
+	// BatchSize caps a shard's micro-batch in events (default 256); a
+	// partial batch flushes as soon as the shard's queue empties.
+	BatchSize int `json:"batch_size,omitempty"`
+	// FlushMicros is accepted for older clients and ignored: shards
+	// flush when idle, whatever the value.
+	FlushMicros int `json:"flush_micros,omitempty"`
+	// MaxPending bounds the session's admitted, unprocessed events
+	// (default 16384); a post that would exceed it gets 429.
+	MaxPending int `json:"max_pending,omitempty"`
 }
 
 // CreateSessionResponse echoes the session's effective configuration.
 type CreateSessionResponse struct {
-	ID          string `json:"id"`
-	Scheme      string `json:"scheme"`
-	Nodes       int    `json:"nodes"`
-	LineBytes   int    `json:"line_bytes"`
-	Shards      int    `json:"shards"`
-	BatchSize   int    `json:"batch_size"`
-	FlushMicros int    `json:"flush_micros"`
-	MaxPending  int    `json:"max_pending"`
+	ID        string `json:"id"`
+	Scheme    string `json:"scheme"`
+	Nodes     int    `json:"nodes"`
+	LineBytes int    `json:"line_bytes"`
+	Shards    int    `json:"shards"`
+	BatchSize int    `json:"batch_size"`
+	// FlushMicros is always 0: there is no flush deadline.
+	FlushMicros int `json:"flush_micros"`
+	MaxPending  int `json:"max_pending"`
 }
 
 // EventRequest is one directory write event (mirrors trace.Event).
@@ -113,19 +119,11 @@ func (r *CreateSessionRequest) toSessionConfig(defaultShards int) (SessionConfig
 	if shards == 0 {
 		shards = defaultShards
 	}
-	flush := time.Duration(r.FlushMicros) * time.Microsecond
-	switch {
-	case r.FlushMicros == 0:
-		flush = DefaultFlushMicros * time.Microsecond
-	case r.FlushMicros < 0:
-		flush = 0 // explicit flush-when-idle
-	}
 	return SessionConfig{
 		Scheme:     sc,
 		Machine:    core.Machine{Nodes: nodes, LineBytes: lineBytes},
 		Shards:     shards,
 		BatchSize:  r.BatchSize,
-		Flush:      flush,
 		MaxPending: r.MaxPending,
 	}, nil
 }

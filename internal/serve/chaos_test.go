@@ -94,7 +94,7 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 	})
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: shards, FlushMicros: -1,
+		Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: shards,
 	})
 	if err != nil {
 		t.Fatalf("create session: %v", err)

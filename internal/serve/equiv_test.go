@@ -186,11 +186,10 @@ func TestOfflineEquivalence(t *testing.T) {
 				defer closeTS()
 
 				sess := c.createSession(serve.CreateSessionRequest{
-					Scheme:      schemeStr,
-					Nodes:       16,
-					LineBytes:   64,
-					Shards:      shards,
-					FlushMicros: -1,
+					Scheme:    schemeStr,
+					Nodes:     16,
+					LineBytes: 64,
+					Shards:    shards,
 				})
 				// Chunk size deliberately prime so batches straddle
 				// micro-batch boundaries.
@@ -222,7 +221,7 @@ func TestOfflineEquivalence(t *testing.T) {
 
 // TestEquivalenceSecondWorkload runs the contract over a second sharing
 // structure (nearest-neighbour instead of producer-consumer) at the widest
-// shard count, with a default (deadline-based) flush.
+// shard count, with the default tuning.
 func TestEquivalenceSecondWorkload(t *testing.T) {
 	tr := genTrace(t, "ocean", 7)
 	m := core.Machine{Nodes: 16, LineBytes: 64}
@@ -310,7 +309,7 @@ func TestOfflineEquivalenceDispatchEdges(t *testing.T) {
 			defer closeTS()
 			sess := c.createSession(serve.CreateSessionRequest{
 				Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: tc.shards,
-				FlushMicros: -1, MaxPending: serve.MaxBatchEvents,
+				MaxPending: serve.MaxBatchEvents,
 			})
 
 			posts := 0

@@ -91,7 +91,7 @@ func TestShardPanicNotRetriedOverHTTP(t *testing.T) {
 	defer ts.Close()
 	cl := resclient.New(resclient.Options{BaseURL: ts.URL, MaxRetries: 4, Sleep: func(time.Duration) {}})
 
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 1, FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestIdempotentReplayDoesNotDoubleTrain(t *testing.T) {
 	defer ts.Close()
 	cl := resclient.New(resclient.Options{BaseURL: ts.URL, Sleep: func(time.Duration) {}})
 
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(add8)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestIdempotencyUnderPureResets(t *testing.T) {
 		BaseURL: ts.URL, MaxRetries: 2, Sleep: func(time.Duration) {},
 	})
 
-	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(add8)1", FlushMicros: -1})
+	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
 	if err != nil {
 		t.Fatal(err) // session routes are never injected
 	}
@@ -270,7 +270,7 @@ func TestSnapshotRestoreHTTP(t *testing.T) {
 	wire := wireEvents(tr.Events)
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
-		Scheme: "union(dir+add8)2[forwarded]", Shards: 2, FlushMicros: -1,
+		Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

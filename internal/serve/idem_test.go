@@ -75,7 +75,7 @@ func TestIdemReplayCrossTransport(t *testing.T) {
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
-	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 2, FlushMicros: -1}).ID
+	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 2}).ID
 	replays := reg.Counter("serve_idempotent_replays_total")
 	evs := sharingEvents(300)
 
@@ -212,17 +212,18 @@ func (c *client) restore(id string, data []byte, shards int) {
 
 // TestSnapshotExtraLayoutPinned: for a cache whose predictions take 1-,
 // 2- and 3-byte uvarints, the snapshot's Extra section is exactly the
-// version-1 layout. A restore at another shard count snapshots to the
-// same layout at that count, restoring it back snapshots byte-identical
-// to the original, and a replay after the restore serves the original
-// reply bytes without training.
+// version-1 layout, with 0 in the retired flush slot even for a session
+// created with the old default deadline. A restore at another shard
+// count snapshots to the same layout at that count, restoring it back
+// snapshots byte-identical to the original, and a replay after the
+// restore serves the original reply bytes without training.
 func TestSnapshotExtraLayoutPinned(t *testing.T) {
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
 	id := c.createSession(serve.CreateSessionRequest{
-		Scheme: "last(add8)1", Shards: 2, BatchSize: 64, FlushMicros: -1, MaxPending: 4096,
+		Scheme: "last(add8)1", Shards: 2, BatchSize: 64, FlushMicros: 200, MaxPending: 4096,
 	}).ID
 
 	keys := []string{"k-a", "k-b", "k-c"}
@@ -275,6 +276,46 @@ func TestSnapshotExtraLayoutPinned(t *testing.T) {
 	}
 	if got := c.stats("twin").Events; got != events {
 		t.Fatalf("replays after restore trained the engine: %d events, want %d", got, events)
+	}
+}
+
+// parentDefaultExtra is the Extra section a session with the parent
+// defaults wrote while the flush deadline existed: 2 shards, batch size
+// 256, a 200 µs deadline (200000 ns in the flush slot), 16384 pending
+// events, and one cached reply.
+func parentDefaultExtra() []byte {
+	return sessionExtraLayout(2, 256, 200000, 16384, []string{"k"}, [][]uint64{{3, 5}})
+}
+
+// TestParentDefaultExtraRestores: an Extra section that carries a flush
+// deadline still restores, with the rest of its tuning and its cache, and
+// decodes and re-encodes byte for byte. The restored session writes 0 in
+// the flush slot of its own snapshots.
+func TestParentDefaultExtraRestores(t *testing.T) {
+	extra := parentDefaultExtra()
+	if again, err := serve.ReencodeSessionExtra(extra); err != nil || !bytes.Equal(again, extra) {
+		t.Fatalf("re-encoding the section: %x (%v), want %x", again, err, extra)
+	}
+	snap := &eval.Snapshot{
+		Scheme:  mustScheme(t, "last(add8)1"),
+		Machine: core.Machine{Nodes: 16, LineBytes: 64},
+		Extra:   extra,
+	}
+	sess, err := serve.NewSessionFromSnapshot("old", snap, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if cfg := sess.Config(); cfg.Shards != 2 || cfg.BatchSize != 256 || cfg.MaxPending != 16384 || cfg.Flush != 0 {
+		t.Fatalf("restored tuning: shards %d, batch %d, pending %d, flush %v",
+			cfg.Shards, cfg.BatchSize, cfg.MaxPending, cfg.Flush)
+	}
+	again, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sessionExtraLayout(2, 256, 0, 16384, []string{"k"}, [][]uint64{{3, 5}}); !bytes.Equal(again.Extra, want) {
+		t.Fatalf("restored session's Extra section:\n got %x\nwant %x", again.Extra, want)
 	}
 }
 
@@ -362,6 +403,7 @@ func FuzzDecodeSessionExtra(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 1, 0x80, 0x00})    // non-minimal prediction
 	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 0xff, 0xff, 0x03}) // 65535 predictions declared
 	f.Add([]byte{2})
+	f.Add(parentDefaultExtra())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		again, err := serve.ReencodeSessionExtra(data)
 		if err != nil || len(data) == 0 {

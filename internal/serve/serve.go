@@ -17,9 +17,9 @@
 // the dir+addr component of the predictor index key, so a session scales
 // across cores without locking the table (Router documents why the
 // partition preserves serial semantics exactly). Workers micro-batch
-// (flush on batch size or deadline), queues are bounded with explicit 429
-// backpressure, and drain is graceful: in-flight batches finish and their
-// statistics are published before workers exit.
+// (flush on batch size or when the queue empties), queues are bounded with
+// explicit 429 backpressure, and drain is graceful: in-flight batches
+// finish and their statistics are published before workers exit.
 //
 // The service's determinism contract mirrors the sweep engine's: a trace
 // replayed through the API in order yields predictions and statistics
@@ -39,7 +39,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
@@ -349,14 +348,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) err
 func sessionResponse(sess *Session) CreateSessionResponse {
 	cfg := sess.Config()
 	return CreateSessionResponse{
-		ID:          sess.ID,
-		Scheme:      cfg.Scheme.FullString(),
-		Nodes:       cfg.Machine.Nodes,
-		LineBytes:   cfg.Machine.LineBytes,
-		Shards:      cfg.Shards,
-		BatchSize:   cfg.BatchSize,
-		FlushMicros: int(cfg.Flush / time.Microsecond),
-		MaxPending:  cfg.MaxPending,
+		ID:         sess.ID,
+		Scheme:     cfg.Scheme.FullString(),
+		Nodes:      cfg.Machine.Nodes,
+		LineBytes:  cfg.Machine.LineBytes,
+		Shards:     cfg.Shards,
+		BatchSize:  cfg.BatchSize,
+		MaxPending: cfg.MaxPending,
 	}
 }
 

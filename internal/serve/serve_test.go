@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -220,5 +221,27 @@ func TestSessionList(t *testing.T) {
 	}
 	if list.Sessions[1].Shards != 2 {
 		t.Fatalf("listing lost config: %+v", list.Sessions[1])
+	}
+}
+
+// TestCreateIgnoresFlushMicros pins the create API's compatibility with
+// clients written for the retired flush deadline: any flush_micros value
+// is accepted, including ones the deadline's range check refused, and
+// every session reports 0 because shards flush when idle.
+func TestCreateIgnoresFlushMicros(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+
+	for _, v := range []int{0, -1, 200, 5000000} {
+		body := fmt.Sprintf(`{"scheme":"last(add8)1","flush_micros":%d}`, v)
+		var resp serve.CreateSessionResponse
+		if code := c.do("POST", "/v1/sessions", []byte(body), &resp); code != http.StatusCreated {
+			t.Fatalf("flush_micros %d: status %d, want 201", v, code)
+		}
+		if resp.FlushMicros != 0 {
+			t.Fatalf("flush_micros %d: session reports %d, want 0", v, resp.FlushMicros)
+		}
 	}
 }

@@ -15,24 +15,28 @@ import (
 	"cohpredict/internal/trace"
 )
 
-// Session limits and defaults. A session's queue is bounded: admission
-// reserves slots for a whole batch or rejects it outright (ErrBacklog →
-// 429), so a batch is never half-enqueued. A post sends each shard at
-// most one run, and every admitted post holds at least one pending
-// event, so shard channels sized to the pending limit hold one run per
-// admitted post and every post-admission enqueue is non-blocking.
+// Session limits and defaults. A session's queue is bounded in events:
+// admission reserves slots for a whole batch or rejects it outright
+// (ErrBacklog → 429), so a batch is never half-enqueued. A post sends
+// each shard at most one run, into a channel of DefaultShardBatch runs; a
+// post that finds it full blocks in the send until the worker drains it.
 const (
-	DefaultShardBatch  = 256
-	DefaultFlushMicros = 200
-	DefaultMaxPending  = 1 << 14
-	MaxBatchEvents     = 1 << 16
-	maxShards          = 64
+	DefaultShardBatch = 256
+	DefaultMaxPending = 1 << 14
+	MaxBatchEvents    = 1 << 16
+	maxShards         = 64
 
 	// maxIdemKeys bounds the per-session idempotency cache (FIFO
 	// eviction); maxIdemKeyLen bounds one key.
 	maxIdemKeys   = 1024
 	maxIdemKeyLen = 128
 )
+
+// DefaultFlushMicros was the micro-batch flush deadline.
+//
+// Deprecated: shards flush whenever their queue is momentarily empty;
+// SessionConfig.Flush has no effect.
+const DefaultFlushMicros = 200
 
 // ErrBacklog is returned when a batch would overflow the session's bounded
 // queue; the HTTP layer maps it to 429 Too Many Requests.
@@ -65,10 +69,10 @@ type SessionConfig struct {
 	// Shards is the engine-pool width. Sticky schemes are clamped to one
 	// shard (see Router). Results are byte-identical at any value.
 	Shards int
-	// BatchSize is the micro-batch flush threshold per shard worker.
+	// BatchSize is the micro-batch flush threshold per shard worker; a
+	// partial batch flushes as soon as the shard's queue empties.
 	BatchSize int
-	// Flush is the micro-batch deadline: a partial batch waits at most
-	// this long for stragglers. Zero flushes as soon as the queue empties.
+	// Deprecated: Flush has no effect; Config reports it as zero.
 	Flush time.Duration
 	// MaxPending bounds the events admitted but not yet processed.
 	MaxPending int
@@ -104,9 +108,7 @@ func (c *SessionConfig) fillDefaults() error {
 	if c.BatchSize == 0 {
 		c.BatchSize = DefaultShardBatch
 	}
-	if c.Flush < 0 || c.Flush > time.Second {
-		return fmt.Errorf("serve: flush interval %v out of range [0,1s]", c.Flush)
-	}
+	c.Flush = 0
 	if c.MaxPending < 0 || c.MaxPending > 1<<20 {
 		return fmt.Errorf("serve: max pending %d out of range [0,%d]", c.MaxPending, 1<<20)
 	}
@@ -189,7 +191,7 @@ func NewSession(id string, cfg SessionConfig, om *serveMetrics) (*Session, error
 		om:     om,
 	}
 	for i := range s.shards {
-		s.shards[i] = newShard(i, cfg.Scheme, cfg.Machine, cfg.BatchSize, cfg.Flush, cfg.MaxPending, cfg.Fault, om)
+		s.shards[i] = newShard(i, cfg.Scheme, cfg.Machine, cfg.BatchSize, cfg.Fault, om)
 		go s.shards[i].run()
 	}
 	return s, nil
@@ -629,7 +631,7 @@ func (s *Session) Snapshot() (*eval.Snapshot, error) {
 }
 
 // NewSessionFromSnapshot rebuilds a session from a snapshot. Tuning
-// (shards, batch size, flush, max pending) comes from the snapshot's
+// (shards, batch size, max pending) comes from the snapshot's
 // Extra section; tune, when non-nil, overrides it — restoring onto a
 // different shard count is legal and preserves byte-identical behaviour
 // (the router partitions the restored keys exactly as it would have
@@ -647,7 +649,6 @@ func NewSessionFromSnapshot(id string, snap *eval.Snapshot, tune *SessionTuning,
 		Machine:    snap.Machine,
 		Shards:     tune.Shards,
 		BatchSize:  tune.BatchSize,
-		Flush:      tune.Flush,
 		MaxPending: tune.MaxPending,
 		Fault:      flt,
 		Record:     rec,

@@ -41,11 +41,6 @@ type shard struct {
 	in    chan op
 	done  chan struct{}
 	batch int
-	flush time.Duration
-	// timer is the flush deadline, reused across micro-batches so a
-	// partial batch costs no allocation. Worker-owned; stopped and
-	// drained between batches.
-	timer *time.Timer
 
 	// Worker-local state (owned by the worker goroutine).
 	conf   metrics.Confusion
@@ -67,39 +62,38 @@ type shard struct {
 	om *serveMetrics
 }
 
-func newShard(id int, s core.Scheme, m core.Machine, batch int, flush time.Duration, depth int, flt *fault.Injector, om *serveMetrics) *shard {
-	sh := &shard{
+// newShard builds a shard whose channel holds DefaultShardBatch runs,
+// whatever the session's batch size and pending limit: a post that finds
+// it full blocks in its send until the worker drains it, and the runtime
+// hands a parked sender's run straight to fill's drain, so the bound
+// costs neither batching nor order.
+func newShard(id int, s core.Scheme, m core.Machine, batch int, flt *fault.Injector, om *serveMetrics) *shard {
+	return &shard{
 		id:        id,
 		update:    s.Update,
 		idx:       s.Index,
 		mach:      m,
 		table:     core.NewTable(s, m),
-		in:        make(chan op, depth),
+		in:        make(chan op, DefaultShardBatch),
 		done:      make(chan struct{}),
 		batch:     batch,
-		flush:     flush,
 		flt:       flt,
 		delaySite: fmt.Sprintf("shard%d.delay", id),
 		panicSite: fmt.Sprintf("shard%d.panic", id),
 		om:        om,
 	}
-	if flush > 0 {
-		sh.timer = time.NewTimer(flush)
-		sh.stopTimer()
-	}
-	return sh
 }
 
 // run is the shard worker: loop until the input channel closes or a panic
 // escapes a batch. A panic does not kill the shard silently — loop's
 // recover records it, releases every pending run (with zero predictions
 // that Post never returns, see failure), and keeps consuming the queue so
-// producers never block; Close surfaces the failure to the caller.
+// producers never stay blocked; Close surfaces the failure to the caller.
 func (s *shard) run() {
 	defer close(s.done)
 	if s.loop() {
 		// Panic path: the queue must keep draining until the session
-		// closes it, or Post goroutines would wedge on a full channel.
+		// closes it, or posts parked on a full channel would wedge.
 		for o := range s.in {
 			o.p.wg.Done()
 		}
@@ -107,10 +101,10 @@ func (s *shard) run() {
 }
 
 // loop is the normal worker body: block for one run, micro-batch more
-// until the batch holds the batch size in events, the flush deadline
-// passes, or (flush == 0) the queue momentarily empties, then process and
-// publish. It returns true only when a panic was recovered (the channel
-// may still be open).
+// until the batch holds the batch size in events or the queue momentarily
+// empties, then process and publish. The worker never waits on a poster,
+// so a shard with work queued is never idle. It returns true only when a
+// panic was recovered (the channel may still be open).
 func (s *shard) loop() (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -125,9 +119,9 @@ func (s *shard) loop() (panicked bool) {
 			panicked = true
 		}
 	}()
-	// Every run holds at least one event and fill stops once the batch
-	// holds s.batch events, so a batch never exceeds s.batch ops.
-	buf := make([]op, 0, s.batch)
+	// The batch buffer grows to the largest batch seen, so a session's
+	// up-front cost does not scale with its batch size.
+	var buf []op
 	for {
 		o, ok := <-s.in
 		if !ok {
@@ -153,56 +147,24 @@ func (s *shard) failure() error {
 	return nil
 }
 
-// fill collects more runs into buf until it holds the batch size in
-// events; n is the count already aboard. A run is never split, so one
-// large run is a micro-batch of its own. With a positive flush interval
-// fill waits for stragglers until the deadline; with zero it drains
-// whatever is immediately queued. It returns the batch's event count,
-// and false if the input channel has closed.
+// fill collects whatever runs are immediately queued into buf until it
+// holds the batch size in events; n is the count already aboard. A run is
+// never split, so one large run is a micro-batch of its own. It returns
+// the batch's event count, and false if the input channel has closed.
 func (s *shard) fill(buf *[]op, n int) (int, bool) {
-	if n >= s.batch {
-		return n, true
-	}
-	if s.flush <= 0 {
-		for n < s.batch {
-			select {
-			case o, ok := <-s.in:
-				if !ok {
-					return n, false
-				}
-				*buf = append(*buf, o)
-				n += len(o.run)
-			default:
-				return n, true
-			}
-		}
-		return n, true
-	}
-	s.timer.Reset(s.flush)
 	for n < s.batch {
 		select {
 		case o, ok := <-s.in:
 			if !ok {
-				s.stopTimer()
 				return n, false
 			}
 			*buf = append(*buf, o)
 			n += len(o.run)
-		case <-s.timer.C:
+		default:
 			return n, true
 		}
 	}
-	s.stopTimer()
 	return n, true
-}
-
-// stopTimer stops a flush timer that has not been received from. A fire
-// that raced the stop is drained, so the next Reset starts clean under
-// both the asynchronous and the synchronous timer-channel semantics.
-func (s *shard) stopTimer() {
-	if !s.timer.Stop() {
-		<-s.timer.C
-	}
 }
 
 // flushBatch processes one micro-batch of n events, publishes the shard's

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
@@ -16,7 +15,10 @@ import (
 // cache — is packed into its opaque Extra section by the helpers here, in
 // the same canonical uvarint style. A cache entry is its key followed by
 // its reply frame's tail (the count, then the predictions), copied
-// verbatim both ways: the layout version 1 has always had.
+// verbatim both ways: the layout version 1 has always had. The tuning
+// still carries the retired flush deadline's slot, in nanoseconds: live
+// sessions write 0, and a decoded section keeps what it read so it
+// re-encodes byte for byte.
 
 // sessionExtraVersion versions the Extra section layout.
 const sessionExtraVersion = 1
@@ -26,7 +28,6 @@ const sessionExtraVersion = 1
 type SessionTuning struct {
 	Shards     int
 	BatchSize  int
-	Flush      time.Duration
 	MaxPending int
 }
 
@@ -37,6 +38,7 @@ type idemItem struct {
 
 type sessionExtra struct {
 	tuning SessionTuning
+	flush  uint64 // the retired flush slot, ignored on restore
 	idem   []idemItem
 }
 
@@ -55,7 +57,7 @@ var (
 // would silently never train.
 func encodeSessionExtra(s *Session) []byte {
 	x := sessionExtra{tuning: SessionTuning{
-		Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, Flush: s.cfg.Flush, MaxPending: s.cfg.MaxPending,
+		Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, MaxPending: s.cfg.MaxPending,
 	}}
 	s.idemMu.Lock()
 	for _, k := range s.idemOrder {
@@ -73,7 +75,7 @@ func (x *sessionExtra) encode() []byte {
 	b := eval.AppendUvarint(nil, sessionExtraVersion)
 	b = eval.AppendUvarint(b, uint64(x.tuning.Shards))
 	b = eval.AppendUvarint(b, uint64(x.tuning.BatchSize))
-	b = eval.AppendUvarint(b, uint64(x.tuning.Flush))
+	b = eval.AppendUvarint(b, x.flush)
 	b = eval.AppendUvarint(b, uint64(x.tuning.MaxPending))
 	b = eval.AppendUvarint(b, uint64(len(x.idem)))
 	for _, it := range x.idem {
@@ -101,7 +103,7 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	}
 	x.tuning.Shards = int(r.uvarint())
 	x.tuning.BatchSize = int(r.uvarint())
-	x.tuning.Flush = time.Duration(r.uvarint())
+	x.flush = r.uvarint()
 	x.tuning.MaxPending = int(r.uvarint())
 	n := r.uvarint()
 	if r.err != nil {

@@ -190,7 +190,7 @@ func TestWireNegotiation(t *testing.T) {
 
 	newSess := func() string {
 		return c.createSession(serve.CreateSessionRequest{
-			Scheme: "union(dir+add8)2[forwarded]", Shards: 2, FlushMicros: -1,
+			Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
 		}).ID
 	}
 
@@ -300,7 +300,7 @@ func TestWireOfflineEquivalence(t *testing.T) {
 				c, closeTS := newClient(t, srv)
 				defer closeTS()
 				sess := c.createSession(serve.CreateSessionRequest{
-					Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: shards, FlushMicros: -1,
+					Scheme: schemeStr, Nodes: 16, LineBytes: 64, Shards: shards,
 				})
 
 				const chunk = 173

@@ -62,7 +62,7 @@ func chaosRun(t *testing.T, evs []trace.Event, seed int64) (data []byte, preds [
 	ids := make([]string, 2)
 	for i, scheme := range []string{"union(dir+add8)2", "last()1"} {
 		resp, err := cl.CreateSession(serve.CreateSessionRequest{
-			Scheme: scheme, Nodes: 16, Shards: 2, FlushMicros: -1,
+			Scheme: scheme, Nodes: 16, Shards: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
