@@ -150,13 +150,19 @@ func TestDepthMonotonicity(t *testing.T) {
 	}
 }
 
+// pasEntryTable returns a PAs table with a single entry, key 0: the
+// TestPASEntry tests train and read that entry.
+func pasEntryTable(nodes, depth int) *FlatTable {
+	return NewTable(Scheme{Fn: PAs, Depth: depth}, Machine{Nodes: nodes, LineBytes: 64})
+}
+
 func TestPASEntryLearnsStablePattern(t *testing.T) {
-	e := NewPASEntry(16, 2)
+	e := pasEntryTable(16, 2)
 	stable := bitmap.New(3, 7)
 	for i := 0; i < 8; i++ {
-		e.Train(stable)
+		e.Train(0, stable)
 	}
-	if got := e.Predict(); got != stable {
+	if got := e.Predict(0); got != stable {
 		t.Fatalf("PAs did not learn stable pattern: %v", got)
 	}
 }
@@ -165,21 +171,21 @@ func TestPASEntryLearnsAlternation(t *testing.T) {
 	// Node 5 shares every other time; a depth-2 PAs predictor can learn
 	// the alternating pattern exactly (this is what two-level adaptivity
 	// buys over last-value).
-	e := NewPASEntry(16, 2)
+	e := pasEntryTable(16, 2)
 	a, b := bitmap.New(5), bitmap.Empty
 	for i := 0; i < 40; i++ {
 		if i%2 == 0 {
-			e.Train(a)
+			e.Train(0, a)
 		} else {
-			e.Train(b)
+			e.Train(0, b)
 		}
 	}
 	// After training, prediction must match the phase: history "10"
 	// predicts not-share next (b), history "01" predicts share.
-	e.Train(a) // history for node 5 now ...01? ensure deterministic phase
-	predAfterA := e.Predict()
-	e.Train(b)
-	predAfterB := e.Predict()
+	e.Train(0, a) // history for node 5 now ...01? ensure deterministic phase
+	predAfterA := e.Predict(0)
+	e.Train(0, b)
+	predAfterB := e.Predict(0)
 	if predAfterA.Has(5) == predAfterB.Has(5) {
 		t.Fatalf("PAs failed to track alternation: afterA=%v afterB=%v",
 			predAfterA, predAfterB)
@@ -187,39 +193,39 @@ func TestPASEntryLearnsAlternation(t *testing.T) {
 }
 
 func TestPASEntryColdPredictsNothing(t *testing.T) {
-	e := NewPASEntry(16, 2)
-	if !e.Predict().IsEmpty() {
+	e := pasEntryTable(16, 2)
+	if !e.Predict(0).IsEmpty() {
 		t.Fatal("cold PAs entry predicts sharing")
 	}
 }
 
 func TestPASEntryForgets(t *testing.T) {
-	e := NewPASEntry(16, 1)
+	e := pasEntryTable(16, 1)
 	for i := 0; i < 4; i++ {
-		e.Train(bitmap.New(2))
+		e.Train(0, bitmap.New(2))
 	}
-	if !e.Predict().Has(2) {
+	if !e.Predict(0).Has(2) {
 		t.Fatal("did not learn")
 	}
 	for i := 0; i < 4; i++ {
-		e.Train(bitmap.Empty)
+		e.Train(0, bitmap.Empty)
 	}
-	if e.Predict().Has(2) {
+	if e.Predict(0).Has(2) {
 		t.Fatal("did not forget after sustained negatives")
 	}
 }
 
 func TestPASEntryCountersSaturate(t *testing.T) {
-	e := NewPASEntry(4, 1)
+	e := pasEntryTable(4, 1)
 	for i := 0; i < 100; i++ {
-		e.Train(bitmap.New(0))
+		e.Train(0, bitmap.New(0))
 	}
 	// One negative must not flip a saturated counter.
-	e.Train(bitmap.Empty)
+	e.Train(0, bitmap.Empty)
 	// Re-align history to the trained pattern (history is now 0; the
 	// counter for pattern "1" is saturated).
-	e.Train(bitmap.New(0))
-	if !e.Predict().Has(0) {
+	e.Train(0, bitmap.New(0))
+	if !e.Predict(0).Has(0) {
 		t.Fatal("saturated counter flipped after one negative")
 	}
 }

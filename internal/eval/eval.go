@@ -19,7 +19,6 @@
 package eval
 
 import (
-	"fmt"
 	"sync"
 
 	"cohpredict/internal/bitmap"
@@ -51,7 +50,8 @@ func engineCounters() (pred, conf *obs.Counter) {
 type Engine struct {
 	scheme  core.Scheme
 	machine core.Machine
-	table   core.Table
+	keyer   core.Keyer
+	table   *core.FlatTable
 	conf    metrics.Confusion
 	events  uint64
 
@@ -60,13 +60,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine for the scheme on the given machine. It
-// panics if the scheme is invalid.
+// panics if the scheme is invalid or its index does not fit a key on m.
 func NewEngine(s core.Scheme, m core.Machine) *Engine {
-	if err := s.Validate(); err != nil {
-		//predlint:ignore panicfree construction-time scheme validation
-		panic(err)
-	}
-	e := &Engine{scheme: s, machine: m, table: core.NewTable(s, m)}
+	e := &Engine{scheme: s, machine: m, keyer: s.Index.Keyer(m), table: core.NewTable(s, m)}
 	e.predCtr, e.confCtr = engineCounters()
 	return e
 }
@@ -80,19 +76,12 @@ func (e *Engine) Scheme() core.Scheme { return e.scheme }
 //
 //predlint:hotpath
 func (e *Engine) Step(ev trace.Event) bitmap.Bitmap {
-	pred := Apply(e.scheme.Update, e.scheme.Index, e.table, e.machine, &ev)
+	pred := Apply(e.scheme.Update, &e.keyer, e.table, &ev)
 	e.conf.AddBitmaps(pred, ev.FutureReaders, e.machine.Nodes)
 	e.events++
 	e.predCtr.Add(1)
 	e.confCtr.Add(int64(e.machine.Nodes))
 	return pred
-}
-
-// badUpdateMode lives outside Step so the hot path stays free of fmt.
-// Unreachable for schemes that passed Validate.
-func badUpdateMode(m core.UpdateMode) {
-	//predlint:ignore panicfree unreachable for validated schemes
-	panic(fmt.Sprintf("eval: unknown update mode %v", m))
 }
 
 // Run processes a whole trace.

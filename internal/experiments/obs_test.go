@@ -35,9 +35,6 @@ func TestSuiteObservability(t *testing.T) {
 	if snap.Gauges["sweep_hist_entries"] == 0 {
 		t.Error("sweep_hist_entries gauge = 0 after a sweep")
 	}
-	if snap.Gauges["sweep_arena_chunks"] == 0 {
-		t.Error("sweep_arena_chunks gauge = 0 after a sweep")
-	}
 	spans := map[string]obs.SpanSnapshot{}
 	for _, sp := range snap.Spans {
 		spans[sp.Path] = sp

@@ -43,14 +43,13 @@ func TestEvaluateSchemesNoSchemes(t *testing.T) {
 	}
 }
 
-// TestSliceAndMapPathsAgree pins the flat-slice optimisation: a small
-// index (slice path) and the same scheme re-evaluated through the
-// reference engine agree; and a >maxSliceBits index exercises the map
-// path within the same sweep.
-func TestSliceAndMapPathsAgree(t *testing.T) {
+// TestNarrowAndWideIndexesAgree: a narrow index, whose table stays
+// small, and a wide one, whose table grows through several rehashes,
+// both match the single-scheme engine within one sweep.
+func TestNarrowAndWideIndexesAgree(t *testing.T) {
 	tr := randomTrace(16, 64, 3000, 5)
-	small := mustParse(t, "union(dir+add6)2")  // 10 bits → slice path
-	large := mustParse(t, "union(dir+add16)2") // 20 bits → map path
+	small := mustParse(t, "union(dir+add6)2")
+	large := mustParse(t, "union(dir+add16)2")
 	stats := evalOK(EvaluateSchemes([]core.Scheme{small, large}, m16,
 		[]NamedTrace{{Name: "r", Trace: tr}}))
 	for i, s := range []core.Scheme{small, large} {

@@ -45,7 +45,7 @@ func TestEvaluateObservedMetrics(t *testing.T) {
 			t.Errorf("%s differs across worker counts: %d vs %d", name, a.Counters[name], b.Counters[name])
 		}
 	}
-	for _, name := range []string{"sweep_hist_entries", "sweep_pas_entries", "sweep_arena_chunks"} {
+	for _, name := range []string{"sweep_hist_entries", "sweep_pas_entries"} {
 		if a.Gauges[name] != b.Gauges[name] {
 			t.Errorf("%s differs across worker counts: %v vs %v", name, a.Gauges[name], b.Gauges[name])
 		}
@@ -62,19 +62,5 @@ func TestEvaluateObservedMetrics(t *testing.T) {
 	}
 	if a.Counters["sweep_worker_00_busy_ns"] == 0 {
 		t.Error("serial run recorded no busy time for worker 0")
-	}
-}
-
-func TestArenaStats(t *testing.T) {
-	var a entryArena
-	if e, c := a.stats(); e != 0 || c != 0 {
-		t.Fatalf("fresh arena stats = %d, %d", e, c)
-	}
-	for i := 0; i < arenaChunk+1; i++ {
-		a.new()
-	}
-	entries, chunks := a.stats()
-	if entries != arenaChunk+1 || chunks != 2 {
-		t.Errorf("arena stats = %d entries, %d chunks; want %d and 2", entries, chunks, arenaChunk+1)
 	}
 }

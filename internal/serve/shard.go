@@ -34,9 +34,9 @@ type op struct {
 type shard struct {
 	id     int
 	update core.UpdateMode
-	idx    core.IndexSpec
-	mach   core.Machine
-	table  core.Table
+	keyer  core.Keyer
+	nodes  int
+	table  *core.FlatTable
 
 	in    chan op
 	done  chan struct{}
@@ -71,8 +71,8 @@ func newShard(id int, s core.Scheme, m core.Machine, batch int, flt *fault.Injec
 	return &shard{
 		id:        id,
 		update:    s.Update,
-		idx:       s.Index,
-		mach:      m,
+		keyer:     s.Index.Keyer(m),
+		nodes:     m.Nodes,
 		table:     core.NewTable(s, m),
 		in:        make(chan op, DefaultShardBatch),
 		done:      make(chan struct{}),
@@ -229,8 +229,8 @@ func (s *shard) process(buf []op) {
 		p, run := buf[i].p, buf[i].run
 		for _, j := range run {
 			ev := &p.evs[j]
-			pred := eval.Apply(s.update, s.idx, s.table, s.mach, ev)
-			s.conf.AddBitmaps(pred, ev.FutureReaders, s.mach.Nodes)
+			pred := eval.Apply(s.update, &s.keyer, s.table, ev)
+			s.conf.AddBitmaps(pred, ev.FutureReaders, s.nodes)
 			p.preds[j] = pred
 		}
 		s.events += uint64(len(run))

@@ -3,9 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 )
 
@@ -204,8 +202,4 @@ func (r *extraReader) replyFrame() []byte {
 	frame[len(wireMagic)] = wireKindReply
 	copy(frame[wireHeaderLen:], tail)
 	return frame
-}
-
-func sortEntryStates(es []core.EntryState) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
 }
