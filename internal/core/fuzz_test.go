@@ -12,6 +12,7 @@ func FuzzParseScheme(f *testing.F) {
 		"pas(pid+add4)2[ordered]", "sticky(add8)1", "last(pid+mem8)",
 		"union()", "bogus", "inter(pid+pid)2", "last(pc999999999999)1",
 		"inter(pid)2[", "last(add-1)1", "pas(pid)9",
+		"last(pid+pc62+add4)1", "last(pc9223372036854775807+add2)1",
 	} {
 		f.Add(seed)
 	}
@@ -22,6 +23,11 @@ func FuzzParseScheme(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ParseScheme(%q) returned invalid scheme: %v", input, err)
+		}
+		// Every accepted width fits a key: on a one-node machine, where
+		// pid and dir take no bits, the index is at most MaxKeyBits wide.
+		if b := s.Index.Bits(Machine{Nodes: 1, LineBytes: 64}); b < 0 || b > MaxKeyBits {
+			t.Fatalf("ParseScheme(%q) accepted a %d-bit index", input, b)
 		}
 		again, err := ParseScheme(s.FullString())
 		if err != nil {

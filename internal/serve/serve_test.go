@@ -34,6 +34,9 @@ func TestAPIErrors(t *testing.T) {
 		{"create bad nodes", "POST", "/v1/sessions", `{"scheme":"last(add8)1","nodes":999}`, 400},
 		{"create bad line size", "POST", "/v1/sessions", `{"scheme":"last(add8)1","line_bytes":17}`, 400},
 		{"create bad shards", "POST", "/v1/sessions", `{"scheme":"last(add8)1","shards":-1}`, 400},
+		{"create index wider than a key", "POST", "/v1/sessions", `{"scheme":"last(pid+pc62+add4)1"}`, 400},
+		{"create index width overflow", "POST", "/v1/sessions", `{"scheme":"last(pc9223372036854775807+add2)1"}`, 400},
+		{"create index wider than a key on the machine", "POST", "/v1/sessions", `{"scheme":"last(pid+pc55+dir+add4)1"}`, 400},
 		{"create ok", "POST", "/v1/sessions", valid, 201},
 		{"events unknown session", "POST", "/v1/sessions/nope/events", `{"pid":0,"future_readers":0}`, 404},
 		{"events bad json", "POST", "/v1/sessions/" + sess.ID + "/events", `{"pid":`, 400},
