@@ -61,9 +61,10 @@ func (t *overlapLastTable) Entries() int { return len(t.entries) }
 // same stepping the evaluation engine performs for built-in schemes).
 func evaluate(tab core.Table, idx core.IndexSpec, cm core.Machine, tr *trace.Trace) metrics.Confusion {
 	var conf metrics.Confusion
+	keyer := idx.Keyer(cm)
 	for _, ev := range tr.Events {
-		key := idx.Key(ev.PID, ev.PC, ev.Dir, ev.Addr, cm)
-		if ev.HasPrev || !ev.InvReaders.IsEmpty() {
+		key := keyer.Key(ev.PID, ev.PC, ev.Dir, ev.Addr)
+		if core.Direct.Schedule(keyer.ReadsWriter(), ev.HasPrev, ev.InvReaders) == core.TrainCurrent {
 			tab.Train(key, ev.InvReaders)
 		}
 		pred := tab.Predict(key).Clear(ev.PID)

@@ -33,15 +33,16 @@ func TestMemoKeysMatchesIndexSpecKey(t *testing.T) {
 	}
 	for _, idx := range specs {
 		km := MemoKeys(idx, events, m, true)
+		k := idx.Keyer(m)
 		if len(km.Cur) != len(events) || len(km.Prev) != len(events) {
 			t.Fatalf("%v: lengths %d/%d", idx, len(km.Cur), len(km.Prev))
 		}
 		for i, ev := range events {
-			if want := idx.Key(ev.PID, ev.PC, ev.Dir, ev.Addr, m); km.Cur[i] != want {
+			if want := k.Key(ev.PID, ev.PC, ev.Dir, ev.Addr); km.Cur[i] != want {
 				t.Fatalf("%v: Cur[%d] = %d, want %d", idx, i, km.Cur[i], want)
 			}
 			if ev.HasPrev {
-				if want := idx.Key(ev.PrevPID, ev.PrevPC, ev.Dir, ev.Addr, m); km.Prev[i] != want {
+				if want := k.Key(ev.PrevPID, ev.PrevPC, ev.Dir, ev.Addr); km.Prev[i] != want {
 					t.Fatalf("%v: Prev[%d] = %d, want %d", idx, i, km.Prev[i], want)
 				}
 			}

@@ -102,8 +102,9 @@ func FuzzRouteKey(f *testing.F) {
 		// The forwarded-update co-location invariant: the key trained on a
 		// forward (previous writer's pid/pc, same dir/addr) must live on the
 		// same shard as the key predicted from.
-		curKey := sc.Index.Key(ev.PID, ev.PC, ev.Dir, ev.Addr, m)
-		prevKey := sc.Index.Key(ev.PrevPID, ev.PrevPC, ev.Dir, ev.Addr, m)
+		k := sc.Index.Keyer(m)
+		curKey := k.Key(ev.PID, ev.PC, ev.Dir, ev.Addr)
+		prevKey := k.Key(ev.PrevPID, ev.PrevPC, ev.Dir, ev.Addr)
 		if r.Route(prevKey) != r.Route(curKey) {
 			t.Fatalf("prev key shard %d != cur key shard %d (scheme %s)",
 				r.Route(prevKey), r.Route(curKey), sc)

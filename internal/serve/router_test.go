@@ -8,7 +8,7 @@ import (
 	"cohpredict/internal/trace"
 )
 
-// TestRouteMaskLayout pins the mask to IndexSpec.Key's packing order
+// TestRouteMaskLayout pins the mask to Keyer.Key's packing order
 // (addr lowest, then pc, then dir, then pid): the mask must select
 // exactly the addr bits plus the dir bits above the pc gap.
 func TestRouteMaskLayout(t *testing.T) {
