@@ -171,14 +171,20 @@ func confusion(tp, fp, tn, fn uint64) metrics.Confusion {
 }
 
 func TestEvaluateSchemesRejectsInvalid(t *testing.T) {
-	stats, err := EvaluateSchemes([]core.Scheme{{Fn: core.Inter, Depth: 0}}, m16, nil)
-	if err == nil {
-		t.Fatal("invalid scheme accepted")
-	}
-	if stats != nil {
-		t.Fatalf("stats = %+v, want nil on error", stats)
-	}
-	if !strings.Contains(err.Error(), "scheme 0") {
-		t.Errorf("error %q does not identify the offending scheme", err)
+	for _, s := range []core.Scheme{
+		{Fn: core.Inter, Depth: 0},
+		// Valid alone, but 67 bits wide with a 16-node machine's pid and dir.
+		{Fn: core.Last, Depth: 1, Index: core.IndexSpec{UsePID: true, PCBits: 55, UseDir: true, AddrBits: 4}},
+	} {
+		stats, err := EvaluateSchemes([]core.Scheme{s}, m16, nil)
+		if err == nil {
+			t.Fatalf("invalid scheme %s accepted", s.FullString())
+		}
+		if stats != nil {
+			t.Fatalf("stats = %+v, want nil on error", stats)
+		}
+		if !strings.Contains(err.Error(), "scheme 0") {
+			t.Errorf("error %q does not identify the offending scheme", err)
+		}
 	}
 }
