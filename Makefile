@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo load-demo cluster-demo fuzz-smoke cover bench-ledger throughput-smoke
+.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo fuzz-smoke cover throughput-smoke
 
 check: vet lint race
 
@@ -68,26 +68,13 @@ bench-all:
 obs-demo:
 	$(GO) run ./cmd/predsim -scale test -quick -obs obs.json
 
-# Load-generator demo: boot an in-process server, drive it with a seeded
-# 2-second open-loop poisson run over the binary transport, write the
-# predload-slo/v1 ledger, and re-validate it through benchledger.
-load-demo:
-	$(GO) run ./cmd/predload -demo -out BENCH_predload.json
-	$(GO) run ./cmd/benchledger -check BENCH_predload.json
-
-# Cluster demo: the capacity-planning mode over an in-process cluster,
-# its predload-cluster/v1 ledger re-validated.
-cluster-demo:
-	$(GO) run ./cmd/predload -demo -cluster -out BENCH_cluster.json
-	$(GO) run ./cmd/benchledger -check BENCH_cluster.json
-
 # Short native-fuzzing pass over the serialized attack surfaces: the JSON
 # event decoder, the COHWIRE1 batch/reply decoders (plus the JSON↔binary
 # cross-equivalence property and the differential check against the
 # two-pass reference decoders), the session snapshot's Extra section, the
 # shard router's co-location invariants, the engine-checkpoint wire
-# decoder, the COHTRACE1 trace decoders, and the cluster control-plane
-# codecs.
+# decoder, the COHTRACE1 trace decoders, the COHPRED1 trace reader, and
+# the cluster control-plane codecs.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventRequest -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireBatch -fuzztime=10s
@@ -99,18 +86,9 @@ fuzz-smoke:
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceFile -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceRecord -fuzztime=10s
+	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzRead -fuzztime=10s
 	$(GO) test ./internal/cluster -run='^$$' -fuzz=FuzzDecodeMigrateRequest -fuzztime=10s
 	$(GO) test ./internal/cluster -run='^$$' -fuzz=FuzzDecodeClusterStatus -fuzztime=10s
-
-# Regenerate the committed benchmark ledger: the transport comparison
-# (codec-level halves from the repo root, end-to-end HTTP pair from
-# internal/serve, the routed counterpart from internal/cluster whose
-# delta against BenchmarkServeWire/http is the router's overhead)
-# distilled into BENCH_predserve.json, then re-validated.
-bench-ledger:
-	$(GO) test -run='^$$' -bench='BenchmarkServe(JSON|Wire)' -benchmem . ./internal/serve ./internal/cluster \
-		| $(GO) run ./cmd/benchledger -out BENCH_predserve.json
-	$(GO) run ./cmd/benchledger -check BENCH_predserve.json
 
 # Throughput floors, explicitly non-short: JSON must hold 100k events/sec
 # end to end, COHWIRE1 must hold 500k direct to a backend, with recording
@@ -125,11 +103,11 @@ throughput-smoke:
 # in the predictor kernel (core, search) or the serving/eval/fault/client
 # layers fails the build.
 cover:
-	$(GO) test -count=1 -coverprofile=cover.out ./internal/serve ./internal/eval ./internal/fault ./internal/client ./internal/flight ./internal/lint ./internal/traffic ./internal/cluster ./cmd/predtrace ./internal/core ./internal/search
+	$(GO) test -count=1 -coverprofile=cover.out ./internal/serve ./internal/eval ./internal/fault ./internal/client ./internal/flight ./internal/lint ./internal/traffic ./internal/cluster ./cmd/predtrace ./cmd/predload ./internal/core ./internal/search
 	$(GO) run ./cmd/covergate -profile cover.out \
 		internal/serve=85 internal/eval=88 internal/fault=95 internal/client=72 \
 		internal/core=93 internal/search=92 \
-		internal/flight=85 internal/lint=85 internal/traffic=85 internal/cluster=85 cmd/predtrace=80 \
+		internal/flight=85 internal/lint=85 internal/traffic=85 internal/cluster=85 cmd/predtrace=80 cmd/predload=55 \
 		internal/serve/wire.go=85 \
 		internal/lint/check_guardedby.go=85 internal/lint/check_atomiconly.go=85 \
 		internal/lint/check_goroutineown.go=90 internal/lint/check_staleignore.go=90

@@ -7,7 +7,6 @@
 package cohpredict
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,8 +18,6 @@ import (
 	"cohpredict/internal/forward"
 	"cohpredict/internal/machine"
 	"cohpredict/internal/search"
-	"cohpredict/internal/serve"
-	"cohpredict/internal/trace"
 	"cohpredict/internal/workload"
 )
 
@@ -258,87 +255,6 @@ func BenchmarkBatchSweepPerEvent(b *testing.B) {
 		_, _ = search.EvaluateSchemes(schemes, cm, traces)
 	}
 	b.ReportMetric(float64(b.N*events), "events")
-}
-
-// --- Wire protocol codecs ----------------------------------------------------
-
-// benchWireEvents is a simulated event batch at the serving batch size,
-// in both the engine and API forms.
-func benchWireEvents(b *testing.B) ([]trace.Event, []serve.EventRequest) {
-	s := benchSuite(b)
-	evs := s.Runs[0].Trace.Events
-	if len(evs) > 4096 {
-		evs = evs[:4096]
-	}
-	reqs := make([]serve.EventRequest, len(evs))
-	for i, ev := range evs {
-		reqs[i] = serve.EventRequest{
-			PID: ev.PID, PC: ev.PC, Dir: ev.Dir, Addr: ev.Addr,
-			InvReaders: uint64(ev.InvReaders), HasPrev: ev.HasPrev,
-			PrevPID: ev.PrevPID, PrevPC: ev.PrevPC,
-			FutureReaders: uint64(ev.FutureReaders),
-		}
-	}
-	return evs, reqs
-}
-
-// BenchmarkServeJSON/{encode,decode} and BenchmarkServeWire/{encode,decode}
-// are the codec halves of the transport comparison the benchmark ledger
-// (cmd/benchledger → BENCH_predserve.json) tracks; the end-to-end HTTP
-// pair lives in internal/serve's throughput benches. The wire decoders
-// append into reused buffers, so allocs/op on the steady state is 0 —
-// pinned by TestWireKernelsAllocFree in internal/serve.
-func BenchmarkServeJSON(b *testing.B) {
-	evs, reqs := benchWireEvents(b)
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(reqs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "events/sec")
-	})
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := serve.DecodeEvents(body, 16); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
-	})
-}
-
-func BenchmarkServeWire(b *testing.B) {
-	evs, reqs := benchWireEvents(b)
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		dst := serve.AppendWireEvents(nil, reqs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = serve.AppendWireEvents(dst[:0], reqs)
-		}
-		b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "events/sec")
-	})
-	frame := serve.AppendWireBatch(nil, evs)
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		dst := make([]trace.Event, 0, len(evs))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			dst, err = serve.DecodeWireBatchInto(frame, 16, dst[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
-	})
 }
 
 // --- Parallel sweep engine --------------------------------------------------

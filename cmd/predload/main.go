@@ -4,12 +4,12 @@
 // live server, requests firing at their scheduled instants whether or
 // not earlier responses have returned, and the run distills into an SLO
 // report — achieved events/sec, client- and server-side p50/p99, and
-// 429/503 rates — written as a predload-slo/v1 ledger document that
-// `benchledger -check` validates.
+// 429/503 rates — which -out writes as a predload-slo/v1 JSON document
+// once Report.Validate accepts it. Server-side quantiles come from the
+// server's /metrics in its JSON form.
 //
 //	predload -target http://localhost:8091 -rate 500 -duration 10s
-//	predload -arrival bursty -mix em3d:2,ocean:1 -transport wire
-//	predload -demo -out BENCH_predload.json   # self-contained loopback run
+//	predload -arrival bursty -mix em3d:2,ocean:1 -transport wire -out slo.json
 //	predload -replay run.cohtrace -replay-shards 8
 //	predload -cluster -target http://localhost:8090 -slo-p99 50
 //
@@ -22,26 +22,21 @@
 //
 // -cluster is the capacity-planning mode: the target is a predroute
 // router, and the run answers "do these backends hold this rate under
-// the -slo-p99 budget?" with a predload-cluster/v1 ledger — the
-// aggregate SLO report, a per-backend breakdown scraped from each
-// node's /metrics, the router's lifecycle tallies, and an explicit
-// holds/fails verdict. With -demo it builds the whole cluster (two
-// backends, a warm standby, the router) in-process first.
+// the -slo-p99 budget?" with a predload-cluster/v1 report — the
+// aggregate SLO report, a per-backend breakdown read from each node's
+// /metrics JSON, the router's lifecycle tallies, and an explicit
+// holds/fails verdict. A failing verdict is still written to -out, and
+// predload then exits non-zero.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
-	"cohpredict/internal/cluster"
 	"cohpredict/internal/obs"
-	"cohpredict/internal/serve"
 	"cohpredict/internal/traffic"
 )
 
@@ -66,9 +61,8 @@ func run() error {
 		shards   = flag.Int("shards", 0, "shard count to request per session (0 = server default)")
 		transp   = flag.String("transport", "wire", "event-post transport: wire or json")
 		seed     = flag.Int64("seed", 42, "seed for the arrival schedule and workload draws")
-		out      = flag.String("out", "", "write the predload-slo/v1 report to this JSON file")
-		demo     = flag.Bool("demo", false, "ignore -target: start an in-process loopback server, drive it, and exit")
-		clusterM = flag.Bool("cluster", false, "capacity-planning mode: -target is a predroute router; emit a predload-cluster/v1 ledger")
+		out      = flag.String("out", "", "write the validated report (predload-slo/v1, or predload-cluster/v1 with -cluster) to this JSON file")
+		clusterM = flag.Bool("cluster", false, "capacity-planning mode: -target is a predroute router; -out writes a predload-cluster/v1 report")
 		sloP99   = flag.Float64("slo-p99", traffic.DefaultClusterSLOP99Ms, "client p99 budget in ms for the -cluster verdict")
 		replayF  = flag.String("replay", "", "replay this COHTRACE1 file instead of generating load")
 		replayS  = flag.Int("replay-shards", 0, "override recorded shard counts during replay (0 = as recorded)")
@@ -91,45 +85,8 @@ func run() error {
 		return fmt.Errorf("unknown transport %q (want wire or json)", *transp)
 	}
 
-	base := *target
-	var snapshot func() obs.Snapshot
-	if *demo {
-		if *duration == 10*time.Second {
-			*duration = 2 * time.Second // demo default: a quick smoke
-		}
-		if *clusterM {
-			clusterBase, cleanup, err := startDemoCluster()
-			if err != nil {
-				return err
-			}
-			defer cleanup()
-			base = clusterBase
-			fmt.Printf("predload: demo cluster (2 backends + standby) routed at %s\n", base)
-		} else {
-			reg := obs.New()
-			srv := serve.NewServer(serve.Options{Registry: reg})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			httpSrv := &http.Server{Handler: srv.Handler()}
-			go func() {
-				if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-					fmt.Fprintln(os.Stderr, "predload: demo server:", err)
-				}
-			}()
-			defer func() {
-				_ = httpSrv.Close()
-				srv.Shutdown()
-			}()
-			base = "http://" + ln.Addr().String()
-			snapshot = reg.Snapshot
-			fmt.Printf("predload: demo server on %s\n", base)
-		}
-	}
-
 	if *replayF != "" {
-		return runReplay(*replayF, base, binary, *replayS, *seed, *paced)
+		return runReplay(*replayF, *target, binary, *replayS, *seed, *paced)
 	}
 
 	mix, err := traffic.ParseMix(*mixS)
@@ -155,15 +112,10 @@ func run() error {
 		plan.Arrival, plan.Rate, *duration, len(plan.Sessions), len(plan.Requests), plan.Events())
 
 	if *clusterM {
-		return runCluster(plan, base, binary, *sloP99, *out)
+		return runCluster(plan, *target, binary, *sloP99, *out)
 	}
 
-	rep, err := traffic.Run(plan, traffic.RunOptions{
-		BaseURL:    base,
-		Binary:     binary,
-		Snapshot:   snapshot,
-		MetricsURL: base + "/metrics",
-	})
+	rep, err := traffic.Run(plan, traffic.RunOptions{BaseURL: *target, Binary: binary})
 	if err != nil {
 		return err
 	}
@@ -176,23 +128,31 @@ func run() error {
 	if rep.OK == 0 {
 		return fmt.Errorf("no request succeeded (server down, or every post rejected)")
 	}
+	return writeReport(*out, rep)
+}
 
-	if *out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("predload: wrote %s\n", *out)
+// writeReport writes a validated report as indented JSON to path (a
+// no-op when path is empty).
+func writeReport(path string, rep interface{ Validate() error }) error {
+	if path == "" {
+		return nil
 	}
+	if err := rep.Validate(); err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("predload: wrote %s\n", path)
 	return nil
 }
 
 // runCluster drives a predroute router with the plan and renders the
-// capacity verdict, optionally writing the predload-cluster/v1 ledger.
+// capacity verdict, optionally writing the predload-cluster/v1 report.
 func runCluster(plan *traffic.Plan, base string, binary bool, sloP99 float64, out string) error {
 	rep, err := traffic.RunCluster(plan, traffic.ClusterRunOptions{
 		RouterURL: base,
@@ -229,83 +189,13 @@ func runCluster(plan *traffic.Plan, base string, binary bool, sloP99 float64, ou
 		fmt.Printf("predload: capacity FAILS: %s\n", rep.Reason)
 	}
 
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("predload: wrote %s\n", out)
+	if err := writeReport(out, rep); err != nil {
+		return err
 	}
 	if !rep.Holds {
 		return fmt.Errorf("capacity verdict: fails (%s)", rep.Reason)
 	}
 	return nil
-}
-
-// startDemoCluster builds the -demo -cluster topology in-process: two
-// serving backends and a warm standby, fronted by a predroute router,
-// all on loopback listeners. Returns the router base URL and a
-// cleanup that tears the whole stack down.
-func startDemoCluster() (string, func(), error) {
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
-	startOne := func() (string, error) {
-		srv := serve.NewServer(serve.Options{Registry: obs.New()})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() {
-			if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "predload: demo backend:", err)
-			}
-		}()
-		cleanups = append(cleanups, func() { _ = httpSrv.Close(); srv.Shutdown() })
-		return "http://" + ln.Addr().String(), nil
-	}
-
-	var backends []string
-	for i := 0; i < 2; i++ {
-		u, err := startOne()
-		if err != nil {
-			cleanup()
-			return "", nil, err
-		}
-		backends = append(backends, u)
-	}
-	standby, err := startOne()
-	if err != nil {
-		cleanup()
-		return "", nil, err
-	}
-	rt, err := cluster.New(cluster.Options{Backends: backends, Standby: standby})
-	if err != nil {
-		cleanup()
-		return "", nil, err
-	}
-	cleanups = append(cleanups, rt.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		cleanup()
-		return "", nil, err
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "predload: demo router:", err)
-		}
-	}()
-	cleanups = append(cleanups, func() { _ = httpSrv.Close() })
-	return "http://" + ln.Addr().String(), cleanup, nil
 }
 
 // runReplay plays a recorded trace back at the server and prints each

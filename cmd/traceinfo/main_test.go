@@ -71,6 +71,22 @@ func TestInspectFile(t *testing.T) {
 	if err := inspectFile(&buf, filepath.Join(dir, "missing"), 3); err == nil {
 		t.Fatal("missing file accepted")
 	}
+
+	// Future readers 8-15 on a 4-node machine: Read must refuse the
+	// file before inspect indexes its histogram by reader count.
+	wide := filepath.Join(dir, "wide.trace")
+	f, err = os.Create(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &trace.Trace{Nodes: 4, Events: []trace.Event{{FutureReaders: 0xff00}}}
+	if err := bad.Write(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := inspectFile(&buf, wide, 3); err == nil {
+		t.Fatal("trace with readers beyond its machine accepted")
+	}
 }
 
 func TestHashBar(t *testing.T) {

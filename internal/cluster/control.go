@@ -80,8 +80,8 @@ type SessionStatus struct {
 }
 
 // ClusterStatus is the GET /v1/cluster document: topology, the routing
-// table, and lifecycle tallies. predload's capacity-planning mode and
-// the predroute demo both consume it.
+// table, and lifecycle tallies. predload's capacity-planning mode
+// consumes it.
 type ClusterStatus struct {
 	// Backends lists serving nodes in configured order, then the
 	// standby (if any) last.

@@ -6,8 +6,8 @@ import (
 )
 
 // The control-plane decoders face bytes from the network (operators
-// POST migrate requests; predload and the demo GET status documents
-// from routers they do not control). The fuzz contract on both:
+// POST migrate requests; predload GETs status documents from routers
+// it does not control). The fuzz contract on both:
 //
 //   1. never panic, whatever the input;
 //   2. canonical acceptance — any accepted document re-encodes, and

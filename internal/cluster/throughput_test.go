@@ -85,7 +85,7 @@ func TestThroughputFloorClusterWire(t *testing.T) {
 	}
 }
 
-// BenchmarkServeWireCluster/http is the ledger's routed counterpart to
+// BenchmarkServeWireCluster/http is the routed counterpart to
 // BenchmarkServeWire/http: the identical COHWIRE1 batch, but proxied
 // through the cluster router to its backend, so the delta between the
 // two benches IS the router's overhead. The backend's flight-recorder

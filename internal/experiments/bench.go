@@ -31,7 +31,7 @@ type SweepRecord struct {
 	WallSeconds        float64 `json:"wall_seconds"`
 	SchemeEventsPerSec float64 `json:"scheme_events_per_sec"`
 
-	// Run identity, so BENCH_*.json trajectories are self-describing and
+	// Run identity, so -benchjson records are self-describing and
 	// comparable across machines and commits.
 	Seed   int64  `json:"seed"`
 	Scale  string `json:"scale"`

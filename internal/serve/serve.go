@@ -10,7 +10,8 @@
 //	GET    /v1/sessions/{id}/stats  confusion / sensitivity / PVP summary
 //	DELETE /v1/sessions/{id}        drain and remove a session
 //	GET    /healthz                 liveness and drain state
-//	GET    /metrics                 Prometheus text (internal/obs)
+//	GET    /metrics                 Prometheus text (internal/obs), or the
+//	                                obs.Snapshot JSON for Accept: application/json
 //	GET    /debug/pprof/...         runtime profiles
 //
 // The core is a sharded engine pool: events route to per-shard workers by
@@ -642,7 +643,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	return nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
+	if strings.Contains(r.Header.Get("Accept"), "application/json") {
+		writeJSON(w, http.StatusOK, s.opts.Registry.Snapshot())
+		return nil
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.opts.Registry.WritePrometheus(w); err != nil {
 		return err

@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -181,25 +184,60 @@ func TestMetricsEndpoint(t *testing.T) {
 	body, _ := jsonMarshal(wireEvents(hammerEvents(32, 16)))
 	c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil)
 
-	req, err := http.NewRequest("GET", c.base+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	text := string(buf[:n])
-	for _, want := range []string{
-		"serve_sessions_total", "serve_events_total", "serve_batches_total",
-		"serve_http_requests_total", "serve_batch_size",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics output missing %s:\n%s", want, text)
+	get := func(accept string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest("GET", c.base+"/metrics", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := c.http.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	// Prometheus text unless the client asks for JSON.
+	for _, accept := range []string{"", "text/plain", "*/*"} {
+		resp, body := get(accept)
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("Accept %q: Content-Type %q, want text/plain", accept, ct)
+		}
+		text := string(body)
+		for _, want := range []string{
+			"serve_sessions_total", "serve_events_total", "serve_batches_total",
+			"serve_http_requests_total", "serve_batch_size",
+		} {
+			if !strings.Contains(text, want) {
+				t.Fatalf("Accept %q: metrics output missing %s:\n%s", accept, want, text)
+			}
+		}
+	}
+
+	// The same registry as obs.Snapshot JSON: the form tools read.
+	resp, body := get("application/json")
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var snap obs.Snapshot
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatalf("metrics JSON does not decode as obs.Snapshot: %v\n%s", err, body)
+	}
+	if got := snap.Counters["serve_events_total"]; got != 32 {
+		t.Fatalf("serve_events_total %d, want 32", got)
+	}
+	if h := snap.Histograms["serve_batch_size"]; h.Count == 0 {
+		t.Fatalf("serve_batch_size histogram empty in the JSON form: %+v", h)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"cohpredict/internal/flight"
 	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
+	"cohpredict/internal/trace"
 	"cohpredict/internal/traffic"
 )
 
@@ -104,8 +105,7 @@ func TestThroughputFloor(t *testing.T) {
 // TestThroughputFloorWire is the binary acceptance load test, and the
 // PR's ratchet: COHWIRE1 in, pooled allocation-free decode and encode,
 // COHWIRE1 out must sustain at least 500k events/sec — five times the
-// JSON floor — with 1M/sec the aspirational target the benchmark ledger
-// tracks.
+// JSON floor — with 1M/sec the aspirational target.
 func TestThroughputFloorWire(t *testing.T) {
 	const batch = 4096
 	runThroughputFloor(t, serve.ContentTypeWire,
@@ -129,12 +129,16 @@ func TestThroughputFloorWireRecorded(t *testing.T) {
 	}
 }
 
-// benchServeHTTP measures the end-to-end events/sec of one transport
-// through the full HTTP path, plus the p50/p99 request latency read back
-// from the flight recorder's RED histograms — the bench runs with the
-// recorder at its default sampling, so the quantiles price the tracing
-// overhead the ledger ratchets.
-func benchServeHTTP(b *testing.B, contentType string, shards int, encode func([]serve.EventRequest) []byte) {
+// benchBatch is the batch every transport benchmark encodes, decodes and
+// posts.
+const benchBatch = 1024
+
+// benchServeHTTP measures the end-to-end events/sec of posting one
+// encoded batch through the full HTTP path, plus the p50/p99 request
+// latency read back from the flight recorder's RED histograms — the
+// bench runs with the recorder at its default sampling, so the
+// quantiles include the tracing overhead.
+func benchServeHTTP(b *testing.B, contentType string, shards int, body []byte) {
 	reg := obs.New()
 	srv := serve.NewServer(serve.Options{Registry: reg})
 	defer srv.Shutdown()
@@ -144,8 +148,6 @@ func benchServeHTTP(b *testing.B, contentType string, shards int, encode func([]
 	sess := c.createSession(serve.CreateSessionRequest{
 		Scheme: "union(pid+dir+add10)2[forwarded]", Shards: shards,
 	})
-	const batch = 1024
-	body := encode(wireEvents(hammerEvents(batch, 16)))
 	path := "/v1/sessions/" + sess.ID + "/events"
 	hdr := map[string]string{"Content-Type": contentType}
 	c.doRaw("POST", path, body, hdr) // warm pools and tables
@@ -158,7 +160,7 @@ func benchServeHTTP(b *testing.B, contentType string, shards int, encode func([]
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(b.N*benchBatch)/b.Elapsed().Seconds(), "events/sec")
 	transport := flight.TransportJSON
 	if contentType == serve.ContentTypeWire {
 		transport = flight.TransportWire
@@ -168,19 +170,66 @@ func benchServeHTTP(b *testing.B, contentType string, shards int, encode func([]
 	b.ReportMetric(h.Quantile(0.99)*1000, "p99-ms")
 }
 
-// BenchmarkServeJSON/http and BenchmarkServeWire/http are the ledger's
-// end-to-end pair: identical batches, identical sessions, only the
-// transport differs (the codec-level halves live in the repo root's
-// bench_test.go).
+// BenchmarkServeJSON and BenchmarkServeWire price one transport each
+// over the same batch: encode and decode time the codec alone, and http
+// posts the encoded batch through a session end to end. The wire
+// decoder appends into a reused buffer, so its steady state allocates
+// nothing (TestWireKernelsAllocFree pins that).
 func BenchmarkServeJSON(b *testing.B) {
+	evs := hammerEvents(benchBatch, 16)
+	reqs := wireEvents(evs)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := jsonMarshal(reqs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "events/sec")
+	})
+	body := jsonEncode(b)(reqs)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := serve.DecodeEvents(body, 16); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
+	})
 	b.Run("http", func(b *testing.B) {
-		benchServeHTTP(b, "application/json", 4, jsonEncode(b))
+		benchServeHTTP(b, "application/json", 4, body)
 	})
 }
 
 func BenchmarkServeWire(b *testing.B) {
+	evs := hammerEvents(benchBatch, 16)
+	reqs := wireEvents(evs)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		dst := serve.AppendWireEvents(nil, reqs)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = serve.AppendWireEvents(dst[:0], reqs)
+		}
+		b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "events/sec")
+	})
+	frame := wireEncode(reqs)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		dst := make([]trace.Event, 0, len(evs))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			dst, err = serve.DecodeWireBatchInto(frame, 16, dst[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
+	})
 	b.Run("http", func(b *testing.B) {
-		benchServeHTTP(b, serve.ContentTypeWire, 4, wireEncode)
+		benchServeHTTP(b, serve.ContentTypeWire, 4, frame)
 	})
 }
 

@@ -3,10 +3,13 @@ package trace
 import (
 	"bytes"
 	"testing"
+
+	"cohpredict/internal/bitmap"
 )
 
-// FuzzRead asserts the binary decoder never panics on arbitrary input and
-// that anything it accepts re-encodes to a decodable trace.
+// FuzzRead asserts the binary decoder never panics on arbitrary input,
+// that every event it accepts fits the trace's machine, and that
+// anything it accepts re-encodes to a decodable trace.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid encoding and some mutations.
 	valid := &Trace{Nodes: 16, Events: []Event{{PID: 3, PC: 42, Dir: 7, Addr: 0x1040}}}
@@ -18,10 +21,25 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("COHPRED1"))
 	f.Add([]byte("COHPRED1\x10\x00"))
 	f.Add([]byte{})
+	// A 4-node trace whose one event names future readers 8-15.
+	wide := &Trace{Nodes: 4, Events: []Event{{FutureReaders: 0xff00}}}
+	buf.Reset()
+	if err := wide.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		full := bitmap.Full(tr.Nodes)
+		fits := func(node int) bool { return node >= 0 && node < tr.Nodes }
+		for i, e := range tr.Events {
+			if !fits(e.PID) || !fits(e.Dir) || !fits(e.PrevPID) ||
+				e.InvReaders&^full != 0 || e.FutureReaders&^full != 0 {
+				t.Fatalf("event %d does not fit %d nodes: %+v", i, tr.Nodes, e)
+			}
 		}
 		var out bytes.Buffer
 		if err := tr.Write(&out); err != nil {

@@ -102,7 +102,9 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read deserialises a trace written by Write.
+// Read deserialises a trace written by Write. It rejects node ids and
+// reader bits outside the trace's machine, as the COHWIRE1 and COHTRACE1
+// decoders do.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
@@ -124,6 +126,7 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: reading event count: %w", err)
 	}
 	t := &Trace{Nodes: int(nodes)}
+	full := bitmap.Full(int(nodes))
 	if count > 0 {
 		// Clamp the initial allocation so a corrupt count cannot
 		// trigger a huge up-front allocation; append grows as needed.
@@ -145,14 +148,17 @@ func Read(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: event %d: %w", i, err)
 			}
 		}
+		if fields[0] >= nodes || fields[2] >= nodes {
+			return nil, fmt.Errorf("trace: event %d: node id out of range", i)
+		}
 		e.PID = int(fields[0])
 		e.PC = fields[1]
 		e.Dir = int(fields[2])
 		e.Addr = fields[3]
 		e.InvReaders = bitmap.Bitmap(fields[4])
 		e.FutureReaders = bitmap.Bitmap(fields[5])
-		if e.PID >= int(nodes) || e.Dir >= int(nodes) {
-			return nil, fmt.Errorf("trace: event %d: node id out of range", i)
+		if e.InvReaders&^full != 0 || e.FutureReaders&^full != 0 {
+			return nil, fmt.Errorf("trace: event %d: reader bitmap has bits beyond node %d", i, nodes-1)
 		}
 		if flags&hasPrev != 0 {
 			e.HasPrev = true

@@ -89,14 +89,28 @@ func TestRejectsBadNodeCount(t *testing.T) {
 	}
 }
 
+// TestRejectsOutOfRangePID covers every field that names a node: each
+// must fit the trace's 4-node machine.
 func TestRejectsOutOfRangePID(t *testing.T) {
-	in := &Trace{Nodes: 4, Events: []Event{{PID: 9}}}
-	var buf bytes.Buffer
-	if err := in.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil {
-		t.Fatal("out-of-range pid accepted")
+	for _, tc := range []struct {
+		name string
+		ev   Event
+	}{
+		{"pid", Event{PID: 9}},
+		{"negative pid", Event{PID: -1}},
+		{"dir", Event{Dir: 4}},
+		{"prev_pid", Event{HasPrev: true, PrevPID: 4}},
+		{"inv_readers", Event{InvReaders: bitmap.New(4)}},
+		{"future_readers", Event{FutureReaders: 0xff00}},
+	} {
+		in := &Trace{Nodes: 4, Events: []Event{tc.ev}}
+		var buf bytes.Buffer
+		if err := in.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil {
+			t.Errorf("out-of-range %s accepted", tc.name)
+		}
 	}
 }
 

@@ -61,8 +61,8 @@ func TestRunClusterSmoke(t *testing.T) {
 	}
 
 	// The per-backend attribution must account for every event the
-	// aggregate saw succeed: all load flows through exactly the scraped
-	// backends.
+	// aggregate saw succeed: all load flows through exactly the listed
+	// backends, and each one that trained events reports its latency.
 	var events, requests int64
 	var standbys int
 	for _, b := range rep.PerBackend {
@@ -77,6 +77,10 @@ func TestRunClusterSmoke(t *testing.T) {
 		requests += b.Requests
 		if !b.Healthy {
 			t.Fatalf("backend %s reported unhealthy in a fault-free run", b.URL)
+		}
+		if b.Events > 0 && (b.ServerP50Ms <= 0 || b.ServerP99Ms <= 0) {
+			t.Fatalf("backend %s trained %d events but reports server p50 %v p99 %v",
+				b.URL, b.Events, b.ServerP50Ms, b.ServerP99Ms)
 		}
 	}
 	if standbys != 1 {
@@ -95,7 +99,7 @@ func TestRunClusterSmoke(t *testing.T) {
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("healthy run's report fails its own schema: %v", err)
 	}
-	// The ledger document round-trips through strict JSON.
+	// The report document round-trips through strict JSON.
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -148,26 +152,5 @@ func TestClusterReportValidateRejectsNonsense(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestParsePromCounter(t *testing.T) {
-	text := `# TYPE serve_events_total counter
-serve_events_total 12345
-serve_events_total_bucket{le="1"} 9
-serve_http_requests_total 77
-not_a_number abc
-`
-	if v, ok := parsePromCounter(text, "serve_events_total"); !ok || v != 12345 {
-		t.Fatalf("serve_events_total: got %d, %v", v, ok)
-	}
-	if v, ok := parsePromCounter(text, "serve_http_requests_total"); !ok || v != 77 {
-		t.Fatalf("serve_http_requests_total: got %d, %v", v, ok)
-	}
-	if _, ok := parsePromCounter(text, "absent_total"); ok {
-		t.Fatal("found a counter that is not there")
-	}
-	if _, ok := parsePromCounter(text, "not_a_number"); ok {
-		t.Fatal("parsed a non-numeric sample")
 	}
 }

@@ -9,8 +9,10 @@ package traffic
 // mutex-guarded tally and distill into the predload-slo/v1 report.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -22,12 +24,11 @@ import (
 	"cohpredict/internal/serve"
 )
 
-// SLOSchema identifies the predload ledger document (the BENCH_*.json
-// family; benchledger -check validates it).
+// SLOSchema identifies the predload report document.
 const SLOSchema = "predload-slo/v1"
 
 // Report is the SLO summary of one open-loop run — the
-// predload-slo/v1 ledger document.
+// predload-slo/v1 report document.
 type Report struct {
 	Schema    string  `json:"schema"`
 	Arrival   string  `json:"arrival"`
@@ -48,7 +49,8 @@ type Report struct {
 	ClientP50Ms float64 `json:"client_p50_ms"`
 	ClientP99Ms float64 `json:"client_p99_ms"`
 	// Server-side request latency from the flight recorder's
-	// serve_request_seconds histograms (0 when unavailable).
+	// serve_request_seconds histograms, read from the server's /metrics
+	// JSON (0 when unavailable).
 	ServerP50Ms float64 `json:"server_p50_ms,omitempty"`
 	ServerP99Ms float64 `json:"server_p99_ms,omitempty"`
 
@@ -65,14 +67,6 @@ type RunOptions struct {
 	BaseURL string
 	// Binary posts COHWIRE1 frames; false posts JSON.
 	Binary bool
-	// Snapshot, when non-nil, supplies the server's metrics snapshot
-	// after the run (an in-process runner passes the registry's method);
-	// when nil and MetricsURL is set, the runner scrapes /metrics
-	// instead. Either way the report's server-side quantiles come from
-	// the flight recorder's serve_request_seconds histograms.
-	Snapshot func() obs.Snapshot
-	// MetricsURL is the server's Prometheus endpoint (e.g. base+"/metrics").
-	MetricsURL string
 }
 
 // reqResult is one dispatched request's outcome.
@@ -181,7 +175,7 @@ func Run(plan *Plan, opts RunOptions) (*Report, error) {
 	}
 	rep.ClientP50Ms = quantileMs(lats, 0.50)
 	rep.ClientP99Ms = quantileMs(lats, 0.99)
-	rep.ServerP50Ms, rep.ServerP99Ms = serverQuantiles(opts, rep.Transport)
+	rep.ServerP50Ms, rep.ServerP99Ms = serverQuantiles(fetchMetrics(opts.BaseURL), rep.Transport)
 	return rep, nil
 }
 
@@ -196,37 +190,43 @@ func quantileMs(lats []int64, q float64) float64 {
 	return float64(lats[idx]) / 1e6
 }
 
-// serverQuantiles reads p50/p99 from the server's flight histogram for
-// the transport the run used — from an in-process registry snapshot
-// when available, otherwise scraped from /metrics. Best-effort: a
-// server without the histogram reports zeros.
-func serverQuantiles(opts RunOptions, transport string) (p50, p99 float64) {
-	name := "serve_request_seconds_" + flight.RouteEvents + "_" + flight.TransportJSON
+// fetchMetrics GETs a predserve /metrics endpoint in its JSON form.
+// Best-effort: any failure, or an endpoint that answers only in text
+// (predroute's), yields an empty snapshot, whose counters and quantiles
+// read as zero.
+func fetchMetrics(baseURL string) obs.Snapshot {
+	var snap obs.Snapshot
+	req, err := http.NewRequest(http.MethodGet, baseURL+"/metrics", nil)
+	if err != nil {
+		return snap
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return snap
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK ||
+		json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&snap) != nil {
+		return obs.Snapshot{}
+	}
+	return snap
+}
+
+// serverQuantiles reads p50/p99, in milliseconds, from the server's
+// flight histogram for the transport the run used (zeros when the
+// snapshot lacks it).
+func serverQuantiles(snap obs.Snapshot, transport string) (p50, p99 float64) {
+	t := flight.TransportJSON
 	if transport == "cohwire" {
-		name = "serve_request_seconds_" + flight.RouteEvents + "_" + flight.TransportWire
+		t = flight.TransportWire
 	}
-	var h obs.HistogramSnapshot
-	switch {
-	case opts.Snapshot != nil:
-		var ok bool
-		h, ok = opts.Snapshot().Histograms[name]
-		if !ok {
-			return 0, 0
-		}
-	case opts.MetricsURL != "":
-		var ok bool
-		h, ok = scrapePromHistogram(opts.MetricsURL, name)
-		if !ok {
-			return 0, 0
-		}
-	default:
-		return 0, 0
-	}
+	h := snap.Histograms["serve_request_seconds_"+flight.RouteEvents+"_"+t]
 	return h.Quantile(0.50) * 1000, h.Quantile(0.99) * 1000
 }
 
 // Validate checks a report against the predload-slo/v1 schema rules
-// (benchledger -check calls this on committed ledgers).
+// (predload calls it before writing -out).
 func (r *Report) Validate() error {
 	var problems []string
 	if r.Schema != SLOSchema {

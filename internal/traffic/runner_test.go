@@ -28,13 +28,12 @@ func shortPlan(t *testing.T, arrival string) *Plan {
 }
 
 func TestRunOpenLoopSmoke(t *testing.T) {
-	reg := obs.New()
-	srv := serve.NewServer(serve.Options{Registry: reg})
+	srv := serve.NewServer(serve.Options{Registry: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Shutdown() }()
 
 	plan := shortPlan(t, ArrivalPoisson)
-	rep, err := Run(plan, RunOptions{BaseURL: ts.URL, Binary: true, Snapshot: reg.Snapshot})
+	rep, err := Run(plan, RunOptions{BaseURL: ts.URL, Binary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +53,12 @@ func TestRunOpenLoopSmoke(t *testing.T) {
 		t.Fatalf("empty SLO measurements: %+v", rep)
 	}
 	if rep.ServerP50Ms <= 0 || rep.ServerP99Ms <= 0 {
-		t.Fatalf("server-side quantiles missing with an in-process snapshot: %+v", rep)
+		t.Fatalf("server-side quantiles missing from the /metrics JSON: %+v", rep)
 	}
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("healthy run's report fails its own schema: %v", err)
 	}
-	// The ledger document round-trips through strict JSON.
+	// The report document round-trips through strict JSON.
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -130,29 +129,5 @@ func TestReportValidateRejectsNonsense(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestParsePromHistogram(t *testing.T) {
-	text := `# TYPE serve_request_seconds_events_wire histogram
-serve_request_seconds_events_wire_bucket{le="0.001"} 5
-serve_request_seconds_events_wire_bucket{le="0.01"} 9
-serve_request_seconds_events_wire_bucket{le="+Inf"} 10
-serve_request_seconds_events_wire_sum 0.042
-serve_request_seconds_events_wire_count 10
-other_metric 3
-`
-	h, ok := parsePromHistogram(text, "serve_request_seconds_events_wire")
-	if !ok {
-		t.Fatal("histogram not found")
-	}
-	if h.Count != 10 || h.Sum != 0.042 || len(h.Buckets) != 3 {
-		t.Fatalf("parsed %+v", h)
-	}
-	if q := h.Quantile(0.5); q <= 0 || q > 0.001 {
-		t.Fatalf("p50 %v outside the first bucket", q)
-	}
-	if _, ok := parsePromHistogram(text, "no_such_metric"); ok {
-		t.Fatal("found a histogram that is not there")
 	}
 }
