@@ -100,13 +100,15 @@ throughput-smoke:
 
 # Coverage ratchet: per-package statement-coverage floors sit a few points
 # below measured coverage, so a change that lands a chunk of untested code
-# in the predictor kernel (core, search) or the serving/eval/fault/client
-# layers fails the build.
+# in the predictor kernel (core, search), the simulator (sched, cache,
+# directory, machine) or the serving/eval/fault/client layers fails the
+# build.
 cover:
-	$(GO) test -count=1 -coverprofile=cover.out ./internal/serve ./internal/eval ./internal/fault ./internal/client ./internal/flight ./internal/lint ./internal/traffic ./internal/cluster ./cmd/predtrace ./cmd/predload ./internal/core ./internal/search
+	$(GO) test -count=1 -coverprofile=cover.out ./internal/serve ./internal/eval ./internal/fault ./internal/client ./internal/flight ./internal/lint ./internal/traffic ./internal/cluster ./cmd/predtrace ./cmd/predload ./internal/core ./internal/search ./internal/sched ./internal/cache ./internal/directory ./internal/machine
 	$(GO) run ./cmd/covergate -profile cover.out \
 		internal/serve=85 internal/eval=88 internal/fault=95 internal/client=72 \
 		internal/core=93 internal/search=92 \
+		internal/sched=96 internal/cache=90 internal/directory=90 internal/machine=88 \
 		internal/flight=85 internal/lint=85 internal/traffic=85 internal/cluster=85 cmd/predtrace=80 cmd/predload=55 \
 		internal/serve/wire.go=85 \
 		internal/lint/check_guardedby.go=85 internal/lint/check_atomiconly.go=85 \

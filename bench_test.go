@@ -302,23 +302,33 @@ func BenchmarkSuiteGenerationParallel(b *testing.B) {
 }
 
 // BenchmarkMachineSimulation measures raw simulation throughput
-// (accesses/sec) on the em3d kernel.
+// (accesses/s) on the em3d kernel.
 func BenchmarkMachineSimulation(b *testing.B) {
+	var accesses uint64
 	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.DefaultConfig())
-		workload.NewEM3D(workload.ScaleTest).Run(m, 16, 1)
-		m.Finish()
+		accesses += simulate(workload.NewEM3D(workload.ScaleTest))
 	}
+	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
 }
 
 // BenchmarkTraceGenerationAll measures end-to-end trace generation for the
 // whole suite.
 func BenchmarkTraceGenerationAll(b *testing.B) {
+	var accesses uint64
 	for i := 0; i < b.N; i++ {
 		for _, w := range workload.All(workload.ScaleTest) {
-			m := machine.New(machine.DefaultConfig())
-			w.Run(m, 16, 1)
-			m.Finish()
+			accesses += simulate(w)
 		}
 	}
+	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
+}
+
+// simulate runs w on a fresh machine, seed 1, and returns the loads and
+// stores the machine served.
+func simulate(w workload.Benchmark) uint64 {
+	m := machine.New(machine.DefaultConfig())
+	w.Run(m, 16, 1)
+	m.Finish()
+	st := m.Stats()
+	return st.TotalLoads + st.TotalStores
 }

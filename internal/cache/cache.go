@@ -44,11 +44,21 @@ func (s LineState) String() string {
 	}
 }
 
+// line is one way of a set, in 16 bytes: a 4-way set fits one 64-byte
+// host cache line.
 type line struct {
-	tag   uint64
-	state LineState
-	lru   uint64 // last-touch tick; larger = more recent
+	// key holds the tag shifted left by two and the line's state in the
+	// low two bits, so one word tells whether the way holds a block.
+	key uint64
+	lru uint64 // last-touch tick; larger = more recent
 }
+
+func (l *line) state() LineState { return LineState(l.key & 3) }
+
+func (l *line) setState(s LineState) { l.key = l.key&^3 | uint64(s) }
+
+// holds reports whether l is a valid copy of the block with this tag.
+func (l *line) holds(tag uint64) bool { return l.key>>2 == tag && l.state() != Invalid }
 
 // Config describes one cache level.
 type Config struct {
@@ -73,6 +83,10 @@ func (c Config) validate() error {
 	if l := c.LineBytes; l&(l-1) != 0 {
 		return fmt.Errorf("cache: line size %d not a power of two", l)
 	}
+	if c.LineBytes < 4 {
+		// Tags must leave the two state bits of line.key free.
+		return fmt.Errorf("cache: line size %d below 4 bytes", c.LineBytes)
+	}
 	return nil
 }
 
@@ -81,7 +95,8 @@ func (c Config) validate() error {
 // to lines internally.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set s is lines[s*assoc : (s+1)*assoc]
+	assoc    int
 	setMask  uint64
 	lineBits uint
 	tick     uint64
@@ -97,18 +112,14 @@ func New(cfg Config) *Cache {
 		//predlint:ignore panicfree construction-time config validation
 		panic(err)
 	}
-	sets := make([][]line, cfg.Sets())
-	backing := make([]line, cfg.Sets()*cfg.Assoc)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
 	lineBits := uint(0)
 	for 1<<lineBits < cfg.LineBytes {
 		lineBits++
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, cfg.Sets()*cfg.Assoc),
+		assoc:    cfg.Assoc,
 		setMask:  uint64(cfg.Sets() - 1),
 		lineBits: lineBits,
 	}
@@ -123,7 +134,8 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.Line
 //predlint:hotpath
 func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 	block := addr >> c.lineBits
-	return c.sets[block&c.setMask], block >> 0
+	i := int(block&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc], block
 }
 
 // Lookup returns the state of the line containing addr without touching LRU
@@ -133,49 +145,54 @@ func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 func (c *Cache) Lookup(addr uint64) LineState {
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			return set[i].state
+		if set[i].holds(tag) {
+			return set[i].state()
 		}
 	}
 	return Invalid
 }
 
-// Eviction describes a line displaced by a fill.
+// Eviction describes the line a fill displaced. The zero value means the
+// fill took an invalid way and displaced nothing.
 type Eviction struct {
-	Addr  uint64 // line-aligned address of the victim
-	Dirty bool   // victim was in Modified state
+	Addr  uint64    // line-aligned address of the victim
+	State LineState // victim's state; Invalid when nothing was displaced
 }
+
+// Dirty reports whether the victim was Modified, so its data must be
+// written back.
+func (e Eviction) Dirty() bool { return e.State == Modified }
 
 // Access performs a load (write=false) or store (write=true) of addr.
 // It returns the state the line had before the access (Invalid on a miss,
 // Shared on a store upgrade, etc.) and, if a fill displaced a valid line,
-// the eviction. After Access returns, the line is present in Shared state
-// for loads and Modified state for stores.
+// the eviction (the zero Eviction otherwise). After Access returns, the
+// line is present in Shared state for loads and Modified state for stores.
 //
 //predlint:hotpath
-func (c *Cache) Access(addr uint64, write bool) (prev LineState, ev *Eviction) {
+func (c *Cache) Access(addr uint64, write bool) (prev LineState, ev Eviction) {
 	c.tick++
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			prev = set[i].state
+		if set[i].holds(tag) {
+			prev = set[i].state()
 			set[i].lru = c.tick
 			if write {
-				set[i].state = Modified
+				set[i].setState(Modified)
 			}
 			if prev == Modified || prev == Exclusive || (prev == Shared && !write) {
 				c.Hits++ // E→M is a silent promotion (MESI)
 			} else {
 				c.Misses++ // upgrade: Shared line written
 			}
-			return prev, nil
+			return prev, Eviction{}
 		}
 	}
 	// Miss: choose victim (invalid way if any, else LRU).
 	c.Misses++
 	victim := 0
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].state() == Invalid {
 			victim = i
 			goto fill
 		}
@@ -183,21 +200,19 @@ func (c *Cache) Access(addr uint64, write bool) (prev LineState, ev *Eviction) {
 			victim = i
 		}
 	}
-	if set[victim].state != Invalid {
+	if set[victim].state() != Invalid {
 		c.Evictions++
-		dirty := set[victim].state == Modified
-		if dirty {
+		ev = Eviction{Addr: set[victim].key >> 2 << c.lineBits, State: set[victim].state()}
+		if ev.Dirty() {
 			c.DirtyEvictions++
 		}
-		//predlint:ignore hotpath evictions are rare relative to accesses
-		ev = &Eviction{Addr: set[victim].tag << c.lineBits, Dirty: dirty}
 	}
 fill:
 	st := Shared
 	if write {
 		st = Modified
 	}
-	set[victim] = line{tag: tag, state: st, lru: c.tick}
+	set[victim] = line{key: tag<<2 | uint64(st), lru: c.tick}
 	return Invalid, ev
 }
 
@@ -205,9 +220,9 @@ fill:
 func (c *Cache) Invalidate(addr uint64) LineState {
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			prev := set[i].state
-			set[i].state = Invalid
+		if set[i].holds(tag) {
+			prev := set[i].state()
+			set[i].setState(Invalid)
 			return prev
 		}
 	}
@@ -219,10 +234,10 @@ func (c *Cache) Invalidate(addr uint64) LineState {
 func (c *Cache) Downgrade(addr uint64) LineState {
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			prev := set[i].state
+		if set[i].holds(tag) {
+			prev := set[i].state()
 			if prev == Modified || prev == Exclusive {
-				set[i].state = Shared
+				set[i].setState(Shared)
 			}
 			return prev
 		}
@@ -236,8 +251,8 @@ func (c *Cache) Downgrade(addr uint64) LineState {
 func (c *Cache) MarkExclusive(addr uint64) {
 	set, tag := c.locate(addr)
 	for i := range set {
-		if set[i].state == Shared && set[i].tag == tag {
-			set[i].state = Exclusive
+		if set[i].key == tag<<2|uint64(Shared) {
+			set[i].setState(Exclusive)
 			return
 		}
 	}
@@ -247,11 +262,9 @@ func (c *Cache) MarkExclusive(addr uint64) {
 // occupancy statistics.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].state() != Invalid {
+			n++
 		}
 	}
 	return n
@@ -290,17 +303,17 @@ const (
 
 // Access performs a load or store against the hierarchy. The returned
 // Outcome tells the protocol layer whether directory interaction is needed;
-// the returned eviction (possibly nil) reports an L2 victim so the protocol
-// can write back dirty lines. Inclusion is maintained: L2 evictions
-// invalidate L1.
+// the returned eviction (the zero Eviction if none) reports an L2 victim so
+// the protocol can write back dirty lines. Inclusion is maintained: L2
+// evictions invalidate L1.
 //
 //predlint:hotpath
-func (h *Hierarchy) Access(addr uint64, write bool) (Outcome, *Eviction) {
+func (h *Hierarchy) Access(addr uint64, write bool) (Outcome, Eviction) {
 	h.L1.Access(addr, write) // L1 evictions are silent: L2 is inclusive
 	// L2 sees all L1 activity in this simple inclusive model; touching it
 	// on every access preserves LRU recency for inclusion.
 	prev2, ev2 := h.L2.Access(addr, write)
-	if ev2 != nil {
+	if ev2.State != Invalid {
 		h.L1.Invalidate(ev2.Addr)
 	}
 	switch {

@@ -18,6 +18,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		{SizeBytes: 0, LineBytes: 64, Assoc: 1},
 		{SizeBytes: 512, LineBytes: 60, Assoc: 2},     // line not power of two
 		{SizeBytes: 512 * 3, LineBytes: 64, Assoc: 2}, // 12 sets: not power of two
+		{SizeBytes: 512, LineBytes: 2, Assoc: 2},      // no room for the state bits
 	}
 	for _, cfg := range bad {
 		func() {
@@ -79,14 +80,17 @@ func TestWriteStates(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(tiny()) // 4 sets, 2-way; set = (addr/64) % 4
 	// Three lines mapping to set 0: blocks 0, 4, 8.
-	c.Access(0*64, false)
-	c.Access(4*64, false)
+	for _, addr := range []uint64{0 * 64, 4 * 64} {
+		if _, ev := c.Access(addr, false); ev != (Eviction{}) {
+			t.Fatalf("fill of an invalid way evicted %+v", ev)
+		}
+	}
 	c.Access(0*64, false) // touch block 0: block 4 is now LRU
 	_, ev := c.Access(8*64, false)
-	if ev == nil || ev.Addr != 4*64 {
+	if ev.State == Invalid || ev.Addr != 4*64 {
 		t.Fatalf("eviction = %+v, want block 4", ev)
 	}
-	if ev.Dirty {
+	if ev.Dirty() {
 		t.Fatal("clean line reported dirty")
 	}
 	if c.Lookup(0*64) == Invalid {
@@ -99,7 +103,7 @@ func TestDirtyEviction(t *testing.T) {
 	c.Access(0*64, true) // dirty
 	c.Access(4*64, false)
 	_, ev := c.Access(8*64, false)
-	if ev == nil || !ev.Dirty || ev.Addr != 0 {
+	if !ev.Dirty() || ev.Addr != 0 {
 		t.Fatalf("eviction = %+v, want dirty block 0", ev)
 	}
 	if c.DirtyEvictions != 1 {
@@ -287,7 +291,7 @@ func TestExclusiveDowngradeAndEviction(t *testing.T) {
 	c2.MarkExclusive(0 * 64)
 	c2.Access(4*64, false)
 	_, ev := c2.Access(8*64, false)
-	if ev == nil || ev.Dirty {
+	if ev.State != Exclusive || ev.Dirty() {
 		t.Fatalf("E eviction = %+v, want clean", ev)
 	}
 }

@@ -21,6 +21,11 @@ import (
 // noEvent marks a block epoch that was opened before any write (cold reads).
 const noEvent = -1
 
+// eventChunkBits sizes the chunks the event log grows by (4096 events).
+// Emitted events stay where they are until Finish copies them into the
+// trace once, instead of being copied each time one slice outgrows itself.
+const eventChunkBits = 12
+
 // blockState is the directory entry for one cache block.
 type blockState struct {
 	// hasOwner reports whether the current epoch has an exclusive owner.
@@ -57,10 +62,16 @@ type Stats struct {
 // Directory is the (logically centralised, physically distributed) full-map
 // directory. Addresses passed in must already be line-aligned.
 type Directory struct {
-	nodes  int
-	blocks map[uint64]*blockState
-	events []trace.Event
-	stats  Stats
+	nodes int
+	// blocks maps a block address to its entry's index in states, which
+	// holds the entries by value in first-touch order.
+	blocks map[uint64]int
+	states []blockState
+	// events is the event log in chunks of 1<<eventChunkBits; nEvents
+	// counts the events in it.
+	events  [][]trace.Event
+	nEvents int
+	stats   Stats
 
 	// mode and pointers select the directory organisation (see
 	// limited.go); the zero values mean full-map.
@@ -86,7 +97,7 @@ func New(nodes int) *Directory {
 	}
 	return &Directory{
 		nodes:      nodes,
-		blocks:     make(map[uint64]*blockState),
+		blocks:     make(map[uint64]int),
 		homePolicy: func(_ uint64, firstToucher int) int { return firstToucher },
 	}
 }
@@ -119,18 +130,33 @@ func (d *Directory) Stats() Stats {
 	return s
 }
 
+// lookup returns the block's entry, creating it (with pid as the first
+// toucher) if the block is new. The pointer is valid until the next
+// lookup that creates an entry.
 func (d *Directory) lookup(addr uint64, pid int) *blockState {
-	st, ok := d.blocks[addr]
-	if !ok {
-		st = &blockState{
-			hasOwner:  false,
-			owner:     -1,
-			openEvent: noEvent,
-			home:      d.homePolicy(addr, pid),
-		}
-		d.blocks[addr] = st
+	if st := d.find(addr); st != nil {
+		return st
 	}
-	return st
+	d.blocks[addr] = len(d.states)
+	d.states = append(d.states, blockState{
+		owner:     -1,
+		openEvent: noEvent,
+		home:      d.homePolicy(addr, pid),
+	})
+	return &d.states[len(d.states)-1]
+}
+
+// find returns the block's entry, or nil if the block was never touched.
+func (d *Directory) find(addr uint64) *blockState {
+	if i, ok := d.blocks[addr]; ok {
+		return &d.states[i]
+	}
+	return nil
+}
+
+// event returns the i'th event emitted.
+func (d *Directory) event(i int) *trace.Event {
+	return &d.events[i>>eventChunkBits][i&(1<<eventChunkBits-1)]
 }
 
 // Home returns the block's home node, assigning it by policy if the block
@@ -175,7 +201,7 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 	// epoch: its future readers are exactly the readers we now
 	// invalidate.
 	if st.openEvent != noEvent {
-		d.events[st.openEvent].FutureReaders = inv
+		d.event(st.openEvent).FutureReaders = inv
 	}
 
 	ev := trace.Event{
@@ -190,7 +216,11 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 		ev.PrevPID = st.owner
 		ev.PrevPC = st.ownerPC
 	}
-	d.events = append(d.events, ev)
+	if d.nEvents&(1<<eventChunkBits-1) == 0 {
+		d.events = append(d.events, make([]trace.Event, 1<<eventChunkBits))
+	}
+	*d.event(d.nEvents) = ev
+	d.nEvents++
 	if d.eventHook != nil {
 		d.eventHook(ev)
 	}
@@ -207,7 +237,7 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 	st.ownerPC = pc
 	st.readers = bitmap.Empty
 	st.sharers = bitmap.New(pid)
-	st.openEvent = len(d.events) - 1
+	st.openEvent = d.nEvents - 1
 	return invalidate
 }
 
@@ -215,8 +245,8 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 // returns to the home memory; the epoch stays open (future readers keep
 // accumulating until the next write).
 func (d *Directory) Writeback(pid int, addr uint64) {
-	st, ok := d.blocks[addr]
-	if !ok {
+	st := d.find(addr)
+	if st == nil {
 		return
 	}
 	d.stats.Writebacks++
@@ -229,7 +259,7 @@ func (d *Directory) Writeback(pid int, addr uint64) {
 // keep these silent; the machine model does too by default, but tests use
 // Evict to exercise stale-sharer behaviour.
 func (d *Directory) Evict(pid int, addr uint64) {
-	if st, ok := d.blocks[addr]; ok {
+	if st := d.find(addr); st != nil {
 		st.sharers = st.sharers.Clear(pid)
 	}
 }
@@ -238,8 +268,9 @@ func (d *Directory) Evict(pid int, addr uint64) {
 // so far become the final FutureReaders) and returns the completed trace.
 // The directory must not be used after Finish (statistics remain readable).
 func (d *Directory) Finish() *trace.Trace {
-	d.stats.BlocksTouched = uint64(len(d.blocks))
-	for _, st := range d.blocks {
+	d.stats.BlocksTouched = uint64(len(d.states))
+	for i := range d.states {
+		st := &d.states[i]
 		if st.openEvent == noEvent {
 			continue
 		}
@@ -247,18 +278,23 @@ func (d *Directory) Finish() *trace.Trace {
 		if st.hasOwner {
 			inv = inv.Clear(st.owner)
 		}
-		d.events[st.openEvent].FutureReaders = inv
+		d.event(st.openEvent).FutureReaders = inv
 	}
-	t := &trace.Trace{Nodes: d.nodes, Events: d.events}
+	events := make([]trace.Event, d.nEvents)
+	for i, chunk := range d.events {
+		copy(events[i<<eventChunkBits:], chunk)
+	}
+	t := &trace.Trace{Nodes: d.nodes, Events: events}
 	d.events = nil
 	d.blocks = nil
+	d.states = nil
 	return t
 }
 
 // SharersOf returns the directory's current sharer view of a block, for
 // tests and debugging.
 func (d *Directory) SharersOf(addr uint64) bitmap.Bitmap {
-	if st, ok := d.blocks[addr]; ok {
+	if st := d.find(addr); st != nil {
 		return st.sharers
 	}
 	return bitmap.Empty
@@ -267,7 +303,7 @@ func (d *Directory) SharersOf(addr uint64) bitmap.Bitmap {
 // ReadersOf returns the true readers recorded for the block's current
 // epoch, for tests and debugging.
 func (d *Directory) ReadersOf(addr uint64) bitmap.Bitmap {
-	if st, ok := d.blocks[addr]; ok {
+	if st := d.find(addr); st != nil {
 		return st.readers
 	}
 	return bitmap.Empty

@@ -32,7 +32,7 @@ func (d *Directory) ReadExclusive(pid int, pc uint64, addr uint64) (downgrade in
 		if st.hasOwner {
 			inv = inv.Clear(st.owner)
 		}
-		d.events[st.openEvent].FutureReaders = inv
+		d.event(st.openEvent).FutureReaders = inv
 	}
 
 	// Open a silent epoch owned by the requester. A subsequent write by

@@ -72,6 +72,33 @@ type storeSite struct {
 	pc  uint64
 }
 
+// siteSet is a set of store sites. It remembers each node's last site
+// added, so a run of stores from one site touches the map only once.
+type siteSet struct {
+	sites map[storeSite]struct{}
+	last  []uint64 // per node: the last pc added plus one (0: none yet)
+}
+
+func newSiteSet(nodes int) siteSet {
+	return siteSet{sites: make(map[storeSite]struct{}), last: make([]uint64, nodes)}
+}
+
+func (s siteSet) add(pid int, pc uint64) {
+	if s.last[pid] != pc+1 {
+		s.last[pid] = pc + 1
+		s.sites[storeSite{pid, pc}] = struct{}{}
+	}
+}
+
+// perNode counts each node's distinct sites.
+func (s siteSet) perNode() []int {
+	n := make([]int, len(s.last))
+	for site := range s.sites {
+		n[site.pid]++
+	}
+	return n
+}
+
 // NodeStats aggregates per-node statistics for the paper's Table 5.
 type NodeStats struct {
 	StaticStores    int    // distinct store PCs executed (shared data only)
@@ -89,8 +116,8 @@ type Machine struct {
 	net   *topology.TrafficMeter
 
 	perNode    []NodeStats
-	staticPCs  map[storeSite]struct{}
-	predictPCs map[storeSite]struct{}
+	staticPCs  siteSet // every store site executed
+	predictPCs siteSet // the store sites that reached the directory
 	finished   bool
 }
 
@@ -113,8 +140,8 @@ func New(cfg Config) *Machine {
 		dir:        dir,
 		net:        topology.NewTrafficMeter(torus),
 		perNode:    make([]NodeStats, cfg.Nodes),
-		staticPCs:  make(map[storeSite]struct{}),
-		predictPCs: make(map[storeSite]struct{}),
+		staticPCs:  newSiteSet(cfg.Nodes),
+		predictPCs: newSiteSet(cfg.Nodes),
 	}
 	for i := range m.nodes {
 		m.nodes[i] = cache.NewHierarchy(cfg.L1, cfg.L2)
@@ -153,7 +180,7 @@ func (m *Machine) Load(pid int, pc, addr uint64) {
 	m.perNode[pid].Loads++
 	line := m.line(addr)
 	outcome, ev := m.nodes[pid].Access(line, false)
-	if ev != nil && ev.Dirty {
+	if ev.Dirty() {
 		m.dir.Writeback(pid, ev.Addr)
 		m.net.Send(pid, m.dir.Home(ev.Addr, pid))
 	}
@@ -187,11 +214,10 @@ func (m *Machine) Load(pid int, pc, addr uint64) {
 func (m *Machine) Store(pid int, pc, addr uint64) {
 	m.checkPID(pid)
 	m.perNode[pid].Stores++
-	site := storeSite{pid, pc}
-	m.staticPCs[site] = struct{}{}
+	m.staticPCs.add(pid, pc)
 	line := m.line(addr)
 	outcome, ev := m.nodes[pid].Access(line, true)
-	if ev != nil && ev.Dirty {
+	if ev.Dirty() {
 		m.dir.Writeback(pid, ev.Addr)
 		m.net.Send(pid, m.dir.Home(ev.Addr, pid))
 	}
@@ -199,7 +225,7 @@ func (m *Machine) Store(pid int, pc, addr uint64) {
 		return
 	}
 	m.perNode[pid].StoreMisses++
-	m.predictPCs[site] = struct{}{}
+	m.predictPCs.add(pid, pc)
 	home := m.dir.Home(line, pid)
 	m.net.Send(pid, home) // request / upgrade
 	victims := m.dir.Write(pid, pc, line)
@@ -219,12 +245,6 @@ func (m *Machine) Finish() *trace.Trace {
 		panic("machine: Finish called twice")
 	}
 	m.finished = true
-	for site := range m.staticPCs {
-		m.perNode[site.pid].StaticStores++
-	}
-	for site := range m.predictPCs {
-		m.perNode[site.pid].PredictedStores++
-	}
 	return m.dir.Finish()
 }
 
@@ -250,14 +270,8 @@ func (m *Machine) Stats() Stats {
 		NetMessages: m.net.Messages,
 		NetHopFlits: m.net.HopFlits,
 	}
-	staticPerNode := make([]int, m.cfg.Nodes)
-	predictPerNode := make([]int, m.cfg.Nodes)
-	for site := range m.staticPCs {
-		staticPerNode[site.pid]++
-	}
-	for site := range m.predictPCs {
-		predictPerNode[site.pid]++
-	}
+	staticPerNode := m.staticPCs.perNode()
+	predictPerNode := m.predictPCs.perNode()
 	for pid := 0; pid < m.cfg.Nodes; pid++ {
 		s.PerNode[pid].StaticStores = staticPerNode[pid]
 		s.PerNode[pid].PredictedStores = predictPerNode[pid]

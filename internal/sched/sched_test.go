@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -192,39 +193,41 @@ func TestUnlockByNonHolderPanics(t *testing.T) {
 	var rec recorder
 	rt := New(&rec, Config{Threads: 2, Seed: 5})
 	lk := rt.NewLock()
-	panicked := make(chan bool, 2)
-	func() {
-		defer func() {
-			if recover() != nil {
-				// The panic propagates out of Run via the
-				// scheduler goroutine handshake; catching it
-				// here is enough for the test.
-				panicked <- true
-			}
-		}()
-		rt.Run(func(th *Thread) {
-			if th.ID == 0 {
-				th.Lock(lk)
-				th.Barrier()
-				th.Unlock(lk)
-			} else {
-				th.Barrier()
-				th.Unlock(lk) // not the holder: must panic
-			}
-		})
-		panicked <- false
-	}()
-	// The panic happens on a thread goroutine; the deadlock panic from
-	// the scheduler is also acceptable evidence. Either way Run must
-	// not return normally.
-	select {
-	case ok := <-panicked:
-		if !ok {
-			t.Fatal("unlock by non-holder did not panic")
+	got := recoverRun(rt, func(th *Thread) {
+		if th.ID == 0 {
+			th.Lock(lk)
+			th.Barrier()
+			th.Unlock(lk)
+		} else {
+			th.Barrier()
+			th.Unlock(lk) // not the holder: must panic
 		}
-	default:
-		t.Fatal("test did not complete")
+	})
+	// Run re-raises thread 1's own panic on this goroutine. Thread 0 may
+	// or may not have released the lock first, so the holder varies.
+	if s, ok := got.(string); !ok || !strings.HasPrefix(s, "sched: thread 1 unlocking lock held by ") {
+		t.Fatalf("Run panicked with %v, want thread 1's unlock panic", got)
 	}
+}
+
+func TestDeadlockPanics(t *testing.T) {
+	var rec recorder
+	rt := New(&rec, Config{Threads: 2, Seed: 3})
+	lk := rt.NewLock()
+	// Each thread takes the one lock and returns without unlocking, so
+	// whichever thread comes second blocks forever.
+	got := recoverRun(rt, func(th *Thread) { th.Lock(lk) })
+	if s, ok := got.(string); !ok || !strings.HasPrefix(s, "sched: deadlock") {
+		t.Fatalf("Run panicked with %v, want the deadlock panic", got)
+	}
+}
+
+// recoverRun runs body under rt and returns the value Run panicked with,
+// or nil if it returned normally.
+func recoverRun(rt *Runtime, body func(*Thread)) (v interface{}) {
+	defer func() { v = recover() }()
+	rt.Run(body)
+	return nil
 }
 
 func TestLocksOnDistinctLines(t *testing.T) {
