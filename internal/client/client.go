@@ -433,7 +433,7 @@ func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventReque
 // postEventsWire posts the batch as a COHWIRE1 frame and decodes the
 // binary reply.
 func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
-	body := serve.AppendWireEvents(nil, evs) // sized once, exactly
+	body := serve.AppendWireBatch(nil, evs) // sized once, exactly
 	data, err := c.do(http.MethodPost, path, body, serve.ContentTypeWire, serve.ContentTypeWire, key, reqID, Retryable)
 	if err != nil {
 		return nil, err

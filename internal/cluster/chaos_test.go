@@ -144,7 +144,7 @@ func runClusterChaos(t *testing.T, evs []serve.EventRequest, schemeStr string, b
 // and 3 backends × 1, 2, and 8 shards, reproducible from one seed.
 func TestClusterChaosEquivalence(t *testing.T) {
 	tr := genTrace(t, "em3d", 3)
-	evs := wireEvents(tr.Events)
+	evs := tr.Events
 	const schemeStr = "union(dir+add8)2[forwarded]"
 
 	sc, err := core.ParseScheme(schemeStr)

@@ -38,25 +38,6 @@ func genTrace(t testing.TB, bench string, seed int64) *trace.Trace {
 	return tr
 }
 
-// wireEvents converts simulator trace events to their API form.
-func wireEvents(evs []trace.Event) []serve.EventRequest {
-	out := make([]serve.EventRequest, len(evs))
-	for i, ev := range evs {
-		out[i] = serve.EventRequest{
-			PID:           ev.PID,
-			PC:            ev.PC,
-			Dir:           ev.Dir,
-			Addr:          ev.Addr,
-			InvReaders:    uint64(ev.InvReaders),
-			HasPrev:       ev.HasPrev,
-			PrevPID:       ev.PrevPID,
-			PrevPC:        ev.PrevPC,
-			FutureReaders: uint64(ev.FutureReaders),
-		}
-	}
-	return out
-}
-
 // testBackend is one in-process predserve node the harness can kill
 // mid-test like a crashed process (listener closed, no drain).
 type testBackend struct {
@@ -278,7 +259,7 @@ func TestClusterBasics(t *testing.T) {
 	cl := newTestClient(tc, 1, true)
 
 	tr := genTrace(t, "em3d", 3)
-	evs := wireEvents(tr.Events)
+	evs := tr.Events
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
 		Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
@@ -373,7 +354,7 @@ func TestClusterBasics(t *testing.T) {
 func TestCreateSkipsRestoredID(t *testing.T) {
 	tc := startCluster(t, clusterConfig{backends: 1})
 	cl := newTestClient(tc, 5, false)
-	evs := wireEvents(genTrace(t, "em3d", 3).Events)
+	evs := genTrace(t, "em3d", 3).Events
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
@@ -464,7 +445,7 @@ func TestClusterErrorSurface(t *testing.T) {
 	if _, err := cl.SessionStats("c999"); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("stats on unknown session: %v", err)
 	}
-	if _, err := cl.PostEvents("nope", wireEvents(genTrace(t, "em3d", 3).Events[:1])); !isStatus(err, http.StatusNotFound) {
+	if _, err := cl.PostEvents("nope", genTrace(t, "em3d", 3).Events[:1]); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("post to unknown session: %v", err)
 	}
 

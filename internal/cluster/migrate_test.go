@@ -21,7 +21,7 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 	cl := newTestClient(tc, 10, true)
 
 	tr := genTrace(t, "em3d", 3)
-	evs := wireEvents(tr.Events)
+	evs := tr.Events
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
 		Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
@@ -124,7 +124,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 	tc := startCluster(t, clusterConfig{backends: 2})
 	cl := newTestClient(tc, 11, false)
 
-	evs := wireEvents(genTrace(t, "em3d", 3).Events)
+	evs := genTrace(t, "em3d", 3).Events
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
 		Scheme: "last(dir)1", Shards: 1,
 	})
@@ -176,7 +176,7 @@ func TestFailoverUnshippedSessionLost(t *testing.T) {
 	tc := startCluster(t, clusterConfig{backends: 1, standby: true})
 	cl := newTestClient(tc, 12, false)
 
-	evs := wireEvents(genTrace(t, "em3d", 3).Events)
+	evs := genTrace(t, "em3d", 3).Events
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestFailoverWithDeadStandby(t *testing.T) {
 	tc := startCluster(t, clusterConfig{backends: 1, standby: true})
 	cl := newTestClient(tc, 13, false)
 
-	evs := wireEvents(genTrace(t, "em3d", 3).Events)
+	evs := genTrace(t, "em3d", 3).Events
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestFailoverAfterMidMigrationKill(t *testing.T) {
 	tc := startCluster(t, clusterConfig{backends: 2, standby: true})
 	cl := newTestClient(tc, 15, false)
 
-	evs := wireEvents(genTrace(t, "em3d", 3).Events)
+	evs := genTrace(t, "em3d", 3).Events
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{Scheme: "last(dir)1"})
 	if err != nil {
 		t.Fatal(err)

@@ -48,10 +48,10 @@ func TestThroughputFloorClusterWire(t *testing.T) {
 
 	tc := startCluster(t, clusterConfig{backends: 1})
 	const batch = 4096
-	wire := wireEvents(hammerEvents(batch*4, 16))
+	evs := hammerEvents(batch*4, 16)
 	bodies := make([][]byte, 0, 4)
-	for lo := 0; lo+batch <= len(wire); lo += batch {
-		bodies = append(bodies, serve.AppendWireEvents(nil, wire[lo:lo+batch]))
+	for lo := 0; lo+batch <= len(evs); lo += batch {
+		bodies = append(bodies, serve.AppendWireBatch(nil, evs[lo:lo+batch]))
 	}
 
 	code, _, body := tc.doRaw(t, "POST", "/v1/sessions",
@@ -100,7 +100,7 @@ func BenchmarkServeWireCluster(b *testing.B) {
 		tc := startClusterOver(b, []*testBackend{tcBackend})
 
 		const batch = 1024
-		bodyBytes := serve.AppendWireEvents(nil, wireEvents(hammerEvents(batch, 16)))
+		bodyBytes := serve.AppendWireBatch(nil, hammerEvents(batch, 16))
 
 		code, _, resp := tc.doRaw(b, "POST", "/v1/sessions",
 			[]byte(`{"scheme":"union(pid+dir+add10)2[forwarded]","shards":4}`),

@@ -1,16 +1,13 @@
-package eval
+package codec
 
 import "math/bits"
 
-// Canonical uvarint helpers shared by the repo's binary wire formats: the
-// COHSNAP1 engine-snapshot codec (this package), the COHWIRE1 serving
-// protocol (internal/serve) and the COHTRACE1 trace files
-// (internal/traffic). All of them admit exactly one encoding per value —
-// minimal-length uvarints only — which is what makes
+// The canonical uvarint kernels. Every format admits exactly one
+// encoding per value — minimal-length uvarints only — which is what makes
 // Encode(Decode(b)) == b provable for every accepted input.
 //
-// The helpers are hot-path kernels: the serving layer decodes one uvarint
-// per event field at target rates of a million events per second, so they
+// The kernels are hot paths: the serving layer decodes one uvarint per
+// event field at target rates of a million events per second, so they
 // must not allocate, box, or format.
 
 // maxUvarintLen is the longest encoding of a 64-bit value.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+
+	"cohpredict/internal/bitmap"
 )
 
 // IndexSpec selects the fields that index the global predictor (the
@@ -24,6 +26,25 @@ type IndexSpec struct {
 type Machine struct {
 	Nodes     int
 	LineBytes int
+}
+
+// MaxLineBytes is the largest line size a machine may declare.
+const MaxLineBytes = 1 << 20
+
+// Validate reports whether m is a machine the engine can serve: 1 to
+// bitmap.MaxNodes nodes, and a line size that is a power of two no larger
+// than MaxLineBytes. Session create and restore, the snapshot decoder and
+// the incident-trace decoder all apply this one rule.
+func (m Machine) Validate() error {
+	switch {
+	case m.Nodes <= 0 || m.Nodes > bitmap.MaxNodes:
+		return fmt.Errorf("core: node count %d out of range [1,%d]", m.Nodes, bitmap.MaxNodes)
+	case m.LineBytes <= 0 || m.LineBytes > MaxLineBytes:
+		return fmt.Errorf("core: line size %d out of range [1,%d]", m.LineBytes, MaxLineBytes)
+	case m.LineBytes&(m.LineBytes-1) != 0:
+		return fmt.Errorf("core: line size %d is not a power of two", m.LineBytes)
+	}
+	return nil
 }
 
 // NodeBits returns the number of bits a full pid or dir field occupies.

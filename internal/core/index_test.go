@@ -24,6 +24,30 @@ func TestNodeBits(t *testing.T) {
 	}
 }
 
+// TestMachineValidate pins the one machine-size rule: 1 to 64 nodes and
+// a power-of-two line size no larger than 1 MiB.
+func TestMachineValidate(t *testing.T) {
+	for _, tc := range []struct {
+		m  Machine
+		ok bool
+	}{
+		{Machine{Nodes: 1, LineBytes: 1}, true},
+		{Machine{Nodes: 64, LineBytes: MaxLineBytes}, true},
+		{m16, true},
+		{Machine{Nodes: 0, LineBytes: 64}, false},
+		{Machine{Nodes: 65, LineBytes: 64}, false},
+		{Machine{Nodes: -1, LineBytes: 64}, false},
+		{Machine{Nodes: 16, LineBytes: 0}, false},
+		{Machine{Nodes: 16, LineBytes: 48}, false},
+		{Machine{Nodes: 16, LineBytes: -64}, false},
+		{Machine{Nodes: 16, LineBytes: 2 * MaxLineBytes}, false},
+	} {
+		if err := tc.m.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", tc.m, err, tc.ok)
+		}
+	}
+}
+
 func TestIndexBits(t *testing.T) {
 	cases := []struct {
 		spec IndexSpec

@@ -1,11 +1,10 @@
 package eval
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
-	"cohpredict/internal/bitmap"
+	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 	"cohpredict/internal/metrics"
 )
@@ -16,9 +15,10 @@ import (
 // resume mid-trace and produce byte-identical predictions and stats from
 // that point on (the serving layer's kill/restore path).
 //
-// The wire form is a canonical binary encoding: an 8-byte magic, then
-// uvarints only, with table entries sorted by key and delta-coded. Two
-// properties the chaos tests and the fuzz target rely on:
+// The wire form, COHSNAP1, is an 8-byte magic, then canonical uvarints
+// only (internal/codec), with table entries sorted by key and
+// delta-coded, then the length-prefixed Extra section. Two properties the
+// chaos tests and the fuzz target rely on:
 //
 //   - canonical: Encode is a pure function of the snapshot value, and
 //     Decode rejects any non-minimal or non-sorted form, so
@@ -61,8 +61,8 @@ func NewEngineFromSnapshot(s *Snapshot) (*Engine, error) {
 	if err := s.Scheme.ValidateOn(s.Machine); err != nil {
 		return nil, err
 	}
-	if err := validateSnapMachine(s.Machine); err != nil {
-		return nil, err
+	if err := s.Machine.Validate(); err != nil {
+		return nil, fmt.Errorf("eval: snapshot machine: %w", err)
 	}
 	e := NewEngine(s.Scheme, s.Machine)
 	if err := core.ImportTable(e.table, s.Entries); err != nil {
@@ -71,16 +71,6 @@ func NewEngineFromSnapshot(s *Snapshot) (*Engine, error) {
 	e.events = s.Events
 	e.conf = s.Conf
 	return e, nil
-}
-
-func validateSnapMachine(m core.Machine) error {
-	if m.Nodes <= 0 || m.Nodes > bitmap.MaxNodes {
-		return fmt.Errorf("eval: snapshot node count %d out of range [1,%d]", m.Nodes, bitmap.MaxNodes)
-	}
-	if m.LineBytes <= 0 || m.LineBytes&(m.LineBytes-1) != 0 || m.LineBytes > 1<<20 {
-		return fmt.Errorf("eval: snapshot line size %d is not a power of two in [1,%d]", m.LineBytes, 1<<20)
-	}
-	return nil
 }
 
 // EncodeSnapshot serializes s into the canonical wire form.
@@ -95,60 +85,26 @@ func EncodeSnapshot(s *Snapshot) []byte {
 		s.Events,
 		s.Conf.TP, s.Conf.FP, s.Conf.TN, s.Conf.FN,
 	} {
-		b = binary.AppendUvarint(b, v)
+		b = codec.AppendUvarint(b, v)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Entries)))
+	b = codec.AppendUvarint(b, uint64(len(s.Entries)))
 	prev := uint64(0)
 	for i := range s.Entries {
 		e := &s.Entries[i]
 		if i == 0 {
-			b = binary.AppendUvarint(b, e.Key)
+			b = codec.AppendUvarint(b, e.Key)
 		} else {
-			b = binary.AppendUvarint(b, e.Key-prev) // >0 for sorted, deduped keys
+			b = codec.AppendUvarint(b, e.Key-prev) // >0 for sorted, deduped keys
 		}
 		prev = e.Key
-		b = binary.AppendUvarint(b, uint64(len(e.Words)))
+		b = codec.AppendUvarint(b, uint64(len(e.Words)))
 		for _, w := range e.Words {
-			b = binary.AppendUvarint(b, w)
+			b = codec.AppendUvarint(b, w)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Extra)))
+	b = codec.AppendUvarint(b, uint64(len(s.Extra)))
 	b = append(b, s.Extra...)
 	return b
-}
-
-// snapReader decodes canonical uvarints, rejecting non-minimal forms so
-// every accepted input re-encodes byte-identically.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = fmt.Errorf("eval: snapshot truncated reading %s", what)
-		return 0
-	case !ok:
-		r.err = fmt.Errorf("eval: snapshot has a non-minimal varint for %s", what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// boolWord reads a canonical boolean: only 0 and 1 are accepted, since
-// any other value would re-encode differently than it was read.
-func (r *snapReader) boolWord(what string) bool {
-	v := r.uvarint(what)
-	if r.err == nil && v > 1 {
-		r.err = fmt.Errorf("eval: snapshot has a non-boolean %s word %d", what, v)
-	}
-	return v == 1
 }
 
 // DecodeSnapshot parses the canonical wire form. It validates structure,
@@ -159,30 +115,30 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("eval: snapshot magic missing")
 	}
-	r := &snapReader{b: data[len(snapMagic):]}
+	r := codec.NewReader(data[len(snapMagic):])
 	s := &Snapshot{}
-	s.Scheme.Fn = core.Function(r.uvarint("function"))
-	s.Scheme.Depth = int(r.uvarint("depth"))
-	s.Scheme.Update = core.UpdateMode(r.uvarint("update mode"))
-	s.Scheme.Index.UsePID = r.boolWord("use_pid")
-	s.Scheme.Index.PCBits = int(r.uvarint("pc_bits"))
-	s.Scheme.Index.UseDir = r.boolWord("use_dir")
-	s.Scheme.Index.AddrBits = int(r.uvarint("addr_bits"))
-	s.Machine.Nodes = int(r.uvarint("nodes"))
-	s.Machine.LineBytes = int(r.uvarint("line_bytes"))
-	s.Events = r.uvarint("events")
-	s.Conf.TP = r.uvarint("tp")
-	s.Conf.FP = r.uvarint("fp")
-	s.Conf.TN = r.uvarint("tn")
-	s.Conf.FN = r.uvarint("fn")
-	if r.err != nil {
-		return nil, r.err
+	s.Scheme.Fn = core.Function(r.Uvarint())
+	s.Scheme.Depth = int(r.Uvarint())
+	s.Scheme.Update = core.UpdateMode(r.Uvarint())
+	s.Scheme.Index.UsePID = r.Bool()
+	s.Scheme.Index.PCBits = int(r.Uvarint())
+	s.Scheme.Index.UseDir = r.Bool()
+	s.Scheme.Index.AddrBits = int(r.Uvarint())
+	s.Machine.Nodes = int(r.Uvarint())
+	s.Machine.LineBytes = int(r.Uvarint())
+	s.Events = r.Uvarint()
+	s.Conf.TP = r.Uvarint()
+	s.Conf.FP = r.Uvarint()
+	s.Conf.TN = r.Uvarint()
+	s.Conf.FN = r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("eval: snapshot header: %w", err)
 	}
 	if err := s.Scheme.Validate(); err != nil {
 		return nil, fmt.Errorf("eval: snapshot scheme: %w", err)
 	}
-	if err := validateSnapMachine(s.Machine); err != nil {
-		return nil, err
+	if err := s.Machine.Validate(); err != nil {
+		return nil, fmt.Errorf("eval: snapshot machine: %w", err)
 	}
 	// AddBitmaps scores exactly Nodes decisions per event, so the tallies
 	// must account for Events*Nodes decisions in total.
@@ -194,62 +150,36 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("eval: snapshot tallies do not sum to events*nodes")
 	}
 
-	n := r.uvarint("entry count")
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Every entry needs at least 2 bytes (key + word count), so the count
-	// bounds itself against the remaining input before any allocation.
-	if n > uint64(len(r.b))/2 {
-		return nil, fmt.Errorf("eval: snapshot entry count %d exceeds input", n)
-	}
+	// Every entry needs at least 2 bytes (key + word count).
+	n := r.Count(math.MaxInt, 2)
 	s.Entries = make([]core.EntryState, 0, n)
 	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		var key uint64
-		if i == 0 {
-			key = r.uvarint("first key")
-		} else {
-			d := r.uvarint("key delta")
-			if r.err == nil && d == 0 {
+	for i := 0; i < n; i++ {
+		key := r.Uvarint() // the first key, then deltas
+		if i > 0 && r.Err() == nil {
+			if key == 0 {
 				return nil, fmt.Errorf("eval: snapshot keys are not strictly increasing")
 			}
-			if r.err == nil && prev > math.MaxUint64-d {
+			if prev > math.MaxUint64-key {
 				return nil, fmt.Errorf("eval: snapshot key delta overflows")
 			}
-			key = prev + d
+			key += prev
 		}
-		wc := r.uvarint("word count")
-		if r.err != nil {
-			return nil, r.err
-		}
-		if wc > uint64(len(r.b)) {
-			return nil, fmt.Errorf("eval: snapshot word count %d exceeds input", wc)
-		}
-		words := make([]uint64, wc)
+		words := make([]uint64, r.Count(math.MaxInt, 1))
 		for j := range words {
-			words[j] = r.uvarint("entry word")
+			words[j] = r.Uvarint()
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			break
 		}
 		s.Entries = append(s.Entries, core.EntryState{Key: key, Words: words})
 		prev = key
 	}
-
-	xn := r.uvarint("extra length")
-	if r.err != nil {
-		return nil, r.err
+	if extra := r.Bytes(maxSnapExtra); len(extra) > 0 {
+		s.Extra = append([]byte(nil), extra...)
 	}
-	if xn > maxSnapExtra || xn > uint64(len(r.b)) {
-		return nil, fmt.Errorf("eval: snapshot extra section of %d bytes exceeds input", xn)
-	}
-	if xn > 0 {
-		s.Extra = append([]byte(nil), r.b[:xn]...)
-		r.b = r.b[xn:]
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("eval: snapshot has %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("eval: snapshot: %w", err)
 	}
 	return s, nil
 }

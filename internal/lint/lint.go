@@ -136,7 +136,7 @@ func DefaultConfig(root, modulePath string) *Config {
 	return &Config{
 		Root:       root,
 		ModulePath: modulePath,
-		DeterministicPkgs: internal("bitmap", "trace", "cache", "machine", "eval",
+		DeterministicPkgs: internal("bitmap", "codec", "trace", "cache", "machine", "eval",
 			"search", "metrics", "workload", "topology", "online", "cosmos",
 			"report", "experiments", "serve", "fault", "client", "flight",
 			"traffic", "cluster"),
@@ -166,21 +166,26 @@ func DefaultConfig(root, modulePath string) *Config {
 			modulePath + "/internal/core.FlatTable.Train",
 			modulePath + "/internal/core.UpdateMode.Schedule",
 			modulePath + "/internal/search.groupState.step",
-			// The offline evaluation kernel and the canonical varint
-			// kernels every binary format decodes and encodes with.
+			// The offline evaluation kernel.
 			modulePath + "/internal/eval.Apply",
 			modulePath + "/internal/eval.Engine.Step",
-			modulePath + "/internal/eval.Uvarint",
-			modulePath + "/internal/eval.UvarintLen",
-			modulePath + "/internal/eval.AppendUvarint",
-			modulePath + "/internal/eval.PutUvarint",
+			// The canonical varint kernels every binary format decodes
+			// and encodes with, and the event block that COHWIRE1,
+			// COHTRACE1 and COHPRED2 share.
+			modulePath + "/internal/codec.Uvarint",
+			modulePath + "/internal/codec.UvarintLen",
+			modulePath + "/internal/codec.AppendUvarint",
+			modulePath + "/internal/codec.PutUvarint",
+			modulePath + "/internal/trace.BlockLen",
+			modulePath + "/internal/trace.PutBlock",
+			modulePath + "/internal/trace.AppendBlock",
+			modulePath + "/internal/trace.DecodeBlock",
 			// The serve path: the post's run-splitting kernel, the shard
 			// worker loop, and the COHWIRE1 codec kernels the
 			// allocation-free binary transport is built from.
 			modulePath + "/internal/serve.post.split",
 			modulePath + "/internal/serve.shard.process",
 			modulePath + "/internal/serve.AppendWireBatch",
-			modulePath + "/internal/serve.AppendWireEvents",
 			modulePath + "/internal/serve.AppendWireReply",
 			modulePath + "/internal/serve.DecodeWireBatchInto",
 			modulePath + "/internal/serve.DecodeWireReplyInto",
@@ -192,7 +197,6 @@ func DefaultConfig(root, modulePath string) *Config {
 			// accepted path (once per trained batch): append-only into one
 			// warmed buffer, zero steady-state allocation.
 			modulePath + "/internal/traffic.Recorder.RecordEvents",
-			modulePath + "/internal/traffic.appendTraceEvent",
 			modulePath + "/internal/traffic.appendRequestRecord",
 		},
 	}

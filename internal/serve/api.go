@@ -47,18 +47,9 @@ type CreateSessionResponse struct {
 	MaxPending  int `json:"max_pending"`
 }
 
-// EventRequest is one directory write event (mirrors trace.Event).
-type EventRequest struct {
-	PID           int    `json:"pid"`
-	PC            uint64 `json:"pc"`
-	Dir           int    `json:"dir"`
-	Addr          uint64 `json:"addr"`
-	InvReaders    uint64 `json:"inv_readers"`
-	HasPrev       bool   `json:"has_prev,omitempty"`
-	PrevPID       int    `json:"prev_pid,omitempty"`
-	PrevPC        uint64 `json:"prev_pc,omitempty"`
-	FutureReaders uint64 `json:"future_readers"`
-}
+// EventRequest is the API's event: trace.Event itself, whose JSON tags
+// name the fields. Bitmaps travel as numbers.
+type EventRequest = trace.Event
 
 // EventsResponse returns one predicted sharing bitmap per ingested event,
 // in request order, writer-masked — exactly eval.Engine.Step's output.
@@ -128,40 +119,26 @@ func (r *CreateSessionRequest) toSessionConfig(defaultShards int) (SessionConfig
 	}, nil
 }
 
-// toEvent validates the wire event against the session's machine and
-// converts it to a trace.Event.
-func (r *EventRequest) toEvent(nodes int) (trace.Event, error) {
-	var ev trace.Event
-	if r.PID < 0 || r.PID >= nodes {
-		return ev, fmt.Errorf("serve: pid %d out of range [0,%d)", r.PID, nodes)
+// validateEvent checks an API event against an n-node machine, as the
+// binary decoder does, and zeroes its prev fields unless has_prev is set.
+func validateEvent(ev *trace.Event, nodes int) error {
+	full := bitmap.Full(nodes)
+	switch {
+	case ev.PID < 0 || ev.PID >= nodes:
+		return fmt.Errorf("serve: pid %d out of range [0,%d)", ev.PID, nodes)
+	case ev.Dir < 0 || ev.Dir >= nodes:
+		return fmt.Errorf("serve: dir %d out of range [0,%d)", ev.Dir, nodes)
+	case ev.InvReaders&^full != 0:
+		return fmt.Errorf("serve: inv_readers %#x has bits beyond node %d", uint64(ev.InvReaders), nodes-1)
+	case ev.FutureReaders&^full != 0:
+		return fmt.Errorf("serve: future_readers %#x has bits beyond node %d", uint64(ev.FutureReaders), nodes-1)
+	case ev.HasPrev && (ev.PrevPID < 0 || ev.PrevPID >= nodes):
+		return fmt.Errorf("serve: prev_pid %d out of range [0,%d)", ev.PrevPID, nodes)
 	}
-	if r.Dir < 0 || r.Dir >= nodes {
-		return ev, fmt.Errorf("serve: dir %d out of range [0,%d)", r.Dir, nodes)
+	if !ev.HasPrev {
+		ev.PrevPID, ev.PrevPC = 0, 0
 	}
-	full := uint64(bitmap.Full(nodes))
-	if r.InvReaders&^full != 0 {
-		return ev, fmt.Errorf("serve: inv_readers %#x has bits beyond node %d", r.InvReaders, nodes-1)
-	}
-	if r.FutureReaders&^full != 0 {
-		return ev, fmt.Errorf("serve: future_readers %#x has bits beyond node %d", r.FutureReaders, nodes-1)
-	}
-	if r.HasPrev && (r.PrevPID < 0 || r.PrevPID >= nodes) {
-		return ev, fmt.Errorf("serve: prev_pid %d out of range [0,%d)", r.PrevPID, nodes)
-	}
-	ev = trace.Event{
-		PID:           r.PID,
-		PC:            r.PC,
-		Dir:           r.Dir,
-		Addr:          r.Addr,
-		InvReaders:    bitmap.Bitmap(r.InvReaders),
-		HasPrev:       r.HasPrev,
-		FutureReaders: bitmap.Bitmap(r.FutureReaders),
-	}
-	if r.HasPrev {
-		ev.PrevPID = r.PrevPID
-		ev.PrevPC = r.PrevPC
-	}
-	return ev, nil
+	return nil
 }
 
 // DecodeEvents decodes an events request body — either a single event
@@ -179,31 +156,27 @@ func DecodeEvents(data []byte, nodes int) ([]trace.Event, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
-	var reqs []EventRequest
+	var evs []trace.Event
 	if trimmed[0] == '[' {
-		if err := dec.Decode(&reqs); err != nil {
+		if err := dec.Decode(&evs); err != nil {
 			return nil, fmt.Errorf("serve: decoding event batch: %w", err)
 		}
 	} else {
-		var one EventRequest
-		if err := dec.Decode(&one); err != nil {
+		evs = make([]trace.Event, 1)
+		if err := dec.Decode(&evs[0]); err != nil {
 			return nil, fmt.Errorf("serve: decoding event: %w", err)
 		}
-		reqs = []EventRequest{one}
 	}
 	if err := expectEOF(dec); err != nil {
 		return nil, err
 	}
-	if len(reqs) > MaxBatchEvents {
-		return nil, fmt.Errorf("serve: batch of %d events exceeds limit %d", len(reqs), MaxBatchEvents)
+	if len(evs) > MaxBatchEvents {
+		return nil, fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
 	}
-	evs := make([]trace.Event, len(reqs))
-	for i := range reqs {
-		ev, err := reqs[i].toEvent(nodes)
-		if err != nil {
+	for i := range evs {
+		if err := validateEvent(&evs[i], nodes); err != nil {
 			return nil, fmt.Errorf("serve: event %d: %w", i, err)
 		}
-		evs[i] = ev
 	}
 	return evs, nil
 }

@@ -101,14 +101,13 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 	}
 	id := sess.ID
 
-	wire := wireEvents(tr.Events)
 	preds := make([]uint64, 0, len(tr.Events))
 	var slow []flight.Entry
 	killed := false
-	for lo := 0; lo < len(wire); lo += chunk {
+	for lo := 0; lo < len(tr.Events); lo += chunk {
 		hi := lo + chunk
-		if hi > len(wire) {
-			hi = len(wire)
+		if hi > len(tr.Events) {
+			hi = len(tr.Events)
 		}
 		if inj.KillNow("chaos.kill") {
 			// Checkpoint, kill the process (no drain — the old server and
@@ -135,7 +134,7 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 			}
 			killed = true
 		}
-		got, err := cl.PostEvents(id, wire[lo:hi])
+		got, err := cl.PostEvents(id, tr.Events[lo:hi])
 		if err != nil {
 			t.Fatalf("post batch at %d: %v", lo, err)
 		}

@@ -87,37 +87,17 @@ func (c *client) createSession(req serve.CreateSessionRequest) serve.CreateSessi
 	return resp
 }
 
-// wireEvents converts trace events to their API form.
-func wireEvents(evs []trace.Event) []serve.EventRequest {
-	out := make([]serve.EventRequest, len(evs))
-	for i, ev := range evs {
-		out[i] = serve.EventRequest{
-			PID:           ev.PID,
-			PC:            ev.PC,
-			Dir:           ev.Dir,
-			Addr:          ev.Addr,
-			InvReaders:    uint64(ev.InvReaders),
-			HasPrev:       ev.HasPrev,
-			PrevPID:       ev.PrevPID,
-			PrevPC:        ev.PrevPC,
-			FutureReaders: uint64(ev.FutureReaders),
-		}
-	}
-	return out
-}
-
 // postEvents replays events through the batched endpoint in chunks and
 // returns the predictions in order.
 func (c *client) postEvents(id string, evs []trace.Event, chunk int) []uint64 {
 	c.t.Helper()
 	preds := make([]uint64, 0, len(evs))
-	wire := wireEvents(evs)
-	for lo := 0; lo < len(wire); lo += chunk {
+	for lo := 0; lo < len(evs); lo += chunk {
 		hi := lo + chunk
-		if hi > len(wire) {
-			hi = len(wire)
+		if hi > len(evs) {
+			hi = len(evs)
 		}
-		body, err := json.Marshal(wire[lo:hi])
+		body, err := json.Marshal(evs[lo:hi])
 		if err != nil {
 			c.t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestShardPanicSurfacedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.PostEventsKeyed(sess.ID, "", wireEvents(hammerEvents(8, 16))); err == nil {
+	if _, err := cl.PostEventsKeyed(sess.ID, "", hammerEvents(8, 16)); err == nil {
 		t.Fatal("events post over a panicked shard succeeded, want 500")
 	}
 	err = cl.DeleteSession(sess.ID)
@@ -95,7 +95,7 @@ func TestShardPanicNotRetriedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cl.PostEventsKeyed(sess.ID, "poison", wireEvents(hammerEvents(8, 16)))
+	_, err = cl.PostEventsKeyed(sess.ID, "poison", hammerEvents(8, 16))
 	var ae *resclient.APIError
 	if err == nil || !errors.As(err, &ae) || ae.Code != serve.CodeShardFailed {
 		t.Fatalf("err = %v, want APIError coded %q", err, serve.CodeShardFailed)
@@ -120,7 +120,7 @@ func TestInjectedErrorCountsRequest(t *testing.T) {
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
-	body, err := jsonMarshal(wireEvents(hammerEvents(4, 16)))
+	body, err := jsonMarshal(hammerEvents(4, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestIdempotentReplayDoesNotDoubleTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := wireEvents(hammerEvents(32, 16))
+	evs := hammerEvents(32, 16)
 
 	first, err := cl.PostEventsKeyed(sess.ID, "batch-1", evs)
 	if err != nil {
@@ -202,7 +202,7 @@ func TestIdempotencyUnderPureResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err) // session routes are never injected
 	}
-	if _, err := cl.PostEvents(sess.ID, wireEvents(hammerEvents(16, 16))); err == nil {
+	if _, err := cl.PostEvents(sess.ID, hammerEvents(16, 16)); err == nil {
 		t.Fatal("post succeeded although every response was reset")
 	}
 	cs := cl.Stats()
@@ -229,7 +229,7 @@ func TestInjectedHTTPFaultStatuses(t *testing.T) {
 		c, closeTS := newClient(t, srv)
 		defer closeTS()
 		sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"}) // not injected
-		body, _ := jsonMarshal(wireEvents(hammerEvents(4, 16)))
+		body, _ := jsonMarshal(hammerEvents(4, 16))
 		if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil); code != 500 {
 			t.Fatalf("status %d, want injected 500", code)
 		}
@@ -244,7 +244,7 @@ func TestInjectedHTTPFaultStatuses(t *testing.T) {
 		c, closeTS := newClient(t, srv)
 		defer closeTS()
 		sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
-		body, _ := jsonMarshal(wireEvents(hammerEvents(4, 16)))
+		body, _ := jsonMarshal(hammerEvents(4, 16))
 		if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil); code != 503 {
 			t.Fatalf("status %d, want admission-drop 503", code)
 		}
@@ -267,7 +267,6 @@ func TestSnapshotRestoreHTTP(t *testing.T) {
 
 	tr := genTrace(t, "em3d", 5)
 	half := len(tr.Events) / 2
-	wire := wireEvents(tr.Events)
 
 	sess, err := cl.CreateSession(serve.CreateSessionRequest{
 		Scheme: "union(dir+add8)2[forwarded]", Shards: 2,
@@ -275,7 +274,7 @@ func TestSnapshotRestoreHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.PostEvents(sess.ID, wire[:half]); err != nil {
+	if _, err := cl.PostEvents(sess.ID, tr.Events[:half]); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := cl.Snapshot(sess.ID)
@@ -299,16 +298,16 @@ func TestSnapshotRestoreHTTP(t *testing.T) {
 	if _, err := cl.Restore("twin", snap, 5); err != nil {
 		t.Fatal(err)
 	}
-	for lo := half; lo < len(wire); lo += 97 {
+	for lo := half; lo < len(tr.Events); lo += 97 {
 		hi := lo + 97
-		if hi > len(wire) {
-			hi = len(wire)
+		if hi > len(tr.Events) {
+			hi = len(tr.Events)
 		}
-		a, err := cl.PostEvents(sess.ID, wire[lo:hi])
+		a, err := cl.PostEvents(sess.ID, tr.Events[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cl.PostEvents("twin", wire[lo:hi])
+		b, err := cl.PostEvents("twin", tr.Events[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}

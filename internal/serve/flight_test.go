@@ -39,14 +39,14 @@ func TestRequestIDEchoed(t *testing.T) {
 	defer closeTS()
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Nodes: 4})
 
-	body, _ := jsonMarshal(wireEvents(hammerEvents(8, 4)))
+	body, _ := jsonMarshal(hammerEvents(8, 4))
 	code, hdr, _ := c.doRaw("POST", "/v1/sessions/"+sess.ID+"/events", body,
 		map[string]string{"X-Request-ID": "req-json-1"})
 	if code != 200 || hdr.Get("X-Request-ID") != "req-json-1" {
 		t.Fatalf("json post: status %d, echoed id %q", code, hdr.Get("X-Request-ID"))
 	}
 
-	frame := serve.AppendWireEvents(nil, wireEvents(hammerEvents(8, 4)))
+	frame := serve.AppendWireBatch(nil, hammerEvents(8, 4))
 	code, hdr, _ = c.doRaw("POST", "/v1/sessions/"+sess.ID+"/events", frame, map[string]string{
 		"Content-Type": serve.ContentTypeWire, "Accept": serve.ContentTypeWire,
 		"X-Request-ID": "req-wire-1",
@@ -73,7 +73,7 @@ func TestDebugRequestsCapture(t *testing.T) {
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Nodes: 4})
 
 	const posts = 3
-	evs := wireEvents(hammerEvents(16, 4))
+	evs := hammerEvents(16, 4)
 	body, _ := jsonMarshal(evs)
 	for i := 0; i < posts; i++ {
 		if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil); code != 200 {
@@ -114,7 +114,7 @@ func TestSamplingSkipsRequests(t *testing.T) {
 	_, c, closeTS := flightServer(t, flight.Options{Sample: 1 << 20, SlowThreshold: time.Hour})
 	defer closeTS()
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Nodes: 4})
-	body, _ := jsonMarshal(wireEvents(hammerEvents(8, 4)))
+	body, _ := jsonMarshal(hammerEvents(8, 4))
 	for i := 0; i < 5; i++ {
 		c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil)
 	}
@@ -135,7 +135,7 @@ func TestSlowThresholdPromotes(t *testing.T) {
 	_, c, closeTS := flightServer(t, flight.Options{Sample: 1 << 20, SlowThreshold: time.Nanosecond})
 	defer closeTS()
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Nodes: 4})
-	body, _ := jsonMarshal(wireEvents(hammerEvents(8, 4)))
+	body, _ := jsonMarshal(hammerEvents(8, 4))
 	if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil); code != 200 {
 		t.Fatalf("post: status %d", code)
 	}
@@ -170,7 +170,7 @@ func TestReplayMarked(t *testing.T) {
 	_, c, closeTS := flightServer(t, flight.Options{Sample: 1, SlowThreshold: time.Hour})
 	defer closeTS()
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Nodes: 4})
-	body, _ := jsonMarshal(wireEvents(hammerEvents(8, 4)))
+	body, _ := jsonMarshal(hammerEvents(8, 4))
 	hdr := map[string]string{"Idempotency-Key": "k1"}
 	for i := 0; i < 2; i++ {
 		if code, _, _ := c.doRaw("POST", "/v1/sessions/"+sess.ID+"/events", body, hdr); code != 200 {
@@ -196,7 +196,7 @@ func TestWireCaptureBytes(t *testing.T) {
 	_, c, closeTS := flightServer(t, flight.Options{Sample: 1, SlowThreshold: time.Hour})
 	defer closeTS()
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Nodes: 4})
-	frame := serve.AppendWireEvents(nil, wireEvents(hammerEvents(32, 4)))
+	frame := serve.AppendWireBatch(nil, hammerEvents(32, 4))
 	code, _, reply := c.doRaw("POST", "/v1/sessions/"+sess.ID+"/events", frame, map[string]string{
 		"Content-Type": serve.ContentTypeWire, "Accept": serve.ContentTypeWire,
 	})

@@ -52,7 +52,6 @@ func TestRaceHammer(t *testing.T) {
 		Scheme: "union(pid+dir+add8)2[forwarded]", Shards: 4,
 	})
 	evs := hammerEvents(4096, 16)
-	wire := wireEvents(evs)
 
 	const (
 		posters  = 8
@@ -64,8 +63,8 @@ func TestRaceHammer(t *testing.T) {
 	post := func(worker int) {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			lo := ((worker*rounds + r) * chunkLen) % (len(wire) - chunkLen)
-			body, err := jsonMarshal(wire[lo : lo+chunkLen])
+			lo := ((worker*rounds + r) * chunkLen) % (len(evs) - chunkLen)
+			body, err := jsonMarshal(evs[lo : lo+chunkLen])
 			if err != nil {
 				t.Error(err)
 				return
@@ -94,7 +93,7 @@ func TestRaceHammer(t *testing.T) {
 			sess := c.createSession(serve.CreateSessionRequest{
 				Scheme: "last(dir+add6)1", Shards: 1 + worker%3,
 			})
-			body, _ := jsonMarshal(wire[:64])
+			body, _ := jsonMarshal(evs[:64])
 			if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil); code != 200 && code != 429 {
 				t.Errorf("churn post: status %d", code)
 				return

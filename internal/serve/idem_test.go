@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/obs"
@@ -54,7 +55,7 @@ func (c *client) postKeyed(id, key string, evs []trace.Event, wire bool) []uint6
 		}
 		return preds
 	}
-	reqBody, err := json.Marshal(wireEvents(evs))
+	reqBody, err := json.Marshal(evs)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestSnapshotExtraLayoutPinned(t *testing.T) {
 		}
 		preds[i] = p
 		for _, v := range p {
-			widths[eval.UvarintLen(v)] = true
+			widths[codec.UvarintLen(v)] = true
 		}
 	}
 	if !widths[1] || !widths[2] || !widths[3] {

@@ -36,6 +36,7 @@ func TestAPIErrors(t *testing.T) {
 		{"create unknown field", "POST", "/v1/sessions", `{"scheme":"last(add8)1","shardz":2}`, 400},
 		{"create bad nodes", "POST", "/v1/sessions", `{"scheme":"last(add8)1","nodes":999}`, 400},
 		{"create bad line size", "POST", "/v1/sessions", `{"scheme":"last(add8)1","line_bytes":17}`, 400},
+		{"create line size above 1 MiB", "POST", "/v1/sessions", `{"scheme":"last(add8)1","line_bytes":2097152}`, 400},
 		{"create bad shards", "POST", "/v1/sessions", `{"scheme":"last(add8)1","shards":-1}`, 400},
 		{"create index wider than a key", "POST", "/v1/sessions", `{"scheme":"last(pid+pc62+add4)1"}`, 400},
 		{"create index width overflow", "POST", "/v1/sessions", `{"scheme":"last(pc9223372036854775807+add2)1"}`, 400},
@@ -59,6 +60,28 @@ func TestAPIErrors(t *testing.T) {
 				t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestLargestLineSnapshotRestores: a session with the largest legal
+// line size snapshots, and its snapshot restores with the same tallies —
+// create, restore and the snapshot decoder apply one machine-size rule.
+func TestLargestLineSnapshotRestores(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+
+	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(dir+add8)1", LineBytes: 1 << 20})
+	c.postEvents(sess.ID, hammerEvents(64, 16), 16)
+	data, snap := c.snapshot(sess.ID)
+	if snap.Machine.LineBytes != 1<<20 {
+		t.Fatalf("snapshot line size %d, want %d", snap.Machine.LineBytes, 1<<20)
+	}
+	c.restore("restored", data, 2)
+	got, want := c.stats("restored"), c.stats(sess.ID)
+	if got.Events != want.Events || got.TP != want.TP || got.FP != want.FP || got.TN != want.TN || got.FN != want.FN {
+		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
 }
 
@@ -100,7 +123,7 @@ func TestBackpressure429(t *testing.T) {
 	sess := c.createSession(serve.CreateSessionRequest{
 		Scheme: "last(add8)1", MaxPending: 4,
 	})
-	body, err := jsonMarshal(wireEvents(hammerEvents(8, 16)))
+	body, err := jsonMarshal(hammerEvents(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +135,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("refused batch partially ingested: %d events", st.Events)
 	}
 	// A batch that fits still goes through.
-	small, _ := jsonMarshal(wireEvents(hammerEvents(4, 16)))
+	small, _ := jsonMarshal(hammerEvents(4, 16))
 	if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", small, nil); code != 200 {
 		t.Fatalf("fitting batch: status %d", code)
 	}
@@ -165,7 +188,7 @@ func TestBodyLimit413(t *testing.T) {
 	defer closeTS()
 
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
-	big, _ := jsonMarshal(wireEvents(hammerEvents(64, 16)))
+	big, _ := jsonMarshal(hammerEvents(64, 16))
 	if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", big, nil); code != 413 {
 		t.Fatalf("oversized body: status %d, want 413", code)
 	}
@@ -181,7 +204,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer closeTS()
 
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
-	body, _ := jsonMarshal(wireEvents(hammerEvents(32, 16)))
+	body, _ := jsonMarshal(hammerEvents(32, 16))
 	c.do("POST", "/v1/sessions/"+sess.ID+"/events", body, nil)
 
 	get := func(accept string) (*http.Response, []byte) {

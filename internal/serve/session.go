@@ -90,11 +90,8 @@ func (c *SessionConfig) fillDefaults() error {
 	if err := c.Scheme.ValidateOn(m); err != nil {
 		return err
 	}
-	if m.Nodes <= 0 || m.Nodes > bitmap.MaxNodes {
-		return fmt.Errorf("serve: node count %d out of range [1,%d]", m.Nodes, bitmap.MaxNodes)
-	}
-	if m.LineBytes <= 0 || m.LineBytes&(m.LineBytes-1) != 0 {
-		return fmt.Errorf("serve: line size %d is not a positive power of two", m.LineBytes)
+	if err := m.Validate(); err != nil {
+		return err
 	}
 	if c.Shards < 0 || c.Shards > maxShards {
 		return fmt.Errorf("serve: shard count %d out of range [0,%d]", c.Shards, maxShards)

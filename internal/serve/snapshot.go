@@ -4,14 +4,14 @@ import (
 	"errors"
 	"fmt"
 
-	"cohpredict/internal/eval"
+	"cohpredict/internal/codec"
 )
 
 // Session snapshots ride on the eval snapshot codec: the engine state
 // (scheme, machine, tables, tallies) uses eval.EncodeSnapshot's canonical
 // wire form, and the serving-layer state — tuning and the idempotency
-// cache — is packed into its opaque Extra section by the helpers here, in
-// the same canonical uvarint style. A cache entry is its key followed by
+// cache — is packed into its opaque Extra section by the helpers here,
+// written with codec's uvarints and read with its Reader. A cache entry is its key followed by
 // its reply frame's tail (the count, then the predictions), copied
 // verbatim both ways: the layout version 1 has always had. The tuning
 // still carries the retired flush deadline's slot, in nanoseconds: live
@@ -40,11 +40,6 @@ type sessionExtra struct {
 	idem   []idemItem
 }
 
-var (
-	errExtraTruncated  = errors.New("serve: snapshot extra section truncated")
-	errExtraNonMinimal = errors.New("serve: snapshot extra section has a non-minimal varint")
-)
-
 // encodeSessionExtra packs the session's tuning and completed idempotency
 // entries. Quiescence guarantees every successfully admitted batch's entry
 // is complete before this runs, but a PostKeyed racing the snapshot can
@@ -70,14 +65,14 @@ func encodeSessionExtra(s *Session) []byte {
 // encode writes the section. A completed entry's frame is never written
 // again, so it is safe to read without idemMu.
 func (x *sessionExtra) encode() []byte {
-	b := eval.AppendUvarint(nil, sessionExtraVersion)
-	b = eval.AppendUvarint(b, uint64(x.tuning.Shards))
-	b = eval.AppendUvarint(b, uint64(x.tuning.BatchSize))
-	b = eval.AppendUvarint(b, x.flush)
-	b = eval.AppendUvarint(b, uint64(x.tuning.MaxPending))
-	b = eval.AppendUvarint(b, uint64(len(x.idem)))
+	b := codec.AppendUvarint(nil, sessionExtraVersion)
+	b = codec.AppendUvarint(b, uint64(x.tuning.Shards))
+	b = codec.AppendUvarint(b, uint64(x.tuning.BatchSize))
+	b = codec.AppendUvarint(b, x.flush)
+	b = codec.AppendUvarint(b, uint64(x.tuning.MaxPending))
+	b = codec.AppendUvarint(b, uint64(len(x.idem)))
 	for _, it := range x.idem {
-		b = eval.AppendUvarint(b, uint64(len(it.key)))
+		b = codec.AppendUvarint(b, uint64(len(it.key)))
 		b = append(b, it.key...)
 		b = append(b, it.frame[wireHeaderLen:]...)
 	}
@@ -95,39 +90,26 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	if len(data) == 0 {
 		return x, nil
 	}
-	r := &extraReader{b: data}
-	if v := r.uvarint(); r.err == nil && v != sessionExtraVersion {
+	r := codec.NewReader(data)
+	if v := r.Uvarint(); r.Err() == nil && v != sessionExtraVersion {
 		return nil, fmt.Errorf("serve: snapshot extra version %d not supported", v)
 	}
-	x.tuning.Shards = int(r.uvarint())
-	x.tuning.BatchSize = int(r.uvarint())
-	x.flush = r.uvarint()
-	x.tuning.MaxPending = int(r.uvarint())
-	n := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > maxIdemKeys {
-		return nil, fmt.Errorf("serve: snapshot idempotency cache of %d keys exceeds limit %d", n, maxIdemKeys)
-	}
+	x.tuning.Shards = int(r.Uvarint())
+	x.tuning.BatchSize = int(r.Uvarint())
+	x.flush = r.Uvarint()
+	x.tuning.MaxPending = int(r.Uvarint())
 	// An entry takes at least three bytes: key length, key, count.
-	if n > uint64(len(r.b))/3 {
-		return nil, errExtraTruncated
-	}
+	n := r.Count(maxIdemKeys, 3)
 	seen := make(map[string]bool, n)
 	x.idem = make([]idemItem, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kl := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
+	for i := 0; i < n; i++ {
+		key := r.Bytes(maxIdemKeyLen)
+		frame := replyFrame(&r)
+		if r.Err() != nil {
+			break
 		}
-		if kl == 0 || kl > maxIdemKeyLen {
-			return nil, fmt.Errorf("serve: snapshot idempotency key length %d out of range [1,%d]", kl, maxIdemKeyLen)
-		}
-		key := r.bytes(int(kl))
-		frame := r.replyFrame()
-		if r.err != nil {
-			return nil, r.err
+		if len(key) == 0 {
+			return nil, errors.New("serve: snapshot idempotency key is empty")
 		}
 		if seen[string(key)] {
 			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", key)
@@ -135,68 +117,26 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 		seen[string(key)] = true
 		x.idem = append(x.idem, idemItem{key: string(key), frame: frame})
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("serve: snapshot extra section has %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot extra section: %w", err)
 	}
 	return x, nil
-}
-
-type extraReader struct {
-	b   []byte
-	err error
-}
-
-func (r *extraReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := eval.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errExtraTruncated
-		return 0
-	case !ok:
-		r.err = errExtraNonMinimal
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *extraReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.err = errExtraTruncated
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
 }
 
 // replyFrame reads one entry's frame tail — a count, then that many
 // predictions — and returns the reply frame it belongs to, built with one
 // allocation once every prediction has been read, so a count the section
 // does not back allocates nothing.
-func (r *extraReader) replyFrame() []byte {
-	tail := r.b
-	np := r.uvarint()
-	if r.err != nil {
+func replyFrame(r *codec.Reader) []byte {
+	tail := r.Rest()
+	np := r.Count(MaxBatchEvents, 1)
+	for j := 0; j < np; j++ {
+		r.Uvarint()
+	}
+	if r.Err() != nil {
 		return nil
 	}
-	if np > MaxBatchEvents {
-		r.err = fmt.Errorf("serve: snapshot idempotency entry of %d predictions exceeds limit %d", np, MaxBatchEvents)
-		return nil
-	}
-	for j := uint64(0); j < np && r.err == nil; j++ {
-		r.uvarint()
-	}
-	if r.err != nil {
-		return nil
-	}
-	tail = tail[:len(tail)-len(r.b)]
+	tail = tail[:len(tail)-len(r.Rest())]
 	frame := make([]byte, wireHeaderLen+len(tail))
 	copy(frame, wireMagic)
 	frame[len(wireMagic)] = wireKindReply

@@ -17,10 +17,10 @@ import (
 // one batch of API events into a request body (JSON or COHWIRE1).
 func throughputBodies(t testing.TB, batch, n int, encode func([]serve.EventRequest) []byte) [][]byte {
 	t.Helper()
-	wire := wireEvents(hammerEvents(batch*n, 16))
+	evs := hammerEvents(batch*n, 16)
 	bodies := make([][]byte, 0, n)
-	for lo := 0; lo+batch <= len(wire); lo += batch {
-		bodies = append(bodies, encode(wire[lo:lo+batch]))
+	for lo := 0; lo+batch <= len(evs); lo += batch {
+		bodies = append(bodies, encode(evs[lo:lo+batch]))
 	}
 	return bodies
 }
@@ -36,7 +36,7 @@ func jsonEncode(t testing.TB) func([]serve.EventRequest) []byte {
 }
 
 func wireEncode(evs []serve.EventRequest) []byte {
-	return serve.AppendWireEvents(nil, evs)
+	return serve.AppendWireBatch(nil, evs)
 }
 
 // runThroughputFloor replays pre-encoded batches through the events
@@ -177,17 +177,16 @@ func benchServeHTTP(b *testing.B, contentType string, shards int, body []byte) {
 // nothing (TestWireKernelsAllocFree pins that).
 func BenchmarkServeJSON(b *testing.B) {
 	evs := hammerEvents(benchBatch, 16)
-	reqs := wireEvents(evs)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := jsonMarshal(reqs); err != nil {
+			if _, err := jsonMarshal(evs); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
 	})
-	body := jsonEncode(b)(reqs)
+	body := jsonEncode(b)(evs)
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -204,17 +203,16 @@ func BenchmarkServeJSON(b *testing.B) {
 
 func BenchmarkServeWire(b *testing.B) {
 	evs := hammerEvents(benchBatch, 16)
-	reqs := wireEvents(evs)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
-		dst := serve.AppendWireEvents(nil, reqs)
+		dst := serve.AppendWireBatch(nil, evs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = serve.AppendWireEvents(dst[:0], reqs)
+			dst = serve.AppendWireBatch(dst[:0], evs)
 		}
-		b.ReportMetric(float64(b.N*len(reqs))/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
 	})
-	frame := wireEncode(reqs)
+	frame := wireEncode(evs)
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		dst := make([]trace.Event, 0, len(evs))
@@ -247,7 +245,7 @@ func BenchmarkPostBatched(b *testing.B) {
 				Scheme: "union(pid+dir+add10)2[forwarded]", Shards: shards,
 			})
 			const batch = 1024
-			body, err := jsonMarshal(wireEvents(hammerEvents(batch, 16)))
+			body, err := jsonMarshal(hammerEvents(batch, 16))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -65,16 +65,12 @@ func wireTestEvents(n, nodes int) []trace.Event {
 // TestWireBatchRoundTrip pins the codec's canonicality contract in the
 // encode→decode direction: decoding an encoded batch reproduces every
 // event exactly, and re-encoding the decoded batch reproduces the frame
-// byte for byte. The client-side encoder (over API-form events) must
-// produce the identical frame.
+// byte for byte.
 func TestWireBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 300} {
 		evs := wireTestEvents(n, 16)
 		frame := serve.AppendWireBatch(nil, evs)
 
-		if got := serve.AppendWireEvents(nil, wireEvents(evs)); !bytes.Equal(got, frame) {
-			t.Fatalf("n=%d: client and server encoders disagree", n)
-		}
 		if !serve.IsWireFrame(frame) {
 			t.Fatalf("n=%d: encoder output not recognized as a wire frame", n)
 		}
@@ -182,7 +178,7 @@ func TestWireNegotiation(t *testing.T) {
 	defer closeTS()
 
 	evs := wireTestEvents(200, 16)
-	jsonBody, err := json.Marshal(wireEvents(evs))
+	jsonBody, err := json.Marshal(evs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,13 +338,25 @@ func TestWireOfflineEquivalence(t *testing.T) {
 	}
 }
 
+// TestAppendWireBatchAllocatesOnce: the client encodes each post with
+// AppendWireBatch(nil, evs), which sizes the frame before it writes, so
+// the frame is its one allocation.
+func TestAppendWireBatchAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a race build allocates slices.Grow's zeroed extension separately")
+	}
+	evs := wireTestEvents(512, 16)
+	if got := testing.AllocsPerRun(100, func() { _ = serve.AppendWireBatch(nil, evs) }); got != 1 {
+		t.Fatalf("AppendWireBatch(nil, evs) allocates %.1f times per call; want 1", got)
+	}
+}
+
 // TestWireKernelsAllocFree pins the allocation-free claim at the kernel
 // level: once destination buffers have warmed to the working size, the
 // encoders and decoders allocate nothing per call. The HTTP layer's pool
 // rests on exactly this property.
 func TestWireKernelsAllocFree(t *testing.T) {
 	evs := wireTestEvents(512, 16)
-	reqs := wireEvents(evs)
 	frame := serve.AppendWireBatch(nil, evs)
 	preds := make([]bitmap.Bitmap, len(evs))
 	for i := range preds {
@@ -367,7 +375,6 @@ func TestWireKernelsAllocFree(t *testing.T) {
 		fn   func()
 	}{
 		{"AppendWireBatch", func() { encB = serve.AppendWireBatch(encB[:0], evs) }},
-		{"AppendWireEvents", func() { encB = serve.AppendWireEvents(encB[:0], reqs) }},
 		{"AppendWireReply", func() { encR = serve.AppendWireReply(encR[:0], preds) }},
 		{"DecodeWireBatchInto", func() { decE, decErr = serve.DecodeWireBatchInto(frame, 16, decE[:0]) }},
 		{"DecodeWireReplyInto", func() { decP, decErr = serve.DecodeWireReplyInto(reply, decP[:0]) }},

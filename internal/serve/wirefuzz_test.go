@@ -106,7 +106,7 @@ func FuzzWireJSONCross(f *testing.F) {
 		if err != nil {
 			return
 		}
-		jsonBody, err := json.Marshal(wireEvents(evs))
+		jsonBody, err := json.Marshal(evs)
 		if err != nil {
 			t.Fatalf("wire-accepted events fail to marshal: %v", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/codec"
 	"cohpredict/internal/trace"
 )
 
@@ -68,8 +69,12 @@ func FuzzWireDecodeDifferential(f *testing.F) {
 // a sticky-error reader whose every field read calls binary.Uvarint and
 // then re-measures the value to reject a non-minimal encoding.
 
+// minWireEventBytes is the smallest encoded event: seven one-byte
+// uvarints.
+const minWireEventBytes = 7
+
 // refUvarint is the canonical uvarint decoder as it was before the
-// one-pass kernel (eval.Uvarint's old body).
+// one-pass kernel (codec.Uvarint's old body).
 func refUvarint(b []byte) (v uint64, n int, ok bool) {
 	v, n = binary.Uvarint(b)
 	if n <= 0 {
@@ -97,10 +102,10 @@ func (r *refWireReader) uvarint() uint64 {
 	v, n, ok := refUvarint(r.b)
 	switch {
 	case n == 0:
-		r.err = errWireTruncated
+		r.err = codec.ErrTruncated
 		return 0
 	case !ok:
-		r.err = errWireNonMinimal
+		r.err = codec.ErrNonMinimal
 		return 0
 	}
 	r.b = r.b[n:]
@@ -126,7 +131,7 @@ func (r *refWireReader) header(kind uint64) bool {
 
 func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.Event, error) {
 	if nodes <= 0 || nodes > bitmap.MaxNodes {
-		return dst, errWireNodes
+		return dst, trace.ErrRange
 	}
 	full := uint64(bitmap.Full(nodes))
 	r := refWireReader{b: data}
@@ -138,7 +143,7 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 		return dst, r.err
 	}
 	if n > MaxBatchEvents || n > uint64(len(r.b))/minWireEventBytes {
-		return dst, errWireCount
+		return dst, codec.ErrCount
 	}
 	for i := uint64(0); i < n; i++ {
 		var ev trace.Event
@@ -152,7 +157,7 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 			return dst, r.err
 		}
 		if hp > 1 {
-			return dst, errWireBool
+			return dst, codec.ErrBool
 		}
 		if hp == 1 {
 			ev.HasPrev = true
@@ -162,7 +167,7 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 				if r.err != nil {
 					return dst, r.err
 				}
-				return dst, errWireRange
+				return dst, trace.ErrRange
 			}
 			ev.PrevPID = int(prevPID)
 		}
@@ -171,7 +176,7 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 			return dst, r.err
 		}
 		if pid >= uint64(nodes) || dir >= uint64(nodes) || inv&^full != 0 || future&^full != 0 {
-			return dst, errWireRange
+			return dst, trace.ErrRange
 		}
 		ev.PID = int(pid)
 		ev.Dir = int(dir)
@@ -180,7 +185,7 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 		dst = append(dst, ev)
 	}
 	if len(r.b) != 0 {
-		return dst, errWireTrailing
+		return dst, codec.ErrTrailing
 	}
 	return dst, nil
 }
@@ -195,7 +200,7 @@ func refDecodeWireReplyInto(data []byte, dst []bitmap.Bitmap) ([]bitmap.Bitmap, 
 		return dst, r.err
 	}
 	if n > MaxBatchEvents || n > uint64(len(r.b)) {
-		return dst, errWireCount
+		return dst, codec.ErrCount
 	}
 	for i := uint64(0); i < n; i++ {
 		p := r.uvarint()
@@ -205,7 +210,7 @@ func refDecodeWireReplyInto(data []byte, dst []bitmap.Bitmap) ([]bitmap.Bitmap, 
 		dst = append(dst, bitmap.Bitmap(p))
 	}
 	if len(r.b) != 0 {
-		return dst, errWireTrailing
+		return dst, codec.ErrTrailing
 	}
 	return dst, nil
 }

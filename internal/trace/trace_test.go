@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/codec"
 )
 
 func sampleTrace() *Trace {
@@ -75,6 +77,39 @@ func TestTruncatedInput(t *testing.T) {
 		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestRejectsNonCanonical covers the forms the COHPRED1 reader accepted:
+// each must now fail, so a trace file has exactly one encoding.
+func TestRejectsNonCanonical(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&Trace{Nodes: 16, Events: []Event{{PID: 3, PC: 42, Dir: 7, Addr: 0x1040}}}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	// valid is magic, nodes, count, then pid pc dir addr inv has_prev
+	// future, each one byte except addr (0x1040 takes two).
+	hasPrevAt := len(magic) + 2 + 6
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"trailing bytes", edit(func(b []byte) []byte { return append(b, 0, 0) }), codec.ErrTrailing},
+		{"non-minimal pid", edit(func(b []byte) []byte {
+			return append(b[:len(magic)+2:len(magic)+2], append([]byte{0x83, 0x00}, b[len(magic)+3:]...)...)
+		}), codec.ErrNonMinimal},
+		{"has_prev 2", edit(func(b []byte) []byte { b[hasPrevAt] = 2; return b }), codec.ErrBool},
+		{"COHPRED1 magic", edit(func(b []byte) []byte { b[len(magic)-1] = '1'; return b }), nil},
+	} {
+		if _, err := Read(bytes.NewReader(tc.data)); err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: Read error %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Read(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("the unedited trace fails: %v", err)
 	}
 }
 

@@ -9,33 +9,37 @@
 // batching, same request IDs), and the served predictions and confusion
 // come back byte-identical at any shard count.
 //
-// COHTRACE1 follows the COHSNAP1/COHWIRE1 codec discipline exactly:
+// COHTRACE1 follows internal/codec's discipline:
 //
 //	file    := magic count:uvarint record*count
 //	magic   := "COHTRACE1"                                (9 bytes)
 //	record  := kind payload
 //	kind 1  := session: seq scheme:string nodes line_bytes shards
-//	kind 2  := request: session arrival_ns id:string count:uvarint event*count
+//	kind 2  := request: session arrival_ns id:string block
 //	string  := len:uvarint byte*len
-//	event   := pid pc dir addr inv_readers has_prev [prev_pid prev_pc] future_readers
 //
-// Every integer is a minimal-length uvarint (eval.Uvarint rejects any
-// other form), has_prev is a canonical boolean, strings are raw bytes
-// behind a bounded length prefix, and trailing bytes are rejected. One
-// encoding per value makes the decoders canonical —
-// Encode(Decode(b)) == b for every accepted input b, the property the
-// fuzz targets pin. The file decoder additionally enforces the
-// cross-record invariants the recorder guarantees: session records carry
-// consecutive sequence numbers in order of appearance, every request
-// names a previously-declared session, arrival offsets never decrease,
-// and event fields fit the owning session's machine.
+// A request's block is the event block internal/trace defines for every
+// format that carries events, so a recorded batch holds the same bytes as
+// the COHWIRE1 batch it arrived in, behind a different header. Every
+// integer is a minimal-length uvarint, strings are raw bytes behind a
+// bounded length prefix, and trailing bytes are rejected. One encoding
+// per value makes the decoders canonical — Encode(Decode(b)) == b for
+// every accepted input b, the property the fuzz targets pin. The file
+// decoder additionally enforces the cross-record invariants the recorder
+// guarantees: session records carry consecutive sequence numbers in
+// order of appearance, every request names a previously-declared session,
+// arrival offsets never decrease, and event fields fit the owning
+// session's machine.
 package traffic
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"cohpredict/internal/bitmap"
-	"cohpredict/internal/eval"
+	"cohpredict/internal/codec"
+	"cohpredict/internal/core"
 	"cohpredict/internal/trace"
 )
 
@@ -56,30 +60,18 @@ const (
 	// maxTraceBatch bounds one request's event count, matching the serve
 	// layer's batch limit (serve.MaxBatchEvents).
 	maxTraceBatch = 1 << 16
-	// maxTraceLineBytes bounds a session's cache-line size.
-	maxTraceLineBytes = 1 << 20
 	// maxTraceShards matches the serve layer's shard-pool cap.
 	maxTraceShards = 64
-	// minTraceEventBytes is the smallest encoded event (seven single-byte
-	// uvarints), and minTraceRecordBytes the smallest record (an empty-id
-	// request header); both bound declared counts before any allocation.
-	minTraceEventBytes  = 7
+	// minTraceRecordBytes is the smallest record (an empty-id request
+	// header); it bounds the declared record count before any allocation.
 	minTraceRecordBytes = 5
 )
 
-// Static decode errors. The append kernels run on the serve layer's
-// accepted path (no fmt), so each failure mode is a sentinel; callers
-// wrap them with file or request context.
+// Decode errors of the trace's own rules. Malformed encodings fail with
+// codec's errors, and event fields outside a machine with trace.ErrRange.
 var (
 	errTraceMagic      = errors.New("traffic: trace magic missing")
 	errTraceKind       = errors.New("traffic: trace record kind unknown")
-	errTraceTruncated  = errors.New("traffic: trace truncated")
-	errTraceNonMinimal = errors.New("traffic: trace has a non-minimal varint")
-	errTraceCount      = errors.New("traffic: trace count exceeds input or limit")
-	errTraceBool       = errors.New("traffic: trace has a non-boolean has_prev word")
-	errTraceTrailing   = errors.New("traffic: trace has trailing bytes")
-	errTraceString     = errors.New("traffic: trace string length out of range")
-	errTraceRange      = errors.New("traffic: trace event field out of range")
 	errTraceConfig     = errors.New("traffic: trace session config out of range")
 	errTraceSessionSeq = errors.New("traffic: trace session records out of sequence")
 	errTraceSessionRef = errors.New("traffic: trace request names an undeclared session")
@@ -119,41 +111,20 @@ type TraceRecord struct {
 //
 //predlint:hotpath
 func appendTraceString(dst []byte, s string) []byte {
-	dst = eval.AppendUvarint(dst, uint64(len(s)))
+	dst = codec.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// appendTraceEvent encodes one event's field group — the COHWIRE1 event
-// layout, so a recorded batch costs the same per-event bytes as the wire
-// frame it arrived in.
-//
-//predlint:hotpath
-func appendTraceEvent(dst []byte, ev *trace.Event) []byte {
-	dst = eval.AppendUvarint(dst, uint64(ev.PID))
-	dst = eval.AppendUvarint(dst, ev.PC)
-	dst = eval.AppendUvarint(dst, uint64(ev.Dir))
-	dst = eval.AppendUvarint(dst, ev.Addr)
-	dst = eval.AppendUvarint(dst, uint64(ev.InvReaders))
-	if ev.HasPrev {
-		dst = eval.AppendUvarint(dst, 1)
-		dst = eval.AppendUvarint(dst, uint64(ev.PrevPID))
-		dst = eval.AppendUvarint(dst, ev.PrevPC)
-	} else {
-		dst = eval.AppendUvarint(dst, 0)
-	}
-	return eval.AppendUvarint(dst, uint64(ev.FutureReaders))
 }
 
 // appendSessionRecord encodes a kind-1 record.
 //
 //predlint:hotpath
 func appendSessionRecord(dst []byte, seq uint64, scheme string, nodes, lineBytes, shards int) []byte {
-	dst = eval.AppendUvarint(dst, TraceKindSession)
-	dst = eval.AppendUvarint(dst, seq)
+	dst = codec.AppendUvarint(dst, TraceKindSession)
+	dst = codec.AppendUvarint(dst, seq)
 	dst = appendTraceString(dst, scheme)
-	dst = eval.AppendUvarint(dst, uint64(nodes))
-	dst = eval.AppendUvarint(dst, uint64(lineBytes))
-	return eval.AppendUvarint(dst, uint64(shards))
+	dst = codec.AppendUvarint(dst, uint64(nodes))
+	dst = codec.AppendUvarint(dst, uint64(lineBytes))
+	return codec.AppendUvarint(dst, uint64(shards))
 }
 
 // appendRequestRecord encodes a kind-2 record. It is the recorder's
@@ -163,15 +134,11 @@ func appendSessionRecord(dst []byte, seq uint64, scheme string, nodes, lineBytes
 //
 //predlint:hotpath
 func appendRequestRecord(dst []byte, sess, arrivalNS uint64, id string, evs []trace.Event) []byte {
-	dst = eval.AppendUvarint(dst, TraceKindRequest)
-	dst = eval.AppendUvarint(dst, sess)
-	dst = eval.AppendUvarint(dst, arrivalNS)
+	dst = codec.AppendUvarint(dst, TraceKindRequest)
+	dst = codec.AppendUvarint(dst, sess)
+	dst = codec.AppendUvarint(dst, arrivalNS)
 	dst = appendTraceString(dst, id)
-	dst = eval.AppendUvarint(dst, uint64(len(evs)))
-	for i := range evs {
-		dst = appendTraceEvent(dst, &evs[i])
-	}
-	return dst
+	return trace.AppendBlock(dst, evs)
 }
 
 // AppendTraceRecord appends the canonical encoding of one record to dst
@@ -190,96 +157,11 @@ func AppendTraceRecord(dst []byte, rec *TraceRecord) []byte {
 // records in order.
 func EncodeTraceFile(recs []TraceRecord) []byte {
 	dst := append([]byte(nil), traceMagic...)
-	dst = eval.AppendUvarint(dst, uint64(len(recs)))
+	dst = codec.AppendUvarint(dst, uint64(len(recs)))
 	for i := range recs {
 		dst = AppendTraceRecord(dst, &recs[i])
 	}
 	return dst
-}
-
-// traceReader consumes canonical uvarints and bounded strings; the first
-// failure sticks in err and every later read returns zero.
-type traceReader struct {
-	b   []byte
-	err error
-}
-
-func (r *traceReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := eval.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errTraceTruncated
-		return 0
-	case !ok:
-		r.err = errTraceNonMinimal
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *traceReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > maxTraceString {
-		r.err = errTraceString
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.err = errTraceTruncated
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// decodeTraceEvent decodes one event field group, validating ranges
-// against an n-node machine.
-func (r *traceReader) event(nodes int) (trace.Event, error) {
-	var ev trace.Event
-	full := uint64(bitmap.Full(nodes))
-	pid := r.uvarint()
-	ev.PC = r.uvarint()
-	dir := r.uvarint()
-	ev.Addr = r.uvarint()
-	inv := r.uvarint()
-	hp := r.uvarint()
-	if r.err != nil {
-		return ev, r.err
-	}
-	if hp > 1 {
-		return ev, errTraceBool
-	}
-	if hp == 1 {
-		ev.HasPrev = true
-		prevPID := r.uvarint()
-		ev.PrevPC = r.uvarint()
-		if r.err != nil {
-			return ev, r.err
-		}
-		if prevPID >= uint64(nodes) {
-			return ev, errTraceRange
-		}
-		ev.PrevPID = int(prevPID)
-	}
-	future := r.uvarint()
-	if r.err != nil {
-		return ev, r.err
-	}
-	if pid >= uint64(nodes) || dir >= uint64(nodes) || inv&^full != 0 || future&^full != 0 {
-		return ev, errTraceRange
-	}
-	ev.PID = int(pid)
-	ev.Dir = int(dir)
-	ev.InvReaders = bitmap.Bitmap(inv)
-	ev.FutureReaders = bitmap.Bitmap(future)
-	return ev, nil
 }
 
 // DecodeTraceRecord decodes one record from the front of data, returning
@@ -289,59 +171,49 @@ func (r *traceReader) event(nodes int) (trace.Event, error) {
 // decoder never panics, and accepts only the canonical form:
 // AppendTraceRecord over the result reproduces data[:n] byte for byte.
 func DecodeTraceRecord(data []byte) (rec TraceRecord, n int, err error) {
-	r := traceReader{b: data}
-	kind := r.uvarint()
-	if r.err != nil {
-		return rec, 0, r.err
-	}
-	switch kind {
-	case TraceKindSession:
+	r := codec.NewReader(data)
+	switch kind := r.Uvarint(); {
+	case r.Err() != nil:
+		return rec, 0, r.Err()
+	case kind == TraceKindSession:
 		rec.Kind = TraceKindSession
 		s := &rec.Session
-		s.Seq = r.uvarint()
-		s.Scheme = r.str()
-		nodes := r.uvarint()
-		lineBytes := r.uvarint()
-		shards := r.uvarint()
-		if r.err != nil {
-			return rec, 0, r.err
+		s.Seq = r.Uvarint()
+		s.Scheme = string(r.Bytes(maxTraceString))
+		m := core.Machine{Nodes: int(r.Uvarint()), LineBytes: int(r.Uvarint())}
+		shards := r.Uvarint()
+		if r.Err() != nil {
+			return rec, 0, r.Err()
 		}
-		if s.Scheme == "" {
-			return rec, 0, errTraceString
+		if err := m.Validate(); err != nil {
+			return rec, 0, fmt.Errorf("%w: %w", errTraceConfig, err)
 		}
-		if nodes == 0 || nodes > bitmap.MaxNodes ||
-			lineBytes == 0 || lineBytes > maxTraceLineBytes || lineBytes&(lineBytes-1) != 0 ||
-			shards == 0 || shards > maxTraceShards {
+		if s.Scheme == "" || shards == 0 || shards > maxTraceShards {
 			return rec, 0, errTraceConfig
 		}
-		s.Nodes = int(nodes)
-		s.LineBytes = int(lineBytes)
-		s.Shards = int(shards)
-	case TraceKindRequest:
+		s.Nodes, s.LineBytes, s.Shards = m.Nodes, m.LineBytes, int(shards)
+		return rec, len(data) - len(r.Rest()), nil
+	case kind == TraceKindRequest:
 		rec.Kind = TraceKindRequest
 		q := &rec.Request
-		q.Session = r.uvarint()
-		q.ArrivalNS = r.uvarint()
-		q.ID = r.str()
-		count := r.uvarint()
-		if r.err != nil {
-			return rec, 0, r.err
+		q.Session = r.Uvarint()
+		q.ArrivalNS = r.Uvarint()
+		q.ID = string(r.Bytes(maxTraceString))
+		if r.Err() != nil {
+			return rec, 0, r.Err()
 		}
-		if count == 0 || count > maxTraceBatch || count > uint64(len(r.b))/minTraceEventBytes {
-			return rec, 0, errTraceCount
+		block := r.Rest()
+		evs, n, err := trace.DecodeBlock(block, bitmap.MaxNodes, maxTraceBatch, nil)
+		if err != nil {
+			return rec, 0, err
 		}
-		q.Events = make([]trace.Event, 0, count)
-		for i := uint64(0); i < count; i++ {
-			ev, err := r.event(bitmap.MaxNodes)
-			if err != nil {
-				return rec, 0, err
-			}
-			q.Events = append(q.Events, ev)
+		if len(evs) == 0 {
+			return rec, 0, codec.ErrCount
 		}
-	default:
-		return rec, 0, errTraceKind
+		q.Events = evs
+		return rec, len(data) - len(block) + n, nil
 	}
-	return rec, len(data) - len(r.b), nil
+	return rec, 0, errTraceKind
 }
 
 // DecodeTraceFile decodes a full COHTRACE1 file, enforcing both the
@@ -354,23 +226,17 @@ func DecodeTraceFile(data []byte) ([]TraceRecord, error) {
 	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
 		return nil, errTraceMagic
 	}
-	rest := data[len(traceMagic):]
-	count, n, ok := eval.Uvarint(rest)
-	switch {
-	case n == 0:
-		return nil, errTraceTruncated
-	case !ok:
-		return nil, errTraceNonMinimal
+	r := codec.NewReader(data[len(traceMagic):])
+	count := r.Count(math.MaxInt, minTraceRecordBytes)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	rest = rest[n:]
-	if count > uint64(len(rest))/minTraceRecordBytes {
-		return nil, errTraceCount
-	}
+	rest := r.Rest()
 
 	recs := make([]TraceRecord, 0, count)
 	var sessions []int // nodes per declared seq
 	var lastArrival uint64
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		rec, used, err := DecodeTraceRecord(rest)
 		if err != nil {
 			return nil, err
@@ -398,14 +264,14 @@ func DecodeTraceFile(data []byte) ([]TraceRecord, error) {
 				if ev.PID >= nodes || ev.Dir >= nodes ||
 					uint64(ev.InvReaders)&^full != 0 || uint64(ev.FutureReaders)&^full != 0 ||
 					(ev.HasPrev && ev.PrevPID >= nodes) {
-					return nil, errTraceRange
+					return nil, trace.ErrRange
 				}
 			}
 		}
 		recs = append(recs, rec)
 	}
 	if len(rest) != 0 {
-		return nil, errTraceTrailing
+		return nil, codec.ErrTrailing
 	}
 	return recs, nil
 }

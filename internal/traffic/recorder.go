@@ -13,7 +13,7 @@ package traffic
 import (
 	"sync"
 
-	"cohpredict/internal/eval"
+	"cohpredict/internal/codec"
 	"cohpredict/internal/flight"
 	"cohpredict/internal/trace"
 )
@@ -131,7 +131,7 @@ func (r *Recorder) Bytes() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	dst := append([]byte(nil), traceMagic...)
-	dst = eval.AppendUvarint(dst, uint64(r.count))
+	dst = codec.AppendUvarint(dst, uint64(r.count))
 	return append(dst, r.buf...)
 }
 

@@ -10,6 +10,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cohpredict/internal/client"
@@ -18,25 +19,12 @@ import (
 	"cohpredict/internal/trace"
 )
 
-// APIEvents converts trace events to their API request form (shared by
-// the open-loop runner, the replayer, and predload).
+// APIEvents returns a copy of evs in the API's event form, which is
+// trace.Event itself: callers that post a trace's events pass them
+// directly, and this copy is for a caller that wants its posting slices
+// apart from the trace.
 func APIEvents(evs []trace.Event) []serve.EventRequest {
-	out := make([]serve.EventRequest, len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		out[i] = serve.EventRequest{
-			PID:           ev.PID,
-			PC:            ev.PC,
-			Dir:           ev.Dir,
-			Addr:          ev.Addr,
-			InvReaders:    uint64(ev.InvReaders),
-			HasPrev:       ev.HasPrev,
-			PrevPID:       ev.PrevPID,
-			PrevPC:        ev.PrevPC,
-			FutureReaders: uint64(ev.FutureReaders),
-		}
-	}
-	return out
+	return slices.Clone(evs)
 }
 
 // ReplayOptions configures a replay run.
@@ -113,7 +101,7 @@ func Replay(recs []TraceRecord, opts ReplayOptions) (*ReplayResult, error) {
 				}
 			}
 			sess := &res.Sessions[req.Session]
-			preds, err := c.PostEventsKeyedID(sess.ID, req.ID, req.ID, APIEvents(req.Events))
+			preds, err := c.PostEventsKeyedID(sess.ID, req.ID, req.ID, req.Events)
 			if err != nil {
 				return nil, fmt.Errorf("traffic: replaying request %q: %w", req.ID, err)
 			}

@@ -81,7 +81,7 @@ func chaosRun(t *testing.T, evs []trace.Event, seed int64) (data []byte, preds [
 			hi = len(evs)
 		}
 		for s := 0; s < 2; s++ {
-			p, err := cl.PostEvents(ids[s], APIEvents(evs[lo:hi]))
+			p, err := cl.PostEvents(ids[s], evs[lo:hi])
 			if err != nil {
 				t.Fatalf("posting batch at %d to session %d: %v", lo, s, err)
 			}
@@ -232,7 +232,7 @@ func TestRecordedServerTraceIsReplayable(t *testing.T) {
 		if hi > len(evs) {
 			hi = len(evs)
 		}
-		if _, err := cl.PostEvents(resp.ID, APIEvents(evs[lo:hi])); err != nil {
+		if _, err := cl.PostEvents(resp.ID, evs[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}

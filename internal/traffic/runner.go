@@ -121,7 +121,7 @@ func Run(plan *Plan, opts RunOptions) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			t0 := flight.Nanos()
-			_, err := c.PostEvents(ids[req.Session], APIEvents(req.Events))
+			_, err := c.PostEvents(ids[req.Session], req.Events)
 			lat := flight.Nanos() - t0
 			res := reqResult{ok: err == nil, latencyNS: lat, events: len(req.Events)}
 			var ae *client.APIError

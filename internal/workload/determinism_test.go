@@ -10,18 +10,18 @@ import (
 )
 
 // fingerprints pins every kernel's output at test scale, seed 42: FNV-1a
-// over the COHPRED1 trace bytes followed by the machine.Stats printed with
+// over the COHPRED2 trace bytes followed by the machine.Stats printed with
 // %+v. A reordered event, or a changed counter that leaves the predictor
 // tables alone, changes the fingerprint even though TestTestScaleGolden
 // (cmd/predsim) still passes.
 var fingerprints = map[string]uint64{
-	"barnes":   0x0ab09744f15244e2,
-	"em3d":     0x82637b643cef72fc,
-	"gauss":    0x30f73d58dde39ade,
-	"mp3d":     0x27a96a551aef7639,
-	"ocean":    0xb0048ddff1df090a,
-	"unstruct": 0x8537be3ce07a0efc,
-	"water":    0xcb16319940ed889d,
+	"barnes":   0x4aa3b3a636dc3fcd,
+	"em3d":     0x8f1aea7084218d73,
+	"gauss":    0x8321908ca82a7af1,
+	"mp3d":     0xd0a22c4d98c1fc50,
+	"ocean":    0x08b39f831f0c10a9,
+	"unstruct": 0x7863e613d4dffa51,
+	"water":    0x50ef4e15a5acf766,
 }
 
 // TestSameSeedIdenticalTraces is the seed-audit regression test: every
