@@ -137,15 +137,15 @@ func AppendBlock(dst []byte, evs []Event) []byte {
 	return dst
 }
 
-// DecodeBlock decodes the event block at the front of data for an n-node
-// machine (nodes in [1, bitmap.MaxNodes]) and of at most limit events. It
-// appends the events to dst (pass a pooled slice at length 0 to decode
-// without allocating once its capacity has warmed up) and returns the
-// extended slice with the number of bytes the block took; on error it
-// returns dst at its original length. It validates every node id and
-// reader bitmap against the machine. It never panics, and accepts only
-// the canonical form:
-// PutBlock over the events reproduces data[:n] byte for byte.
+// DecodeBlock decodes the event block at the front of data, of at most
+// limit events, for an n-node machine; the caller checks that nodes is in
+// [1, bitmap.MaxNodes]. It appends the events to dst (pass a pooled slice
+// at length 0 to decode without allocating once its capacity has warmed
+// up) and returns the extended slice with the number of bytes the block
+// took; on error it returns dst at its original length. It validates
+// every node id and reader bitmap against the machine, never panics on
+// any data, and accepts only the canonical form: PutBlock over the events
+// reproduces data[:n] byte for byte.
 //
 // The decoder is one pass: the count is bounded against the input, dst
 // grows once to it, and each field is read at a local index through
