@@ -337,29 +337,11 @@ func (c *Client) attempt(method, url string, body []byte, contentType, accept, i
 }
 
 // readBody reads a response body into one buffer sized from its
-// Content-Length, a byte over so that the read which meets EOF needs no
-// second buffer. The size is capped at the largest legal COHWIRE1 reply:
-// a header claiming more is not trusted, and the buffer then grows only
-// as the bytes arrive.
+// Content-Length. The size is trusted up to the largest legal COHWIRE1
+// reply; a header claiming more gets a buffer that grows only as the
+// bytes arrive.
 func readBody(resp *http.Response) ([]byte, error) {
-	size := int64(512)
-	if n := resp.ContentLength; n >= 0 {
-		size = min(n+1, int64(serve.MaxWireReplyBytes))
-	}
-	b := make([]byte, 0, size)
-	for {
-		n, err := resp.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
+	return serve.ReadBody(nil, resp.Body, resp.ContentLength, int64(serve.MaxWireReplyBytes))
 }
 
 func (c *Client) doJSON(method, path string, reqBody, out interface{}, idemKey, reqID string, retry func(error) bool) error {

@@ -61,8 +61,9 @@ const (
 	DefaultProbeTimeout = time.Second
 	DefaultMaxBodyBytes = 8 << 20
 	// maxSnapshotBytes bounds snapshot transfers (migration, shipping,
-	// and the proxied snapshot routes) independently of event bodies.
-	maxSnapshotBytes = 64 << 20
+	// and the proxied snapshot routes) independently of event bodies,
+	// at the bound a backend's snapshot PUT reads with.
+	maxSnapshotBytes = serve.MaxSnapshotBytes
 )
 
 // Error codes machine-classifying router error envelopes (the serve

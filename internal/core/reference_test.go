@@ -58,7 +58,7 @@ func (e *refPAS) Train(feedback bitmap.Bitmap) {
 	}
 }
 
-// words is the entry's exported form (see ExportTable).
+// words is the entry's exported form (see AppendEntries).
 func (e *refPAS) words() []uint64 {
 	w := []uint64{uint64(e.depth), uint64(e.nodes)}
 	for _, h := range e.hist {
@@ -119,17 +119,6 @@ func randomFeedback(rng *rand.Rand, nodes int, density float64) bitmap.Bitmap {
 	return b
 }
 
-// exportedWords returns the exported words of key's entry, or nil.
-func exportedWords(t *testing.T, tab *FlatTable, key uint64) []uint64 {
-	t.Helper()
-	for _, es := range ExportTable(tab) {
-		if es.Key == key {
-			return es.Words
-		}
-	}
-	return nil
-}
-
 var (
 	refNodes     = []int{1, 4, 16, 64}
 	refDensities = []float64{0.06, 0.25, 1}
@@ -158,7 +147,7 @@ func TestPASPlanesMatchReference(t *testing.T) {
 						if got, want := tab.Predict(key), ref[key].Predict(); got != want {
 							t.Fatalf("step %d key %d: Predict %v, reference %v", step, key, got, want)
 						}
-						if got, want := exportedWords(t, tab, key), ref[key].words(); !slices.Equal(got, want) {
+						if got, want := entryWords(t, tab, key), ref[key].words(); !slices.Equal(got, want) {
 							t.Fatalf("step %d key %d: words %v, reference %v", step, key, got, want)
 						}
 					}
@@ -212,7 +201,7 @@ func checkStickyAgainst(t *testing.T, tab *FlatTable, ref map[uint64]*refSticky,
 		if e := ref[key]; e != nil {
 			wantWords = e.words(nodes)
 		}
-		if got := exportedWords(t, tab, key); !slices.Equal(got, wantWords) {
+		if got := entryWords(t, tab, key); !slices.Equal(got, wantWords) {
 			t.Fatalf("step %d key %d: words %v, reference %v", step, key, got, wantWords)
 		}
 	}
@@ -232,7 +221,7 @@ func TestRestoreOnlyStatesMatchReference(t *testing.T) {
 		outside := &refSticky{mask: bitmap.New(1), trained: true}
 		outside.strikes[5] = 1 // node 5 is not in the mask
 		ref := map[uint64]*refSticky{2: untrained, 5: outside}
-		err := ImportTable(tab, []EntryState{
+		err := importOne(tab, []testEntry{
 			{Key: 2, Words: untrained.words(nodes)},
 			{Key: 5, Words: outside.words(nodes)},
 		})
@@ -253,7 +242,7 @@ func TestRestoreOnlyStatesMatchReference(t *testing.T) {
 		for depth := 1; depth <= MaxDepth; depth++ {
 			tab := NewTable(Scheme{Fn: PAs, Index: IndexSpec{AddrBits: 2}, Depth: depth}, m)
 			ref := newRefPAS(nodes, depth)
-			if err := ImportTable(tab, []EntryState{{Key: 3, Words: ref.words()}}); err != nil {
+			if err := importOne(tab, []testEntry{{Key: 3, Words: ref.words()}}); err != nil {
 				t.Fatal(err)
 			}
 			if tab.Entries() != 1 || !tab.Predict(3).IsEmpty() {
@@ -264,7 +253,7 @@ func TestRestoreOnlyStatesMatchReference(t *testing.T) {
 				fb := randomFeedback(rng, nodes, 0.25)
 				ref.Train(fb)
 				tab.Train(3, fb)
-				if got, want := exportedWords(t, tab, 3), ref.words(); !slices.Equal(got, want) {
+				if got, want := entryWords(t, tab, 3), ref.words(); !slices.Equal(got, want) {
 					t.Fatalf("depth %d step %d: words %v, reference %v", depth, step, got, want)
 				}
 				if got, want := tab.Predict(3), ref.Predict(); got != want {

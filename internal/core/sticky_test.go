@@ -21,7 +21,7 @@ func TestStickyEntryAccumulates(t *testing.T) {
 	if got := e.Predict(0); got != bitmap.New(1, 2) {
 		t.Fatalf("mask = %v", got)
 	}
-	if w := exportedWords(t, e, 0); w[1] != 1 {
+	if w := entryWords(t, e, 0); w[1] != 1 {
 		t.Fatal("trained flag not set")
 	}
 }

@@ -8,10 +8,12 @@ import (
 )
 
 // FuzzDecodeSnapshot drives the snapshot wire decoder with arbitrary
-// bytes: it must never panic, and anything it accepts must be canonical
-// (re-encoding reproduces the input bit for bit) and safe to restore —
-// NewEngineFromSnapshot may reject an accepted snapshot (entry words that
-// don't fit the scheme's table shape) but must never panic either.
+// bytes: it must never panic, anything it accepts must re-encode bit for
+// bit and be safe to restore — NewEngineFromSnapshot may reject an
+// accepted snapshot (entry words that don't fit the scheme's table
+// shape, keys out of order) but must never panic either — and anything
+// it restores must be canonical: the restored engine's own snapshot,
+// with the same Extra section, is the input again.
 // Seeded from real snapshots of every table kind plus the handcrafted
 // corpus under testdata/fuzz/FuzzDecodeSnapshot.
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -41,7 +43,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	far := NewEngine(sc, m16).Snapshot()
-	far.Entries = []core.EntryState{{Key: 1 << 40, Words: []uint64{1, 3}}}
+	far.entries = appendEntry(f, far.entries, 1<<40, 1, 3)
 	f.Add(EncodeSnapshot(far))
 	f.Add([]byte{})
 	f.Add([]byte("COHSNAP1"))
@@ -64,6 +66,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			if eng.Confusion() != snap.Conf {
 				t.Fatal("restored tallies differ from the snapshot's")
+			}
+			again := eng.Snapshot()
+			again.Extra = snap.Extra
+			if got := EncodeSnapshot(again); !bytes.Equal(got, data) {
+				t.Fatalf("restored snapshot is not canonical: it snapshots %d bytes back to %d", len(data), len(got))
 			}
 		}
 	})

@@ -16,14 +16,15 @@ import (
 // that point on (the serving layer's kill/restore path).
 //
 // The wire form, COHSNAP1, is an 8-byte magic, then canonical uvarints
-// only (internal/codec), with table entries sorted by key and
-// delta-coded, then the length-prefixed Extra section. Two properties the
-// chaos tests and the fuzz target rely on:
+// only (internal/codec): the header, the entry section that
+// core.AppendEntries writes straight from the tables (entries sorted by
+// key and delta-coded), then the length-prefixed Extra section. Two
+// properties the chaos tests and the fuzz target rely on:
 //
 //   - canonical: Encode is a pure function of the snapshot value, and
-//     Decode rejects any non-minimal or non-sorted form, so
-//     Encode(Decode(b)) == b for every accepted b;
-//   - total: Decode never panics, whatever the input.
+//     Decode with Restore rejects any non-minimal or non-sorted form, so
+//     a restored engine snapshots back to the bytes it came from;
+//   - total: neither Decode nor Restore panics, whatever the input.
 
 // snapMagic identifies the snapshot wire format (and its version).
 const snapMagic = "COHSNAP1"
@@ -33,14 +34,17 @@ const maxSnapExtra = 1 << 24
 
 // Snapshot is the checkpointed state of one Engine, plus an opaque Extra
 // section for the layer above (internal/serve stores session tuning and
-// idempotency state there).
+// idempotency state there). Its table entries stay in their wire form:
+// an engine's snapshot writes them from its table, and a decoded one
+// keeps the section it was read from until Restore imports it.
 type Snapshot struct {
 	Scheme  core.Scheme
 	Machine core.Machine
 	Events  uint64
 	Conf    metrics.Confusion
-	Entries []core.EntryState
 	Extra   []byte
+
+	entries []byte // the entry section; nil means no entries
 }
 
 // Snapshot captures the engine's current state. The engine must be
@@ -51,7 +55,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		Machine: e.machine,
 		Events:  e.events,
 		Conf:    e.conf,
-		Entries: core.ExportTable(e.table),
+		entries: core.AppendEntries(nil, e.table),
 	}
 }
 
@@ -65,7 +69,7 @@ func NewEngineFromSnapshot(s *Snapshot) (*Engine, error) {
 		return nil, fmt.Errorf("eval: snapshot machine: %w", err)
 	}
 	e := NewEngine(s.Scheme, s.Machine)
-	if err := core.ImportTable(e.table, s.Entries); err != nil {
+	if err := s.Restore([]*core.FlatTable{e.table}, nil); err != nil {
 		return nil, err
 	}
 	e.events = s.Events
@@ -73,11 +77,49 @@ func NewEngineFromSnapshot(s *Snapshot) (*Engine, error) {
 	return e, nil
 }
 
+// Restore imports the snapshot's entries into ts, empty tables of its
+// scheme on its machine, each key into ts[route(key)] (route may be nil
+// for one table): one table, or the disjoint partitions a sharded
+// session keeps. It checks every entry as it reads it (core.ImportEntries);
+// on error the tables are partly filled and must be discarded.
+func (s *Snapshot) Restore(ts []*core.FlatTable, route func(key uint64) int) error {
+	if s.entries == nil {
+		return nil
+	}
+	if err := core.ImportEntries(s.entries, ts, route); err != nil {
+		return fmt.Errorf("eval: snapshot %w", err)
+	}
+	return nil
+}
+
 // EncodeSnapshot serializes s into the canonical wire form.
 func EncodeSnapshot(s *Snapshot) []byte {
-	b := make([]byte, 0, 64+16*len(s.Entries)+len(s.Extra))
+	b := make([]byte, 0, 64+len(s.entries)+len(s.Extra))
+	b = appendHeader(b, s)
+	if s.entries == nil {
+		b = codec.AppendUvarint(b, 0)
+	}
+	b = append(b, s.entries...)
+	b = codec.AppendUvarint(b, uint64(len(s.Extra)))
+	return append(b, s.Extra...)
+}
+
+// AppendSnapshot appends to dst the wire form of a snapshot with s's
+// header whose entries are those of ts, written straight from their
+// slots (core.AppendEntries merges disjoint partitions in key order), up
+// to and including the length of an Extra section of extraLen bytes. The
+// caller appends those bytes itself; s.Extra is not read. That lets the
+// serving layer write its section in place instead of building and
+// copying it.
+func AppendSnapshot(dst []byte, s *Snapshot, extraLen int, ts ...*core.FlatTable) []byte {
+	dst = core.AppendEntries(appendHeader(dst, s), ts...)
+	return codec.AppendUvarint(dst, uint64(extraLen))
+}
+
+// appendHeader appends the magic and the header words.
+func appendHeader(b []byte, s *Snapshot) []byte {
 	b = append(b, snapMagic...)
-	for _, v := range []uint64{
+	for _, v := range [...]uint64{
 		uint64(s.Scheme.Fn), uint64(s.Scheme.Depth), uint64(s.Scheme.Update),
 		boolWord(s.Scheme.Index.UsePID), uint64(s.Scheme.Index.PCBits),
 		boolWord(s.Scheme.Index.UseDir), uint64(s.Scheme.Index.AddrBits),
@@ -87,30 +129,14 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	} {
 		b = codec.AppendUvarint(b, v)
 	}
-	b = codec.AppendUvarint(b, uint64(len(s.Entries)))
-	prev := uint64(0)
-	for i := range s.Entries {
-		e := &s.Entries[i]
-		if i == 0 {
-			b = codec.AppendUvarint(b, e.Key)
-		} else {
-			b = codec.AppendUvarint(b, e.Key-prev) // >0 for sorted, deduped keys
-		}
-		prev = e.Key
-		b = codec.AppendUvarint(b, uint64(len(e.Words)))
-		for _, w := range e.Words {
-			b = codec.AppendUvarint(b, w)
-		}
-	}
-	b = codec.AppendUvarint(b, uint64(len(s.Extra)))
-	b = append(b, s.Extra...)
 	return b
 }
 
-// DecodeSnapshot parses the canonical wire form. It validates structure,
-// scheme, machine, and tally consistency; per-entry word validation
-// happens in NewEngineFromSnapshot (via core.ImportTable), which knows
-// the table shape.
+// DecodeSnapshot parses the canonical wire form. It validates the
+// header — scheme, machine, and tally consistency — and the structure of
+// the entry and Extra sections; each entry is checked against the table
+// shape when Restore (or NewEngineFromSnapshot) imports it. The snapshot
+// aliases data, which must not change while it is in use.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("eval: snapshot magic missing")
@@ -150,33 +176,15 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("eval: snapshot tallies do not sum to events*nodes")
 	}
 
-	// Every entry needs at least 2 bytes (key + word count).
-	n := r.Count(math.MaxInt, 2)
-	s.Entries = make([]core.EntryState, 0, n)
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		key := r.Uvarint() // the first key, then deltas
-		if i > 0 && r.Err() == nil {
-			if key == 0 {
-				return nil, fmt.Errorf("eval: snapshot keys are not strictly increasing")
-			}
-			if prev > math.MaxUint64-key {
-				return nil, fmt.Errorf("eval: snapshot key delta overflows")
-			}
-			key += prev
-		}
-		words := make([]uint64, r.Count(math.MaxInt, 1))
-		for j := range words {
-			words[j] = r.Uvarint()
-		}
-		if r.Err() != nil {
-			break
-		}
-		s.Entries = append(s.Entries, core.EntryState{Key: key, Words: words})
-		prev = key
+	rest := r.Rest()
+	n, err := core.EntriesLen(rest)
+	if err != nil {
+		return nil, fmt.Errorf("eval: snapshot %w", err)
 	}
+	s.entries = rest[:n:n]
+	r = codec.NewReader(rest[n:])
 	if extra := r.Bytes(maxSnapExtra); len(extra) > 0 {
-		s.Extra = append([]byte(nil), extra...)
+		s.Extra = extra
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("eval: snapshot: %w", err)

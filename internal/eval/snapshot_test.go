@@ -2,8 +2,10 @@ package eval
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 )
 
@@ -153,7 +155,7 @@ func TestRestoreRejectsKeysOutsideIndex(t *testing.T) {
 	e := NewEngine(mustParse(t, "last(dir+add8)1[direct]"), m16)
 	e.Run(chainTrace(16, 32, 500, 13))
 	snap := e.Snapshot()
-	snap.Entries = append(snap.Entries, core.EntryState{Key: 1 << 40, Words: []uint64{1, 3}})
+	snap.entries = appendEntry(t, snap.entries, 1<<40, 1, 3)
 	dec, err := DecodeSnapshot(EncodeSnapshot(snap))
 	if err != nil {
 		t.Fatalf("decode rejected a well-formed snapshot: %v", err)
@@ -161,6 +163,32 @@ func TestRestoreRejectsKeysOutsideIndex(t *testing.T) {
 	if _, err := NewEngineFromSnapshot(dec); err == nil {
 		t.Fatal("restore accepted a key outside the 12-bit index")
 	}
+}
+
+// appendEntry returns the entry section sec with one more entry, of key
+// (above every key in sec) and words, at its end.
+func appendEntry(t testing.TB, sec []byte, key uint64, words ...uint64) []byte {
+	t.Helper()
+	r := codec.NewReader(sec)
+	n := r.Count(math.MaxInt, 2)
+	last := uint64(0)
+	for i := 0; i < n; i++ {
+		last += r.Uvarint()
+		for c := r.Count(math.MaxInt, 1); c > 0; c-- {
+			r.Uvarint()
+		}
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	out := codec.AppendUvarint(nil, uint64(n+1))
+	out = append(out, sec[codec.UvarintLen(uint64(n)):]...)
+	out = codec.AppendUvarint(out, key-last)
+	out = codec.AppendUvarint(out, uint64(len(words)))
+	for _, w := range words {
+		out = codec.AppendUvarint(out, w)
+	}
+	return out
 }
 
 // TestRestoreRejectsIndexWiderThanKey: a scheme whose index fits a key

@@ -1,6 +1,9 @@
 package serve
 
-import "cohpredict/internal/trace"
+import (
+	"cohpredict/internal/eval"
+	"cohpredict/internal/trace"
+)
 
 // ReencodeSessionExtra decodes a snapshot's session Extra section and
 // re-encodes what was accepted, for FuzzDecodeSessionExtra.
@@ -9,7 +12,27 @@ func ReencodeSessionExtra(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return x.encode(), nil
+	n, size := idemSize(x.order, x.idem)
+	b := appendExtraHead(make([]byte, 0, maxExtraHead+size), x.tuning, x.flush, n)
+	return appendIdem(b, x.order, x.idem), nil
+}
+
+// Snapshot is AppendSnapshot decoded, for tests that inspect a
+// snapshot's header or Extra section or restore it in process.
+func (s *Session) Snapshot() (*eval.Snapshot, error) {
+	data, err := s.AppendSnapshot(nil)
+	if err != nil {
+		return nil, err
+	}
+	return eval.DecodeSnapshot(data)
+}
+
+// SetRestoreHook installs fn as the hook RestoreSnapshot runs while it
+// builds a session outside the server lock, and returns a func that
+// removes it.
+func SetRestoreHook(fn func(id string)) func() {
+	testHookRestoreBuild = fn
+	return func() { testHookRestoreBuild = nil }
 }
 
 // WireBuf is the binary handler's pooled per-request buffer set.

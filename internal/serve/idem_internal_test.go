@@ -53,14 +53,24 @@ func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	s.idemOrder = append(s.idemOrder, "complete", "open", "failed")
 	s.idemMu.Unlock()
 
-	extra, err := decodeSessionExtra(encodeSessionExtra(s))
+	// The section as AppendSnapshot writes it, without the quiesce that
+	// would wait for the open entry.
+	tuning := SessionTuning{Shards: 1}
+	s.idemMu.Lock()
+	n, size := idemSize(s.idemOrder, s.idem)
+	section := appendIdem(appendExtraHead(nil, tuning, 0, n), s.idemOrder, s.idem)
+	s.idemMu.Unlock()
+	if head := appendExtraHead(nil, tuning, 0, n); len(section) != len(head)+size {
+		t.Fatalf("section is %d bytes, its measured length %d", len(section), len(head)+size)
+	}
+	extra, err := decodeSessionExtra(section)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(extra.idem) != 1 || extra.idem[0].key != "complete" {
-		t.Fatalf("snapshot idem entries = %+v, want only the completed one", extra.idem)
+	if len(extra.order) != 1 || extra.order[0] != "complete" {
+		t.Fatalf("snapshot idem entries = %q, want only the completed one", extra.order)
 	}
-	if preds, err := DecodeWireReply(extra.idem[0].frame); err != nil || len(preds) != 2 {
+	if preds, err := DecodeWireReply(extra.idem["complete"].frame); err != nil || len(preds) != 2 {
 		t.Fatalf("preds = %v (%v), want the 2 recorded predictions", preds, err)
 	}
 }
@@ -194,7 +204,7 @@ func TestDecodeSessionExtraCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("control section rejected: %v", err)
 	}
-	if preds, err := DecodeWireReply(x.idem[0].frame); err != nil || len(preds) != 2 || preds[0] != 0x80 || preds[1] != 5 {
+	if preds, err := DecodeWireReply(x.idem["k"].frame); err != nil || len(preds) != 2 || preds[0] != 0x80 || preds[1] != 5 {
 		t.Fatalf("restored frame decodes to %v (%v), want [0x80 5]", preds, err)
 	}
 	for _, bad := range [][]byte{

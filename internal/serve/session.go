@@ -8,7 +8,6 @@ import (
 
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/core"
-	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
 	"cohpredict/internal/flight"
 	"cohpredict/internal/metrics"
@@ -587,104 +586,6 @@ func (s *Session) resume() {
 	s.mu.Lock()
 	s.quiesced = false
 	s.mu.Unlock()
-}
-
-// Snapshot quiesces the session, captures its full state — scheme,
-// machine, merged predictor tables, tallies, tuning, and the idempotency
-// cache — and resumes. The snapshot restores (NewSessionFromSnapshot)
-// into a session whose future predictions and stats are byte-identical to
-// this one's, at any shard count.
-func (s *Session) Snapshot() (*eval.Snapshot, error) {
-	if err := s.quiesce(); err != nil {
-		return nil, err
-	}
-	defer s.resume()
-	if err := s.shardErr(); err != nil {
-		return nil, err
-	}
-
-	snap := &eval.Snapshot{
-		Scheme:  s.cfg.Scheme,
-		Machine: s.cfg.Machine,
-		Events:  s.baseEvents,
-		Conf:    s.baseConf,
-	}
-	for _, sh := range s.shards {
-		snap.Entries = append(snap.Entries, core.ExportTable(sh.table)...)
-		ss := sh.stats()
-		snap.Conf.Merge(ss.conf)
-		snap.Events += ss.events
-	}
-	// Shards own disjoint key partitions; a single sort restores the
-	// canonical order the codec requires.
-	core.SortEntries(snap.Entries)
-	snap.Extra = encodeSessionExtra(s)
-	s.om.snapshots.Inc()
-	return snap, nil
-}
-
-// NewSessionFromSnapshot rebuilds a session from a snapshot. Tuning
-// (shards, batch size, max pending) comes from the snapshot's
-// Extra section; tune, when non-nil, overrides it — restoring onto a
-// different shard count is legal and preserves byte-identical behaviour
-// (the router partitions the restored keys exactly as it would have
-// partitioned the events that created them).
-func NewSessionFromSnapshot(id string, snap *eval.Snapshot, tune *SessionTuning, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
-	extra, err := decodeSessionExtra(snap.Extra)
-	if err != nil {
-		return nil, err
-	}
-	if tune == nil {
-		tune = &extra.tuning
-	}
-	cfg := SessionConfig{
-		Scheme:     snap.Scheme,
-		Machine:    snap.Machine,
-		Shards:     tune.Shards,
-		BatchSize:  tune.BatchSize,
-		MaxPending: tune.MaxPending,
-		Fault:      flt,
-		Record:     rec,
-	}
-	s, err := NewSession(id, cfg, om)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.importSnapshot(snap, extra); err != nil {
-		_ = s.Close() // the import error is the one to report
-		return nil, err
-	}
-	s.om.restores.Inc()
-	return s, nil
-}
-
-// importSnapshot loads entries, tallies, and the idempotency cache into a
-// freshly-built (never-posted-to) session. Safe without quiescing: the
-// shard workers have processed nothing, and the reqs edge of the first
-// Post orders these writes before any worker read.
-func (s *Session) importSnapshot(snap *eval.Snapshot, extra *sessionExtra) error {
-	perShard := make([][]core.EntryState, len(s.shards))
-	for _, es := range snap.Entries {
-		sh := s.router.Route(es.Key)
-		perShard[sh] = append(perShard[sh], es)
-	}
-	for i, sh := range s.shards {
-		if err := core.ImportTable(sh.table, perShard[i]); err != nil {
-			return err
-		}
-		sh.pubEntries.Store(uint64(sh.table.Entries()))
-	}
-	s.baseConf = snap.Conf
-	s.baseEvents = snap.Events
-	for _, it := range extra.idem {
-		e := &idemEntry{done: make(chan struct{}), frame: it.frame}
-		close(e.done)
-		//predlint:ignore guardedby pre-publication: the session is freshly built and unshared, see the function comment
-		s.idem[it.key] = e
-		//predlint:ignore guardedby pre-publication: same argument as the line above
-		s.idemOrder = append(s.idemOrder, it.key)
-	}
-	return nil
 }
 
 // Close drains the session: new posts are refused with ErrDraining,

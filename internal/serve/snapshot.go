@@ -3,23 +3,41 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"cohpredict/internal/codec"
+	"cohpredict/internal/core"
+	"cohpredict/internal/eval"
+	"cohpredict/internal/fault"
 )
 
-// Session snapshots ride on the eval snapshot codec: the engine state
-// (scheme, machine, tables, tallies) uses eval.EncodeSnapshot's canonical
-// wire form, and the serving-layer state — tuning and the idempotency
-// cache — is packed into its opaque Extra section by the helpers here,
-// written with codec's uvarints and read with its Reader. A cache entry is its key followed by
-// its reply frame's tail (the count, then the predictions), copied
-// verbatim both ways: the layout version 1 has always had. The tuning
-// still carries the retired flush deadline's slot, in nanoseconds: live
-// sessions write 0, and a decoded section keeps what it read so it
-// re-encodes byte for byte.
+// Session snapshots are COHSNAP1 (internal/eval): the engine state —
+// scheme, machine, the shard tables' entries merged in key order,
+// tallies — then the serving-layer state, tuning and the idempotency
+// cache, packed into the opaque Extra section by the helpers here. A GET
+// writes the whole snapshot into one buffer: eval.AppendSnapshot writes
+// each entry straight from its shard table, and the section follows in
+// place. A PUT reads the section's cached replies into one buffer and
+// their keys into one string, then imports the entries straight into
+// the new session's shard tables.
+//
+// A cache entry is its key followed by its reply frame's tail (the
+// count, then the predictions), copied verbatim both ways: the layout
+// version 1 has always had. The tuning still carries the retired flush
+// deadline's slot, in nanoseconds: live sessions write 0, and a decoded
+// section keeps what it read so it re-encodes byte for byte.
 
 // sessionExtraVersion versions the Extra section layout.
 const sessionExtraVersion = 1
+
+// MaxSnapshotBytes bounds a snapshot body: the one limit a backend's
+// snapshot PUT reads with and the router ships and migrates with, so a
+// snapshot one node writes is one any node restores.
+const MaxSnapshotBytes = 64 << 20
+
+// maxExtraHead bounds the section's head: its version, the four tuning
+// words and the cache count, six uvarints.
+const maxExtraHead = 6 * 10
 
 // SessionTuning is the restorable performance configuration of a session
 // (everything in SessionConfig that does not affect results).
@@ -29,52 +47,107 @@ type SessionTuning struct {
 	MaxPending int
 }
 
-type idemItem struct {
-	key   string
-	frame []byte
-}
-
+// sessionExtra is a decoded Extra section: the tuning, the retired flush
+// slot, and the idempotency cache, ready to install in a session.
 type sessionExtra struct {
 	tuning SessionTuning
 	flush  uint64 // the retired flush slot, ignored on restore
-	idem   []idemItem
+	idem   map[string]*idemEntry
+	order  []string
 }
 
-// encodeSessionExtra packs the session's tuning and completed idempotency
-// entries. Quiescence guarantees every successfully admitted batch's entry
-// is complete before this runs, but a PostKeyed racing the snapshot can
-// register its entry and only then fail admission with ErrSnapshotting —
-// such an entry is still open (or carries an error) while we hold idemMu
-// and is skipped: baking it into the snapshot would make the restored
-// session answer a replay of the key with zero predictions and the batch
-// would silently never train.
-func encodeSessionExtra(s *Session) []byte {
-	x := sessionExtra{tuning: SessionTuning{
-		Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, MaxPending: s.cfg.MaxPending,
-	}}
+// closedDone is the done channel of every restored cache entry, which is
+// complete from the start.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// AppendSnapshot quiesces the session, appends its COHSNAP1 snapshot to
+// dst — scheme, machine, merged predictor tables, tallies, tuning, and
+// the idempotency cache — and resumes. The snapshot restores
+// (NewSessionFromSnapshot) into a session whose future predictions and
+// stats are byte-identical to this one's, at any shard count.
+func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
+	if err := s.quiesce(); err != nil {
+		return nil, err
+	}
+	defer s.resume()
+	if err := s.shardErr(); err != nil {
+		return nil, err
+	}
+	hdr := eval.Snapshot{
+		Scheme:  s.cfg.Scheme,
+		Machine: s.cfg.Machine,
+		Events:  s.baseEvents,
+		Conf:    s.baseConf,
+	}
+	tables := make([]*core.FlatTable, len(s.shards))
+	for i, sh := range s.shards {
+		tables[i] = sh.table
+		ss := sh.stats()
+		hdr.Conf.Merge(ss.conf)
+		hdr.Events += ss.events
+	}
+	tuning := SessionTuning{Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, MaxPending: s.cfg.MaxPending}
+
+	// The section's length precedes it, so the cache is measured first;
+	// idemMu is held until it is written, so both walks see one cache.
 	s.idemMu.Lock()
-	for _, k := range s.idemOrder {
-		if e := s.idem[k]; e.completed() && e.err == nil {
-			x.idem = append(x.idem, idemItem{key: k, frame: e.frame})
+	defer s.idemMu.Unlock()
+	n, size := idemSize(s.idemOrder, s.idem)
+	var head [maxExtraHead]byte
+	h := appendExtraHead(head[:0], tuning, 0, n)
+	dst = eval.AppendSnapshot(dst, &hdr, len(h)+size, tables...)
+	dst = appendIdem(append(dst, h...), s.idemOrder, s.idem)
+	s.om.snapshots.Inc()
+	return dst, nil
+}
+
+// appendExtraHead appends the section's head: version, tuning, the flush
+// slot, and the count of cache entries that follow.
+func appendExtraHead(b []byte, t SessionTuning, flush uint64, n int) []byte {
+	b = codec.AppendUvarint(b, sessionExtraVersion)
+	b = codec.AppendUvarint(b, uint64(t.Shards))
+	b = codec.AppendUvarint(b, uint64(t.BatchSize))
+	b = codec.AppendUvarint(b, flush)
+	b = codec.AppendUvarint(b, uint64(t.MaxPending))
+	return codec.AppendUvarint(b, uint64(n))
+}
+
+// snapshotted reports whether a cache entry belongs in a snapshot: only a
+// completed, successful one. Quiescence guarantees every successfully
+// admitted batch's entry is complete, but a PostKeyed racing the snapshot
+// can register its entry and only then fail admission with
+// ErrSnapshotting — such an entry is still open, or carries an error, and
+// is skipped: baking it into the snapshot would make the restored session
+// answer a replay of the key with zero predictions and the batch would
+// silently never train. An open entry can only go on to fail, so two
+// walks of one cache agree on which entries they take.
+func snapshotted(e *idemEntry) bool { return e.completed() && e.err == nil }
+
+// idemSize returns how many of the cache's entries a snapshot takes, and
+// the bytes they fill in the section.
+func idemSize(order []string, idem map[string]*idemEntry) (n, size int) {
+	for _, k := range order {
+		if e := idem[k]; snapshotted(e) {
+			n++
+			size += codec.UvarintLen(uint64(len(k))) + len(k) + len(e.frame) - wireHeaderLen
 		}
 	}
-	s.idemMu.Unlock()
-	return x.encode()
+	return n, size
 }
 
-// encode writes the section. A completed entry's frame is never written
-// again, so it is safe to read without idemMu.
-func (x *sessionExtra) encode() []byte {
-	b := codec.AppendUvarint(nil, sessionExtraVersion)
-	b = codec.AppendUvarint(b, uint64(x.tuning.Shards))
-	b = codec.AppendUvarint(b, uint64(x.tuning.BatchSize))
-	b = codec.AppendUvarint(b, x.flush)
-	b = codec.AppendUvarint(b, uint64(x.tuning.MaxPending))
-	b = codec.AppendUvarint(b, uint64(len(x.idem)))
-	for _, it := range x.idem {
-		b = codec.AppendUvarint(b, uint64(len(it.key)))
-		b = append(b, it.key...)
-		b = append(b, it.frame[wireHeaderLen:]...)
+// appendIdem appends the entries idemSize counts, in cache order. A
+// completed entry's frame is never written again, so it is safe to read.
+func appendIdem(b []byte, order []string, idem map[string]*idemEntry) []byte {
+	for _, k := range order {
+		if e := idem[k]; snapshotted(e) {
+			b = codec.AppendUvarint(b, uint64(len(k)))
+			b = append(b, k...)
+			b = append(b, e.frame[wireHeaderLen:]...)
+		}
 	}
 	return b
 }
@@ -85,6 +158,12 @@ func (x *sessionExtra) encode() []byte {
 // decoder in the repo it accepts only canonical uvarints, so an accepted
 // section re-encodes byte for byte, and no count makes it allocate more
 // than the bytes behind the count can fill.
+//
+// A first pass checks every entry and measures the keys and frames; the
+// second copies the keys into one string and the frames into one buffer
+// and builds the cache over them, so a restore allocates the same few
+// times however many replies it carries. Those backing stores live until
+// the last restored entry is evicted.
 func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	x := &sessionExtra{}
 	if len(data) == 0 {
@@ -100,46 +179,100 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	x.tuning.MaxPending = int(r.Uvarint())
 	// An entry takes at least three bytes: key length, key, count.
 	n := r.Count(maxIdemKeys, 3)
-	seen := make(map[string]bool, n)
-	x.idem = make([]idemItem, 0, n)
+	items := r.Rest()
+	var tails [maxIdemKeys]int // each entry's frame tail length
+	keyBytes, frameBytes := 0, 0
 	for i := 0; i < n; i++ {
 		key := r.Bytes(maxIdemKeyLen)
-		frame := replyFrame(&r)
+		tail := r.Rest()
+		r.SkipUvarints(r.Count(MaxBatchEvents, 1)) // the count, then the predictions
 		if r.Err() != nil {
 			break
 		}
 		if len(key) == 0 {
 			return nil, errors.New("serve: snapshot idempotency key is empty")
 		}
-		if seen[string(key)] {
-			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", key)
-		}
-		seen[string(key)] = true
-		x.idem = append(x.idem, idemItem{key: string(key), frame: frame})
+		tails[i] = len(tail) - len(r.Rest())
+		keyBytes += len(key)
+		frameBytes += wireHeaderLen + tails[i]
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("serve: snapshot extra section: %w", err)
 	}
+
+	var keys strings.Builder
+	keys.Grow(keyBytes) // never outgrown, so earlier keys stay valid
+	frames := make([]byte, 0, frameBytes)
+	entries := make([]idemEntry, n)
+	x.idem = make(map[string]*idemEntry, n)
+	x.order = make([]string, n)
+	for i := range entries {
+		kl, k, _ := codec.Uvarint(items) // checked above
+		start := keys.Len()
+		keys.Write(items[k : k+int(kl)])
+		key := keys.String()[start:]
+		if x.idem[key] != nil {
+			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", key)
+		}
+		items = items[k+int(kl):]
+		f := len(frames)
+		frames = append(frames, wireMagic...)
+		frames = append(frames, wireKindReply)
+		frames = append(frames, items[:tails[i]]...)
+		items = items[tails[i]:]
+		entries[i] = idemEntry{done: closedDone, frame: frames[f:len(frames):len(frames)]}
+		x.idem[key] = &entries[i]
+		x.order[i] = key
+	}
 	return x, nil
 }
 
-// replyFrame reads one entry's frame tail — a count, then that many
-// predictions — and returns the reply frame it belongs to, built with one
-// allocation once every prediction has been read, so a count the section
-// does not back allocates nothing.
-func replyFrame(r *codec.Reader) []byte {
-	tail := r.Rest()
-	np := r.Count(MaxBatchEvents, 1)
-	for j := 0; j < np; j++ {
-		r.Uvarint()
+// NewSessionFromSnapshot rebuilds a session from a decoded snapshot.
+// Tuning (shards, batch size, max pending) comes from the snapshot's
+// Extra section; shards, when non-nil, overrides its shard count —
+// restoring onto a different shard count is legal and preserves
+// byte-identical behaviour (the router partitions the restored keys
+// exactly as it would have partitioned the events that created them).
+// The entries are imported straight into the new shard tables.
+func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
+	extra, err := decodeSessionExtra(snap.Extra)
+	if err != nil {
+		return nil, err
 	}
-	if r.Err() != nil {
-		return nil
+	cfg := SessionConfig{
+		Scheme:     snap.Scheme,
+		Machine:    snap.Machine,
+		Shards:     extra.tuning.Shards,
+		BatchSize:  extra.tuning.BatchSize,
+		MaxPending: extra.tuning.MaxPending,
+		Fault:      flt,
+		Record:     rec,
 	}
-	tail = tail[:len(tail)-len(r.Rest())]
-	frame := make([]byte, wireHeaderLen+len(tail))
-	copy(frame, wireMagic)
-	frame[len(wireMagic)] = wireKindReply
-	copy(frame[wireHeaderLen:], tail)
-	return frame
+	if shards != nil {
+		cfg.Shards = *shards
+	}
+	s, err := NewSession(id, cfg, om)
+	if err != nil {
+		return nil, err
+	}
+	// The shard workers have processed nothing, and the reqs edge of the
+	// first Post orders these writes before any worker read, so the
+	// session is filled without quiescing.
+	tables := make([]*core.FlatTable, len(s.shards))
+	for i, sh := range s.shards {
+		tables[i] = sh.table
+	}
+	if err := snap.Restore(tables, s.router.Route); err != nil {
+		_ = s.Close() // the restore error is the one to report
+		return nil, err
+	}
+	for _, sh := range s.shards {
+		sh.pubEntries.Store(uint64(sh.table.Entries()))
+	}
+	s.baseConf = snap.Conf
+	s.baseEvents = snap.Events
+	if extra.idem != nil {
+		s.idem, s.idemOrder = extra.idem, extra.order
+	}
+	return s, nil
 }

@@ -11,7 +11,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -54,27 +53,6 @@ func wantsWire(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeWire)
 }
 
-// readBodyInto reads the whole request body into buf (recycled across
-// requests; grown only until the working batch size has been seen),
-// honouring the server's body limit.
-func (s *Server) readBodyInto(r *http.Request, buf []byte) ([]byte, error) {
-	rd := http.MaxBytesReader(nil, r.Body, s.opts.MaxBodyBytes)
-	b := buf[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := rd.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		switch {
-		case err == io.EOF:
-			return b, nil
-		case err != nil:
-			return b, httpErr(http.StatusRequestEntityTooLarge, fmt.Errorf("serve: reading body: %w", err))
-		}
-	}
-}
-
 // writeWire sends a COHWIRE1 frame as the response body.
 func writeWire(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", ContentTypeWire)
@@ -91,7 +69,7 @@ func (s *Server) handleEventsWire(w http.ResponseWriter, r *http.Request, sess *
 	buf := wireBufs.Get().(*wireBuf)
 	defer wireBufs.Put(buf)
 
-	body, err := s.readBodyInto(r, buf.body)
+	body, err := readBody(buf.body, r, s.opts.MaxBodyBytes)
 	buf.body = body[:0]
 	if err != nil {
 		return err
