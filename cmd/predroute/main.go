@@ -1,10 +1,10 @@
 // Command predroute fronts a predserve cluster (internal/cluster): it
 // consistent-hashes sessions across N backends, proxies the predserve
-// API with session ids rewritten into one cluster-wide namespace,
-// health-checks every node, migrates live sessions between backends
-// without dropping or double-training a batch, and ships periodic
-// snapshots to a warm standby so a killed backend loses at most one
-// ship interval.
+// API under one cluster-wide session namespace (each backend holds a
+// session under its cluster id), health-checks every node, migrates
+// live sessions between backends without dropping or double-training a
+// batch, and ships periodic snapshots to a warm standby so a killed
+// backend loses at most one ship interval.
 //
 //	predroute -backends http://10.0.0.1:8091,http://10.0.0.2:8091
 //	predroute -backends ... -standby http://10.0.0.9:8091 -ship-interval 5s

@@ -17,7 +17,6 @@
 //	predsim -all -workers 4      # bound the worker pool (0 = all CPUs)
 //	predsim -quick -benchjson b.json   # machine-readable sweep perf records
 //	predsim -quick -obs obs.json       # metrics snapshot + span tree (stderr)
-//	predsim -all -prom metrics.txt     # Prometheus text-format metrics
 //	predsim -all -cpuprofile cpu.pprof -memprofile mem.pprof
 //	predsim -version                   # build identity (module, VCS rev)
 //
@@ -74,7 +73,6 @@ func run() error {
 		benchOut = flag.String("benchjson", "", "write machine-readable sweep perf records (wall time, events/sec) to this JSON file")
 		verbose  = flag.Bool("v", false, "print progress and per-evaluation debug lines")
 		obsOut   = flag.String("obs", "", "write the observability snapshot (manifest, counters, gauges, histograms, spans) to this JSON file and print the span tree to stderr")
-		promOut  = flag.String("prom", "", "write metrics in Prometheus text format to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		version  = flag.Bool("version", false, "print version and build identity, then exit")
@@ -262,7 +260,7 @@ func run() error {
 		}
 		did = true
 	}
-	if *benchOut != "" || *obsOut != "" || *promOut != "" {
+	if *benchOut != "" || *obsOut != "" {
 		// With no other artifact requested, run the Tables 8/9 sweep
 		// workload so these flags work as self-contained perf probes.
 		if len(suite.SweepRecords()) == 0 {
@@ -297,21 +295,6 @@ func run() error {
 		}
 		fmt.Println("wrote", *obsOut)
 		fmt.Fprint(os.Stderr, suite.Obs().SpanTree())
-		did = true
-	}
-	if *promOut != "" {
-		f, err := os.Create(*promOut)
-		if err != nil {
-			return err
-		}
-		err = suite.Obs().WritePrometheus(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Println("wrote", *promOut)
 		did = true
 	}
 	if *memProf != "" {

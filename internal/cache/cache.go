@@ -128,9 +128,6 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
-
 //predlint:hotpath
 func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 	block := addr >> c.lineBits

@@ -11,14 +11,15 @@
 //
 //   - Placement. New sessions land on a backend chosen by a consistent
 //     hash ring over the configured backend URLs (64 virtual points per
-//     node), skipping unhealthy nodes. The router owns the cluster
-//     session namespace ("cN"); each backend keeps its own local ids,
-//     and the routing table maps one to the other.
+//     node), skipping unhealthy nodes. The router owns the session
+//     namespace ("cN") and creates each session on its backend under
+//     that id, so every node that holds a session holds it under the
+//     name the routing table knows it by.
 //
 //   - Live migration. Migrate drains a session (new requests park at
 //     the router, in-flight forwards finish), GETs its COHSNAP1
 //     snapshot from the old node, PUTs it to the new one under the
-//     cluster id, atomically flips the routing table, and replays the
+//     same id, atomically flips the routing table, and replays the
 //     parked requests against the new home. Idempotency keys ride
 //     along, so a batch that trained on the old node and parked its
 //     retry during the flip replays from the migrated idempotency
@@ -100,7 +101,9 @@ type Options struct {
 	// Standby is the warm-standby predserve base URL; "" disables
 	// snapshot shipping and failover.
 	Standby string
-	// Registry receives the router's cluster_* metrics; nil disables.
+	// Registry receives the router's cluster_* metrics, which also
+	// feed the /v1/cluster tallies; nil gives the router a registry of
+	// its own.
 	Registry *obs.Registry
 	// Log receives router progress lines; nil is silent.
 	Log *obs.Logger
@@ -131,16 +134,15 @@ type node struct {
 	healthy atomic.Bool // health mark: probes and proxy failures flip it
 }
 
-// entry is one cluster session's routing-table row. home/localID are
-// the session's current placement; migrating marks a drain→flip window
+// entry is one cluster session's routing-table row. home is the
+// session's current placement; migrating marks a drain→flip window
 // during which new requests park on flip.
 type entry struct {
 	cid  string                      // cluster id, immutable
-	info serve.CreateSessionResponse // creation echo (ID rewritten to cid), immutable
+	info serve.CreateSessionResponse // creation echo, immutable
 
 	mu        sync.Mutex
 	home      *node         //predlint:guardedby mu
-	localID   string        //predlint:guardedby mu
 	migrating bool          //predlint:guardedby mu
 	parked    int           //predlint:guardedby mu
 	flip      chan struct{} //predlint:guardedby mu
@@ -172,18 +174,14 @@ type Router struct {
 	// migrateMu serializes migrations and replication ships: both move
 	// snapshots between nodes and must not interleave on one session.
 	migrateMu sync.Mutex
-	// shipMu covers the standby's delete→restore replacement window.
-	// failoverFrom takes it before consulting shipped marks, so a
-	// failover never routes to a standby copy mid-replacement. Lock
-	// order: migrateMu → shipMu (never the reverse).
+	// shipMu covers each ship, from its snapshot GET to the standby's
+	// delete→restore replacement. failoverFrom takes it before
+	// consulting shipped marks, so a failover never routes to a standby
+	// copy mid-replacement, and handleDelete takes it to unlink a
+	// session and drop its standby copy, so a ship never restores a
+	// deleted session. Lock order: migrateMu → shipMu (never the
+	// reverse).
 	shipMu sync.Mutex
-
-	migrations atomic.Int64
-	migAborts  atomic.Int64
-	failovers  atomic.Int64
-	lostTotal  atomic.Int64
-	ships      atomic.Int64
-	parkTotal  atomic.Int64
 
 	loopStop chan struct{}
 	loopWG   sync.WaitGroup
@@ -211,6 +209,9 @@ func New(opts Options) (*Router, error) {
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
+	}
+	if opts.Registry == nil {
+		opts.Registry = obs.New()
 	}
 
 	rt := &Router{
@@ -300,8 +301,8 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", rt.wrap(rt.handleCreate))
 	mux.HandleFunc("GET /v1/sessions", rt.wrap(rt.handleList))
 	mux.HandleFunc("POST /v1/sessions/{id}/events", rt.wrap(rt.handleEvents))
-	mux.HandleFunc("GET /v1/sessions/{id}/stats", rt.wrap(rt.handleStats))
-	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", rt.wrap(rt.handleSnapshotGet))
+	mux.HandleFunc("GET /v1/sessions/{id}/stats", rt.wrap(rt.forwardSession))
+	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", rt.wrap(rt.forwardSession))
 	mux.HandleFunc("PUT /v1/sessions/{id}/snapshot", rt.wrap(rt.handleSnapshotPut))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.wrap(rt.handleDelete))
 	mux.HandleFunc("GET /healthz", rt.wrap(rt.handleHealthz))
@@ -367,22 +368,21 @@ func (rt *Router) lookup(id string) (*entry, error) {
 // the caller parks on it and re-resolves after the flip (unparking
 // either way). On success the entry's in-flight count is held and the
 // caller must release() after the forward.
-func (e *entry) route(maxParked int) (n *node, localID string, wait <-chan struct{}, err error) {
+func (e *entry) route(maxParked int) (n *node, wait <-chan struct{}, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.lost {
-		return nil, "", nil, ErrSessionLost
+		return nil, nil, ErrSessionLost
 	}
 	if e.migrating {
 		if e.parked >= maxParked {
-			return nil, "", nil, errParkOverflow
+			return nil, nil, errParkOverflow
 		}
 		e.parked++
-		return nil, "", e.flip, nil
+		return nil, e.flip, nil
 	}
-	n, localID = e.home, e.localID
 	e.inflight.Add(1)
-	return n, localID, nil, nil
+	return e.home, nil, nil
 }
 
 func (e *entry) unpark() {
@@ -395,28 +395,34 @@ func (e *entry) release() { e.inflight.Done() }
 
 // placement reads the entry's current route without holding it (status
 // reporting, stale-route checks).
-func (e *entry) placement() (n *node, localID string, migrating, shipped, lost bool) {
+func (e *entry) placement() (n *node, migrating, shipped, lost bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.home, e.localID, e.migrating, e.shipped, e.lost
+	return e.home, e.migrating, e.shipped, e.lost
+}
+
+// setShipped records whether the standby holds a complete copy.
+func (e *entry) setShipped(v bool) {
+	e.mu.Lock()
+	e.shipped = v
+	e.mu.Unlock()
 }
 
 // resolve runs the park-and-retry loop around route: it blocks through
 // at most a few migration flips and returns a held placement.
-func (rt *Router) resolve(e *entry) (*node, string, error) {
+func (rt *Router) resolve(e *entry) (*node, error) {
 	for attempt := 0; ; attempt++ {
-		n, localID, wait, err := e.route(rt.opts.MaxParked)
+		n, wait, err := e.route(rt.opts.MaxParked)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		if wait == nil {
-			return n, localID, nil
+			return n, nil
 		}
 		rt.cm.parked.Inc()
-		rt.parkTotal.Add(1)
 		if attempt >= 4 {
 			e.unpark()
-			return nil, "", httpErr(http.StatusServiceUnavailable,
+			return nil, httpErr(http.StatusServiceUnavailable,
 				fmt.Errorf("cluster: session %s still migrating after %d flips", e.cid, attempt))
 		}
 		select {
@@ -424,7 +430,7 @@ func (rt *Router) resolve(e *entry) (*node, string, error) {
 			e.unpark()
 		case <-time.After(rt.opts.ParkTimeout):
 			e.unpark()
-			return nil, "", httpErr(http.StatusServiceUnavailable,
+			return nil, httpErr(http.StatusServiceUnavailable,
 				fmt.Errorf("cluster: migration flip for session %s timed out", e.cid))
 		}
 	}
@@ -459,23 +465,22 @@ func (rt *Router) backendByURL(u string) *node {
 }
 
 // Status assembles the /v1/cluster document: per-backend health and
-// session counts, the routing table, and the lifecycle tallies.
+// session counts, the routing table, and the lifecycle tallies, which
+// are the cluster_* counters /metrics serves.
 func (rt *Router) Status() *ClusterStatus {
 	st := &ClusterStatus{
-		Migrations:      rt.migrations.Load(),
-		MigrationAborts: rt.migAborts.Load(),
-		Failovers:       rt.failovers.Load(),
-		Lost:            rt.lostTotal.Load(),
-		Ships:           rt.ships.Load(),
-		Parked:          rt.parkTotal.Load(),
+		Migrations:      rt.cm.migrationsTotal.Value(),
+		MigrationAborts: rt.cm.migrationAborts.Value(),
+		Failovers:       rt.cm.failoversTotal.Value(),
+		Lost:            rt.cm.lostTotal.Value(),
+		Ships:           rt.cm.shipsTotal.Value(),
+		Parked:          rt.cm.parked.Value(),
 	}
 	counts := make(map[string]int)
 	for _, e := range rt.entries() {
-		n, localID, migrating, shipped, lost := e.placement()
-		ss := SessionStatus{ID: e.cid, LocalID: localID, Migrating: migrating, Shipped: shipped, Lost: lost}
-		if lost {
-			ss.LocalID = ""
-		} else {
+		n, migrating, shipped, lost := e.placement()
+		ss := SessionStatus{ID: e.cid, Migrating: migrating, Shipped: shipped, Lost: lost}
+		if !lost {
 			ss.Backend = n.url
 			counts[n.url]++
 		}

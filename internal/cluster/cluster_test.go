@@ -98,13 +98,13 @@ type clusterConfig struct {
 	injFor func(i int) *fault.Injector
 	// mod, when non-nil, edits the router options before New.
 	mod func(*cluster.Options)
+	// wrapStandby, when non-nil, wraps the standby's handler.
+	wrapStandby func(http.Handler) http.Handler
 }
 
 func startBackend(t testing.TB, inj *fault.Injector) *testBackend {
 	t.Helper()
-	srv := serve.NewServer(serve.Options{Fault: inj})
-	ts := httptest.NewServer(srv.Handler())
-	return &testBackend{srv: srv, ts: ts, url: ts.URL}
+	return startBackendSrv(t, serve.NewServer(serve.Options{Fault: inj}))
 }
 
 // startBackendSrv wraps a caller-built serve.Server (e.g. one with a
@@ -160,7 +160,13 @@ func startCluster(t testing.TB, cfg clusterConfig) *testCluster {
 	}
 	opts := cluster.Options{Backends: urls}
 	if cfg.standby {
-		tc.standby = startBackend(t, nil)
+		srv := serve.NewServer(serve.Options{})
+		h := srv.Handler()
+		if cfg.wrapStandby != nil {
+			h = cfg.wrapStandby(h)
+		}
+		ts := httptest.NewServer(h)
+		tc.standby = &testBackend{srv: srv, ts: ts, url: ts.URL}
 		opts.Standby = tc.standby.url
 	}
 	if cfg.mod != nil {
@@ -215,6 +221,58 @@ func (tc *testCluster) status(t testing.TB) *cluster.ClusterStatus {
 		t.Fatalf("decoding cluster status: %v", err)
 	}
 	return st
+}
+
+// sessionIDs lists the ids a node holds.
+func (b *testBackend) sessionIDs(t testing.TB) map[string]bool {
+	t.Helper()
+	resp, err := http.Get(b.url + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list serve.SessionListResponse
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatalf("listing %s: %v", b.url, err)
+	}
+	ids := make(map[string]bool, len(list.Sessions))
+	for _, s := range list.Sessions {
+		ids[s.ID] = true
+	}
+	return ids
+}
+
+// checkNames lists every live node's sessions and checks that they agree
+// with the router's table: every id a node holds is in the table, every
+// table entry is held by its home, and the standby holds only shipped
+// sessions.
+func (tc *testCluster) checkNames(t testing.TB) {
+	t.Helper()
+	rows := make(map[string]cluster.SessionStatus)
+	for _, s := range tc.status(t).Sessions {
+		rows[s.ID] = s
+	}
+	held := make(map[string]map[string]bool)
+	for _, b := range append(append([]*testBackend(nil), tc.backends...), tc.standby) {
+		if b == nil || b.dead {
+			continue
+		}
+		held[b.url] = b.sessionIDs(t)
+		for id := range held[b.url] {
+			row, ok := rows[id]
+			switch {
+			case !ok:
+				t.Errorf("%s holds session %s, which the router's table lacks", b.url, id)
+			case b == tc.standby && !row.Shipped:
+				t.Errorf("the standby holds session %s, which was never shipped", id)
+			}
+		}
+	}
+	for id, row := range rows {
+		if ids, live := held[row.Backend]; live && !ids[id] {
+			t.Errorf("the table homes session %s on %s, which does not hold it", id, row.Backend)
+		}
+	}
 }
 
 // migrate POSTs one migration through the control plane.

@@ -68,10 +68,9 @@ type BackendStatus struct {
 // SessionStatus is one routing-table row.
 type SessionStatus struct {
 	ID string `json:"id"`
-	// Backend is the current home's base URL; empty iff Lost.
-	Backend string `json:"backend,omitempty"`
-	// LocalID is the session's id on its home backend; empty iff Lost.
-	LocalID   string `json:"local_id,omitempty"`
+	// Backend is the current home's base URL; empty iff Lost. The home
+	// holds the session under ID.
+	Backend   string `json:"backend,omitempty"`
 	Migrating bool   `json:"migrating,omitempty"`
 	// Shipped reports whether a standby copy exists (failover-safe).
 	Shipped bool `json:"shipped,omitempty"`
@@ -154,19 +153,16 @@ func (st *ClusterStatus) validate() error {
 		}
 		ids[s.ID] = true
 		if s.Lost {
-			if s.Backend != "" || s.LocalID != "" {
+			if s.Backend != "" {
 				return fmt.Errorf("cluster: lost session %s still names a backend", s.ID)
 			}
 			continue
 		}
-		if s.Backend == "" || s.LocalID == "" {
+		if s.Backend == "" {
 			return fmt.Errorf("cluster: session %s has no placement", s.ID)
 		}
 		if !urls[s.Backend] {
 			return fmt.Errorf("cluster: session %s homed on unknown backend %s", s.ID, s.Backend)
-		}
-		if len(s.LocalID) > maxControlIDLen {
-			return fmt.Errorf("cluster: session %s local id too long", s.ID)
 		}
 	}
 	for _, v := range []struct {

@@ -13,8 +13,8 @@ func validStatus() *ClusterStatus {
 			{URL: "http://s:1", Healthy: true, Standby: true, Sessions: 1},
 		},
 		Sessions: []SessionStatus{
-			{ID: "c1", Backend: "http://a:1", LocalID: "s1"},
-			{ID: "c2", Backend: "http://s:1", LocalID: "c2", Shipped: true},
+			{ID: "c1", Backend: "http://a:1"},
+			{ID: "c2", Backend: "http://s:1", Shipped: true},
 			{ID: "c3", Lost: true},
 		},
 		Migrations: 1, Failovers: 1, Ships: 3, Parked: 2,

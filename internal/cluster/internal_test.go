@@ -24,19 +24,19 @@ import (
 // arriving during a migration park up to MaxParked, the next one is
 // refused with errParkOverflow, and an unpark frees the slot.
 func TestRouteParkBound(t *testing.T) {
-	e := &entry{cid: "c1", home: &node{url: "http://b"}, localID: "s1"}
+	e := &entry{cid: "c1", home: &node{url: "http://b"}}
 	e.migrating = true
 	e.flip = make(chan struct{})
 
-	n, _, wait, err := e.route(1)
+	n, wait, err := e.route(1)
 	if err != nil || n != nil || wait == nil {
 		t.Fatalf("first request during a flip should park, got n=%v wait=%v err=%v", n, wait, err)
 	}
-	if _, _, _, err := e.route(1); !errors.Is(err, errParkOverflow) {
+	if _, _, err := e.route(1); !errors.Is(err, errParkOverflow) {
 		t.Fatalf("second park past the bound: want errParkOverflow, got %v", err)
 	}
 	e.unpark()
-	if _, _, wait, err := e.route(1); err != nil || wait == nil {
+	if _, wait, err := e.route(1); err != nil || wait == nil {
 		t.Fatalf("park after an unpark should fit again, got wait=%v err=%v", wait, err)
 	}
 }
@@ -48,11 +48,11 @@ func TestResolveFlipTimeout(t *testing.T) {
 		opts: Options{MaxParked: 4, ParkTimeout: time.Millisecond},
 		cm:   newClusterMetrics(nil),
 	}
-	e := &entry{cid: "c1", home: &node{url: "http://b"}, localID: "s1"}
+	e := &entry{cid: "c1", home: &node{url: "http://b"}}
 	e.migrating = true
 	e.flip = make(chan struct{})
 
-	_, _, err := rt.resolve(e)
+	_, err := rt.resolve(e)
 	var ae *apiError
 	if !errors.As(err, &ae) || ae.status != http.StatusServiceUnavailable {
 		t.Fatalf("resolve against a stuck flip: want 503, got %v", err)
@@ -73,7 +73,7 @@ func TestResolveFlipCap(t *testing.T) {
 		opts: Options{MaxParked: 4, ParkTimeout: time.Second},
 		cm:   newClusterMetrics(nil),
 	}
-	e := &entry{cid: "c1", home: &node{url: "http://b"}, localID: "s1"}
+	e := &entry{cid: "c1", home: &node{url: "http://b"}}
 	e.migrating = true
 	flip := make(chan struct{})
 	e.flip = flip
@@ -96,7 +96,7 @@ func TestResolveFlipCap(t *testing.T) {
 			}
 		}
 	}()
-	_, _, err := rt.resolve(e)
+	_, err := rt.resolve(e)
 	var ae *apiError
 	if !errors.As(err, &ae) || ae.status != http.StatusServiceUnavailable {
 		t.Fatalf("resolve under endless flips: want 503, got %v", err)
@@ -160,7 +160,7 @@ func TestShipFailureClearsShippedMark(t *testing.T) {
 	if n := rt.ShipNow(); n != 1 {
 		t.Fatalf("first ship: %d sessions, want 1", n)
 	}
-	if _, _, _, shipped, _ := e.placement(); !shipped {
+	if _, _, shipped, _ := e.placement(); !shipped {
 		t.Fatal("successful ship did not set the shipped mark")
 	}
 
@@ -168,18 +168,18 @@ func TestShipFailureClearsShippedMark(t *testing.T) {
 	if n := rt.ShipNow(); n != 0 {
 		t.Fatalf("failing ship reported %d sessions shipped", n)
 	}
-	if _, _, _, shipped, _ := e.placement(); shipped {
+	if _, _, shipped, _ := e.placement(); shipped {
 		t.Fatal("shipped mark still true after the delete+failed-PUT window destroyed the standby copy")
 	}
 
 	// The consequence under failover: with no standby copy the session
 	// is declared lost, not routed onto a 404.
 	rt.markDown(rt.backends[0])
-	if _, _, _, _, lost := e.placement(); !lost {
+	if _, _, _, lost := e.placement(); !lost {
 		t.Fatal("failover after a failed ship did not declare the session lost")
 	}
-	if rt.failovers.Load() != 0 || rt.lostTotal.Load() != 1 {
-		t.Fatalf("want 0 failovers and 1 lost, got %d/%d", rt.failovers.Load(), rt.lostTotal.Load())
+	if st := rt.Status(); st.Failovers != 0 || st.Lost != 1 {
+		t.Fatalf("want 0 failovers and 1 lost, got %d/%d", st.Failovers, st.Lost)
 	}
 }
 
@@ -227,9 +227,7 @@ func TestStaleRouteRetry(t *testing.T) {
 	rt.mu.Lock()
 	e := rt.sessions[cid]
 	rt.mu.Unlock()
-	e.mu.Lock()
-	oldHome, oldID := e.home, e.localID
-	e.mu.Unlock()
+	oldHome, _, _, _ := e.placement()
 	var newHome *node
 	for _, n := range rt.backends {
 		if n != oldHome {
@@ -246,7 +244,7 @@ func TestStaleRouteRetry(t *testing.T) {
 			return
 		}
 		fired = true
-		snap, err := http.Get(oldHome.url + "/v1/sessions/" + oldID + "/snapshot")
+		snap, err := http.Get(oldHome.url + "/v1/sessions/" + cid + "/snapshot")
 		if err != nil {
 			t.Error(err)
 			return
@@ -269,13 +267,13 @@ func TestStaleRouteRetry(t *testing.T) {
 			t.Errorf("restore on new home: %d", put.StatusCode)
 			return
 		}
-		del, _ := http.NewRequest(http.MethodDelete, oldHome.url+"/v1/sessions/"+oldID, nil)
+		del, _ := http.NewRequest(http.MethodDelete, oldHome.url+"/v1/sessions/"+cid, nil)
 		if resp, err := http.DefaultClient.Do(del); err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
 		e.mu.Lock()
-		e.home, e.localID = newHome, cid
+		e.home = newHome
 		e.mu.Unlock()
 	}
 	defer func() { testHookPreForward = nil }()

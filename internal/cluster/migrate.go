@@ -50,10 +50,11 @@ func (rt *Router) Migrate(cid, target string) error {
 		e.mu.Unlock()
 		return httpErr(http.StatusConflict, ErrMigrating)
 	}
-	src, srcID := e.home, e.localID
-	if src == tgt && srcID == e.cid {
-		// Already home under its cluster id: nothing to move.
+	src := e.home
+	if src == tgt {
+		// Already home: the migration is complete with nothing to move.
 		e.mu.Unlock()
+		rt.cm.migrationsTotal.Inc()
 		return nil
 	}
 	e.migrating = true
@@ -61,20 +62,26 @@ func (rt *Router) Migrate(cid, target string) error {
 	e.mu.Unlock()
 	e.inflight.Wait()
 
-	finish := func(newHome *node, newID string) {
+	finish := func(newHome *node) {
 		e.mu.Lock()
 		if newHome != nil {
-			e.home, e.localID = newHome, newID
+			e.home = newHome
 		}
 		e.migrating = false
 		close(e.flip)
 		e.mu.Unlock()
 	}
-	abort := func(step string, err error) error {
-		finish(nil, "")
-		rt.migAborts.Add(1)
+
+	// Copy the drained session. The snapshot GET quiesces it at an event
+	// boundary; the snapshot carries tuning and the idempotency cache,
+	// so retries straddling the flip replay.
+	if down, err := rt.copySession(cid, src, tgt, nil); err != nil {
+		if down != nil {
+			rt.noteBackendFailure(down)
+		}
+		finish(nil)
 		rt.cm.migrationAborts.Inc()
-		rt.opts.Log.Infof("cluster: migration of %s to %s aborted at %s: %v", cid, tgt.url, step, err)
+		rt.opts.Log.Infof("cluster: migration of %s to %s aborted: %v", cid, tgt.url, err)
 		// The rollback re-homes the session on src — but if src was
 		// marked down while the entry was migrating, the failover sweep
 		// skipped it and will not run again (markDown transitions only
@@ -86,44 +93,52 @@ func (rt *Router) Migrate(cid, target string) error {
 			rt.failoverFrom(src)
 		}
 		return codedErr(http.StatusBadGateway, CodeBadGateway,
-			fmt.Errorf("cluster: migrating %s: %s: %w", cid, step, err))
-	}
-
-	// Snapshot the drained session. The GET quiesces the backend
-	// session at an event boundary; the snapshot carries tuning and
-	// the idempotency cache, so retries straddling the flip replay.
-	snap, ferr := rt.forward(src, http.MethodGet, "/v1/sessions/"+srcID+"/snapshot", nil, nil)
-	if ferr != nil {
-		rt.noteBackendFailure(src)
-		return abort("snapshot", ferr)
-	}
-	if snap.status != http.StatusOK {
-		return abort("snapshot", fmt.Errorf("backend %s returned %d: %s", src.url, snap.status, snap.body))
-	}
-
-	// Restore on the target under the cluster id (clearing any stale
-	// copy a best-effort delete may have left behind first).
-	_, _ = rt.forward(tgt, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
-	hdr := make(http.Header, 1)
-	hdr.Set("Content-Type", snap.header.Get("Content-Type"))
-	put, ferr := rt.forward(tgt, http.MethodPut, "/v1/sessions/"+cid+"/snapshot", snap.body, hdr)
-	if ferr != nil {
-		rt.noteBackendFailure(tgt)
-		return abort("restore", ferr)
-	}
-	if put.status != http.StatusCreated {
-		return abort("restore", fmt.Errorf("backend %s returned %d: %s", tgt.url, put.status, put.body))
+			fmt.Errorf("cluster: migrating %s: %w", cid, err))
 	}
 
 	// Flip: from here every parked and future request routes to the
 	// target. Only then retire the old copy (best-effort — the old
 	// node may die right here and the migration has still succeeded).
-	finish(tgt, cid)
-	_, _ = rt.forward(src, http.MethodDelete, "/v1/sessions/"+srcID, nil, nil)
-	rt.migrations.Add(1)
+	// A session that leaves the standby keeps its copy there: it is the
+	// state the target starts from, so the shipped mark stays true.
+	finish(tgt)
+	if src != rt.standby {
+		_, _ = rt.forward(src, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
+	}
 	rt.cm.migrationsTotal.Inc()
-	rt.opts.Log.Infof("cluster: migrated %s: %s/%s -> %s/%s", cid, src.url, srcID, tgt.url, cid)
+	rt.opts.Log.Infof("cluster: migrated %s: %s -> %s", cid, src.url, tgt.url)
 	return nil
+}
+
+// copySession copies session cid from src to dst under the same id: a
+// snapshot GET from src, which quiesces the session at an event
+// boundary, then a DELETE of any copy dst holds and a PUT of the
+// snapshot. Migrations and ships both move sessions this way. clear,
+// when non-nil, runs between the GET and the DELETE. The error names
+// the failed step; down is the node a transport failure came from, for
+// the caller to probe.
+func (rt *Router) copySession(cid string, src, dst *node, clear func()) (down *node, err error) {
+	snap, err := rt.forward(src, http.MethodGet, "/v1/sessions/"+cid+"/snapshot", nil, nil)
+	if err != nil {
+		return src, fmt.Errorf("snapshot: %w", err)
+	}
+	if snap.status != http.StatusOK {
+		return nil, fmt.Errorf("snapshot: backend %s returned %d: %s", src.url, snap.status, snap.body)
+	}
+	if clear != nil {
+		clear()
+	}
+	_, _ = rt.forward(dst, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
+	hdr := make(http.Header, 1)
+	hdr.Set("Content-Type", snap.header.Get("Content-Type"))
+	put, err := rt.forward(dst, http.MethodPut, "/v1/sessions/"+cid+"/snapshot", snap.body, hdr)
+	if err != nil {
+		return dst, fmt.Errorf("restore: %w", err)
+	}
+	if put.status != http.StatusCreated {
+		return nil, fmt.Errorf("restore: backend %s returned %d: %s", dst.url, put.status, put.body)
+	}
+	return nil, nil
 }
 
 // probe asks one node's /healthz with the short probe timeout.
@@ -198,16 +213,14 @@ func (rt *Router) failoverFrom(dead *node) {
 			continue
 		}
 		if standbyOK && e.shipped {
-			e.home, e.localID = standby, e.cid
+			e.home = standby
 			e.mu.Unlock()
-			rt.failovers.Add(1)
 			rt.cm.failoversTotal.Inc()
 			rt.opts.Log.Infof("cluster: session %s failed over to standby %s", e.cid, standby.url)
 			continue
 		}
 		e.lost = true
 		e.mu.Unlock()
-		rt.lostTotal.Add(1)
 		rt.cm.lostTotal.Inc()
 		rt.opts.Log.Infof("cluster: session %s lost with %s (no standby copy)", e.cid, dead.url)
 	}

@@ -65,7 +65,7 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 	// Chase the posters with migrations until they finish: each move
 	// drains the in-flight forwards and parks the rest, so the posts
 	// keep crossing flip windows. Targets always differ from the
-	// current home (a same-node no-op would not count).
+	// current home (a migration to it has nothing to move).
 	home := tc.homeOf(t, id)
 	moves := 0
 	for {

@@ -2,9 +2,11 @@ package cluster
 
 // This file is the router's data plane: the proxied predserve API. The
 // router speaks the exact serve wire contract on both sides — bodies
-// (JSON or COHWIRE1) pass through untouched; only session ids are
-// rewritten between the cluster namespace ("cN") and each backend's
-// local namespace. A transport failure toward a backend triggers an
+// (JSON or COHWIRE1) and session ids pass through untouched, because
+// each backend holds a session under its cluster id ("cN"): the router
+// creates sessions there under the ids it mints (PUT /v1/sessions/{id}),
+// and a restore under the id its path names. A transport failure
+// toward a backend triggers an
 // immediate health probe (and possibly failover) and surfaces as 502
 // with a machine code — event posts carry idempotency keys, so the
 // resilient client retries them onto the post-failover route safely.
@@ -112,51 +114,81 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-// handleCreate places a new session on the ring and mints its cluster
-// id. The backend validates the body; the router only rewrites the id
-// in the echo.
+// maxCreateAttempts bounds the ids one create tries before it gives up.
+const maxCreateAttempts = 8
+
+// handleCreate mints a cluster id, places it on the ring, and creates
+// the session on that backend under the same id. The backend validates
+// the body and its echo is relayed as is. The id can already be taken
+// there: a restore through the router may have claimed it, or the
+// backend may hold it from before the router started. A backend 409, or
+// an id lost at the table insert, moves the create to the next id, at
+// most maxCreateAttempts times.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	body, err := rt.readBody(r, rt.opts.MaxBodyBytes)
 	if err != nil {
 		return err
 	}
-	cid := rt.mintID()
-	n := rt.ring.owner(cid)
-	if n == nil {
-		return ErrNoBackend
-	}
-	pr, ferr := rt.forward(n, http.MethodPost, "/v1/sessions", body, copyHeaders(r))
-	if ferr != nil {
-		return rt.badGateway(n, ferr)
-	}
-	if pr.status != http.StatusCreated {
+	for attempt := 0; attempt < maxCreateAttempts; attempt++ {
+		cid := rt.mintID()
+		n := rt.ring.owner(cid)
+		if n == nil {
+			return ErrNoBackend
+		}
+		pr, ferr := rt.forward(n, http.MethodPut, "/v1/sessions/"+cid, body, copyHeaders(r))
+		if ferr != nil {
+			return rt.badGateway(n, ferr)
+		}
+		if pr.status == http.StatusConflict {
+			continue
+		}
+		if pr.status == http.StatusCreated {
+			ok, err := rt.register(n, cid, pr.body)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
 		writeProxied(w, pr)
 		return nil
 	}
+	return httpErr(http.StatusServiceUnavailable,
+		fmt.Errorf("cluster: no free session id in %d attempts", maxCreateAttempts))
+}
+
+// register adds the session backend n has just created under cid to the
+// routing table. When a concurrent create or restore registered cid
+// first, it deletes n's copy, so no two sessions share an id, and
+// reports false.
+func (rt *Router) register(n *node, cid string, echo []byte) (bool, error) {
 	var info serve.CreateSessionResponse
-	if err := json.Unmarshal(pr.body, &info); err != nil {
-		return fmt.Errorf("cluster: backend %s create echo: %w", n.url, err)
+	if err := json.Unmarshal(echo, &info); err != nil {
+		return false, fmt.Errorf("cluster: backend %s create echo: %w", n.url, err)
 	}
 	rt.mu.Lock()
-	// Re-check at insert: a concurrent restore (handleSnapshotPut) may
-	// have claimed the minted id while the backend create was in
-	// flight. Re-minting moves this session off the id its ring
-	// placement was hashed from — harmless, since routing consults the
-	// table, never the ring, after placement.
-	for {
-		if _, taken := rt.sessions[cid]; !taken {
-			break
-		}
-		rt.nextID++
-		cid = fmt.Sprintf("c%d", rt.nextID)
+	_, taken := rt.sessions[cid]
+	if !taken {
+		rt.sessions[cid] = &entry{cid: cid, info: info, home: n}
 	}
-	e := &entry{cid: cid, localID: info.ID, home: n}
-	info.ID = cid
-	e.info = info
-	rt.sessions[cid] = e
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusCreated, info)
-	return nil
+	if taken {
+		_, _ = rt.forward(n, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
+	}
+	return !taken, nil
+}
+
+// unregister removes e from the routing table if the table still holds
+// it, and reports whether it did.
+func (rt *Router) unregister(e *entry) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.sessions[e.cid] != e {
+		return false
+	}
+	delete(rt.sessions, e.cid)
+	return true
 }
 
 // mintID reserves the next free cluster session id. Restores register
@@ -190,8 +222,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) error {
 // placement (parking through a migration flip), forwards the body
 // verbatim, and relays the backend's response. A 404 from the backend
 // after the route moved re-resolves once — ships and deletes are
-// best-effort, so a backend may legitimately have forgotten a local id
-// the table still names.
+// best-effort, so a backend may legitimately have forgotten a session
+// the table still places on it.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 	cid := r.PathValue("id")
 	e, err := rt.lookup(cid)
@@ -204,19 +236,19 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 	}
 	hdr := copyHeaders(r)
 	for attempt := 0; ; attempt++ {
-		n, localID, rerr := rt.resolve(e)
+		n, rerr := rt.resolve(e)
 		if rerr != nil {
 			return rerr
 		}
 		if testHookPreForward != nil {
 			testHookPreForward(cid)
 		}
-		pr, ferr := rt.forward(n, http.MethodPost, "/v1/sessions/"+localID+"/events", body, hdr)
+		pr, ferr := rt.forward(n, http.MethodPost, "/v1/sessions/"+cid+"/events", body, hdr)
 		e.release()
 		if ferr != nil {
 			return rt.badGateway(n, ferr)
 		}
-		if pr.status == http.StatusNotFound && attempt == 0 && e.moved(n, localID) {
+		if pr.status == http.StatusNotFound && attempt == 0 && e.moved(n) {
 			rt.cm.staleRetries.Inc()
 			continue
 		}
@@ -225,67 +257,27 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 	}
 }
 
-// moved reports whether the entry's placement differs from the one the
+// moved reports whether the entry's home differs from the one the
 // caller resolved — the stale-route test after a backend 404.
-func (e *entry) moved(n *node, localID string) bool {
-	cur, curID, _, _, lost := e.placement()
-	return !lost && (cur != n || curID != localID)
+func (e *entry) moved(n *node) bool {
+	cur, _, _, lost := e.placement()
+	return !lost && cur != n
 }
 
-// forwardSession proxies a session-scoped control request (stats,
-// snapshot GET, delete), rewriting the path to the local id.
-func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, method, suffix string, body []byte) error {
+// forwardSession proxies a session-scoped GET (stats, snapshot) to the
+// session's home and relays the reply. The home serves the same path:
+// it holds the session under the same id.
+func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request) error {
 	cid := r.PathValue("id")
 	e, err := rt.lookup(cid)
 	if err != nil {
 		return err
 	}
-	n, localID, err := rt.resolve(e)
+	n, err := rt.resolve(e)
 	if err != nil {
 		return err
 	}
-	pr, ferr := rt.forward(n, method, "/v1/sessions/"+localID+suffix, body, copyHeaders(r))
-	e.release()
-	if ferr != nil {
-		return rt.badGateway(n, ferr)
-	}
-	return rt.relaySessionResponse(w, e, pr)
-}
-
-// relaySessionResponse rewrites the backend's local session id back to
-// the cluster id in JSON response envelopes that carry one.
-func (rt *Router) relaySessionResponse(w http.ResponseWriter, e *entry, pr *proxyResponse) error {
-	if pr.status == http.StatusOK && bytes.Contains(pr.body, []byte(`"id"`)) {
-		var doc map[string]interface{}
-		if err := json.Unmarshal(pr.body, &doc); err == nil {
-			if _, ok := doc["id"]; ok {
-				doc["id"] = e.cid
-				if re, err := json.Marshal(doc); err == nil {
-					pr.body = re
-					pr.header.Set("Content-Type", "application/json")
-				}
-			}
-		}
-	}
-	writeProxied(w, pr)
-	return nil
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
-	return rt.forwardSession(w, r, http.MethodGet, "/stats", nil)
-}
-
-func (rt *Router) handleSnapshotGet(w http.ResponseWriter, r *http.Request) error {
-	cid := r.PathValue("id")
-	e, err := rt.lookup(cid)
-	if err != nil {
-		return err
-	}
-	n, localID, err := rt.resolve(e)
-	if err != nil {
-		return err
-	}
-	pr, ferr := rt.forward(n, http.MethodGet, "/v1/sessions/"+localID+"/snapshot", nil, copyHeaders(r))
+	pr, ferr := rt.forward(n, http.MethodGet, r.URL.Path, nil, copyHeaders(r))
 	e.release()
 	if ferr != nil {
 		return rt.badGateway(n, ferr)
@@ -295,19 +287,15 @@ func (rt *Router) handleSnapshotGet(w http.ResponseWriter, r *http.Request) erro
 }
 
 // handleSnapshotPut restores a snapshot as a new cluster session named
-// by the request path, placed on the ring like a create. The session
-// is registered under the same id on the backend, so the cluster and
-// local namespaces coincide for restored sessions.
+// by the request path, placed on the ring like a create, and held by
+// its backend under the same id.
 func (rt *Router) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error {
 	cid := r.PathValue("id")
 	if err := checkID("session", cid); err != nil {
 		return httpErr(http.StatusBadRequest, err)
 	}
-	rt.mu.Lock()
-	_, exists := rt.sessions[cid]
-	rt.mu.Unlock()
-	if exists {
-		return httpErr(http.StatusConflict, fmt.Errorf("cluster: session %q already exists", cid))
+	if _, err := rt.lookup(cid); err == nil {
+		return errExists(cid)
 	}
 	body, err := rt.readBody(r, maxSnapshotBytes)
 	if err != nil {
@@ -325,28 +313,25 @@ func (rt *Router) handleSnapshotPut(w http.ResponseWriter, r *http.Request) erro
 	if ferr != nil {
 		return rt.badGateway(n, ferr)
 	}
-	if pr.status != http.StatusCreated {
-		writeProxied(w, pr)
-		return nil
+	if pr.status == http.StatusCreated {
+		ok, err := rt.register(n, cid, pr.body)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return errExists(cid)
+		}
 	}
-	var info serve.CreateSessionResponse
-	if err := json.Unmarshal(pr.body, &info); err != nil {
-		return fmt.Errorf("cluster: backend %s restore echo: %w", n.url, err)
-	}
-	e := &entry{cid: cid, localID: cid, home: n, info: info}
-	rt.mu.Lock()
-	if _, dup := rt.sessions[cid]; dup {
-		rt.mu.Unlock()
-		return httpErr(http.StatusConflict, fmt.Errorf("cluster: session %q already exists", cid))
-	}
-	rt.sessions[cid] = e
-	rt.mu.Unlock()
 	writeProxied(w, pr)
 	return nil
 }
 
+func errExists(cid string) error {
+	return httpErr(http.StatusConflict, fmt.Errorf("cluster: session %q already exists", cid))
+}
+
 // handleDelete removes a session cluster-wide: from its home, from the
-// standby's shipped copy (best-effort), and from the routing table. A
+// routing table, and from the standby's shipped copy (best-effort). A
 // lost session is simply forgotten.
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	cid := r.PathValue("id")
@@ -354,12 +339,12 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	n, localID, rerr := rt.resolve(e)
+	n, rerr := rt.resolve(e)
 	if rerr != nil && rerr != ErrSessionLost {
 		return rerr
 	}
 	if rerr == nil {
-		pr, ferr := rt.forward(n, http.MethodDelete, "/v1/sessions/"+localID, nil, copyHeaders(r))
+		pr, ferr := rt.forward(n, http.MethodDelete, "/v1/sessions/"+cid, nil, copyHeaders(r))
 		e.release()
 		if ferr != nil {
 			return rt.badGateway(n, ferr)
@@ -369,12 +354,16 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) error {
 			return nil
 		}
 	}
-	if rt.standby != nil && rt.standby.healthy.Load() && (n == nil || rt.standby != n) {
+	// Unlink and drop the standby copy under shipMu: a ship of this
+	// session either finished first, and its copy is deleted here, or
+	// finds the session gone and copies nothing. Only the delete that
+	// unlinks the entry touches the standby, so a successor registered
+	// under the same id keeps its copy.
+	rt.shipMu.Lock()
+	if rt.unregister(e) && rt.standby != nil && rt.standby.healthy.Load() && rt.standby != n {
 		_, _ = rt.forward(rt.standby, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
 	}
-	rt.mu.Lock()
-	delete(rt.sessions, cid)
-	rt.mu.Unlock()
+	rt.shipMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]string{"id": cid, "status": "deleted"})
 	return nil
 }
@@ -435,9 +424,6 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if rt.opts.Registry == nil {
-		return httpErr(http.StatusNotFound, fmt.Errorf("cluster: no registry configured"))
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	return rt.opts.Registry.WritePrometheus(w)
 }

@@ -6,10 +6,7 @@ package cluster
 // interval of training (and nothing at all when the client retries
 // with idempotency keys that land inside the shipped cache window).
 
-import (
-	"net/http"
-	"time"
-)
+import "time"
 
 // ShipNow ships one snapshot per eligible session to the standby and
 // reports how many shipped. Sessions already homed on the standby
@@ -28,12 +25,12 @@ func (rt *Router) ShipNow() int {
 	var failed []*node
 	for _, e := range rt.entries() {
 		rt.migrateMu.Lock()
-		n, localID, migrating, _, lost := e.placement()
+		n, migrating, _, lost := e.placement()
 		if lost || migrating || n == standby {
 			rt.migrateMu.Unlock()
 			continue
 		}
-		ok, bad := rt.shipOne(e, n, localID, standby)
+		ok, bad := rt.shipOne(e, n, standby)
 		rt.migrateMu.Unlock()
 		if ok {
 			shipped++
@@ -50,51 +47,29 @@ func (rt *Router) ShipNow() int {
 	return shipped
 }
 
-// shipOne moves one session's snapshot home→standby. The snapshot GET
-// quiesces the session at an event boundary. The standby's copy is
-// replaced under shipMu (delete, then restore), which failoverFrom
-// also takes — so a failover either sees the old complete copy or the
-// new complete copy, never the gap between them. Transport failures
-// are returned to the caller for probing, not probed here, to keep the
-// lock order acyclic.
-func (rt *Router) shipOne(e *entry, home *node, localID string, standby *node) (ok bool, failed *node) {
-	snap, err := rt.forward(home, http.MethodGet, "/v1/sessions/"+localID+"/snapshot", nil, nil)
-	if err != nil {
-		return false, home
-	}
-	if snap.status != http.StatusOK {
-		rt.opts.Log.Debugf("cluster: ship %s: snapshot from %s returned %d", e.cid, home.url, snap.status)
-		return false, nil
-	}
-	hdr := make(http.Header, 1)
-	hdr.Set("Content-Type", snap.header.Get("Content-Type"))
-
+// shipOne copies one session home→standby under shipMu, which
+// failoverFrom and handleDelete also take: a failover sees either the
+// old complete copy or the new complete copy, never the gap between
+// them, and a session deleted since the sweep listed it is not shipped.
+// Transport failures are returned to the caller for probing, not probed
+// here, to keep the lock order acyclic.
+func (rt *Router) shipOne(e *entry, home, standby *node) (ok bool, failed *node) {
 	rt.shipMu.Lock()
 	defer rt.shipMu.Unlock()
-	// The delete destroys the standby's previous copy; until the PUT
-	// lands there is nothing to fail over to, so the shipped mark must
-	// not claim otherwise. If the PUT fails, the mark stays false and a
-	// failover correctly declares the session lost instead of routing
-	// to a standby that would 404.
-	e.mu.Lock()
-	e.shipped = false
-	e.mu.Unlock()
-	_, _ = rt.forward(standby, http.MethodDelete, "/v1/sessions/"+e.cid, nil, nil)
-	put, err := rt.forward(standby, http.MethodPut, "/v1/sessions/"+e.cid+"/snapshot", snap.body, hdr)
+	if cur, err := rt.lookup(e.cid); err != nil || cur != e {
+		return false, nil // deleted since the sweep listed it
+	}
+	// The copy's delete destroys the standby's previous copy; until the
+	// PUT lands there is nothing to fail over to, so the shipped mark
+	// must not claim otherwise. If the PUT fails, the mark stays false
+	// and a failover correctly declares the session lost instead of
+	// routing to a standby that would 404.
+	failed, err := rt.copySession(e.cid, home, standby, func() { e.setShipped(false) })
 	if err != nil {
-		return false, standby
+		rt.opts.Log.Debugf("cluster: ship %s: %v", e.cid, err)
+		return false, failed
 	}
-	if put.status != http.StatusCreated {
-		rt.opts.Log.Debugf("cluster: ship %s: restore on %s returned %d: %s", e.cid, standby.url, put.status, put.body)
-		return false, nil
-	}
-	e.mu.Lock()
-	// The placement may have moved while the snapshot was in flight
-	// (a migration cannot — migrateMu — but a failover can). The copy
-	// is still valid: it is the session's state at the GET boundary.
-	e.shipped = true
-	e.mu.Unlock()
-	rt.ships.Add(1)
+	e.setShipped(true)
 	rt.cm.shipsTotal.Inc()
 	return true, nil
 }

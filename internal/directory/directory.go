@@ -299,12 +299,3 @@ func (d *Directory) SharersOf(addr uint64) bitmap.Bitmap {
 	}
 	return bitmap.Empty
 }
-
-// ReadersOf returns the true readers recorded for the block's current
-// epoch, for tests and debugging.
-func (d *Directory) ReadersOf(addr uint64) bitmap.Bitmap {
-	if st := d.find(addr); st != nil {
-		return st.readers
-	}
-	return bitmap.Empty
-}

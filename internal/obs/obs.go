@@ -18,7 +18,7 @@
 //
 // The zero registry is obtained with New; Default() returns the shared
 // process-wide registry used by the hot paths when no explicit registry is
-// threaded through (cmd/predsim exports it via -obs and -prom).
+// threaded through (cmd/predsim exports it via -obs).
 package obs
 
 import (

@@ -27,12 +27,19 @@ func (s *Session) Snapshot() (*eval.Snapshot, error) {
 	return eval.DecodeSnapshot(data)
 }
 
-// SetRestoreHook installs fn as the hook RestoreSnapshot runs while it
-// builds a session outside the server lock, and returns a func that
+// SetBuildHook installs fn as the hook a create or restore runs while it
+// builds its session outside the server lock, and returns a func that
 // removes it.
-func SetRestoreHook(fn func(id string)) func() {
-	testHookRestoreBuild = fn
-	return func() { testHookRestoreBuild = nil }
+func SetBuildHook(fn func(id string)) func() {
+	testHookBuild = fn
+	return func() { testHookBuild = nil }
+}
+
+// SetDeleteHook installs fn as the hook a DELETE runs after it unlinks
+// its session, and returns a func that removes it.
+func SetDeleteHook(fn func(id string)) func() {
+	testHookDelete = fn
+	return func() { testHookDelete = nil }
 }
 
 // WireBuf is the binary handler's pooled per-request buffer set.

@@ -82,7 +82,7 @@ func TestConcurrentRestoreOneWinner(t *testing.T) {
 	// would keep the other out, and its wait would time out instead.
 	var arrived atomic.Int32
 	both := make(chan struct{})
-	defer serve.SetRestoreHook(func(string) {
+	defer serve.SetBuildHook(func(string) {
 		if arrived.Add(1) == 2 {
 			close(both)
 		}
@@ -131,7 +131,7 @@ func TestRestoreBuildsOutsideServerLock(t *testing.T) {
 	other := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"}).ID
 
 	building, release := make(chan struct{}), make(chan struct{})
-	defer serve.SetRestoreHook(func(string) {
+	defer serve.SetBuildHook(func(string) {
 		close(building)
 		<-release
 	})()
@@ -216,5 +216,96 @@ func TestReadRequestCapsDeclaredLength(t *testing.T) {
 	r = httptest.NewRequest("PUT", "/v1/sessions/x/snapshot", bytes.NewReader(long))
 	if body, err := serve.ReadRequest(nil, r, serve.MaxSnapshotBytes); err != nil || !bytes.Equal(body, long) {
 		t.Fatalf("a %d-byte body read as %d bytes, %v", len(long), len(body), err)
+	}
+}
+
+// TestCreateUnderCallerID: PUT /v1/sessions/{id} creates a session under
+// the caller's id and refuses a taken one with 409, POST still mints "sN"
+// and skips ids callers took, and a create, like a restore, builds its
+// session outside the server lock.
+func TestCreateUnderCallerID(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	req := []byte(`{"scheme":"last(dir)1","shards":1}`)
+
+	var info serve.CreateSessionResponse
+	if code := c.do("PUT", "/v1/sessions/s1", req, &info); code != http.StatusCreated || info.ID != "s1" {
+		t.Fatalf("PUT create: status %d, echo %+v", code, info)
+	}
+	if code := c.do("PUT", "/v1/sessions/s1", req, nil); code != http.StatusConflict {
+		t.Fatalf("PUT create of a taken id: status %d, want 409", code)
+	}
+	if code := c.do("PUT", "/v1/sessions/bad", []byte(`{"scheme":"nope"}`), nil); code != http.StatusBadRequest {
+		t.Fatalf("PUT create of a bad scheme: status %d, want 400", code)
+	}
+	if id := c.createSession(serve.CreateSessionRequest{Scheme: "last(dir)1"}).ID; id != "s2" {
+		t.Fatalf("POST after PUT s1 minted %q, want s2", id)
+	}
+
+	building, release := make(chan struct{}), make(chan struct{})
+	defer serve.SetBuildHook(func(string) {
+		close(building)
+		<-release
+	})()
+	put := make(chan int, 1)
+	go func() {
+		code, err := c.status("PUT", "/v1/sessions/held", req)
+		if err != nil {
+			t.Error(err)
+		}
+		put <- code
+	}()
+	<-building
+	if code, err := c.status("GET", "/v1/sessions/s1/stats", nil); err != nil || code != http.StatusOK {
+		close(release)
+		t.Fatalf("stats during a create: status %d, %v", code, err)
+	}
+	close(release)
+	if code := <-put; code != http.StatusCreated {
+		t.Fatalf("held create: status %d, want 201", code)
+	}
+	if n := srv.Sessions(); n != 3 {
+		t.Fatalf("%d sessions, want 3", n)
+	}
+}
+
+// TestDeleteSparesSuccessor: a DELETE removes only the session it looked
+// up. While one DELETE is held after its lookup, a second client deletes
+// the id and restores a new session under it; the first DELETE then
+// finishes, and the successor stays registered with its state.
+func TestDeleteSparesSuccessor(t *testing.T) {
+	data := snapshotOf(t)
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	c.restore("x", data, 2)
+	want := c.stats("x").Events
+
+	var fired atomic.Bool
+	defer serve.SetDeleteHook(func(string) {
+		if fired.Swap(true) {
+			return
+		}
+		if _, err := c.status("DELETE", "/v1/sessions/x", nil); err != nil {
+			t.Error(err)
+		}
+		if code, err := c.status("PUT", "/v1/sessions/x/snapshot", data); err != nil || code != http.StatusCreated {
+			t.Errorf("successor restore: status %d, %v", code, err)
+		}
+	})()
+	if code, err := c.status("DELETE", "/v1/sessions/x", nil); err != nil || code != http.StatusOK {
+		t.Fatalf("delete: status %d, %v", code, err)
+	}
+	if !fired.Load() {
+		t.Fatal("the delete hook never ran")
+	}
+	if n := srv.Sessions(); n != 1 {
+		t.Fatalf("%d sessions after the delete, want the successor", n)
+	}
+	if got := c.stats("x").Events; got != want {
+		t.Fatalf("successor has %d events, want the snapshot's %d", got, want)
 	}
 }

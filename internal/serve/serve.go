@@ -4,10 +4,14 @@
 // table, §2–3), and this package is that vantage point as a service:
 //
 //	POST   /v1/sessions             create a session (scheme + machine)
+//	                                under a minted "sN" id
+//	PUT    /v1/sessions/{id}        create a session under the caller's id
 //	GET    /v1/sessions             list sessions
 //	POST   /v1/sessions/{id}/events ingest events (single or batched),
 //	                                returning predicted sharing bitmaps
 //	GET    /v1/sessions/{id}/stats  confusion / sensitivity / PVP summary
+//	GET    /v1/sessions/{id}/snapshot  COHSNAP1 snapshot of a session
+//	PUT    /v1/sessions/{id}/snapshot  restore a snapshot under the id
 //	DELETE /v1/sessions/{id}        drain and remove a session
 //	GET    /healthz                 liveness and drain state
 //	GET    /metrics                 Prometheus text (internal/obs), or the
@@ -120,6 +124,7 @@ func NewServer(opts Options) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.wrap(s.handleCreateSession))
+	mux.HandleFunc("PUT /v1/sessions/{id}", s.wrap(s.handleCreateSession))
 	mux.HandleFunc("GET /v1/sessions", s.wrap(s.handleListSessions))
 	mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleEventsTraced)
 	mux.HandleFunc("GET /v1/sessions/{id}/stats", s.wrap(s.handleStats))
@@ -345,6 +350,9 @@ func ReadBody(dst []byte, rd io.Reader, size, most int64) ([]byte, error) {
 	}
 }
 
+// handleCreateSession creates a session under the path's id for PUT
+// /v1/sessions/{id} (409 if it is taken), or under a minted "sN" id for
+// POST /v1/sessions.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) error {
 	body, err := readBody(nil, r, s.opts.MaxBodyBytes)
 	if err != nil {
@@ -362,36 +370,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) err
 	}
 	cfg.Fault = s.opts.Fault
 	cfg.Record = s.opts.Record
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return ErrDraining
-	}
-	if len(s.sessions) >= s.opts.MaxSessions {
-		s.mu.Unlock()
-		return httpErr(http.StatusTooManyRequests,
-			fmt.Errorf("serve: session limit %d reached", s.opts.MaxSessions))
-	}
-	s.nextID++
-	id := fmt.Sprintf("s%d", s.nextID)
-	sess, err := NewSession(id, cfg, s.om)
+	id := r.PathValue("id")
+	sess, err := s.addSession(id, func() (*Session, error) { return NewSession(id, cfg, s.om) })
 	if err != nil {
-		s.mu.Unlock()
-		return httpErr(http.StatusBadRequest, err)
-	}
-	s.sessions[id] = sess
-	active := len(s.sessions)
-	s.mu.Unlock()
-
-	s.om.sessionsTotal.Inc()
-	s.om.sessionsActive.Set(float64(active))
-	if s.opts.Record != nil {
-		s.opts.Record.RecordSession(id, sess.cfg.Scheme.FullString(),
-			sess.cfg.Machine.Nodes, sess.cfg.Machine.LineBytes, sess.cfg.Shards)
+		return err
 	}
 	s.opts.Log.Infof("serve: session %s created: %s on %d nodes, %d shards",
-		id, sess.cfg.Scheme.FullString(), sess.cfg.Machine.Nodes, sess.cfg.Shards)
+		sess.ID, sess.cfg.Scheme.FullString(), sess.cfg.Machine.Nodes, sess.cfg.Shards)
 	writeJSON(w, http.StatusCreated, sessionResponse(sess))
 	return nil
 }
@@ -543,14 +528,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) error {
-	sess, err := s.session(r)
-	if err != nil {
-		return err
-	}
+	id := r.PathValue("id")
+	// Look up and unlink under one lock: a delete removes only the session
+	// it found, never a successor added under the same id meanwhile.
 	s.mu.Lock()
-	delete(s.sessions, sess.ID)
+	sess := s.sessions[id]
+	delete(s.sessions, id)
 	active := len(s.sessions)
 	s.mu.Unlock()
+	if sess == nil {
+		return httpErr(http.StatusNotFound, fmt.Errorf("serve: no session %q", id))
+	}
+	if testHookDelete != nil {
+		testHookDelete(id)
+	}
 	closeErr := sess.Close()
 	s.om.sessionsActive.Set(float64(active))
 	if closeErr != nil {
@@ -579,10 +570,10 @@ func putSnapBuf(buf *[]byte, b []byte) {
 	}
 }
 
-// testHookRestoreBuild, when non-nil, runs while RestoreSnapshot builds a
-// session, outside the server lock. Tests use it to hold a restore in
-// that window.
-var testHookRestoreBuild func(id string)
+// Test hooks, nil outside tests. testHookBuild runs while addSession
+// builds a session, outside the server lock; testHookDelete runs after a
+// DELETE has unlinked its session and before it drains it.
+var testHookBuild, testHookDelete func(id string)
 
 // handleSnapshotGet quiesces the session, writes its full state in the
 // canonical snapshot wire form into a recycled buffer, and resumes it.
@@ -647,55 +638,70 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error
 // behaviour-preserving). It is the programmatic face of PUT
 // /v1/sessions/{id}/snapshot — the CLI's -restore flag boots sessions
 // through it before the listener opens.
-//
-// The session is built outside the server lock, which every request's
-// session lookup takes, so a restore stalls no other session. The
-// draining, id and session-limit checks run before the build and again
-// at insert; a restore that loses at insert closes what it built.
 func (s *Server) RestoreSnapshot(id string, snap *eval.Snapshot, shards *int) (*Session, error) {
+	sess, err := s.addSession(id, func() (*Session, error) {
+		return NewSessionFromSnapshot(id, snap, shards, s.opts.Fault, s.opts.Record, s.om)
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.om.restores.Inc()
+	s.opts.Log.Infof("serve: session %s restored: %d events, %d shards",
+		id, snap.Events, sess.cfg.Shards)
+	return sess, nil
+}
+
+// addSession is the one way a session joins the server: create and
+// restore both come through it. It admits the id, builds the session
+// with build outside the server lock (which every request's session
+// lookup takes, so a build stalls no other session), then admits again
+// and inserts; a session that loses at insert is closed. An empty id is
+// minted ("sN", skipping ids already taken) at insert, so a minted id
+// never conflicts.
+func (s *Server) addSession(id string, build func() (*Session, error)) (*Session, error) {
 	s.mu.Lock()
-	err := s.admitRestoreLocked(id)
+	err := s.admitLocked(id)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if testHookRestoreBuild != nil {
-		testHookRestoreBuild(id)
+	if testHookBuild != nil {
+		testHookBuild(id)
 	}
-	sess, err := NewSessionFromSnapshot(id, snap, shards, s.opts.Fault, s.opts.Record, s.om)
+	sess, err := build()
 	if err != nil {
 		return nil, httpErr(http.StatusBadRequest, err)
 	}
 
 	s.mu.Lock()
-	if err := s.admitRestoreLocked(id); err != nil {
+	if err := s.admitLocked(id); err != nil {
 		s.mu.Unlock()
 		_ = sess.Close() // never posted to: nothing to surface
 		return nil, err
 	}
-	s.sessions[id] = sess
-	// Keep generated ids clear of the restored one.
-	if n, ok := numericSessionID(id); ok && n > s.nextID {
-		s.nextID = n
+	for id == "" {
+		s.nextID++
+		if minted := fmt.Sprintf("s%d", s.nextID); s.sessions[minted] == nil {
+			id = minted
+		}
 	}
+	sess.ID = id
+	s.sessions[id] = sess
 	active := len(s.sessions)
 	s.mu.Unlock()
 
-	s.om.restores.Inc()
 	s.om.sessionsTotal.Inc()
 	s.om.sessionsActive.Set(float64(active))
 	if s.opts.Record != nil {
 		s.opts.Record.RecordSession(id, sess.cfg.Scheme.FullString(),
 			sess.cfg.Machine.Nodes, sess.cfg.Machine.LineBytes, sess.cfg.Shards)
 	}
-	s.opts.Log.Infof("serve: session %s restored: %d events, %d shards",
-		id, snap.Events, sess.cfg.Shards)
 	return sess, nil
 }
 
-// admitRestoreLocked reports why a session id cannot be added now, if
-// it cannot. The caller holds s.mu.
-func (s *Server) admitRestoreLocked(id string) error {
+// admitLocked reports why a session cannot be added under id now, if it
+// cannot. The caller holds s.mu.
+func (s *Server) admitLocked(id string) error {
 	switch {
 	case s.draining:
 		return ErrDraining
@@ -706,19 +712,6 @@ func (s *Server) admitRestoreLocked(id string) error {
 			fmt.Errorf("serve: session limit %d reached", s.opts.MaxSessions))
 	}
 	return nil
-}
-
-// numericSessionID extracts N from a generated-style id "sN".
-func numericSessionID(id string) (int, bool) {
-	rest, ok := strings.CutPrefix(id, "s")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
