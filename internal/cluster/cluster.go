@@ -54,13 +54,19 @@ import (
 	"cohpredict/internal/serve"
 )
 
-// Defaults for the zero Options values.
+// The router's bounds.
 const (
-	DefaultMaxParked    = 64
-	DefaultParkTimeout  = 5 * time.Second
-	DefaultProxyTimeout = 10 * time.Second
-	DefaultProbeTimeout = time.Second
-	DefaultMaxBodyBytes = 8 << 20
+	// maxParked bounds requests parked per session during a migration
+	// flip; overflow is refused with 503 (retryable).
+	maxParked = 64
+	// parkTimeout bounds how long a parked request waits for the flip.
+	parkTimeout = 5 * time.Second
+	// proxyTimeout bounds one forwarded request, probeTimeout one health
+	// probe.
+	proxyTimeout = 10 * time.Second
+	probeTimeout = time.Second
+	// maxBodyBytes bounds proxied request bodies other than snapshots.
+	maxBodyBytes = 8 << 20
 	// maxSnapshotBytes bounds snapshot transfers (migration, shipping,
 	// and the proxied snapshot routes) independently of event bodies,
 	// at the bound a backend's snapshot PUT reads with.
@@ -107,18 +113,6 @@ type Options struct {
 	Registry *obs.Registry
 	// Log receives router progress lines; nil is silent.
 	Log *obs.Logger
-	// MaxParked bounds requests parked per session during a migration
-	// flip; overflow is refused with 503 (retryable). Default 64.
-	MaxParked int
-	// ParkTimeout bounds how long a parked request waits for the flip.
-	ParkTimeout time.Duration
-	// ProxyTimeout bounds one forwarded request.
-	ProxyTimeout time.Duration
-	// ProbeTimeout bounds one health probe.
-	ProbeTimeout time.Duration
-	// MaxBodyBytes bounds proxied request bodies (snapshots use a
-	// separate 64 MiB ceiling).
-	MaxBodyBytes int64
 	// HealthInterval runs the background health loop; 0 disables it
 	// (tests drive CheckNow explicitly).
 	HealthInterval time.Duration
@@ -154,6 +148,10 @@ type entry struct {
 	// migrating false, and the drain sets migrating under the same mu
 	// before waiting, so Add can never race the Wait.
 	inflight sync.WaitGroup
+
+	// deleting is claimed by the one delete that forwards the entry's
+	// home DELETE, and released only when the home refuses it.
+	deleting atomic.Bool
 }
 
 // Router fronts a predserve cluster: placement, proxying, migration,
@@ -163,9 +161,10 @@ type Router struct {
 	backends []*node // serving nodes, configured order, immutable
 	standby  *node   // nil when no standby configured
 	ring     ring
-	client   *http.Client // proxy transport (keep-alives on)
-	probeC   *http.Client // short-timeout health probe transport
+	client   *http.Client // the one transport: proxying and probes
 	cm       *clusterMetrics
+	// parkWait is parkTimeout; white-box tests shorten it.
+	parkWait time.Duration
 
 	mu       sync.Mutex
 	sessions map[string]*entry //predlint:guardedby mu
@@ -195,21 +194,6 @@ func New(opts Options) (*Router, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: at least one backend URL is required")
 	}
-	if opts.MaxParked <= 0 {
-		opts.MaxParked = DefaultMaxParked
-	}
-	if opts.ParkTimeout <= 0 {
-		opts.ParkTimeout = DefaultParkTimeout
-	}
-	if opts.ProxyTimeout <= 0 {
-		opts.ProxyTimeout = DefaultProxyTimeout
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = DefaultProbeTimeout
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if opts.Registry == nil {
 		opts.Registry = obs.New()
 	}
@@ -218,11 +202,11 @@ func New(opts Options) (*Router, error) {
 		opts:     opts,
 		sessions: make(map[string]*entry),
 		client: &http.Client{
-			Timeout:   opts.ProxyTimeout,
+			Timeout:   proxyTimeout,
 			Transport: &http.Transport{MaxIdleConnsPerHost: 64},
 		},
-		probeC: &http.Client{Timeout: opts.ProbeTimeout},
-		cm:     newClusterMetrics(opts.Registry),
+		cm:       newClusterMetrics(opts.Registry),
+		parkWait: parkTimeout,
 	}
 	seen := make(map[string]bool)
 	for _, raw := range opts.Backends {
@@ -282,8 +266,10 @@ func normalizeURL(raw string) (string, error) {
 	return strings.TrimRight(raw, "/"), nil
 }
 
-// Close stops the background loops. The router's HTTP handler stays
-// usable (the caller owns the listener); Close is idempotent.
+// Close stops the background loops and closes the router's idle
+// connections to its backends, so that none holds a backend's graceful
+// shutdown open. The router's HTTP handler stays usable (the caller owns
+// the listener); Close is idempotent.
 func (rt *Router) Close() {
 	if rt.closed.Swap(true) {
 		return
@@ -292,6 +278,7 @@ func (rt *Router) Close() {
 		close(rt.loopStop)
 	}
 	rt.loopWG.Wait()
+	rt.client.CloseIdleConnections()
 }
 
 // Handler returns the router's full route table: the proxied predserve
@@ -412,7 +399,7 @@ func (e *entry) setShipped(v bool) {
 // at most a few migration flips and returns a held placement.
 func (rt *Router) resolve(e *entry) (*node, error) {
 	for attempt := 0; ; attempt++ {
-		n, wait, err := e.route(rt.opts.MaxParked)
+		n, wait, err := e.route(maxParked)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +415,7 @@ func (rt *Router) resolve(e *entry) (*node, error) {
 		select {
 		case <-wait:
 			e.unpark()
-		case <-time.After(rt.opts.ParkTimeout):
+		case <-time.After(rt.parkWait):
 			e.unpark()
 			return nil, httpErr(http.StatusServiceUnavailable,
 				fmt.Errorf("cluster: migration flip for session %s timed out", e.cid))

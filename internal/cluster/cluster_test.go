@@ -544,7 +544,8 @@ func TestClusterErrorSurface(t *testing.T) {
 }
 
 // TestClusterMetricsEndpoint checks the router exports its cluster_*
-// series when given a registry.
+// series when given a registry, as Prometheus text and, for a request
+// that accepts JSON, as the obs.Snapshot predserve also serves.
 func TestClusterMetricsEndpoint(t *testing.T) {
 	reg := obs.New()
 	tc := startCluster(t, clusterConfig{backends: 1, mod: func(o *cluster.Options) { o.Registry = reg }})
@@ -560,6 +561,14 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("metrics output missing %s:\n%s", want, body)
 		}
+	}
+	code, hdr, body := tc.doRaw(t, "GET", "/metrics", nil, map[string]string{"Accept": "application/json"})
+	var snap obs.Snapshot
+	if code != http.StatusOK || hdr.Get("Content-Type") != "application/json" || json.Unmarshal(body, &snap) != nil {
+		t.Fatalf("metrics as JSON: %d %q: %s", code, hdr.Get("Content-Type"), body)
+	}
+	if _, ok := snap.Counters["cluster_http_requests_total"]; !ok {
+		t.Fatalf("JSON metrics lack cluster_http_requests_total: %s", body)
 	}
 }
 

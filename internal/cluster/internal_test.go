@@ -21,7 +21,7 @@ import (
 )
 
 // TestRouteParkBound pins the park accounting on one entry: requests
-// arriving during a migration park up to MaxParked, the next one is
+// arriving during a migration park up to the bound, the next one is
 // refused with errParkOverflow, and an unpark frees the slot.
 func TestRouteParkBound(t *testing.T) {
 	e := &entry{cid: "c1", home: &node{url: "http://b"}}
@@ -44,10 +44,7 @@ func TestRouteParkBound(t *testing.T) {
 // TestResolveFlipTimeout: a parked request must not wait forever for a
 // flip that never comes — it times out with a retryable 503.
 func TestResolveFlipTimeout(t *testing.T) {
-	rt := &Router{
-		opts: Options{MaxParked: 4, ParkTimeout: time.Millisecond},
-		cm:   newClusterMetrics(nil),
-	}
+	rt := &Router{cm: newClusterMetrics(nil), parkWait: time.Millisecond}
 	e := &entry{cid: "c1", home: &node{url: "http://b"}}
 	e.migrating = true
 	e.flip = make(chan struct{})
@@ -69,10 +66,7 @@ func TestResolveFlipTimeout(t *testing.T) {
 // to back-to-back migrations gives up after a bounded number of flips
 // instead of livelocking.
 func TestResolveFlipCap(t *testing.T) {
-	rt := &Router{
-		opts: Options{MaxParked: 4, ParkTimeout: time.Second},
-		cm:   newClusterMetrics(nil),
-	}
+	rt := &Router{cm: newClusterMetrics(nil), parkWait: time.Second}
 	e := &entry{cid: "c1", home: &node{url: "http://b"}}
 	e.migrating = true
 	flip := make(chan struct{})

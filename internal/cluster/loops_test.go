@@ -1,11 +1,16 @@
 package cluster_test
 
 import (
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cohpredict/internal/cluster"
+	"cohpredict/internal/serve"
 )
 
 // waitFor polls until the condition holds or the deadline passes.
@@ -71,6 +76,43 @@ func TestBackgroundLoops(t *testing.T) {
 	if code, _, body := tc.doRaw(t, "POST", path, evBody, hdr); code != 200 {
 		t.Fatalf("post after failover: %d: %s", code, body)
 	}
+}
+
+// TestCloseClosesBackendConns: Close closes the connections the router
+// opened to a backend, by proxying and by probing, so that none of them
+// holds the backend's graceful shutdown open.
+func TestCloseClosesBackendConns(t *testing.T) {
+	var mu sync.Mutex
+	open := make(map[net.Conn]bool)
+	srv := serve.NewServer(serve.Options{})
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+	}
+	ts.Start()
+	b := &testBackend{srv: srv, ts: ts, url: ts.URL}
+	defer b.kill()
+	tc := startClusterOver(t, []*testBackend{b})
+
+	code, _, body := tc.doRaw(t, "POST", "/v1/sessions", []byte(`{"scheme":"last(dir)1"}`),
+		map[string]string{"Content-Type": "application/json"})
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d: %s", code, body)
+	}
+	tc.router.CheckNow()
+	tc.router.Close()
+	waitFor(t, "the router's connections to the backend to close", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(open) == 0
+	})
 }
 
 // TestNewRejectsBadOptions pins New's validation surface.

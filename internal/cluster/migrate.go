@@ -11,6 +11,7 @@ package cluster
 // instead of training twice).
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 )
@@ -141,9 +142,15 @@ func (rt *Router) copySession(cid string, src, dst *node, clear func()) (down *n
 	return nil, nil
 }
 
-// probe asks one node's /healthz with the short probe timeout.
+// probe asks one node's /healthz, within probeTimeout.
 func (rt *Router) probe(n *node) bool {
-	resp, err := rt.probeC.Get(n.url + "/healthz")
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return false
 	}

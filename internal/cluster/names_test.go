@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -110,6 +111,85 @@ func TestDeleteDuringShipLeavesNoOrphan(t *testing.T) {
 		t.Fatalf("router's table lists %d sessions after the delete, want 0", n)
 	}
 	tc.checkNames(t)
+}
+
+// TestDeleteClaimsEntry: while the home holds one delete's DELETE, a
+// second delete of the session and a restore of its id run through the
+// router. Only the first delete reaches the home: the second answers 404
+// and the restore 409 until the first has unlinked the entry. A session
+// restored under the id afterwards keeps its copy, so the table and the
+// home agree and its stats answer.
+func TestDeleteClaimsEntry(t *testing.T) {
+	var hold atomic.Bool
+	arrived, release := make(chan struct{}), make(chan struct{})
+	srv := serve.NewServer(serve.Options{})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete && hold.CompareAndSwap(true, false) {
+			close(arrived)
+			<-release
+		}
+		h.ServeHTTP(w, r)
+	}))
+	b := &testBackend{srv: srv, ts: ts, url: ts.URL}
+	defer b.kill()
+	tc := startClusterOver(t, []*testBackend{b})
+
+	code, _, body := tc.doRaw(t, "POST", "/v1/sessions", []byte(`{"scheme":"last(dir)1"}`),
+		map[string]string{"Content-Type": "application/json"})
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d: %s", code, body)
+	}
+	path := "/v1/sessions/" + sessionID(t, body)
+	code, _, snap := tc.doRaw(t, "GET", path+"/snapshot", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: %d: %s", code, snap)
+	}
+	restore := func() int {
+		code, _, _ := tc.doRaw(t, "PUT", path+"/snapshot", snap,
+			map[string]string{"Content-Type": "application/octet-stream"})
+		return code
+	}
+
+	hold.Store(true)
+	first := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodDelete, tc.url+path, nil)
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp, err := tc.ts.Client().Do(req)
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	select {
+	case <-arrived:
+	case code := <-first:
+		t.Fatalf("the first delete answered %d before it reached the home", code)
+	}
+	second, _, _ := tc.doRaw(t, "DELETE", path, nil, nil)
+	restored := restore()
+	close(release)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("first delete: %d", code)
+	}
+	if restored != http.StatusCreated {
+		if code := restore(); code != http.StatusCreated {
+			t.Fatalf("restore after the delete: %d", code)
+		}
+	}
+	tc.checkNames(t)
+	if code, _, body := tc.doRaw(t, "GET", path+"/stats", nil, nil); code != http.StatusOK {
+		t.Fatalf("stats of the restored session: %d: %s", code, body)
+	}
+	if second != http.StatusNotFound || restored != http.StatusConflict {
+		t.Fatalf("while the first delete ran: second delete %d, restore %d; want 404 and 409", second, restored)
+	}
 }
 
 // TestCreateSkipsIDsBackendsHold: a router that starts with an empty

@@ -14,6 +14,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -125,7 +126,7 @@ const maxCreateAttempts = 8
 // an id lost at the table insert, moves the create to the next id, at
 // most maxCreateAttempts times.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
-	body, err := rt.readBody(r, rt.opts.MaxBodyBytes)
+	body, err := rt.readBody(r, maxBodyBytes)
 	if err != nil {
 		return err
 	}
@@ -230,7 +231,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	body, err := rt.readBody(r, rt.opts.MaxBodyBytes)
+	body, err := rt.readBody(r, maxBodyBytes)
 	if err != nil {
 		return err
 	}
@@ -333,23 +334,37 @@ func errExists(cid string) error {
 // handleDelete removes a session cluster-wide: from its home, from the
 // routing table, and from the standby's shipped copy (best-effort). A
 // lost session is simply forgotten.
+//
+// Only the delete that claims the entry forwards the home DELETE; a
+// second delete of it answers 404, and a restore of its id 409 while the
+// entry is in the table. A second DELETE sent by id could otherwise
+// reach the home after the first had unlinked the entry and a restore
+// had put a successor under the id, and remove the successor's copy.
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	cid := r.PathValue("id")
 	e, err := rt.lookup(cid)
 	if err != nil {
 		return err
 	}
-	n, rerr := rt.resolve(e)
-	if rerr != nil && rerr != ErrSessionLost {
-		return rerr
+	if !e.deleting.CompareAndSwap(false, true) {
+		return httpErr(http.StatusNotFound, fmt.Errorf("cluster: session %q is already being deleted", cid))
 	}
-	if rerr == nil {
+	n, rerr := rt.resolve(e)
+	switch {
+	case errors.Is(rerr, ErrSessionLost):
+	case rerr != nil:
+		e.deleting.Store(false)
+		return rerr
+	default:
 		pr, ferr := rt.forward(n, http.MethodDelete, "/v1/sessions/"+cid, nil, copyHeaders(r))
 		e.release()
-		if ferr != nil {
-			return rt.badGateway(n, ferr)
-		}
-		if pr.status != http.StatusOK {
+		if ferr != nil || pr.status != http.StatusOK {
+			// The home refused or was not reached, so a later delete may
+			// try again.
+			e.deleting.Store(false)
+			if ferr != nil {
+				return rt.badGateway(n, ferr)
+			}
 			writeProxied(w, pr)
 			return nil
 		}
@@ -406,7 +421,7 @@ func (rt *Router) handleClusterStatus(w http.ResponseWriter, r *http.Request) er
 // handleMigrate runs one live migration, synchronously: the response
 // arrives after the flip (or the rollback).
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
-	body, err := rt.readBody(r, rt.opts.MaxBodyBytes)
+	body, err := rt.readBody(r, maxBodyBytes)
 	if err != nil {
 		return err
 	}
@@ -424,6 +439,5 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	return rt.opts.Registry.WritePrometheus(w)
+	return serve.WriteMetrics(w, r, rt.opts.Registry)
 }

@@ -14,7 +14,7 @@ import "time"
 // skipped. Each ship is serialized with migrations (migrateMu) so a
 // ship can never interleave with a flip on the same session — but the
 // lock is taken per session, not across the sweep, so a migration
-// waits out at most one in-flight ship (two ProxyTimeouts) rather
+// waits out at most one in-flight ship (two proxyTimeouts) rather
 // than the entire cycle.
 func (rt *Router) ShipNow() int {
 	standby := rt.standby

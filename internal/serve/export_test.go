@@ -45,8 +45,15 @@ func SetDeleteHook(fn func(id string)) func() {
 // WireBuf is the binary handler's pooled per-request buffer set.
 type WireBuf = wireBuf
 
-// PostFrame is the session-level call the binary events handler makes,
-// with buf standing in for the buffers it takes from the pool.
+// PostFrame is the session-level call the events route makes, with buf
+// standing in for the buffers it takes from the pool.
 func (s *Session) PostFrame(key string, evs []trace.Event, buf *WireBuf) ([]byte, error) {
 	return s.postFrame(key, evs, buf, nil)
+}
+
+// SessionByID returns the live session registered under id, or nil.
+func (s *Server) SessionByID(id string) *Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions[id]
 }

@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -215,6 +218,52 @@ func TestIdempotencyUnderPureResets(t *testing.T) {
 	}
 	if st.Events != 16 {
 		t.Fatalf("%d attempts trained %d events, want exactly 16", cs.Requests, st.Events)
+	}
+}
+
+// TestResetWritesNothing: an injected reset drops an events reply whole,
+// in either encoding and whether the post succeeded or failed: the
+// handler aborts before it writes a header or a byte.
+func TestResetWritesNothing(t *testing.T) {
+	srv := serve.NewServer(serve.Options{Fault: fault.New(fault.Config{Seed: 9, Reset: 1.0}, nil)})
+	defer srv.Shutdown()
+	h := srv.Handler()
+	create := httptest.NewRecorder()
+	h.ServeHTTP(create, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"scheme":"last(add8)1"}`)))
+	var sess serve.CreateSessionResponse
+	if create.Code != http.StatusCreated || json.Unmarshal(create.Body.Bytes(), &sess) != nil {
+		t.Fatalf("create: %d: %s", create.Code, create.Body)
+	}
+	evs := hammerEvents(8, 16)
+	jsonEvs, err := jsonMarshal(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, post := range []struct {
+		name, path, ctype string
+		body              []byte
+	}{
+		{"json", "/v1/sessions/" + sess.ID + "/events", "application/json", jsonEvs},
+		{"wire", "/v1/sessions/" + sess.ID + "/events", serve.ContentTypeWire, serve.AppendWireBatch(nil, evs)},
+		{"unknown session", "/v1/sessions/nope/events", "application/json", jsonEvs},
+	} {
+		req := httptest.NewRequest("POST", post.path, bytes.NewReader(post.body))
+		req.Header.Set("Content-Type", post.ctype)
+		w := &discardWriter{header: make(http.Header)}
+		func() {
+			defer func() {
+				if p := recover(); p != http.ErrAbortHandler {
+					t.Errorf("%s: handler ended with %v, want the http.ErrAbortHandler abort", post.name, p)
+				}
+			}()
+			h.ServeHTTP(w, req)
+		}()
+		if w.status != 0 || w.written != 0 || len(w.header) != 0 {
+			t.Errorf("%s: a reset reply wrote status %d, %d bytes and headers %v", post.name, w.status, w.written, w.header)
+		}
+	}
+	if st := srv.SessionByID(sess.ID).Stats(); st.Events != 16 {
+		t.Fatalf("the reset posts trained %d events, want 16", st.Events)
 	}
 }
 

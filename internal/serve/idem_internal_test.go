@@ -35,8 +35,8 @@ func newTestSession(t *testing.T, shards int) *Session {
 }
 
 // TestEncodeSessionExtraSkipsIncompleteEntries: only completed, successful
-// idempotency entries reach a snapshot. An entry registered by a PostKeyed
-// racing the quiesce (still open, or failed with ErrSnapshotting) must not
+// idempotency entries reach a snapshot. An entry registered by a keyed
+// post racing the quiesce (still open, or failed with ErrSnapshotting) must not
 // be serialized — a restored session would answer a replay of that key
 // with zero predictions and the batch would silently never train.
 func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
@@ -97,7 +97,7 @@ func TestIdemEvictionSkipsInFlight(t *testing.T) {
 
 	// At capacity with the in-flight entry oldest: a fresh key evicts the
 	// oldest completed entry, not the open one.
-	if _, err := s.PostKeyed("fresh", nil); err != nil {
+	if _, err := s.PostFrame("fresh", nil, new(WireBuf)); err != nil {
 		t.Fatal(err)
 	}
 	s.idemMu.Lock()
@@ -123,7 +123,7 @@ func TestIdemEvictionSkipsInFlight(t *testing.T) {
 		s2.idemOrder = append(s2.idemOrder, k)
 	}
 	s2.idemMu.Unlock()
-	if _, err := s2.PostKeyed("fresh", nil); err != nil {
+	if _, err := s2.PostFrame("fresh", nil, new(WireBuf)); err != nil {
 		t.Fatal(err)
 	}
 	s2.idemMu.Lock()
@@ -135,18 +135,18 @@ func TestIdemEvictionSkipsInFlight(t *testing.T) {
 }
 
 // TestPostKeyedShardFailureKeepsEntry: a shard worker failure is permanent,
-// so PostKeyed records it in the idempotency entry instead of releasing the
-// key — a replay of the key fails fast without re-enqueueing the batch to
-// the shards that are still healthy.
+// so a keyed post records it in the idempotency entry instead of releasing
+// the key — a replay of the key fails fast without re-enqueueing the batch
+// to the shards that are still healthy.
 func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
 	s := newTestSession(t, 1)
 	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}}
-	if _, err := s.PostKeyed("warm", evs); err != nil {
+	if _, err := s.PostFrame("warm", evs, new(WireBuf)); err != nil {
 		t.Fatal(err)
 	}
 
 	s.shards[0].fail.Store(fmt.Errorf("%w: shard 0 worker panicked: test", ErrShardFailed))
-	_, err := s.PostKeyed("poisoned", evs)
+	_, err := s.PostFrame("poisoned", evs, new(WireBuf))
 	if !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("err = %v, want ErrShardFailed", err)
 	}
@@ -158,7 +158,7 @@ func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
 	}
 
 	trained := s.Stats().Events
-	if _, err := s.PostKeyed("poisoned", evs); !errors.Is(err, ErrShardFailed) {
+	if _, err := s.PostFrame("poisoned", evs, new(WireBuf)); !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("replay err = %v, want the recorded ErrShardFailed", err)
 	}
 	if got := s.Stats().Events; got != trained {

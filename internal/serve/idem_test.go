@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
-	"cohpredict/internal/bitmap"
 	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
@@ -41,30 +41,54 @@ func sharingEvents(n int) []trace.Event {
 // returns the predictions from the reply.
 func (c *client) postKeyed(id, key string, evs []trace.Event, wire bool) []uint64 {
 	c.t.Helper()
-	path := "/v1/sessions/" + id + "/events"
-	if wire {
-		code, _, body := c.doRaw("POST", path, serve.AppendWireBatch(nil, evs), map[string]string{
-			"Content-Type": serve.ContentTypeWire, "Accept": serve.ContentTypeWire, "Idempotency-Key": key,
-		})
-		if code != http.StatusOK {
-			c.t.Fatalf("wire post %s: status %d: %s", key, code, body)
-		}
-		preds, err := serve.DecodeWireReplyInto(body, []uint64(nil))
-		if err != nil {
-			c.t.Fatalf("wire post %s: %v", key, err)
-		}
-		return preds
-	}
-	reqBody, err := json.Marshal(evs)
+	preds, err := c.tryPostKeyed(id, key, evs, wire)
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	code, _, body := c.doRaw("POST", path, reqBody, map[string]string{"Idempotency-Key": key})
-	var resp serve.EventsResponse
-	if code != http.StatusOK || json.Unmarshal(body, &resp) != nil {
-		c.t.Fatalf("json post %s: status %d: %s", key, code, body)
+	return preds
+}
+
+// tryPostKeyed is postKeyed returning its failure, so that goroutines
+// other than the test's can post.
+func (c *client) tryPostKeyed(id, key string, evs []trace.Event, wire bool) ([]uint64, error) {
+	hdr := map[string]string{"Idempotency-Key": key}
+	var body []byte
+	if wire {
+		body = serve.AppendWireBatch(nil, evs)
+		hdr["Content-Type"], hdr["Accept"] = serve.ContentTypeWire, serve.ContentTypeWire
+	} else {
+		var err error
+		if body, err = json.Marshal(evs); err != nil {
+			return nil, err
+		}
 	}
-	return resp.Predictions
+	req, err := http.NewRequest("POST", c.base+"/v1/sessions/"+id+"/events", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("post %s (wire %v): status %d: %s", key, wire, resp.StatusCode, data)
+	}
+	if wire {
+		return serve.DecodeWireReplyInto(data, []uint64(nil))
+	}
+	var er serve.EventsResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		return nil, fmt.Errorf("post %s: %w: %s", key, err, data)
+	}
+	return er.Predictions, nil
 }
 
 // TestIdemReplayCrossTransport: a key first posted as JSON and retried as
@@ -105,30 +129,26 @@ func TestIdemReplayCrossTransport(t *testing.T) {
 	}
 }
 
-// TestIdemConcurrentSameKey: posts racing on one key — through the binary
-// handler's session call and through PostKeyed — train the batch once,
-// and every one of them gets the winner's reply: the same frame bytes, or
-// the predictions decoded from them.
+// TestIdemConcurrentSameKey: posts racing on one key — through the
+// session call the events route makes and through HTTP posts in either
+// encoding — train the batch once, and every one of them gets the
+// winner's reply: the same frame bytes, or the predictions decoded from
+// them.
 func TestIdemConcurrentSameKey(t *testing.T) {
-	sc, err := core.ParseScheme("last(add8)1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := serve.NewSession("race", serve.SessionConfig{
-		Scheme: sc, Machine: core.Machine{Nodes: 16, LineBytes: 64}, Shards: 4,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 4}).ID
+	sess := srv.SessionByID(id)
 	evs := sharingEvents(512)
-	if _, err := sess.PostKeyed("warm", evs); err != nil {
+	if _, err := sess.PostFrame("warm", evs, new(serve.WireBuf)); err != nil {
 		t.Fatal(err)
 	}
 
 	const racers = 8
 	frames := make([][]byte, racers)
-	preds := make([][]bitmap.Bitmap, racers)
+	preds := make([][]uint64, racers)
 	errs := make([]error, racers)
 	var wg sync.WaitGroup
 	for g := 0; g < racers; g++ {
@@ -139,7 +159,7 @@ func TestIdemConcurrentSameKey(t *testing.T) {
 				frames[g], errs[g] = sess.PostFrame("race-key", evs, new(serve.WireBuf))
 				return
 			}
-			preds[g], errs[g] = sess.PostKeyed("race-key", evs)
+			preds[g], errs[g] = c.tryPostKeyed(id, "race-key", evs, g%4 == 1)
 		}(g)
 	}
 	wg.Wait()
@@ -148,19 +168,18 @@ func TestIdemConcurrentSameKey(t *testing.T) {
 			t.Fatalf("racer %d: %v", g, err)
 		}
 	}
-	want, err := serve.DecodeWireReply(frames[0])
+	want, err := serve.DecodeWireReplyInto(frames[0], []uint64(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < racers; g++ {
-		got := preds[g]
 		if g%2 == 0 {
 			if !bytes.Equal(frames[g], frames[0]) {
 				t.Fatalf("racer %d got different frame bytes", g)
 			}
 			continue
 		}
-		if !slices.Equal(got, want) {
+		if !slices.Equal(preds[g], want) {
 			t.Fatalf("racer %d got predictions that differ from the cached frame", g)
 		}
 	}
@@ -388,7 +407,7 @@ func FuzzDecodeSessionExtra(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, n := range []int{0, 3, 40} {
-		if _, err := sess.PostKeyed(fmt.Sprintf("seed-%d", i), sharingEvents(n)); err != nil {
+		if _, err := sess.PostFrame(fmt.Sprintf("seed-%d", i), sharingEvents(n), new(serve.WireBuf)); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -126,7 +126,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", s.wrap(s.handleCreateSession))
 	mux.HandleFunc("PUT /v1/sessions/{id}", s.wrap(s.handleCreateSession))
 	mux.HandleFunc("GET /v1/sessions", s.wrap(s.handleListSessions))
-	mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleEventsTraced)
+	mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/sessions/{id}/stats", s.wrap(s.handleStats))
 	mux.HandleFunc("GET /v1/debug/requests", s.wrap(s.handleDebugRequests))
 	mux.HandleFunc("GET /v1/debug/slow", s.wrap(s.handleDebugSlow))
@@ -154,26 +154,22 @@ func (e *apiError) Error() string { return e.err.Error() }
 
 func httpErr(status int, err error) error { return &apiError{status: status, err: err} }
 
-// wrap adapts an error-returning handler to http.HandlerFunc, mapping
-// session-layer sentinel errors to their HTTP statuses and counting
-// requests and error responses.
+// wrap adapts an error-returning handler to http.HandlerFunc, counting
+// requests and answering an error through failure.
 func (s *Server) wrap(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.om.requestsTotal.Inc()
-		err := h(w, r)
-		if err == nil {
-			return
+		if err := h(w, r); err != nil {
+			status, env := s.failure(r, err)
+			writeJSON(w, status, env)
 		}
-		status, code := s.errorStatus(err)
-		s.om.errorsTotal.Inc()
-		s.opts.Log.Debugf("serve: %s %s -> %d: %v", r.Method, r.URL.Path, status, err)
-		writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
 	}
 }
 
-// errorStatus maps a handler error to its HTTP status and error code,
-// counting backpressure rejections as a side effect.
-func (s *Server) errorStatus(err error) (int, string) {
+// failure maps a handler error to its HTTP status and JSON envelope,
+// counting the error (and a backpressure rejection) and logging it. wrap
+// and the events route answer every error through it.
+func (s *Server) failure(r *http.Request, err error) (int, ErrorResponse) {
 	status := http.StatusInternalServerError
 	var ae *apiError
 	switch {
@@ -185,28 +181,28 @@ func (s *Server) errorStatus(err error) (int, string) {
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrSnapshotting), errors.Is(err, ErrInjected):
 		status = http.StatusServiceUnavailable
 	}
-	code := ""
+	env := ErrorResponse{Error: err.Error()}
 	if errors.Is(err, ErrShardFailed) {
-		code = CodeShardFailed
+		env.Code = CodeShardFailed
 	}
-	return status, code
+	s.om.errorsTotal.Inc()
+	s.opts.Log.Debugf("serve: %s %s -> %d: %v", r.Method, r.URL.Path, status, err)
+	return status, env
 }
 
-// handleEventsTraced is the events route's full pipeline: flight-recorder
-// tracing around the handler, plus the HTTP-layer chaos points. It
-// subsumes what wrap() does for the other routes (request/error counting,
-// error→status mapping) because the trace record must observe the final
-// status and every injected fault.
+// handleEvents is the events route: flight-recorder tracing and the
+// HTTP-layer chaos points around the one pipeline both encodings share
+// (events). It counts requests and errors itself, as wrap does for the
+// other routes, because the trace record must observe the final status
+// and every injected fault.
 //
-// Chaos placement mirrors the old middleware exactly: an injected 500
-// fires before the handler (nothing processed — a retry is always safe);
-// an injected reset tears the connection down after the handler, so the
-// batch WAS processed and only the idempotency key makes the client's
-// retry safe. Under chaos the response is buffered so a reset discards it
-// whole rather than truncating it; without chaos the handler writes
-// straight through (the buffered copy would cost the wire path its
-// zero-allocation property).
-func (s *Server) handleEventsTraced(w http.ResponseWriter, r *http.Request) {
+// An injected 500 fires before the pipeline: nothing was processed, so a
+// retry is always safe. The reset point is drawn once after it, for
+// every request that passed the 500 point, error or not: the batch WAS
+// processed, and only the idempotency key makes the client's retry safe.
+// The reply is whole before the draw, so a reset drops it without
+// writing a byte.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.om.requestsTotal.Inc()
 	transport := flight.TransportJSON
 	if mediaType(r.Header.Get("Content-Type")) == ContentTypeWire {
@@ -217,9 +213,7 @@ func (s *Server) handleEventsTraced(w http.ResponseWriter, r *http.Request) {
 	if id := rec.ID(); id != "" {
 		w.Header().Set("X-Request-ID", id)
 	}
-
-	flt := s.opts.Fault
-	if flt.ServerError("http.error") {
+	if s.opts.Fault.ServerError("http.error") {
 		rec.MarkFault(flight.FaultError)
 		s.om.errorsTotal.Inc()
 		writeJSON(w, http.StatusInternalServerError,
@@ -228,70 +222,46 @@ func (s *Server) handleEventsTraced(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out := http.ResponseWriter(w)
-	var buf *bufferedResponse
-	if flt.Enabled() {
-		buf = &bufferedResponse{status: http.StatusOK}
-		out = buf
-	}
+	buf := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(buf)
 	status := http.StatusOK
-	if err := s.serveEvents(out, r, rec); err != nil {
-		var code string
-		status, code = s.errorStatus(err)
+	ctype, reply, err := s.events(r, buf, rec)
+	if err != nil {
 		if errors.Is(err, ErrInjected) {
 			rec.MarkFault(flight.FaultDrop)
 		}
-		s.om.errorsTotal.Inc()
-		s.opts.Log.Debugf("serve: %s %s -> %d: %v", r.Method, r.URL.Path, status, err)
-		writeJSON(out, status, ErrorResponse{Error: err.Error(), Code: code})
+		var env ErrorResponse
+		status, env = s.failure(r, err)
+		ctype, reply = "application/json", jsonBody(env)
 	}
-	if buf != nil && flt.Reset("http.reset") {
+	if s.opts.Fault.Reset("http.reset") {
 		rec.MarkFault(flight.FaultReset)
 		s.opts.Flight.Finish(rec, status)
 		//predlint:ignore panicfree http.ErrAbortHandler is net/http's sanctioned abort
 		panic(http.ErrAbortHandler)
 	}
-	if buf != nil {
-		buf.flushTo(w)
-	}
+	writeBody(w, status, ctype, reply)
 	s.opts.Flight.Finish(rec, status)
 }
 
-// bufferedResponse holds a handler's full response so the chaos reset can
-// drop it atomically after the handler (and the engine work) finished.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header {
-	if b.header == nil {
-		b.header = make(http.Header)
-	}
-	return b.header
-}
-
-func (b *bufferedResponse) WriteHeader(status int) { b.status = status }
-
-func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
-
-func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
-	dst := w.Header()
-	for k, vs := range b.header {
-		dst[k] = vs
-	}
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.body.Bytes())
+// writeBody writes a whole response: its type and length, then body.
+func writeBody(w http.ResponseWriter, status int, ctype string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", ctype)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	// Encoding errors past the header are connection failures; nothing
-	// useful remains to report to the peer.
-	_ = enc.Encode(v)
+	writeBody(w, status, "application/json", jsonBody(v))
+}
+
+// jsonBody encodes a response document, newline-terminated as
+// json.Encoder writes one. The API's documents always encode.
+func jsonBody(v interface{}) []byte {
+	data, _ := json.Marshal(v)
+	return append(data, '\n')
 }
 
 // readBody reads a request body of at most limit bytes into dst's
@@ -428,67 +398,6 @@ func (s *Server) session(r *http.Request) (*Session, error) {
 	return sess, nil
 }
 
-// serveEvents negotiates the events route's two encodings: a COHWIRE1
-// Content-Type takes the allocation-free binary path, JSON (or no type)
-// the debugging/compat path, and anything else is refused with 415.
-// Either request form may ask for a binary reply via Accept. Along the
-// way it stamps the flight record: byte sizes, event count, and the
-// decode/encode stage times (queue/batch/exec stamping happens below, in
-// the session and the shard workers).
-func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, rec *flight.Record) error {
-	sess, err := s.session(r)
-	if err != nil {
-		return err
-	}
-	rec.SetSession(sess.ID)
-	switch ct := mediaType(r.Header.Get("Content-Type")); ct {
-	case ContentTypeWire:
-		return s.handleEventsWire(w, r, sess, rec)
-	case "", "application/json", "application/x-www-form-urlencoded":
-		// form-urlencoded is curl's -d default; the body is still JSON.
-	default:
-		return httpErr(http.StatusUnsupportedMediaType,
-			fmt.Errorf("serve: unsupported content type %q (want application/json or %s)", ct, ContentTypeWire))
-	}
-	body, err := readBody(nil, r, s.opts.MaxBodyBytes)
-	if err != nil {
-		return err
-	}
-	rec.SetBytesIn(len(body))
-	t0 := flight.Nanos()
-	evs, err := DecodeEvents(body, sess.cfg.Machine.Nodes)
-	rec.AddDecode(flight.Nanos() - t0)
-	if err != nil {
-		return httpErr(http.StatusBadRequest, err)
-	}
-	rec.SetEvents(len(evs))
-	if wantsWire(r) {
-		buf := wireBufs.Get().(*wireBuf)
-		defer wireBufs.Put(buf)
-		return s.writeFrame(w, r, sess, evs, buf, rec)
-	}
-	preds, err := sess.PostKeyedStamped(r.Header.Get("Idempotency-Key"), evs, rec)
-	if err != nil {
-		return err
-	}
-	resp := EventsResponse{Events: len(preds), Predictions: make([]uint64, len(preds))}
-	for i, p := range preds {
-		resp.Predictions[i] = uint64(p)
-	}
-	t1 := flight.Nanos()
-	data, err := json.Marshal(resp)
-	rec.AddEncode(flight.Nanos() - t1)
-	if err != nil {
-		return err
-	}
-	rec.SetBytesOut(len(data))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-	return nil
-}
-
 // handleDebugRequests serves a destructive capture of the flight
 // recorder's sampled-request ring: entries ordered by finish sequence,
 // drained as they are read.
@@ -588,10 +497,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) error
 		snapBufs.Put(buf)
 		return err
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	writeBody(w, http.StatusOK, "application/octet-stream", data)
 	putSnapBuf(buf, data)
 	s.opts.Log.Infof("serve: session %s snapshot: %d bytes", sess.ID, len(data))
 	return nil
@@ -730,15 +636,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
+	return WriteMetrics(w, r, s.opts.Registry)
+}
+
+// WriteMetrics answers GET /metrics from reg: Prometheus text, or the
+// obs.Snapshot JSON for a request that accepts application/json.
+// predserve and predroute both serve their /metrics through it.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry) error {
 	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, s.opts.Registry.Snapshot())
+		writeJSON(w, http.StatusOK, reg.Snapshot())
 		return nil
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.opts.Registry.WritePrometheus(w); err != nil {
-		return err
-	}
-	return nil
+	return reg.WritePrometheus(w)
 }
 
 // Sessions returns the number of live sessions.

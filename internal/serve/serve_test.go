@@ -111,6 +111,49 @@ func TestSingleEventForm(t *testing.T) {
 	}
 }
 
+// TestEventsJSONReply pins the JSON events reply, which the route
+// transcodes from the COHWIRE1 frame it posts: the bytes json.Marshal
+// writes for the EventsResponse, [] (not null) for an empty batch, and
+// for a keyed post and its replay the same bytes.
+func TestEventsJSONReply(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 2}).ID
+	path := "/v1/sessions/" + id + "/events"
+
+	code, hdr, body := c.doRaw("POST", path, []byte(`[]`), nil)
+	if code != http.StatusOK || hdr.Get("Content-Type") != "application/json" ||
+		string(body) != `{"events":0,"predictions":[]}` {
+		t.Fatalf("empty batch: %d %q: %q", code, hdr.Get("Content-Type"), body)
+	}
+
+	evs, err := json.Marshal(sharingEvents(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := map[string]string{"Idempotency-Key": "json-replay"}
+	code, _, first := c.doRaw("POST", path, evs, key)
+	if code != http.StatusOK {
+		t.Fatalf("keyed post: %d: %s", code, first)
+	}
+	var resp serve.EventsResponse
+	if err := json.Unmarshal(first, &resp); err != nil || resp.Events != 300 {
+		t.Fatalf("keyed post reply %q: %v", first, err)
+	}
+	if want, _ := json.Marshal(resp); !bytes.Equal(first, want) {
+		t.Fatalf("reply is not json.Marshal's encoding of its EventsResponse:\n got %s\nwant %s", first, want)
+	}
+	code, _, again := c.doRaw("POST", path, evs, key)
+	if code != http.StatusOK || !bytes.Equal(again, first) {
+		t.Fatalf("replay: %d, same bytes %v", code, bytes.Equal(again, first))
+	}
+	if got := c.stats(id).Events; got != 300 {
+		t.Fatalf("trained %d events, want 300: the replay must not train", got)
+	}
+}
+
 // TestBackpressure429 fills a deliberately tiny queue: a batch larger than
 // max_pending must be refused whole with 429 and leave the session's
 // accounting untouched.

@@ -232,35 +232,30 @@ func (s *Session) release(n int) {
 // every event has been processed and scored, so a successful return means
 // the batch is fully reflected in Stats.
 func (s *Session) Post(evs []trace.Event) ([]bitmap.Bitmap, error) {
-	return s.postStamped(evs, nil)
-}
-
-func (s *Session) postStamped(evs []trace.Event, st *flight.Record) ([]bitmap.Bitmap, error) {
 	preds := make([]bitmap.Bitmap, len(evs))
-	if err := s.PostIntoStamped(evs, preds, st); err != nil {
+	if err := s.postInto(evs, preds, nil); err != nil {
 		return nil, err
 	}
 	return preds, nil
 }
 
-// PostInto is Post writing the predictions into caller-owned storage —
-// the binary serve path passes a pooled slice here so an unkeyed post
-// allocates nothing. preds must have length len(evs); the slots are the
-// response buffer the shard workers store into, and they are safe to
-// read (or recycle) once PostInto has returned.
+// PostInto is Post writing the predictions into caller-owned storage.
+// preds must have length len(evs); the slots are the response buffer the
+// shard workers store into, and they are safe to read (or recycle) once
+// PostInto has returned.
 func (s *Session) PostInto(evs []trace.Event, preds []bitmap.Bitmap) error {
-	return s.PostIntoStamped(evs, preds, nil)
+	return s.postInto(evs, preds, nil)
 }
 
-// PostIntoStamped is PostInto carrying a flight record: the enqueue
-// instant is stamped after admission, and the record rides each run into
-// the shard workers so the micro-batch loop can account queue-wait,
-// batch-wait, and execute time to this request. st may be nil (untraced).
+// postInto is PostInto carrying a flight record: the enqueue instant is
+// stamped after admission, and the record rides each run into the shard
+// workers so the micro-batch loop can account queue-wait, batch-wait, and
+// execute time to this request. st may be nil (untraced).
 //
 // The batch is routed once and split into one run per shard it touches;
 // each run is a single channel send and a single WaitGroup.Done, so the
 // dispatch cost is paid per (post, shard), not per event.
-func (s *Session) PostIntoStamped(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) error {
+func (s *Session) postInto(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) error {
 	if len(evs) > MaxBatchEvents {
 		return fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
 	}
@@ -303,7 +298,7 @@ func (s *Session) PostIntoStamped(evs []trace.Event, preds []bitmap.Bitmap, st *
 	return nil
 }
 
-// post is one PostInto call's dispatch state, pooled so a warm session
+// post is one postInto call's dispatch state, pooled so a warm session
 // dispatches without allocating. split fills the scratch; each shard
 // worker reads evs, stores into preds and stamps st for its own run only,
 // then releases the run with wg.Done. The posting goroutine owns a post
@@ -372,51 +367,21 @@ func (p *post) split(r Router) int {
 	return runs
 }
 
-// PostKeyed is Post with an idempotency key: the first arrival of a key
-// trains the engine; duplicates (client retries after a lost response)
-// wait for the original and return its cached predictions, never training
-// twice. A retryably-failed attempt releases the key so the retry can run.
-// An empty key degrades to plain Post.
-func (s *Session) PostKeyed(key string, evs []trace.Event) ([]bitmap.Bitmap, error) {
-	return s.PostKeyedStamped(key, evs, nil)
-}
-
-// PostKeyedStamped is PostKeyed carrying a flight record (nil = untraced):
-// a replay served from the idempotency cache marks the record instead of
-// stamping shard stages — no engine work happened. The cache keeps each
-// post's reply frame, so a replay decodes its predictions from there.
-func (s *Session) PostKeyedStamped(key string, evs []trace.Event, st *flight.Record) ([]bitmap.Bitmap, error) {
-	if key == "" {
-		return s.postStamped(evs, st)
-	}
-	preds := make([]bitmap.Bitmap, len(evs))
-	frame, replay, err := s.postKeyed(key, evs, preds, st)
-	if err != nil {
-		return nil, err
-	}
-	if replay {
-		if preds, err = DecodeWireReplyInto(frame, preds[:0]); err != nil {
-			return nil, err
-		}
-	}
-	return preds, nil
-}
-
-// postFrame posts evs and returns the COHWIRE1 reply frame, the way the
-// binary handler serves it. buf lends the pooled prediction slots and, for
-// an unkeyed post, the output buffer the frame is encoded into, valid
-// until buf goes back to the pool. A keyed post's frame is the
-// idempotency cache's copy, which nobody writes to.
+// postFrame posts evs and returns the COHWIRE1 reply frame: the one post
+// the events route makes, for either encoding. An empty key posts once;
+// any other goes through the idempotency cache (postKeyed). buf lends the
+// pooled prediction slots and, for an unkeyed post, the output buffer the
+// frame is encoded into, valid until buf goes back to the pool. A keyed
+// post's frame is the idempotency cache's copy, which nobody writes to.
 func (s *Session) postFrame(key string, evs []trace.Event, buf *wireBuf, st *flight.Record) ([]byte, error) {
 	if cap(buf.preds) < len(evs) {
 		buf.preds = make([]bitmap.Bitmap, len(evs))
 	}
 	preds := buf.preds[:len(evs)]
 	if key != "" {
-		frame, _, err := s.postKeyed(key, evs, preds, st)
-		return frame, err
+		return s.postKeyed(key, evs, preds, st)
 	}
-	if err := s.PostIntoStamped(evs, preds, st); err != nil {
+	if err := s.postInto(evs, preds, st); err != nil {
 		return nil, err
 	}
 	buf.out = encodeReply(buf.out[:0], preds, st)
@@ -436,10 +401,11 @@ func encodeReply(dst []byte, preds []bitmap.Bitmap, st *flight.Record) []byte {
 // arrival of key trains the engine with preds (len(evs) caller-owned
 // slots) as its response buffer, encodes the reply frame once at its
 // exact size and caches it; a duplicate waits for the original and gets
-// the same frame with replay set, its preds untouched.
-func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) (frame []byte, replay bool, err error) {
+// the same frame, marked a replay on st, its preds untouched. A
+// retryably-failed attempt releases the key so the retry can run.
+func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) ([]byte, error) {
 	if len(key) > maxIdemKeyLen {
-		return nil, false, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
+		return nil, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
 	}
 
 	s.idemMu.Lock()
@@ -447,11 +413,11 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 		s.idemMu.Unlock()
 		<-e.done
 		if e.err != nil {
-			return nil, false, e.err
+			return nil, e.err
 		}
 		s.om.idemHits.Inc()
 		st.MarkReplay()
-		return e.frame, true, nil
+		return e.frame, nil
 	}
 	e := &idemEntry{done: make(chan struct{})}
 	s.idem[key] = e
@@ -472,15 +438,15 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 	}
 	s.idemMu.Unlock()
 
-	if err := s.PostIntoStamped(evs, preds, st); err != nil {
+	if err := s.postInto(evs, preds, st); err != nil {
 		if errors.Is(err, ErrShardFailed) {
-			// Permanent: every retry fails identically, but its Post would
+			// Permanent: every retry fails identically, but its post would
 			// still re-train the healthy shards' partitions first. Keep
 			// the entry with the recorded error so a replay of this key
 			// fails fast without touching the engine.
 			e.err = err
 			close(e.done)
-			return nil, false, err
+			return nil, err
 		}
 		// Nothing was trained (drops and backlog refuse before enqueue):
 		// release the key so the client's retry re-runs instead of
@@ -498,11 +464,11 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 		s.idemMu.Unlock()
 		e.err = err
 		close(e.done)
-		return nil, false, err
+		return nil, err
 	}
 	e.frame = encodeReply(nil, preds, st)
 	close(e.done)
-	return e.frame, false, nil
+	return e.frame, nil
 }
 
 // Stats is a session's aggregated (per-batch-published) state. While

@@ -118,7 +118,7 @@ func appendExtraHead(b []byte, t SessionTuning, flush uint64, n int) []byte {
 
 // snapshotted reports whether a cache entry belongs in a snapshot: only a
 // completed, successful one. Quiescence guarantees every successfully
-// admitted batch's entry is complete, but a PostKeyed racing the snapshot
+// admitted batch's entry is complete, but a keyed post racing the snapshot
 // can register its entry and only then fail admission with
 // ErrSnapshotting — such an entry is still open, or carries an error, and
 // is skipped: baking it into the snapshot would make the restored session

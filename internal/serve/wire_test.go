@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"cohpredict/internal/bitmap"
@@ -386,6 +388,80 @@ func TestWireKernelsAllocFree(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, pin.fn); got != 0 {
 			t.Errorf("%s allocates %.1f times per call; the hot path requires 0", pin.name, got)
+		}
+	}
+}
+
+// discardWriter is the least ResponseWriter a handler can write to: a
+// header map it keeps, a status, and a body it counts and drops.
+type discardWriter struct {
+	header  http.Header
+	status  int
+	written int
+}
+
+func (w *discardWriter) Header() http.Header    { return w.header }
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.written += len(p)
+	return len(p), nil
+}
+
+// TestWireHandlerAllocs pins what a warm COHWIRE1 post allocates through
+// the whole route table, with a reused request and a minimal writer, so
+// that the count is the handler's own: 6 allocations for an unkeyed post
+// and 9 for a keyed one (its idempotency entry, its done channel and its
+// cached frame), whatever the batch size.
+func TestWireHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a race build allocates more")
+	}
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	h := srv.Handler()
+	create := httptest.NewRecorder()
+	h.ServeHTTP(create, httptest.NewRequest("POST", "/v1/sessions",
+		strings.NewReader(`{"scheme":"last(add8)1","shards":2}`)))
+	var sess serve.CreateSessionResponse
+	if create.Code != http.StatusCreated || json.Unmarshal(create.Body.Bytes(), &sess) != nil {
+		t.Fatalf("create: %d: %s", create.Code, create.Body)
+	}
+
+	for _, tc := range []struct {
+		keyed  bool
+		events int
+		most   float64
+	}{{false, 64, 6}, {false, 4096, 6}, {true, 64, 9}, {true, 4096, 9}} {
+		frame := serve.AppendWireBatch(nil, sharingEvents(tc.events))
+		body := bytes.NewReader(frame)
+		req := httptest.NewRequest("POST", "/v1/sessions/"+sess.ID+"/events", nil)
+		req.Header.Set("Content-Type", serve.ContentTypeWire)
+		req.Header.Set("Accept", serve.ContentTypeWire)
+		req.Body, req.ContentLength = io.NopCloser(body), int64(len(frame))
+		// A keyed post needs a fresh key each time, set without allocating.
+		keys := make([][]string, 256)
+		for i := range keys {
+			keys[i] = []string{fmt.Sprintf("k%d-%d", tc.events, i)}
+		}
+		w := &discardWriter{header: make(http.Header)}
+		n := 0
+		post := func() {
+			body.Reset(frame)
+			if tc.keyed {
+				req.Header["Idempotency-Key"] = keys[n]
+				n++
+			}
+			w.status = 0
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("post: status %d", w.status)
+			}
+		}
+		post() // warm the pools and the session's tables
+		if got := testing.AllocsPerRun(200, post); got > tc.most {
+			t.Errorf("a warm %d-event post (keyed %v) allocates %.0f times; want at most %.0f",
+				tc.events, tc.keyed, got, tc.most)
 		}
 	}
 }

@@ -1,13 +1,17 @@
 package serve
 
-// The HTTP face of COHWIRE1: content negotiation and the pooled request
-// path. A binary events post flows through pooled buffers end to end —
-// body bytes, decoded events, prediction slots, and the encoded reply all
-// live in a per-request *wireBuf recycled through a sync.Pool — so the
-// steady-state cost per event is the codec kernels plus the shard work.
-// An idempotent post (every post the Go client sends) allocates one thing
-// more: its reply frame at its exact size, which the idempotency cache
-// keeps for replays; see Session.postFrame.
+// The events route's one pipeline, for both encodings: read the body
+// into a pooled buffer, decode it (a COHWIRE1 batch straight into pooled
+// event structs, JSON through DecodeEvents), post it with
+// Session.postFrame, and reply with the COHWIRE1 frame — or with that
+// frame transcoded into the JSON EventsResponse when the request asked
+// for COHWIRE1 neither in its Content-Type nor in its Accept. Body bytes,
+// decoded events, prediction slots and the encoded reply all live in a
+// per-request *wireBuf recycled through a sync.Pool, so the steady-state
+// cost of a COHWIRE1 post is the codec kernels plus the shard work. A
+// keyed post (every post the Go client sends) allocates one thing more:
+// its reply frame at its exact size, which the idempotency cache keeps
+// for replays.
 
 import (
 	"fmt"
@@ -53,48 +57,90 @@ func wantsWire(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeWire)
 }
 
-// writeWire sends a COHWIRE1 frame as the response body.
-func writeWire(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", ContentTypeWire)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
-}
-
-// handleEventsWire is the binary events path: the batch decoded straight
-// into the pooled event structs the shard runs point at, the predictions
-// stored into pooled slots, and the reply frame — pooled for an unkeyed
-// post, the idempotency cache's own bytes for a keyed one — written as is.
-func (s *Server) handleEventsWire(w http.ResponseWriter, r *http.Request, sess *Session, rec *flight.Record) error {
-	buf := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(buf)
-
+// events runs one events post through the pipeline and returns its
+// reply whole, with its content type; it writes nothing. The reply lives
+// in buf or in the idempotency cache. Along the way it stamps the flight
+// record: byte sizes, event count, and the decode and encode stage times
+// (queue, batch and exec are stamped below, in the session and the shard
+// workers). A content type other than COHWIRE1 or JSON is refused with
+// 415.
+func (s *Server) events(r *http.Request, buf *wireBuf, rec *flight.Record) (ctype string, reply []byte, err error) {
+	sess, err := s.session(r)
+	if err != nil {
+		return "", nil, err
+	}
+	rec.SetSession(sess.ID)
+	wire := false
+	switch ct := mediaType(r.Header.Get("Content-Type")); ct {
+	case ContentTypeWire:
+		wire = true
+	case "", "application/json", "application/x-www-form-urlencoded":
+		// form-urlencoded is curl's -d default; the body is still JSON.
+	default:
+		return "", nil, httpErr(http.StatusUnsupportedMediaType,
+			fmt.Errorf("serve: unsupported content type %q (want application/json or %s)", ct, ContentTypeWire))
+	}
 	body, err := readBody(buf.body, r, s.opts.MaxBodyBytes)
 	buf.body = body[:0]
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	rec.SetBytesIn(len(body))
-	t0 := flight.Nanos()
-	evs, err := DecodeWireBatchInto(body, sess.cfg.Machine.Nodes, buf.evs[:0])
-	rec.AddDecode(flight.Nanos() - t0)
-	buf.evs = evs[:0]
-	if err != nil {
-		return httpErr(http.StatusBadRequest, fmt.Errorf("serve: decoding wire batch: %w", err))
-	}
-	s.om.wireRequests.Inc()
-	rec.SetEvents(len(evs))
-	return s.writeFrame(w, r, sess, evs, buf, rec)
-}
 
-// writeFrame posts evs and writes the COHWIRE1 reply, for either request
-// encoding; buf is the caller's pooled wireBuf.
-func (s *Server) writeFrame(w http.ResponseWriter, r *http.Request, sess *Session, evs []trace.Event, buf *wireBuf, rec *flight.Record) error {
+	t := flight.Nanos()
+	var evs []trace.Event
+	if wire {
+		evs, err = DecodeWireBatchInto(body, sess.cfg.Machine.Nodes, buf.evs[:0])
+		buf.evs = evs[:0]
+		if err != nil {
+			err = fmt.Errorf("serve: decoding wire batch: %w", err)
+		}
+	} else {
+		evs, err = DecodeEvents(body, sess.cfg.Machine.Nodes)
+	}
+	rec.AddDecode(flight.Nanos() - t)
+	if err != nil {
+		return "", nil, httpErr(http.StatusBadRequest, err)
+	}
+	if wire {
+		s.om.wireRequests.Inc()
+	}
+	rec.SetEvents(len(evs))
+
 	frame, err := sess.postFrame(r.Header.Get("Idempotency-Key"), evs, buf, rec)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-	rec.SetBytesOut(len(frame))
-	writeWire(w, frame)
-	return nil
+	ctype, reply = ContentTypeWire, frame
+	if !wire && !wantsWire(r) {
+		// A replay's predictions are only in its frame, so every JSON
+		// reply is read back from the frame it transcodes.
+		t := flight.Nanos()
+		preds, err := DecodeWireReplyInto(frame, buf.preds[:0])
+		buf.preds = preds[:0]
+		if err != nil {
+			return "", nil, err
+		}
+		buf.out = appendEventsJSON(buf.out[:0], preds)
+		rec.AddEncode(flight.Nanos() - t)
+		ctype, reply = "application/json", buf.out
+	}
+	rec.SetBytesOut(len(reply))
+	return ctype, reply, nil
+}
+
+// appendEventsJSON appends the JSON reply for preds to dst: the bytes
+// json.Marshal writes for EventsResponse{len(preds), preds}, with [] for
+// an empty batch.
+func appendEventsJSON(dst []byte, preds []bitmap.Bitmap) []byte {
+	dst = append(dst, `{"events":`...)
+	dst = strconv.AppendInt(dst, int64(len(preds)), 10)
+	dst = append(dst, `,"predictions":[`...)
+	for i, p := range preds {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(p), 10)
+	}
+	return append(dst, "]}"...)
 }

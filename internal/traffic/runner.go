@@ -190,10 +190,11 @@ func quantileMs(lats []int64, q float64) float64 {
 	return float64(lats[idx]) / 1e6
 }
 
-// fetchMetrics GETs a predserve /metrics endpoint in its JSON form.
-// Best-effort: any failure, or an endpoint that answers only in text
-// (predroute's), yields an empty snapshot, whose counters and quantiles
-// read as zero.
+// fetchMetrics GETs a /metrics endpoint, predserve's or predroute's, in
+// its JSON form. Best-effort: any failure yields an empty snapshot, whose
+// counters and quantiles read as zero. predroute's snapshot carries no
+// serve_* histograms, so the server quantiles of a run against the
+// router read as zero too.
 func fetchMetrics(baseURL string) obs.Snapshot {
 	var snap obs.Snapshot
 	req, err := http.NewRequest(http.MethodGet, baseURL+"/metrics", nil)
