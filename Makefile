@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo fuzz-smoke cover throughput-smoke
+.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo fuzz-smoke cover throughput-smoke bench-smoke
 
 check: vet lint race
 
@@ -103,6 +103,21 @@ fuzz-smoke:
 # detector, under which every floor skips.
 throughput-smoke:
 	$(GO) test ./internal/serve ./internal/cluster -run='TestThroughputFloor' -count=1 -v
+
+# The benchmark's own correctness check, in short runs: serve-bulk and
+# cluster-small each run two seconds from seed 1, and every result line
+# must say "correct":true with no failed operation. A served prediction
+# that differs from the offline engine's, or a batch trained twice,
+# fails here before the benchmark pipeline sees it.
+bench-smoke:
+	@for w in serve-bulk cluster-small; do \
+		out=$$(bash _perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+		echo "$$out"; \
+		if [ -z "$$out" ] || echo "$$out" | grep -v '"correct":true' | grep -q . \
+			|| echo "$$out" | grep -Ev '"failed":0[,}]' | grep -q .; then \
+			echo "bench-smoke: $$w: a run was not correct or failed operations" >&2; exit 1; \
+		fi; \
+	done
 
 # Coverage ratchet: per-package statement-coverage floors sit a few points
 # below measured coverage, so a change that lands a chunk of untested code

@@ -13,7 +13,10 @@
 //     ambiguous transport failure;
 //   - every event post carries an Idempotency-Key, so a batch whose
 //     response was lost after processing is replayed from the server's
-//     cache instead of training the engine twice;
+//     cache instead of training the engine twice, and acknowledges with
+//     an Idempotency-Ack the key of the last post to the same session
+//     that returned, whose reply the client holds, so the server keeps
+//     that key but drops its cached reply;
 //   - the default transport never follows a redirect: a 3xx returns as
 //     a non-retryable *APIError, so a keyed post never leaves the URL
 //     it was keyed for.
@@ -159,6 +162,11 @@ type Client struct {
 
 	idsMu      sync.Mutex
 	retriedIDs []string //predlint:guardedby idsMu
+
+	// lastKeys maps a session id to the key of its last keyed post that
+	// returned: the key the next post to the session acknowledges.
+	ackMu    sync.Mutex
+	lastKeys map[string]string //predlint:guardedby ackMu
 }
 
 // New builds a client for the server at opts.BaseURL.
@@ -190,9 +198,10 @@ func New(opts Options) *Client {
 		}
 	}
 	return &Client{
-		opts: opts,
-		http: h,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
+		opts:     opts,
+		http:     h,
+		rng:      rand.New(rand.NewSource(opts.Seed)),
+		lastKeys: make(map[string]string),
 	}
 }
 
@@ -260,12 +269,17 @@ func (c *Client) nextRequestID() string {
 	return fmt.Sprintf("%016x-r%d", uint64(c.opts.Seed), c.reqSeq.Add(1))
 }
 
+// postIDs are the headers that name one logical event post, sent the
+// same on every attempt: its Idempotency-Key, the Idempotency-Ack of the
+// key it acknowledges, and its X-Request-ID. Empty ones are not sent; the
+// zero value names no post.
+type postIDs struct{ key, ack, reqID string }
+
 // do runs one retrying request under the given retry policy (Retryable
-// for idempotent requests, retrySafeResponse for non-idempotent ones).
-// idemKey, when non-empty, is sent as the Idempotency-Key header on every
-// attempt; reqID likewise as X-Request-ID — the SAME id on every attempt,
-// by design. The response body (for 2xx) is returned whole.
-func (c *Client) do(method, path string, body []byte, contentType, accept, idemKey, reqID string, retry func(error) bool) ([]byte, error) {
+// for idempotent requests, retrySafeResponse for non-idempotent ones),
+// sending ids on every attempt — the SAME ids, by design. The response
+// body (for 2xx) is returned whole.
+func (c *Client) do(method, path string, body []byte, contentType, accept string, ids postIDs, retry func(error) bool) ([]byte, error) {
 	url := c.opts.BaseURL + path
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -275,16 +289,16 @@ func (c *Client) do(method, path string, body []byte, contentType, accept, idemK
 					method, path, attempt, lastErr)
 			}
 			c.retries.Add(1)
-			if idemKey != "" {
+			if ids.key != "" {
 				c.replays.Add(1)
 			}
-			if reqID != "" && attempt == 1 {
-				c.noteRetriedID(reqID)
+			if ids.reqID != "" && attempt == 1 {
+				c.noteRetriedID(ids.reqID)
 			}
 			c.sleep(c.backoff(attempt - 1))
 		}
 		c.requests.Add(1)
-		resp, err := c.attempt(method, url, body, contentType, accept, idemKey, reqID)
+		resp, err := c.attempt(method, url, body, contentType, accept, ids)
 		if err == nil {
 			return resp, nil
 		}
@@ -295,7 +309,7 @@ func (c *Client) do(method, path string, body []byte, contentType, accept, idemK
 	}
 }
 
-func (c *Client) attempt(method, url string, body []byte, contentType, accept, idemKey, reqID string) ([]byte, error) {
+func (c *Client) attempt(method, url string, body []byte, contentType, accept string, ids postIDs) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -310,11 +324,14 @@ func (c *Client) attempt(method, url string, body []byte, contentType, accept, i
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
+	if ids.key != "" {
+		req.Header.Set("Idempotency-Key", ids.key)
 	}
-	if reqID != "" {
-		req.Header.Set("X-Request-ID", reqID)
+	if ids.ack != "" {
+		req.Header.Set("Idempotency-Ack", ids.ack)
+	}
+	if ids.reqID != "" {
+		req.Header.Set("X-Request-ID", ids.reqID)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -344,7 +361,7 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return serve.ReadBody(nil, resp.Body, resp.ContentLength, int64(serve.MaxWireReplyBytes))
 }
 
-func (c *Client) doJSON(method, path string, reqBody, out interface{}, idemKey, reqID string, retry func(error) bool) error {
+func (c *Client) doJSON(method, path string, reqBody, out interface{}, ids postIDs, retry func(error) bool) error {
 	var body []byte
 	if reqBody != nil {
 		b, err := json.Marshal(reqBody)
@@ -353,7 +370,7 @@ func (c *Client) doJSON(method, path string, reqBody, out interface{}, idemKey, 
 		}
 		body = b
 	}
-	data, err := c.do(method, path, body, "application/json", "", idemKey, reqID, retry)
+	data, err := c.do(method, path, body, "application/json", "", ids, retry)
 	if err != nil {
 		return err
 	}
@@ -374,7 +391,7 @@ func (c *Client) doJSON(method, path string, reqBody, out interface{}, idemKey, 
 // risking a duplicate session.
 func (c *Client) CreateSession(req serve.CreateSessionRequest) (*serve.CreateSessionResponse, error) {
 	var out serve.CreateSessionResponse
-	if err := c.doJSON(http.MethodPost, "/v1/sessions", &req, &out, "", "", retrySafeResponse); err != nil {
+	if err := c.doJSON(http.MethodPost, "/v1/sessions", &req, &out, postIDs{}, retrySafeResponse); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -400,23 +417,50 @@ func (c *Client) PostEventsKeyed(id, key string, evs []serve.EventRequest) ([]ui
 // as well. Trace replay uses it to resend a recorded stream with its
 // original request IDs, so a replayed run is indistinguishable from the
 // recorded one in the server's flight recorder.
+//
+// The post acknowledges the key of the last keyed post to the session
+// that returned, unless that is key itself, so a deliberate re-post of a
+// key replays; once this post returns, its key is the one the next post
+// acknowledges.
 func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
 	path := "/v1/sessions/" + id + "/events"
+	ids := postIDs{key: key, ack: c.ackFor(id, key), reqID: reqID}
+	var preds []uint64
+	var err error
 	if c.opts.Binary {
-		return c.postEventsWire(path, key, reqID, evs)
+		preds, err = c.postEventsWire(path, ids, evs)
+	} else {
+		var out serve.EventsResponse
+		err = c.doJSON(http.MethodPost, path, evs, &out, ids, Retryable)
+		preds = out.Predictions
 	}
-	var out serve.EventsResponse
-	if err := c.doJSON(http.MethodPost, path, evs, &out, key, reqID, Retryable); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return out.Predictions, nil
+	if key != "" {
+		c.ackMu.Lock()
+		c.lastKeys[id] = key
+		c.ackMu.Unlock()
+	}
+	return preds, nil
+}
+
+// ackFor returns the key a post under key to session id acknowledges:
+// the last keyed post to id that returned, unless that is key itself.
+func (c *Client) ackFor(id, key string) string {
+	c.ackMu.Lock()
+	defer c.ackMu.Unlock()
+	if last := c.lastKeys[id]; last != key {
+		return last
+	}
+	return ""
 }
 
 // postEventsWire posts the batch as a COHWIRE1 frame and decodes the
 // binary reply.
-func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
+func (c *Client) postEventsWire(path string, ids postIDs, evs []serve.EventRequest) ([]uint64, error) {
 	body := serve.AppendWireBatch(nil, evs) // sized once, exactly
-	data, err := c.do(http.MethodPost, path, body, serve.ContentTypeWire, serve.ContentTypeWire, key, reqID, Retryable)
+	data, err := c.do(http.MethodPost, path, body, serve.ContentTypeWire, serve.ContentTypeWire, ids, Retryable)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +480,7 @@ func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventReques
 // Stats fetches the session's screening statistics.
 func (c *Client) SessionStats(id string) (*serve.StatsResponse, error) {
 	var out serve.StatsResponse
-	if err := c.doJSON(http.MethodGet, "/v1/sessions/"+id+"/stats", nil, &out, "", "", Retryable); err != nil {
+	if err := c.doJSON(http.MethodGet, "/v1/sessions/"+id+"/stats", nil, &out, postIDs{}, Retryable); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -444,7 +488,7 @@ func (c *Client) SessionStats(id string) (*serve.StatsResponse, error) {
 
 // Snapshot quiesces the session and returns its binary snapshot.
 func (c *Client) Snapshot(id string) ([]byte, error) {
-	return c.do(http.MethodGet, "/v1/sessions/"+id+"/snapshot", nil, "", "", "", "", Retryable)
+	return c.do(http.MethodGet, "/v1/sessions/"+id+"/snapshot", nil, "", "", postIDs{}, Retryable)
 }
 
 // Restore creates session id from a binary snapshot; shards > 0 reshards
@@ -457,7 +501,7 @@ func (c *Client) Restore(id string, snap []byte, shards int) (*serve.CreateSessi
 	if shards > 0 {
 		path += "?shards=" + strconv.Itoa(shards)
 	}
-	data, err := c.do(http.MethodPut, path, snap, "application/octet-stream", "", "", "", retrySafeResponse)
+	data, err := c.do(http.MethodPut, path, snap, "application/octet-stream", "", postIDs{}, retrySafeResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -469,9 +513,13 @@ func (c *Client) Restore(id string, snap []byte, shards int) (*serve.CreateSessi
 }
 
 // DeleteSession drains and removes the session (404 after a successful
-// delete retry is treated as success — the delete happened).
+// delete retry is treated as success — the delete happened), and forgets
+// the key its next post would have acknowledged.
 func (c *Client) DeleteSession(id string) error {
-	err := c.doJSON(http.MethodDelete, "/v1/sessions/"+id, nil, nil, "", "", Retryable)
+	c.ackMu.Lock()
+	delete(c.lastKeys, id)
+	c.ackMu.Unlock()
+	err := c.doJSON(http.MethodDelete, "/v1/sessions/"+id, nil, nil, postIDs{}, Retryable)
 	var ae *APIError
 	if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
 		return nil

@@ -461,6 +461,7 @@ func (rt *Router) Status() *ClusterStatus {
 		Failovers:       rt.cm.failoversTotal.Value(),
 		Lost:            rt.cm.lostTotal.Value(),
 		Ships:           rt.cm.shipsTotal.Value(),
+		ShipFailures:    rt.cm.shipFailures.Value(),
 		Parked:          rt.cm.parked.Value(),
 	}
 	counts := make(map[string]int)

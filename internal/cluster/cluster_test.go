@@ -100,6 +100,8 @@ type clusterConfig struct {
 	mod func(*cluster.Options)
 	// wrapStandby, when non-nil, wraps the standby's handler.
 	wrapStandby func(http.Handler) http.Handler
+	// wrapBackend, when non-nil, wraps each serving backend's handler.
+	wrapBackend func(http.Handler) http.Handler
 }
 
 func startBackend(t testing.TB, inj *fault.Injector) *testBackend {
@@ -154,7 +156,13 @@ func startCluster(t testing.TB, cfg clusterConfig) *testCluster {
 		if cfg.injFor != nil {
 			inj = cfg.injFor(i)
 		}
-		b := startBackend(t, inj)
+		srv := serve.NewServer(serve.Options{Fault: inj})
+		h := srv.Handler()
+		if cfg.wrapBackend != nil {
+			h = cfg.wrapBackend(h)
+		}
+		ts := httptest.NewServer(h)
+		b := &testBackend{srv: srv, ts: ts, url: ts.URL}
 		tc.backends = append(tc.backends, b)
 		urls = append(urls, b.url)
 	}

@@ -97,6 +97,8 @@ type ClusterStatus struct {
 	Lost int64 `json:"lost_sessions,omitempty"`
 	// Ships counts snapshots shipped to the standby.
 	Ships int64 `json:"snapshot_ships"`
+	// ShipFailures counts ships that failed at any step.
+	ShipFailures int64 `json:"snapshot_ship_failures,omitempty"`
 	// Parked counts requests that waited out a migration flip.
 	Parked int64 `json:"parked_requests,omitempty"`
 }
@@ -171,7 +173,8 @@ func (st *ClusterStatus) validate() error {
 	}{
 		{"migrations", st.Migrations}, {"migration_aborts", st.MigrationAborts},
 		{"failovers", st.Failovers}, {"lost_sessions", st.Lost},
-		{"snapshot_ships", st.Ships}, {"parked_requests", st.Parked},
+		{"snapshot_ships", st.Ships}, {"snapshot_ship_failures", st.ShipFailures},
+		{"parked_requests", st.Parked},
 	} {
 		if v.n < 0 {
 			return fmt.Errorf("cluster: status %s is negative", v.name)

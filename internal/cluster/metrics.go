@@ -19,6 +19,7 @@ type clusterMetrics struct {
 	failoversTotal  *obs.Counter // cluster_failovers_total: sessions flipped to the standby
 	lostTotal       *obs.Counter // cluster_lost_sessions_total: died with no standby copy
 	shipsTotal      *obs.Counter // cluster_snapshot_ships_total: snapshots shipped to standby
+	shipFailures    *obs.Counter // cluster_snapshot_ship_failures_total: ships that failed at any step
 	backendsHealthy *obs.Gauge   // cluster_backends_healthy: serving nodes currently marked up
 }
 
@@ -35,6 +36,7 @@ func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 		failoversTotal:  r.Counter("cluster_failovers_total"),
 		lostTotal:       r.Counter("cluster_lost_sessions_total"),
 		shipsTotal:      r.Counter("cluster_snapshot_ships_total"),
+		shipFailures:    r.Counter("cluster_snapshot_ship_failures_total"),
 		backendsHealthy: r.Gauge("cluster_backends_healthy"),
 	}
 }

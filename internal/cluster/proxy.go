@@ -71,8 +71,8 @@ func (rt *Router) forward(n *node, method, path string, body []byte, hdr http.He
 // copyHeaders extracts the request headers the serve contract cares
 // about; hop-by-hop and incidental headers stay behind.
 func copyHeaders(r *http.Request) http.Header {
-	hdr := make(http.Header, 4)
-	for _, k := range []string{"Content-Type", "Accept", "Idempotency-Key", "X-Request-Id"} {
+	hdr := make(http.Header, 5)
+	for _, k := range []string{"Content-Type", "Accept", "Idempotency-Key", "Idempotency-Ack", "X-Request-Id"} {
 		if v := r.Header.Get(k); v != "" {
 			hdr.Set(k, v)
 		}

@@ -3,8 +3,10 @@ package cluster
 // Warm-standby replication: periodic COHSNAP1 shipping. Every session
 // gets its snapshot GET from its home and PUT to the standby on the
 // ship interval, so an unannounced backend death loses at most one
-// interval of training (and nothing at all when the client retries
-// with idempotency keys that land inside the shipped cache window).
+// interval of training. The shipped copy carries the idempotency cache:
+// a retry whose key the copy holds unacknowledged replays its reply, and
+// one whose key it holds acknowledged is refused with 409, so neither
+// trains twice.
 
 import "time"
 
@@ -51,8 +53,9 @@ func (rt *Router) ShipNow() int {
 // failoverFrom and handleDelete also take: a failover sees either the
 // old complete copy or the new complete copy, never the gap between
 // them, and a session deleted since the sweep listed it is not shipped.
-// Transport failures are returned to the caller for probing, not probed
-// here, to keep the lock order acyclic.
+// The node a transport failure came from is returned to the caller,
+// which runs any failover it needs outside the locks (failoverFrom takes
+// shipMu), to keep the lock order acyclic.
 func (rt *Router) shipOne(e *entry, home, standby *node) (ok bool, failed *node) {
 	rt.shipMu.Lock()
 	defer rt.shipMu.Unlock()
@@ -61,12 +64,21 @@ func (rt *Router) shipOne(e *entry, home, standby *node) (ok bool, failed *node)
 	}
 	// The copy's delete destroys the standby's previous copy; until the
 	// PUT lands there is nothing to fail over to, so the shipped mark
-	// must not claim otherwise. If the PUT fails, the mark stays false
-	// and a failover correctly declares the session lost instead of
-	// routing to a standby that would 404.
+	// must not claim otherwise. A failed ship clears the mark too: after
+	// a failed PUT the standby holds nothing, and after a failed GET from
+	// a home that is alive the copy falls further behind the home with
+	// every interval, so a failover must declare the session lost rather
+	// than route it to a 404 or to an older state. Only a home that
+	// answers neither the GET nor a probe keeps the mark: it is dead, and
+	// the copy is the newest state left, which the caller's probe of the
+	// home fails the session over to.
 	failed, err := rt.copySession(e.cid, home, standby, func() { e.setShipped(false) })
 	if err != nil {
-		rt.opts.Log.Debugf("cluster: ship %s: %v", e.cid, err)
+		rt.cm.shipFailures.Inc()
+		if failed != home || rt.probe(home) {
+			e.setShipped(false)
+		}
+		rt.opts.Log.Infof("cluster: ship of %s failed: %v", e.cid, err)
 		return false, failed
 	}
 	e.setShipped(true)

@@ -72,6 +72,11 @@ type StatsResponse struct {
 	PVP          float64      `json:"pvp"`
 	TableEntries uint64       `json:"table_entries"`
 	Shards       []ShardStats `json:"shards"`
+	// IdempotencyKeys counts the keys in the session's idempotency
+	// cache; IdempotencyReplyBytes sums the reply frames it holds for
+	// replays (an acknowledged key holds none).
+	IdempotencyKeys       int `json:"idempotency_keys"`
+	IdempotencyReplyBytes int `json:"idempotency_reply_bytes"`
 }
 
 // SessionListResponse lists live sessions in ID order.
@@ -85,10 +90,16 @@ type SessionListResponse struct {
 // Clients treat it as non-retryable.
 const CodeShardFailed = "shard_failed"
 
+// CodeKeyAcknowledged machine-classifies the 409 that refuses a post
+// under an idempotency key whose reply the client has acknowledged
+// (Idempotency-Ack): nothing was trained, and a retry is refused alike.
+const CodeKeyAcknowledged = "idempotency_key_acknowledged"
+
 // ErrorResponse is the JSON error envelope every non-2xx response carries.
 type ErrorResponse struct {
 	Error string `json:"error"`
-	// Code, when present, machine-classifies the failure (CodeShardFailed).
+	// Code, when present, machine-classifies the failure
+	// (CodeShardFailed, CodeKeyAcknowledged).
 	Code string `json:"code,omitempty"`
 }
 

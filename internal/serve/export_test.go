@@ -48,8 +48,11 @@ type WireBuf = wireBuf
 // PostFrame is the session-level call the events route makes, with buf
 // standing in for the buffers it takes from the pool.
 func (s *Session) PostFrame(key string, evs []trace.Event, buf *WireBuf) ([]byte, error) {
-	return s.postFrame(key, evs, buf, nil)
+	return s.postFrame(key, "", evs, buf, nil)
 }
+
+// Acknowledge is what an Idempotency-Ack header naming key does.
+func (s *Session) Acknowledge(key string) { s.acknowledge(key) }
 
 // SessionByID returns the live session registered under id, or nil.
 func (s *Server) SessionByID(id string) *Session {

@@ -1,17 +1,21 @@
 package serve
 
-// White-box tests for the idempotency-cache invariants the review pinned
-// down: a snapshot never bakes an incomplete entry, eviction never drops
-// an in-flight entry, and a permanent shard failure keeps its entry so
-// replays fail fast without re-training.
+// White-box tests for the idempotency-cache invariants: a snapshot never
+// bakes an incomplete entry, eviction never drops an in-flight entry, a
+// permanent shard failure keeps its entry so replays fail fast without
+// re-training, and an acknowledgement touches only a completed,
+// successful entry.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 	"cohpredict/internal/trace"
 )
@@ -215,5 +219,124 @@ func TestDecodeSessionExtraCanonical(t *testing.T) {
 		if _, err := decodeSessionExtra(bad); err == nil {
 			t.Errorf("accepted non-canonical section %x", bad)
 		}
+	}
+}
+
+// TestAckChangesNothingElse: an acknowledgement takes effect only on a
+// completed, successful entry. One naming the post's own key, an unknown
+// key, an entry still in flight or one failed by ErrShardFailed changes
+// nothing, and none of them fails its post.
+func TestAckChangesNothingElse(t *testing.T) {
+	s := newTestSession(t, 1)
+	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}}
+	post := func(key, ack string) ([]byte, error) { return s.postFrame(key, ack, evs, new(WireBuf), nil) }
+
+	first, err := post("own", "own")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := post("own", "own"); err != nil || !bytes.Equal(again, first) {
+		t.Fatalf("a post acknowledging its own key: replay got %x (%v), want the original reply", again, err)
+	}
+	if _, err := post("fresh", "unknown"); err != nil {
+		t.Fatalf("a post acknowledging an unknown key failed: %v", err)
+	}
+
+	open := &idemEntry{done: make(chan struct{})}
+	s.idemMu.Lock()
+	s.idem["open"] = open
+	s.idemOrder = append(s.idemOrder, "open")
+	_, unknownAdded := s.idem["unknown"]
+	s.idemMu.Unlock()
+	if unknownAdded {
+		t.Fatal("acknowledging an unknown key added it to the cache")
+	}
+	if _, err := post("during", "open"); err != nil {
+		t.Fatalf("a post acknowledging an in-flight entry failed: %v", err)
+	}
+	open.frame = AppendWireReply(nil, []bitmap.Bitmap{3, 5})
+	close(open.done)
+	if frame, err := post("open", ""); err != nil || !bytes.Equal(frame, open.frame) {
+		t.Fatalf("an entry acknowledged in flight: replay got %x (%v), want its reply", frame, err)
+	}
+
+	s.shards[0].fail.Store(fmt.Errorf("%w: shard 0 worker panicked: test", ErrShardFailed))
+	if _, err := post("poisoned", ""); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("err = %v, want ErrShardFailed", err)
+	}
+	if _, err := post("after", "poisoned"); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("a post acknowledging a failed entry: err = %v, want the session's ErrShardFailed", err)
+	}
+	if _, err := post("poisoned", ""); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("replay of a failed entry after its acknowledgement: err = %v, want ErrShardFailed", err)
+	}
+}
+
+// TestAckedTailIsOutOfRange: the acknowledged entry's marker reads as a
+// reply count above MaxBatchEvents, which a decoder that predates it
+// refuses, so an older node never restores an acknowledged key as a
+// reply.
+func TestAckedTailIsOutOfRange(t *testing.T) {
+	if c, n, ok := codec.Uvarint(ackedTail); !ok || n != len(ackedTail) || c <= MaxBatchEvents {
+		t.Fatalf("acknowledged tail %x reads as count %d (ok %v)", ackedTail, c, ok)
+	}
+	old := codec.NewReader(ackedTail)
+	old.Count(MaxBatchEvents, 1)
+	if !errors.Is(old.Err(), codec.ErrCount) {
+		t.Fatalf("the reply count read refuses the acknowledged tail with %v, want ErrCount", old.Err())
+	}
+}
+
+// TestAckRacesReplays: duplicates of a key, a snapshot and a stats read
+// racing the key's acknowledgement each see the whole reply or none of
+// it — the original frame or ErrKeyAcknowledged — and once the
+// acknowledgement has returned, every duplicate is refused. Under the
+// race detector this pins that frame is read under idemMu.
+func TestAckRacesReplays(t *testing.T) {
+	s := newTestSession(t, 2)
+	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}, {PID: 2, Dir: 1, Addr: 128, FutureReaders: 5}}
+	want, err := s.postFrame("k", "", evs, new(WireBuf), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.Clone(want)
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				switch frame, err := s.postFrame("k", "", evs, new(WireBuf), nil); {
+				case errors.Is(err, ErrKeyAcknowledged):
+				case err != nil:
+					errs <- err
+					return
+				case !bytes.Equal(frame, want):
+					errs <- fmt.Errorf("racer %d: replay got %x, want %x", g, frame, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := s.AppendSnapshot(nil); err != nil && !errors.Is(err, ErrSnapshotting) {
+			errs <- err
+		}
+		_ = s.Stats()
+	}()
+	s.acknowledge("k")
+	if _, err := s.postFrame("k", "", evs, new(WireBuf), nil); !errors.Is(err, ErrKeyAcknowledged) {
+		t.Fatalf("duplicate after the acknowledgement: err = %v, want ErrKeyAcknowledged", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Events; got != uint64(len(evs)) {
+		t.Fatalf("trained %d events, want %d: no duplicate may train", got, len(evs))
 	}
 }

@@ -415,6 +415,11 @@ func FuzzDecodeSessionExtra(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	sess.Acknowledge("seed-1")
+	acked, err := sess.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
 	if err := sess.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -424,6 +429,13 @@ func FuzzDecodeSessionExtra(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 0xff, 0xff, 0x03}) // 65535 predictions declared
 	f.Add([]byte{2})
 	f.Add(parentDefaultExtra())
+
+	// Acknowledged entries: the key, then MaxBatchEvents+1 for a count.
+	f.Add(acked.Extra)                                                      // between two replies
+	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 0x81, 0x80, 0x04})               // alone
+	f.Add([]byte{1, 1, 0, 0, 0, 2, 1, 'a', 0x81, 0x80, 0x04, 1, 'b', 1, 5}) // then a reply
+	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 0x82, 0x80, 0x04})               // one past the marker
+	f.Add([]byte{1, 1, 0, 0, 0, 1, 1, 'k', 0x81, 0x80, 0x84, 0x00})         // the marker, non-minimal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		again, err := serve.ReencodeSessionExtra(data)
 		if err != nil || len(data) == 0 {

@@ -180,10 +180,15 @@ func (s *Server) failure(r *http.Request, err error) (int, ErrorResponse) {
 		s.om.backpressure.Inc()
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrSnapshotting), errors.Is(err, ErrInjected):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrKeyAcknowledged):
+		status = http.StatusConflict
 	}
 	env := ErrorResponse{Error: err.Error()}
-	if errors.Is(err, ErrShardFailed) {
+	switch {
+	case errors.Is(err, ErrShardFailed):
 		env.Code = CodeShardFailed
+	case errors.Is(err, ErrKeyAcknowledged):
+		env.Code = CodeKeyAcknowledged
 	}
 	s.om.errorsTotal.Inc()
 	s.opts.Log.Debugf("serve: %s %s -> %d: %v", r.Method, r.URL.Path, status, err)
@@ -432,6 +437,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		PVP:          st.Confusion.PVP(),
 		TableEntries: st.TableEntries,
 		Shards:       st.Shards,
+
+		IdempotencyKeys:       st.IdemKeys,
+		IdempotencyReplyBytes: st.IdemReplyBytes,
 	})
 	return nil
 }

@@ -60,6 +60,12 @@ var ErrInjected = errors.New("serve: injected fault: batch dropped")
 // clients give up instead of retrying.
 var ErrShardFailed = errors.New("serve: shard worker failed")
 
+// ErrKeyAcknowledged refuses a post under an idempotency key whose reply
+// the client has acknowledged (Idempotency-Ack): the cache kept the key
+// but not the reply, so the post can be neither replayed nor trained
+// again. The HTTP layer maps it to 409 with CodeKeyAcknowledged.
+var ErrKeyAcknowledged = errors.New("serve: idempotency key already acknowledged")
+
 // SessionConfig parameterises a session (the JSON create request mirrors
 // it; zero values take the defaults above).
 type SessionConfig struct {
@@ -115,9 +121,13 @@ func (c *SessionConfig) fillDefaults() error {
 }
 
 // idemEntry is one idempotency-cache slot. The winner of a key closes done
-// after filling frame — the post's encoded COHWIRE1 reply, sized to fit
-// and never written again; duplicates wait on done and serve those bytes
-// without re-training the engine.
+// after filling frame — the post's encoded COHWIRE1 reply, sized to fit,
+// whose bytes are never written again — or err; duplicates wait on done
+// and serve those bytes without re-training the engine. An
+// acknowledgement (Session.acknowledge) later drops a successful entry's
+// frame, under the session's idemMu, and a duplicate is then refused; so
+// frame is read under idemMu too. (This rule is a comment, not a
+// guardedby mark: predlint's guardedby names a sibling mutex.)
 type idemEntry struct {
 	done  chan struct{}
 	frame []byte
@@ -125,7 +135,7 @@ type idemEntry struct {
 }
 
 // completed reports whether the entry's winner has finished: done is
-// closed and frame/err are final and safe to read.
+// closed, err is final, and frame is safe to read under idemMu.
 func (e *idemEntry) completed() bool {
 	select {
 	case <-e.done:
@@ -369,11 +379,15 @@ func (p *post) split(r Router) int {
 
 // postFrame posts evs and returns the COHWIRE1 reply frame: the one post
 // the events route makes, for either encoding. An empty key posts once;
-// any other goes through the idempotency cache (postKeyed). buf lends the
-// pooled prediction slots and, for an unkeyed post, the output buffer the
-// frame is encoded into, valid until buf goes back to the pool. A keyed
-// post's frame is the idempotency cache's copy, which nobody writes to.
-func (s *Session) postFrame(key string, evs []trace.Event, buf *wireBuf, st *flight.Record) ([]byte, error) {
+// any other goes through the idempotency cache (postKeyed). ack, when it
+// names an earlier key, is acknowledged first. buf lends the pooled
+// prediction slots and, for an unkeyed post, the output buffer the frame
+// is encoded into, valid until buf goes back to the pool. A keyed post's
+// frame is the idempotency cache's copy, which nobody writes to.
+func (s *Session) postFrame(key, ack string, evs []trace.Event, buf *wireBuf, st *flight.Record) ([]byte, error) {
+	if ack != "" && ack != key {
+		s.acknowledge(ack)
+	}
 	if cap(buf.preds) < len(evs) {
 		buf.preds = make([]bitmap.Bitmap, len(evs))
 	}
@@ -397,12 +411,25 @@ func encodeReply(dst []byte, preds []bitmap.Bitmap, st *flight.Record) []byte {
 	return dst
 }
 
+// acknowledge drops the reply frame of key's entry once the client
+// holds the reply, keeping the key, which refuses any later post under
+// it. Only a completed, successful entry is acknowledged: an unknown
+// key, an in-flight entry or a failed one is left as it is.
+func (s *Session) acknowledge(key string) {
+	s.idemMu.Lock()
+	if e := s.idem[key]; e != nil && e.completed() && e.err == nil {
+		e.frame = nil
+	}
+	s.idemMu.Unlock()
+}
+
 // postKeyed runs a keyed post through the idempotency cache. The first
 // arrival of key trains the engine with preds (len(evs) caller-owned
 // slots) as its response buffer, encodes the reply frame once at its
 // exact size and caches it; a duplicate waits for the original and gets
-// the same frame, marked a replay on st, its preds untouched. A
-// retryably-failed attempt releases the key so the retry can run.
+// the same frame, marked a replay on st, its preds untouched, or
+// ErrKeyAcknowledged once the key is acknowledged. A retryably-failed
+// attempt releases the key so the retry can run.
 func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) ([]byte, error) {
 	if len(key) > maxIdemKeyLen {
 		return nil, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
@@ -415,9 +442,15 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 		if e.err != nil {
 			return nil, e.err
 		}
+		s.idemMu.Lock()
+		frame := e.frame
+		s.idemMu.Unlock()
+		if frame == nil {
+			return nil, ErrKeyAcknowledged
+		}
 		s.om.idemHits.Inc()
 		st.MarkReplay()
-		return e.frame, nil
+		return frame, nil
 	}
 	e := &idemEntry{done: make(chan struct{})}
 	s.idem[key] = e
@@ -466,9 +499,10 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 		close(e.done)
 		return nil, err
 	}
-	e.frame = encodeReply(nil, preds, st)
+	frame := encodeReply(nil, preds, st)
+	e.frame = frame
 	close(e.done)
-	return e.frame, nil
+	return frame, nil
 }
 
 // Stats is a session's aggregated (per-batch-published) state. While
@@ -479,6 +513,10 @@ type Stats struct {
 	Events       uint64
 	TableEntries uint64
 	Shards       []ShardStats
+	// IdemKeys counts the idempotency cache's keys, and IdemReplyBytes
+	// the reply frames it holds for them.
+	IdemKeys       int
+	IdemReplyBytes int
 }
 
 // ShardStats is the published view of one shard of the pool.
@@ -489,7 +527,7 @@ type ShardStats struct {
 }
 
 // Stats merges the shard pool's published tallies on top of any
-// snapshot-restored baseline.
+// snapshot-restored baseline, and measures the idempotency cache.
 func (s *Session) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(s.shards))}
 	st.Confusion = s.baseConf
@@ -501,6 +539,14 @@ func (s *Session) Stats() Stats {
 		st.TableEntries += ss.entries
 		st.Shards[i] = ShardStats{Events: ss.events, TableEntries: ss.entries, BusyNS: ss.busyNS}
 	}
+	s.idemMu.Lock()
+	st.IdemKeys = len(s.idemOrder)
+	for _, k := range s.idemOrder {
+		if e := s.idem[k]; e.completed() {
+			st.IdemReplyBytes += len(e.frame)
+		}
+	}
+	s.idemMu.Unlock()
 	return st
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -23,12 +24,22 @@ import (
 //
 // A cache entry is its key followed by its reply frame's tail (the
 // count, then the predictions), copied verbatim both ways: the layout
-// version 1 has always had. The tuning still carries the retired flush
-// deadline's slot, in nanoseconds: live sessions write 0, and a decoded
-// section keeps what it read so it re-encodes byte for byte.
+// version 1 has always had. An acknowledged entry is its key followed by
+// ackedCount where the count would be, and nothing more; a section with
+// none is version 1's bytes, and a decoder that predates them refuses
+// one as a count out of range. The tuning still carries the retired
+// flush deadline's slot, in nanoseconds: live sessions write 0, and a
+// decoded section keeps what it read so it re-encodes byte for byte.
 
 // sessionExtraVersion versions the Extra section layout.
 const sessionExtraVersion = 1
+
+// ackedCount stands in an acknowledged entry's count: one more than any
+// reply can hold.
+const ackedCount = MaxBatchEvents + 1
+
+// ackedTail is an acknowledged entry's tail.
+var ackedTail = codec.AppendUvarint(nil, ackedCount)
 
 // MaxSnapshotBytes bounds a snapshot body: the one limit a backend's
 // snapshot PUT reads with and the router ships and migrates with, so a
@@ -127,26 +138,36 @@ func appendExtraHead(b []byte, t SessionTuning, flush uint64, n int) []byte {
 // walks of one cache agree on which entries they take.
 func snapshotted(e *idemEntry) bool { return e.completed() && e.err == nil }
 
+// idemTail returns what follows a snapshotted entry's key in the
+// section: its reply frame's tail, or ackedTail once it is acknowledged.
+// The caller holds idemMu.
+func idemTail(e *idemEntry) []byte {
+	if e.frame == nil {
+		return ackedTail
+	}
+	return e.frame[wireHeaderLen:]
+}
+
 // idemSize returns how many of the cache's entries a snapshot takes, and
-// the bytes they fill in the section.
+// the bytes they fill in the section. The caller holds idemMu.
 func idemSize(order []string, idem map[string]*idemEntry) (n, size int) {
 	for _, k := range order {
 		if e := idem[k]; snapshotted(e) {
 			n++
-			size += codec.UvarintLen(uint64(len(k))) + len(k) + len(e.frame) - wireHeaderLen
+			size += codec.UvarintLen(uint64(len(k))) + len(k) + len(idemTail(e))
 		}
 	}
 	return n, size
 }
 
-// appendIdem appends the entries idemSize counts, in cache order. A
-// completed entry's frame is never written again, so it is safe to read.
+// appendIdem appends the entries idemSize counts, in cache order, under
+// the same idemMu hold.
 func appendIdem(b []byte, order []string, idem map[string]*idemEntry) []byte {
 	for _, k := range order {
 		if e := idem[k]; snapshotted(e) {
 			b = codec.AppendUvarint(b, uint64(len(k)))
 			b = append(b, k...)
-			b = append(b, e.frame[wireHeaderLen:]...)
+			b = append(b, idemTail(e)...)
 		}
 	}
 	return b
@@ -180,21 +201,27 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	// An entry takes at least three bytes: key length, key, count.
 	n := r.Count(maxIdemKeys, 3)
 	items := r.Rest()
-	var tails [maxIdemKeys]int // each entry's frame tail length
+	var tails [maxIdemKeys]int // each entry's frame tail length, 0 once acknowledged
 	keyBytes, frameBytes := 0, 0
 	for i := 0; i < n; i++ {
 		key := r.Bytes(maxIdemKeyLen)
 		tail := r.Rest()
-		r.SkipUvarints(r.Count(MaxBatchEvents, 1)) // the count, then the predictions
+		if bytes.HasPrefix(tail, ackedTail) {
+			r.Uvarint()
+		} else {
+			r.SkipUvarints(r.Count(MaxBatchEvents, 1)) // the count, then the predictions
+			tails[i] = len(tail) - len(r.Rest())
+		}
 		if r.Err() != nil {
 			break
 		}
 		if len(key) == 0 {
 			return nil, errors.New("serve: snapshot idempotency key is empty")
 		}
-		tails[i] = len(tail) - len(r.Rest())
 		keyBytes += len(key)
-		frameBytes += wireHeaderLen + tails[i]
+		if tails[i] > 0 {
+			frameBytes += wireHeaderLen + tails[i]
+		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("serve: snapshot extra section: %w", err)
@@ -215,12 +242,17 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", key)
 		}
 		items = items[k+int(kl):]
-		f := len(frames)
-		frames = append(frames, wireMagic...)
-		frames = append(frames, wireKindReply)
-		frames = append(frames, items[:tails[i]]...)
-		items = items[tails[i]:]
-		entries[i] = idemEntry{done: closedDone, frame: frames[f:len(frames):len(frames)]}
+		entries[i] = idemEntry{done: closedDone}
+		if tails[i] == 0 {
+			items = items[len(ackedTail):]
+		} else {
+			f := len(frames)
+			frames = append(frames, wireMagic...)
+			frames = append(frames, wireKindReply)
+			frames = append(frames, items[:tails[i]]...)
+			items = items[tails[i]:]
+			entries[i].frame = frames[f:len(frames):len(frames)]
+		}
 		x.idem[key] = &entries[i]
 		x.order[i] = key
 	}

@@ -11,7 +11,8 @@ package serve
 // cost of a COHWIRE1 post is the codec kernels plus the shard work. A
 // keyed post (every post the Go client sends) allocates one thing more:
 // its reply frame at its exact size, which the idempotency cache keeps
-// for replays.
+// for replays until the client acknowledges it (an Idempotency-Ack
+// header on a later post names the key) or 1024 later keys evict it.
 
 import (
 	"fmt"
@@ -107,7 +108,7 @@ func (s *Server) events(r *http.Request, buf *wireBuf, rec *flight.Record) (ctyp
 	}
 	rec.SetEvents(len(evs))
 
-	frame, err := sess.postFrame(r.Header.Get("Idempotency-Key"), evs, buf, rec)
+	frame, err := sess.postFrame(r.Header.Get("Idempotency-Key"), r.Header.Get("Idempotency-Ack"), evs, buf, rec)
 	if err != nil {
 		return "", nil, err
 	}
