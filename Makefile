@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo fuzz-smoke cover throughput-smoke bench-smoke
+.PHONY: check vet lint lint-self lint-timed test race race-hammer bench build obs-demo fuzz-smoke cover throughput-smoke bench-smoke loc
 
 check: vet lint race
 
@@ -118,6 +118,12 @@ bench-smoke:
 			echo "bench-smoke: $$w: a run was not correct or failed operations" >&2; exit 1; \
 		fi; \
 	done
+
+# Net non-test Go lines, the size every change reports: every tracked
+# .go file except tests and the _perfbench harness. Untracked files are
+# not counted, so stage new files first.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:_perfbench/*' | xargs cat | wc -l
 
 # Coverage ratchet: per-package statement-coverage floors sit a few points
 # below measured coverage, so a change that lands a chunk of untested code

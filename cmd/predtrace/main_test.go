@@ -214,7 +214,7 @@ func tracedServer(t *testing.T, slow time.Duration, ids []string) string {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		evs := []serve.EventRequest{{PID: i, PC: 40, Addr: 0x1000, InvReaders: 6, FutureReaders: 6}}
+		evs := []serve.EventRequest{{PID: uint8(i), PC: 40, Addr: 0x1000, InvReaders: 6, FutureReaders: 6}}
 		if _, err := cl.PostEventsKeyedID(sess.ID, cl.NextIdempotencyKey(), id, evs); err != nil {
 			t.Fatalf("post %s: %v", id, err)
 		}

@@ -70,7 +70,7 @@ func inspect(w io.Writer, path string, tr *trace.Trace, topN int) error {
 		decisions += uint64(tr.Nodes)
 		sizeHist[n]++
 		blocks[e.Addr] = struct{}{}
-		writers[e.PID]++
+		writers[int(e.PID)]++
 	}
 	fmt.Fprintf(w, "blocks: %d   prevalence: %.2f%%   degree of sharing: %.2f\n",
 		len(blocks), 100*float64(sharingBits)/float64(decisions),

@@ -15,10 +15,10 @@ func sample() *trace.Trace {
 	tr := &trace.Trace{Nodes: 16}
 	for i := 0; i < 40; i++ {
 		tr.Events = append(tr.Events, trace.Event{
-			PID: i % 4, PC: uint64(20 + i%3), Dir: 1, Addr: uint64(i%8) * 64,
+			PID: uint8(i % 4), PC: uint64(20 + i%3), Dir: 1, Addr: uint64(i%8) * 64,
 			InvReaders:    bitmap.New(5),
 			FutureReaders: bitmap.New(5, 6),
-			HasPrev:       i > 7, PrevPID: (i + 3) % 4, PrevPC: 20,
+			HasPrev:       i > 7, PrevPID: uint8((i + 3) % 4), PrevPC: 20,
 		})
 	}
 	return tr

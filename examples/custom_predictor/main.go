@@ -67,7 +67,7 @@ func evaluate(tab core.Table, idx core.IndexSpec, cm core.Machine, tr *trace.Tra
 		if core.Direct.Schedule(keyer.ReadsWriter(), ev.HasPrev, ev.InvReaders) == core.TrainCurrent {
 			tab.Train(key, ev.InvReaders)
 		}
-		pred := tab.Predict(key).Clear(ev.PID)
+		pred := tab.Predict(key).Clear(int(ev.PID))
 		conf.AddBitmaps(pred, ev.FutureReaders, cm.Nodes)
 	}
 	return conf

@@ -26,7 +26,7 @@ func wireEcho(t *testing.T, wirePosts *atomic.Int32) http.HandlerFunc {
 		if err != nil {
 			t.Errorf("reading body: %v", err)
 		}
-		evs, err := serve.DecodeWireBatch(body, 16)
+		evs, err := serve.DecodeWireBatchInto(body, 16, nil)
 		if err != nil {
 			t.Errorf("decoding posted frame: %v", err)
 		}

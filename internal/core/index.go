@@ -111,7 +111,7 @@ func lowBits(n int) uint64 { return 1<<uint(n) - 1 }
 // address; its block-offset bits are discarded first.
 //
 //predlint:hotpath
-func (k *Keyer) Key(pid int, pc uint64, dir int, addr uint64) uint64 {
+func (k *Keyer) Key(pid uint8, pc uint64, dir uint8, addr uint64) uint64 {
 	return (addr>>k.lineShift)&k.addrMask | (pc&k.pcMask)<<k.pcShift |
 		uint64(dir)<<k.dirShift | uint64(pid)<<k.pidShift
 }

@@ -8,7 +8,7 @@ import (
 var m16 = Machine{Nodes: 16, LineBytes: 64}
 
 // keyOf keys one event through the spec compiled for machine m.
-func keyOf(s IndexSpec, pid int, pc uint64, dir int, addr uint64, m Machine) uint64 {
+func keyOf(s IndexSpec, pid uint8, pc uint64, dir uint8, addr uint64, m Machine) uint64 {
 	k := s.Keyer(m)
 	return k.Key(pid, pc, dir, addr)
 }
@@ -117,7 +117,7 @@ func TestKeyWithinRange(t *testing.T) {
 			UseDir:   dir%2 == 0,
 			AddrBits: int(addrBits % 17),
 		}
-		key := keyOf(spec, int(pid%16), pc, int(dir%16), addr, m16)
+		key := keyOf(spec, pid%16, pc, dir%16, addr, m16)
 		return key < spec.Entries(m16)
 	}
 	if err := quick.Check(f, nil); err != nil {

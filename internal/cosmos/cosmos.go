@@ -169,12 +169,12 @@ func Evaluate(depth int, tr *trace.Trace) Result {
 			res.Events++
 			if pred, known := p.Predict(ev.Addr); known {
 				res.Predictions++
-				if pred == ev.PID {
+				if pred == int(ev.PID) {
 					res.Correct++
 				}
 			}
 		}
-		p.Observe(ev.Addr, ev.PID)
+		p.Observe(ev.Addr, int(ev.PID))
 	}
 	return res
 }

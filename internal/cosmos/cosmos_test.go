@@ -7,7 +7,7 @@ import (
 )
 
 // writerTrace builds a single-block trace with the given writer sequence.
-func writerTrace(writers ...int) *trace.Trace {
+func writerTrace(writers ...uint8) *trace.Trace {
 	tr := &trace.Trace{Nodes: 16}
 	for i, w := range writers {
 		e := trace.Event{PID: w, PC: 20, Addr: 0x40}
@@ -43,9 +43,9 @@ func TestLearnsAlternation(t *testing.T) {
 	// Writers alternate 1,2,1,2,... — depth-1 patterns capture it
 	// perfectly (after 1 comes 2, after 2 comes 1); depth-0 (same
 	// writer) is always wrong.
-	seq := make([]int, 200)
+	seq := make([]uint8, 200)
 	for i := range seq {
-		seq[i] = 1 + i%2
+		seq[i] = uint8(1 + i%2)
 	}
 	tr := writerTrace(seq...)
 	r1 := Evaluate(1, tr)
@@ -61,9 +61,9 @@ func TestLearnsAlternation(t *testing.T) {
 func TestLearnsPeriodThree(t *testing.T) {
 	// Period-3 migration 1,2,3,1,2,3,... needs only depth 1; verify
 	// depth 2 also converges (longer warm-up, same steady state).
-	seq := make([]int, 300)
+	seq := make([]uint8, 300)
 	for i := range seq {
-		seq[i] = 1 + i%3
+		seq[i] = uint8(1 + i%3)
 	}
 	tr := writerTrace(seq...)
 	for _, depth := range []int{1, 2} {

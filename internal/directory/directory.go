@@ -204,16 +204,17 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 		d.event(st.openEvent).FutureReaders = inv
 	}
 
+	// Node ids are below the machine's node count, so their bytes are exact.
 	ev := trace.Event{
-		PID:        pid,
+		PID:        uint8(pid),
 		PC:         pc,
-		Dir:        st.home,
+		Dir:        uint8(st.home),
 		Addr:       addr,
 		InvReaders: inv,
 		HasPrev:    st.hasOwner,
 	}
 	if st.hasOwner {
-		ev.PrevPID = st.owner
+		ev.PrevPID = uint8(st.owner)
 		ev.PrevPC = st.ownerPC
 	}
 	if d.nEvents&(1<<eventChunkBits-1) == 0 {

@@ -35,5 +35,5 @@ func Apply(u core.UpdateMode, k *core.Keyer, t *core.FlatTable, ev *trace.Event)
 		t.Train(cur, ev.FutureReaders)
 	}
 	// A node never forwards to itself.
-	return pred.Clear(ev.PID)
+	return pred.Clear(int(ev.PID))
 }

@@ -74,12 +74,12 @@ func makeChainTrace(nodes, blocks, events int, seed int64, seedReaders bool) *tr
 			tr.Events[st.open].FutureReaders = inv
 		}
 		e := trace.Event{
-			PID: pid, PC: uint64(16 + rng.Intn(8)), Dir: b % nodes,
+			PID: uint8(pid), PC: uint64(16 + rng.Intn(8)), Dir: uint8(b % nodes),
 			Addr: uint64(b) * 64, InvReaders: inv,
 		}
 		if st.hasOwner {
 			e.HasPrev = true
-			e.PrevPID = st.writerPID
+			e.PrevPID = uint8(st.writerPID)
 			e.PrevPC = st.writerPC
 		}
 		tr.Events = append(tr.Events, e)
@@ -175,7 +175,7 @@ func TestPredictionNeverIncludesWriter(t *testing.T) {
 	tr := chainTrace(16, 32, 2000, 17)
 	eng := NewEngine(mustParse(t, "union(dir+add4)4"), m16)
 	for _, ev := range tr.Events {
-		if pred := eng.Step(ev); pred.Has(ev.PID) {
+		if pred := eng.Step(ev); pred.Has(int(ev.PID)) {
 			t.Fatal("prediction includes the writer itself")
 		}
 	}
@@ -249,12 +249,12 @@ func TestStableProducerConsumerIsPerfectlyPredicted(t *testing.T) {
 func TestMigratoryNeedsForwardedUpdate(t *testing.T) {
 	tr := &trace.Trace{Nodes: 16}
 	for i := 0; i < 200; i++ {
-		cur := i % 2        // writers 0 and 1 alternate
-		next := (i + 1) % 2 // the next writer is the only future reader
+		cur := uint8(i % 2)        // writers 0 and 1 alternate
+		next := uint8((i + 1) % 2) // the next writer is the only future reader
 		e := trace.Event{
 			PID: cur, PC: uint64(30 + cur), Dir: 0, Addr: 0x40,
-			InvReaders:    bitmap.New(cur), // the writer read before writing
-			FutureReaders: bitmap.New(next),
+			InvReaders:    bitmap.New(int(cur)), // the writer read before writing
+			FutureReaders: bitmap.New(int(next)),
 		}
 		if i > 0 {
 			e.HasPrev, e.PrevPID, e.PrevPC = true, next, uint64(30+next)

@@ -14,14 +14,14 @@ func TestMemoKeysMatchesIndexSpecKey(t *testing.T) {
 	events := make([]trace.Event, 500)
 	for i := range events {
 		events[i] = trace.Event{
-			PID:  rng.Intn(16),
+			PID:  uint8(rng.Intn(16)),
 			PC:   uint64(rng.Intn(4096)),
-			Dir:  rng.Intn(16),
+			Dir:  uint8(rng.Intn(16)),
 			Addr: uint64(rng.Intn(1<<20)) * 64,
 		}
 		if rng.Intn(2) == 0 {
 			events[i].HasPrev = true
-			events[i].PrevPID = rng.Intn(16)
+			events[i].PrevPID = uint8(rng.Intn(16))
 			events[i].PrevPC = uint64(rng.Intn(4096))
 		}
 	}

@@ -117,10 +117,10 @@ func permuteBitmap(b bitmap.Bitmap, p []int) bitmap.Bitmap {
 func permuteTrace(tr *trace.Trace, p []int) *trace.Trace {
 	out := &trace.Trace{Nodes: tr.Nodes, Events: make([]trace.Event, len(tr.Events))}
 	for i, ev := range tr.Events {
-		ev.PID = p[ev.PID]
-		ev.Dir = p[ev.Dir]
+		ev.PID = uint8(p[ev.PID])
+		ev.Dir = uint8(p[ev.Dir])
 		if ev.HasPrev {
-			ev.PrevPID = p[ev.PrevPID]
+			ev.PrevPID = uint8(p[ev.PrevPID])
 		}
 		ev.InvReaders = permuteBitmap(ev.InvReaders, p)
 		ev.FutureReaders = permuteBitmap(ev.FutureReaders, p)

@@ -111,7 +111,7 @@ func Estimate(s core.Scheme, m core.Machine, cfg Config, tr *trace.Trace) Result
 		res.MissesRemaining += uint64(truth.Minus(pred).Count())
 		res.CyclesSaved += uint64(useful.Count() * gap)
 		for _, dst := range pred.Nodes() {
-			res.ForwardHopFlits += uint64(cfg.Torus.Hops(ev.Dir, dst))
+			res.ForwardHopFlits += uint64(cfg.Torus.Hops(int(ev.Dir), dst))
 		}
 	}
 	return res

@@ -155,9 +155,9 @@ func (s *Sim) onEvent(ev trace.Event) {
 	// pessimises the engine's *scoring*, not its prediction (online
 	// schemes never see the future anyway).
 	pred := s.engine.Step(ev)
-	bf = &blockFwd{writer: ev.PID, pending: make(map[int]pendingForward, pred.Count())}
+	bf = &blockFwd{writer: int(ev.PID), pending: make(map[int]pendingForward, pred.Count())}
 	for _, dst := range pred.Nodes() {
-		hops := uint64(s.torus.Hops(ev.Dir, dst))
+		hops := uint64(s.torus.Hops(int(ev.Dir), dst))
 		bf.pending[dst] = pendingForward{arrival: s.clock + hops*s.cfg.HopTicks}
 		s.res.Forwards++
 		s.res.HopFlits += hops

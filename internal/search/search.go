@@ -348,16 +348,16 @@ func (gs *groupState) step(schemes []core.Scheme, conf []metrics.Confusion, ev *
 		h := gs.hist.History(curKey)
 		for _, si := range g.histSchemes {
 			s := &schemes[si]
-			pred := h.Predict(s.Fn, s.Depth).Clear(ev.PID)
+			pred := h.Predict(s.Fn, s.Depth).Clear(int(ev.PID))
 			conf[si].AddBitmaps(pred, ev.FutureReaders, nodes)
 		}
 	}
 	for _, si := range g.pasSchemes {
-		pred := gs.pas[schemes[si].Depth].Predict(curKey).Clear(ev.PID)
+		pred := gs.pas[schemes[si].Depth].Predict(curKey).Clear(int(ev.PID))
 		conf[si].AddBitmaps(pred, ev.FutureReaders, nodes)
 	}
 	if gs.sticky != nil {
-		pred := gs.sticky.Predict(curKey).Clear(ev.PID)
+		pred := gs.sticky.Predict(curKey).Clear(int(ev.PID))
 		for _, si := range g.stickySchemes {
 			conf[si].AddBitmaps(pred, ev.FutureReaders, nodes)
 		}

@@ -65,10 +65,10 @@ func randomTrace(nodes, blocks, events int, seed int64) *trace.Trace {
 		if st.open >= 0 {
 			tr.Events[st.open].FutureReaders = inv
 		}
-		e := trace.Event{PID: pid, PC: uint64(16 + rng.Intn(12)), Dir: b % nodes,
+		e := trace.Event{PID: uint8(pid), PC: uint64(16 + rng.Intn(12)), Dir: uint8(b % nodes),
 			Addr: uint64(b) * 64, InvReaders: inv}
 		if st.hasOwner {
-			e.HasPrev, e.PrevPID, e.PrevPC = true, st.pid, st.pc
+			e.HasPrev, e.PrevPID, e.PrevPC = true, uint8(st.pid), st.pc
 		}
 		tr.Events = append(tr.Events, e)
 		st.hasOwner, st.pid, st.pc = true, pid, e.PC

@@ -135,15 +135,15 @@ func (r *CreateSessionRequest) toSessionConfig(defaultShards int) (SessionConfig
 func validateEvent(ev *trace.Event, nodes int) error {
 	full := bitmap.Full(nodes)
 	switch {
-	case ev.PID < 0 || ev.PID >= nodes:
+	case int(ev.PID) >= nodes:
 		return fmt.Errorf("serve: pid %d out of range [0,%d)", ev.PID, nodes)
-	case ev.Dir < 0 || ev.Dir >= nodes:
+	case int(ev.Dir) >= nodes:
 		return fmt.Errorf("serve: dir %d out of range [0,%d)", ev.Dir, nodes)
 	case ev.InvReaders&^full != 0:
 		return fmt.Errorf("serve: inv_readers %#x has bits beyond node %d", uint64(ev.InvReaders), nodes-1)
 	case ev.FutureReaders&^full != 0:
 		return fmt.Errorf("serve: future_readers %#x has bits beyond node %d", uint64(ev.FutureReaders), nodes-1)
-	case ev.HasPrev && (ev.PrevPID < 0 || ev.PrevPID >= nodes):
+	case ev.HasPrev && int(ev.PrevPID) >= nodes:
 		return fmt.Errorf("serve: prev_pid %d out of range [0,%d)", ev.PrevPID, nodes)
 	}
 	if !ev.HasPrev {
@@ -155,8 +155,11 @@ func validateEvent(ev *trace.Event, nodes int) error {
 // DecodeEvents decodes an events request body — either a single event
 // object or a JSON array of them — into validated trace events for an
 // n-node machine. Unknown fields are rejected, so a misspelled field fails
-// loudly instead of silently zeroing. Malformed input returns an error;
-// it never panics.
+// loudly instead of silently zeroing, and a node id that does not fit the
+// event's byte fails in the JSON decoder itself. An array is decoded one
+// element at a time, each validated as it lands, and refused as soon as
+// element MaxBatchEvents+1 starts, so an over-long body costs no more
+// than a full batch. Malformed input returns an error; it never panics.
 func DecodeEvents(data []byte, nodes int) ([]trace.Event, error) {
 	if nodes <= 0 || nodes > bitmap.MaxNodes {
 		return nil, fmt.Errorf("serve: node count %d out of range", nodes)
@@ -167,27 +170,41 @@ func DecodeEvents(data []byte, nodes int) ([]trace.Event, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
-	var evs []trace.Event
-	if trimmed[0] == '[' {
-		if err := dec.Decode(&evs); err != nil {
-			return nil, fmt.Errorf("serve: decoding event batch: %w", err)
-		}
-	} else {
-		evs = make([]trace.Event, 1)
+	if trimmed[0] != '[' {
+		evs := make([]trace.Event, 1)
 		if err := dec.Decode(&evs[0]); err != nil {
 			return nil, fmt.Errorf("serve: decoding event: %w", err)
 		}
+		if err := expectEOF(dec); err != nil {
+			return nil, err
+		}
+		if err := validateEvent(&evs[0], nodes); err != nil {
+			return nil, fmt.Errorf("serve: event 0: %w", err)
+		}
+		return evs, nil
 	}
-	if err := expectEOF(dec); err != nil {
-		return nil, err
+	if _, err := dec.Token(); err != nil { // the opening '['
+		return nil, fmt.Errorf("serve: decoding event batch: %w", err)
 	}
-	if len(evs) > MaxBatchEvents {
-		return nil, fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
-	}
-	for i := range evs {
+	evs := []trace.Event{}
+	for dec.More() {
+		i := len(evs)
+		if i == MaxBatchEvents {
+			return nil, fmt.Errorf("serve: batch exceeds limit %d events", MaxBatchEvents)
+		}
+		evs = append(evs, trace.Event{})
+		if err := dec.Decode(&evs[i]); err != nil {
+			return nil, fmt.Errorf("serve: decoding event batch: %w", err)
+		}
 		if err := validateEvent(&evs[i], nodes); err != nil {
 			return nil, fmt.Errorf("serve: event %d: %w", i, err)
 		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing ']'
+		return nil, fmt.Errorf("serve: decoding event batch: %w", err)
+	}
+	if err := expectEOF(dec); err != nil {
+		return nil, err
 	}
 	return evs, nil
 }

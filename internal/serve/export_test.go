@@ -1,9 +1,35 @@
 package serve
 
 import (
+	"cohpredict/internal/bitmap"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/trace"
 )
+
+// DecodeWireBatch is DecodeWireBatchInto with a fresh destination, for
+// tests and fuzz targets.
+func DecodeWireBatch(data []byte, nodes int) ([]trace.Event, error) {
+	evs, err := DecodeWireBatchInto(data, nodes, nil)
+	if err != nil {
+		return nil, err
+	}
+	if evs == nil {
+		evs = []trace.Event{}
+	}
+	return evs, nil
+}
+
+// DecodeWireReply is DecodeWireReplyInto with a fresh destination.
+func DecodeWireReply(data []byte) ([]bitmap.Bitmap, error) {
+	preds, err := DecodeWireReplyInto(data, []bitmap.Bitmap(nil))
+	if err != nil {
+		return nil, err
+	}
+	if preds == nil {
+		preds = []bitmap.Bitmap{}
+	}
+	return preds, nil
+}
 
 // ReencodeSessionExtra decodes a snapshot's session Extra section and
 // re-encodes what was accepted, for FuzzDecodeSessionExtra.

@@ -17,7 +17,9 @@ func FuzzDecodeEventRequest(f *testing.F) {
 	f.Add([]byte(`[{"pid":1,"pc":1,"dir":2,"addr":64,"future_readers":1},{"pid":3,"pc":9,"dir":0,"addr":128,"has_prev":true,"prev_pid":1,"prev_pc":1,"future_readers":2}]`), 4)
 	f.Add([]byte(`[]`), 8)
 	f.Add([]byte(`{}`), 2)
-	f.Add([]byte(`{"pid":-1}`), 16)
+	for _, body := range wideNodeJSON {
+		f.Add([]byte(body), 16)
+	}
 	f.Add([]byte(`{"pid":99,"dir":0}`), 16)
 	f.Add([]byte(`{"unknown_field":1}`), 16)
 	f.Add([]byte(`{"pid":0}[]`), 16) // trailing data
@@ -36,7 +38,7 @@ func FuzzDecodeEventRequest(f *testing.F) {
 			t.Fatalf("accepted %d events for impossible node count %d", len(evs), nodes)
 		}
 		for i, ev := range evs {
-			if ev.PID < 0 || ev.PID >= nodes || ev.Dir < 0 || ev.Dir >= nodes {
+			if int(ev.PID) >= nodes || int(ev.Dir) >= nodes {
 				t.Fatalf("event %d accepted with out-of-range pid=%d dir=%d (nodes=%d)", i, ev.PID, ev.Dir, nodes)
 			}
 			full := uint64(1)<<uint(nodes) - 1
@@ -46,7 +48,7 @@ func FuzzDecodeEventRequest(f *testing.F) {
 			if uint64(ev.InvReaders)&^full != 0 || uint64(ev.FutureReaders)&^full != 0 {
 				t.Fatalf("event %d accepted with bitmap beyond node %d", i, nodes-1)
 			}
-			if ev.HasPrev && (ev.PrevPID < 0 || ev.PrevPID >= nodes) {
+			if ev.HasPrev && int(ev.PrevPID) >= nodes {
 				t.Fatalf("event %d accepted with out-of-range prev_pid=%d", i, ev.PrevPID)
 			}
 			if !ev.HasPrev && (ev.PrevPID != 0 || ev.PrevPC != 0) {
@@ -122,11 +124,11 @@ func FuzzRouteKey(f *testing.F) {
 	})
 }
 
-func clampNode(v int) int {
+func clampNode(v int) uint8 {
 	if v < 0 {
 		v = -v
 	}
-	return v % 16
+	return uint8(v % 16)
 }
 
 func mustSchemes(f *testing.F, specs []string) []core.Scheme {

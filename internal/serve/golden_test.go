@@ -39,15 +39,15 @@ func goldenEvents(rng *rand.Rand, n int) []trace.Event {
 	evs := make([]trace.Event, n)
 	for i := range evs {
 		ev := trace.Event{
-			PID:           rng.Intn(16),
+			PID:           uint8(rng.Intn(16)),
 			PC:            uint64(0x400 + 4*rng.Intn(24)),
-			Dir:           rng.Intn(16),
+			Dir:           uint8(rng.Intn(16)),
 			Addr:          uint64(rng.Intn(96)) * 64,
 			InvReaders:    bitmap.Bitmap(rng.Uint64() & rng.Uint64() & 0xffff),
 			FutureReaders: bitmap.Bitmap(rng.Uint64() & rng.Uint64() & 0xffff),
 		}
 		if rng.Intn(4) != 0 {
-			ev.HasPrev, ev.PrevPID, ev.PrevPC = true, rng.Intn(16), uint64(0x400+4*rng.Intn(24))
+			ev.HasPrev, ev.PrevPID, ev.PrevPC = true, uint8(rng.Intn(16)), uint64(0x400+4*rng.Intn(24))
 		}
 		evs[i] = ev
 	}

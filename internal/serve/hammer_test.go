@@ -21,13 +21,13 @@ func hammerEvents(n, nodes int) []trace.Event {
 	for i := range evs {
 		pid := i % nodes
 		evs[i] = trace.Event{
-			PID:           pid,
+			PID:           uint8(pid),
 			PC:            uint64(20 + i%7),
-			Dir:           (i / nodes) % nodes,
+			Dir:           uint8((i / nodes) % nodes),
 			Addr:          uint64(i%257) * 64,
 			InvReaders:    0,
 			HasPrev:       true,
-			PrevPID:       (pid + 1) % nodes,
+			PrevPID:       uint8((pid + 1) % nodes),
 			PrevPC:        uint64(20 + (i+1)%7),
 			FutureReaders: 1 << uint((pid+2)%nodes),
 		}

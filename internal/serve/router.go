@@ -45,7 +45,7 @@ type Router struct {
 // and whose pid and pc are zero.
 func RouteMask(idx core.IndexSpec, m core.Machine) uint64 {
 	k := idx.Keyer(m)
-	return k.Key(0, 0, 1<<m.NodeBits()-1, ^uint64(0))
+	return k.Key(0, 0, uint8(1<<m.NodeBits()-1), ^uint64(0))
 }
 
 // NewRouter builds a router for the scheme on machine m with the requested

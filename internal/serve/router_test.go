@@ -64,7 +64,7 @@ func TestRouterSpreadsLoad(t *testing.T) {
 	r := serve.NewRouter(parseScheme(t, "union(dir+add10)2"), m, 8)
 	hits := make([]int, r.Shards())
 	for i := 0; i < 4096; i++ {
-		ev := trace.Event{PID: i % 16, Dir: (i / 16) % 16, Addr: uint64(i) * 64}
+		ev := trace.Event{PID: uint8(i % 16), Dir: uint8((i / 16) % 16), Addr: uint64(i) * 64}
 		hits[r.RouteEvent(&ev)]++
 	}
 	for sh, n := range hits {
@@ -83,7 +83,7 @@ func TestRouterPinsLineToShard(t *testing.T) {
 	r := serve.NewRouter(parseScheme(t, "union(dir+add10)2"), m, 8)
 	base := trace.Event{PID: 0, PC: 20, Dir: 3, Addr: 0x12340}
 	want := r.RouteEvent(&base)
-	for pid := 0; pid < 16; pid++ {
+	for pid := uint8(0); pid < 16; pid++ {
 		for pc := uint64(0); pc < 8; pc++ {
 			ev := base
 			ev.PID, ev.PC = pid, 100+pc

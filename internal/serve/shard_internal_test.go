@@ -64,9 +64,9 @@ func ownedEvents(r Router, owner, perShard int) []trace.Event {
 	var evs []trace.Event
 	count := make([]int, r.Shards())
 	for line, need := uint64(owner)<<12, r.Shards(); need > 0; line++ {
-		pid := owner % 16
+		pid := uint8(owner % 16)
 		ev := trace.Event{
-			PID: pid, PC: 20, Dir: int(line % 16), Addr: line * 64,
+			PID: pid, PC: 20, Dir: uint8(line % 16), Addr: line * 64,
 			InvReaders: 1 << ((line + 3) % 16),
 			HasPrev:    true, PrevPID: (pid + 1) % 16, PrevPC: 20,
 			FutureReaders: 1 << ((line + 5) % 16),

@@ -142,19 +142,6 @@ func DecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.Eve
 	return dst, nil
 }
 
-// DecodeWireBatch is DecodeWireBatchInto with a fresh destination (the
-// convenience form tests and fuzz targets use).
-func DecodeWireBatch(data []byte, nodes int) ([]trace.Event, error) {
-	evs, err := DecodeWireBatchInto(data, nodes, nil)
-	if err != nil {
-		return nil, err
-	}
-	if evs == nil {
-		evs = []trace.Event{}
-	}
-	return evs, nil
-}
-
 // AppendWireReply appends the COHWIRE1 reply frame carrying one predicted
 // sharing bitmap per event, in request order. Appending to nil allocates
 // the frame once, at its exact size.
@@ -208,18 +195,6 @@ func DecodeWireReplyInto[T ~uint64](data []byte, dst []T) ([]T, error) {
 		return dst, codec.ErrTrailing
 	}
 	return dst[:base+len(preds)], nil
-}
-
-// DecodeWireReply is DecodeWireReplyInto with a fresh destination.
-func DecodeWireReply(data []byte) ([]bitmap.Bitmap, error) {
-	preds, err := DecodeWireReplyInto(data, []bitmap.Bitmap(nil))
-	if err != nil {
-		return nil, err
-	}
-	if preds == nil {
-		preds = []bitmap.Bitmap{}
-	}
-	return preds, nil
 }
 
 // IsWireFrame reports whether data begins with the COHWIRE1 magic — the

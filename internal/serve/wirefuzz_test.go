@@ -42,6 +42,7 @@ func FuzzDecodeWireBatch(f *testing.F) {
 	f.Add([]byte("no magic at all"), 8)
 	f.Add([]byte{}, 64)
 	f.Add(fuzzWireSeeds()[1], -1)
+	addWideNodeFrames(f)
 	f.Fuzz(func(t *testing.T, data []byte, nodes int) {
 		evs, err := serve.DecodeWireBatch(data, nodes)
 		if err != nil {
@@ -52,13 +53,13 @@ func FuzzDecodeWireBatch(f *testing.F) {
 		}
 		full := bitmap.Full(nodes)
 		for i, ev := range evs {
-			if ev.PID < 0 || ev.PID >= nodes || ev.Dir < 0 || ev.Dir >= nodes {
+			if int(ev.PID) >= nodes || int(ev.Dir) >= nodes {
 				t.Fatalf("event %d accepted with out-of-range pid=%d dir=%d (nodes=%d)", i, ev.PID, ev.Dir, nodes)
 			}
 			if ev.InvReaders&^full != 0 || ev.FutureReaders&^full != 0 {
 				t.Fatalf("event %d accepted with bitmap beyond node %d", i, nodes-1)
 			}
-			if ev.HasPrev && (ev.PrevPID < 0 || ev.PrevPID >= nodes) {
+			if ev.HasPrev && int(ev.PrevPID) >= nodes {
 				t.Fatalf("event %d accepted with out-of-range prev_pid=%d", i, ev.PrevPID)
 			}
 			if !ev.HasPrev && (ev.PrevPID != 0 || ev.PrevPC != 0) {
@@ -101,6 +102,7 @@ func FuzzWireJSONCross(f *testing.F) {
 		f.Add(seed, 16)
 	}
 	f.Add([]byte("COHWIRE1\x01\x01\x00\x00\x00\x00\x00\x00\x00"), 1)
+	addWideNodeFrames(f)
 	f.Fuzz(func(t *testing.T, data []byte, nodes int) {
 		evs, err := serve.DecodeWireBatch(data, nodes)
 		if err != nil {

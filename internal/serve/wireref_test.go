@@ -169,7 +169,7 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 				}
 				return dst, trace.ErrRange
 			}
-			ev.PrevPID = int(prevPID)
+			ev.PrevPID = uint8(prevPID)
 		}
 		future := r.uvarint()
 		if r.err != nil {
@@ -178,8 +178,8 @@ func refDecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.
 		if pid >= uint64(nodes) || dir >= uint64(nodes) || inv&^full != 0 || future&^full != 0 {
 			return dst, trace.ErrRange
 		}
-		ev.PID = int(pid)
-		ev.Dir = int(dir)
+		ev.PID = uint8(pid)
+		ev.Dir = uint8(dir)
 		ev.InvReaders = bitmap.Bitmap(inv)
 		ev.FutureReaders = bitmap.Bitmap(future)
 		dst = append(dst, ev)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/codec"
 )
 
 // FuzzRead asserts the binary decoder never panics on arbitrary input,
@@ -28,13 +29,18 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	for _, field := range []string{"pid", "dir", "prev_pid"} {
+		for _, v := range wideNodeValues {
+			f.Add(append(codec.AppendUvarint([]byte(magic), 4), wideNodeBlock(field, v)...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		full := bitmap.Full(tr.Nodes)
-		fits := func(node int) bool { return node >= 0 && node < tr.Nodes }
+		fits := func(node uint8) bool { return int(node) < tr.Nodes }
 		for i, e := range tr.Events {
 			if !fits(e.PID) || !fits(e.Dir) || !fits(e.PrevPID) ||
 				e.InvReaders&^full != 0 || e.FutureReaders&^full != 0 {

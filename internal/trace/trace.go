@@ -36,13 +36,12 @@ import (
 
 // Event is a single prediction event (an exclusive-ownership transition).
 // It is also the serving API's event: the JSON tags name its fields.
+// The words come first and the node ids are bytes after them, so the
+// record is 48 bytes: a node id is below bitmap.MaxNodes (64), and every
+// decoder narrows one only after checking it against the machine.
 type Event struct {
-	// PID is the node performing the store (0-based).
-	PID int `json:"pid"`
 	// PC identifies the static store instruction performing the write.
 	PC uint64 `json:"pc"`
-	// Dir is the home node of the block (directory that owns its entry).
-	Dir int `json:"dir"`
 	// Addr is the block-aligned address of the cache line being written.
 	Addr uint64 `json:"addr"`
 
@@ -53,17 +52,24 @@ type Event struct {
 	// distribute (access-bit semantics: only nodes that actually read).
 	InvReaders bitmap.Bitmap `json:"inv_readers"`
 
-	// HasPrev reports whether the closed epoch had a writer; PrevPID and
-	// PrevPC identify that writer's store. Forwarded update trains the
-	// previous writer's predictor entry with InvReaders.
-	HasPrev bool   `json:"has_prev,omitempty"`
-	PrevPID int    `json:"prev_pid,omitempty"`
-	PrevPC  uint64 `json:"prev_pc,omitempty"`
+	// PrevPC identifies the closed epoch's writer's store (see HasPrev).
+	PrevPC uint64 `json:"prev_pc,omitempty"`
 
 	// FutureReaders is the ground truth for this prediction: the nodes
 	// other than PID that load the block during the epoch opened by this
 	// store, resolved when that epoch later closes (or at end of trace).
 	FutureReaders bitmap.Bitmap `json:"future_readers"`
+
+	// PID is the node performing the store (0-based).
+	PID uint8 `json:"pid"`
+	// Dir is the home node of the block (directory that owns its entry).
+	Dir uint8 `json:"dir"`
+
+	// HasPrev reports whether the closed epoch had a writer; PrevPID and
+	// PrevPC identify that writer's store. Forwarded update trains the
+	// previous writer's predictor entry with InvReaders.
+	HasPrev bool  `json:"has_prev,omitempty"`
+	PrevPID uint8 `json:"prev_pid,omitempty"`
 }
 
 // Trace is an in-memory event sequence plus the machine size it was
@@ -222,11 +228,10 @@ func DecodeBlock(data []byte, nodes int, limit uint64, dst []Event) ([]Event, in
 		if pid >= nn || dir >= nn || inv&^full != 0 || future&^full != 0 {
 			return dst, 0, ErrRange
 		}
+		// Each node id is below nodes ≤ 64 here, so its byte is exact.
 		evs[k] = Event{
-			PID: int(pid), PC: pc, Dir: int(dir), Addr: addr,
-			InvReaders: bitmap.Bitmap(inv),
-			HasPrev:    hasPrev == 1, PrevPID: int(prevPID), PrevPC: prevPC,
-			FutureReaders: bitmap.Bitmap(future),
+			PC: pc, Addr: addr, InvReaders: bitmap.Bitmap(inv), PrevPC: prevPC, FutureReaders: bitmap.Bitmap(future),
+			PID: uint8(pid), Dir: uint8(dir), HasPrev: hasPrev == 1, PrevPID: uint8(prevPID),
 		}
 	}
 	return dst[:base+len(evs)], i, nil

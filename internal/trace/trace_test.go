@@ -132,7 +132,6 @@ func TestRejectsOutOfRangePID(t *testing.T) {
 		ev   Event
 	}{
 		{"pid", Event{PID: 9}},
-		{"negative pid", Event{PID: -1}},
 		{"dir", Event{Dir: 4}},
 		{"prev_pid", Event{HasPrev: true, PrevPID: 4}},
 		{"inv_readers", Event{InvReaders: bitmap.New(4)}},
@@ -149,6 +148,52 @@ func TestRejectsOutOfRangePID(t *testing.T) {
 	}
 }
 
+// wideNodeValues do not fit an event's node-id byte; narrowed before the
+// range check, 256 and 2^63 would read as node 0 and 257 as node 1.
+var wideNodeValues = []uint64{256, 257, 1 << 63}
+
+// wideNodeBlock returns the one-event block of an event with a previous
+// writer whose node-id field (pid, dir or prev_pid) is v and whose other
+// fields are zero: each is a one-byte uvarint in AppendBlock's output,
+// spliced here for v's encoding.
+func wideNodeBlock(field string, v uint64) []byte {
+	b := AppendBlock(nil, []Event{{HasPrev: true}})
+	at := map[string]int{"pid": 1, "dir": 3, "prev_pid": 7}[field]
+	return append(codec.AppendUvarint(b[:at:at], v), b[at+1:]...)
+}
+
+// TestNarrowsOnlyAfterRangeCheck feeds node ids that do not fit the
+// record's byte, in blocks and COHPRED2 files of a 4-node machine, where
+// their narrowed values would be real nodes. Each must fail with
+// ErrRange.
+func TestNarrowsOnlyAfterRangeCheck(t *testing.T) {
+	for _, field := range []string{"pid", "dir", "prev_pid"} {
+		evs, _, err := DecodeBlock(wideNodeBlock(field, 3), 4, 1, nil)
+		if err != nil || len(evs) != 1 {
+			t.Fatalf("%s 3: %v", field, err)
+		}
+		for _, v := range wideNodeValues {
+			block := wideNodeBlock(field, v)
+			if _, _, err := DecodeBlock(block, 4, 1, nil); !errors.Is(err, ErrRange) {
+				t.Errorf("block with %s %d: err %v, want ErrRange", field, v, err)
+			}
+			file := append(codec.AppendUvarint([]byte(magic), 4), block...)
+			if _, err := Read(bytes.NewReader(file)); !errors.Is(err, ErrRange) {
+				t.Errorf("COHPRED2 file with %s %d: err %v, want ErrRange", field, v, err)
+			}
+		}
+	}
+}
+
+// TestEventIs48Bytes pins the record's layout: words first, node ids in
+// bytes after them. A field that re-pads the record grows every trace,
+// batch and client buffer by half.
+func TestEventIs48Bytes(t *testing.T) {
+	if got := reflect.TypeOf(Event{}).Size(); got != 48 {
+		t.Fatalf("trace.Event is %d bytes, want 48: keep the 64-bit fields first and the node ids in bytes after them", got)
+	}
+}
+
 // Property: arbitrary well-formed traces round-trip exactly.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -158,16 +203,16 @@ func TestRoundTripProperty(t *testing.T) {
 		n := rng.Intn(50)
 		for i := 0; i < n; i++ {
 			e := Event{
-				PID:           rng.Intn(nodes),
+				PID:           uint8(rng.Intn(nodes)),
 				PC:            rng.Uint64() >> uint(rng.Intn(64)),
-				Dir:           rng.Intn(nodes),
+				Dir:           uint8(rng.Intn(nodes)),
 				Addr:          rng.Uint64() >> uint(rng.Intn(64)),
 				InvReaders:    bitmap.Bitmap(rng.Uint64()).Truncate(nodes),
 				FutureReaders: bitmap.Bitmap(rng.Uint64()).Truncate(nodes),
 			}
 			if rng.Intn(2) == 0 {
 				e.HasPrev = true
-				e.PrevPID = rng.Intn(nodes)
+				e.PrevPID = uint8(rng.Intn(nodes))
 				e.PrevPC = uint64(rng.Intn(1000))
 			}
 			tr.Events = append(tr.Events, e)

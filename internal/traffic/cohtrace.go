@@ -261,9 +261,9 @@ func DecodeTraceFile(data []byte) ([]TraceRecord, error) {
 			full := uint64(bitmap.Full(nodes))
 			for j := range q.Events {
 				ev := &q.Events[j]
-				if ev.PID >= nodes || ev.Dir >= nodes ||
+				if int(ev.PID) >= nodes || int(ev.Dir) >= nodes ||
 					uint64(ev.InvReaders)&^full != 0 || uint64(ev.FutureReaders)&^full != 0 ||
-					(ev.HasPrev && ev.PrevPID >= nodes) {
+					(ev.HasPrev && int(ev.PrevPID) >= nodes) {
 					return nil, trace.ErrRange
 				}
 			}

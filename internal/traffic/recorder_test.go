@@ -93,7 +93,7 @@ func TestRecorderAppendAllocFree(t *testing.T) {
 	r.RecordSession("s1", "union(dir+add8)2", 16, 64, 2)
 	evs := make([]trace.Event, 256)
 	for i := range evs {
-		evs[i] = trace.Event{PID: i % 16, PC: uint64(i), Dir: (i + 1) % 16, Addr: uint64(i * 64), FutureReaders: 1}
+		evs[i] = trace.Event{PID: uint8(i % 16), PC: uint64(i), Dir: uint8((i + 1) % 16), Addr: uint64(i * 64), FutureReaders: 1}
 	}
 	// Warm-up: let the buffer reach steady-state capacity.
 	for i := 0; i < 64; i++ {

@@ -166,7 +166,7 @@ func TestFirstTouchHomesSpread(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			tr := runTrace(t, b)
-			homes := map[int]bool{}
+			homes := map[uint8]bool{}
 			for _, e := range tr.Events {
 				homes[e.Dir] = true
 			}
