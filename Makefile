@@ -54,10 +54,11 @@ race:
 # trims the scheme matrix to keep the CI step tight. The shard panic and
 # parked-sender tests then run twenty times each: a post that finds its
 # shard channel full blocks in its send, and those interleavings are
-# rarely reached by a single pass.
+# rarely reached by a single pass. So are the first uses of a dormant
+# restored session racing each other, or racing its DELETE.
 race-hammer:
 	$(GO) test -race -short -count=1 ./internal/serve -run 'TestChaos'
-	$(GO) test -race -count=20 ./internal/serve -run 'TestShardPanic|TestParkedPosts'
+	$(GO) test -race -count=20 ./internal/serve -run 'TestShardPanic|TestParkedPosts|TestConcurrentWakeBuildsOnce|TestDeleteRacingWake'
 
 # Benchmark the sweep engine only (serial baseline + parallel family).
 bench:
@@ -76,6 +77,7 @@ obs-demo:
 # event decoder, the COHWIRE1 batch/reply decoders (plus the JSON↔binary
 # cross-equivalence property and the differential check against the
 # two-pass reference decoders), the session snapshot's Extra section, the
+# dormant snapshot restore (differential against the eager one), the
 # shard router's co-location invariants, the engine-checkpoint wire
 # decoder, the snapshot entry kernels (differential against the Reader),
 # the COHTRACE1 trace decoders, the COHPRED2 trace reader, and the
@@ -87,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireJSONCross -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireDecodeDifferential -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeSessionExtra -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDormantRestore -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRouteKey -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzImportEntries -fuzztime=10s

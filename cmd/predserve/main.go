@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
 	"cohpredict/internal/flight"
 	"cohpredict/internal/obs"
@@ -132,15 +131,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("restore %s: %w", rs.id, err)
 		}
-		snap, err := eval.DecodeSnapshot(data)
-		if err != nil {
+		if _, err := srv.RestoreSnapshot(rs.id, data, nil); err != nil {
 			return fmt.Errorf("restore %s: %w", rs.id, err)
 		}
-		sess, err := srv.RestoreSnapshot(rs.id, snap, nil)
-		if err != nil {
-			return fmt.Errorf("restore %s: %w", rs.id, err)
-		}
-		logger.Infof("predserve: restored session %s from %s (%d events)", rs.id, rs.path, sess.Stats().Events)
+		logger.Infof("predserve: restored session %s from %s", rs.id, rs.path)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

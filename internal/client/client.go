@@ -430,6 +430,9 @@ func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventReque
 	if c.opts.Binary {
 		preds, err = c.postEventsWire(path, ids, evs)
 	} else {
+		if evs == nil {
+			evs = []serve.EventRequest{} // [], where nil would marshal as null
+		}
 		var out serve.EventsResponse
 		err = c.doJSON(http.MethodPost, path, evs, &out, ids, Retryable)
 		preds = out.Predictions

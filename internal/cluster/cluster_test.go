@@ -168,7 +168,7 @@ func startCluster(t testing.TB, cfg clusterConfig) *testCluster {
 	}
 	opts := cluster.Options{Backends: urls}
 	if cfg.standby {
-		srv := serve.NewServer(serve.Options{})
+		srv := serve.NewServer(serve.Options{Registry: obs.New()}) // its /metrics show the dormant copies
 		h := srv.Handler()
 		if cfg.wrapStandby != nil {
 			h = cfg.wrapStandby(h)

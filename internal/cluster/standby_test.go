@@ -2,12 +2,16 @@ package cluster_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cohpredict/internal/cluster"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 )
 
@@ -136,5 +140,99 @@ func TestFailedSnapshotGetClearsShippedMark(t *testing.T) {
 	}
 	if code != http.StatusGone || errorCode(body) != cluster.CodeSessionLost {
 		t.Fatalf("post after the home died: %d: %s; want 410 %s", code, body, cluster.CodeSessionLost)
+	}
+}
+
+// shardWorkers counts the shard worker goroutines alive in the process.
+func shardWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "serve.(*shard).run(")
+}
+
+// settledWorkers waits up to a second for the shard worker count to
+// reach want and returns the last count seen.
+func settledWorkers(want int) int {
+	n := shardWorkers()
+	for deadline := time.Now().Add(time.Second); n != want && time.Now().Before(deadline); n = shardWorkers() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return n
+}
+
+// metrics reads a node's registry through its /metrics JSON.
+func (b *testBackend) metrics(t testing.TB) obs.Snapshot {
+	t.Helper()
+	req, err := http.NewRequest("GET", b.url+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decoding %s/metrics: %v", b.url, err)
+	}
+	return snap
+}
+
+// TestShippedCopiesStayDormant: after one ship sweep the standby holds
+// each session as its snapshot's bytes and nothing more: its /metrics
+// count one dormant session per shipped one, holding exactly the bytes
+// of the snapshots the homes serve, and the standby starts no shard
+// worker. The first post after a failover wakes the one copy it reaches.
+func TestShippedCopiesStayDormant(t *testing.T) {
+	tc := startCluster(t, clusterConfig{backends: 2, standby: true})
+	schemes := []string{"last(dir)1", "union(pid+dir+add10)2[forwarded]", "pas(pid+add6)2", "sticky(dir+add8)1"}
+	ids := make([]string, len(schemes))
+	evs := []byte(`[{"pid":0,"pc":64,"dir":1,"addr":4096,"inv_readers":2},{"pid":3,"pc":68,"dir":2,"addr":4160,"inv_readers":1}]`)
+	for i, sc := range schemes {
+		code, _, body := tc.doRaw(t, "POST", "/v1/sessions", []byte(fmt.Sprintf(`{"scheme":%q,"shards":2}`, sc)),
+			map[string]string{"Content-Type": "application/json"})
+		if code != http.StatusCreated {
+			t.Fatalf("create %s: %d: %s", sc, code, body)
+		}
+		ids[i] = sessionID(t, body)
+		if code, body := tc.postKeyed(t, ids[i], "k1", "", evs); code != http.StatusOK {
+			t.Fatalf("post to %s: %d: %s", ids[i], code, body)
+		}
+	}
+	workers := shardWorkers()
+
+	if n := tc.router.ShipNow(); n != len(ids) {
+		t.Fatalf("ship: %d sessions, want %d", n, len(ids))
+	}
+	shipped := 0
+	for _, id := range ids {
+		code, _, body := tc.doRaw(t, "GET", "/v1/sessions/"+id+"/snapshot", nil, nil)
+		if code != http.StatusOK {
+			t.Fatalf("snapshot of %s: %d", id, code)
+		}
+		shipped += len(body)
+	}
+	m := tc.standby.metrics(t)
+	if n, size, wakes := m.Gauges["serve_sessions_dormant"], m.Gauges["serve_dormant_bytes"], m.Counters["serve_session_wakes_total"]; n != float64(len(ids)) || size != float64(shipped) || wakes != 0 {
+		t.Fatalf("standby: %v dormant sessions holding %v bytes, %d wakes; want %d holding the %d shipped, 0 wakes",
+			n, size, wakes, len(ids), shipped)
+	}
+	if got := settledWorkers(workers); got != workers {
+		t.Fatalf("%d shard workers after the ship, %d before: the standby built its copies", got, workers)
+	}
+
+	home := tc.backendByURL(t, tc.homeOf(t, ids[0]))
+	home.kill()
+	code, body := tc.postKeyed(t, ids[0], "k2", "k1", evs)
+	if code == http.StatusBadGateway {
+		code, body = tc.postKeyed(t, ids[0], "k2", "k1", evs)
+	}
+	if code != http.StatusOK {
+		t.Fatalf("post after the failover: %d: %s", code, body)
+	}
+	m = tc.standby.metrics(t)
+	if n, wakes := m.Gauges["serve_sessions_dormant"], m.Counters["serve_session_wakes_total"]; n != float64(len(ids)-1) || wakes != 1 {
+		t.Fatalf("standby after the failover: %v dormant sessions, %d wakes; want %d and 1", n, wakes, len(ids)-1)
 	}
 }

@@ -203,9 +203,11 @@ func ImportEntries(sec []byte, ts []*FlatTable, route func(key uint64) int) erro
 	if n > len(sec)/ts[0].minEntryBytes() {
 		return fmt.Errorf("core: entry count: %w", codec.ErrCount)
 	}
-	if len(ts) == 1 {
+	switch {
+	case ts[0].size == 0: // a shape: nothing to size
+	case len(ts) == 1:
 		ts[0].reserve(n)
-	} else {
+	default:
 		counts := make([]int, len(ts))
 		if _, err := scanEntries(sec, n, counts, route); err != nil {
 			return fmt.Errorf("core: entries: %w", err)
@@ -218,6 +220,21 @@ func ImportEntries(sec []byte, ts []*FlatTable, route func(key uint64) int) erro
 		return fmt.Errorf("core: entry %d (key %#x): %w", i, key, err)
 	}
 	return nil
+}
+
+// CheckEntries checks the entry section sec exactly as ImportEntries
+// checks it on its way into tables of scheme s on machine m, and returns
+// the error ImportEntries would, without a table: it imports into a
+// shape, which reads every entry into one scratch slot and claims none.
+// A scheme whose index does not fit m is an error here, where NewTable
+// panics.
+func CheckEntries(sec []byte, s Scheme, m Machine) error {
+	t, err := newShape(s, m)
+	if err != nil {
+		return err
+	}
+	t.slots = make([]uint64, t.width)
+	return ImportEntries(sec, []*FlatTable{t}, nil)
 }
 
 // EntriesLen returns the length of the entry section at the front of b,
@@ -323,7 +340,10 @@ func importEntries(b []byte, n int, ts []*FlatTable, route func(uint64) int) (in
 		if key>>uint(t.keyBits) != 0 {
 			return i, key, errKeyRange
 		}
-		off := t.claim(key)
+		off := 0 // a shape reads every entry into its one slot
+		if t.size != 0 {
+			off = t.claim(key)
+		}
 		m, err := t.readEntry(b, t.slots[off+1:off+t.width])
 		if err != nil {
 			return i, key, err

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cohpredict/internal/bitmap"
@@ -468,6 +470,40 @@ func refWords(t *FlatTable, words []uint64) error {
 	return nil
 }
 
+// TestCheckEntries: CheckEntries refuses what ImportEntries refuses, with
+// its error, and accepts what it accepts, without a table: it allocates
+// the same few times for a section of 64 entries as for one that fills
+// the index (4096 keys, or 256 for the sticky scheme).
+func TestCheckEntries(t *testing.T) {
+	m := Machine{Nodes: 16, LineBytes: 64}
+	for _, sc := range snapshotSchemes() {
+		allocs := make([]float64, 2)
+		for i, keys := range []int{64, 1 << sc.Index.Bits(m)} {
+			tab := NewTable(sc, m)
+			rng := rand.New(rand.NewSource(int64(keys)))
+			for j := 0; j < 4*keys; j++ {
+				tab.Train(uint64(rng.Intn(keys)), bitmap.Bitmap(rng.Uint64())&bitmap.Full(m.Nodes))
+			}
+			sec := AppendEntries(nil, tab)
+			if err := CheckEntries(sec, sc, m); err != nil {
+				t.Fatalf("%v: CheckEntries refused a table's own section: %v", sc, err)
+			}
+			bad := append(slices.Clone(sec), 0)
+			want := ImportEntries(bad, []*FlatTable{NewTable(sc, m)}, nil)
+			if err := CheckEntries(bad, sc, m); want == nil || fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("%v: CheckEntries of a section with a trailing byte: %v, ImportEntries: %v", sc, err, want)
+			}
+			allocs[i] = testing.AllocsPerRun(5, func() { _ = CheckEntries(sec, sc, m) })
+		}
+		if allocs[0] != allocs[1] || allocs[1] > 2 {
+			t.Fatalf("%v: CheckEntries allocates %v times at 64 entries and %v at the index's size, want the same, at most 2", sc, allocs[0], allocs[1])
+		}
+	}
+	if err := CheckEntries([]byte{0}, Scheme{Fn: Last, Depth: 1, Index: IndexSpec{PCBits: 62, AddrBits: 4, UsePID: true}}, m); err == nil {
+		t.Fatal("CheckEntries accepted a scheme whose index does not fit the machine")
+	}
+}
+
 // FuzzImportEntries checks the entry kernels against codec.Reader and
 // the replaced importer's checks: EntriesLen accepts what a Reader walk
 // of the structure accepts and finds the same end, ImportEntries accepts
@@ -497,6 +533,9 @@ func FuzzImportEntries(f *testing.F) {
 		err := ImportEntries(sec, []*FlatTable{one}, nil)
 		if (err == nil) != (want == nil) {
 			t.Fatalf("ImportEntries error %v, the replaced importer's %v", err, want)
+		}
+		if cerr := CheckEntries(sec, sc, m); fmt.Sprint(cerr) != fmt.Sprint(err) {
+			t.Fatalf("CheckEntries error %v, ImportEntries' %v", cerr, err)
 		}
 		parts := []*FlatTable{NewTable(sc, m), NewTable(sc, m)}
 		if perr := ImportEntries(sec, parts, route); (perr == nil) != (err == nil) {

@@ -43,7 +43,7 @@ type FlatTable struct {
 	slots []uint64
 	seed  uint64 // random per table, mixed into every key's hash
 	width int    // words per slot: the key word plus the entry's words
-	size  uint64 // slot count
+	size  uint64 // slot count; 0 in a shape, whose one slot is scratch (CheckEntries)
 	n     int    // claimed slots
 }
 
@@ -57,9 +57,21 @@ const (
 // It panics if the scheme is invalid or its index does not fit a key on
 // m (construction-time errors).
 func NewTable(s Scheme, m Machine) *FlatTable {
-	if err := s.ValidateOn(m); err != nil {
+	t, err := newShape(s, m)
+	if err != nil {
 		//predlint:ignore panicfree construction-time scheme validation
 		panic(err)
+	}
+	t.slots = make([]uint64, minSlots*t.width)
+	t.size = minSlots
+	return t
+}
+
+// newShape returns the parameters of a table for the scheme on machine
+// m, with no slots, or the reason the scheme's index does not fit m.
+func newShape(s Scheme, m Machine) (*FlatTable, error) {
+	if err := s.ValidateOn(m); err != nil {
+		return nil, err
 	}
 	t := &FlatTable{
 		fn:       s.Fn,
@@ -78,9 +90,7 @@ func NewTable(s Scheme, m Machine) *FlatTable {
 	case Last, Union, Inter:
 		t.width = 1 + historyWords
 	}
-	t.slots = make([]uint64, minSlots*t.width)
-	t.size = minSlots
-	return t
+	return t, nil
 }
 
 // find returns the offset of key's slot and true, or the offset of the

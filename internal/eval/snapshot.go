@@ -92,6 +92,19 @@ func (s *Snapshot) Restore(ts []*core.FlatTable, route func(key uint64) int) err
 	return nil
 }
 
+// Check checks the snapshot's entries exactly as Restore checks them
+// on their way into tables of its scheme on its machine, without a table
+// (core.CheckEntries), and returns the error Restore would.
+func (s *Snapshot) Check() error {
+	if s.entries == nil {
+		return nil
+	}
+	if err := core.CheckEntries(s.entries, s.Scheme, s.Machine); err != nil {
+		return fmt.Errorf("eval: snapshot %w", err)
+	}
+	return nil
+}
+
 // EncodeSnapshot serializes s into the canonical wire form.
 func EncodeSnapshot(s *Snapshot) []byte {
 	b := make([]byte, 0, 64+len(s.entries)+len(s.Extra))

@@ -152,62 +152,76 @@ func validateEvent(ev *trace.Event, nodes int) error {
 	return nil
 }
 
-// DecodeEvents decodes an events request body — either a single event
-// object or a JSON array of them — into validated trace events for an
-// n-node machine. Unknown fields are rejected, so a misspelled field fails
-// loudly instead of silently zeroing, and a node id that does not fit the
-// event's byte fails in the JSON decoder itself. An array is decoded one
-// element at a time, each validated as it lands, and refused as soon as
-// element MaxBatchEvents+1 starts, so an over-long body costs no more
-// than a full batch. Malformed input returns an error; it never panics.
-func DecodeEvents(data []byte, nodes int) ([]trace.Event, error) {
+// DecodeEventsInto decodes an events request body — either a single
+// event object or a JSON array of them — into validated trace events for
+// an n-node machine, appending them to dst (a pooled slice at length 0
+// decodes without growing once its capacity has warmed up) and returning
+// the extended slice; on error it returns the slice at dst's length.
+// Unknown fields are rejected, so a misspelled field fails loudly instead
+// of silently zeroing, and a node id that does not fit the event's byte
+// fails in the JSON decoder itself. A null body or element is refused:
+// the decoder would leave it a zero event, and an empty batch is []. An
+// array is decoded one element at a time, each validated as it lands,
+// and refused as soon as element MaxBatchEvents+1 starts, so an
+// over-long body costs no more than a full batch. Malformed input
+// returns an error; it never panics.
+func DecodeEventsInto(data []byte, nodes int, dst []trace.Event) ([]trace.Event, error) {
 	if nodes <= 0 || nodes > bitmap.MaxNodes {
-		return nil, fmt.Errorf("serve: node count %d out of range", nodes)
+		return dst, fmt.Errorf("serve: node count %d out of range", nodes)
 	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("serve: empty events body")
+		return dst, fmt.Errorf("serve: empty events body")
 	}
+	if bytes.HasPrefix(trimmed, jsonNull) {
+		return dst, fmt.Errorf("serve: events body is null")
+	}
+	base, evs := len(dst), dst
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
 	if trimmed[0] != '[' {
-		evs := make([]trace.Event, 1)
-		if err := dec.Decode(&evs[0]); err != nil {
-			return nil, fmt.Errorf("serve: decoding event: %w", err)
+		evs = append(evs, trace.Event{})
+		if err := dec.Decode(&evs[base]); err != nil {
+			return evs[:base], fmt.Errorf("serve: decoding event: %w", err)
 		}
 		if err := expectEOF(dec); err != nil {
-			return nil, err
+			return evs[:base], err
 		}
-		if err := validateEvent(&evs[0], nodes); err != nil {
-			return nil, fmt.Errorf("serve: event 0: %w", err)
+		if err := validateEvent(&evs[base], nodes); err != nil {
+			return evs[:base], fmt.Errorf("serve: event 0: %w", err)
 		}
 		return evs, nil
 	}
 	if _, err := dec.Token(); err != nil { // the opening '['
-		return nil, fmt.Errorf("serve: decoding event batch: %w", err)
+		return evs, fmt.Errorf("serve: decoding event batch: %w", err)
 	}
-	evs := []trace.Event{}
 	for dec.More() {
-		i := len(evs)
+		i := len(evs) - base
 		if i == MaxBatchEvents {
-			return nil, fmt.Errorf("serve: batch exceeds limit %d events", MaxBatchEvents)
+			return evs[:base], fmt.Errorf("serve: batch exceeds limit %d events", MaxBatchEvents)
+		}
+		// More stopped at the element or at the comma before it.
+		if bytes.HasPrefix(bytes.TrimLeft(trimmed[dec.InputOffset():], " \t\r\n,"), jsonNull) {
+			return evs[:base], fmt.Errorf("serve: event %d is null", i)
 		}
 		evs = append(evs, trace.Event{})
-		if err := dec.Decode(&evs[i]); err != nil {
-			return nil, fmt.Errorf("serve: decoding event batch: %w", err)
+		if err := dec.Decode(&evs[base+i]); err != nil {
+			return evs[:base], fmt.Errorf("serve: decoding event batch: %w", err)
 		}
-		if err := validateEvent(&evs[i], nodes); err != nil {
-			return nil, fmt.Errorf("serve: event %d: %w", i, err)
+		if err := validateEvent(&evs[base+i], nodes); err != nil {
+			return evs[:base], fmt.Errorf("serve: event %d: %w", i, err)
 		}
 	}
 	if _, err := dec.Token(); err != nil { // the closing ']'
-		return nil, fmt.Errorf("serve: decoding event batch: %w", err)
+		return evs[:base], fmt.Errorf("serve: decoding event batch: %w", err)
 	}
 	if err := expectEOF(dec); err != nil {
-		return nil, err
+		return evs[:base], err
 	}
 	return evs, nil
 }
+
+var jsonNull = []byte("null")
 
 // expectEOF rejects trailing garbage after a decoded JSON document.
 func expectEOF(dec *json.Decoder) error {

@@ -19,6 +19,18 @@ func DecodeWireBatch(data []byte, nodes int) ([]trace.Event, error) {
 	return evs, nil
 }
 
+// DecodeEvents is DecodeEventsInto with a fresh destination.
+func DecodeEvents(data []byte, nodes int) ([]trace.Event, error) {
+	evs, err := DecodeEventsInto(data, nodes, nil)
+	if err != nil {
+		return nil, err
+	}
+	if evs == nil {
+		evs = []trace.Event{}
+	}
+	return evs, nil
+}
+
 // DecodeWireReply is DecodeWireReplyInto with a fresh destination.
 func DecodeWireReply(data []byte) ([]bitmap.Bitmap, error) {
 	preds, err := DecodeWireReplyInto(data, []bitmap.Bitmap(nil))
@@ -34,7 +46,7 @@ func DecodeWireReply(data []byte) ([]bitmap.Bitmap, error) {
 // ReencodeSessionExtra decodes a snapshot's session Extra section and
 // re-encodes what was accepted, for FuzzDecodeSessionExtra.
 func ReencodeSessionExtra(data []byte) ([]byte, error) {
-	x, err := decodeSessionExtra(data)
+	x, err := decodeSessionExtra(data, true)
 	if err != nil {
 		return nil, err
 	}
@@ -66,6 +78,13 @@ func SetBuildHook(fn func(id string)) func() {
 func SetDeleteHook(fn func(id string)) func() {
 	testHookDelete = fn
 	return func() { testHookDelete = nil }
+}
+
+// SetWakeHook installs fn as the hook a request runs after it looks its
+// session up and before it wakes it, and returns a func that removes it.
+func SetWakeHook(fn func(id string)) func() {
+	testHookWake = fn
+	return func() { testHookWake = nil }
 }
 
 // WireBuf is the binary handler's pooled per-request buffer set.

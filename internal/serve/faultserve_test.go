@@ -17,7 +17,7 @@ import (
 	"cohpredict/internal/serve"
 )
 
-func mustScheme(t *testing.T, s string) core.Scheme {
+func mustScheme(t testing.TB, s string) core.Scheme {
 	t.Helper()
 	sc, err := core.ParseScheme(s)
 	if err != nil {

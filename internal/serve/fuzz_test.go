@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // FuzzDecodeEventRequest drives the events-endpoint body decoder with
-// arbitrary bytes: it must never panic, and whatever it accepts must be
-// fully validated (in-range pids, bitmaps confined to the machine).
+// arbitrary bytes: it must never panic, whatever it accepts must be
+// fully validated (in-range pids, bitmaps confined to the machine), and
+// it must accept no null in place of the batch or of an event.
 func FuzzDecodeEventRequest(f *testing.F) {
 	f.Add([]byte(`{"pid":0,"pc":20,"dir":0,"addr":4096,"inv_readers":6,"future_readers":6}`), 16)
 	f.Add([]byte(`[{"pid":1,"pc":1,"dir":2,"addr":64,"future_readers":1},{"pid":3,"pc":9,"dir":0,"addr":128,"has_prev":true,"prev_pid":1,"prev_pc":1,"future_readers":2}]`), 4)
@@ -26,6 +28,12 @@ func FuzzDecodeEventRequest(f *testing.F) {
 	f.Add([]byte(`[{"pid":0,"future_readers":18446744073709551615}]`), 16)
 	f.Add([]byte(` `), 16)
 	f.Add([]byte(`nul`), 16)
+	f.Add([]byte(`null`), 16)
+	f.Add([]byte(` null `), 16)
+	f.Add([]byte(`[null]`), 16)
+	f.Add([]byte(`[null,null]`), 16)
+	f.Add([]byte(`[{},null]`), 16)
+	f.Add([]byte(`[{} , null, {}]`), 16)
 	f.Add([]byte{0xff, 0xfe, '{', '}'}, 16)
 	f.Fuzz(func(t *testing.T, data []byte, nodes int) {
 		evs, err := serve.DecodeEvents(data, nodes)
@@ -59,6 +67,15 @@ func FuzzDecodeEventRequest(f *testing.F) {
 		// service replays decoded events verbatim into the engine.
 		if _, err := json.Marshal(evs); err != nil {
 			t.Fatalf("accepted events fail to re-encode: %v", err)
+		}
+		var elems []json.RawMessage
+		if json.Unmarshal(data, &elems) != nil || elems == nil { // an object, or null
+			elems = []json.RawMessage{data}
+		}
+		for i, e := range elems {
+			if string(bytes.TrimSpace(e)) == "null" {
+				t.Fatalf("accepted a null as event %d of %q", i, data)
+			}
 		}
 	})
 }

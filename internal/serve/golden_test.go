@@ -130,7 +130,7 @@ var seedRestoreStatus = map[string]int{
 }
 
 // readFuzzSeed returns the bytes of a one-value []byte corpus file.
-func readFuzzSeed(t *testing.T, path string) []byte {
+func readFuzzSeed(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -67,7 +67,7 @@ func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	if head := appendExtraHead(nil, tuning, 0, n); len(section) != len(head)+size {
 		t.Fatalf("section is %d bytes, its measured length %d", len(section), len(head)+size)
 	}
-	extra, err := decodeSessionExtra(section)
+	extra, err := decodeSessionExtra(section, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +182,14 @@ func TestDecodeSessionExtraBoundsCounts(t *testing.T) {
 		// 1024 keys (80 08) declared, four bytes behind them.
 		"keys": {1, 1, 0, 0, 0, 0x80, 0x08, 1, 'k', 0, 1},
 	} {
-		if _, err := decodeSessionExtra(extra); err == nil {
+		if _, err := decodeSessionExtra(extra, true); err == nil {
 			t.Fatalf("%s: accepted a count the section cannot back", name)
 		}
 		const runs = 32
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			_, _ = decodeSessionExtra(extra)
+			_, _ = decodeSessionExtra(extra, true)
 		}
 		runtime.ReadMemStats(&after)
 		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {
@@ -204,7 +204,7 @@ func TestDecodeSessionExtraBoundsCounts(t *testing.T) {
 // every replay of its key fail the client's decoder.
 func TestDecodeSessionExtraCanonical(t *testing.T) {
 	valid := []byte{1, 1, 0, 0, 0, 1, 1, 'k', 2, 0x80, 0x01, 5}
-	x, err := decodeSessionExtra(valid)
+	x, err := decodeSessionExtra(valid, true)
 	if err != nil {
 		t.Fatalf("control section rejected: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestDecodeSessionExtraCanonical(t *testing.T) {
 		{1, 1, 0, 0, 0, 1, 1, 'k', 0x82, 0x00, 1, 5}, // non-minimal count
 		{1, 0x81, 0x00, 0, 0, 0, 0},                  // non-minimal tuning field
 	} {
-		if _, err := decodeSessionExtra(bad); err == nil {
+		if _, err := decodeSessionExtra(bad, true); err == nil {
 			t.Errorf("accepted non-canonical section %x", bad)
 		}
 	}

@@ -27,6 +27,12 @@ type serveMetrics struct {
 	idemHits       *obs.Counter   // serve_idempotent_replays_total: batches served from cache
 	snapshots      *obs.Counter   // serve_snapshots_total
 	restores       *obs.Counter   // serve_restores_total
+
+	// Restored sessions not yet used: how many, the snapshot bytes they
+	// hold, and how many have been built on first use since start.
+	sessionsDormant *obs.Gauge   // serve_sessions_dormant
+	dormantBytes    *obs.Gauge   // serve_dormant_bytes
+	wakes           *obs.Counter // serve_session_wakes_total
 }
 
 func newServeMetrics(r *obs.Registry) *serveMetrics {
@@ -46,5 +52,15 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 		idemHits:       r.Counter("serve_idempotent_replays_total"),
 		snapshots:      r.Counter("serve_snapshots_total"),
 		restores:       r.Counter("serve_restores_total"),
+
+		sessionsDormant: r.Gauge("serve_sessions_dormant"),
+		dormantBytes:    r.Gauge("serve_dormant_bytes"),
+		wakes:           r.Counter("serve_session_wakes_total"),
 	}
+}
+
+// dormant moves the dormant gauges by n sessions holding size bytes.
+func (m *serveMetrics) dormant(n, size int) {
+	m.sessionsDormant.Add(float64(n))
+	m.dormantBytes.Add(float64(size))
 }

@@ -68,7 +68,9 @@ func snapshotOf(t *testing.T) []byte {
 
 // TestConcurrentRestoreOneWinner: two PUTs of one snapshot under one id,
 // both past the first id check before either inserts, end in one 201 and
-// one 409, and the loser leaves neither a session nor a shard worker.
+// one 409, and the loser leaves neither a session nor a shard worker. A
+// restored session is dormant, so the race starts no worker at all; one
+// stats GET then wakes the winner, which starts its two.
 func TestConcurrentRestoreOneWinner(t *testing.T) {
 	data := snapshotOf(t)
 	srv := serve.NewServer(serve.Options{})
@@ -114,6 +116,10 @@ func TestConcurrentRestoreOneWinner(t *testing.T) {
 	if n := srv.Sessions(); n != 1 {
 		t.Fatalf("%d sessions after the race, want 1", n)
 	}
+	if got := settledWorkers(workers); got != workers {
+		t.Fatalf("%d shard workers alive before any use, want %d: a restore built its session", got, workers)
+	}
+	c.stats("twin")
 	if got := settledWorkers(workers + 2); got != workers+2 {
 		t.Fatalf("%d shard workers alive, want %d: the losing restore left its own behind", got, workers+2)
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math/bits"
+
 	"cohpredict/internal/core"
 	"cohpredict/internal/trace"
 )
@@ -51,18 +53,18 @@ func RouteMask(idx core.IndexSpec, m core.Machine) uint64 {
 // NewRouter builds a router for the scheme on machine m with the requested
 // shard count. Shard counts below one are clamped to one; sticky schemes
 // are forced to a single shard (spatial prediction reads neighbour keys).
-func NewRouter(s core.Scheme, m core.Machine, shards int) Router {
+func NewRouter(s core.Scheme, m core.Machine, shards int) *Router {
 	if shards < 1 {
 		shards = 1
 	}
 	if s.Fn == core.Sticky {
-		return Router{keyer: s.Index.Keyer(m), mask: 0, shards: 1}
+		return &Router{keyer: s.Index.Keyer(m), mask: 0, shards: 1}
 	}
-	return Router{keyer: s.Index.Keyer(m), mask: RouteMask(s.Index, m), shards: shards}
+	return &Router{keyer: s.Index.Keyer(m), mask: RouteMask(s.Index, m), shards: shards}
 }
 
 // Shards returns the effective shard count.
-func (r Router) Shards() int { return r.shards }
+func (r *Router) Shards() int { return r.shards }
 
 // mix64 is the splitmix64 finalizer: a fixed, stage-free integer hash so
 // shard assignment is deterministic across runs and processes.
@@ -75,17 +77,20 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Route returns the shard owning the given packed index key.
-func (r Router) Route(key uint64) int {
+// Route returns the shard owning the given packed index key: the hash
+// scaled to the shard count, the high word of their product, which
+// spreads as evenly as a remainder without a division.
+func (r *Router) Route(key uint64) int {
 	if r.shards == 1 {
 		return 0
 	}
-	return int(mix64(key&r.mask) % uint64(r.shards))
+	k, _ := bits.Mul64(mix64(key&r.mask), uint64(r.shards))
+	return int(k)
 }
 
 // RouteEvent returns the shard that must process the event (the shard of
 // its current-writer key; the previous-writer key co-locates by
 // construction).
-func (r Router) RouteEvent(ev *trace.Event) int {
+func (r *Router) RouteEvent(ev *trace.Event) int {
 	return r.Route(r.keyer.Key(ev.PID, ev.PC, ev.Dir, ev.Addr))
 }

@@ -11,7 +11,8 @@
 //	                                returning predicted sharing bitmaps
 //	GET    /v1/sessions/{id}/stats  confusion / sensitivity / PVP summary
 //	GET    /v1/sessions/{id}/snapshot  COHSNAP1 snapshot of a session
-//	PUT    /v1/sessions/{id}/snapshot  restore a snapshot under the id
+//	PUT    /v1/sessions/{id}/snapshot  restore a snapshot under the id,
+//	                                kept dormant until its first use
 //	DELETE /v1/sessions/{id}        drain and remove a session
 //	GET    /healthz                 liveness and drain state
 //	GET    /metrics                 Prometheus text (internal/obs), or the
@@ -391,7 +392,9 @@ func (s *Server) handleListSessions(w http.ResponseWriter, _ *http.Request) erro
 	return nil
 }
 
-// session resolves the {id} path value, or 404s.
+// session resolves the {id} path value, or 404s. It is the one lookup
+// the events, stats and snapshot GET routes make, and it wakes a dormant
+// session: a restored session is built on its first use.
 func (s *Server) session(r *http.Request) (*Session, error) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -399,6 +402,12 @@ func (s *Server) session(r *http.Request) (*Session, error) {
 	s.mu.Unlock()
 	if sess == nil {
 		return nil, httpErr(http.StatusNotFound, fmt.Errorf("serve: no session %q", id))
+	}
+	if testHookWake != nil {
+		testHookWake(id)
+	}
+	if err := sess.wake(); err != nil {
+		return nil, err
 	}
 	return sess, nil
 }
@@ -489,8 +498,9 @@ func putSnapBuf(buf *[]byte, b []byte) {
 
 // Test hooks, nil outside tests. testHookBuild runs while addSession
 // builds a session, outside the server lock; testHookDelete runs after a
-// DELETE has unlinked its session and before it drains it.
-var testHookBuild, testHookDelete func(id string)
+// DELETE has unlinked its session and before it drains it; testHookWake
+// runs after a request has looked its session up and before it wakes it.
+var testHookBuild, testHookDelete, testHookWake func(id string)
 
 // handleSnapshotGet quiesces the session, writes its full state in the
 // canonical snapshot wire form into a recycled buffer, and resumes it.
@@ -517,17 +527,13 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) error
 // either way.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	// The body is recycled once the session is built: the snapshot
-	// aliases it, but the restore copies everything it keeps.
+	// The body is recycled once the restore returns: the session keeps
+	// its own copy.
 	buf := snapBufs.Get().(*[]byte)
 	body, err := readBody((*buf)[:0], r, MaxSnapshotBytes)
 	defer putSnapBuf(buf, body)
 	if err != nil {
 		return err
-	}
-	snap, err := eval.DecodeSnapshot(body)
-	if err != nil {
-		return httpErr(http.StatusBadRequest, err)
 	}
 	var shards *int
 	if sv := r.URL.Query().Get("shards"); sv != "" {
@@ -538,7 +544,7 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error
 		shards = &n
 	}
 
-	sess, err := s.RestoreSnapshot(id, snap, shards)
+	sess, err := s.RestoreSnapshot(id, body, shards)
 	if err != nil {
 		return err
 	}
@@ -546,22 +552,32 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
-// RestoreSnapshot registers a NEW session id rebuilt from a decoded
-// snapshot; shards, when non-nil, overrides the snapshot's shard count
-// (restoring onto a different shard count is legal and
+// RestoreSnapshot registers a NEW session id restored from data, a
+// COHSNAP1 snapshot; shards, when non-nil, overrides the snapshot's
+// shard count (restoring onto a different shard count is legal and
 // behaviour-preserving). It is the programmatic face of PUT
 // /v1/sessions/{id}/snapshot — the CLI's -restore flag boots sessions
 // through it before the listener opens.
-func (s *Server) RestoreSnapshot(id string, snap *eval.Snapshot, shards *int) (*Session, error) {
+//
+// The snapshot is checked whole, as NewSessionFromSnapshot checks it,
+// but the session stays dormant: it keeps a copy of data and its
+// config, and no shard worker or table, until a request to it through
+// the server builds it (Server.session). Until then its methods must not
+// be called, but for Config and Close; Close drops the bytes unbuilt.
+func (s *Server) RestoreSnapshot(id string, data []byte, shards *int) (*Session, error) {
+	snap, err := eval.DecodeSnapshot(data)
+	if err != nil {
+		return nil, httpErr(http.StatusBadRequest, err)
+	}
 	sess, err := s.addSession(id, func() (*Session, error) {
-		return NewSessionFromSnapshot(id, snap, shards, s.opts.Fault, s.opts.Record, s.om)
+		return newDormantSession(id, data, snap, shards, s.opts.Fault, s.opts.Record, s.om)
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.om.restores.Inc()
-	s.opts.Log.Infof("serve: session %s restored: %d events, %d shards",
-		id, snap.Events, sess.cfg.Shards)
+	s.opts.Log.Infof("serve: session %s restored dormant: %d events, %d shards, %d bytes",
+		id, snap.Events, sess.cfg.Shards, len(data))
 	return sess, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	resclient "cohpredict/internal/client"
 	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 )
@@ -350,5 +351,47 @@ func TestCreateIgnoresFlushMicros(t *testing.T) {
 		if resp.FlushMicros != 0 {
 			t.Fatalf("flush_micros %d: session reports %d, want 0", v, resp.FlushMicros)
 		}
+	}
+}
+
+// TestEmptyAndNullBatches: an empty batch posted over either transport,
+// by the Go client or as raw bodies, trains nothing and gets the same
+// empty reply; a null body, or a null in place of an event, is refused
+// with 400 before anything trains, where it once trained a zero event.
+func TestEmptyAndNullBatches(t *testing.T) {
+	srv := serve.NewServer(serve.Options{})
+	defer srv.Shutdown()
+	c, closeTS := newClient(t, srv)
+	defer closeTS()
+	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(dir+add8)1"}).ID
+	path := "/v1/sessions/" + id + "/events"
+
+	for _, binary := range []bool{false, true} {
+		cl := resclient.New(resclient.Options{BaseURL: c.base, Binary: binary, HTTP: c.http})
+		if preds, err := cl.PostEvents(id, nil); err != nil || len(preds) != 0 {
+			t.Fatalf("client (binary %v) posting an empty batch: %v, %v; want no predictions", binary, preds, err)
+		}
+	}
+	empty := serve.AppendWireReply(nil, nil)
+	asWire := map[string]string{"Accept": serve.ContentTypeWire}
+	if code, _, reply := c.doRaw("POST", path, []byte(`[]`), asWire); code != http.StatusOK || !bytes.Equal(reply, empty) {
+		t.Fatalf("JSON [] asking for COHWIRE1: status %d, reply %x; want %x", code, reply, empty)
+	}
+	asWire["Content-Type"] = serve.ContentTypeWire
+	if code, _, reply := c.doRaw("POST", path, serve.AppendWireBatch(nil, nil), asWire); code != http.StatusOK || !bytes.Equal(reply, empty) {
+		t.Fatalf("empty COHWIRE1 batch: status %d, reply %x; want %x", code, reply, empty)
+	}
+	if code, _, reply := c.doRaw("POST", path, []byte(` [ ] `), nil); code != http.StatusOK || string(reply) != `{"events":0,"predictions":[]}` {
+		t.Fatalf("JSON []: status %d, reply %s", code, reply)
+	}
+
+	ev := `{"pid":1,"dir":2,"addr":64,"future_readers":1}`
+	for _, body := range []string{`null`, ` null `, `[null]`, `[null,null]`, `[` + ev + `,null]`, `[` + ev + ` , null ,` + ev + `]`} {
+		if code, _, reply := c.doRaw("POST", path, []byte(body), nil); code != http.StatusBadRequest {
+			t.Errorf("body %s: status %d: %s; want 400", body, code, reply)
+		}
+	}
+	if got := c.stats(id).Events; got != 0 {
+		t.Fatalf("the session trained %d events, want 0", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/core"
+	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
 	"cohpredict/internal/flight"
 	"cohpredict/internal/metrics"
@@ -148,16 +149,21 @@ func (e *idemEntry) completed() bool {
 // Session hosts one live prediction engine behind the API: a router plus a
 // pool of shard workers, each owning a disjoint partition of the predictor
 // table (see Router for why the partition preserves serial semantics).
+//
+// A restored session starts dormant: it holds its snapshot's bytes and
+// its config, and no shard, until its first use through the server
+// (wake) builds the shards from the bytes and drops them.
 type Session struct {
 	ID     string
 	cfg    SessionConfig
-	router Router
-	shards []*shard
+	router *Router
+	shards []*shard // nil until built: at creation, or under mu by wake
 
 	mu       sync.Mutex
-	pending  int  //predlint:guardedby mu
-	closing  bool //predlint:guardedby mu
-	quiesced bool //predlint:guardedby mu
+	pending  int    //predlint:guardedby mu
+	closing  bool   //predlint:guardedby mu
+	quiesced bool   //predlint:guardedby mu
+	snap     []byte //predlint:guardedby mu
 	reqs     sync.WaitGroup
 	closed   chan struct{}
 
@@ -182,25 +188,96 @@ func NewSession(id string, cfg SessionConfig, om *serveMetrics) (*Session, error
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	s := newSession(id, cfg, om)
+	_ = s.build(nil, nil) // only a snapshot's import can fail
+	return s, nil
+}
+
+// newSession returns a session of a checked config with its router and
+// no shards: build adds them.
+func newSession(id string, cfg SessionConfig, om *serveMetrics) *Session {
 	if om == nil {
 		om = newServeMetrics(nil)
 	}
 	router := NewRouter(cfg.Scheme, cfg.Machine, cfg.Shards)
 	cfg.Shards = router.Shards()
-	s := &Session{
+	return &Session{
 		ID:     id,
 		cfg:    cfg,
 		router: router,
-		shards: make([]*shard, router.Shards()),
 		closed: make(chan struct{}),
 		idem:   make(map[string]*idemEntry),
 		om:     om,
 	}
-	for i := range s.shards {
-		s.shards[i] = newShard(i, cfg.Scheme, cfg.Machine, cfg.BatchSize, cfg.Fault, om)
-		go s.shards[i].run()
+}
+
+// build gives the session its shards and starts their workers. With a
+// snapshot, the shard tables are filled from its entries first, and the
+// session takes its tallies and extra's idempotency cache. On error no
+// worker has started, and the session keeps no shard.
+func (s *Session) build(snap *eval.Snapshot, extra *sessionExtra) error {
+	shards := make([]*shard, s.router.Shards())
+	for i := range shards {
+		shards[i] = newShard(i, s.cfg.Scheme, s.cfg.Machine, s.cfg.BatchSize, s.cfg.Fault, s.om)
 	}
-	return s, nil
+	if snap != nil {
+		tables := make([]*core.FlatTable, len(shards))
+		for i, sh := range shards {
+			tables[i] = sh.table
+		}
+		if err := snap.Restore(tables, s.router.Route); err != nil {
+			return err
+		}
+		for _, sh := range shards {
+			sh.pubEntries.Store(uint64(sh.table.Entries()))
+		}
+		s.baseConf = snap.Conf
+		s.baseEvents = snap.Events
+		if extra.idem != nil {
+			s.idemMu.Lock()
+			s.idem, s.idemOrder = extra.idem, extra.order
+			s.idemMu.Unlock()
+		}
+	}
+	for _, sh := range shards {
+		go sh.run()
+	}
+	s.shards = shards
+	return nil
+}
+
+// wake builds a dormant session from its snapshot bytes and drops them.
+// Every request's lookup of a session wakes it (Server.session), so a
+// session is built on its first use, once: racing first uses meet on mu,
+// and the ones that follow the first find it built. A session closed
+// while dormant is never built; waking it answers ErrDraining, as admit
+// would.
+func (s *Session) wake() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.snap == nil {
+		if s.shards == nil {
+			return ErrDraining
+		}
+		return nil
+	}
+	// The bytes passed every check of the restore that kept them, so
+	// none of these steps fails short of a defect.
+	snap, err := eval.DecodeSnapshot(s.snap)
+	var extra *sessionExtra
+	if err == nil {
+		extra, err = decodeSessionExtra(snap.Extra, true)
+	}
+	if err == nil {
+		err = s.build(snap, extra)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: waking session %s: %w", s.ID, err)
+	}
+	s.om.wakes.Inc()
+	s.om.dormant(-1, -len(s.snap))
+	s.snap = nil
+	return nil
 }
 
 // Config returns the session's effective (default-filled) configuration.
@@ -338,7 +415,7 @@ var posts = sync.Pool{New: func() interface{} { return new(post) }}
 // routing: its one run is the whole batch.
 //
 //predlint:hotpath
-func (p *post) split(r Router) int {
+func (p *post) split(r *Router) int {
 	n := len(p.evs)
 	if cap(p.pos) < n {
 		p.pos = make([]int32, n)
@@ -614,6 +691,14 @@ func (s *Session) Close() error {
 		return s.shardErr()
 	}
 	s.closing = true
+	if s.snap != nil {
+		// Dormant: there is nothing to drain, and it is never built.
+		s.om.dormant(-1, -len(s.snap))
+		s.snap = nil
+		s.mu.Unlock()
+		close(s.closed)
+		return nil
+	}
 	s.mu.Unlock()
 
 	s.reqs.Wait()

@@ -60,7 +60,7 @@ func newStallSession(t *testing.T, shards, batch int, inj *fault.Injector) *Sess
 // 4096-line range owner alone uses. The second half revisits the first
 // half's lines with writer and previous writer swapped, so it predicts
 // from entries the first half trained.
-func ownedEvents(r Router, owner, perShard int) []trace.Event {
+func ownedEvents(r *Router, owner, perShard int) []trace.Event {
 	var evs []trace.Event
 	count := make([]int, r.Shards())
 	for line, need := uint64(owner)<<12, r.Shards(); need > 0; line++ {
@@ -88,7 +88,7 @@ func ownedEvents(r Router, owner, perShard int) []trace.Event {
 }
 
 // onShard returns the events of evs that r routes to shard k.
-func onShard(r Router, evs []trace.Event, k int) []trace.Event {
+func onShard(r *Router, evs []trace.Event, k int) []trace.Event {
 	var out []trace.Event
 	for i := range evs {
 		if r.RouteEvent(&evs[i]) == k {

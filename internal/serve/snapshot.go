@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cohpredict/internal/codec"
@@ -180,12 +181,14 @@ func appendIdem(b []byte, order []string, idem map[string]*idemEntry) []byte {
 // section re-encodes byte for byte, and no count makes it allocate more
 // than the bytes behind the count can fill.
 //
-// A first pass checks every entry and measures the keys and frames; the
-// second copies the keys into one string and the frames into one buffer
-// and builds the cache over them, so a restore allocates the same few
-// times however many replies it carries. Those backing stores live until
-// the last restored entry is evicted.
-func decodeSessionExtra(data []byte) (*sessionExtra, error) {
+// A first pass checks every entry and measures the keys and frames, and
+// then that no key repeats, in place; without cache that is all, and the
+// section comes back with its tuning alone, as a dormant restore needs
+// it. The second pass copies the keys into one string and the frames
+// into one buffer and builds the cache over them, so a restore allocates
+// the same few times however many replies it carries. Those backing
+// stores live until the last restored entry is evicted.
+func decodeSessionExtra(data []byte, cache bool) (*sessionExtra, error) {
 	x := &sessionExtra{}
 	if len(data) == 0 {
 		return x, nil
@@ -202,9 +205,11 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	n := r.Count(maxIdemKeys, 3)
 	items := r.Rest()
 	var tails [maxIdemKeys]int // each entry's frame tail length, 0 once acknowledged
+	var keys [maxIdemKeys][]byte
 	keyBytes, frameBytes := 0, 0
 	for i := 0; i < n; i++ {
 		key := r.Bytes(maxIdemKeyLen)
+		keys[i] = key
 		tail := r.Rest()
 		if bytes.HasPrefix(tail, ackedTail) {
 			r.Uvarint()
@@ -226,21 +231,28 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("serve: snapshot extra section: %w", err)
 	}
+	sorted := keys[:n]
+	slices.SortFunc(sorted, bytes.Compare)
+	for i := 1; i < n; i++ {
+		if bytes.Equal(sorted[i], sorted[i-1]) {
+			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", sorted[i])
+		}
+	}
+	if !cache {
+		return x, nil
+	}
 
-	var keys strings.Builder
-	keys.Grow(keyBytes) // never outgrown, so earlier keys stay valid
+	var keyStore strings.Builder
+	keyStore.Grow(keyBytes) // never outgrown, so earlier keys stay valid
 	frames := make([]byte, 0, frameBytes)
 	entries := make([]idemEntry, n)
 	x.idem = make(map[string]*idemEntry, n)
 	x.order = make([]string, n)
 	for i := range entries {
 		kl, k, _ := codec.Uvarint(items) // checked above
-		start := keys.Len()
-		keys.Write(items[k : k+int(kl)])
-		key := keys.String()[start:]
-		if x.idem[key] != nil {
-			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", key)
-		}
+		start := keyStore.Len()
+		keyStore.Write(items[k : k+int(kl)])
+		key := keyStore.String()[start:]
 		items = items[k+int(kl):]
 		entries[i] = idemEntry{done: closedDone}
 		if tails[i] == 0 {
@@ -267,9 +279,44 @@ func decodeSessionExtra(data []byte) (*sessionExtra, error) {
 // exactly as it would have partitioned the events that created them).
 // The entries are imported straight into the new shard tables.
 func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
-	extra, err := decodeSessionExtra(snap.Extra)
+	cfg, extra, err := restoredConfig(snap, true, shards, flt, rec)
 	if err != nil {
 		return nil, err
+	}
+	s := newSession(id, cfg, om)
+	if err := s.build(snap, extra); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newDormantSession is NewSessionFromSnapshot's dormant twin: it checks
+// the snapshot as that restore does, in the same order and with the same
+// errors, but builds nothing. The session keeps an exact-size copy of
+// data, the snapshot's bytes, until its first use builds it (wake).
+func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
+	cfg, _, err := restoredConfig(snap, false, shards, flt, rec)
+	if err != nil {
+		return nil, err
+	}
+	if err := snap.Check(); err != nil {
+		return nil, err
+	}
+	s := newSession(id, cfg, om)
+	s.snap = make([]byte, len(data))
+	copy(s.snap, data)
+	s.om.dormant(1, len(s.snap))
+	return s, nil
+}
+
+// restoredConfig returns the checked config of a session restored from
+// snap: its scheme and machine, the tuning its Extra section carries,
+// and shards, when non-nil, as the shard count. It also returns the
+// decoded section, with its cache when cache is set.
+func restoredConfig(snap *eval.Snapshot, cache bool, shards *int, flt *fault.Injector, rec EventRecorder) (SessionConfig, *sessionExtra, error) {
+	extra, err := decodeSessionExtra(snap.Extra, cache)
+	if err != nil {
+		return SessionConfig{}, nil, err
 	}
 	cfg := SessionConfig{
 		Scheme:     snap.Scheme,
@@ -283,28 +330,8 @@ func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fa
 	if shards != nil {
 		cfg.Shards = *shards
 	}
-	s, err := NewSession(id, cfg, om)
-	if err != nil {
-		return nil, err
+	if err := cfg.fillDefaults(); err != nil {
+		return SessionConfig{}, nil, err
 	}
-	// The shard workers have processed nothing, and the reqs edge of the
-	// first Post orders these writes before any worker read, so the
-	// session is filled without quiescing.
-	tables := make([]*core.FlatTable, len(s.shards))
-	for i, sh := range s.shards {
-		tables[i] = sh.table
-	}
-	if err := snap.Restore(tables, s.router.Route); err != nil {
-		_ = s.Close() // the restore error is the one to report
-		return nil, err
-	}
-	for _, sh := range s.shards {
-		sh.pubEntries.Store(uint64(sh.table.Entries()))
-	}
-	s.baseConf = snap.Conf
-	s.baseEvents = snap.Events
-	if extra.idem != nil {
-		s.idem, s.idemOrder = extra.idem, extra.order
-	}
-	return s, nil
+	return cfg, extra, nil
 }

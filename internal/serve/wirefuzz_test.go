@@ -96,12 +96,16 @@ func FuzzDecodeWireReply(f *testing.F) {
 // batch the wire decoder accepts, re-expressed as JSON, is accepted by
 // the JSON decoder and yields the identical validated events — so the
 // engine trains on exactly the same stream whichever transport carried
-// it, and the offline-equivalence guarantee holds transport-free.
+// it, and the offline-equivalence guarantee holds transport-free. The
+// JSON that stands a null in for the batch (as a nil slice marshals) or
+// for one more event is refused, so no JSON body trains an event the
+// wire form cannot carry.
 func FuzzWireJSONCross(f *testing.F) {
 	for _, seed := range fuzzWireSeeds() {
 		f.Add(seed, 16)
 	}
 	f.Add([]byte("COHWIRE1\x01\x01\x00\x00\x00\x00\x00\x00\x00"), 1)
+	f.Add(serve.AppendWireBatch(nil, nil), 1) // whose nil batch marshals as null
 	addWideNodeFrames(f)
 	f.Fuzz(func(t *testing.T, data []byte, nodes int) {
 		evs, err := serve.DecodeWireBatch(data, nodes)
@@ -123,6 +127,13 @@ func FuzzWireJSONCross(f *testing.F) {
 			if viaJSON[i] != evs[i] {
 				t.Fatalf("event %d differs across transports: wire %+v, json %+v", i, evs[i], viaJSON[i])
 			}
+		}
+		nulled := []byte("null")
+		if len(evs) > 0 {
+			nulled = append(jsonBody[:len(jsonBody)-1:len(jsonBody)-1], ",null]"...)
+		}
+		if got, err := serve.DecodeEvents(nulled, nodes); err == nil {
+			t.Fatalf("JSON decoder accepted %q as %d events", nulled, len(got))
 		}
 	})
 }

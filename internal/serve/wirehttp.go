@@ -1,9 +1,9 @@
 package serve
 
 // The events route's one pipeline, for both encodings: read the body
-// into a pooled buffer, decode it (a COHWIRE1 batch straight into pooled
-// event structs, JSON through DecodeEvents), post it with
-// Session.postFrame, and reply with the COHWIRE1 frame — or with that
+// into a pooled buffer, decode it into pooled event structs (a COHWIRE1
+// batch with DecodeWireBatchInto, JSON with DecodeEventsInto), post it
+// with Session.postFrame, and reply with the COHWIRE1 frame — or with that
 // frame transcoded into the JSON EventsResponse when the request asked
 // for COHWIRE1 neither in its Content-Type nor in its Accept. Body bytes,
 // decoded events, prediction slots and the encoded reply all live in a
@@ -92,13 +92,13 @@ func (s *Server) events(r *http.Request, buf *wireBuf, rec *flight.Record) (ctyp
 	var evs []trace.Event
 	if wire {
 		evs, err = DecodeWireBatchInto(body, sess.cfg.Machine.Nodes, buf.evs[:0])
-		buf.evs = evs[:0]
 		if err != nil {
 			err = fmt.Errorf("serve: decoding wire batch: %w", err)
 		}
 	} else {
-		evs, err = DecodeEvents(body, sess.cfg.Machine.Nodes)
+		evs, err = DecodeEventsInto(body, sess.cfg.Machine.Nodes, buf.evs[:0])
 	}
+	buf.evs = evs[:0]
 	rec.AddDecode(flight.Nanos() - t)
 	if err != nil {
 		return "", nil, httpErr(http.StatusBadRequest, err)
