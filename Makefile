@@ -20,8 +20,9 @@ vet:
 	$(GO) -C _perfbench vet .
 
 # Project-specific static analysis: determinism, hot-path discipline, obs
-# nil-safety, panic-free libraries, exhaustive enum switches, and the
-# concurrency contracts (guardedby, atomiconly, goroutineown, staleignore).
+# nil-safety, panic-free libraries, exhaustive enum switches, the
+# concurrency contracts (guardedby, atomiconly, goroutineown), no exported
+# name that only tests use (testonly), and no stale directive (staleignore).
 # Exits non-zero on any unsuppressed finding.
 lint:
 	$(GO) run ./cmd/predlint
@@ -33,7 +34,7 @@ lint-self:
 	$(GO) run ./cmd/predlint -only internal/lint
 
 # Latency guard for the full lint pass: build the binary, then the
-# analysis itself (load + typecheck + all nine checks over the module)
+# analysis itself (load + typecheck + all ten checks over the module)
 # must finish within 30 seconds or the target fails. Keeps the pre-commit
 # gate cheap enough that nobody is tempted to skip it.
 lint-timed:

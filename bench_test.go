@@ -17,6 +17,7 @@ import (
 	"cohpredict/internal/experiments"
 	"cohpredict/internal/forward"
 	"cohpredict/internal/machine"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/search"
 	"cohpredict/internal/workload"
 )
@@ -145,7 +146,7 @@ func BenchmarkAblationDepth(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = search.EvaluateSchemes(schemes, cm, traces)
+		_, _ = search.EvaluateSchemesObserved(schemes, cm, traces, 0, obs.Default())
 	}
 }
 
@@ -164,7 +165,7 @@ func BenchmarkAblationIndexFields(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = search.EvaluateSchemes(schemes, cm, traces)
+		_, _ = search.EvaluateSchemesObserved(schemes, cm, traces, 0, obs.Default())
 	}
 }
 
@@ -181,7 +182,7 @@ func BenchmarkAblationUpdateMechanism(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = search.EvaluateSchemes(schemes, cm, traces)
+		_, _ = search.EvaluateSchemesObserved(schemes, cm, traces, 0, obs.Default())
 	}
 }
 
@@ -252,7 +253,7 @@ func BenchmarkBatchSweepPerEvent(b *testing.B) {
 	events := len(traces[0].Trace.Events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = search.EvaluateSchemes(schemes, cm, traces)
+		_, _ = search.EvaluateSchemesObserved(schemes, cm, traces, 0, obs.Default())
 	}
 	b.ReportMetric(float64(b.N*events), "events")
 }
@@ -271,7 +272,7 @@ func benchSweepWorkers(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = search.EvaluateSchemesWorkers(schemes, cm, traces, workers)
+		_, _ = search.EvaluateSchemesObserved(schemes, cm, traces, workers, obs.Default())
 	}
 	b.ReportMetric(float64(events*len(schemes)*b.N)/b.Elapsed().Seconds(), "scheme-events/s")
 }

@@ -146,7 +146,7 @@ func TestSweepConsistentWithSingleEvaluation(t *testing.T) {
 		s, _ := core.ParseScheme(str)
 		schemes = append(schemes, s)
 	}
-	stats, err := search.EvaluateSchemes(schemes, cm, []search.NamedTrace{{Name: "gauss", Trace: tr}})
+	stats, err := search.EvaluateSchemesObserved(schemes, cm, []search.NamedTrace{{Name: "gauss", Trace: tr}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

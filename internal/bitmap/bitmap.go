@@ -70,9 +70,6 @@ func (b Bitmap) Has(node int) bool {
 	return b&(1<<uint(node)) != 0
 }
 
-// Union returns the bitwise OR of b and o.
-func (b Bitmap) Union(o Bitmap) Bitmap { return b | o }
-
 // Intersect returns the bitwise AND of b and o.
 func (b Bitmap) Intersect(o Bitmap) Bitmap { return b & o }
 
@@ -98,10 +95,6 @@ func (b Bitmap) Nodes() []int {
 
 // Overlaps reports whether b and o share at least one set bit.
 func (b Bitmap) Overlaps(o Bitmap) bool { return b&o != 0 }
-
-// Truncate returns b restricted to the low n bits, discarding sharers at or
-// beyond node n.
-func (b Bitmap) Truncate(n int) Bitmap { return b & Full(n) }
 
 // String renders the bitmap as a binary string of the 16 low bits when all
 // sharers fit (the paper's machine size), or of all 64 bits otherwise, with

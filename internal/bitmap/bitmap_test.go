@@ -88,9 +88,6 @@ func TestSetPanicsOutOfRange(t *testing.T) {
 func TestSetOps(t *testing.T) {
 	a := New(1, 2, 3)
 	b := New(3, 4)
-	if got := a.Union(b); got != New(1, 2, 3, 4) {
-		t.Errorf("Union = %v", got)
-	}
 	if got := a.Intersect(b); got != New(3) {
 		t.Errorf("Intersect = %v", got)
 	}
@@ -119,10 +116,12 @@ func TestNodesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTruncate: masking with Full(n) keeps exactly the sharers below
+// node n, the restriction AddBitmaps and the trace fixtures rely on.
 func TestTruncate(t *testing.T) {
 	b := New(0, 15, 16, 40)
-	if got := b.Truncate(16); got != New(0, 15) {
-		t.Errorf("Truncate(16) = %v", got)
+	if got := b & Full(16); got != New(0, 15) {
+		t.Errorf("b & Full(16) = %v", got)
 	}
 }
 
@@ -135,23 +134,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: union is commutative, associative, monotone in Count.
-func TestUnionProperties(t *testing.T) {
-	f := func(a, b, c uint64) bool {
-		x, y, z := Bitmap(a), Bitmap(b), Bitmap(c)
-		if x.Union(y) != y.Union(x) {
-			return false
-		}
-		if x.Union(y).Union(z) != x.Union(y.Union(z)) {
-			return false
-		}
-		return x.Union(y).Count() >= x.Count()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: intersection is contained in both operands; De Morgan-ish
 // relation |A∪B| = |A| + |B| − |A∩B|.
 func TestIntersectProperties(t *testing.T) {
@@ -161,7 +143,7 @@ func TestIntersectProperties(t *testing.T) {
 		if i.Minus(x) != Empty || i.Minus(y) != Empty {
 			return false
 		}
-		return x.Union(y).Count() == x.Count()+y.Count()-i.Count()
+		return (x | y).Count() == x.Count()+y.Count()-i.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

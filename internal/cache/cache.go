@@ -94,7 +94,6 @@ func (c Config) validate() error {
 // Addresses passed to its methods are byte addresses; the cache aligns them
 // to lines internally.
 type Cache struct {
-	cfg      Config
 	lines    []line // set s is lines[s*assoc : (s+1)*assoc]
 	assoc    int
 	setMask  uint64
@@ -117,16 +116,12 @@ func New(cfg Config) *Cache {
 		lineBits++
 	}
 	return &Cache{
-		cfg:      cfg,
 		lines:    make([]line, cfg.Sets()*cfg.Assoc),
 		assoc:    cfg.Assoc,
 		setMask:  uint64(cfg.Sets() - 1),
 		lineBits: lineBits,
 	}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 //predlint:hotpath
 func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
@@ -139,6 +134,7 @@ func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 // state or statistics.
 //
 //predlint:hotpath
+//predlint:ignore testonly the machine package's coherence-invariant tests read line states through it, and a test file cannot export to another package
 func (c *Cache) Lookup(addr uint64) LineState {
 	set, tag := c.locate(addr)
 	for i := range set {
@@ -255,18 +251,6 @@ func (c *Cache) MarkExclusive(addr uint64) {
 	}
 }
 
-// ValidLines returns the number of lines currently valid, for tests and
-// occupancy statistics.
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].state() != Invalid {
-			n++
-		}
-	}
-	return n
-}
-
 // Hierarchy is a two-level inclusive cache hierarchy (L1 inside L2), the
 // per-node arrangement of Table 4. An access probes L1; an L1 miss probes
 // L2; an L2 miss (or write to a non-Modified line) must go to the directory.
@@ -353,9 +337,4 @@ func (h *Hierarchy) Downgrade(addr uint64) {
 func (h *Hierarchy) MarkExclusive(addr uint64) {
 	h.L1.MarkExclusive(addr)
 	h.L2.MarkExclusive(addr)
-}
-
-// Present reports whether the line is valid anywhere in the hierarchy.
-func (h *Hierarchy) Present(addr uint64) bool {
-	return h.L2.Lookup(addr) != Invalid || h.L1.Lookup(addr) != Invalid
 }

@@ -7,6 +7,18 @@ import (
 
 func tiny() Config { return Config{SizeBytes: 512, LineBytes: 64, Assoc: 2} } // 4 sets
 
+// validLines returns the number of lines currently valid: the occupancy
+// the capacity tests check.
+func validLines(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].state() != Invalid {
+			n++
+		}
+	}
+	return n
+}
+
 func TestConfigSets(t *testing.T) {
 	if got := tiny().Sets(); got != 4 {
 		t.Fatalf("Sets = %d", got)
@@ -145,8 +157,8 @@ func TestValidLines(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Access(uint64(i)*64, false)
 	}
-	if got := c.ValidLines(); got != 8 {
-		t.Fatalf("ValidLines = %d", got)
+	if got := validLines(c); got != 8 {
+		t.Fatalf("valid lines = %d", got)
 	}
 }
 
@@ -158,8 +170,8 @@ func TestCapacityBound(t *testing.T) {
 		c.Access(uint64(rng.Intn(64))*64, rng.Intn(2) == 0)
 	}
 	maxLines := cfg.SizeBytes / cfg.LineBytes
-	if got := c.ValidLines(); got > maxLines {
-		t.Fatalf("ValidLines = %d > capacity %d", got, maxLines)
+	if got := validLines(c); got > maxLines {
+		t.Fatalf("valid lines = %d > capacity %d", got, maxLines)
 	}
 }
 
@@ -201,7 +213,7 @@ func TestHierarchyInvalidate(t *testing.T) {
 	if st := h.Invalidate(0x100); st != Modified {
 		t.Fatalf("Invalidate = %v", st)
 	}
-	if h.Present(0x100) {
+	if h.L1.Lookup(0x100) != Invalid || h.L2.Lookup(0x100) != Invalid {
 		t.Fatal("line still present")
 	}
 	if out, _ := h.Access(0x100, false); out != MissClean {

@@ -206,6 +206,8 @@ func New(opts Options) *Client {
 }
 
 // Stats returns the cumulative retry-loop tallies.
+//
+//predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 func (c *Client) Stats() Stats {
 	c.idsMu.Lock()
 	ids := append([]string(nil), c.retriedIDs...)
@@ -490,6 +492,8 @@ func (c *Client) SessionStats(id string) (*serve.StatsResponse, error) {
 }
 
 // Snapshot quiesces the session and returns its binary snapshot.
+//
+//predlint:ignore testonly the client session API is the library's user surface
 func (c *Client) Snapshot(id string) ([]byte, error) {
 	return c.do(http.MethodGet, "/v1/sessions/"+id+"/snapshot", nil, "", "", postIDs{}, Retryable)
 }
@@ -499,6 +503,8 @@ func (c *Client) Snapshot(id string) ([]byte, error) {
 // state-free refusals (429, 503): a blind retry of a PUT whose response
 // was lost would turn the success into a spurious 409, so a transport
 // failure surfaces as-is.
+//
+//predlint:ignore testonly the client session API is the library's user surface
 func (c *Client) Restore(id string, snap []byte, shards int) (*serve.CreateSessionResponse, error) {
 	path := "/v1/sessions/" + id + "/snapshot"
 	if shards > 0 {
@@ -518,6 +524,8 @@ func (c *Client) Restore(id string, snap []byte, shards int) (*serve.CreateSessi
 // DeleteSession drains and removes the session (404 after a successful
 // delete retry is treated as success — the delete happened), and forgets
 // the key its next post would have acknowledged.
+//
+//predlint:ignore testonly the client session API is the library's user surface
 func (c *Client) DeleteSession(id string) error {
 	c.ackMu.Lock()
 	delete(c.lastKeys, id)

@@ -9,6 +9,7 @@ import (
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 )
 
@@ -31,12 +32,29 @@ func clusterChaosConfig(seed int64) fault.Config {
 	}
 }
 
+// faultTally is what a chaos run's injectors injected, read from the
+// fault_* counters of the registry they were built with.
+type faultTally struct {
+	Drops, Delays, Resets, Errors int64
+}
+
+// faultCounts reads the injected faults from reg.
+func faultCounts(reg *obs.Registry) faultTally {
+	c := reg.Snapshot().Counters
+	return faultTally{
+		Drops:  c["fault_drops_total"],
+		Delays: c["fault_delays_total"],
+		Resets: c["fault_resets_total"],
+		Errors: c["fault_errors_total"],
+	}
+}
+
 // clusterChaosOutcome is what one chaos run produced.
 type clusterChaosOutcome struct {
 	preds  []uint64
 	stats  serve.StatsResponse
 	status *cluster.ClusterStatus
-	faults fault.Stats // summed over every serving backend
+	faults faultTally // summed over every serving backend
 }
 
 // runClusterChaos streams tr through a router fronting `backends`
@@ -59,13 +77,14 @@ func runClusterChaos(t *testing.T, evs []serve.EventRequest, schemeStr string, b
 		t.Fatalf("trace too small for the chaos script: %d batches", batches)
 	}
 
-	injs := make([]*fault.Injector, backends)
+	// Every backend's injector counts into one registry, so its fault_*
+	// counters sum over the backends.
+	reg := obs.New()
 	tc := startCluster(t, clusterConfig{
 		backends: backends,
 		standby:  true,
 		injFor: func(i int) *fault.Injector {
-			injs[i] = fault.New(clusterChaosConfig(seed+int64(i)), nil)
-			return injs[i]
+			return fault.New(clusterChaosConfig(seed+int64(i)), reg)
 		},
 	})
 	cl := newTestClient(tc, seed, true)
@@ -125,15 +144,7 @@ func runClusterChaos(t *testing.T, evs []serve.EventRequest, schemeStr string, b
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	var faults fault.Stats
-	for _, inj := range injs {
-		fs := inj.Stats()
-		faults.Drops += fs.Drops
-		faults.Delays += fs.Delays
-		faults.Resets += fs.Resets
-		faults.Errors += fs.Errors
-	}
-	return clusterChaosOutcome{preds: preds, stats: *st, status: tc.status(t), faults: faults}
+	return clusterChaosOutcome{preds: preds, stats: *st, status: tc.status(t), faults: faultCounts(reg)}
 }
 
 // TestClusterChaosEquivalence is the headline proof: a seeded chaos

@@ -28,14 +28,6 @@ type MigrateRequest struct {
 	Target string `json:"target"`
 }
 
-// EncodeMigrateRequest renders the canonical JSON form.
-func EncodeMigrateRequest(m *MigrateRequest) ([]byte, error) {
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(m)
-}
-
 // DecodeMigrateRequest strictly decodes and validates a migrate
 // request. Malformed input returns an error; it never panics.
 func DecodeMigrateRequest(data []byte) (*MigrateRequest, error) {

@@ -137,26 +137,6 @@ func (s IndexSpec) Distribution() Distribution {
 	}
 }
 
-// TableRow returns the paper's Table 1 row number for the family this spec
-// belongs to (pid, pc, dir, addr presence interpreted as a 4-bit number in
-// the paper's column order).
-func (s IndexSpec) TableRow() int {
-	row := 0
-	if s.UsePID {
-		row |= 8
-	}
-	if s.PCBits > 0 {
-		row |= 4
-	}
-	if s.UseDir {
-		row |= 2
-	}
-	if s.AddrBits > 0 {
-		row |= 1
-	}
-	return row
-}
-
 // String renders the spec in the paper's notation: fields joined by "+" in
 // pid, pc, dir, addr order, with bit counts on pc and addr (e.g.
 // "pid+pc8+dir+add6"). The empty spec renders as "".

@@ -147,29 +147,6 @@ func TestDistribution(t *testing.T) {
 	}
 }
 
-func TestTableRow(t *testing.T) {
-	// Paper Table 1 rows: pid,pc,dir,addr as a 4-bit number.
-	if got := (IndexSpec{}).TableRow(); got != 0 {
-		t.Errorf("row = %d", got)
-	}
-	if got := (IndexSpec{AddrBits: 4}).TableRow(); got != 1 {
-		t.Errorf("addr row = %d", got)
-	}
-	if got := (IndexSpec{UseDir: true}).TableRow(); got != 2 {
-		t.Errorf("dir row = %d", got)
-	}
-	if got := (IndexSpec{PCBits: 4}).TableRow(); got != 4 {
-		t.Errorf("pc row = %d", got)
-	}
-	if got := (IndexSpec{UsePID: true}).TableRow(); got != 8 {
-		t.Errorf("pid row = %d", got)
-	}
-	full := IndexSpec{UsePID: true, PCBits: 1, UseDir: true, AddrBits: 1}
-	if got := full.TableRow(); got != 15 {
-		t.Errorf("full row = %d", got)
-	}
-}
-
 func TestIndexSpecStringParse(t *testing.T) {
 	cases := []struct {
 		spec IndexSpec

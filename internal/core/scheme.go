@@ -38,9 +38,6 @@ func (f Function) String() string {
 	return fmt.Sprintf("Function(%d)", int(f))
 }
 
-// Functions lists all prediction functions in display order.
-func Functions() []Function { return []Function{Last, Union, Inter, PAs, Sticky} }
-
 // UpdateMode is the taxonomy's update axis (paper §3.4).
 type UpdateMode int
 
@@ -228,11 +225,6 @@ func (s Scheme) SizeLog2(m Machine) int {
 	}
 	entry := s.EntryBits(m.Nodes)
 	return s.Index.Bits(m) + ceilLog2(entry)
-}
-
-// TotalBits returns the full storage cost in bits (entries × entry size).
-func (s Scheme) TotalBits(m Machine) uint64 {
-	return s.Index.Entries(m) * uint64(s.EntryBits(m.Nodes))
 }
 
 func ceilLog2(v int) int {

@@ -60,9 +60,6 @@ func New(depth int) *Predictor {
 	return &Predictor{depth: depth, blocks: make(map[uint64]*blockEntry)}
 }
 
-// Depth returns the history depth.
-func (p *Predictor) Depth() int { return p.depth }
-
 // Predict returns the predicted next writer of the block, and whether the
 // predictor has an opinion (a trained pattern for the current history, or
 // any previous writer for depth 0).
@@ -127,9 +124,6 @@ func (p *Predictor) Observe(addr uint64, writer int) {
 		e.histLen++
 	}
 }
-
-// Blocks returns the number of blocks with predictor state.
-func (p *Predictor) Blocks() int { return len(p.blocks) }
 
 // Result summarises an evaluation run.
 type Result struct {

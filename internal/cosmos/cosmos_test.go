@@ -106,8 +106,8 @@ func TestBlocksIndependent(t *testing.T) {
 		p.Observe(0x40, 1)
 		p.Observe(0x80, 2)
 	}
-	if p.Blocks() != 2 {
-		t.Fatalf("Blocks = %d", p.Blocks())
+	if len(p.blocks) != 2 {
+		t.Fatalf("blocks = %d", len(p.blocks))
 	}
 	if w, _ := p.Predict(0x40); w != 1 {
 		t.Fatalf("block 0x40 predicts %d", w)

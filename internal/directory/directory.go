@@ -78,9 +78,6 @@ type Directory struct {
 	mode     Mode
 	pointers int
 
-	// homePolicy assigns a home node on first touch.
-	homePolicy func(addr uint64, firstToucher int) int
-
 	// eventHook, if set, observes each prediction event as it is
 	// emitted. The event's FutureReaders are NOT yet resolved at that
 	// point — the hook sees exactly what online hardware would see.
@@ -95,26 +92,8 @@ func New(nodes int) *Directory {
 		//predlint:ignore panicfree construction-time node-count bounds
 		panic(fmt.Sprintf("directory: node count %d out of range", nodes))
 	}
-	return &Directory{
-		nodes:      nodes,
-		blocks:     make(map[uint64]int),
-		homePolicy: func(_ uint64, firstToucher int) int { return firstToucher },
-	}
+	return &Directory{nodes: nodes, blocks: make(map[uint64]int)}
 }
-
-// SetHomePolicy overrides first-touch placement, e.g. with round-robin
-// interleaving: d.SetHomePolicy(func(addr uint64, _ int) int {
-// return int(addr/64) % nodes }). Must be called before any access.
-func (d *Directory) SetHomePolicy(p func(addr uint64, firstToucher int) int) {
-	if len(d.blocks) != 0 {
-		//predlint:ignore panicfree API-misuse guard documented in the contract
-		panic("directory: SetHomePolicy after accesses began")
-	}
-	d.homePolicy = p
-}
-
-// Nodes returns the machine size.
-func (d *Directory) Nodes() int { return d.nodes }
 
 // SetEventHook registers an observer called with each prediction event at
 // emission time (before its FutureReaders resolve), the vantage point an
@@ -141,7 +120,7 @@ func (d *Directory) lookup(addr uint64, pid int) *blockState {
 	d.states = append(d.states, blockState{
 		owner:     -1,
 		openEvent: noEvent,
-		home:      d.homePolicy(addr, pid),
+		home:      pid, // first touch
 	})
 	return &d.states[len(d.states)-1]
 }
@@ -159,8 +138,8 @@ func (d *Directory) event(i int) *trace.Event {
 	return &d.events[i>>eventChunkBits][i&(1<<eventChunkBits-1)]
 }
 
-// Home returns the block's home node, assigning it by policy if the block
-// is new (pid is the first toucher).
+// Home returns the block's home node, assigning it to pid, the first
+// toucher, if the block is new.
 func (d *Directory) Home(addr uint64, pid int) int { return d.lookup(addr, pid).home }
 
 // Read registers a load by pid that missed in its caches. It returns the
@@ -256,15 +235,6 @@ func (d *Directory) Writeback(pid int, addr uint64) {
 	// attribution even though the cached copy is gone.
 }
 
-// Evict registers a clean eviction notification. Real DSM protocols often
-// keep these silent; the machine model does too by default, but tests use
-// Evict to exercise stale-sharer behaviour.
-func (d *Directory) Evict(pid int, addr uint64) {
-	if st := d.find(addr); st != nil {
-		st.sharers = st.sharers.Clear(pid)
-	}
-}
-
 // Finish resolves the ground truth of all still-open epochs (their readers
 // so far become the final FutureReaders) and returns the completed trace.
 // The directory must not be used after Finish (statistics remain readable).
@@ -290,13 +260,4 @@ func (d *Directory) Finish() *trace.Trace {
 	d.blocks = nil
 	d.states = nil
 	return t
-}
-
-// SharersOf returns the directory's current sharer view of a block, for
-// tests and debugging.
-func (d *Directory) SharersOf(addr uint64) bitmap.Bitmap {
-	if st := d.find(addr); st != nil {
-		return st.sharers
-	}
-	return bitmap.Empty
 }

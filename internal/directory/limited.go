@@ -55,12 +55,6 @@ func NewLimited(nodes, pointers int) *Directory {
 	return d
 }
 
-// Mode returns the directory organisation.
-func (d *Directory) Mode() Mode { return d.mode }
-
-// Pointers returns the per-entry pointer count (0 for full-map).
-func (d *Directory) Pointers() int { return d.pointers }
-
 // overflowed reports whether the block's sharer set exceeds the pointer
 // capacity (always false for full-map directories).
 func (d *Directory) overflowed(st *blockState) bool {
@@ -76,18 +70,4 @@ func (d *Directory) invalidationTargets(st *blockState, pid int) bitmap.Bitmap {
 		return bitmap.Full(d.nodes).Clear(pid)
 	}
 	return st.sharers.Clear(pid)
-}
-
-// EntryBits returns the storage cost of one directory entry in bits
-// (presence bits for full-map, pointer fields plus an overflow bit for
-// limited), for capacity comparisons in the docs and benches.
-func (d *Directory) EntryBits() int {
-	if d.mode == LimitedPointer {
-		nb := 1
-		for 1<<nb < d.nodes {
-			nb++
-		}
-		return d.pointers*nb + 1
-	}
-	return d.nodes
 }

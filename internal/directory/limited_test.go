@@ -77,25 +77,15 @@ func TestLimitedFeedbackEqualsFullMap(t *testing.T) {
 }
 
 func TestModeAccessors(t *testing.T) {
-	if New(8).Mode() != FullMap || New(8).Pointers() != 0 {
-		t.Fatal("full-map accessors wrong")
+	if d := New(8); d.mode != FullMap || d.pointers != 0 {
+		t.Fatal("full-map organisation wrong")
 	}
 	d := NewLimited(8, 3)
-	if d.Mode() != LimitedPointer || d.Pointers() != 3 {
-		t.Fatal("limited accessors wrong")
+	if d.mode != LimitedPointer || d.pointers != 3 {
+		t.Fatal("limited organisation wrong")
 	}
 	if FullMap.String() == "" || LimitedPointer.String() == "" || Mode(9).String() == "" {
 		t.Fatal("Mode.String broken")
-	}
-}
-
-func TestEntryBits(t *testing.T) {
-	if got := New(16).EntryBits(); got != 16 {
-		t.Errorf("full-map entry = %d bits", got)
-	}
-	// Dir_4 NB on 16 nodes: 4 pointers × 4 bits + overflow bit.
-	if got := NewLimited(16, 4).EntryBits(); got != 17 {
-		t.Errorf("limited entry = %d bits", got)
 	}
 }
 

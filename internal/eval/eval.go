@@ -53,7 +53,6 @@ type Engine struct {
 	keyer   core.Keyer
 	table   *core.FlatTable
 	conf    metrics.Confusion
-	events  uint64
 
 	predCtr *obs.Counter
 	confCtr *obs.Counter
@@ -67,9 +66,6 @@ func NewEngine(s core.Scheme, m core.Machine) *Engine {
 	return e
 }
 
-// Scheme returns the scheme under evaluation.
-func (e *Engine) Scheme() core.Scheme { return e.scheme }
-
 // Step processes one event: trains per the update mechanism, predicts, and
 // scores the prediction. It returns the (writer-masked) predicted bitmap.
 // The train/predict semantics live in Apply; Step adds the scoring.
@@ -78,7 +74,6 @@ func (e *Engine) Scheme() core.Scheme { return e.scheme }
 func (e *Engine) Step(ev trace.Event) bitmap.Bitmap {
 	pred := Apply(e.scheme.Update, &e.keyer, e.table, &ev)
 	e.conf.AddBitmaps(pred, ev.FutureReaders, e.machine.Nodes)
-	e.events++
 	e.predCtr.Add(1)
 	e.confCtr.Add(int64(e.machine.Nodes))
 	return pred
@@ -94,12 +89,6 @@ func (e *Engine) Run(t *trace.Trace) {
 // Confusion returns the accumulated decision tallies.
 func (e *Engine) Confusion() metrics.Confusion { return e.conf }
 
-// Events returns the number of events processed.
-func (e *Engine) Events() uint64 { return e.events }
-
-// TableEntries returns the number of touched predictor entries.
-func (e *Engine) TableEntries() int { return e.table.Entries() }
-
 // Result pairs a scheme with its measured statistics.
 type Result struct {
 	Scheme    core.Scheme
@@ -112,42 +101,4 @@ func Evaluate(s core.Scheme, m core.Machine, t *trace.Trace) Result {
 	eng := NewEngine(s, m)
 	eng.Run(t)
 	return Result{Scheme: s, Confusion: eng.Confusion(), SizeLog2: s.SizeLog2(m)}
-}
-
-// EvaluateAll runs one scheme over several traces (one per benchmark) and
-// returns the per-trace results plus the arithmetic-average summary the
-// paper reports (averaging the statistics, not pooling the counts, per
-// "arithmetic average over all benchmarks").
-func EvaluateAll(s core.Scheme, m core.Machine, traces []*trace.Trace) ([]Result, Summary) {
-	results := make([]Result, len(traces))
-	for i, t := range traces {
-		results[i] = Evaluate(s, m, t)
-	}
-	return results, Summarize(s, m, results)
-}
-
-// Summary is the cross-benchmark arithmetic average of a scheme's
-// statistics.
-type Summary struct {
-	Scheme      core.Scheme
-	SizeLog2    int
-	Prevalence  float64
-	Sensitivity float64
-	PVP         float64
-}
-
-// Summarize averages per-benchmark results in the paper's fashion
-// (metrics.Mean, the module's single cross-benchmark averaging helper).
-func Summarize(s core.Scheme, m core.Machine, results []Result) Summary {
-	confs := make([]metrics.Confusion, len(results))
-	for i, r := range results {
-		confs[i] = r.Confusion
-	}
-	return Summary{
-		Scheme:      s,
-		SizeLog2:    s.SizeLog2(m),
-		Prevalence:  metrics.Mean(confs, metrics.Confusion.Prevalence),
-		Sensitivity: metrics.Mean(confs, metrics.Confusion.Sensitivity),
-		PVP:         metrics.Mean(confs, metrics.Confusion.PVP),
-	}
 }

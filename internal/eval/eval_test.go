@@ -296,18 +296,17 @@ func TestEngineContainmentProperty(t *testing.T) {
 	}
 }
 
+// TestEngineAccessors: Run scores every event of the trace and trains
+// the one entry its stable writer touches.
 func TestEngineAccessors(t *testing.T) {
 	tr := stableTrace(10)
 	eng := NewEngine(mustParse(t, "inter(pid+pc8)2"), m16)
 	eng.Run(tr)
-	if eng.Events() != 10 {
-		t.Errorf("Events = %d", eng.Events())
+	if eng.events() != 10 {
+		t.Errorf("events = %d", eng.events())
 	}
-	if eng.TableEntries() != 1 {
-		t.Errorf("TableEntries = %d", eng.TableEntries())
-	}
-	if eng.Scheme().Fn != core.Inter {
-		t.Error("Scheme accessor wrong")
+	if eng.table.Entries() != 1 {
+		t.Errorf("table entries = %d", eng.table.Entries())
 	}
 }
 
@@ -320,37 +319,18 @@ func TestNewEnginePanicsOnInvalid(t *testing.T) {
 	NewEngine(core.Scheme{Fn: core.Inter, Depth: 0}, m16)
 }
 
-func TestEvaluateAllAndSummarize(t *testing.T) {
-	t1, t2 := stableTrace(50), chainTrace(16, 8, 500, 3)
-	s := mustParse(t, "last()1")
-	results, sum := EvaluateAll(s, m16, []*trace.Trace{t1, t2})
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	wantSens := (results[0].Confusion.Sensitivity() + results[1].Confusion.Sensitivity()) / 2
-	if sum.Sensitivity != wantSens {
-		t.Errorf("summary sens = %v, want %v", sum.Sensitivity, wantSens)
-	}
-	if sum.SizeLog2 != 0 {
-		t.Errorf("baseline size = %d", sum.SizeLog2)
-	}
-	if empty := Summarize(s, m16, nil); empty.PVP != 0 {
-		t.Error("empty summary non-zero")
-	}
-}
-
 // TestColdStoreDoesNotTrainDirect: an event with no previous epoch and no
 // readers carries no feedback; the predictor state must not change.
 func TestColdStoreDoesNotTrainDirect(t *testing.T) {
 	eng := NewEngine(mustParse(t, "last(add8)1"), m16)
 	cold := trace.Event{PID: 0, PC: 16, Dir: 0, Addr: 0x40}
 	eng.Step(cold)
-	if eng.TableEntries() != 0 {
+	if eng.table.Entries() != 0 {
 		t.Fatal("cold store trained the predictor")
 	}
 	// With readers it is an invalidation and must train.
 	eng.Step(trace.Event{PID: 1, PC: 16, Dir: 0, Addr: 0x40, InvReaders: bitmap.New(3)})
-	if eng.TableEntries() != 1 {
+	if eng.table.Entries() != 1 {
 		t.Fatal("invalidation with readers did not train")
 	}
 }
@@ -360,7 +340,7 @@ func TestColdStoreDoesNotTrainDirect(t *testing.T) {
 func TestForwardedDropsOrphanFeedback(t *testing.T) {
 	eng := NewEngine(mustParse(t, "last(pid+pc8)1[forwarded]"), m16)
 	eng.Step(trace.Event{PID: 1, PC: 20, Dir: 0, Addr: 0x40, InvReaders: bitmap.New(3)})
-	if eng.TableEntries() != 0 {
+	if eng.table.Entries() != 0 {
 		t.Fatal("orphan feedback trained a pid/pc-indexed predictor")
 	}
 }

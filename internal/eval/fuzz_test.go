@@ -61,8 +61,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		// A structurally-valid snapshot either restores into a working
 		// engine or errors cleanly; panics are the bug class under test.
 		if eng, err := NewEngineFromSnapshot(snap); err == nil {
-			if eng.Events() != snap.Events {
-				t.Fatalf("restored engine at %d events, snapshot says %d", eng.Events(), snap.Events)
+			if eng.events() != snap.Events {
+				t.Fatalf("restored engine at %d events, snapshot says %d", eng.events(), snap.Events)
 			}
 			if eng.Confusion() != snap.Conf {
 				t.Fatal("restored tallies differ from the snapshot's")

@@ -20,6 +20,8 @@ type KeyMemo struct {
 // keys are computed only when withPrev is set. It is kept only for the
 // benchmark's eval.memokeys_ns_per_event (_perfbench/sweep.go): the
 // product keys each event as it comes with a core.Keyer.
+//
+//predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 func MemoKeys(idx core.IndexSpec, events []trace.Event, m core.Machine, withPrev bool) KeyMemo {
 	k := idx.Keyer(m)
 	km := KeyMemo{Cur: make([]uint64, len(events))}

@@ -96,7 +96,7 @@ func TestUpdateModeEdgeCases(t *testing.T) {
 					t.Fatalf("event %d: predicted %v, want %v", i, got, tc.want[i])
 				}
 			}
-			if got := eng.TableEntries(); got != tc.entries {
+			if got := eng.table.Entries(); got != tc.entries {
 				t.Fatalf("table holds %d entries, want %d", got, tc.entries)
 			}
 		})

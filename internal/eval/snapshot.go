@@ -21,9 +21,10 @@ import (
 // key and delta-coded), then the length-prefixed Extra section. Two
 // properties the chaos tests and the fuzz target rely on:
 //
-//   - canonical: Encode is a pure function of the snapshot value, and
-//     Decode with Restore rejects any non-minimal or non-sorted form, so
-//     a restored engine snapshots back to the bytes it came from;
+//   - canonical: AppendSnapshot is a pure function of the header and the
+//     tables, and Decode with Restore rejects any non-minimal or
+//     non-sorted form, so restored tables snapshot back to the bytes they
+//     came from;
 //   - total: neither Decode nor Restore panics, whatever the input.
 
 // snapMagic identifies the snapshot wire format (and its version).
@@ -35,8 +36,8 @@ const maxSnapExtra = 1 << 24
 // Snapshot is the checkpointed state of one Engine, plus an opaque Extra
 // section for the layer above (internal/serve stores session tuning and
 // idempotency state there). Its table entries stay in their wire form:
-// an engine's snapshot writes them from its table, and a decoded one
-// keeps the section it was read from until Restore imports it.
+// AppendSnapshot writes them straight from the tables, and a decoded
+// snapshot keeps the section it was read from until Restore imports it.
 type Snapshot struct {
 	Scheme  core.Scheme
 	Machine core.Machine
@@ -45,36 +46,6 @@ type Snapshot struct {
 	Extra   []byte
 
 	entries []byte // the entry section; nil means no entries
-}
-
-// Snapshot captures the engine's current state. The engine must be
-// quiescent (no concurrent Step).
-func (e *Engine) Snapshot() *Snapshot {
-	return &Snapshot{
-		Scheme:  e.scheme,
-		Machine: e.machine,
-		Events:  e.events,
-		Conf:    e.conf,
-		entries: core.AppendEntries(nil, e.table),
-	}
-}
-
-// NewEngineFromSnapshot rebuilds an engine that behaves exactly as the
-// snapshotted one would: same table contents, same tallies.
-func NewEngineFromSnapshot(s *Snapshot) (*Engine, error) {
-	if err := s.Scheme.ValidateOn(s.Machine); err != nil {
-		return nil, err
-	}
-	if err := s.Machine.Validate(); err != nil {
-		return nil, fmt.Errorf("eval: snapshot machine: %w", err)
-	}
-	e := NewEngine(s.Scheme, s.Machine)
-	if err := s.Restore([]*core.FlatTable{e.table}, nil); err != nil {
-		return nil, err
-	}
-	e.events = s.Events
-	e.conf = s.Conf
-	return e, nil
 }
 
 // Restore imports the snapshot's entries into ts, empty tables of its
@@ -103,18 +74,6 @@ func (s *Snapshot) Check() error {
 		return fmt.Errorf("eval: snapshot %w", err)
 	}
 	return nil
-}
-
-// EncodeSnapshot serializes s into the canonical wire form.
-func EncodeSnapshot(s *Snapshot) []byte {
-	b := make([]byte, 0, 64+len(s.entries)+len(s.Extra))
-	b = appendHeader(b, s)
-	if s.entries == nil {
-		b = codec.AppendUvarint(b, 0)
-	}
-	b = append(b, s.entries...)
-	b = codec.AppendUvarint(b, uint64(len(s.Extra)))
-	return append(b, s.Extra...)
 }
 
 // AppendSnapshot appends to dst the wire form of a snapshot with s's
@@ -148,7 +107,7 @@ func appendHeader(b []byte, s *Snapshot) []byte {
 // DecodeSnapshot parses the canonical wire form. It validates the
 // header — scheme, machine, and tally consistency — and the structure of
 // the entry and Extra sections; each entry is checked against the table
-// shape when Restore (or NewEngineFromSnapshot) imports it. The snapshot
+// shape when Restore imports it (or Check reads it). The snapshot
 // aliases data, which must not change while it is in use.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {

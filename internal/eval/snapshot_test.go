@@ -45,8 +45,8 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			if restored.Events() != golden.Events() {
-				t.Fatalf("restored engine at %d events, want %d", restored.Events(), golden.Events())
+			if restored.events() != golden.events() {
+				t.Fatalf("restored engine at %d events, want %d", restored.events(), golden.events())
 			}
 			for i, ev := range tr.Events[half:] {
 				if got, want := restored.Step(ev), golden.Step(ev); got != want {
@@ -56,8 +56,8 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 			if restored.Confusion() != golden.Confusion() {
 				t.Fatalf("final tallies diverged: %+v vs %+v", restored.Confusion(), golden.Confusion())
 			}
-			if restored.TableEntries() != golden.TableEntries() {
-				t.Fatalf("table entries diverged: %d vs %d", restored.TableEntries(), golden.TableEntries())
+			if restored.table.Entries() != golden.table.Entries() {
+				t.Fatalf("table entries diverged: %d vs %d", restored.table.Entries(), golden.table.Entries())
 			}
 		})
 	}

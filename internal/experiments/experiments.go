@@ -13,6 +13,7 @@ import (
 
 	"cohpredict/internal/core"
 	"cohpredict/internal/machine"
+	"cohpredict/internal/metrics"
 	"cohpredict/internal/obs"
 	"cohpredict/internal/report"
 	"cohpredict/internal/search"
@@ -113,10 +114,6 @@ func (s *Suite) initObs() {
 
 // Obs returns the registry receiving the suite's metrics and spans.
 func (s *Suite) Obs() *obs.Registry { return s.obs }
-
-// Manifest returns the run-identity manifest stamped when the suite was
-// created.
-func (s *Suite) Manifest() obs.Manifest { return s.manifest }
 
 // span starts a timed span nested under the currently open suite span
 // (if any) and returns its end function.
@@ -460,27 +457,23 @@ func (s *Suite) table5() string {
 
 // table6 reports prevalence of sharing (paper Table 6). The counts follow
 // the paper's accounting: every prediction event contributes one decision
-// per node.
+// per node, scored here against a predictor that never forwards, so the
+// sharing events are the true readers.
 func (s *Suite) table6() string {
 	t := report.NewTable("Table 6: prevalence of sharing",
 		"Benchmark", "SharingEvents", "SharingDecisions", "Prevalence(%)", "DegreeOfSharing")
-	var avg float64
-	for _, r := range s.Runs {
-		var events, decisions uint64
+	nodes := s.CM.Nodes
+	confs := make([]metrics.Confusion, len(s.Runs))
+	for i, r := range s.Runs {
+		c := &confs[i]
 		for _, e := range r.Trace.Events {
-			events += uint64(e.FutureReaders.Count())
-			decisions += uint64(s.CM.Nodes)
+			c.AddBitmaps(0, e.FutureReaders, nodes)
 		}
-		prev := 0.0
-		if decisions > 0 {
-			prev = float64(events) / float64(decisions)
-		}
-		avg += prev
-		t.AddRowf(r.Benchmark.Name(), fmt.Sprint(events), fmt.Sprint(decisions),
-			fmt.Sprintf("%.2f", prev*100), fmt.Sprintf("%.2f", prev*float64(s.CM.Nodes)))
+		t.AddRowf(r.Benchmark.Name(), fmt.Sprint(c.SharingEvents()), fmt.Sprint(c.Decisions()),
+			fmt.Sprintf("%.2f", c.Prevalence()*100), fmt.Sprintf("%.2f", c.DegreeOfSharing(nodes)))
 	}
-	avg /= float64(len(s.Runs))
-	t.AddRowf("average", "", "", fmt.Sprintf("%.2f", avg*100), fmt.Sprintf("%.2f", avg*float64(s.CM.Nodes)))
+	avg := metrics.Mean(confs, metrics.Confusion.Prevalence)
+	t.AddRowf("average", "", "", fmt.Sprintf("%.2f", avg*100), fmt.Sprintf("%.2f", avg*float64(nodes)))
 	return t.String()
 }
 

@@ -7,6 +7,7 @@ import (
 	"cohpredict/internal/cosmos"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/machine"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/online"
 	"cohpredict/internal/report"
 	"cohpredict/internal/search"
@@ -165,8 +166,8 @@ func (s *Suite) ExtensionScaling() (string, error) {
 		bench.Run(m, nodes, s.Config.Seed)
 		tr := m.Finish()
 		cm := core.Machine{Nodes: nodes, LineBytes: cfg.LineBytes}
-		stats, err := search.EvaluateSchemesWorkers([]core.Scheme{base}, cm,
-			[]search.NamedTrace{{Name: "em3d", Trace: tr}}, s.Config.Workers)
+		stats, err := search.EvaluateSchemesObserved([]core.Scheme{base}, cm,
+			[]search.NamedTrace{{Name: "em3d", Trace: tr}}, s.Config.Workers, obs.Default())
 		if err != nil {
 			return "", err
 		}

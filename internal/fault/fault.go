@@ -28,7 +28,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cohpredict/internal/obs"
@@ -56,22 +55,6 @@ type Config struct {
 	// PanicAfter, when positive, makes the Nth call to a panic point
 	// fire (once); it exercises the drain path's panic surfacing.
 	PanicAfter int
-	// KillAfter, when positive, makes the Nth call to a kill point fire
-	// (once); callers use it to place a process kill + snapshot/restore
-	// at a deterministic spot in the stream.
-	KillAfter int
-}
-
-// Stats are the injector's cumulative decision tallies (also exported as
-// fault_* counters on the obs registry).
-type Stats struct {
-	Drops   int64
-	Delays  int64
-	Resets  int64
-	Errors  int64
-	Panics  int64
-	Kills   int64
-	DelayNS int64
 }
 
 // point is one named fault site: its own deterministic stream plus call
@@ -83,17 +66,15 @@ type point struct {
 }
 
 // Injector injects faults at named points. The zero of *Injector (nil)
-// injects nothing.
+// injects nothing. Its decisions are tallied only in the fault_* counters
+// of the registry it was built with.
 type Injector struct {
 	cfg Config
 
 	mu     sync.Mutex
 	points map[string]*point //predlint:guardedby mu
 
-	drops, delays, resets, errors, panics, kills, delayNS atomic.Int64
-
-	cDrops, cDelays, cResets, cErrors, cPanics, cKills *obs.Counter
-	cDelayNS                                           *obs.Counter
+	cDrops, cDelays, cResets, cErrors, cPanics, cDelayNS *obs.Counter
 }
 
 // New builds an injector for cfg, registering its fault_* counters on
@@ -107,27 +88,8 @@ func New(cfg Config, reg *obs.Registry) *Injector {
 		cResets:  reg.Counter("fault_resets_total"),
 		cErrors:  reg.Counter("fault_errors_total"),
 		cPanics:  reg.Counter("fault_panics_total"),
-		cKills:   reg.Counter("fault_kills_total"),
 		cDelayNS: reg.Counter("fault_delay_ns_total"),
 	}
-}
-
-// Enabled reports whether the injector exists and can inject anything.
-func (i *Injector) Enabled() bool {
-	if i == nil {
-		return false
-	}
-	c := i.cfg
-	return c.Drop > 0 || c.Delay > 0 || c.Reset > 0 || c.Error > 0 ||
-		c.PanicAfter > 0 || c.KillAfter > 0
-}
-
-// Seed returns the configured seed (0 for a nil injector).
-func (i *Injector) Seed() int64 {
-	if i == nil {
-		return 0
-	}
-	return i.cfg.Seed
 }
 
 // site returns the named point, deriving its seed from the injector seed
@@ -174,7 +136,6 @@ func (i *Injector) Drop(site string) bool {
 	if f >= i.cfg.Drop {
 		return false
 	}
-	i.drops.Add(1)
 	i.cDrops.Inc()
 	return true
 }
@@ -190,8 +151,6 @@ func (i *Injector) Delay(site string) time.Duration {
 	if f >= i.cfg.Delay {
 		return 0
 	}
-	i.delays.Add(1)
-	i.delayNS.Add(int64(d))
 	i.cDelays.Inc()
 	i.cDelayNS.Add(int64(d))
 	return d
@@ -206,7 +165,6 @@ func (i *Injector) Reset(site string) bool {
 	if f >= i.cfg.Reset {
 		return false
 	}
-	i.resets.Add(1)
 	i.cResets.Inc()
 	return true
 }
@@ -221,7 +179,6 @@ func (i *Injector) ServerError(site string) bool {
 	if f >= i.cfg.Error {
 		return false
 	}
-	i.errors.Add(1)
 	i.cErrors.Inc()
 	return true
 }
@@ -236,38 +193,6 @@ func (i *Injector) PanicNow(site string) bool {
 	if n != i.cfg.PanicAfter {
 		return false
 	}
-	i.panics.Add(1)
 	i.cPanics.Inc()
 	return true
-}
-
-// KillNow reports whether the named kill point fires on this call (the
-// KillAfter-th call, exactly once).
-func (i *Injector) KillNow(site string) bool {
-	if i == nil || i.cfg.KillAfter <= 0 {
-		return false
-	}
-	_, n := i.site(site).draw()
-	if n != i.cfg.KillAfter {
-		return false
-	}
-	i.kills.Add(1)
-	i.cKills.Inc()
-	return true
-}
-
-// Stats returns the cumulative decision tallies.
-func (i *Injector) Stats() Stats {
-	if i == nil {
-		return Stats{}
-	}
-	return Stats{
-		Drops:   i.drops.Load(),
-		Delays:  i.delays.Load(),
-		Resets:  i.resets.Load(),
-		Errors:  i.errors.Load(),
-		Panics:  i.panics.Load(),
-		Kills:   i.kills.Load(),
-		DelayNS: i.delayNS.Load(),
-	}
 }

@@ -9,31 +9,19 @@ import (
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var inj *Injector
-	if inj.Enabled() {
-		t.Fatal("nil injector reports enabled")
-	}
-	if inj.Seed() != 0 {
-		t.Fatal("nil injector reports a seed")
-	}
-	if inj.Drop("x") || inj.Reset("x") || inj.ServerError("x") || inj.PanicNow("x") || inj.KillNow("x") {
+	if inj.Drop("x") || inj.Reset("x") || inj.ServerError("x") || inj.PanicNow("x") {
 		t.Fatal("nil injector injected a fault")
 	}
 	if d := inj.Delay("x"); d != 0 {
 		t.Fatalf("nil injector injected a %v delay", d)
 	}
-	if got := inj.Stats(); got != (Stats{}) {
-		t.Fatalf("nil injector has stats %+v", got)
-	}
 }
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
 	inj := New(Config{Seed: 42}, nil)
-	if inj.Enabled() {
-		t.Fatal("zero-rate injector reports enabled")
-	}
 	for i := 0; i < 100; i++ {
 		if inj.Drop("a") || inj.Reset("a") || inj.ServerError("a") ||
-			inj.PanicNow("a") || inj.KillNow("a") || inj.Delay("a") != 0 {
+			inj.PanicNow("a") || inj.Delay("a") != 0 {
 			t.Fatal("zero-rate injector injected a fault")
 		}
 	}
@@ -96,7 +84,8 @@ func TestSiteIndependence(t *testing.T) {
 
 func TestRatesHonored(t *testing.T) {
 	const n = 20000
-	inj := New(Config{Seed: 3, Drop: 0.25}, nil)
+	reg := obs.New()
+	inj := New(Config{Seed: 3, Drop: 0.25}, reg)
 	drops := 0
 	for i := 0; i < n; i++ {
 		if inj.Drop("r") {
@@ -107,13 +96,14 @@ func TestRatesHonored(t *testing.T) {
 	if got < 0.22 || got > 0.28 {
 		t.Fatalf("drop rate %.4f far from configured 0.25", got)
 	}
-	if s := inj.Stats(); s.Drops != int64(drops) {
-		t.Fatalf("stats count %d drops, observed %d", s.Drops, drops)
+	if got := reg.Counter("fault_drops_total").Value(); got != int64(drops) {
+		t.Fatalf("fault_drops_total = %d, observed %d drops", got, drops)
 	}
 }
 
 func TestDelayBoundedAndCounted(t *testing.T) {
-	inj := New(Config{Seed: 5, Delay: 1.0, MaxDelay: 100 * time.Microsecond}, nil)
+	reg := obs.New()
+	inj := New(Config{Seed: 5, Delay: 1.0, MaxDelay: 100 * time.Microsecond}, reg)
 	var total time.Duration
 	for i := 0; i < 1000; i++ {
 		d := inj.Delay("d")
@@ -122,38 +112,28 @@ func TestDelayBoundedAndCounted(t *testing.T) {
 		}
 		total += d
 	}
-	s := inj.Stats()
-	if s.Delays != 1000 {
-		t.Fatalf("stats count %d delays, want 1000", s.Delays)
+	if got := reg.Counter("fault_delays_total").Value(); got != 1000 {
+		t.Fatalf("fault_delays_total = %d, want 1000", got)
 	}
-	if s.DelayNS != int64(total) {
-		t.Fatalf("stats total %dns, observed %dns", s.DelayNS, total)
+	if got := reg.Counter("fault_delay_ns_total").Value(); got != int64(total) {
+		t.Fatalf("fault_delay_ns_total = %d, observed %dns", got, total)
 	}
 }
 
-func TestPanicAndKillFireExactlyOnce(t *testing.T) {
-	inj := New(Config{Seed: 1, PanicAfter: 3, KillAfter: 5}, nil)
-	if !inj.Enabled() {
-		t.Fatal("PanicAfter/KillAfter alone should enable the injector")
-	}
-	var panics, kills []int
+func TestPanicFiresExactlyOnce(t *testing.T) {
+	reg := obs.New()
+	inj := New(Config{Seed: 1, PanicAfter: 3}, reg)
+	var panics []int
 	for i := 1; i <= 10; i++ {
 		if inj.PanicNow("p") {
 			panics = append(panics, i)
-		}
-		if inj.KillNow("k") {
-			kills = append(kills, i)
 		}
 	}
 	if len(panics) != 1 || panics[0] != 3 {
 		t.Fatalf("panic fired at calls %v, want exactly [3]", panics)
 	}
-	if len(kills) != 1 || kills[0] != 5 {
-		t.Fatalf("kill fired at calls %v, want exactly [5]", kills)
-	}
-	s := inj.Stats()
-	if s.Panics != 1 || s.Kills != 1 {
-		t.Fatalf("stats %+v, want one panic and one kill", s)
+	if got := reg.Counter("fault_panics_total").Value(); got != 1 {
+		t.Fatalf("fault_panics_total = %d, want 1", got)
 	}
 }
 

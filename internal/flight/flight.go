@@ -482,14 +482,6 @@ func (rec *Recorder) recycle(r *Record) {
 	}
 }
 
-// Seen returns the number of finished (traced) requests so far.
-func (rec *Recorder) Seen() uint64 {
-	if rec == nil {
-		return 0
-	}
-	return rec.seq.Load()
-}
-
 // Capture kinds.
 const (
 	KindRequests = "requests"

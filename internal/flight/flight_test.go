@@ -40,18 +40,15 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil record ID = %q, want empty", r.ID())
 	}
 	rec.Finish(r, 200)
-	if rec.Seen() != 0 {
-		t.Fatalf("nil recorder Seen = %d", rec.Seen())
-	}
 	c := rec.Capture(KindRequests)
-	if len(c.Requests) != 0 || c.Requests == nil {
-		t.Fatalf("nil recorder capture = %+v, want empty non-nil slice", c)
+	if len(c.Requests) != 0 || c.Requests == nil || c.Seen != 0 {
+		t.Fatalf("nil recorder capture = %+v, want empty non-nil slice and nothing seen", c)
 	}
 	// Finish on a live recorder with a nil record is also a no-op.
 	live := New(Options{})
 	live.Finish(nil, 200)
-	if live.Seen() != 0 {
-		t.Fatalf("Finish(nil) counted: Seen=%d", live.Seen())
+	if n := live.seq.Load(); n != 0 {
+		t.Fatalf("Finish(nil) counted: seen %d", n)
 	}
 }
 
@@ -88,8 +85,8 @@ func TestLifecycleAndCapture(t *testing.T) {
 	r.NoteBatch(r.start+100, 40, 60)
 	rec.Finish(r, 200)
 
-	if rec.Seen() != 1 {
-		t.Fatalf("Seen = %d, want 1", rec.Seen())
+	if n := rec.seq.Load(); n != 1 {
+		t.Fatalf("seen %d, want 1", n)
 	}
 	c := rec.Capture(KindRequests)
 	if c.Kind != KindRequests || c.Sample != 1 || c.Seen != 1 {
@@ -341,7 +338,7 @@ func TestConcurrentStampingAndCapture(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := rec.Seen(); got != workers*perWorker {
-		t.Fatalf("Seen = %d, want %d", got, workers*perWorker)
+	if got := rec.seq.Load(); got != workers*perWorker {
+		t.Fatalf("seen %d, want %d", got, workers*perWorker)
 	}
 }

@@ -13,14 +13,7 @@ import (
 // every such decision visible at the site.
 func checkPanicFree(c *Context) {
 	for _, pkg := range c.Pkgs {
-		library := false
-		for _, prefix := range c.Cfg.LibraryPrefixes {
-			if strings.HasPrefix(pkg.Path, prefix) {
-				library = true
-				break
-			}
-		}
-		if !library || pkg.Name == "main" {
+		if !c.isLibrary(pkg) {
 			continue
 		}
 		for _, file := range pkg.Files {

@@ -20,6 +20,10 @@
 //     annotations) are never plain-accessed, copied, or address-escaped;
 //   - goroutineown: //predlint:owned values are not touched after being
 //     handed off to another goroutine (send, pool Put, pointer Swap);
+//   - testonly: every exported name and method of a library package is
+//     used by some non-test file of the module (or implements an
+//     interface method), so the surface carries no API only tests keep
+//     alive;
 //   - staleignore: every predlint directive still earns its keep — dead
 //     ignores and dangling annotations are findings.
 //
@@ -103,7 +107,8 @@ type Config struct {
 	ObsHandleTypes []string
 
 	// LibraryPrefixes are import-path prefixes counted as library code
-	// for the panicfree check (command and example mains are exempt).
+	// for the panicfree and testonly checks (command and example mains
+	// are exempt).
 	LibraryPrefixes []string
 
 	// EnumTypes are "importpath.TypeName" entries whose switch
@@ -260,6 +265,11 @@ func Checks() []Check {
 			Desc: "values of types annotated //predlint:owned are not touched after being handed off (sent, pooled, swapped, or passed to a //predlint:handoff function)",
 			run:  checkGoroutineOwn,
 		},
+		{
+			Name: "testonly",
+			Desc: "every exported name and method in a library package is referenced by some non-test file of the module, or implements an interface method",
+			run:  checkTestOnly,
+		},
 		// staleignore must run last: it judges which ignore directives and
 		// annotations the earlier checks actually consumed this run.
 		{
@@ -389,6 +399,20 @@ func (c *Context) pkgByPath(path string) *Package {
 		}
 	}
 	return nil
+}
+
+// isLibrary reports whether pkg is library code: under one of
+// Config.LibraryPrefixes and not a main package.
+func (c *Context) isLibrary(pkg *Package) bool {
+	if pkg.Name == "main" {
+		return false
+	}
+	for _, prefix := range c.Cfg.LibraryPrefixes {
+		if strings.HasPrefix(pkg.Path, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // eachFunc walks every function declaration of the package, calling fn

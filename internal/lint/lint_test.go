@@ -28,7 +28,7 @@ func fixtureConfig(t *testing.T) *Config {
 		ClockAllowlist:       map[string]bool{"fixture/det.AllowedClock": true},
 		ObsPkg:               "fixture/obs",
 		ObsHandleTypes:       []string{"Counter"},
-		LibraryPrefixes:      []string{"fixture/"},
+		LibraryPrefixes:      []string{"fixture/lib"},
 		EnumTypes:            []string{"fixture/enums.Mode"},
 		RequiredHotpaths: []string{
 			"fixture/hot.Sum",          // annotated: satisfied
@@ -77,16 +77,16 @@ func TestFixtureGolden(t *testing.T) {
 	}
 }
 
-// TestFixtureSuppression: the four //predlint:ignore sites (det.Quiet,
-// lib.Guard, conc.Racy, own.Peek) are counted as suppressed and absent
-// from the findings.
+// TestFixtureSuppression: the five //predlint:ignore sites (det.Quiet,
+// lib.Guard, lib.Kept, conc.Racy, own.Peek) are counted as suppressed and
+// absent from the findings.
 func TestFixtureSuppression(t *testing.T) {
 	res := runFixture(t)
-	if res.Suppressed != 4 {
-		t.Errorf("suppressed = %d, want 4", res.Suppressed)
+	if res.Suppressed != 5 {
+		t.Errorf("suppressed = %d, want 5", res.Suppressed)
 	}
 	for _, f := range res.Findings {
-		if strings.Contains(f.Message, "Quiet") || f.File == "lib/lib.go" && f.Line >= 17 {
+		if strings.Contains(f.Message, "Quiet") || strings.Contains(f.Message, "Kept") || f.File == "lib/lib.go" && f.Line >= 17 {
 			t.Errorf("suppressed site still reported: %s", f)
 		}
 	}

@@ -149,9 +149,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Torus returns the interconnect model.
 func (m *Machine) Torus() *topology.Torus { return m.torus }
 

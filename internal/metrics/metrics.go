@@ -26,20 +26,6 @@ type Confusion struct {
 	FN uint64 // predicted non-sharer, actually read (missed opportunity)
 }
 
-// Add tallies a single binary decision.
-func (c *Confusion) Add(predicted, actual bool) {
-	switch {
-	case predicted && actual:
-		c.TP++
-	case predicted && !actual:
-		c.FP++
-	case !predicted && actual:
-		c.FN++
-	default:
-		c.TN++
-	}
-}
-
 // AddBitmaps scores a predicted sharing bitmap against the true reader
 // bitmap over the low nodes bits, one decision per node.
 func (c *Confusion) AddBitmaps(predicted, actual bitmap.Bitmap, nodes int) {
@@ -95,20 +81,14 @@ func (c Confusion) PVP() float64 { return ratio(c.TP, c.TP+c.FP) }
 
 // Specificity is TN/(TN+FP): how well the scheme avoids forwarding to
 // non-readers. Defined in the paper's sources but not plotted there.
+//
+//predlint:ignore testonly the paper defines specificity with its screening statistics (§4, Table 2)
 func (c Confusion) Specificity() float64 { return ratio(c.TN, c.TN+c.FP) }
 
 // PVN is the predictive value of a negative test, TN/(TN+FN).
+//
+//predlint:ignore testonly the paper defines PVN with its screening statistics (§4, Table 2)
 func (c Confusion) PVN() float64 { return ratio(c.TN, c.TN+c.FN) }
-
-// Accuracy is (TP+TN) / all decisions. With low prevalence it is dominated
-// by true negatives and is therefore a poor headline metric — one of the
-// paper's motivations for using sensitivity and PVP instead.
-func (c Confusion) Accuracy() float64 { return ratio(c.TP+c.TN, c.Decisions()) }
-
-// ForwardTraffic returns the number of positive predictions (TP+FP): the
-// data-forwarding messages a forwarding protocol driven by this predictor
-// would inject.
-func (c Confusion) ForwardTraffic() uint64 { return c.TP + c.FP }
 
 // DegreeOfSharing converts prevalence on an n-node machine into the
 // Weber–Gupta "degree of sharing" (average readers per write): prevalence

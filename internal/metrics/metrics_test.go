@@ -10,10 +10,8 @@ import (
 
 func TestAddBasics(t *testing.T) {
 	var c Confusion
-	c.Add(true, true)   // TP
-	c.Add(true, false)  // FP
-	c.Add(false, true)  // FN
-	c.Add(false, false) // TN
+	// Node 0 is a TP, node 1 an FP, node 2 an FN, node 3 a TN.
+	c.AddBitmaps(bitmap.New(0, 1), bitmap.New(0, 2), 4)
 	if c.TP != 1 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
 		t.Fatalf("counts = %+v", c)
 	}
@@ -35,9 +33,6 @@ func TestAddBasics(t *testing.T) {
 	if got := c.PVN(); got != 0.5 {
 		t.Errorf("PVN = %v", got)
 	}
-	if got := c.Accuracy(); got != 0.5 {
-		t.Errorf("Accuracy = %v", got)
-	}
 }
 
 func TestZeroDenominators(t *testing.T) {
@@ -48,7 +43,6 @@ func TestZeroDenominators(t *testing.T) {
 		"PVP":         c.PVP(),
 		"Specificity": c.Specificity(),
 		"PVN":         c.PVN(),
-		"Accuracy":    c.Accuracy(),
 		"StdErrPVP":   c.StdErrPVP(),
 		"StdErrSens":  c.StdErrSensitivity(),
 	} {
@@ -102,11 +96,8 @@ func TestDegreeOfSharing(t *testing.T) {
 	}
 }
 
-func TestForwardTraffic(t *testing.T) {
+func TestSharingEvents(t *testing.T) {
 	c := Confusion{TP: 5, FP: 7, TN: 1, FN: 2}
-	if c.ForwardTraffic() != 12 {
-		t.Errorf("ForwardTraffic = %d", c.ForwardTraffic())
-	}
 	if c.SharingEvents() != 7 {
 		t.Errorf("SharingEvents = %d", c.SharingEvents())
 	}
@@ -138,7 +129,7 @@ func TestStatisticsBounded(t *testing.T) {
 		c := Confusion{TP: uint64(tp), FP: uint64(fp), TN: uint64(tn), FN: uint64(fn)}
 		for _, v := range []float64{
 			c.Prevalence(), c.Sensitivity(), c.PVP(),
-			c.Specificity(), c.PVN(), c.Accuracy(),
+			c.Specificity(), c.PVN(),
 		} {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
@@ -152,14 +143,16 @@ func TestStatisticsBounded(t *testing.T) {
 }
 
 // Property: prevalence is a weighted bound linking sensitivity and PVP —
-// TP ≤ prevalence·decisions and PVP·ForwardTraffic == TP.
+// TP ≤ prevalence·decisions and PVP·(TP+FP) == TP, PVP times the
+// forwards a predictor sends.
 func TestPVPIdentity(t *testing.T) {
 	f := func(tp, fp, tn, fn uint8) bool {
 		c := Confusion{TP: uint64(tp), FP: uint64(fp), TN: uint64(tn), FN: uint64(fn)}
-		if c.ForwardTraffic() == 0 {
+		forwards := c.TP + c.FP
+		if forwards == 0 {
 			return c.PVP() == 0
 		}
-		got := c.PVP() * float64(c.ForwardTraffic())
+		got := c.PVP() * float64(forwards)
 		return math.Abs(got-float64(c.TP)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -55,16 +55,6 @@ func NewLogger(level Level, sink func(format string, args ...interface{})) *Logg
 	return &Logger{level: level, sink: sink}
 }
 
-// Enabled reports whether records at the given level would be emitted.
-func (l *Logger) Enabled(level Level) bool {
-	if l == nil || l.sink == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return level <= l.level
-}
-
 func (l *Logger) logf(level Level, format string, args []interface{}) {
 	if l == nil || l.sink == nil {
 		return

@@ -114,18 +114,6 @@ func (h *Histogram) Observe(v float64) {
 	h.inf.Add(1)
 }
 
-// Count returns the total number of observations. Safe on a nil receiver.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	n := h.inf.Load()
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values. Safe on a nil receiver.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 

@@ -37,7 +37,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	if got := r.Gauge("level").Value(); got != workers*iters {
 		t.Errorf("gauge = %v, want %d", got, workers*iters)
 	}
-	if got := r.Histogram("lat", nil).Count(); got != workers*iters {
+	if got := r.Snapshot().Histograms["lat"].Count; got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
 	}
 	spans := r.Spans()
@@ -129,9 +129,6 @@ func TestNilSafety(t *testing.T) {
 	var l *Logger
 	l.Infof("dropped %d", 1)
 	l.Debugf("dropped")
-	if l.Enabled(Info) {
-		t.Error("nil logger enabled")
-	}
 }
 
 func TestSpanTreeNesting(t *testing.T) {
@@ -196,9 +193,6 @@ func TestLoggerLevels(t *testing.T) {
 	l.Debugf("debug %d", 2)
 	if len(lines) != 1 || lines[0] != "info 1" {
 		t.Errorf("Info-level lines = %q", lines)
-	}
-	if !l.Enabled(Info) || l.Enabled(Debug) {
-		t.Error("Enabled wrong at Info level")
 	}
 
 	lines = nil

@@ -139,9 +139,6 @@ func New(mcfg machine.Config, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Machine exposes the wrapped machine (for statistics).
-func (s *Sim) Machine() *machine.Machine { return s.inner }
-
 // onEvent fires when the directory emits a prediction event: settle the
 // previous epoch's forwards and launch this epoch's.
 func (s *Sim) onEvent(ev trace.Event) {

@@ -186,11 +186,6 @@ func (rt *Runtime) Run(body func(*Thread)) {
 	}
 }
 
-// Run is the convenience wrapper: build a runtime and execute body.
-func Run(mem Memory, cfg Config, body func(*Thread)) {
-	New(mem, cfg).Run(body)
-}
-
 func (t *Thread) newQuantum() int { return 1 + t.Rng.Intn(t.rt.maxQ) }
 
 // pass draws the next thread from the runnable ones for from, the thread
@@ -250,12 +245,6 @@ func (t *Thread) Load(pc, addr uint64) { t.access(false, pc, addr) }
 
 // Store issues a store to addr from static site pc.
 func (t *Thread) Store(pc, addr uint64) { t.access(true, pc, addr) }
-
-// Yield voluntarily gives up the processor.
-func (t *Thread) Yield() {
-	t.quantum = t.newQuantum()
-	t.park()
-}
 
 // Lock acquires l, blocking (and yielding) while it is held. The protocol
 // is test-and-test-and-set: a load of the lock line, then — once observed

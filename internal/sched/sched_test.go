@@ -26,10 +26,17 @@ func (r *recorder) Store(pid int, pc, addr uint64) {
 	r.accesses = append(r.accesses, access{pid, pc, addr, true})
 }
 
+// yield gives up the processor with a fresh quantum, forcing a
+// reschedule wherever the test needs one.
+func (t *Thread) yield() {
+	t.quantum = t.newQuantum()
+	t.park()
+}
+
 func TestAllThreadsRun(t *testing.T) {
 	var rec recorder
 	ran := make([]bool, 8)
-	Run(&rec, Config{Threads: 8, Seed: 1}, func(th *Thread) {
+	New(&rec, Config{Threads: 8, Seed: 1}).Run(func(th *Thread) {
 		ran[th.ID] = true
 		th.Store(UserPCBase, uint64(th.ID)*64)
 	})
@@ -46,7 +53,7 @@ func TestAllThreadsRun(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []access {
 		var rec recorder
-		Run(&rec, Config{Threads: 4, Seed: seed}, func(th *Thread) {
+		New(&rec, Config{Threads: 4, Seed: seed}).Run(func(th *Thread) {
 			for i := 0; i < 20; i++ {
 				if th.Rng.Intn(2) == 0 {
 					th.Load(UserPCBase, uint64(i*64))
@@ -71,7 +78,7 @@ func TestInterleaving(t *testing.T) {
 	// With a small quantum, accesses from different threads must
 	// interleave rather than run to completion one thread at a time.
 	var rec recorder
-	Run(&rec, Config{Threads: 4, Seed: 3, MaxQuantum: 4}, func(th *Thread) {
+	New(&rec, Config{Threads: 4, Seed: 3, MaxQuantum: 4}).Run(func(th *Thread) {
 		for i := 0; i < 50; i++ {
 			th.Load(UserPCBase, uint64(th.ID)*1024)
 		}
@@ -91,7 +98,7 @@ func TestBarrierOrdering(t *testing.T) {
 	var rec recorder
 	phase := make([]int32, 4)
 	var maxPhase0 int32
-	Run(&rec, Config{Threads: 4, Seed: 9}, func(th *Thread) {
+	New(&rec, Config{Threads: 4, Seed: 9}).Run(func(th *Thread) {
 		th.Store(UserPCBase, uint64(th.ID)*64)
 		atomic.AddInt32(&phase[th.ID], 1)
 		th.Barrier()
@@ -109,7 +116,7 @@ func TestBarrierOrdering(t *testing.T) {
 func TestBarrierReusable(t *testing.T) {
 	counts := make([]int, 3)
 	var rec recorder
-	Run(&rec, Config{Threads: 3, Seed: 2}, func(th *Thread) {
+	New(&rec, Config{Threads: 3, Seed: 2}).Run(func(th *Thread) {
 		for round := 0; round < 5; round++ {
 			counts[th.ID]++
 			th.Barrier()
@@ -129,7 +136,7 @@ func TestBarrierWithEarlyFinisher(t *testing.T) {
 	// must release the remaining live threads.
 	var rec recorder
 	done := false
-	Run(&rec, Config{Threads: 3, Seed: 4}, func(th *Thread) {
+	New(&rec, Config{Threads: 3, Seed: 4}).Run(func(th *Thread) {
 		if th.ID == 2 {
 			return
 		}
@@ -157,7 +164,7 @@ func TestLockMutualExclusion(t *testing.T) {
 			}
 			// Force a reschedule inside the critical section.
 			th.Load(UserPCBase, 0)
-			th.Yield()
+			th.yield()
 			th.Store(UserPCBase+1, 0)
 			inside--
 			th.Unlock(lk)

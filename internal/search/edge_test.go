@@ -17,7 +17,7 @@ func referenceConfusion(t *testing.T, s core.Scheme, tr *trace.Trace) metrics.Co
 
 func TestEvaluateSchemesNoTraces(t *testing.T) {
 	s := mustParse(t, "last()1")
-	stats := evalOK(EvaluateSchemes([]core.Scheme{s}, m16, nil))
+	stats := evalOK(EvaluateSchemesObserved([]core.Scheme{s}, m16, nil, 0, nil))
 	if len(stats) != 1 || len(stats[0].PerBench) != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -28,16 +28,16 @@ func TestEvaluateSchemesNoTraces(t *testing.T) {
 
 func TestEvaluateSchemesEmptyTrace(t *testing.T) {
 	s := mustParse(t, "union(dir+add6)4")
-	stats := evalOK(EvaluateSchemes([]core.Scheme{s}, m16,
-		[]NamedTrace{{Name: "empty", Trace: &trace.Trace{Nodes: 16}}}))
+	stats := evalOK(EvaluateSchemesObserved([]core.Scheme{s}, m16,
+		[]NamedTrace{{Name: "empty", Trace: &trace.Trace{Nodes: 16}}}, 0, nil))
 	if stats[0].PerBench[0].Decisions() != 0 {
 		t.Fatal("decisions on empty trace")
 	}
 }
 
 func TestEvaluateSchemesNoSchemes(t *testing.T) {
-	stats := evalOK(EvaluateSchemes(nil, m16,
-		[]NamedTrace{{Name: "x", Trace: randomTrace(16, 8, 100, 1)}}))
+	stats := evalOK(EvaluateSchemesObserved(nil, m16,
+		[]NamedTrace{{Name: "x", Trace: randomTrace(16, 8, 100, 1)}}, 0, nil))
 	if len(stats) != 0 {
 		t.Fatalf("stats = %d", len(stats))
 	}
@@ -50,8 +50,8 @@ func TestNarrowAndWideIndexesAgree(t *testing.T) {
 	tr := randomTrace(16, 64, 3000, 5)
 	small := mustParse(t, "union(dir+add6)2")
 	large := mustParse(t, "union(dir+add16)2")
-	stats := evalOK(EvaluateSchemes([]core.Scheme{small, large}, m16,
-		[]NamedTrace{{Name: "r", Trace: tr}}))
+	stats := evalOK(EvaluateSchemesObserved([]core.Scheme{small, large}, m16,
+		[]NamedTrace{{Name: "r", Trace: tr}}, 0, nil))
 	for i, s := range []core.Scheme{small, large} {
 		want := referenceConfusion(t, s, tr)
 		if stats[i].PerBench[0] != want {

@@ -43,9 +43,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{Name: "a", Trace: randomTrace(16, 40, 3000, 11)},
 		{Name: "b", Trace: randomTrace(16, 24, 2500, 12)},
 	}
-	serial := evalOK(EvaluateSchemesWorkers(schemes, m16, traces, 1))
+	serial := evalOK(EvaluateSchemesObserved(schemes, m16, traces, 1, nil))
 	for _, workers := range []int{2, 8} {
-		parallel := evalOK(EvaluateSchemesWorkers(schemes, m16, traces, workers))
+		parallel := evalOK(EvaluateSchemesObserved(schemes, m16, traces, workers, nil))
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("workers=%d diverged from serial", workers)
 		}
@@ -65,14 +65,14 @@ func TestWorkerCountEdgeCases(t *testing.T) {
 		mustParse(t, "inter(pid+pc4)2"),
 		mustParse(t, "union(dir+add6)4"),
 	}
-	want := evalOK(EvaluateSchemesWorkers(schemes, m16, traces, 1))
+	want := evalOK(EvaluateSchemesObserved(schemes, m16, traces, 1, nil))
 	for _, workers := range []int{-1, 64} {
-		if got := evalOK(EvaluateSchemesWorkers(schemes, m16, traces, workers)); !reflect.DeepEqual(got, want) {
+		if got := evalOK(EvaluateSchemesObserved(schemes, m16, traces, workers, nil)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged", workers)
 		}
 	}
-	if got := evalOK(EvaluateSchemes(schemes, m16, traces)); !reflect.DeepEqual(got, want) {
-		t.Fatal("EvaluateSchemes default diverged from workers=1")
+	if got := evalOK(EvaluateSchemesObserved(schemes, m16, traces, 0, nil)); !reflect.DeepEqual(got, want) {
+		t.Fatal("default worker count diverged from workers=1")
 	}
 }
 
@@ -88,9 +88,9 @@ func TestPlanHoisting(t *testing.T) {
 		mustParse(t, "pas(pid+add4)2"),
 		mustParse(t, "sticky(dir+add4)1"),
 	}
-	both := evalOK(EvaluateSchemes(schemes, m16, []NamedTrace{
-		{Name: "t1", Trace: t1}, {Name: "t2", Trace: t2}}))
-	solo := evalOK(EvaluateSchemes(schemes, m16, []NamedTrace{{Name: "t2", Trace: t2}}))
+	both := evalOK(EvaluateSchemesObserved(schemes, m16, []NamedTrace{
+		{Name: "t1", Trace: t1}, {Name: "t2", Trace: t2}}, 0, nil))
+	solo := evalOK(EvaluateSchemesObserved(schemes, m16, []NamedTrace{{Name: "t2", Trace: t2}}, 0, nil))
 	for i := range schemes {
 		if both[i].PerBench[1] != solo[i].PerBench[0] {
 			t.Errorf("%s: state leaked across traces: %v != %v",

@@ -189,27 +189,16 @@ func newGroupState(ip *indexPlan, g *groupPlan, schemes []core.Scheme, m core.Ma
 	return gs
 }
 
-// EvaluateSchemes evaluates every scheme over every trace and returns stats
-// in the same order as the input schemes, using one worker per available
-// CPU. An invalid scheme yields an error naming it.
-func EvaluateSchemes(schemes []core.Scheme, m core.Machine, traces []NamedTrace) ([]Stats, error) {
-	return EvaluateSchemesWorkers(schemes, m, traces, 0)
-}
-
-// EvaluateSchemesWorkers is EvaluateSchemes with a bounded worker pool.
-// workers <= 0 selects runtime.GOMAXPROCS(0). The result is bit-identical
-// for every worker count: work fans out over the (trace × index) grid,
-// every cell owns independent predictor state, and each scheme's
-// (benchmark) result cell is written by exactly one task. Engine metrics
-// (events scanned, cells completed, table occupancy, per-worker busy time)
-// land in the default obs registry.
-func EvaluateSchemesWorkers(schemes []core.Scheme, m core.Machine, traces []NamedTrace, workers int) ([]Stats, error) {
-	return EvaluateSchemesObserved(schemes, m, traces, workers, obs.Default())
-}
-
-// EvaluateSchemesObserved is EvaluateSchemesWorkers recording engine
-// metrics into an explicit registry (nil disables instrumentation
-// entirely). Metrics never influence evaluation: the returned stats are
+// EvaluateSchemesObserved evaluates every scheme over every trace and
+// returns stats in the same order as the input schemes; an invalid scheme
+// yields an error naming it. It runs on a pool of workers goroutines
+// (workers <= 0 selects runtime.GOMAXPROCS(0)), and the result is
+// bit-identical for every worker count: work fans out over the (trace ×
+// index) grid, every cell owns independent predictor state, and each
+// scheme's (benchmark) result cell is written by exactly one task.
+// Engine metrics (events scanned, cells completed, table occupancy,
+// per-worker busy time) land in reg; nil disables instrumentation
+// entirely. Metrics never influence evaluation: the returned stats are
 // byte-identical with any registry and any worker count.
 func EvaluateSchemesObserved(schemes []core.Scheme, m core.Machine, traces []NamedTrace, workers int, reg *obs.Registry) ([]Stats, error) {
 	stats := make([]Stats, len(schemes))

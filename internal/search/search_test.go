@@ -23,7 +23,7 @@ func mustParse(t *testing.T, s string) core.Scheme {
 	return sc
 }
 
-// evalOK unwraps an EvaluateSchemes* result; these tests only evaluate
+// evalOK unwraps an EvaluateSchemesObserved result; these tests only evaluate
 // valid schemes, so an error is a test bug and aborts via panic.
 func evalOK(stats []Stats, err error) []Stats {
 	if err != nil {
@@ -108,7 +108,7 @@ func TestBatchMatchesEngine(t *testing.T) {
 		}
 	}
 	traces := []NamedTrace{{Name: "rnd", Trace: tr}}
-	batch := evalOK(EvaluateSchemes(schemes, m16, traces))
+	batch := evalOK(EvaluateSchemesObserved(schemes, m16, traces, 0, nil))
 	for i, s := range schemes {
 		want := eval.Evaluate(s, m16, tr).Confusion
 		if got := batch[i].PerBench[0]; got != want {
@@ -121,8 +121,8 @@ func TestStatsAverages(t *testing.T) {
 	t1 := randomTrace(16, 16, 800, 1)
 	t2 := randomTrace(16, 16, 800, 2)
 	s := mustParse(t, "union(dir+add6)4")
-	stats := evalOK(EvaluateSchemes([]core.Scheme{s}, m16, []NamedTrace{
-		{Name: "a", Trace: t1}, {Name: "b", Trace: t2}}))
+	stats := evalOK(EvaluateSchemesObserved([]core.Scheme{s}, m16, []NamedTrace{
+		{Name: "a", Trace: t1}, {Name: "b", Trace: t2}}, 0, nil))
 	st := stats[0]
 	if len(st.PerBench) != 2 || st.Bench[0] != "a" || st.Bench[1] != "b" {
 		t.Fatalf("stats = %+v", st)
@@ -176,7 +176,7 @@ func TestEvaluateSchemesRejectsInvalid(t *testing.T) {
 		// Valid alone, but 67 bits wide with a 16-node machine's pid and dir.
 		{Fn: core.Last, Depth: 1, Index: core.IndexSpec{UsePID: true, PCBits: 55, UseDir: true, AddrBits: 4}},
 	} {
-		stats, err := EvaluateSchemes([]core.Scheme{s}, m16, nil)
+		stats, err := EvaluateSchemesObserved([]core.Scheme{s}, m16, nil, 0, nil)
 		if err == nil {
 			t.Fatalf("invalid scheme %s accepted", s.FullString())
 		}

@@ -14,22 +14,39 @@ import (
 	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
 	"cohpredict/internal/flight"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 	"cohpredict/internal/trace"
 )
 
 // chaosConfig builds the hammer's injector config: every fault class
 // enabled at rates high enough that a run of a few hundred batches sees
-// all of them, plus one process kill mid-stream.
-func chaosConfig(seed int64, killAfter int) fault.Config {
+// all of them. The run itself kills the process once, mid-stream.
+func chaosConfig(seed int64) fault.Config {
 	return fault.Config{
-		Seed:      seed,
-		Drop:      0.15,
-		Delay:     0.10,
-		MaxDelay:  200 * time.Microsecond,
-		Reset:     0.10,
-		Error:     0.10,
-		KillAfter: killAfter,
+		Seed:     seed,
+		Drop:     0.15,
+		Delay:    0.10,
+		MaxDelay: 200 * time.Microsecond,
+		Reset:    0.10,
+		Error:    0.10,
+	}
+}
+
+// faultTally is what a chaos run injected: the fault_* counters of the
+// registry its injectors were built with, plus the kills the run made.
+type faultTally struct {
+	Drops, Delays, Resets, Errors, Kills int64
+}
+
+// faultCounts reads the injected faults from reg.
+func faultCounts(reg *obs.Registry) faultTally {
+	c := reg.Snapshot().Counters
+	return faultTally{
+		Drops:  c["fault_drops_total"],
+		Delays: c["fault_delays_total"],
+		Resets: c["fault_resets_total"],
+		Errors: c["fault_errors_total"],
 	}
 }
 
@@ -39,7 +56,7 @@ func chaosConfig(seed int64, killAfter int) fault.Config {
 type chaosOutcome struct {
 	preds  []uint64
 	stats  serve.StatsResponse
-	faults fault.Stats
+	faults faultTally
 	slow   []flight.Entry
 	client resclient.Stats
 }
@@ -69,7 +86,7 @@ func fetchSlow(t *testing.T, base string) []flight.Entry {
 
 // runChaos replays tr through a chaos-injected server with a resilient
 // client: batches are dropped, delayed, failed with 500s, and acked with
-// connection resets; when the injector's kill point fires the server is
+// connection resets; before the middle batch the server is
 // checkpointed, discarded without drain, and a fresh server restores the
 // snapshot (at restoreShards shards) to finish the stream. With binary
 // set the client posts COHWIRE1 frames, so the same faults hammer the
@@ -81,7 +98,9 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 	if batches < 4 {
 		t.Fatalf("trace too small for a mid-stream kill: %d batches", batches)
 	}
-	inj := fault.New(chaosConfig(seed, batches/2), nil)
+	killAt := batches/2 - 1 // the batch index the kill precedes
+	reg := obs.New()
+	inj := fault.New(chaosConfig(seed), reg)
 
 	srv := serve.NewServer(serve.Options{Fault: inj, Flight: chaosFlight()})
 	ts := httptest.NewServer(srv.Handler())
@@ -103,13 +122,13 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 
 	preds := make([]uint64, 0, len(tr.Events))
 	var slow []flight.Entry
-	killed := false
+	var kills int64
 	for lo := 0; lo < len(tr.Events); lo += chunk {
 		hi := lo + chunk
 		if hi > len(tr.Events) {
 			hi = len(tr.Events)
 		}
-		if inj.KillNow("chaos.kill") {
+		if lo/chunk == killAt {
 			// Checkpoint, kill the process (no drain — the old server and
 			// its sessions are simply abandoned), restore elsewhere.
 			snap, err := cl.Snapshot(id)
@@ -132,7 +151,7 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 			if _, err := cl.Restore(id, snap, restoreShards); err != nil {
 				t.Fatalf("restore after kill: %v", err)
 			}
-			killed = true
+			kills++
 		}
 		got, err := cl.PostEvents(id, tr.Events[lo:hi])
 		if err != nil {
@@ -140,8 +159,8 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 		}
 		preds = append(preds, got...)
 	}
-	if !killed {
-		t.Fatal("kill point never fired; the hammer did not exercise restore")
+	if kills == 0 {
+		t.Fatal("the run never killed the server; the hammer did not exercise restore")
 	}
 
 	st, err := cl.SessionStats(id)
@@ -153,7 +172,9 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 	if err := srv.Shutdown(); err != nil {
 		t.Fatalf("final shutdown: %v", err)
 	}
-	return chaosOutcome{preds: preds, stats: *st, faults: inj.Stats(), slow: slow, client: cl.Stats()}
+	faults := faultCounts(reg)
+	faults.Kills = kills
+	return chaosOutcome{preds: preds, stats: *st, faults: faults, slow: slow, client: cl.Stats()}
 }
 
 // TestChaosEquivalence is the headline proof: under injected drops,

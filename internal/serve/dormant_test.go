@@ -37,7 +37,8 @@ func dormancy(reg *obs.Registry) (sessions, size float64, wakes int64) {
 // restore has, lists it, and starts no shard worker; /metrics counts the
 // copy and its bytes. The first stats GET builds it, once: its stats and
 // its snapshot then equal the eager restore's. A DELETE, and a Shutdown,
-// drop a dormant copy without building it.
+// drop a dormant copy without building it; the DELETE logs the copy's
+// restored event count.
 func TestDormantRestore(t *testing.T) {
 	data := snapshotOf(t)
 	snap, err := eval.DecodeSnapshot(data)
@@ -52,7 +53,14 @@ func TestDormantRestore(t *testing.T) {
 	}
 	defer eager.Close()
 	reg := obs.New()
-	srv := serve.NewServer(serve.Options{Registry: reg})
+	var logMu sync.Mutex
+	var logged []string
+	log := obs.NewLogger(obs.Info, func(format string, args ...interface{}) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	srv := serve.NewServer(serve.Options{Registry: reg, Log: log})
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
@@ -102,6 +110,13 @@ func TestDormantRestore(t *testing.T) {
 	c.restore("gone", data, 2)
 	if code := c.do("DELETE", "/v1/sessions/gone", nil, nil); code != http.StatusOK {
 		t.Fatalf("delete of a dormant session: status %d", code)
+	}
+	wantLine := fmt.Sprintf("serve: session gone drained and removed (%d events)", snap.Events)
+	logMu.Lock()
+	found := slices.Contains(logged, wantLine)
+	logMu.Unlock()
+	if snap.Events == 0 || !found {
+		t.Fatalf("the DELETE of a dormant session of %d events logged %q, want a line %q", snap.Events, logged, wantLine)
 	}
 	c.restore("left", data, 2)
 	if n, size, _ := dormancy(reg); n != 1 || size != float64(len(data)) {
@@ -252,7 +267,7 @@ func restoreSeedSections(tb testing.TB) [][]byte {
 		"sticky(add8)1", "pas(dir+add8)3", "pas(dir+add8)4",
 	}
 	wrap := func(sc core.Scheme, sec []byte) []byte {
-		empty := eval.EncodeSnapshot(&eval.Snapshot{Scheme: sc, Machine: m})
+		empty := eval.AppendSnapshot(nil, &eval.Snapshot{Scheme: sc, Machine: m}, 0)
 		b := append(empty[:len(empty)-2:len(empty)-2], sec...) // drop the count and the Extra length
 		return append(b, 0)
 	}

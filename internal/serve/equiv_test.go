@@ -13,6 +13,7 @@ import (
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/machine"
+	"cohpredict/internal/metrics"
 	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 	"cohpredict/internal/trace"
@@ -147,15 +148,19 @@ func TestOfflineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Offline ground truth: per-event predictions and final tallies.
-		eng := eval.NewEngine(sc, m)
+		// Offline ground truth: per-event predictions, final tallies and
+		// the table's size, from the kernel every engine runs.
+		table, keyer := core.NewTable(sc, m), sc.Index.Keyer(m)
+		var wantConf metrics.Confusion
 		wantPreds := make([]uint64, len(tr.Events))
-		for i, ev := range tr.Events {
-			wantPreds[i] = uint64(eng.Step(ev))
+		for i := range tr.Events {
+			ev := tr.Events[i]
+			pred := eval.Apply(sc.Update, &keyer, table, &ev)
+			wantPreds[i] = uint64(pred)
+			wantConf.AddBitmaps(pred, ev.FutureReaders, m.Nodes)
 		}
-		wantConf := eng.Confusion()
 		if evaluated := eval.Evaluate(sc, m, tr).Confusion; evaluated != wantConf {
-			t.Fatalf("%s: engine replay and eval.Evaluate disagree", schemeStr)
+			t.Fatalf("%s: kernel replay and eval.Evaluate disagree", schemeStr)
 		}
 
 		for _, shards := range []int{1, 2, 8} {
@@ -190,9 +195,9 @@ func TestOfflineEquivalence(t *testing.T) {
 				if st.Events != uint64(len(tr.Events)) {
 					t.Fatalf("events %d, want %d", st.Events, len(tr.Events))
 				}
-				if st.TableEntries != uint64(eng.TableEntries()) {
+				if st.TableEntries != uint64(table.Entries()) {
 					t.Fatalf("table entries %d, want %d (shards must partition, not replicate)",
-						st.TableEntries, eng.TableEntries())
+						st.TableEntries, table.Entries())
 				}
 			})
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/eval"
+	"cohpredict/internal/fault"
 	"cohpredict/internal/trace"
 )
 
@@ -104,4 +105,31 @@ func (s *Server) SessionByID(id string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sessions[id]
+}
+
+// Sessions returns the number of live sessions.
+func (s *Server) Sessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}
+
+// NewSessionFromSnapshot is the eager restore, the tests' reference for
+// the dormant one: it checks snap in the same order and with the same
+// errors, then builds the session at once and starts its workers.
+func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
+	cfg, err := restoredConfig(snap, shards, flt, rec)
+	if err != nil {
+		return nil, err
+	}
+	extra, err := decodeSessionExtra(snap.Extra, true)
+	if err != nil {
+		return nil, err
+	}
+	s := newSession(id, cfg, om)
+	s.baseConf, s.baseEvents = snap.Conf, snap.Events
+	if err := s.build(snap, extra); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

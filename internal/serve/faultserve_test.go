@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cohpredict/internal/bitmap"
 	resclient "cohpredict/internal/client"
 	"cohpredict/internal/core"
 	"cohpredict/internal/fault"
@@ -41,12 +42,12 @@ func TestShardPanicSurfacedByClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.Post(hammerEvents(8, 16))
+	err = sess.PostInto(hammerEvents(8, 16), make([]bitmap.Bitmap, 8))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("Post after injected panic: err = %v, want worker panic", err)
 	}
 	// Later posts keep failing rather than silently dropping events.
-	if _, err := sess.Post(hammerEvents(4, 16)); err == nil {
+	if err := sess.PostInto(hammerEvents(4, 16), make([]bitmap.Bitmap, 4)); err == nil {
 		t.Fatal("Post on a poisoned session succeeded")
 	}
 	if err := sess.Close(); err == nil || !strings.Contains(err.Error(), "panicked") {

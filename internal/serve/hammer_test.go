@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cohpredict/internal/bitmap"
 	"cohpredict/internal/core"
 	"cohpredict/internal/serve"
 	"cohpredict/internal/trace"
@@ -167,16 +168,13 @@ func TestDrainUnderLoad(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				<-start
+				preds := make([]bitmap.Bitmap, 128)
 				for r := 0; ; r++ {
 					lo := ((w*13 + r*97) % 15) * 128
 					batch := evs[lo : lo+128]
-					preds, err := sess.Post(batch)
+					err := sess.PostInto(batch, preds)
 					switch {
 					case err == nil:
-						if len(preds) != len(batch) {
-							t.Errorf("%d predictions for %d events", len(preds), len(batch))
-							return
-						}
 						accepted.Add(uint64(len(batch)))
 					case errors.Is(err, serve.ErrDraining):
 						return
@@ -210,7 +208,7 @@ func TestDrainUnderLoad(t *testing.T) {
 			t.Fatalf("round %d: accepted %d events, drained stats report %d",
 				round, accepted.Load(), st.Events)
 		}
-		if _, err := sess.Post(evs[:1]); !errors.Is(err, serve.ErrDraining) {
+		if err := sess.PostInto(evs[:1], make([]bitmap.Bitmap, 1)); !errors.Is(err, serve.ErrDraining) {
 			t.Fatalf("post after close: err = %v, want ErrDraining", err)
 		}
 	}

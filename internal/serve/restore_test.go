@@ -186,11 +186,11 @@ func TestLargeSnapshotRestores(t *testing.T) {
 			preds[i][j] = uint64(0x80 + j%0x3f00) // two-byte uvarints
 		}
 	}
-	data := eval.EncodeSnapshot(&eval.Snapshot{
+	extra := sessionExtraLayout(2, 256, 0, 16384, keys, preds)
+	data := append(eval.AppendSnapshot(nil, &eval.Snapshot{
 		Scheme:  mustScheme(t, "last(add8)1"),
 		Machine: core.Machine{Nodes: 16, LineBytes: 64},
-		Extra:   sessionExtraLayout(2, 256, 0, 16384, keys, preds),
-	})
+	}, len(extra)), extra...)
 	if len(data) <= 8<<20 {
 		t.Fatalf("snapshot is %d bytes, the test needs more than 8 MiB", len(data))
 	}

@@ -559,11 +559,12 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error
 // /v1/sessions/{id}/snapshot — the CLI's -restore flag boots sessions
 // through it before the listener opens.
 //
-// The snapshot is checked whole, as NewSessionFromSnapshot checks it,
-// but the session stays dormant: it keeps a copy of data and its
-// config, and no shard worker or table, until a request to it through
-// the server builds it (Server.session). Until then its methods must not
-// be called, but for Config and Close; Close drops the bytes unbuilt.
+// The snapshot is checked whole, as a build from it would check it,
+// but the session stays dormant: it keeps a copy of data, its config
+// and its tallies, and no shard worker or table, until a request to it
+// through the server builds it (Server.session). Until then its methods
+// must not be called, but for Config, Stats and Close; Close drops the
+// bytes unbuilt.
 func (s *Server) RestoreSnapshot(id string, data []byte, shards *int) (*Session, error) {
 	snap, err := eval.DecodeSnapshot(data)
 	if err != nil {
@@ -673,13 +674,6 @@ func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry) err
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	return reg.WritePrometheus(w)
-}
-
-// Sessions returns the number of live sessions.
-func (s *Server) Sessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
 }
 
 // Shutdown drains the server: new sessions and new events are refused,

@@ -36,6 +36,8 @@ const (
 //
 // Deprecated: shards flush whenever their queue is momentarily empty;
 // SessionConfig.Flush has no effect.
+//
+//predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 const DefaultFlushMicros = 200
 
 // ErrBacklog is returned when a batch would overflow the session's bounded
@@ -213,8 +215,9 @@ func newSession(id string, cfg SessionConfig, om *serveMetrics) *Session {
 
 // build gives the session its shards and starts their workers. With a
 // snapshot, the shard tables are filled from its entries first, and the
-// session takes its tallies and extra's idempotency cache. On error no
-// worker has started, and the session keeps no shard.
+// session takes extra's idempotency cache; its tallies were taken when
+// it was restored. On error no worker has started, and the session keeps
+// no shard.
 func (s *Session) build(snap *eval.Snapshot, extra *sessionExtra) error {
 	shards := make([]*shard, s.router.Shards())
 	for i := range shards {
@@ -231,8 +234,6 @@ func (s *Session) build(snap *eval.Snapshot, extra *sessionExtra) error {
 		for _, sh := range shards {
 			sh.pubEntries.Store(uint64(sh.table.Entries()))
 		}
-		s.baseConf = snap.Conf
-		s.baseEvents = snap.Events
 		if extra.idem != nil {
 			s.idemMu.Lock()
 			s.idem, s.idemOrder = extra.idem, extra.order
@@ -313,23 +314,16 @@ func (s *Session) release(n int) {
 	s.reqs.Done()
 }
 
-// Post ingests a batch of events in order and returns the predicted
+// PostInto ingests a batch of events in order and writes the predicted
 // sharing bitmap for each, writer-masked, exactly as eval.Engine.Step
-// would. Events are fanned out to the shard pool; Post returns only after
-// every event has been processed and scored, so a successful return means
-// the batch is fully reflected in Stats.
-func (s *Session) Post(evs []trace.Event) ([]bitmap.Bitmap, error) {
-	preds := make([]bitmap.Bitmap, len(evs))
-	if err := s.postInto(evs, preds, nil); err != nil {
-		return nil, err
-	}
-	return preds, nil
-}
-
-// PostInto is Post writing the predictions into caller-owned storage.
-// preds must have length len(evs); the slots are the response buffer the
-// shard workers store into, and they are safe to read (or recycle) once
+// would, into preds, which must have length len(evs). Events are fanned
+// out to the shard pool; PostInto returns only after every event has been
+// processed and scored, so a successful return means the batch is fully
+// reflected in Stats. The slots are the response buffer the shard
+// workers store into, and they are safe to read (or recycle) once
 // PostInto has returned.
+//
+//predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 func (s *Session) PostInto(evs []trace.Event, preds []bitmap.Bitmap) error {
 	return s.postInto(evs, preds, nil)
 }
@@ -656,7 +650,7 @@ func (s *Session) quiesce() error {
 	s.mu.Unlock()
 
 	s.reqs.Wait()
-	// Idempotency bookkeeping happens after Post returns (after reqs.Done),
+	// Idempotency bookkeeping happens after postInto returns (after reqs.Done),
 	// so entries may still be filling; wait for each.
 	s.idemMu.Lock()
 	pending := make([]*idemEntry, 0, len(s.idemOrder))

@@ -18,6 +18,7 @@ import (
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
+	"cohpredict/internal/obs"
 	"cohpredict/internal/trace"
 )
 
@@ -29,11 +30,13 @@ const ownedScheme = "union(pid+dir+add24)2[forwarded]"
 // panics each shard at its panicAfter-th micro-batch (0: never). Each
 // test picks a seed whose stalls land on the batches it holds a worker
 // with, and names them; a seed that stopped doing so would fail the
-// test's waits, not pass it.
-func stallFault(seed int64, panicAfter int) *fault.Injector {
+// test's waits, not pass it. The returned counter is the injector's
+// fault_delays_total, the stalls drawn so far.
+func stallFault(seed int64, panicAfter int) (*fault.Injector, *obs.Counter) {
+	reg := obs.New()
 	return fault.New(fault.Config{
 		Seed: seed, Delay: 0.1, MaxDelay: 200 * time.Millisecond, PanicAfter: panicAfter,
-	}, nil)
+	}, reg), reg.Counter("fault_delays_total")
 }
 
 func newStallSession(t *testing.T, shards, batch int, inj *fault.Injector) *Session {
@@ -136,7 +139,8 @@ func startWave(s *Session, batches [][]trace.Event) *wave {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w.preds[i], w.errs[i] = s.Post(batches[i])
+			w.preds[i] = make([]bitmap.Bitmap, len(batches[i]))
+			w.errs[i] = s.PostInto(batches[i], w.preds[i])
 		}(i)
 	}
 	go func() { wg.Wait(); close(w.done) }()
@@ -179,7 +183,7 @@ func (w *wave) failed(t *testing.T, name string) {
 // counter) with ErrShardFailed, and Close must report it.
 func TestShardPanicConcurrentPosts(t *testing.T) {
 	const inFlight, perShard = 8, 8 // a post's run on a shard is 2*perShard events
-	inj := stallFault(1660, 3)
+	inj, delays := stallFault(1660, 3)
 	s := newStallSession(t, 2, inFlight*2*perShard, inj)
 	posts := make([][]trace.Event, inFlight)
 	for i := range posts {
@@ -187,13 +191,14 @@ func TestShardPanicConcurrentPosts(t *testing.T) {
 	}
 	hold := ownedEvents(s.router, inFlight, perShard)
 
-	if _, err := s.Post(onShard(s.router, hold, 0)); err != nil {
+	warm := onShard(s.router, hold, 0)
+	if err := s.PostInto(warm, make([]bitmap.Bitmap, len(warm))); err != nil {
 		t.Fatal(err)
 	}
 	// The hold post finishes before the panic but may observe it, so
 	// only its return is checked.
 	held := startWave(s, [][]trace.Event{hold})
-	waitFor(t, "the hold post to stall both workers", func() bool { return inj.Stats().Delays == 2 })
+	waitFor(t, "the hold post to stall both workers", func() bool { return delays.Value() == 2 })
 	first := startWave(s, posts)
 	waitFor(t, "the wave to queue behind both stalls", func() bool {
 		return len(s.shards[0].in) == inFlight && len(s.shards[1].in) == inFlight
@@ -229,7 +234,7 @@ func TestShardPanicConcurrentPosts(t *testing.T) {
 // return with ErrShardFailed, every admitted event must be released, and
 // Close must report the failure.
 func TestShardPanicParkedPosts(t *testing.T) {
-	inj := stallFault(30, 2)
+	inj, delays := stallFault(30, 2)
 	s := newStallSession(t, 1, 4*2, inj) // ownedEvents(r, i, 1) is a 2-event run
 	batches := make([][]trace.Event, DefaultShardBatch+64)
 	total := 0
@@ -241,7 +246,7 @@ func TestShardPanicParkedPosts(t *testing.T) {
 	total += len(holdPost)
 
 	held := startWave(s, [][]trace.Event{holdPost})
-	waitFor(t, "the hold post to stall the worker", func() bool { return inj.Stats().Delays == 1 })
+	waitFor(t, "the hold post to stall the worker", func() bool { return delays.Value() == 1 })
 	first := startWave(s, batches)
 	waitFor(t, "the wave to fill the channel with every post admitted", func() bool {
 		return len(s.shards[0].in) == cap(s.shards[0].in) && pendingEvents(s) == total
@@ -269,7 +274,7 @@ func TestShardPanicParkedPosts(t *testing.T) {
 func TestParkedPostsMatchEngine(t *testing.T) {
 	for _, shards := range []int{2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			inj := stallFault(30, 0)
+			inj, delays := stallFault(30, 0)
 			s := newStallSession(t, shards, 0, inj)
 			streams := make([][]trace.Event, DefaultShardBatch+65)
 			total := 0
@@ -282,7 +287,7 @@ func TestParkedPostsMatchEngine(t *testing.T) {
 			}
 
 			held := startWave(s, streams[:1])
-			waitFor(t, "the hold post to stall shard 0", func() bool { return inj.Stats().Delays == 1 })
+			waitFor(t, "the hold post to stall shard 0", func() bool { return delays.Value() == 1 })
 			posters := startWave(s, streams[1:])
 			waitFor(t, "shard 0's channel to fill with every post admitted", func() bool {
 				return len(s.shards[0].in) == cap(s.shards[0].in) && pendingEvents(s) == total

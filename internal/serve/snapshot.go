@@ -79,7 +79,7 @@ var closedDone = func() chan struct{} {
 // AppendSnapshot quiesces the session, appends its COHSNAP1 snapshot to
 // dst — scheme, machine, merged predictor tables, tallies, tuning, and
 // the idempotency cache — and resumes. The snapshot restores
-// (NewSessionFromSnapshot) into a session whose future predictions and
+// (Server.RestoreSnapshot) into a session whose future predictions and
 // stats are byte-identical to this one's, at any shard count.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	if err := s.quiesce(); err != nil {
@@ -271,31 +271,18 @@ func decodeSessionExtra(data []byte, cache bool) (*sessionExtra, error) {
 	return x, nil
 }
 
-// NewSessionFromSnapshot rebuilds a session from a decoded snapshot.
-// Tuning (shards, batch size, max pending) comes from the snapshot's
-// Extra section; shards, when non-nil, overrides its shard count —
-// restoring onto a different shard count is legal and preserves
-// byte-identical behaviour (the router partitions the restored keys
-// exactly as it would have partitioned the events that created them).
-// The entries are imported straight into the new shard tables.
-func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
-	cfg, extra, err := restoredConfig(snap, true, shards, flt, rec)
-	if err != nil {
-		return nil, err
-	}
-	s := newSession(id, cfg, om)
-	if err := s.build(snap, extra); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// newDormantSession is NewSessionFromSnapshot's dormant twin: it checks
-// the snapshot as that restore does, in the same order and with the same
-// errors, but builds nothing. The session keeps an exact-size copy of
-// data, the snapshot's bytes, until its first use builds it (wake).
+// newDormantSession restores a session from a decoded snapshot without
+// building it. It checks everything a restore must: the tuning (shards,
+// batch size, max pending) that the snapshot's Extra section carries,
+// with shards, when non-nil, as the shard count; the idempotency cache in
+// that section; and every entry, without a table. The session takes the
+// snapshot's tallies and keeps an exact-size copy of data, the
+// snapshot's bytes, until its first use builds it (wake). Restoring onto
+// a different shard count is legal and preserves byte-identical
+// behaviour: the router partitions the restored keys exactly as it would
+// have partitioned the events that created them.
 func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
-	cfg, _, err := restoredConfig(snap, false, shards, flt, rec)
+	cfg, err := restoredConfig(snap, shards, flt, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -303,6 +290,7 @@ func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int,
 		return nil, err
 	}
 	s := newSession(id, cfg, om)
+	s.baseConf, s.baseEvents = snap.Conf, snap.Events
 	s.snap = make([]byte, len(data))
 	copy(s.snap, data)
 	s.om.dormant(1, len(s.snap))
@@ -311,12 +299,12 @@ func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int,
 
 // restoredConfig returns the checked config of a session restored from
 // snap: its scheme and machine, the tuning its Extra section carries,
-// and shards, when non-nil, as the shard count. It also returns the
-// decoded section, with its cache when cache is set.
-func restoredConfig(snap *eval.Snapshot, cache bool, shards *int, flt *fault.Injector, rec EventRecorder) (SessionConfig, *sessionExtra, error) {
-	extra, err := decodeSessionExtra(snap.Extra, cache)
+// and shards, when non-nil, as the shard count. It checks the whole
+// section, idempotency cache included, without building the cache.
+func restoredConfig(snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder) (SessionConfig, error) {
+	extra, err := decodeSessionExtra(snap.Extra, false)
 	if err != nil {
-		return SessionConfig{}, nil, err
+		return SessionConfig{}, err
 	}
 	cfg := SessionConfig{
 		Scheme:     snap.Scheme,
@@ -331,7 +319,7 @@ func restoredConfig(snap *eval.Snapshot, cache bool, shards *int, flt *fault.Inj
 		cfg.Shards = *shards
 	}
 	if err := cfg.fillDefaults(); err != nil {
-		return SessionConfig{}, nil, err
+		return SessionConfig{}, err
 	}
-	return cfg, extra, nil
+	return cfg, nil
 }

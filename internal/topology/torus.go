@@ -52,14 +52,6 @@ func (t *Torus) Coord(node int) (x, y int) {
 	return node % t.W, node / t.W
 }
 
-// Node returns the node id at coordinates (x, y), taken modulo the torus
-// dimensions so callers can use relative offsets.
-func (t *Torus) Node(x, y int) int {
-	x = ((x % t.W) + t.W) % t.W
-	y = ((y % t.H) + t.H) % t.H
-	return y*t.W + x
-}
-
 func (t *Torus) check(node int) {
 	if node < 0 || node >= t.Nodes() {
 		//predlint:ignore panicfree node bounds misuse guard
@@ -87,52 +79,6 @@ func (t *Torus) Hops(a, b int) int {
 	return wrapDist(ax, bx, t.W) + wrapDist(ay, by, t.H)
 }
 
-// stepToward returns the next ring position moving from a toward b along the
-// shorter direction on a ring of size n.
-func stepToward(a, b, n int) int {
-	if a == b {
-		return a
-	}
-	forward := ((b - a) + n) % n
-	if forward <= n-forward {
-		return (a + 1) % n
-	}
-	return (a - 1 + n) % n
-}
-
-// Route returns the sequence of nodes an XY-routed message visits from src
-// to dst, inclusive of both endpoints. X is corrected first, then Y.
-func (t *Torus) Route(src, dst int) []int {
-	t.check(src)
-	t.check(dst)
-	path := []int{src}
-	x, y := t.Coord(src)
-	dx, dy := t.Coord(dst)
-	for x != dx {
-		x = stepToward(x, dx, t.W)
-		path = append(path, t.Node(x, y))
-	}
-	for y != dy {
-		y = stepToward(y, dy, t.H)
-		path = append(path, t.Node(x, y))
-	}
-	return path
-}
-
-// Diameter returns the maximum hop distance between any node pair.
-func (t *Torus) Diameter() int { return t.W/2 + t.H/2 }
-
-// AvgHops returns the mean hop distance from a node to all nodes (including
-// itself at distance 0) — a useful constant when estimating the cost of
-// multicast forwarding.
-func (t *Torus) AvgHops() float64 {
-	total := 0
-	for b := 0; b < t.Nodes(); b++ {
-		total += t.Hops(0, b)
-	}
-	return float64(total) / float64(t.Nodes())
-}
-
 // TrafficMeter accumulates hop-weighted message counts, used by the
 // forwarding extension to compare network load of prediction schemes.
 type TrafficMeter struct {
@@ -148,13 +94,4 @@ func NewTrafficMeter(t *Torus) *TrafficMeter { return &TrafficMeter{t: t} }
 func (m *TrafficMeter) Send(src, dst int) {
 	m.Messages++
 	m.HopFlits += uint64(m.t.Hops(src, dst))
-}
-
-// Multicast accounts one message from src to every node in dsts, routed as
-// independent unicasts (the paper's DSM protocols have no multicast
-// support).
-func (m *TrafficMeter) Multicast(src int, dsts []int) {
-	for _, d := range dsts {
-		m.Send(src, d)
-	}
 }

@@ -207,8 +207,8 @@ func TestRoundTripProperty(t *testing.T) {
 				PC:            rng.Uint64() >> uint(rng.Intn(64)),
 				Dir:           uint8(rng.Intn(nodes)),
 				Addr:          rng.Uint64() >> uint(rng.Intn(64)),
-				InvReaders:    bitmap.Bitmap(rng.Uint64()).Truncate(nodes),
-				FutureReaders: bitmap.Bitmap(rng.Uint64()).Truncate(nodes),
+				InvReaders:    bitmap.Bitmap(rng.Uint64()) & bitmap.Full(nodes),
+				FutureReaders: bitmap.Bitmap(rng.Uint64()) & bitmap.Full(nodes),
 			}
 			if rng.Intn(2) == 0 {
 				e.HasPrev = true

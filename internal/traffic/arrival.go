@@ -74,9 +74,6 @@ func NewArrivals(kind string, rate float64, seed int64) (*Arrivals, error) {
 	return &Arrivals{kind: kind, rate: rate, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Kind returns the process name.
-func (a *Arrivals) Kind() string { return a.kind }
-
 // exp draws an exponential inter-arrival (ns) at ratePerNS.
 func (a *Arrivals) exp(ratePerNS float64) float64 {
 	return a.rng.ExpFloat64() / ratePerNS

@@ -275,8 +275,3 @@ func DecodeTraceFile(data []byte) ([]TraceRecord, error) {
 	}
 	return recs, nil
 }
-
-// IsTraceFile reports whether data begins with the COHTRACE1 magic.
-func IsTraceFile(data []byte) bool {
-	return len(data) >= len(traceMagic) && string(data[:len(traceMagic)]) == traceMagic
-}

@@ -41,7 +41,7 @@ func sampleRecords() []TraceRecord {
 func TestTraceFileRoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	data := EncodeTraceFile(recs)
-	if !IsTraceFile(data) {
+	if !bytes.HasPrefix(data, []byte(traceMagic)) {
 		t.Fatal("encoded file does not carry the magic")
 	}
 	got, err := DecodeTraceFile(data)

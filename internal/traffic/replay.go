@@ -23,6 +23,8 @@ import (
 // trace.Event itself: callers that post a trace's events pass them
 // directly, and this copy is for a caller that wants its posting slices
 // apart from the trace.
+//
+//predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 func APIEvents(evs []trace.Event) []serve.EventRequest {
 	return slices.Clone(evs)
 }
