@@ -159,3 +159,98 @@ func (c *Counter) Legacy() uint64 {
 func (c *Counter) LegacyRacy() uint64 {
 	return c.legacy
 }
+
+// ModeNoDefault locks on every case, but with no default the switch can
+// fall through unlocked, so the read after it is unguarded: finding.
+func (c *Counter) ModeNoDefault(m int) int {
+	switch m {
+	case 0:
+		c.mu.Lock()
+	case 1:
+		c.mu.Lock()
+	}
+	v := c.count
+	c.mu.Unlock()
+	return v
+}
+
+// Kind locks on two arms of a type switch but not on its default, so
+// the write after the switch is unguarded: finding.
+func (c *Counter) Kind(v interface{}) {
+	switch x := v.(type) {
+	case int:
+		c.mu.Lock()
+		c.total += x
+	case string:
+		c.mu.Lock()
+		c.total += len(x)
+	default:
+	}
+	c.count++
+	c.mu.Unlock()
+}
+
+// Tick holds the lock for each iteration's body only, so the post
+// statement's write runs unguarded: finding.
+func (c *Counter) Tick(n int) {
+	for i := 0; i < n; c.count++ {
+		c.mu.Lock()
+		c.total += i
+		i++
+		c.mu.Unlock()
+	}
+}
+
+// Until leaves the labeled loop with the lock released. That path never
+// reaches the write after the break test, which stays guarded, but the
+// read after the loop is not: finding.
+func (c *Counter) Until(rows [][]int) int {
+scan:
+	for _, row := range rows {
+		c.mu.Lock()
+		for _, v := range row {
+			if v < 0 {
+				c.mu.Unlock()
+				break scan
+			}
+			c.total += v
+		}
+		c.mu.Unlock()
+	}
+	return c.total
+}
+
+// Twice reads in two immediately invoked literals, which run under the
+// caller's locks: the first holds mu, the second does not: finding.
+func (c *Counter) Twice() int {
+	c.mu.Lock()
+	a := func() int { return c.count }()
+	c.mu.Unlock()
+	return a + func() int { return c.count }()
+}
+
+// TryWait locks on the receive but not on the default, so the read
+// after the select is unguarded: finding.
+func (c *Counter) TryWait(ch chan int) int {
+	select {
+	case <-ch:
+		c.mu.Lock()
+	default:
+	}
+	n := c.count
+	c.mu.Unlock()
+	return n
+}
+
+// Park blocks forever in an empty select on the arm that released the
+// lock, so only locked paths reach the read: accepted.
+func (c *Counter) Park(stop bool) int {
+	c.mu.Lock()
+	if stop {
+		c.mu.Unlock()
+		select {}
+	}
+	n := c.count
+	c.mu.Unlock()
+	return n
+}
