@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // checkGoroutineOwn enforces single-owner handoff on types annotated
@@ -15,14 +16,14 @@ import (
 //   - Swap on an atomic.Pointer (the ring's publication primitive),
 //   - passing the value to a function annotated //predlint:handoff.
 //
-// The analysis is a forward poison walk per function: a handed-off
-// variable is poisoned, any later use (including inside function
-// literals, which may run after the new owner has recycled the value)
-// is a finding, and reassigning the variable clears it. Branches merge
-// by union — a handoff on either arm poisons the code after the branch —
-// except arms that terminate (return/panic/break), which never reach it.
-// Deferred statements are exempt: they run at function exit, which is
-// the idiomatic place to hand a pooled value back.
+// The analysis is a forward poison walk per function on the shared
+// interpreter (walk, in flow.go): a handed-off variable is poisoned, any
+// later use (including inside function literals, which may run after the
+// new owner has recycled the value) is a finding, and reassigning the
+// variable clears it. Paths join by union, so a handoff on any path that
+// reaches a use poisons it; a path that returns, panics or branches away
+// never reaches it. Deferred statements are exempt: they run at function
+// exit, which is the idiomatic place to hand a pooled value back.
 func checkGoroutineOwn(c *Context) {
 	owned := c.collectOwnedTypes()
 	handoff := c.collectHandoffFuncs()
@@ -35,7 +36,7 @@ func checkGoroutineOwn(c *Context) {
 				return
 			}
 			w := &ownWalker{c: c, pkg: pkg, owned: owned, handoff: handoff}
-			w.block(fd.Body.List, poisonSet{})
+			walk(w, fd.Body.List, poisonSet{})
 		})
 	}
 }
@@ -109,24 +110,9 @@ type poisonInfo struct {
 	line int
 }
 
-func (p poisonSet) clone() poisonSet {
-	out := make(poisonSet, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
-func union(a, b poisonSet) poisonSet {
-	out := a.clone()
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
+// ownWalker checks one function body. walk threads its poison set
+// through the statements; its flow methods report uses and apply
+// handoffs.
 type ownWalker struct {
 	c       *Context
 	pkg     *Package
@@ -157,188 +143,59 @@ func (w *ownWalker) ownedIdent(e ast.Expr) types.Object {
 	return obj
 }
 
-func (w *ownWalker) block(stmts []ast.Stmt, p poisonSet) (poisonSet, bool) {
-	for _, s := range stmts {
-		var term bool
-		p, term = w.stmt(s, p)
-		if term {
-			return p, true
+func (w *ownWalker) copy(p poisonSet) poisonSet { return maps.Clone(p) }
+
+// join poisons what either path poisoned, keeping a's record of where.
+func (w *ownWalker) join(a, b poisonSet) poisonSet {
+	out := maps.Clone(a)
+	for k, v := range b {
+		if _, ok := out[k]; !ok {
+			out[k] = v
 		}
 	}
-	return p, false
+	return out
 }
 
-func (w *ownWalker) stmt(s ast.Stmt, p poisonSet) (poisonSet, bool) {
+// apply checks a straight-line statement's uses and applies its
+// handoffs. Reassigning a variable installs a fresh value, which no
+// longer aliases the handed-off one. A go literal's body is scanned for
+// uses, since it may run after the new owner has the value; defer is
+// exempt, since a deferred call runs at function exit, the idiomatic
+// place to hand a pooled value back.
+func (w *ownWalker) apply(p poisonSet, s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		w.handleExprs(p, s.X)
-		if call, ok := s.X.(*ast.CallExpr); ok && isPanicCall(call) {
-			return p, true
-		}
-		return p, false
+		w.eval(p, s.X)
 	case *ast.AssignStmt:
-		w.handleExprs(p, s.Rhs...)
+		w.eval(p, s.Rhs...)
 		for _, lhs := range s.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok {
-				// Reassignment installs a fresh value: the variable no
-				// longer aliases the handed-off one.
-				if obj := w.pkg.Info.Defs[id]; obj != nil {
-					delete(p, obj)
-				} else if obj := w.pkg.Info.Uses[id]; obj != nil {
-					delete(p, obj)
-				}
-				continue
+				delete(p, w.pkg.Info.ObjectOf(id))
+			} else {
+				w.eval(p, lhs)
 			}
-			w.handleExprs(p, lhs)
 		}
-		return p, false
 	case *ast.IncDecStmt:
-		w.handleExprs(p, s.X)
-		return p, false
+		w.eval(p, s.X)
 	case *ast.SendStmt:
-		w.handleExprs(p, s.Chan)
+		w.eval(p, s.Chan)
 		if obj := w.ownedIdent(s.Value); obj != nil {
 			w.poison(p, s.Value, obj, "sent on a channel")
 		} else {
-			w.handleExprs(p, s.Value)
+			w.eval(p, s.Value)
 		}
-		return p, false
-	case *ast.DeferStmt:
-		return p, false // runs at exit: the idiomatic handoff point
 	case *ast.GoStmt:
-		w.handleExprs(p, s.Call.Args...)
+		w.eval(p, s.Call.Args...)
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.scanUses(fl.Body, p)
+			w.scanUses(fl.Body, p, nil)
 		}
-		return p, false
-	case *ast.ReturnStmt:
-		w.handleExprs(p, s.Results...)
-		return p, true
-	case *ast.BranchStmt:
-		return p, true
-	case *ast.BlockStmt:
-		return w.block(s.List, p)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, p)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			p, _ = w.stmt(s.Init, p)
-		}
-		w.handleExprs(p, s.Cond)
-		thenOut, thenTerm := w.block(s.Body.List, p.clone())
-		elseOut, elseTerm := p.clone(), false
-		if s.Else != nil {
-			elseOut, elseTerm = w.stmt(s.Else, p.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return p, true
-		case thenTerm:
-			return elseOut, false
-		case elseTerm:
-			return thenOut, false
-		default:
-			return union(thenOut, elseOut), false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			p, _ = w.stmt(s.Init, p)
-		}
-		if s.Cond != nil {
-			w.handleExprs(p, s.Cond)
-		}
-		bodyOut, _ := w.block(s.Body.List, p.clone())
-		if s.Post != nil {
-			bodyOut, _ = w.stmt(s.Post, bodyOut)
-		}
-		return union(p, bodyOut), false
-	case *ast.RangeStmt:
-		w.handleExprs(p, s.X)
-		bodyOut, _ := w.block(s.Body.List, p.clone())
-		return union(p, bodyOut), false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			p, _ = w.stmt(s.Init, p)
-		}
-		if s.Tag != nil {
-			w.handleExprs(p, s.Tag)
-		}
-		return w.clauses(s.Body.List, p)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			p, _ = w.stmt(s.Init, p)
-		}
-		p, _ = w.stmt(s.Assign, p)
-		return w.clauses(s.Body.List, p)
-	case *ast.SelectStmt:
-		var outs []poisonSet
-		for _, cs := range s.Body.List {
-			comm, ok := cs.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			st := p.clone()
-			if comm.Comm != nil {
-				st, _ = w.stmt(comm.Comm, st)
-			}
-			out, term := w.block(comm.Body, st)
-			if !term {
-				outs = append(outs, out)
-			}
-		}
-		if len(outs) == 0 && len(s.Body.List) > 0 {
-			return p, true
-		}
-		merged := p
-		for _, o := range outs {
-			merged = union(merged, o)
-		}
-		return merged, false
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.handleExprs(p, v)
-					}
-				}
-			}
-		}
-		return p, false
-	default:
-		return p, false
 	}
 }
 
-func (w *ownWalker) clauses(list []ast.Stmt, p poisonSet) (poisonSet, bool) {
-	merged := p
-	allTerm := len(list) > 0
-	for _, cs := range list {
-		clause, ok := cs.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range clause.List {
-			w.handleExprs(p, e)
-		}
-		out, term := w.block(clause.Body, p.clone())
-		if !term {
-			merged = union(merged, out)
-			allTerm = false
-		}
-	}
-	// Without a default the switch can fall through with the entry state,
-	// so even all-terminating cases do not terminate the statement.
-	if allTerm && hasDefaultClause(list) {
-		return p, true
-	}
-	return merged, false
-}
-
-// handleExprs is the per-statement core: report uses of poisoned
-// variables (skipping the arguments of this statement's own handoffs),
-// then apply the new handoffs to the poison set.
-func (w *ownWalker) handleExprs(p poisonSet, exprs ...ast.Expr) {
+// eval reports uses of poisoned variables in one statement's expressions
+// (skipping the arguments of the statement's own handoffs), then applies
+// the new handoffs to the poison set.
+func (w *ownWalker) eval(p poisonSet, exprs ...ast.Expr) {
 	type handoffArg struct {
 		id   *ast.Ident
 		obj  types.Object
@@ -379,7 +236,7 @@ func (w *ownWalker) handleExprs(p poisonSet, exprs ...ast.Expr) {
 		if e == nil {
 			continue
 		}
-		w.scanUsesExpr(e, p, skip)
+		w.scanUses(e, p, skip)
 	}
 	for _, h := range handoffs {
 		w.poison(p, h.id, h.obj, h.kind)
@@ -429,12 +286,8 @@ func (w *ownWalker) poison(p poisonSet, at ast.Node, obj types.Object, kind stri
 }
 
 // scanUses reports every identifier use of a poisoned variable in the
-// subtree.
-func (w *ownWalker) scanUses(n ast.Node, p poisonSet) {
-	w.scanUsesExpr(n, p, nil)
-}
-
-func (w *ownWalker) scanUsesExpr(n ast.Node, p poisonSet, skip map[*ast.Ident]bool) {
+// subtree but those in skip.
+func (w *ownWalker) scanUses(n ast.Node, p poisonSet, skip map[*ast.Ident]bool) {
 	if len(p) == 0 {
 		return
 	}
