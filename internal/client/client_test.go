@@ -14,9 +14,7 @@ import (
 // function of the seed, and every wait lies in [d/2, d] for the capped
 // exponential d.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	a := New(Options{Seed: 7, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 64 * time.Millisecond})
-	b := New(Options{Seed: 7, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 64 * time.Millisecond})
-	other := New(Options{Seed: 8, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 64 * time.Millisecond})
+	a, b, other := New(Options{Seed: 7}), New(Options{Seed: 7}), New(Options{Seed: 8})
 	diff := false
 	for n := 0; n < 12; n++ {
 		da, db := a.backoff(n), b.backoff(n)
@@ -26,9 +24,9 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		if da != other.backoff(n) {
 			diff = true
 		}
-		d := 2 * time.Millisecond << uint(n)
-		if d <= 0 || d > 64*time.Millisecond {
-			d = 64 * time.Millisecond
+		d := baseBackoff << uint(n)
+		if d <= 0 || d > maxBackoff {
+			d = maxBackoff
 		}
 		if da < d/2 || da > d {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", n, da, d/2, d)

@@ -65,8 +65,9 @@ const (
 	// probe.
 	proxyTimeout = 10 * time.Second
 	probeTimeout = time.Second
-	// maxBodyBytes bounds proxied request bodies other than snapshots.
-	maxBodyBytes = 8 << 20
+	// maxBodyBytes bounds proxied request bodies other than snapshots,
+	// at the bound a backend reads them with.
+	maxBodyBytes = serve.MaxBodyBytes
 	// maxSnapshotBytes bounds snapshot transfers (migration, shipping,
 	// and the proxied snapshot routes) independently of event bodies,
 	// at the bound a backend's snapshot PUT reads with.
@@ -240,11 +241,11 @@ func New(opts Options) (*Router, error) {
 		rt.loopStop = make(chan struct{})
 		if opts.HealthInterval > 0 {
 			rt.loopWG.Add(1)
-			go rt.healthLoop()
+			go rt.every(opts.HealthInterval, rt.CheckNow)
 		}
 		if opts.ShipInterval > 0 && rt.standby != nil {
 			rt.loopWG.Add(1)
-			go rt.shipLoop()
+			go rt.every(opts.ShipInterval, func() { rt.ShipNow() })
 		}
 	}
 	return rt, nil

@@ -86,32 +86,18 @@ func (rt *Router) shipOne(e *entry, home, standby *node) (ok bool, failed *node)
 	return true, nil
 }
 
-// healthLoop drives CheckNow on the configured interval until Close.
-func (rt *Router) healthLoop() {
+// every runs fn on each tick of interval until Close. The router runs
+// its health checks and its ship sweeps on it.
+func (rt *Router) every(interval time.Duration, fn func()) {
 	defer rt.loopWG.Done()
-	t := time.NewTicker(rt.opts.HealthInterval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-rt.loopStop:
 			return
 		case <-t.C:
-			rt.CheckNow()
-		}
-	}
-}
-
-// shipLoop drives ShipNow on the configured interval until Close.
-func (rt *Router) shipLoop() {
-	defer rt.loopWG.Done()
-	t := time.NewTicker(rt.opts.ShipInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.loopStop:
-			return
-		case <-t.C:
-			rt.ShipNow()
+			fn()
 		}
 	}
 }

@@ -187,12 +187,14 @@ func TestBackpressure429(t *testing.T) {
 
 // TestSessionLimit429 checks the server-wide session cap.
 func TestSessionLimit429(t *testing.T) {
-	srv := serve.NewServer(serve.Options{MaxSessions: 1})
+	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
 
-	c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
+	for i := 0; i < serve.MaxSessions; i++ {
+		c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
+	}
 	body := []byte(`{"scheme":"last(add8)1"}`)
 	if code := c.do("POST", "/v1/sessions", body, nil); code != 429 {
 		t.Fatalf("over-limit create: status %d, want 429", code)
@@ -224,16 +226,23 @@ func TestDraining503(t *testing.T) {
 	}
 }
 
-// TestBodyLimit413 checks the request-size guard.
+// TestBodyLimit413 checks the request-size guard: a batch padded to
+// MaxBodyBytes is read, and one byte more is refused.
 func TestBodyLimit413(t *testing.T) {
-	srv := serve.NewServer(serve.Options{MaxBodyBytes: 128})
+	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
 
 	sess := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1"})
-	big, _ := jsonMarshal(hammerEvents(64, 16))
-	if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", big, nil); code != 413 {
+	batch, _ := jsonMarshal(hammerEvents(4, 16))
+	padded := func(n int) []byte {
+		return append(bytes.Repeat([]byte(" "), n-len(batch)), batch...)
+	}
+	if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", padded(serve.MaxBodyBytes), nil); code != 200 {
+		t.Fatalf("body at the bound: status %d, want 200", code)
+	}
+	if code := c.do("POST", "/v1/sessions/"+sess.ID+"/events", padded(serve.MaxBodyBytes+1), nil); code != 413 {
 		t.Fatalf("oversized body: status %d, want 413", code)
 	}
 }

@@ -81,7 +81,7 @@ func (s *Server) events(r *http.Request, buf *wireBuf, rec *flight.Record) (ctyp
 		return "", nil, httpErr(http.StatusUnsupportedMediaType,
 			fmt.Errorf("serve: unsupported content type %q (want application/json or %s)", ct, ContentTypeWire))
 	}
-	body, err := readBody(buf.body, r, s.opts.MaxBodyBytes)
+	body, err := readBody(buf.body, r, MaxBodyBytes)
 	buf.body = body[:0]
 	if err != nil {
 		return "", nil, err

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -78,9 +79,20 @@ func TestRunOpenLoopSmoke(t *testing.T) {
 // exists for: against a server that refuses work, rejections surface as
 // 429/503 rates in the report instead of being retried away.
 func TestRunCountsBackpressure(t *testing.T) {
-	srv := serve.NewServer(serve.Options{MaxSessions: 1})
+	srv := serve.NewServer(serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Shutdown() }()
+	// Leave room for one of the plan's two sessions.
+	for i := 0; i < serve.MaxSessions-1; i++ {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{"scheme":"last(add8)1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("filling session %d: status %d", i, resp.StatusCode)
+		}
+	}
 
 	plan := shortPlan(t, ArrivalBursty)
 	if _, err := Run(plan, RunOptions{BaseURL: ts.URL, Binary: true}); err == nil {
