@@ -143,5 +143,6 @@ cover:
 		internal/sched=96 internal/cache=90 internal/directory=90 internal/machine=88 \
 		internal/flight=85 internal/lint=85 internal/traffic=85 internal/cluster=85 cmd/predtrace=80 cmd/predload=55 \
 		internal/serve/wire.go=85 \
+		internal/lint/flow.go=90 \
 		internal/lint/check_guardedby.go=85 internal/lint/check_atomiconly.go=85 \
 		internal/lint/check_goroutineown.go=90 internal/lint/check_staleignore.go=90
