@@ -52,14 +52,15 @@ race:
 # structure the new guardedby/atomiconly annotations claim to protect
 # exercised concurrently. Static checking proves lock discipline on every
 # path; this proves the locks are the *right* locks at runtime. -short
-# trims the scheme matrix to keep the CI step tight. The shard panic and
-# parked-sender tests then run twenty times each: a post that finds its
-# shard channel full blocks in its send, and those interleavings are
-# rarely reached by a single pass. So are the first uses of a dormant
-# restored session racing each other, or racing its DELETE.
+# trims the scheme matrix to keep the CI step tight. Then four tests run
+# twenty times each, since a single pass rarely reaches their
+# interleavings: concurrent posts meeting a kernel panic under the table
+# lock, keyed posts racing snapshots (exactly-once across a restore),
+# and the first uses of a dormant restored session racing each other, or
+# racing its DELETE.
 race-hammer:
 	$(GO) test -race -short -count=1 ./internal/serve -run 'TestChaos'
-	$(GO) test -race -count=20 ./internal/serve -run 'TestShardPanic|TestParkedPosts|TestConcurrentWakeBuildsOnce|TestDeleteRacingWake'
+	$(GO) test -race -count=20 ./internal/serve -run 'TestPostPanicPoisonsSession|TestSnapshotRaceExactlyOnce|TestConcurrentWakeBuildsOnce|TestDeleteRacingWake'
 
 # Benchmark the sweep engine only (serial baseline + parallel family).
 bench:
@@ -79,10 +80,9 @@ obs-demo:
 # cross-equivalence property and the differential check against the
 # two-pass reference decoders), the session snapshot's Extra section, the
 # dormant snapshot restore (differential against the eager one), the
-# shard router's co-location invariants, the engine-checkpoint wire
-# decoder, the snapshot entry kernels (differential against the Reader),
-# the COHTRACE1 trace decoders, the COHPRED2 trace reader, and the
-# cluster control-plane codecs.
+# engine-checkpoint wire decoder, the snapshot entry kernels
+# (differential against the Reader), the COHTRACE1 trace decoders, the
+# COHPRED2 trace reader, and the cluster control-plane codecs.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventRequest -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireBatch -fuzztime=10s
@@ -91,7 +91,6 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireDecodeDifferential -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeSessionExtra -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDormantRestore -fuzztime=10s
-	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRouteKey -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzImportEntries -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceFile -fuzztime=10s

@@ -10,15 +10,14 @@
 //
 //	predload -target http://localhost:8091 -rate 500 -duration 10s
 //	predload -arrival bursty -mix em3d:2,ocean:1 -transport wire -out slo.json
-//	predload -replay run.cohtrace -replay-shards 8
+//	predload -replay run.cohtrace
 //	predload -cluster -target http://localhost:8090 -slo-p99 50
 //
 // -replay switches modes entirely: instead of generating load, predload
 // plays a COHTRACE1 file (captured by `predserve -record`) back at the
 // server — same sessions, same batching, same request IDs, in recorded
 // order — and prints each replayed session's confusion summary. The
-// served predictions are byte-identical to the recorded run at any
-// shard count.
+// served predictions are byte-identical to the recorded run.
 //
 // -cluster is the capacity-planning mode: the target is a predroute
 // router, and the run answers "do these backends hold this rate under
@@ -58,14 +57,12 @@ func run() error {
 		batch    = flag.Int("batch", traffic.DefaultBatch, "events per request")
 		mixS     = flag.String("mix", traffic.DefaultMix, "weighted workload event mix, e.g. em3d:2,ocean:1")
 		scheme   = flag.String("scheme", traffic.DefaultScheme, "predictor scheme for every session")
-		shards   = flag.Int("shards", 0, "shard count to request per session (0 = server default)")
 		transp   = flag.String("transport", "wire", "event-post transport: wire or json")
 		seed     = flag.Int64("seed", 42, "seed for the arrival schedule and workload draws")
 		out      = flag.String("out", "", "write the validated report (predload-slo/v1, or predload-cluster/v1 with -cluster) to this JSON file")
 		clusterM = flag.Bool("cluster", false, "capacity-planning mode: -target is a predroute router; -out writes a predload-cluster/v1 report")
 		sloP99   = flag.Float64("slo-p99", traffic.DefaultClusterSLOP99Ms, "client p99 budget in ms for the -cluster verdict")
 		replayF  = flag.String("replay", "", "replay this COHTRACE1 file instead of generating load")
-		replayS  = flag.Int("replay-shards", 0, "override recorded shard counts during replay (0 = as recorded)")
 		paced    = flag.Bool("paced", false, "replay at recorded arrival offsets instead of full speed")
 		version  = flag.Bool("version", false, "print version and build identity, then exit")
 	)
@@ -86,7 +83,7 @@ func run() error {
 	}
 
 	if *replayF != "" {
-		return runReplay(*replayF, *target, binary, *replayS, *seed, *paced)
+		return runReplay(*replayF, *target, binary, *seed, *paced)
 	}
 
 	mix, err := traffic.ParseMix(*mixS)
@@ -103,7 +100,6 @@ func run() error {
 		Batch:         *batch,
 		Mix:           mix,
 		Scheme:        *scheme,
-		Shards:        *shards,
 	})
 	if err != nil {
 		return err
@@ -200,7 +196,7 @@ func runCluster(plan *traffic.Plan, base string, binary bool, sloP99 float64, ou
 
 // runReplay plays a recorded trace back at the server and prints each
 // replayed session's confusion summary.
-func runReplay(path, base string, binary bool, shards int, seed int64, paced bool) error {
+func runReplay(path, base string, binary bool, seed int64, paced bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -212,7 +208,6 @@ func runReplay(path, base string, binary bool, shards int, seed int64, paced boo
 	res, err := traffic.Replay(recs, traffic.ReplayOptions{
 		BaseURL: base,
 		Binary:  binary,
-		Shards:  shards,
 		Seed:    seed,
 		Paced:   paced,
 	})

@@ -50,7 +50,6 @@ func run() error {
 	var (
 		addr    = flag.String("addr", ":8091", "listen address")
 		logS    = flag.String("log", "info", "log level: quiet, info, debug")
-		shards  = flag.Int("shards", 0, "default shard count for sessions that don't request one (0 = min(cores, 8)); results are identical at any value")
 		obsOut  = flag.String("obs", "", "write the final observability snapshot to this JSON file on shutdown")
 		record  = flag.String("record", "", "capture the accepted event stream to this COHTRACE1 file on shutdown (predload -replay plays it back)")
 		version = flag.Bool("version", false, "print version and build identity, then exit")
@@ -60,8 +59,8 @@ func run() error {
 
 		chaosSeed     = flag.Int64("chaos-seed", 42, "seed for the fault injector; a chaos run replays from this value alone")
 		chaosDrop     = flag.Float64("chaos-drop", 0, "probability of dropping a batch at queue admission (503)")
-		chaosDelay    = flag.Float64("chaos-delay", 0, "probability of stalling a shard micro-batch")
-		chaosMaxDelay = flag.Duration("chaos-max-delay", 200*time.Microsecond, "upper bound of an injected shard stall")
+		chaosDelay    = flag.Float64("chaos-delay", 0, "probability of stalling an admitted events post before it takes its session's table lock")
+		chaosMaxDelay = flag.Duration("chaos-max-delay", 200*time.Microsecond, "upper bound of an injected post stall")
 		chaosReset    = flag.Float64("chaos-reset", 0, "probability of resetting the connection after processing (lost response)")
 		chaosError    = flag.Float64("chaos-error", 0, "probability of failing an events request with an injected 500")
 	)
@@ -91,7 +90,7 @@ func run() error {
 
 	reg := obs.Default()
 	var inj *fault.Injector
-	manifest := obs.NewManifest(0, "serve", *shards)
+	manifest := obs.NewManifest(0, "serve", 0)
 	if *chaosDrop > 0 || *chaosDelay > 0 || *chaosReset > 0 || *chaosError > 0 {
 		inj = fault.New(fault.Config{
 			Seed:     *chaosSeed,
@@ -108,10 +107,9 @@ func run() error {
 	reg.SetManifest(manifest)
 
 	opts := serve.Options{
-		Registry:      reg,
-		Log:           logger,
-		DefaultShards: *shards,
-		Fault:         inj,
+		Registry: reg,
+		Log:      logger,
+		Fault:    inj,
 		Flight: flight.New(flight.Options{
 			Registry:      reg,
 			Sample:        *traceSample,

@@ -1,6 +1,6 @@
 // Command predtrace reads the flight recorder of a running predserve and
 // renders it for humans: per-stage latency quantiles (decode → queue →
-// batch → exec → encode) and a waterfall of the slowest captured
+// exec → encode) and a waterfall of the slowest captured
 // requests, each bar segmented by where the request spent its time.
 //
 //	predtrace                          # fetch /v1/debug/requests from :8091
@@ -124,7 +124,6 @@ var stages = []struct {
 }{
 	{"decode", 'd', func(e flight.Entry) int64 { return e.DecodeNS }},
 	{"queue", 'q', func(e flight.Entry) int64 { return e.QueueNS }},
-	{"batch", 'b', func(e flight.Entry) int64 { return e.BatchNS }},
 	{"exec", 'x', func(e flight.Entry) int64 { return e.ExecNS }},
 	{"encode", 'e', func(e flight.Entry) int64 { return e.EncodeNS }},
 }
@@ -233,7 +232,7 @@ func renderCapture(w io.Writer, cap flight.Capture, top int) {
 	}
 	maxNS := byTotal[0].TotalNS
 
-	fmt.Fprintf(w, "\nslowest %d of %d (d=decode q=queue b=batch x=exec e=encode):\n", top, len(byTotal))
+	fmt.Fprintf(w, "\nslowest %d of %d (d=decode q=queue x=exec e=encode):\n", top, len(byTotal))
 	for _, e := range byTotal[:top] {
 		mark := ""
 		if len(e.Faults) > 0 {

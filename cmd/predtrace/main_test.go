@@ -21,8 +21,8 @@ func entry(seq uint64, id string, totalNS int64) flight.Entry {
 	return flight.Entry{
 		Seq: seq, ID: id, Route: "events", Transport: "wire",
 		Status: 200, Events: 256,
-		TotalNS: totalNS, DecodeNS: totalNS / 10, QueueNS: totalNS / 4,
-		BatchNS: totalNS / 2, ExecNS: totalNS / 8, EncodeNS: totalNS / 40,
+		TotalNS: totalNS, DecodeNS: totalNS / 10, QueueNS: totalNS / 2,
+		ExecNS: totalNS / 8, EncodeNS: totalNS / 40,
 	}
 }
 
@@ -43,7 +43,7 @@ func TestQuantile(t *testing.T) {
 func TestStageStats(t *testing.T) {
 	entries := []flight.Entry{entry(1, "a", 1e6), entry(2, "b", 3e6)}
 	stats := stageStats(entries)
-	if len(stats) != 6 || stats[len(stats)-1].Name != "total" {
+	if len(stats) != 5 || stats[len(stats)-1].Name != "total" {
 		t.Fatalf("stats = %+v", stats)
 	}
 	total := stats[len(stats)-1]
@@ -61,15 +61,15 @@ func TestWaterfallBar(t *testing.T) {
 	if len(bar) != barWidth {
 		t.Fatalf("bar width %d, want %d", len(bar), barWidth)
 	}
-	// Stage shares of the bar mirror their share of maxNS: batch is half
+	// Stage shares of the bar mirror their share of maxNS: queue is half
 	// the total, so roughly half the bar.
-	if n := strings.Count(bar, "b"); n < barWidth/2-2 || n > barWidth/2+2 {
-		t.Fatalf("batch segment %d cells of %d: %q", n, barWidth, bar)
+	if n := strings.Count(bar, "q"); n < barWidth/2-2 || n > barWidth/2+2 {
+		t.Fatalf("queue segment %d cells of %d: %q", n, barWidth, bar)
 	}
 	// A short request against a long scale pads with dots but keeps every
 	// live stage visible at >= 1 cell.
 	small := waterfallBar(entry(2, "b", 1e6), 32e6)
-	for _, st := range []string{"d", "q", "b", "x", "e"} {
+	for _, st := range []string{"d", "q", "x", "e"} {
 		if !strings.Contains(small, st) {
 			t.Fatalf("stage %q invisible in %q", st, small)
 		}

@@ -487,15 +487,17 @@ func (c *Client) SessionStats(id string) (*serve.StatsResponse, error) {
 	return &out, nil
 }
 
-// Snapshot quiesces the session and returns its binary snapshot.
+// Snapshot returns the session's binary snapshot, taken between two of
+// its posts.
 //
 //predlint:ignore testonly the client session API is the library's user surface
 func (c *Client) Snapshot(id string) ([]byte, error) {
 	return c.do(http.MethodGet, "/v1/sessions/"+id+"/snapshot", nil, "", "", postIDs{}, Retryable)
 }
 
-// Restore creates session id from a binary snapshot; shards > 0 reshards
-// the restored session. Like CreateSession it retries only provably
+// Restore creates session id from a binary snapshot; shards > 0 is sent
+// as the ?shards= query, which the server range-checks and otherwise
+// ignores. Like CreateSession it retries only provably
 // state-free refusals (429, 503): a blind retry of a PUT whose response
 // was lost would turn the success into a spurious 409, so a transport
 // failure surfaces as-is.

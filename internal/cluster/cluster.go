@@ -1,7 +1,7 @@
 // Package cluster is the horizontal tier over predserve: a front router
 // that consistent-hashes sessions across N backend instances and keeps
 // serving through the failures a single process cannot survive. Within
-// one process predserve already scales (the sharded engine pool) and
+// one process predserve already scales (one table and lock per session) and
 // already survives a kill it can see coming (COHSNAP1 checkpoint /
 // restore); this package closes the remaining gap — a node that dies
 // with no warning, and a node that must shed load while its sessions

@@ -73,8 +73,8 @@ func (rt *Router) Migrate(cid, target string) error {
 		e.mu.Unlock()
 	}
 
-	// Copy the drained session. The snapshot GET quiesces it at an event
-	// boundary; the snapshot carries tuning and the idempotency cache,
+	// Copy the drained session. The snapshot GET takes it between two
+	// posts; the snapshot carries tuning and the idempotency cache,
 	// so retries straddling the flip replay.
 	if down, err := rt.copySession(cid, src, tgt, nil); err != nil {
 		if down != nil {
@@ -112,8 +112,8 @@ func (rt *Router) Migrate(cid, target string) error {
 }
 
 // copySession copies session cid from src to dst under the same id: a
-// snapshot GET from src, which quiesces the session at an event
-// boundary, then a DELETE of any copy dst holds and a PUT of the
+// snapshot GET from src, which takes the session between two posts,
+// then a DELETE of any copy dst holds and a PUT of the
 // snapshot. Migrations and ships both move sessions this way. clear,
 // when non-nil, runs between the GET and the DELETE. The error names
 // the failed step; down is the node a transport failure came from, for

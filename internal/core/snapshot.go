@@ -11,11 +11,10 @@ import (
 	"cohpredict/internal/codec"
 )
 
-// Table checkpointing. AppendEntries writes the entries of a table, or of
-// the disjoint partitions of one table that a sharded session keeps,
-// straight from their slots into the entry section of a COHSNAP1 snapshot
-// (internal/eval), and ImportEntries reads a section back into empty
-// tables, checking each entry against the table's own parameters as it
+// Table checkpointing. AppendEntries writes the entries of a table
+// straight from its slots into the entry section of a COHSNAP1 snapshot
+// (internal/eval), and ImportEntries reads a section back into an empty
+// table, checking each entry against the table's own parameters as it
 // goes. A live engine is checkpointed and resumed byte-identically this
 // way (the serving layer's ship, migrate and kill/restore paths).
 //
@@ -29,7 +28,7 @@ import (
 //	sticky:                     [mask, trained, strikes[0..nodes)]
 //
 // where a PAs counter index is node<<depth | pattern. Key order makes the
-// section independent of slot order and of how the keys are partitioned.
+// section independent of slot order.
 
 // The ways an entry can fail to fit its table. They are static values so
 // the import kernel can return them without formatting; ImportEntries
@@ -50,58 +49,46 @@ var (
 	errStickyStrike  = errors.New("sticky strike count out of range")
 )
 
-// slotRef is one claimed slot: its key, and where it is — the index of
-// its table in the high 16 bits of at, its word offset below.
+// slotRef is one claimed slot: its key and its word offset.
 type slotRef struct {
-	key, at uint64
+	key uint64
+	off int
 }
 
-const refOffset = 1<<48 - 1
-
-// AppendEntries appends the entry section of ts to dst: the entries of
-// one table, or of disjoint partitions of one table (tables of one
-// scheme on one machine whose key sets do not overlap), merged in key
-// order. Each entry is written from its slot; the only other memory is
-// one slotRef per entry, to sort the keys.
-func AppendEntries(dst []byte, ts ...*FlatTable) []byte {
-	n := 0
-	for _, t := range ts {
-		n += t.n
-	}
-	dst = codec.AppendUvarint(dst, uint64(n))
-	if n == 0 {
+// AppendEntries appends the entry section of t to dst, in key order.
+// Each entry is written from its slot; the only other memory is one
+// slotRef per entry, to sort the keys.
+func AppendEntries(dst []byte, t *FlatTable) []byte {
+	dst = codec.AppendUvarint(dst, uint64(t.n))
+	if t.n == 0 {
 		return dst
 	}
-	refs := make([]slotRef, 0, n)
-	for ti, t := range ts {
-		for off := 0; off < len(t.slots); off += t.width {
-			if key := t.slots[off]; key != 0 {
-				refs = append(refs, slotRef{key: key - 1, at: uint64(ti)<<48 | uint64(off)})
-			}
+	refs := make([]slotRef, 0, t.n)
+	for off := 0; off < len(t.slots); off += t.width {
+		if key := t.slots[off]; key != 0 {
+			refs = append(refs, slotRef{key: key - 1, off: off})
 		}
 	}
 	slices.SortFunc(refs, func(a, b slotRef) int { return cmp.Compare(a.key, b.key) })
-	return appendSorted(dst, ts, refs)
+	return t.appendSorted(dst, refs)
 }
 
 // appendSorted appends the entries refs point at, in refs' order, which
 // is strictly increasing key order.
 //
 //predlint:hotpath
-func appendSorted(dst []byte, ts []*FlatTable, refs []slotRef) []byte {
-	most := ts[0].maxEntryBytes()
+func (t *FlatTable) appendSorted(dst []byte, refs []slotRef) []byte {
+	most := t.maxEntryBytes()
 	prev := uint64(0)
 	for i := range refs {
 		r := &refs[i]
-		t := ts[r.at>>48]
-		off := int(r.at & refOffset)
 		if cap(dst)-len(dst) < most {
 			dst = slices.Grow(dst, most)
 		}
 		b := dst[:cap(dst)]
 		j := codec.PutUvarint(b, len(dst), r.key-prev) // the first key whole
 		prev = r.key
-		dst = b[:t.putEntry(b, j, t.slots[off+1:off+t.width])]
+		dst = b[:t.putEntry(b, j, t.slots[r.off+1:r.off+t.width])]
 	}
 	return dst
 }
@@ -185,45 +172,34 @@ func (t *FlatTable) putEntry(b []byte, j int, w []uint64) int {
 }
 
 // ImportEntries reads the entry section sec, as AppendEntries writes it,
-// into ts: empty tables of one scheme on one machine, each key going to
-// ts[route(key)] (route may be nil when there is one table). The tables
-// are sized for exactly the entries they receive before any is read.
-// Every entry is checked as it is read: canonical uvarints, strictly
-// increasing keys, keys inside the index, and the table kind's word
-// count and ranges; sec must end where its last entry does. On error the
-// tables hold whatever was read before it, and callers discard them.
-func ImportEntries(sec []byte, ts []*FlatTable, route func(key uint64) int) error {
+// into t, an empty table, sized for exactly the entries it receives
+// before any is read. Every entry is checked as it is read: canonical
+// uvarints, strictly increasing keys, keys inside the index, and the
+// table kind's word count and ranges; sec must end where its last entry
+// does. On error the table holds whatever was read before it, and
+// callers discard it.
+func ImportEntries(sec []byte, t *FlatTable) error {
 	n, k, err := entryCount(sec)
 	if err != nil {
 		return err
 	}
 	sec = sec[k:]
-	// The tables are sized from n before any entry is read, so n must be
+	// The table is sized from n before any entry is read, so n must be
 	// one the bytes can hold at the table kind's smallest entry.
-	if n > len(sec)/ts[0].minEntryBytes() {
+	if n > len(sec)/t.minEntryBytes() {
 		return fmt.Errorf("core: entry count: %w", codec.ErrCount)
 	}
-	switch {
-	case ts[0].size == 0: // a shape: nothing to size
-	case len(ts) == 1:
-		ts[0].reserve(n)
-	default:
-		counts := make([]int, len(ts))
-		if _, err := scanEntries(sec, n, counts, route); err != nil {
-			return fmt.Errorf("core: entries: %w", err)
-		}
-		for i, t := range ts {
-			t.reserve(counts[i])
-		}
+	if t.size != 0 { // a shape has nothing to size
+		t.reserve(n)
 	}
-	if i, key, err := importEntries(sec, n, ts, route); err != nil {
+	if i, key, err := importEntries(sec, n, t); err != nil {
 		return fmt.Errorf("core: entry %d (key %#x): %w", i, key, err)
 	}
 	return nil
 }
 
 // CheckEntries checks the entry section sec exactly as ImportEntries
-// checks it on its way into tables of scheme s on machine m, and returns
+// checks it on its way into a table of scheme s on machine m, and returns
 // the error ImportEntries would, without a table: it imports into a
 // shape, which reads every entry into one scratch slot and claims none.
 // A scheme whose index does not fit m is an error here, where NewTable
@@ -234,7 +210,7 @@ func CheckEntries(sec []byte, s Scheme, m Machine) error {
 		return err
 	}
 	t.slots = make([]uint64, t.width)
-	return ImportEntries(sec, []*FlatTable{t}, nil)
+	return ImportEntries(sec, t)
 }
 
 // EntriesLen returns the length of the entry section at the front of b,
@@ -245,7 +221,7 @@ func EntriesLen(b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m, err := scanEntries(b[k:], n, nil, nil)
+	m, err := scanEntries(b[k:], n)
 	if err != nil {
 		return 0, fmt.Errorf("core: entries: %w", err)
 	}
@@ -267,16 +243,13 @@ func entryCount(b []byte) (n, k int, err error) {
 }
 
 // scanEntries walks n entries at the front of b without decoding their
-// words and returns the bytes they take. With counts, it also counts the
-// entries route sends to each table; the key deltas are summed without
-// the overflow and order checks that importEntries makes.
+// words and returns the bytes they take.
 //
 //predlint:hotpath
-func scanEntries(b []byte, n int, counts []int, route func(uint64) int) (int, error) {
+func scanEntries(b []byte, n int) (int, error) {
 	i := 0
-	var key uint64
 	for ; n > 0; n-- {
-		d, k, ok := codec.Uvarint(b[i:])
+		_, k, ok := codec.Uvarint(b[i:]) // the key delta
 		if !ok {
 			return 0, codec.UvarintErr(k)
 		}
@@ -296,10 +269,6 @@ func scanEntries(b []byte, n int, counts []int, route func(uint64) int) (int, er
 			}
 			i += k
 		}
-		if counts != nil {
-			key += d
-			counts[route(key)]++
-		}
 	}
 	return i, nil
 }
@@ -311,11 +280,11 @@ func (t *FlatTable) reserve(n int) {
 	}
 }
 
-// importEntries reads n entries from b into the tables and checks that
-// they end b. On error it returns the failing entry's position and key.
+// importEntries reads n entries from b into t and checks that they end
+// b. On error it returns the failing entry's position and key.
 //
 //predlint:hotpath
-func importEntries(b []byte, n int, ts []*FlatTable, route func(uint64) int) (int, uint64, error) {
+func importEntries(b []byte, n int, t *FlatTable) (int, uint64, error) {
 	var key uint64
 	for i := 0; i < n; i++ {
 		d, k, ok := codec.Uvarint(b)
@@ -333,10 +302,6 @@ func importEntries(b []byte, n int, ts []*FlatTable, route func(uint64) int) (in
 			d += key
 		}
 		key = d
-		t := ts[0]
-		if route != nil {
-			t = ts[route(key)]
-		}
 		if key>>uint(t.keyBits) != 0 {
 			return i, key, errKeyRange
 		}

@@ -72,7 +72,7 @@ func entryWords(t *testing.T, tab *FlatTable, key uint64) []uint64 {
 
 // importOne imports a section into one table.
 func importOne(tab *FlatTable, entries []testEntry) error {
-	return ImportEntries(encodeSection(entries), []*FlatTable{tab}, nil)
+	return ImportEntries(encodeSection(entries), tab)
 }
 
 // snapshotSchemes covers every table kind the export/import layer knows,
@@ -121,8 +121,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 				}
 			}
 
+			if n, err := EntriesLen(append(sec, 0xee)); err != nil || n != len(sec) {
+				t.Fatalf("EntriesLen = %d, %v; want %d", n, err, len(sec))
+			}
 			restored := NewTable(sc, m)
-			if err := ImportEntries(sec, []*FlatTable{restored}, nil); err != nil {
+			if err := ImportEntries(sec, restored); err != nil {
 				t.Fatalf("import: %v", err)
 			}
 			if restored.Entries() != orig.Entries() {
@@ -223,7 +226,7 @@ func TestImportRejectsDuplicateKeys(t *testing.T) {
 // TestImportBoundsEntryCount: a section claiming as many entries as its
 // bytes hold at two bytes each (a key delta and a word count of 0) is
 // refused before any table is sized for them, for every table kind, into
-// one table and into two, allocating less than the section's own size.
+// one table, allocating less than the section's own size.
 func TestImportBoundsEntryCount(t *testing.T) {
 	const n = 1 << 18
 	sec := codec.AppendUvarint(nil, n)
@@ -233,18 +236,16 @@ func TestImportBoundsEntryCount(t *testing.T) {
 	m := Machine{Nodes: 16, LineBytes: 64}
 	for _, sc := range snapshotSchemes() {
 		t.Run(sc.String(), func(t *testing.T) {
-			one := []*FlatTable{NewTable(sc, m)}
-			two := []*FlatTable{NewTable(sc, m), NewTable(sc, m)}
+			one := NewTable(sc, m)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err1 := ImportEntries(sec, one, nil)
-			err2 := ImportEntries(sec, two, func(k uint64) int { return int(k & 1) })
+			err := ImportEntries(sec, one)
 			runtime.ReadMemStats(&after)
 			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(sec)) {
 				t.Fatalf("refusing a %d-byte section allocated %d bytes", len(sec), got)
 			}
-			if !errors.Is(err1, codec.ErrCount) || !errors.Is(err2, codec.ErrCount) {
-				t.Fatalf("into one table: %v; into two: %v; want %v", err1, err2, codec.ErrCount)
+			if !errors.Is(err, codec.ErrCount) {
+				t.Fatalf("import: %v; want %v", err, codec.ErrCount)
 			}
 		})
 	}
@@ -285,49 +286,9 @@ func stickyEntryWords(nodes int, mask, trained uint64) []uint64 {
 	return w
 }
 
-// TestPartitionedSectionRoundTrip: the disjoint partitions of a table
-// write the section the whole table does, and a section imported into
-// partitions by a route writes it again, for every table kind.
-func TestPartitionedSectionRoundTrip(t *testing.T) {
-	m := Machine{Nodes: 16, LineBytes: 64}
-	route := func(key uint64) int { return int(key*0x9E3779B97F4A7C15>>61) % 3 }
-	for _, sc := range snapshotSchemes() {
-		t.Run(sc.String(), func(t *testing.T) {
-			whole := NewTable(sc, m)
-			parts := []*FlatTable{NewTable(sc, m), NewTable(sc, m), NewTable(sc, m)}
-			rng := rand.New(rand.NewSource(4))
-			for i := 0; i < 3000; i++ {
-				key := uint64(rng.Intn(256))
-				fb := bitmap.Bitmap(rng.Uint64()) & bitmap.Full(m.Nodes)
-				whole.Train(key, fb)
-				parts[route(key)].Train(key, fb)
-			}
-			want := AppendEntries(nil, whole)
-			if got := AppendEntries(nil, parts...); !bytes.Equal(got, want) {
-				t.Fatal("partitions write a different section than the whole table")
-			}
-			again := []*FlatTable{NewTable(sc, m), NewTable(sc, m), NewTable(sc, m)}
-			if err := ImportEntries(want, again, route); err != nil {
-				t.Fatal(err)
-			}
-			for i := range again {
-				if again[i].Entries() != parts[i].Entries() {
-					t.Fatalf("partition %d holds %d entries, want %d", i, again[i].Entries(), parts[i].Entries())
-				}
-			}
-			if got := AppendEntries(nil, again...); !bytes.Equal(got, want) {
-				t.Fatal("a section imported into partitions writes different bytes")
-			}
-			if n, err := EntriesLen(append(want, 0xee)); err != nil || n != len(want) {
-				t.Fatalf("EntriesLen = %d, %v; want %d", n, err, len(want))
-			}
-		})
-	}
-}
-
 // TestSectionRejects feeds ImportEntries and EntriesLen sections broken
-// in every way their checks name. Each must fail, into one table and into
-// two, and EntriesLen must fail on the structural ones.
+// in every way their checks name. Each must fail, and EntriesLen must
+// fail on the structural ones.
 func TestSectionRejects(t *testing.T) {
 	m := Machine{Nodes: 16, LineBytes: 64}
 	idx := IndexSpec{UseDir: true, AddrBits: 8}
@@ -361,12 +322,8 @@ func TestSectionRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := ImportEntries(tc.sec, []*FlatTable{NewTable(tc.scheme, m)}, nil); err == nil {
-				t.Error("one table: accepted")
-			}
-			two := []*FlatTable{NewTable(tc.scheme, m), NewTable(tc.scheme, m)}
-			if err := ImportEntries(tc.sec, two, func(k uint64) int { return int(k & 1) }); err == nil {
-				t.Error("two tables: accepted")
+			if err := ImportEntries(tc.sec, NewTable(tc.scheme, m)); err == nil {
+				t.Error("accepted")
 			}
 			if _, err := EntriesLen(tc.sec); (err != nil) != tc.structural {
 				t.Errorf("EntriesLen error %v, structural %v", err, tc.structural)
@@ -489,7 +446,7 @@ func TestCheckEntries(t *testing.T) {
 				t.Fatalf("%v: CheckEntries refused a table's own section: %v", sc, err)
 			}
 			bad := append(slices.Clone(sec), 0)
-			want := ImportEntries(bad, []*FlatTable{NewTable(sc, m)}, nil)
+			want := ImportEntries(bad, NewTable(sc, m))
 			if err := CheckEntries(bad, sc, m); want == nil || fmt.Sprint(err) != fmt.Sprint(want) {
 				t.Fatalf("%v: CheckEntries of a section with a trailing byte: %v, ImportEntries: %v", sc, err, want)
 			}
@@ -507,8 +464,8 @@ func TestCheckEntries(t *testing.T) {
 // FuzzImportEntries checks the entry kernels against codec.Reader and
 // the replaced importer's checks: EntriesLen accepts what a Reader walk
 // of the structure accepts and finds the same end, ImportEntries accepts
-// exactly what refImport does, into one table or into partitions, and a
-// section it accepts is canonical — the tables write it back bit for bit.
+// exactly what refImport does, and a section it accepts is canonical —
+// the table writes it back bit for bit.
 func FuzzImportEntries(f *testing.F) {
 	m := Machine{Nodes: 16, LineBytes: 64}
 	for i, sc := range snapshotSchemes() {
@@ -521,7 +478,6 @@ func FuzzImportEntries(f *testing.F) {
 	}
 	f.Add(uint8(0), []byte{2, 5, 2, 1, 3, 0, 2, 1, 3})
 	f.Add(uint8(4), []byte{1, 1, 18, 0x81, 0x00, 1})
-	route := func(key uint64) int { return int(key>>3) % 2 }
 	f.Fuzz(func(t *testing.T, kind uint8, sec []byte) {
 		sc := snapshotSchemes()[int(kind)%len(snapshotSchemes())]
 		_, wantLen, wantErr := refSection(sec)
@@ -530,25 +486,18 @@ func FuzzImportEntries(f *testing.F) {
 		}
 		one := NewTable(sc, m)
 		want := refImport(one, sec)
-		err := ImportEntries(sec, []*FlatTable{one}, nil)
+		err := ImportEntries(sec, one)
 		if (err == nil) != (want == nil) {
 			t.Fatalf("ImportEntries error %v, the replaced importer's %v", err, want)
 		}
 		if cerr := CheckEntries(sec, sc, m); fmt.Sprint(cerr) != fmt.Sprint(err) {
 			t.Fatalf("CheckEntries error %v, ImportEntries' %v", cerr, err)
 		}
-		parts := []*FlatTable{NewTable(sc, m), NewTable(sc, m)}
-		if perr := ImportEntries(sec, parts, route); (perr == nil) != (err == nil) {
-			t.Fatalf("into one table: %v; into two: %v", err, perr)
-		}
 		if err != nil {
 			return
 		}
 		if got := AppendEntries(nil, one); !bytes.Equal(got, sec) {
 			t.Fatalf("accepted section is not canonical: %x writes back as %x", sec, got)
-		}
-		if got := AppendEntries(nil, parts...); !bytes.Equal(got, sec) {
-			t.Fatalf("partitions write back %x, want %x", got, sec)
 		}
 	})
 }

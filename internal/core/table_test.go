@@ -91,7 +91,7 @@ func TestChosenKeysDoNotCluster(t *testing.T) {
 		t.Error("two tables laid the same keys out alike: the hash seed is not per table")
 	}
 	restored := NewTable(s, m16)
-	if err := ImportEntries(AppendEntries(nil, trained), []*FlatTable{restored}, nil); err != nil {
+	if err := ImportEntries(AppendEntries(nil, trained), restored); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -10,14 +10,12 @@ import (
 // compiled index k: it trains per the update mechanism's exact timing
 // (core.UpdateMode.Schedule, paper §3.4), reads the prediction, and masks
 // the writer (a node never forwards to itself). Engine.Step delegates
-// here, and the serving layer's shard workers call it directly against
-// their partition of the key space, so served predictions are
-// byte-identical to offline evaluation by construction.
+// here, and each serving session calls it directly against its one
+// table, so served predictions are byte-identical to offline evaluation
+// by construction.
 //
 // Apply touches only the entries for the event's current key and (under
-// forwarded update) previous-writer key. Both share the event's dir and
-// addr fields, which is what lets a table be partitioned by the dir+addr
-// component of the key (see internal/serve's router).
+// forwarded update) previous-writer key.
 //
 //predlint:hotpath
 func Apply(u core.UpdateMode, k *core.Keyer, t *core.FlatTable, ev *trace.Event) bitmap.Bitmap {

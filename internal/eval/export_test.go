@@ -8,8 +8,8 @@ import (
 )
 
 // The offline engine's snapshot round trip: the tests' reference for
-// COHSNAP1 beside the serving layer's own (AppendSnapshot from shard
-// tables, DecodeSnapshot, Restore into them).
+// COHSNAP1 beside the serving layer's own (AppendSnapshot from a
+// session's table, DecodeSnapshot, Restore into one).
 
 // events returns the number of events the engine has scored: each one
 // adds Nodes decisions to its tallies, which a snapshot's header must
@@ -38,7 +38,7 @@ func NewEngineFromSnapshot(s *Snapshot) (*Engine, error) {
 		return nil, fmt.Errorf("eval: snapshot machine: %w", err)
 	}
 	e := NewEngine(s.Scheme, s.Machine)
-	if err := s.Restore([]*core.FlatTable{e.table}, nil); err != nil {
+	if err := s.Restore(e.table); err != nil {
 		return nil, err
 	}
 	e.conf = s.Conf

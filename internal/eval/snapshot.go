@@ -17,14 +17,14 @@ import (
 //
 // The wire form, COHSNAP1, is an 8-byte magic, then canonical uvarints
 // only (internal/codec): the header, the entry section that
-// core.AppendEntries writes straight from the tables (entries sorted by
+// core.AppendEntries writes straight from the table (entries sorted by
 // key and delta-coded), then the length-prefixed Extra section. Two
 // properties the chaos tests and the fuzz target rely on:
 //
 //   - canonical: AppendSnapshot is a pure function of the header and the
-//     tables, and Decode with Restore rejects any non-minimal or
-//     non-sorted form, so restored tables snapshot back to the bytes they
-//     came from;
+//     table, and Decode with Restore rejects any non-minimal or
+//     non-sorted form, so a restored table snapshots back to the bytes
+//     it came from;
 //   - total: neither Decode nor Restore panics, whatever the input.
 
 // snapMagic identifies the snapshot wire format (and its version).
@@ -36,7 +36,7 @@ const maxSnapExtra = 1 << 24
 // Snapshot is the checkpointed state of one Engine, plus an opaque Extra
 // section for the layer above (internal/serve stores session tuning and
 // idempotency state there). Its table entries stay in their wire form:
-// AppendSnapshot writes them straight from the tables, and a decoded
+// AppendSnapshot writes them straight from the table, and a decoded
 // snapshot keeps the section it was read from until Restore imports it.
 type Snapshot struct {
 	Scheme  core.Scheme
@@ -48,23 +48,22 @@ type Snapshot struct {
 	entries []byte // the entry section; nil means no entries
 }
 
-// Restore imports the snapshot's entries into ts, empty tables of its
-// scheme on its machine, each key into ts[route(key)] (route may be nil
-// for one table): one table, or the disjoint partitions a sharded
-// session keeps. It checks every entry as it reads it (core.ImportEntries);
-// on error the tables are partly filled and must be discarded.
-func (s *Snapshot) Restore(ts []*core.FlatTable, route func(key uint64) int) error {
+// Restore imports the snapshot's entries into t, an empty table of its
+// scheme on its machine. It checks every entry as it reads it
+// (core.ImportEntries); on error the table is partly filled and must be
+// discarded.
+func (s *Snapshot) Restore(t *core.FlatTable) error {
 	if s.entries == nil {
 		return nil
 	}
-	if err := core.ImportEntries(s.entries, ts, route); err != nil {
+	if err := core.ImportEntries(s.entries, t); err != nil {
 		return fmt.Errorf("eval: snapshot %w", err)
 	}
 	return nil
 }
 
 // Check checks the snapshot's entries exactly as Restore checks them
-// on their way into tables of its scheme on its machine, without a table
+// on their way into a table of its scheme on its machine, without a table
 // (core.CheckEntries), and returns the error Restore would.
 func (s *Snapshot) Check() error {
 	if s.entries == nil {
@@ -77,14 +76,13 @@ func (s *Snapshot) Check() error {
 }
 
 // AppendSnapshot appends to dst the wire form of a snapshot with s's
-// header whose entries are those of ts, written straight from their
-// slots (core.AppendEntries merges disjoint partitions in key order), up
-// to and including the length of an Extra section of extraLen bytes. The
-// caller appends those bytes itself; s.Extra is not read. That lets the
-// serving layer write its section in place instead of building and
-// copying it.
-func AppendSnapshot(dst []byte, s *Snapshot, extraLen int, ts ...*core.FlatTable) []byte {
-	dst = core.AppendEntries(appendHeader(dst, s), ts...)
+// header whose entries are those of t, written straight from its slots
+// (core.AppendEntries), up to and including the length of an Extra
+// section of extraLen bytes. The caller appends those bytes itself;
+// s.Extra is not read. That lets the serving layer write its section in
+// place instead of building and copying it.
+func AppendSnapshot(dst []byte, s *Snapshot, extraLen int, t *core.FlatTable) []byte {
+	dst = core.AppendEntries(appendHeader(dst, s), t)
 	return codec.AppendUvarint(dst, uint64(extraLen))
 }
 

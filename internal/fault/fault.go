@@ -11,9 +11,8 @@
 // *rand.Rand derived from the injector seed and the point name, so
 //
 //   - every decision stream is replayable from the seed alone, and
-//   - a timing-sensitive point (for example a shard worker's delay draw,
-//     whose call count depends on micro-batch coalescing) cannot perturb
-//     the decision streams of the other points.
+//   - a point whose call count depends on timing cannot perturb the
+//     decision streams of the other points.
 //
 // Decisions at a single point are deterministic when the point is driven
 // sequentially — which is exactly how the chaos tests drive the service

@@ -7,13 +7,14 @@
 //
 // Every event post gets a pooled Record stamped through its life:
 //
-//	decode → queue-wait → batch-wait → shard-execute → encode
+//	decode → queue-wait → execute → encode
 //
-// The handler stamps decode/encode and the request identity (client
-// X-Request-ID, transport, byte sizes); the session stamps the enqueue
-// instant; the shard workers stamp batch execution through two hot-path
-// kernels (NoteBatch, MarkFault) that cost a few atomic operations per
-// micro-batch — never per event — and allocate nothing.
+// Only the request's own goroutine stamps its record. The handler stamps
+// decode/encode and the request identity (client X-Request-ID,
+// transport, byte sizes); the session stamps the admission instant, and
+// the kernel run under the session's table lock through two hot-path
+// kernels (NoteExec, MarkFault) that cost a few plain stores per post —
+// never per event — and allocate nothing.
 //
 // At Finish the record is promoted tail-based: requests that erred, were
 // hit by an injected fault, or ran slower than the threshold always land
@@ -29,12 +30,11 @@
 // request twice, and entries are ordered by a global finish sequence —
 // deterministic structure, values vary.
 //
-// Stage semantics: the stages are independently measured intervals, not
-// a partition of the total. queue_wait spans enqueue → first shard
-// execution start (it therefore contains the first micro-batch's
-// coalescing window); batch_wait accumulates each distinct micro-batch's
-// coalescing wait; shard_exec accumulates the processing time of every
-// micro-batch that carried one of the request's events.
+// Stage semantics: the stages are measured intervals of one request, not
+// a partition of its total. queue_wait spans admission → the instant the
+// post takes its session's table lock (so it holds an injected delay and
+// the wait behind the posts ahead); shard_exec is the kernel's time under
+// the lock.
 //
 // All wall-clock reads funnel through Nanos — the single function on
 // predlint's clock allowlist for this package and for serve — so the
@@ -72,7 +72,7 @@ const (
 // the event path.
 const (
 	FaultDrop  uint32 = 1 << iota // batch dropped at queue admission (503)
-	FaultDelay                    // shard micro-batch stalled
+	FaultDelay                    // admitted post stalled before the lock
 	FaultError                    // injected 500 before processing
 	FaultReset                    // connection reset after processing
 )
@@ -137,14 +137,12 @@ type Options struct {
 type histSet struct {
 	request *obs.Histogram // serve_request_seconds_<route>_<transport>
 	queue   *obs.Histogram // serve_queue_wait_seconds_<route>_<transport>
-	batch   *obs.Histogram // serve_batch_wait_seconds_<route>_<transport>
 	exec    *obs.Histogram // serve_shard_exec_seconds_<route>_<transport>
 }
 
-// Record is one request's flight trace. The handler goroutine owns the
-// plain fields; shard workers touch only the atomic ones, through
-// NoteBatch and MarkFault. All methods are nil-safe so an untraced call
-// path (standalone sessions, disabled recorder) costs one pointer test.
+// Record is one request's flight trace, written only by the request's
+// goroutine. All methods are nil-safe so an untraced call path
+// (standalone sessions, disabled recorder) costs one pointer test.
 // Ownership moves by handoff only — pool Get, ring Swap, Finish — and
 // the //predlint:owned contract makes touching a record after handing it
 // off a lint finding.
@@ -166,33 +164,20 @@ type Record struct {
 
 	start    int64 // Nanos at Begin
 	enqueue  int64 // Nanos when the session admitted the batch
+	execAt   int64 // Nanos when the post took the session's table lock
 	decodeNS int64
 	encodeNS int64
-	queueNS  int64 // derived at Finish
-	totalNS  int64 // derived at Finish
-
-	// Stamped by shard workers, possibly concurrently from several shards.
-	// A post lands in at most one micro-batch per shard it touches, so
-	// batches never exceeds the session's shard count.
-	firstExec atomic.Int64  // earliest micro-batch execution start
-	batchNS   atomic.Int64  // accumulated coalescing wait across batches
-	execNS    atomic.Int64  // accumulated processing time across batches
-	batches   atomic.Int64  // micro-batches that carried this request
-	fault     atomic.Uint32 // Fault* bits
+	execNS   int64  // the kernel's time under the lock
+	batches  int64  // kernel runs that carried this request: 0 or 1
+	fault    uint32 // Fault* bits
+	queueNS  int64  // derived at Finish
+	totalNS  int64  // derived at Finish
 }
 
 // reset clears a pooled record for reuse. The recorder owns the record
 // exclusively here (pool Get / ring Swap both order the handoff).
 func (r *Record) reset() {
-	r.id, r.session, r.route, r.transport, r.hist = "", "", "", "", nil
-	r.seq, r.status, r.events, r.bytesIn, r.bytesOut = 0, 0, 0, 0, 0
-	r.replay = false
-	r.start, r.enqueue, r.decodeNS, r.encodeNS, r.queueNS, r.totalNS = 0, 0, 0, 0, 0, 0
-	r.firstExec.Store(0)
-	r.batchNS.Store(0)
-	r.execNS.Store(0)
-	r.batches.Store(0)
-	r.fault.Store(0)
+	*r = Record{}
 }
 
 // SetID records the client-supplied X-Request-ID. Safe on nil.
@@ -252,8 +237,8 @@ func (r *Record) AddEncode(ns int64) {
 	}
 }
 
-// SetEnqueue stamps the instant the session admitted the batch to the
-// shard queues; queue_wait is measured from here. Safe on nil.
+// SetEnqueue stamps the instant the session admitted the batch;
+// queue_wait is measured from here. Safe on nil.
 func (r *Record) SetEnqueue(ns int64) {
 	if r != nil {
 		r.enqueue = ns
@@ -268,46 +253,23 @@ func (r *Record) MarkReplay() {
 	}
 }
 
-// MarkFault ORs an injected-fault bit into the record. Shard workers and
-// the handler may race; the CAS loop makes the OR atomic without
-// sync/atomic's 1.23-only Or. Safe on nil.
+// MarkFault ORs an injected-fault bit into the record. Safe on nil.
 //
 //predlint:hotpath
 func (r *Record) MarkFault(bits uint32) {
-	if r == nil {
-		return
-	}
-	for {
-		old := r.fault.Load()
-		if old&bits == bits || r.fault.CompareAndSwap(old, old|bits) {
-			return
-		}
+	if r != nil {
+		r.fault |= bits
 	}
 }
 
-// NoteBatch is the shard worker's stamping kernel, called once per
-// (request, micro-batch): execStart is the batch's processing start,
-// wait its coalescing wait, exec its processing time. A post sends each
-// shard at most one run, and a run rides exactly one micro-batch, so no
-// batch stamps a record twice.
-// Cost: a handful of atomic ops per batch, zero allocation. Safe on nil.
+// NoteExec stamps the post's one kernel run: start is the instant it
+// took the session's table lock, exec the kernel's time under it.
+// Cost: three stores, zero allocation. Safe on nil.
 //
 //predlint:hotpath
-func (r *Record) NoteBatch(execStart, wait, exec int64) {
-	if r == nil {
-		return
-	}
-	r.batches.Add(1)
-	r.batchNS.Add(wait)
-	r.execNS.Add(exec)
-	for {
-		old := r.firstExec.Load()
-		if old != 0 && old <= execStart {
-			return
-		}
-		if r.firstExec.CompareAndSwap(old, execStart) {
-			return
-		}
+func (r *Record) NoteExec(start, exec int64) {
+	if r != nil {
+		r.execAt, r.execNS, r.batches = start, exec, 1
 	}
 }
 
@@ -409,7 +371,6 @@ func (rec *Recorder) histSet(route, transport string) *histSet {
 		hs = &histSet{
 			request: rec.reg.Histogram("serve_request_seconds_"+key, LatencyBuckets),
 			queue:   rec.reg.Histogram("serve_queue_wait_seconds_"+key, LatencyBuckets),
-			batch:   rec.reg.Histogram("serve_batch_wait_seconds_"+key, LatencyBuckets),
 			exec:    rec.reg.Histogram("serve_shard_exec_seconds_"+key, LatencyBuckets),
 		}
 		rec.hists[key] = hs
@@ -453,18 +414,17 @@ func (rec *Recorder) Finish(r *Record, status int) {
 	}
 	r.status = status
 	r.totalNS = Nanos() - r.start
-	if first := r.firstExec.Load(); first > 0 && r.enqueue > 0 && first > r.enqueue {
-		r.queueNS = first - r.enqueue
+	if r.execAt > 0 && r.enqueue > 0 && r.execAt > r.enqueue {
+		r.queueNS = r.execAt - r.enqueue
 	}
 	r.seq = rec.seq.Add(1)
 	if hs := r.hist; hs != nil {
 		hs.request.Observe(float64(r.totalNS) / 1e9)
 		hs.queue.Observe(float64(r.queueNS) / 1e9)
-		hs.batch.Observe(float64(r.batchNS.Load()) / 1e9)
-		hs.exec.Observe(float64(r.execNS.Load()) / 1e9)
+		hs.exec.Observe(float64(r.execNS) / 1e9)
 	}
 	switch {
-	case status >= 400 || r.fault.Load() != 0 || r.totalNS >= rec.slowNS:
+	case status >= 400 || r.fault != 0 || r.totalNS >= rec.slowNS:
 		rec.recycle(rec.slow.put(r))
 	case r.seq%rec.sample == 0:
 		rec.recycle(rec.ring.put(r))
@@ -506,9 +466,11 @@ type Entry struct {
 	TotalNS   int64    `json:"total_ns"`
 	DecodeNS  int64    `json:"decode_ns"`
 	QueueNS   int64    `json:"queue_ns"`
-	BatchNS   int64    `json:"batch_ns"`
-	ExecNS    int64    `json:"exec_ns"`
-	EncodeNS  int64    `json:"encode_ns"`
+	// BatchNS is always 0: a post no longer waits to join a batch. The
+	// field stays because the _perfbench harness reads it.
+	BatchNS  int64 `json:"batch_ns"`
+	ExecNS   int64 `json:"exec_ns"`
+	EncodeNS int64 `json:"encode_ns"`
 }
 
 // Capture is the /v1/debug/{requests,slow} response document.
@@ -547,16 +509,15 @@ func (rec *Recorder) Capture(kind string) Capture {
 			Session:   r.session,
 			Status:    r.status,
 			Events:    r.events,
-			Batches:   r.batches.Load(),
+			Batches:   r.batches,
 			BytesIn:   r.bytesIn,
 			BytesOut:  r.bytesOut,
 			Replay:    r.replay,
-			Faults:    faultNames(r.fault.Load()),
+			Faults:    faultNames(r.fault),
 			TotalNS:   r.totalNS,
 			DecodeNS:  r.decodeNS,
 			QueueNS:   r.queueNS,
-			BatchNS:   r.batchNS.Load(),
-			ExecNS:    r.execNS.Load(),
+			ExecNS:    r.execNS,
 			EncodeNS:  r.encodeNS,
 		})
 		rec.pool.Put(r)

@@ -35,7 +35,7 @@ func TestNilSafety(t *testing.T) {
 	r.SetEnqueue(6)
 	r.MarkReplay()
 	r.MarkFault(FaultDrop)
-	r.NoteBatch(2, 3, 4)
+	r.NoteExec(2, 3)
 	if r.ID() != "" {
 		t.Fatalf("nil record ID = %q, want empty", r.ID())
 	}
@@ -82,7 +82,7 @@ func TestLifecycleAndCapture(t *testing.T) {
 	r.AddDecode(500)
 	r.AddEncode(2000)
 	r.SetEnqueue(r.start + 10)
-	r.NoteBatch(r.start+100, 40, 60)
+	r.NoteExec(r.start+100, 60)
 	rec.Finish(r, 200)
 
 	if n := rec.seq.Load(); n != 1 {
@@ -99,10 +99,10 @@ func TestLifecycleAndCapture(t *testing.T) {
 	if e.ID != "req-1" || e.Session != "sess-9" || e.Route != RouteEvents ||
 		e.Transport != TransportWire || e.Status != 200 || e.Events != 128 ||
 		e.BytesIn != 4096 || e.BytesOut != 512 || e.Batches != 1 ||
-		e.DecodeNS != 1500 || e.EncodeNS != 2000 || e.BatchNS != 40 || e.ExecNS != 60 {
+		e.DecodeNS != 1500 || e.EncodeNS != 2000 || e.BatchNS != 0 || e.ExecNS != 60 {
 		t.Fatalf("entry = %+v", e)
 	}
-	if e.QueueNS != 90 { // firstExec(start+100) - enqueue(start+10)
+	if e.QueueNS != 90 { // execAt(start+100) - enqueue(start+10)
 		t.Fatalf("queue_ns = %d, want 90", e.QueueNS)
 	}
 	if e.TotalNS <= 0 {
@@ -116,7 +116,6 @@ func TestLifecycleAndCapture(t *testing.T) {
 	for _, name := range []string{
 		"serve_request_seconds_events_wire",
 		"serve_queue_wait_seconds_events_wire",
-		"serve_batch_wait_seconds_events_wire",
 		"serve_shard_exec_seconds_events_wire",
 	} {
 		h, ok := snap.Histograms[name]
@@ -193,24 +192,23 @@ func TestReplayFlagSurvivesCapture(t *testing.T) {
 	}
 }
 
-func TestNoteBatchFirstExec(t *testing.T) {
-	r := new(Record)
-	// Each batch accumulates; an earlier execStart wins firstExec.
-	r.NoteBatch(500, 30, 70)
-	r.NoteBatch(400, 5, 25)
-	if got := r.batches.Load(); got != 2 {
-		t.Fatalf("batches = %d, want 2", got)
+func TestNoteExec(t *testing.T) {
+	rec := New(Options{Sample: 1, SlowThreshold: time.Hour})
+	r := rec.Begin(RouteEvents, TransportWire)
+	r.SetEnqueue(400)
+	r.NoteExec(500, 70)
+	if r.batches != 1 || r.execAt != 500 || r.execNS != 70 {
+		t.Fatalf("batches/execAt/execNS = %d/%d/%d, want 1/500/70", r.batches, r.execAt, r.execNS)
 	}
-	if r.batchNS.Load() != 35 || r.execNS.Load() != 95 {
-		t.Fatalf("batch/exec = %d/%d, want 35/95", r.batchNS.Load(), r.execNS.Load())
+	rec.Finish(r, 200)
+	c := rec.Capture(KindRequests)
+	if len(c.Requests) != 1 {
+		t.Fatalf("captured %d requests, want 1", len(c.Requests))
 	}
-	if got := r.firstExec.Load(); got != 400 {
-		t.Fatalf("firstExec = %d, want 400 (earliest)", got)
-	}
-	// A later execStart does not move firstExec back.
-	r.NoteBatch(900, 1, 1)
-	if got := r.firstExec.Load(); got != 400 {
-		t.Fatalf("firstExec after later batch = %d, want 400", got)
+	// queue_wait runs from admission to the lock; nothing waits to join a
+	// batch any more.
+	if e := c.Requests[0]; e.QueueNS != 100 || e.ExecNS != 70 || e.BatchNS != 0 || e.Batches != 1 {
+		t.Fatalf("entry = %+v, want queue 100, exec 70, batch 0, one batch", e)
 	}
 }
 
@@ -219,7 +217,7 @@ func TestMarkFaultAccumulates(t *testing.T) {
 	r.MarkFault(FaultDrop)
 	r.MarkFault(FaultReset)
 	r.MarkFault(FaultDrop) // idempotent re-mark
-	if got := r.fault.Load(); got != FaultDrop|FaultReset {
+	if got := r.fault; got != FaultDrop|FaultReset {
 		t.Fatalf("fault bits = %#x, want %#x", got, FaultDrop|FaultReset)
 	}
 }
@@ -282,7 +280,7 @@ func TestRecordReuseIsClean(t *testing.T) {
 
 	// The pooled record must come back blank.
 	r2 := rec.Begin(RouteEvents, TransportJSON)
-	if r2.ID() != "" || r2.events != 0 || r2.fault.Load() != 0 || r2.replay {
+	if r2.ID() != "" || r2.events != 0 || r2.fault != 0 || r2.replay {
 		t.Fatalf("reused record not reset: %+v", r2)
 	}
 	rec.Finish(r2, 200)
@@ -312,17 +310,8 @@ func TestConcurrentStampingAndCapture(t *testing.T) {
 				r := rec.Begin(RouteEvents, TransportWire)
 				r.SetEvents(1)
 				r.SetEnqueue(Nanos())
-				// Concurrent shard-side stamping on the same record.
-				var sg sync.WaitGroup
-				for s := 0; s < 3; s++ {
-					sg.Add(1)
-					go func() {
-						defer sg.Done()
-						r.NoteBatch(Nanos(), 1, 1)
-						r.MarkFault(FaultDelay)
-					}()
-				}
-				sg.Wait()
+				r.NoteExec(Nanos(), 1)
+				r.MarkFault(FaultDelay)
 				rec.Finish(r, 200)
 			}
 		}(w)

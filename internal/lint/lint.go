@@ -198,23 +198,23 @@ func DefaultConfig(root, modulePath string) *Config {
 			// The COHSNAP1 entry kernels a ship runs once per table
 			// entry: the encoder writing straight from the slots, and the
 			// scan and importer reading straight into them.
-			modulePath + "/internal/core.appendSorted",
+			modulePath + "/internal/core.FlatTable.appendSorted",
 			modulePath + "/internal/core.FlatTable.putEntry",
 			modulePath + "/internal/core.scanEntries",
 			modulePath + "/internal/core.importEntries",
 			modulePath + "/internal/core.FlatTable.readEntry",
-			// The serve path: the post's run-splitting kernel, the shard
-			// worker loop, and the COHWIRE1 codec kernels the
+			// The serve path: the kernel loop a post runs under its
+			// session's table lock, and the COHWIRE1 codec kernels the
 			// allocation-free binary transport is built from.
-			modulePath + "/internal/serve.post.split",
-			modulePath + "/internal/serve.shard.process",
+			modulePath + "/internal/serve.engine.process",
 			modulePath + "/internal/serve.AppendWireBatch",
 			modulePath + "/internal/serve.AppendWireReply",
 			modulePath + "/internal/serve.DecodeWireBatchInto",
 			modulePath + "/internal/serve.DecodeWireReplyInto",
-			// The flight recorder's stamping kernels run inside the shard
-			// micro-batch loop: atomics only, zero allocation.
-			modulePath + "/internal/flight.Record.NoteBatch",
+			// The flight recorder's stamping kernels run on every post:
+			// plain stores by the request's own goroutine, zero
+			// allocation.
+			modulePath + "/internal/flight.Record.NoteExec",
 			modulePath + "/internal/flight.Record.MarkFault",
 			// The COHTRACE1 recording kernels run on the serve layer's
 			// accepted path (once per trained batch): append-only into one

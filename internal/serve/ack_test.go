@@ -59,8 +59,8 @@ func wantAcknowledged(t *testing.T, what string, code int, body []byte) {
 // TestAckedKeyRefused: once a later post acknowledges a key, a stale
 // duplicate of it gets 409 coded idempotency_key_acknowledged in either
 // encoding, trains nothing and counts no replay, while the acknowledging
-// key still replays. A copy restored from the session's snapshot at
-// another shard count refuses and replays the same keys.
+// key still replays. A copy restored from the session's snapshot,
+// asking for another shard count, refuses and replays the same keys.
 func TestAckedKeyRefused(t *testing.T) {
 	reg := obs.New()
 	srv := serve.NewServer(serve.Options{Registry: reg})
@@ -110,8 +110,8 @@ func TestAckedKeyRefused(t *testing.T) {
 
 // TestAckedEntryLayout: an acknowledged entry is written as its key and
 // MaxBatchEvents+1 where a reply's count would be, in its place in the
-// cache order; the section restores at another shard count and snapshots
-// back byte for byte.
+// cache order; the section restores, asking for another shard count,
+// and snapshots back byte for byte.
 func TestAckedEntryLayout(t *testing.T) {
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
@@ -130,7 +130,7 @@ func TestAckedEntryLayout(t *testing.T) {
 	}
 
 	want := binary.AppendUvarint(nil, 1) // version
-	for _, v := range []uint64{2, serve.DefaultShardBatch, 0, serve.DefaultMaxPending, 2} {
+	for _, v := range []uint64{1, serve.DefaultBatchSize, 0, serve.DefaultMaxPending, 2} {
 		want = binary.AppendUvarint(want, v) // tuning, flush slot, entry count
 	}
 	want = append(binary.AppendUvarint(want, 3), "k-a"...)

@@ -22,12 +22,13 @@ type CreateSessionRequest struct {
 	Scheme    string `json:"scheme"`
 	Nodes     int    `json:"nodes,omitempty"`      // default 16
 	LineBytes int    `json:"line_bytes,omitempty"` // default 64
-	Shards    int    `json:"shards,omitempty"`     // default: server option
-	// BatchSize caps a shard's micro-batch in events (default 256); a
-	// partial batch flushes as soon as the shard's queue empties.
+	// Shards (at most 64) is accepted for older clients and otherwise
+	// ignored: a session runs one table, and reports 1.
+	Shards int `json:"shards,omitempty"`
+	// BatchSize (at most MaxBatchEvents, default 256) is accepted, kept
+	// and reported, and has no other effect: posts run as they arrive.
 	BatchSize int `json:"batch_size,omitempty"`
-	// FlushMicros is accepted for older clients and ignored: shards
-	// flush when idle, whatever the value.
+	// FlushMicros is accepted for older clients and ignored.
 	FlushMicros int `json:"flush_micros,omitempty"`
 	// MaxPending bounds the session's admitted, unprocessed events
 	// (default 16384); a post that would exceed it gets 429.
@@ -40,8 +41,9 @@ type CreateSessionResponse struct {
 	Scheme    string `json:"scheme"`
 	Nodes     int    `json:"nodes"`
 	LineBytes int    `json:"line_bytes"`
-	Shards    int    `json:"shards"`
-	BatchSize int    `json:"batch_size"`
+	// Shards is always 1: a session runs one table.
+	Shards    int `json:"shards"`
+	BatchSize int `json:"batch_size"`
 	// FlushMicros is always 0: there is no flush deadline.
 	FlushMicros int `json:"flush_micros"`
 	MaxPending  int `json:"max_pending"`
@@ -60,18 +62,17 @@ type EventsResponse struct {
 
 // StatsResponse is the session's accumulated screening statistics.
 type StatsResponse struct {
-	ID           string       `json:"id"`
-	Scheme       string       `json:"scheme"`
-	Events       uint64       `json:"events"`
-	TP           uint64       `json:"tp"`
-	FP           uint64       `json:"fp"`
-	TN           uint64       `json:"tn"`
-	FN           uint64       `json:"fn"`
-	Prevalence   float64      `json:"prevalence"`
-	Sensitivity  float64      `json:"sensitivity"`
-	PVP          float64      `json:"pvp"`
-	TableEntries uint64       `json:"table_entries"`
-	Shards       []ShardStats `json:"shards"`
+	ID           string  `json:"id"`
+	Scheme       string  `json:"scheme"`
+	Events       uint64  `json:"events"`
+	TP           uint64  `json:"tp"`
+	FP           uint64  `json:"fp"`
+	TN           uint64  `json:"tn"`
+	FN           uint64  `json:"fn"`
+	Prevalence   float64 `json:"prevalence"`
+	Sensitivity  float64 `json:"sensitivity"`
+	PVP          float64 `json:"pvp"`
+	TableEntries uint64  `json:"table_entries"`
 	// IdempotencyKeys counts the keys in the session's idempotency
 	// cache; IdempotencyReplyBytes sums the reply frames it holds for
 	// replays (an acknowledged key holds none).
@@ -84,10 +85,9 @@ type SessionListResponse struct {
 	Sessions []CreateSessionResponse `json:"sessions"`
 }
 
-// CodeShardFailed machine-classifies an error response caused by a shard
-// worker panic: the session is permanently poisoned, so a retry can only
-// fail again (and would first re-train the healthy shards' partitions).
-// Clients treat it as non-retryable.
+// CodeShardFailed machine-classifies an error response caused by a panic
+// in the session's kernel: the session is permanently poisoned, so a
+// retry can only fail again. Clients treat it as non-retryable.
 const CodeShardFailed = "shard_failed"
 
 // CodeKeyAcknowledged machine-classifies the 409 that refuses a post
@@ -105,7 +105,7 @@ type ErrorResponse struct {
 
 // toSessionConfig converts the wire request into a validated SessionConfig
 // (validation itself happens in NewSession via fillDefaults).
-func (r *CreateSessionRequest) toSessionConfig(defaultShards int) (SessionConfig, error) {
+func (r *CreateSessionRequest) toSessionConfig() (SessionConfig, error) {
 	sc, err := core.ParseScheme(r.Scheme)
 	if err != nil {
 		return SessionConfig{}, err
@@ -117,14 +117,10 @@ func (r *CreateSessionRequest) toSessionConfig(defaultShards int) (SessionConfig
 	if lineBytes == 0 {
 		lineBytes = 64
 	}
-	shards := r.Shards
-	if shards == 0 {
-		shards = defaultShards
-	}
 	return SessionConfig{
 		Scheme:     sc,
 		Machine:    core.Machine{Nodes: nodes, LineBytes: lineBytes},
-		Shards:     shards,
+		Shards:     r.Shards,
 		BatchSize:  r.BatchSize,
 		MaxPending: r.MaxPending,
 	}, nil

@@ -34,8 +34,8 @@ func dormancy(reg *obs.Registry) (sessions, size float64, wakes int64) {
 }
 
 // TestDormantRestore: a snapshot PUT answers with the config an eager
-// restore has, lists it, and starts no shard worker; /metrics counts the
-// copy and its bytes. The first stats GET builds it, once: its stats and
+// restore has, lists it, and builds no table; /metrics counts the copy
+// and its bytes. The first stats GET builds it, once: its stats and
 // its snapshot then equal the eager restore's. A DELETE, and a Shutdown,
 // drop a dormant copy without building it; the DELETE logs the copy's
 // restored event count.
@@ -45,7 +45,6 @@ func TestDormantRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := shardWorkers() + 3 // with the eager restore's
 	three := 3
 	eager, err := serve.NewSessionFromSnapshot("d", snap, &three, nil, nil, nil)
 	if err != nil {
@@ -71,15 +70,12 @@ func TestDormantRestore(t *testing.T) {
 	}
 	cfg := eager.Config()
 	if want := (serve.CreateSessionResponse{ID: "d", Scheme: cfg.Scheme.FullString(), Nodes: cfg.Machine.Nodes,
-		LineBytes: cfg.Machine.LineBytes, Shards: 3, BatchSize: cfg.BatchSize, MaxPending: cfg.MaxPending}); info != want {
+		LineBytes: cfg.Machine.LineBytes, Shards: 1, BatchSize: cfg.BatchSize, MaxPending: cfg.MaxPending}); info != want {
 		t.Fatalf("restore echo %+v, want %+v", info, want)
 	}
 	var list serve.SessionListResponse
 	if c.do("GET", "/v1/sessions", nil, &list); len(list.Sessions) != 1 || list.Sessions[0] != info {
 		t.Fatalf("list %+v, want the restore's echo %+v", list.Sessions, info)
-	}
-	if got := settledWorkers(workers); got != workers {
-		t.Fatalf("%d shard workers after the restore, want %d", got, workers)
 	}
 	if n, size, wakes := dormancy(reg); n != 1 || size != float64(len(data)) || wakes != 0 {
 		t.Fatalf("dormant %v sessions of %v bytes, %d wakes; want 1 of %d, 0", n, size, wakes, len(data))
@@ -95,9 +91,6 @@ func TestDormantRestore(t *testing.T) {
 	c.stats("d")
 	if n, size, wakes := dormancy(reg); n != 0 || size != 0 || wakes != 1 {
 		t.Fatalf("after two stats: dormant %v sessions of %v bytes, %d wakes; want 0, 0, 1", n, size, wakes)
-	}
-	if got := settledWorkers(workers + 3); got != workers+3 {
-		t.Fatalf("%d shard workers after the wake, want %d", got, workers+3)
 	}
 	wantSnap, err := eager.AppendSnapshot(nil)
 	if err != nil {
@@ -128,16 +121,12 @@ func TestDormantRestore(t *testing.T) {
 	if n, size, wakes := dormancy(reg); n != 0 || size != 0 || wakes != 1 {
 		t.Fatalf("after the shutdown: dormant %v sessions of %v bytes, %d wakes; want 0, 0, 1", n, size, wakes)
 	}
-	if got := settledWorkers(workers); got != workers {
-		t.Fatalf("%d shard workers after the shutdown, want %d", got, workers)
-	}
 }
 
 // TestConcurrentWakeBuildsOnce: first uses racing on a dormant session —
 // posts of one batch under one key over both encodings, and stats GETs —
-// build it once: one wake, one set of shard workers, one training of the
-// batch, and every post gets the predictions an eager restore of the same
-// snapshot makes for it.
+// build it once: one wake, one training of the batch, and every post gets
+// the predictions an eager restore of the same snapshot makes for it.
 func TestConcurrentWakeBuildsOnce(t *testing.T) {
 	data := snapshotOf(t)
 	snap, err := eval.DecodeSnapshot(data)
@@ -165,7 +154,6 @@ func TestConcurrentWakeBuildsOnce(t *testing.T) {
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
 	c.restore("d", data, 2)
-	workers := shardWorkers()
 
 	const racers = 9
 	start := make(chan struct{})
@@ -194,25 +182,22 @@ func TestConcurrentWakeBuildsOnce(t *testing.T) {
 	if _, _, wakes := dormancy(reg); wakes != 1 {
 		t.Fatalf("%d wakes, want 1", wakes)
 	}
-	if got := settledWorkers(workers + 2); got != workers+2 {
-		t.Fatalf("%d shard workers, want %d", got, workers+2)
-	}
 	if got, want := c.stats("d").Events, eager.Stats().Events; got != want {
 		t.Fatalf("%d events after the race, the eager restore has %d", got, want)
 	}
 }
 
 // TestDeleteRacingWake: a DELETE that lands between a request's lookup
-// of a dormant session and its wake leaves the request a 503 and starts
-// no shard worker; deletes racing first uses of fresh copies, whichever
-// wins, leave none behind either.
+// of a dormant session and its wake leaves the request a 503 and builds
+// nothing; deletes racing first uses of fresh copies, whichever wins,
+// leave no session and no dormant bytes behind.
 func TestDeleteRacingWake(t *testing.T) {
 	data := snapshotOf(t)
-	srv := serve.NewServer(serve.Options{})
+	reg := obs.New()
+	srv := serve.NewServer(serve.Options{Registry: reg})
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
-	workers := shardWorkers()
 
 	c.restore("x", data, 2)
 	var fired atomic.Bool
@@ -228,6 +213,9 @@ func TestDeleteRacingWake(t *testing.T) {
 	unhook()
 	if err != nil || code != http.StatusServiceUnavailable {
 		t.Fatalf("stats of a session deleted before its wake: status %d, %v; want 503", code, err)
+	}
+	if _, _, wakes := dormancy(reg); wakes != 0 {
+		t.Fatalf("%d wakes: a session deleted before its wake was built", wakes)
 	}
 
 	for i := 0; i < 16; i++ {
@@ -250,8 +238,8 @@ func TestDeleteRacingWake(t *testing.T) {
 		}()
 		wg.Wait()
 	}
-	if got := settledWorkers(workers); got != workers {
-		t.Fatalf("%d shard workers after the deletes, want %d", got, workers)
+	if n, size, _ := dormancy(reg); n != 0 || size != 0 || srv.Sessions() != 0 {
+		t.Fatalf("after the deletes: %d sessions, dormant %v of %v bytes; want none", srv.Sessions(), n, size)
 	}
 }
 
@@ -267,7 +255,7 @@ func restoreSeedSections(tb testing.TB) [][]byte {
 		"sticky(add8)1", "pas(dir+add8)3", "pas(dir+add8)4",
 	}
 	wrap := func(sc core.Scheme, sec []byte) []byte {
-		empty := eval.AppendSnapshot(nil, &eval.Snapshot{Scheme: sc, Machine: m}, 0)
+		empty := eval.AppendSnapshot(nil, &eval.Snapshot{Scheme: sc, Machine: m}, 0, core.NewTable(sc, m))
 		b := append(empty[:len(empty)-2:len(empty)-2], sec...) // drop the count and the Extra length
 		return append(b, 0)
 	}

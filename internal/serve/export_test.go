@@ -116,7 +116,7 @@ func (s *Server) Sessions() int {
 
 // NewSessionFromSnapshot is the eager restore, the tests' reference for
 // the dormant one: it checks snap in the same order and with the same
-// errors, then builds the session at once and starts its workers.
+// errors, then builds the session at once.
 func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
 	cfg, err := restoredConfig(snap, shards, flt, rec)
 	if err != nil {

@@ -27,10 +27,10 @@ func mustScheme(t testing.TB, s string) core.Scheme {
 	return sc
 }
 
-// TestShardPanicSurfacedByClose is the drain-path fix's contract: a shard
-// worker panic is reported by the Post that observed it AND by every
-// Close — the drain must not swallow a failure just because the session
-// is going away.
+// TestShardPanicSurfacedByClose is the drain-path fix's contract: a
+// kernel panic is reported by the Post that hit it AND by every Close —
+// the drain must not swallow a failure just because the session is going
+// away.
 func TestShardPanicSurfacedByClose(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 1, PanicAfter: 1}, nil)
 	sess, err := serve.NewSession("t", serve.SessionConfig{
@@ -44,18 +44,18 @@ func TestShardPanicSurfacedByClose(t *testing.T) {
 	}
 	err = sess.PostInto(hammerEvents(8, 16), make([]bitmap.Bitmap, 8))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("Post after injected panic: err = %v, want worker panic", err)
+		t.Fatalf("Post after injected panic: err = %v, want the kernel panic", err)
 	}
 	// Later posts keep failing rather than silently dropping events.
 	if err := sess.PostInto(hammerEvents(4, 16), make([]bitmap.Bitmap, 4)); err == nil {
 		t.Fatal("Post on a poisoned session succeeded")
 	}
 	if err := sess.Close(); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("Close swallowed the worker panic: err = %v", err)
+		t.Fatalf("Close swallowed the kernel panic: err = %v", err)
 	}
 	// Close is idempotent and keeps reporting.
 	if err := sess.Close(); err == nil {
-		t.Fatal("second Close swallowed the worker panic")
+		t.Fatal("second Close swallowed the kernel panic")
 	}
 }
 
@@ -75,18 +75,18 @@ func TestShardPanicSurfacedOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cl.PostEventsKeyed(sess.ID, "", hammerEvents(8, 16)); err == nil {
-		t.Fatal("events post over a panicked shard succeeded, want 500")
+		t.Fatal("events post over a panicked kernel succeeded, want 500")
 	}
 	err = cl.DeleteSession(sess.ID)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("delete of a panicked session: err = %v, want the worker panic surfaced", err)
+		t.Fatalf("delete of a panicked session: err = %v, want the kernel panic surfaced", err)
 	}
 }
 
-// TestShardPanicNotRetriedOverHTTP: the 500 carrying a shard panic is
+// TestShardPanicNotRetriedOverHTTP: the 500 carrying a kernel panic is
 // coded shard_failed, so the client classifies it non-retryable and gives
-// up after one attempt instead of burning its retry budget re-training
-// the healthy shards' partitions on every replay miss.
+// up after one attempt instead of burning its retry budget on a session
+// that can only fail again.
 func TestShardPanicNotRetriedOverHTTP(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 1, PanicAfter: 1}, nil)
 	srv := serve.NewServer(serve.Options{Fault: inj})
@@ -305,7 +305,7 @@ func TestInjectedHTTPFaultStatuses(t *testing.T) {
 }
 
 // TestSnapshotRestoreHTTP drives the snapshot endpoints fault-free: a
-// restored session (onto a different shard count) continues the stream
+// restored session (asking for another shard count) continues the stream
 // with predictions and stats identical to the original, and the endpoint
 // edge cases map to their documented statuses.
 func TestSnapshotRestoreHTTP(t *testing.T) {
@@ -343,7 +343,7 @@ func TestSnapshotRestoreHTTP(t *testing.T) {
 		t.Fatal("snapshot of unknown session succeeded, want 404")
 	}
 
-	// Restore onto a different shard count and race the two sessions
+	// Restore asking for another shard count and race the two sessions
 	// through the rest of the trace: byte-identical behaviour.
 	if _, err := cl.Restore("twin", snap, 5); err != nil {
 		t.Fatal(err)

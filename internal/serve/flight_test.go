@@ -165,7 +165,7 @@ func TestErrorRequestsPromoted(t *testing.T) {
 }
 
 // TestReplayMarked: a keyed retry served from the idempotency cache is
-// flagged replay in its trace and does no shard work.
+// flagged replay in its trace and does not run the kernel.
 func TestReplayMarked(t *testing.T) {
 	_, c, closeTS := flightServer(t, flight.Options{Sample: 1, SlowThreshold: time.Hour})
 	defer closeTS()
@@ -186,7 +186,7 @@ func TestReplayMarked(t *testing.T) {
 		t.Fatalf("replay flags = %v/%v, want false/true", first.Replay, second.Replay)
 	}
 	if first.Batches < 1 || second.Batches != 0 {
-		t.Fatalf("batches = %d/%d: the replay must not reach the shards", first.Batches, second.Batches)
+		t.Fatalf("batches = %d/%d: the replay must not run the kernel", first.Batches, second.Batches)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"cohpredict/internal/core"
 	"cohpredict/internal/serve"
-	"cohpredict/internal/trace"
 )
 
 // FuzzDecodeEventRequest drives the events-endpoint body decoder with
@@ -78,84 +76,4 @@ func FuzzDecodeEventRequest(f *testing.F) {
 			}
 		}
 	})
-}
-
-// FuzzRouteKey checks the sharding soundness invariants over arbitrary
-// events and shard counts: routing is a pure function of the event (same
-// event → same shard, always in range), and under forwarded update the
-// previous-writer key co-locates with the current key — the property the
-// offline-equivalence guarantee rests on.
-func FuzzRouteKey(f *testing.F) {
-	f.Add(uint8(0), 1, uint64(0x40), 0, uint64(0), 2, uint64(0x80), 4)
-	f.Add(uint8(3), 5, uint64(0xdeadbeef), 12, uint64(0x1234), 0, uint64(0), 8)
-	f.Add(uint8(6), 15, uint64(1)<<40, 3, uint64(99), 15, uint64(7), 64)
-	f.Add(uint8(2), 0, uint64(0), 0, uint64(0), 0, uint64(0), -3)
-	schemes := mustSchemes(f, []string{
-		"last(dir+add8)1",
-		"union(pid+pc8)2[forwarded]",
-		"inter(pid+dir+add10)4[forwarded]",
-		"pas(add12)2[forwarded]",
-		"last()1[ordered]",
-		"union(pc4+add4)2[forwarded]",
-		"sticky(add8)1",
-	})
-	m := core.Machine{Nodes: 16, LineBytes: 64}
-	f.Fuzz(func(t *testing.T, which uint8, pid int, pc uint64, dir int, addr uint64,
-		prevPID int, prevPC uint64, shards int) {
-		sc := schemes[int(which)%len(schemes)]
-		r := serve.NewRouter(sc, m, shards)
-		if r.Shards() < 1 {
-			t.Fatalf("router has %d shards", r.Shards())
-		}
-		ev := trace.Event{
-			PID: clampNode(pid), PC: pc, Dir: clampNode(dir), Addr: addr,
-			HasPrev: true, PrevPID: clampNode(prevPID), PrevPC: prevPC,
-		}
-		got := r.RouteEvent(&ev)
-		if got < 0 || got >= r.Shards() {
-			t.Fatalf("route %d out of range [0,%d)", got, r.Shards())
-		}
-		if again := r.RouteEvent(&ev); again != got {
-			t.Fatalf("routing not deterministic: %d then %d", got, again)
-		}
-		// The forwarded-update co-location invariant: the key trained on a
-		// forward (previous writer's pid/pc, same dir/addr) must live on the
-		// same shard as the key predicted from.
-		k := sc.Index.Keyer(m)
-		curKey := k.Key(ev.PID, ev.PC, ev.Dir, ev.Addr)
-		prevKey := k.Key(ev.PrevPID, ev.PrevPC, ev.Dir, ev.Addr)
-		if r.Route(prevKey) != r.Route(curKey) {
-			t.Fatalf("prev key shard %d != cur key shard %d (scheme %s)",
-				r.Route(prevKey), r.Route(curKey), sc)
-		}
-		if r.Route(curKey) != got {
-			t.Fatalf("RouteEvent %d disagrees with Route(curKey) %d", got, r.Route(curKey))
-		}
-		// Equal full keys must always co-locate regardless of which fields
-		// produced them.
-		ev2 := ev
-		ev2.Addr = addr // identical event: trivially equal key
-		if r.RouteEvent(&ev2) != got {
-			t.Fatal("equal keys routed to different shards")
-		}
-	})
-}
-
-func clampNode(v int) uint8 {
-	if v < 0 {
-		v = -v
-	}
-	return uint8(v % 16)
-}
-
-func mustSchemes(f *testing.F, specs []string) []core.Scheme {
-	out := make([]core.Scheme, len(specs))
-	for i, s := range specs {
-		sc, err := core.ParseScheme(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		out[i] = sc
-	}
-	return out
 }

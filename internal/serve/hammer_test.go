@@ -14,8 +14,8 @@ import (
 	"cohpredict/internal/trace"
 )
 
-// hammerEvents builds a deterministic event stream with enough key variety
-// to spread across shards: writers rotate, addresses stride across lines,
+// hammerEvents builds a deterministic event stream with key variety:
+// writers rotate, addresses stride across lines,
 // and every event carries a previous-writer forward.
 func hammerEvents(n, nodes int) []trace.Event {
 	evs := make([]trace.Event, n)

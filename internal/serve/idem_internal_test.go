@@ -2,7 +2,7 @@ package serve
 
 // White-box tests for the idempotency-cache invariants: a snapshot never
 // bakes an incomplete entry, eviction never drops an in-flight entry, a
-// permanent shard failure keeps its entry so replays fail fast without
+// permanent kernel failure keeps its entry so replays fail fast without
 // re-training, and an acknowledgement touches only a completed,
 // successful entry.
 
@@ -19,6 +19,13 @@ import (
 	"cohpredict/internal/core"
 	"cohpredict/internal/trace"
 )
+
+// poison fails the session as a kernel panic would.
+func poison(s *Session) {
+	s.tableMu.Lock()
+	s.eng.fail = fmt.Errorf("%w: post panicked: test", ErrShardFailed)
+	s.tableMu.Unlock()
+}
 
 func newTestSession(t *testing.T, shards int) *Session {
 	t.Helper()
@@ -39,10 +46,10 @@ func newTestSession(t *testing.T, shards int) *Session {
 }
 
 // TestEncodeSessionExtraSkipsIncompleteEntries: only completed, successful
-// idempotency entries reach a snapshot. An entry registered by a keyed
-// post racing the quiesce (still open, or failed with ErrSnapshotting) must not
-// be serialized — a restored session would answer a replay of that key
-// with zero predictions and the batch would silently never train.
+// idempotency entries reach a snapshot. An entry of a keyed post that has
+// not trained (still open, or failed) must not be serialized — a
+// restored session would answer a replay of that key with zero
+// predictions and the batch would silently never train.
 func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	s := newTestSession(t, 1)
 	complete := &idemEntry{done: make(chan struct{}), frame: AppendWireReply(nil, []bitmap.Bitmap{3, 5})}
@@ -57,8 +64,7 @@ func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	s.idemOrder = append(s.idemOrder, "complete", "open", "failed")
 	s.idemMu.Unlock()
 
-	// The section as AppendSnapshot writes it, without the quiesce that
-	// would wait for the open entry.
+	// The section as AppendSnapshot writes it.
 	tuning := SessionTuning{Shards: 1}
 	s.idemMu.Lock()
 	n, size := idemSize(s.idemOrder, s.idem)
@@ -138,10 +144,9 @@ func TestIdemEvictionSkipsInFlight(t *testing.T) {
 	}
 }
 
-// TestPostKeyedShardFailureKeepsEntry: a shard worker failure is permanent,
-// so a keyed post records it in the idempotency entry instead of releasing
-// the key — a replay of the key fails fast without re-enqueueing the batch
-// to the shards that are still healthy.
+// TestPostKeyedShardFailureKeepsEntry: a kernel failure is permanent, so
+// a keyed post records it in the idempotency entry instead of releasing
+// the key — a replay of the key fails fast without reaching the engine.
 func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
 	s := newTestSession(t, 1)
 	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}}
@@ -149,7 +154,7 @@ func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.shards[0].fail.Store(fmt.Errorf("%w: shard 0 worker panicked: test", ErrShardFailed))
+	poison(s)
 	_, err := s.PostFrame("poisoned", evs, new(WireBuf))
 	if !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("err = %v, want ErrShardFailed", err)
@@ -260,7 +265,7 @@ func TestAckChangesNothingElse(t *testing.T) {
 		t.Fatalf("an entry acknowledged in flight: replay got %x (%v), want its reply", frame, err)
 	}
 
-	s.shards[0].fail.Store(fmt.Errorf("%w: shard 0 worker panicked: test", ErrShardFailed))
+	poison(s)
 	if _, err := post("poisoned", ""); !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("err = %v, want ErrShardFailed", err)
 	}
@@ -322,7 +327,7 @@ func TestAckRacesReplays(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := s.AppendSnapshot(nil); err != nil && !errors.Is(err, ErrSnapshotting) {
+		if _, err := s.AppendSnapshot(nil); err != nil {
 			errs <- err
 		}
 		_ = s.Stats()

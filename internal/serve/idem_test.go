@@ -233,10 +233,11 @@ func (c *client) restore(id string, data []byte, shards int) {
 // TestSnapshotExtraLayoutPinned: for a cache whose predictions take 1-,
 // 2- and 3-byte uvarints, the snapshot's Extra section is exactly the
 // version-1 layout, with 0 in the retired flush slot even for a session
-// created with the old default deadline. A restore at another shard
-// count snapshots to the same layout at that count, restoring it back
-// snapshots byte-identical to the original, and a replay after the
-// restore serves the original reply bytes without training.
+// created with the old default deadline, and 1 in the shards word
+// whatever count the session asked for. A restore asking for another
+// shard count snapshots to the same layout, restoring it back snapshots
+// byte-identical to the original, and a replay after the restore serves
+// the original reply bytes without training.
 func TestSnapshotExtraLayoutPinned(t *testing.T) {
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
@@ -272,14 +273,14 @@ func TestSnapshotExtraLayoutPinned(t *testing.T) {
 	}
 
 	orig, snap := c.snapshot(id)
-	if want := sessionExtraLayout(2, 64, 0, 4096, keys, preds); !bytes.Equal(snap.Extra, want) {
+	if want := sessionExtraLayout(1, 64, 0, 4096, keys, preds); !bytes.Equal(snap.Extra, want) {
 		t.Fatalf("Extra section changed layout:\n got %x\nwant %x", snap.Extra, want)
 	}
 
 	c.restore("twin", orig, 3)
 	twinData, twin := c.snapshot("twin")
-	if want := sessionExtraLayout(3, 64, 0, 4096, keys, preds); !bytes.Equal(twin.Extra, want) {
-		t.Fatalf("restored Extra section at 3 shards:\n got %x\nwant %x", twin.Extra, want)
+	if want := sessionExtraLayout(1, 64, 0, 4096, keys, preds); !bytes.Equal(twin.Extra, want) {
+		t.Fatalf("Extra section restored asking for 3 shards:\n got %x\nwant %x", twin.Extra, want)
 	}
 	c.restore("back", twinData, 2)
 	if back, _ := c.snapshot("back"); !bytes.Equal(back, orig) {
@@ -326,7 +327,7 @@ func TestParentDefaultExtraRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if cfg := sess.Config(); cfg.Shards != 2 || cfg.BatchSize != 256 || cfg.MaxPending != 16384 || cfg.Flush != 0 {
+	if cfg := sess.Config(); cfg.Shards != 1 || cfg.BatchSize != 256 || cfg.MaxPending != 16384 || cfg.Flush != 0 {
 		t.Fatalf("restored tuning: shards %d, batch %d, pending %d, flush %v",
 			cfg.Shards, cfg.BatchSize, cfg.MaxPending, cfg.Flush)
 	}
@@ -334,7 +335,7 @@ func TestParentDefaultExtraRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sessionExtraLayout(2, 256, 0, 16384, []string{"k"}, [][]uint64{{3, 5}}); !bytes.Equal(again.Extra, want) {
+	if want := sessionExtraLayout(1, 256, 0, 16384, []string{"k"}, [][]uint64{{3, 5}}); !bytes.Equal(again.Extra, want) {
 		t.Fatalf("restored session's Extra section:\n got %x\nwant %x", again.Extra, want)
 	}
 }

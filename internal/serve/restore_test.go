@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,23 +15,6 @@ import (
 	"cohpredict/internal/eval"
 	"cohpredict/internal/serve"
 )
-
-// shardWorkers counts the shard worker goroutines alive in the process.
-func shardWorkers() int {
-	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "serve.(*shard).run(")
-}
-
-// settledWorkers waits up to a second for the shard worker count to
-// reach want (a worker that closed its done channel may still be on its
-// way out) and returns the last count seen.
-func settledWorkers(want int) int {
-	n := shardWorkers()
-	for deadline := time.Now().Add(time.Second); n != want && time.Now().Before(deadline); n = shardWorkers() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	return n
-}
 
 // status issues a request from any goroutine and returns its status, or
 // 0 and the error: unlike the client's helpers it never calls Fatal.
@@ -50,8 +32,8 @@ func (c *client) status(method, path string, body []byte) (int, error) {
 	return resp.StatusCode, err
 }
 
-// snapshotOf builds a two-shard session on its own server, posts it a few
-// keyed batches and returns its snapshot.
+// snapshotOf builds a session on its own server, posts it a few keyed
+// batches and returns its snapshot.
 func snapshotOf(t *testing.T) []byte {
 	t.Helper()
 	srv := serve.NewServer(serve.Options{})
@@ -68,16 +50,13 @@ func snapshotOf(t *testing.T) []byte {
 
 // TestConcurrentRestoreOneWinner: two PUTs of one snapshot under one id,
 // both past the first id check before either inserts, end in one 201 and
-// one 409, and the loser leaves neither a session nor a shard worker. A
-// restored session is dormant, so the race starts no worker at all; one
-// stats GET then wakes the winner, which starts its two.
+// one 409, and the loser leaves no session behind.
 func TestConcurrentRestoreOneWinner(t *testing.T) {
 	data := snapshotOf(t)
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
 	c, closeTS := newClient(t, srv)
 	defer closeTS()
-	workers := shardWorkers()
 
 	// Each build waits for the other, so both pass the first id check
 	// before either inserts; a restore that built under the server lock
@@ -115,13 +94,6 @@ func TestConcurrentRestoreOneWinner(t *testing.T) {
 	}
 	if n := srv.Sessions(); n != 1 {
 		t.Fatalf("%d sessions after the race, want 1", n)
-	}
-	if got := settledWorkers(workers); got != workers {
-		t.Fatalf("%d shard workers alive before any use, want %d: a restore built its session", got, workers)
-	}
-	c.stats("twin")
-	if got := settledWorkers(workers + 2); got != workers+2 {
-		t.Fatalf("%d shard workers alive, want %d: the losing restore left its own behind", got, workers+2)
 	}
 }
 
@@ -186,11 +158,9 @@ func TestLargeSnapshotRestores(t *testing.T) {
 			preds[i][j] = uint64(0x80 + j%0x3f00) // two-byte uvarints
 		}
 	}
-	extra := sessionExtraLayout(2, 256, 0, 16384, keys, preds)
-	data := append(eval.AppendSnapshot(nil, &eval.Snapshot{
-		Scheme:  mustScheme(t, "last(add8)1"),
-		Machine: core.Machine{Nodes: 16, LineBytes: 64},
-	}, len(extra)), extra...)
+	extra := sessionExtraLayout(1, 256, 0, 16384, keys, preds)
+	sc, m := mustScheme(t, "last(add8)1"), core.Machine{Nodes: 16, LineBytes: 64}
+	data := append(eval.AppendSnapshot(nil, &eval.Snapshot{Scheme: sc, Machine: m}, len(extra), core.NewTable(sc, m)), extra...)
 	if len(data) <= 8<<20 {
 		t.Fatalf("snapshot is %d bytes, the test needs more than 8 MiB", len(data))
 	}

@@ -19,17 +19,17 @@
 //	                                obs.Snapshot JSON for Accept: application/json
 //	GET    /debug/pprof/...         runtime profiles
 //
-// The core is a sharded engine pool: events route to per-shard workers by
-// the dir+addr component of the predictor index key, so a session scales
-// across cores without locking the table (Router documents why the
-// partition preserves serial semantics exactly). Workers micro-batch
-// (flush on batch size or when the queue empties), queues are bounded with
-// explicit 429 backpressure, and drain is graceful: in-flight batches
-// finish and their statistics are published before workers exit.
+// Each session is one predictor table behind one lock: a post is
+// admitted against a bounded queue (explicit 429 backpressure), then
+// takes the session's table lock and runs eval.Apply over its events in
+// request order on the caller's goroutine, as the offline engine does. A
+// snapshot takes the same lock, so it falls between two posts. Drain is
+// graceful: in-flight posts finish and their statistics are published
+// before a session closes.
 //
 // The service's determinism contract mirrors the sweep engine's: a trace
 // replayed through the API in order yields predictions and statistics
-// byte-identical to eval.Evaluate at any shard count.
+// byte-identical to eval.Evaluate.
 package serve
 
 import (
@@ -40,7 +40,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -64,19 +63,17 @@ const (
 )
 
 // Options configures a Server. The zero value is usable: metrics go to a
-// nil (inert) registry and shard width defaults to the machine's cores.
-// Every server enforces the same bounds, MaxSessions and MaxBodyBytes.
+// nil (inert) registry. Every server enforces the same bounds,
+// MaxSessions and MaxBodyBytes.
 type Options struct {
 	// Registry receives the service's metrics; nil disables them.
 	Registry *obs.Registry
 	// Log receives request-level progress lines; nil is silent.
 	Log *obs.Logger
-	// DefaultShards is the shard count for sessions that don't request
-	// one; 0 means min(GOMAXPROCS, 8).
-	DefaultShards int
 	// Fault, when non-nil, injects chaos into the event path: 5xx and
 	// connection resets at the HTTP layer, drops at queue admission,
-	// delays and panics in the shard workers. Session-management routes
+	// delays before the table lock and panics in the kernel under it.
+	// Session-management routes
 	// (create, snapshot, delete) are never injected — only the
 	// idempotent event posts, which clients can retry safely.
 	Fault *fault.Injector
@@ -105,12 +102,6 @@ type Server struct {
 
 // NewServer builds a server with the given options.
 func NewServer(opts Options) *Server {
-	if opts.DefaultShards <= 0 {
-		opts.DefaultShards = runtime.GOMAXPROCS(0)
-		if opts.DefaultShards > 8 {
-			opts.DefaultShards = 8
-		}
-	}
 	if opts.Flight == nil {
 		opts.Flight = flight.New(flight.Options{Registry: opts.Registry})
 	}
@@ -179,7 +170,7 @@ func (s *Server) failure(r *http.Request, err error) (int, ErrorResponse) {
 	case errors.Is(err, ErrBacklog):
 		status = http.StatusTooManyRequests
 		s.om.backpressure.Inc()
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrSnapshotting), errors.Is(err, ErrInjected):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrInjected):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrKeyAcknowledged):
 		status = http.StatusConflict
@@ -340,7 +331,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) err
 	if err := dec.Decode(&req); err != nil {
 		return httpErr(http.StatusBadRequest, fmt.Errorf("serve: decoding session request: %w", err))
 	}
-	cfg, err := req.toSessionConfig(s.opts.DefaultShards)
+	cfg, err := req.toSessionConfig()
 	if err != nil {
 		return httpErr(http.StatusBadRequest, err)
 	}
@@ -351,8 +342,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) err
 	if err != nil {
 		return err
 	}
-	s.opts.Log.Infof("serve: session %s created: %s on %d nodes, %d shards",
-		sess.ID, sess.cfg.Scheme.FullString(), sess.cfg.Machine.Nodes, sess.cfg.Shards)
+	s.opts.Log.Infof("serve: session %s created: %s on %d nodes",
+		sess.ID, sess.cfg.Scheme.FullString(), sess.cfg.Machine.Nodes)
 	writeJSON(w, http.StatusCreated, sessionResponse(sess))
 	return nil
 }
@@ -445,7 +436,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		Sensitivity:  st.Confusion.Sensitivity(),
 		PVP:          st.Confusion.PVP(),
 		TableEntries: st.TableEntries,
-		Shards:       st.Shards,
 
 		IdempotencyKeys:       st.IdemKeys,
 		IdempotencyReplyBytes: st.IdemReplyBytes,
@@ -471,7 +461,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) err
 	closeErr := sess.Close()
 	s.om.sessionsActive.Set(float64(active))
 	if closeErr != nil {
-		// The session is gone either way, but a worker panic during its
+		// The session is gone either way, but a kernel panic during its
 		// life must reach the caller, not vanish in the drain.
 		return closeErr
 	}
@@ -502,8 +492,8 @@ func putSnapBuf(buf *[]byte, b []byte) {
 // runs after a request has looked its session up and before it wakes it.
 var testHookBuild, testHookDelete, testHookWake func(id string)
 
-// handleSnapshotGet quiesces the session, writes its full state in the
-// canonical snapshot wire form into a recycled buffer, and resumes it.
+// handleSnapshotGet writes the session's full state, under its table
+// lock, in the canonical snapshot wire form into a recycled buffer.
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) error {
 	sess, err := s.session(r)
 	if err != nil {
@@ -523,8 +513,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) error
 
 // handleSnapshotPut restores a snapshot into a NEW session named by the
 // path id (409 if it exists). Tuning comes from the snapshot; a ?shards=N
-// query restores onto a different shard width — results are identical
-// either way.
+// query is range-checked and otherwise ignored.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	// The body is recycled once the restore returns: the session keeps
@@ -553,15 +542,15 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) error
 }
 
 // RestoreSnapshot registers a NEW session id restored from data, a
-// COHSNAP1 snapshot; shards, when non-nil, overrides the snapshot's
-// shard count (restoring onto a different shard count is legal and
-// behaviour-preserving). It is the programmatic face of PUT
+// COHSNAP1 snapshot; shards, when non-nil, is range-checked in place of
+// the snapshot's shard count, which is otherwise ignored. It is the
+// programmatic face of PUT
 // /v1/sessions/{id}/snapshot — the CLI's -restore flag boots sessions
 // through it before the listener opens.
 //
 // The snapshot is checked whole, as a build from it would check it,
 // but the session stays dormant: it keeps a copy of data, its config
-// and its tallies, and no shard worker or table, until a request to it
+// and its tallies, and no table, until a request to it
 // through the server builds it (Server.session). Until then its methods
 // must not be called, but for Config, Stats and Close; Close drops the
 // bytes unbuilt.
@@ -577,8 +566,8 @@ func (s *Server) RestoreSnapshot(id string, data []byte, shards *int) (*Session,
 		return nil, err
 	}
 	s.om.restores.Inc()
-	s.opts.Log.Infof("serve: session %s restored dormant: %d events, %d shards, %d bytes",
-		id, snap.Events, sess.cfg.Shards, len(data))
+	s.opts.Log.Infof("serve: session %s restored dormant: %d events, %d bytes",
+		id, snap.Events, len(data))
 	return sess, nil
 }
 
@@ -680,13 +669,13 @@ func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry) err
 // every live session drains (in-flight batches finish, statistics are
 // published), and the session registry empties. The HTTP listener itself
 // is the caller's to close (http.Server.Shutdown); call this after it.
-// The returned error joins any shard worker panics the drained sessions
-// were carrying — a SIGTERM drain must not swallow them.
+// The returned error joins any kernel panics the drained sessions were
+// carrying — a SIGTERM drain must not swallow them.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	s.draining = true
 	sessions := make([]*Session, 0, len(s.sessions))
-	//predlint:ignore determinism drain order is immaterial: Close only joins workers
+	//predlint:ignore determinism drain order is immaterial: each Close only waits out its own posts
 	for id, sess := range s.sessions {
 		sessions = append(sessions, sess)
 		delete(s.sessions, id)

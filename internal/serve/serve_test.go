@@ -336,7 +336,7 @@ func TestSessionList(t *testing.T) {
 	if list.Sessions[0].ID != first.ID || list.Sessions[1].ID != second.ID {
 		t.Fatalf("listing out of order: %s, %s", list.Sessions[0].ID, list.Sessions[1].ID)
 	}
-	if list.Sessions[1].Shards != 2 {
+	if list.Sessions[1].Shards != 1 {
 		t.Fatalf("listing lost config: %+v", list.Sessions[1])
 	}
 }
@@ -344,7 +344,7 @@ func TestSessionList(t *testing.T) {
 // TestCreateIgnoresFlushMicros pins the create API's compatibility with
 // clients written for the retired flush deadline: any flush_micros value
 // is accepted, including ones the deadline's range check refused, and
-// every session reports 0 because shards flush when idle.
+// every session reports 0 because there is no flush deadline.
 func TestCreateIgnoresFlushMicros(t *testing.T) {
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()

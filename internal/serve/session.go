@@ -17,11 +17,10 @@ import (
 
 // Session limits and defaults. A session's queue is bounded in events:
 // admission reserves slots for a whole batch or rejects it outright
-// (ErrBacklog → 429), so a batch is never half-enqueued. A post sends
-// each shard at most one run, into a channel of DefaultShardBatch runs; a
-// post that finds it full blocks in the send until the worker drains it.
+// (ErrBacklog → 429), so a batch is never half-enqueued. An admitted post
+// then waits for the session's table lock and runs its events under it.
 const (
-	DefaultShardBatch = 256
+	DefaultBatchSize  = 256
 	DefaultMaxPending = 1 << 14
 	MaxBatchEvents    = 1 << 16
 	maxShards         = 64
@@ -34,8 +33,8 @@ const (
 
 // DefaultFlushMicros was the micro-batch flush deadline.
 //
-// Deprecated: shards flush whenever their queue is momentarily empty;
-// SessionConfig.Flush has no effect.
+// Deprecated: posts run as they arrive; SessionConfig.Flush has no
+// effect.
 //
 //predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 const DefaultFlushMicros = 200
@@ -48,20 +47,16 @@ var ErrBacklog = errors.New("serve: session queue full")
 // layer maps it to 503 Service Unavailable.
 var ErrDraining = errors.New("serve: session draining")
 
-// ErrSnapshotting is returned while a session is quiesced for a snapshot;
-// the HTTP layer maps it to 503 (retryable — the session resumes).
-var ErrSnapshotting = errors.New("serve: session snapshotting")
-
 // ErrInjected is returned when the chaos injector drops a batch at queue
 // admission; the HTTP layer maps it to 503 (retryable — nothing was
 // trained).
 var ErrInjected = errors.New("serve: injected fault: batch dropped")
 
-// ErrShardFailed wraps a shard worker panic. The failure is permanent —
-// the session is poisoned and every later post fails the same way — so
-// the HTTP layer tags responses carrying it with CodeShardFailed and
-// clients give up instead of retrying.
-var ErrShardFailed = errors.New("serve: shard worker failed")
+// ErrShardFailed wraps a panic in the predictor kernel. The failure is
+// permanent — the session is poisoned and every later post fails the
+// same way — so the HTTP layer tags responses carrying it with
+// CodeShardFailed and clients give up instead of retrying.
+var ErrShardFailed = errors.New("serve: session kernel failed")
 
 // ErrKeyAcknowledged refuses a post under an idempotency key whose reply
 // the client has acknowledged (Idempotency-Ack): the cache kept the key
@@ -74,22 +69,23 @@ var ErrKeyAcknowledged = errors.New("serve: idempotency key already acknowledged
 type SessionConfig struct {
 	Scheme  core.Scheme
 	Machine core.Machine
-	// Shards is the engine-pool width. Sticky schemes are clamped to one
-	// shard (see Router). Results are byte-identical at any value.
+	// Shards is range-checked and otherwise ignored: a session runs one
+	// table, and Config reports 1. The _perfbench harness still sets it.
 	Shards int
-	// BatchSize is the micro-batch flush threshold per shard worker; a
-	// partial batch flushes as soon as the shard's queue empties.
+	// BatchSize is range-checked, kept and reported, and has no other
+	// effect: a post runs its events as they arrive.
 	BatchSize int
-	// Deprecated: Flush has no effect; Config reports it as zero.
+	// Deprecated: Flush has no effect; Config reports it as zero. The
+	// _perfbench harness still sets it.
 	Flush time.Duration
 	// MaxPending bounds the events admitted but not yet processed.
 	MaxPending int
 	// Fault, when non-nil, injects chaos at the session's fault points
-	// (queue-admission drops, shard delays and panics).
+	// (queue-admission drops, post delays and kernel panics).
 	Fault *fault.Injector
 	// Record, when non-nil, captures every batch that trains the engine
-	// (after the shards finish, before the response) for COHTRACE1
-	// replay. Idempotent cache replays never reach it.
+	// (after the kernel, before the response) for COHTRACE1 replay.
+	// Idempotent cache replays never reach it.
 	Record EventRecorder
 }
 
@@ -104,14 +100,12 @@ func (c *SessionConfig) fillDefaults() error {
 	if c.Shards < 0 || c.Shards > maxShards {
 		return fmt.Errorf("serve: shard count %d out of range [0,%d]", c.Shards, maxShards)
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
+	c.Shards = 1
 	if c.BatchSize < 0 || c.BatchSize > MaxBatchEvents {
 		return fmt.Errorf("serve: batch size %d out of range [0,%d]", c.BatchSize, MaxBatchEvents)
 	}
 	if c.BatchSize == 0 {
-		c.BatchSize = DefaultShardBatch
+		c.BatchSize = DefaultBatchSize
 	}
 	c.Flush = 0
 	if c.MaxPending < 0 || c.MaxPending > 1<<20 {
@@ -125,16 +119,32 @@ func (c *SessionConfig) fillDefaults() error {
 
 // idemEntry is one idempotency-cache slot. The winner of a key closes done
 // after filling frame — the post's encoded COHWIRE1 reply, sized to fit,
-// whose bytes are never written again — or err; duplicates wait on done
-// and serve those bytes without re-training the engine. An
-// acknowledgement (Session.acknowledge) later drops a successful entry's
-// frame, under the session's idemMu, and a duplicate is then refused; so
-// frame is read under idemMu too. (This rule is a comment, not a
-// guardedby mark: predlint's guardedby names a sibling mutex.)
+// whose bytes are never written again — or err. A winner that trains
+// completes its entry before it releases the table lock, so a snapshot,
+// which holds that lock, takes exactly the keys whose events its table
+// holds. Duplicates wait on done and serve those bytes without
+// re-training the engine. An acknowledgement (Session.acknowledge) later
+// drops a successful entry's frame, under the session's idemMu, and a
+// duplicate is then refused; so frame is read under idemMu too. (This
+// rule is a comment, not a guardedby mark: predlint's guardedby names a
+// sibling mutex.)
 type idemEntry struct {
 	done  chan struct{}
 	frame []byte
 	err   error
+}
+
+// complete caches the winner's reply frame for preds, encoded once at
+// its exact size, and releases the key's duplicates; it returns the
+// frame. A nil entry (an unkeyed post) returns nil.
+func (e *idemEntry) complete(preds []bitmap.Bitmap, st *flight.Record) []byte {
+	if e == nil {
+		return nil
+	}
+	frame := encodeReply(nil, preds, st)
+	e.frame = frame
+	close(e.done)
+	return frame
 }
 
 // completed reports whether the entry's winner has finished: done is
@@ -148,30 +158,30 @@ func (e *idemEntry) completed() bool {
 	}
 }
 
-// Session hosts one live prediction engine behind the API: a router plus a
-// pool of shard workers, each owning a disjoint partition of the predictor
-// table (see Router for why the partition preserves serial semantics).
+// Session hosts one live prediction engine behind the API: one predictor
+// table, read and trained in request order under tableMu, as eval.Apply
+// runs it offline. A post runs on its caller's goroutine; a session
+// starts none.
 //
 // A restored session starts dormant: it holds its snapshot's bytes and
-// its config, and no shard, until its first use through the server
-// (wake) builds the shards from the bytes and drops them.
+// its config, and no table, until its first use through the server
+// (wake) builds the table from the bytes and drops them.
 type Session struct {
-	ID     string
-	cfg    SessionConfig
-	router *Router
-	shards []*shard // nil until built: at creation, or under mu by wake
+	ID  string
+	cfg SessionConfig
 
-	mu       sync.Mutex
-	pending  int    //predlint:guardedby mu
-	closing  bool   //predlint:guardedby mu
-	quiesced bool   //predlint:guardedby mu
-	snap     []byte //predlint:guardedby mu
-	reqs     sync.WaitGroup
-	closed   chan struct{}
+	mu      sync.Mutex
+	pending int    //predlint:guardedby mu
+	closing bool   //predlint:guardedby mu
+	snap    []byte //predlint:guardedby mu
+	reqs    sync.WaitGroup
 
-	// Tallies restored from a snapshot; added on top of the shard-pool
-	// tallies by Stats (restored history lives in the shard tables, but
-	// the scores that produced it belong to the pre-restore run).
+	tableMu sync.Mutex
+	eng     engine //predlint:guardedby tableMu
+
+	// Tallies restored from a snapshot; added on top of the engine's
+	// tallies by Stats (restored history lives in the table, but the
+	// scores that produced it belong to the pre-restore run).
 	baseConf   metrics.Confusion
 	baseEvents uint64
 
@@ -184,8 +194,20 @@ type Session struct {
 	om *serveMetrics
 }
 
-// NewSession validates the config, builds the shard pool and starts its
-// workers.
+// engine is a session's predictor: its table and the tallies of what it
+// scored. A Session guards it with tableMu.
+type engine struct {
+	update core.UpdateMode
+	keyer  core.Keyer
+	nodes  int
+	table  *core.FlatTable // nil until the session is built
+	conf   metrics.Confusion
+	events uint64
+	// fail poisons the session once a post panics in the kernel.
+	fail error
+}
+
+// NewSession validates the config and builds the session's table.
 func NewSession(id string, cfg SessionConfig, om *serveMetrics) (*Session, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -195,44 +217,34 @@ func NewSession(id string, cfg SessionConfig, om *serveMetrics) (*Session, error
 	return s, nil
 }
 
-// newSession returns a session of a checked config with its router and
-// no shards: build adds them.
+// newSession returns a session of a checked config with no table: build
+// adds it.
 func newSession(id string, cfg SessionConfig, om *serveMetrics) *Session {
 	if om == nil {
 		om = newServeMetrics(nil)
 	}
-	router := NewRouter(cfg.Scheme, cfg.Machine, cfg.Shards)
-	cfg.Shards = router.Shards()
 	return &Session{
-		ID:     id,
-		cfg:    cfg,
-		router: router,
-		closed: make(chan struct{}),
-		idem:   make(map[string]*idemEntry),
-		om:     om,
+		ID:  id,
+		cfg: cfg,
+		eng: engine{
+			update: cfg.Scheme.Update,
+			keyer:  cfg.Scheme.Index.Keyer(cfg.Machine),
+			nodes:  cfg.Machine.Nodes,
+		},
+		idem: make(map[string]*idemEntry),
+		om:   om,
 	}
 }
 
-// build gives the session its shards and starts their workers. With a
-// snapshot, the shard tables are filled from its entries first, and the
-// session takes extra's idempotency cache; its tallies were taken when
-// it was restored. On error no worker has started, and the session keeps
-// no shard.
+// build gives the session its table. With a snapshot, the table is
+// filled from its entries first, and the session takes extra's
+// idempotency cache; its tallies were taken when it was restored. On
+// error the session keeps no table.
 func (s *Session) build(snap *eval.Snapshot, extra *sessionExtra) error {
-	shards := make([]*shard, s.router.Shards())
-	for i := range shards {
-		shards[i] = newShard(i, s.cfg.Scheme, s.cfg.Machine, s.cfg.BatchSize, s.cfg.Fault, s.om)
-	}
+	table := core.NewTable(s.cfg.Scheme, s.cfg.Machine)
 	if snap != nil {
-		tables := make([]*core.FlatTable, len(shards))
-		for i, sh := range shards {
-			tables[i] = sh.table
-		}
-		if err := snap.Restore(tables, s.router.Route); err != nil {
+		if err := snap.Restore(table); err != nil {
 			return err
-		}
-		for _, sh := range shards {
-			sh.pubEntries.Store(uint64(sh.table.Entries()))
 		}
 		if extra.idem != nil {
 			s.idemMu.Lock()
@@ -240,26 +252,25 @@ func (s *Session) build(snap *eval.Snapshot, extra *sessionExtra) error {
 			s.idemMu.Unlock()
 		}
 	}
-	for _, sh := range shards {
-		go sh.run()
-	}
-	s.shards = shards
+	s.tableMu.Lock()
+	s.eng.table = table
+	s.tableMu.Unlock()
 	return nil
 }
 
 // wake builds a dormant session from its snapshot bytes and drops them.
 // Every request's lookup of a session wakes it (Server.session), so a
 // session is built on its first use, once: racing first uses meet on mu,
-// and the ones that follow the first find it built. A session closed
-// while dormant is never built; waking it answers ErrDraining, as admit
-// would.
+// and the ones that follow the first find it built. A closing session,
+// dormant or not, answers ErrDraining, as admit would; one closed while
+// dormant is never built.
 func (s *Session) wake() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closing {
+		return ErrDraining
+	}
 	if s.snap == nil {
-		if s.shards == nil {
-			return ErrDraining
-		}
 		return nil
 	}
 	// The bytes passed every check of the restore that kept them, so
@@ -293,9 +304,6 @@ func (s *Session) admit(n int) error {
 	if s.closing {
 		return ErrDraining
 	}
-	if s.quiesced {
-		return ErrSnapshotting
-	}
 	if s.cfg.Fault.Drop("queue.admit") {
 		return ErrInjected
 	}
@@ -316,136 +324,108 @@ func (s *Session) release(n int) {
 
 // PostInto ingests a batch of events in order and writes the predicted
 // sharing bitmap for each, writer-masked, exactly as eval.Engine.Step
-// would, into preds, which must have length len(evs). Events are fanned
-// out to the shard pool; PostInto returns only after every event has been
-// processed and scored, so a successful return means the batch is fully
-// reflected in Stats. The slots are the response buffer the shard
-// workers store into, and they are safe to read (or recycle) once
-// PostInto has returned.
+// would, into preds, which must have length len(evs). It returns once
+// every event has been processed and scored, so a successful return
+// means the batch is fully reflected in Stats.
 //
 //predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 func (s *Session) PostInto(evs []trace.Event, preds []bitmap.Bitmap) error {
-	return s.postInto(evs, preds, nil)
+	_, err := s.post(evs, preds, nil, nil)
+	return err
 }
 
-// postInto is PostInto carrying a flight record: the enqueue instant is
-// stamped after admission, and the record rides each run into the shard
-// workers so the micro-batch loop can account queue-wait, batch-wait, and
-// execute time to this request. st may be nil (untraced).
-//
-// The batch is routed once and split into one run per shard it touches;
-// each run is a single channel send and a single WaitGroup.Done, so the
-// dispatch cost is paid per (post, shard), not per event.
-func (s *Session) postInto(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) error {
+// post admits evs, then runs them through the table under tableMu on the
+// caller's goroutine, stamping st (which may be nil: untraced). Each
+// admitted post draws the chaos delay point once, before the lock, and
+// the panic point once, under it. With e, a keyed post's cache entry,
+// the reply frame is encoded and e completed before the lock is
+// released, and post returns the frame.
+func (s *Session) post(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record, e *idemEntry) ([]byte, error) {
 	if len(evs) > MaxBatchEvents {
-		return fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
+		return nil, fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
 	}
 	if len(preds) != len(evs) {
-		return fmt.Errorf("serve: %d prediction slots for %d events", len(preds), len(evs))
+		return nil, fmt.Errorf("serve: %d prediction slots for %d events", len(preds), len(evs))
 	}
 	if len(evs) == 0 {
-		return nil
+		return e.complete(preds, st), nil
 	}
 	if err := s.admit(len(evs)); err != nil {
-		return err
+		return nil, err
 	}
 	defer s.release(len(evs))
 	s.om.queueDepth.Add(float64(len(evs)))
 	defer s.om.queueDepth.Add(-float64(len(evs)))
-
 	st.SetEnqueue(flight.Nanos())
-	p := posts.Get().(*post)
-	p.evs, p.preds, p.st = evs, preds, st
-	p.wg.Add(p.split(s.router))
-	lo := int32(0)
-	for k, hi := range p.ends[:len(s.shards)] {
-		if hi > lo {
-			s.shards[k].in <- op{p: p, run: p.pos[lo:hi]}
-		}
-		lo = hi
+	if d := s.cfg.Fault.Delay("post.delay"); d > 0 {
+		st.MarkFault(flight.FaultDelay)
+		time.Sleep(d)
 	}
-	p.wg.Wait()
-	p.evs, p.preds, p.st = nil, nil, nil // the pool must not pin request buffers
-	posts.Put(p)
-	if err := s.shardErr(); err != nil {
-		return err
+
+	var frame []byte
+	s.tableMu.Lock()
+	err := s.eng.run(evs, preds, st, s.cfg.Fault, s.om)
+	if err == nil {
+		frame = e.complete(preds, st)
 	}
-	// Record only after the shards trained cleanly: a failed post is
-	// retried by the client and would otherwise appear twice in the
-	// trace. evs is not retained past this call (recorder contract).
+	s.tableMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	// Record only what trained cleanly: a failed post is retried by the
+	// client and would otherwise appear twice in the trace. evs is not
+	// retained past this call (recorder contract).
 	if s.cfg.Record != nil {
 		s.cfg.Record.RecordEvents(s.ID, st.ID(), evs)
 	}
+	return frame, nil
+}
+
+// run applies evs to the table in order and scores them; the caller
+// holds tableMu. A panic in the kernel, real or injected, poisons the
+// session: run recovers it, and this post and every later one fail with
+// ErrShardFailed. The clock reads (flight.Nanos, the allowlisted clock)
+// feed the trace record and the busy-ns counter only, never results.
+func (g *engine) run(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record, flt *fault.Injector, om *serveMetrics) (err error) {
+	start := flight.Nanos()
+	if g.fail != nil {
+		return g.fail
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			g.fail = fmt.Errorf("%w: post panicked: %v", ErrShardFailed, r)
+			om.shardPanics.Inc()
+			err = g.fail
+		}
+	}()
+	if flt.PanicNow("post.panic") {
+		//predlint:ignore panicfree injected chaos panic; recovered above
+		panic("injected fault (site post.panic)")
+	}
+	g.process(evs, preds)
+	busy := flight.Nanos() - start
+	st.NoteExec(start, busy)
+	om.eventsTotal.Add(int64(len(evs)))
+	om.batchesTotal.Inc()
+	om.batchSize.Observe(float64(len(evs)))
+	om.shardBusyNS.Add(busy)
 	return nil
 }
 
-// post is one postInto call's dispatch state, pooled so a warm session
-// dispatches without allocating. split fills the scratch; each shard
-// worker reads evs, stores into preds and stamps st for its own run only,
-// then releases the run with wg.Done. The posting goroutine owns a post
-// from Get to Put and lends its runs to the workers until wg.Wait
-// returns, so touching one after Put is a goroutineown finding.
-//
-//predlint:owned
-type post struct {
-	evs   []trace.Event
-	preds []bitmap.Bitmap
-	st    *flight.Record
-	wg    sync.WaitGroup
-
-	// Scratch grown to the largest batch seen: each event's shard, and
-	// the event positions grouped by shard. After split, shard k's run is
-	// pos[ends[k-1]:ends[k]], with ends[-1] taken as 0.
-	route []uint8
-	pos   []int32
-	ends  [maxShards]int32
-}
-
-var posts = sync.Pool{New: func() interface{} { return new(post) }}
-
-// split routes the post's events once and groups their positions by shard
-// with a counting sort, so each shard's run keeps the request's order. It
-// returns the number of non-empty runs. A single-shard router needs no
-// routing: its one run is the whole batch.
+// process applies evs to the table in request order and scores each
+// prediction into the tallies. This is the serving hot path: one
+// eval.Apply, one bitmap score, and one response-slot store per event —
+// no allocation, locks, or atomics.
 //
 //predlint:hotpath
-func (p *post) split(r *Router) int {
-	n := len(p.evs)
-	if cap(p.pos) < n {
-		p.pos = make([]int32, n)
-		p.route = make([]uint8, n)
+func (g *engine) process(evs []trace.Event, preds []bitmap.Bitmap) {
+	for i := range evs {
+		ev := &evs[i]
+		pred := eval.Apply(g.update, &g.keyer, g.table, ev)
+		g.conf.AddBitmaps(pred, ev.FutureReaders, g.nodes)
+		preds[i] = pred
 	}
-	pos := p.pos[:n]
-	if r.Shards() == 1 {
-		for i := range pos {
-			pos[i] = int32(i)
-		}
-		p.ends[0] = int32(n)
-		return 1
-	}
-	route, ends := p.route[:n], p.ends[:r.Shards()]
-	clear(ends)
-	for i := range p.evs {
-		k := r.RouteEvent(&p.evs[i])
-		route[i] = uint8(k)
-		ends[k]++
-	}
-	// Counts become run starts; placing each event advances its shard's
-	// cursor, which leaves ends[k] at the end of shard k's run.
-	runs := 0
-	var start int32
-	for k, c := range ends {
-		ends[k] = start
-		start += c
-		if c > 0 {
-			runs++
-		}
-	}
-	for i, k := range route {
-		pos[ends[k]] = int32(i)
-		ends[k]++
-	}
-	return runs
+	g.events += uint64(len(evs))
 }
 
 // postFrame posts evs and returns the COHWIRE1 reply frame: the one post
@@ -466,7 +446,7 @@ func (s *Session) postFrame(key, ack string, evs []trace.Event, buf *wireBuf, st
 	if key != "" {
 		return s.postKeyed(key, evs, preds, st)
 	}
-	if err := s.postInto(evs, preds, st); err != nil {
+	if _, err := s.post(evs, preds, st, nil); err != nil {
 		return nil, err
 	}
 	buf.out = encodeReply(buf.out[:0], preds, st)
@@ -496,8 +476,8 @@ func (s *Session) acknowledge(key string) {
 
 // postKeyed runs a keyed post through the idempotency cache. The first
 // arrival of key trains the engine with preds (len(evs) caller-owned
-// slots) as its response buffer, encodes the reply frame once at its
-// exact size and caches it; a duplicate waits for the original and gets
+// slots) as its response buffer, and post encodes the reply frame once
+// at its exact size and caches it; a duplicate waits for the original and gets
 // the same frame, marked a replay on st, its preds untouched, or
 // ErrKeyAcknowledged once the key is acknowledged. A retryably-failed
 // attempt releases the key so the retry can run.
@@ -542,19 +522,19 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 	}
 	s.idemMu.Unlock()
 
-	if err := s.postInto(evs, preds, st); err != nil {
+	frame, err := s.post(evs, preds, st, e)
+	if err != nil {
 		if errors.Is(err, ErrShardFailed) {
-			// Permanent: every retry fails identically, but its post would
-			// still re-train the healthy shards' partitions first. Keep
-			// the entry with the recorded error so a replay of this key
-			// fails fast without touching the engine.
+			// Permanent: every retry fails identically. Keep the entry
+			// with the recorded error so a replay of this key fails fast
+			// without touching the engine.
 			e.err = err
 			close(e.done)
 			return nil, err
 		}
-		// Nothing was trained (drops and backlog refuse before enqueue):
-		// release the key so the client's retry re-runs instead of
-		// replaying an error.
+		// Nothing was trained (drops and backlog refuse before the
+		// lock): release the key so the client's retry re-runs instead
+		// of replaying an error.
 		s.idemMu.Lock()
 		if s.idem[key] == e {
 			delete(s.idem, key)
@@ -570,46 +550,32 @@ func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap
 		close(e.done)
 		return nil, err
 	}
-	frame := encodeReply(nil, preds, st)
-	e.frame = frame
-	close(e.done)
 	return frame, nil
 }
 
-// Stats is a session's aggregated (per-batch-published) state. While
-// traffic is in flight the snapshot trails the queue by at most one
-// micro-batch per shard; once every Post has returned it is exact.
+// Stats is a session's aggregated state: exact once every Post has
+// returned, and never partway through one.
 type Stats struct {
 	Confusion    metrics.Confusion
 	Events       uint64
 	TableEntries uint64
-	Shards       []ShardStats
 	// IdemKeys counts the idempotency cache's keys, and IdemReplyBytes
 	// the reply frames it holds for them.
 	IdemKeys       int
 	IdemReplyBytes int
 }
 
-// ShardStats is the published view of one shard of the pool.
-type ShardStats struct {
-	Events       uint64 `json:"events"`
-	TableEntries uint64 `json:"table_entries"`
-	BusyNS       int64  `json:"busy_ns"`
-}
-
-// Stats merges the shard pool's published tallies on top of any
-// snapshot-restored baseline, and measures the idempotency cache.
+// Stats adds the engine's tallies to any snapshot-restored baseline, and
+// measures the idempotency cache.
 func (s *Session) Stats() Stats {
-	st := Stats{Shards: make([]ShardStats, len(s.shards))}
-	st.Confusion = s.baseConf
-	st.Events = s.baseEvents
-	for i, sh := range s.shards {
-		ss := sh.stats()
-		st.Confusion.Merge(ss.conf)
-		st.Events += ss.events
-		st.TableEntries += ss.entries
-		st.Shards[i] = ShardStats{Events: ss.events, TableEntries: ss.entries, BusyNS: ss.busyNS}
+	st := Stats{Confusion: s.baseConf, Events: s.baseEvents}
+	s.tableMu.Lock()
+	st.Confusion.Merge(s.eng.conf)
+	st.Events += s.eng.events
+	if s.eng.table != nil {
+		st.TableEntries = uint64(s.eng.table.Entries())
 	}
+	s.tableMu.Unlock()
 	s.idemMu.Lock()
 	st.IdemKeys = len(s.idemOrder)
 	for _, k := range s.idemOrder {
@@ -621,87 +587,28 @@ func (s *Session) Stats() Stats {
 	return st
 }
 
-// shardErr returns the first (by shard index) worker panic, if any.
-func (s *Session) shardErr() error {
-	for _, sh := range s.shards {
-		if err := sh.failure(); err != nil {
-			return err
-		}
-	}
-	return nil
+// failure returns the kernel panic that poisoned the session, if any.
+func (s *Session) failure() error {
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	return s.eng.fail
 }
 
-// quiesce stops admission (mode: ErrSnapshotting) and waits until the
-// session is fully settled: every admitted batch processed and published,
-// every idempotency entry completed. The caller may then read shard state
-// directly — the reqs.Wait edge (worker wg.Done → Post wg.Wait → release
-// reqs.Done → reqs.Wait) orders all worker table writes before the reads.
-func (s *Session) quiesce() error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return ErrDraining
-	}
-	if s.quiesced {
-		s.mu.Unlock()
-		return ErrSnapshotting
-	}
-	s.quiesced = true
-	s.mu.Unlock()
-
-	s.reqs.Wait()
-	// Idempotency bookkeeping happens after postInto returns (after reqs.Done),
-	// so entries may still be filling; wait for each.
-	s.idemMu.Lock()
-	pending := make([]*idemEntry, 0, len(s.idemOrder))
-	for _, k := range s.idemOrder {
-		pending = append(pending, s.idem[k])
-	}
-	s.idemMu.Unlock()
-	for _, e := range pending {
-		<-e.done
-	}
-	return nil
-}
-
-// resume re-opens admission after a snapshot.
-func (s *Session) resume() {
-	s.mu.Lock()
-	s.quiesced = false
-	s.mu.Unlock()
-}
-
-// Close drains the session: new posts are refused with ErrDraining,
-// in-flight posts run to completion (their events processed and published),
-// then the shard workers exit. Safe to call more than once; every call
-// returns only after the drain has finished. The returned error surfaces
-// a shard worker panic (injected or real) that occurred at any point in
-// the session's life — drain must not swallow it.
+// Close drains the session: new posts are refused with ErrDraining, and
+// in-flight posts run to completion (their events processed and scored).
+// Safe to call more than once; every call returns only after the drain
+// has finished. The returned error surfaces a kernel panic (injected or
+// real) that occurred at any point in the session's life — drain must
+// not swallow it.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		<-s.closed
-		return s.shardErr()
-	}
 	s.closing = true
 	if s.snap != nil {
 		// Dormant: there is nothing to drain, and it is never built.
 		s.om.dormant(-1, -len(s.snap))
 		s.snap = nil
-		s.mu.Unlock()
-		close(s.closed)
-		return nil
 	}
 	s.mu.Unlock()
-
 	s.reqs.Wait()
-	for _, sh := range s.shards {
-		close(sh.in)
-	}
-	for _, sh := range s.shards {
-		<-sh.done
-	}
-	close(s.closed)
-	return s.shardErr()
+	return s.failure()
 }

@@ -67,7 +67,8 @@ func defaultTrace(tb testing.TB, bench string) []trace.Event {
 	return mach.Finish().Events
 }
 
-// postKeyedBatches creates a two-shard session of scheme on h and posts
+// postKeyedBatches creates a session of scheme on h, asking for two
+// shards as cluster-small's clients once did, and posts
 // it n keyed 64-event COHWIRE1 batches, taken from evs in order and
 // wrapping around, as cluster-small's sessions receive them. It returns
 // the session id.
@@ -117,7 +118,7 @@ func unship(tb testing.TB, standby http.Handler, w *sinkWriter, id string) {
 }
 
 // BenchmarkShip times one ship of each of cluster-small's four session
-// shapes after 416 keyed 64-event posts on two shards: the snapshot GET
+// shapes after 416 keyed 64-event posts: the snapshot GET
 // on the home backend, then the PUT that restores it on the standby. The
 // standby's DELETE of the copy between rounds is not timed. Run it with
 // -benchmem; the snapshot-bytes metric is the four snapshots' total.

@@ -8,20 +8,19 @@ import (
 	"strings"
 
 	"cohpredict/internal/codec"
-	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
 	"cohpredict/internal/fault"
 )
 
 // Session snapshots are COHSNAP1 (internal/eval): the engine state —
-// scheme, machine, the shard tables' entries merged in key order,
-// tallies — then the serving-layer state, tuning and the idempotency
-// cache, packed into the opaque Extra section by the helpers here. A GET
-// writes the whole snapshot into one buffer: eval.AppendSnapshot writes
-// each entry straight from its shard table, and the section follows in
-// place. A PUT reads the section's cached replies into one buffer and
-// their keys into one string, then imports the entries straight into
-// the new session's shard tables.
+// scheme, machine, the table's entries in key order, tallies — then the
+// serving-layer state, tuning and the idempotency cache, packed into the
+// opaque Extra section by the helpers here. A GET writes the whole
+// snapshot into one buffer: eval.AppendSnapshot writes each entry
+// straight from the table, and the section follows in place. A PUT reads
+// the section's cached replies into one buffer and their keys into one
+// string, then imports the entries straight into the new session's
+// table.
 //
 // A cache entry is its key followed by its reply frame's tail (the
 // count, then the predictions), copied verbatim both ways: the layout
@@ -30,7 +29,9 @@ import (
 // none is version 1's bytes, and a decoder that predates them refuses
 // one as a count out of range. The tuning still carries the retired
 // flush deadline's slot, in nanoseconds: live sessions write 0, and a
-// decoded section keeps what it read so it re-encodes byte for byte.
+// decoded section keeps what it read so it re-encodes byte for byte. Its
+// shards word is range-checked on restore and otherwise ignored: live
+// sessions write 1.
 
 // sessionExtraVersion versions the Extra section layout.
 const sessionExtraVersion = 1
@@ -52,7 +53,8 @@ const MaxSnapshotBytes = 64 << 20
 const maxExtraHead = 6 * 10
 
 // SessionTuning is the restorable performance configuration of a session
-// (everything in SessionConfig that does not affect results).
+// (everything in SessionConfig that does not affect results). Shards is
+// range-checked and written as 1, and BatchSize is only kept.
 type SessionTuning struct {
 	Shards     int
 	BatchSize  int
@@ -76,32 +78,24 @@ var closedDone = func() chan struct{} {
 	return c
 }()
 
-// AppendSnapshot quiesces the session, appends its COHSNAP1 snapshot to
-// dst — scheme, machine, merged predictor tables, tallies, tuning, and
-// the idempotency cache — and resumes. The snapshot restores
-// (Server.RestoreSnapshot) into a session whose future predictions and
-// stats are byte-identical to this one's, at any shard count.
+// AppendSnapshot appends the session's COHSNAP1 snapshot to dst —
+// scheme, machine, table, tallies, tuning, and the idempotency cache —
+// under the table lock, so it falls between two posts. The snapshot
+// restores (Server.RestoreSnapshot) into a session whose future
+// predictions and stats are byte-identical to this one's.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
-	if err := s.quiesce(); err != nil {
-		return nil, err
-	}
-	defer s.resume()
-	if err := s.shardErr(); err != nil {
-		return nil, err
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	if s.eng.fail != nil {
+		return nil, s.eng.fail
 	}
 	hdr := eval.Snapshot{
 		Scheme:  s.cfg.Scheme,
 		Machine: s.cfg.Machine,
-		Events:  s.baseEvents,
+		Events:  s.baseEvents + s.eng.events,
 		Conf:    s.baseConf,
 	}
-	tables := make([]*core.FlatTable, len(s.shards))
-	for i, sh := range s.shards {
-		tables[i] = sh.table
-		ss := sh.stats()
-		hdr.Conf.Merge(ss.conf)
-		hdr.Events += ss.events
-	}
+	hdr.Conf.Merge(s.eng.conf)
 	tuning := SessionTuning{Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, MaxPending: s.cfg.MaxPending}
 
 	// The section's length precedes it, so the cache is measured first;
@@ -111,7 +105,7 @@ func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	n, size := idemSize(s.idemOrder, s.idem)
 	var head [maxExtraHead]byte
 	h := appendExtraHead(head[:0], tuning, 0, n)
-	dst = eval.AppendSnapshot(dst, &hdr, len(h)+size, tables...)
+	dst = eval.AppendSnapshot(dst, &hdr, len(h)+size, s.eng.table)
 	dst = appendIdem(append(dst, h...), s.idemOrder, s.idem)
 	s.om.snapshots.Inc()
 	return dst, nil
@@ -129,14 +123,15 @@ func appendExtraHead(b []byte, t SessionTuning, flush uint64, n int) []byte {
 }
 
 // snapshotted reports whether a cache entry belongs in a snapshot: only a
-// completed, successful one. Quiescence guarantees every successfully
-// admitted batch's entry is complete, but a keyed post racing the snapshot
-// can register its entry and only then fail admission with
-// ErrSnapshotting — such an entry is still open, or carries an error, and
-// is skipped: baking it into the snapshot would make the restored session
-// answer a replay of the key with zero predictions and the batch would
-// silently never train. An open entry can only go on to fail, so two
-// walks of one cache agree on which entries they take.
+// completed, successful one. A keyed post completes its entry before it
+// releases the table lock, and AppendSnapshot holds that lock, so the
+// entries it takes are exactly the keyed posts whose events its table
+// holds. An entry still open belongs to a post that has not trained (or
+// never will), and one with an error trained nothing either: baking
+// either into the snapshot would make the restored session answer a
+// replay of the key with zero predictions, and the batch would silently
+// never train. Under the lock an open entry can only go on to fail, so
+// two walks of one cache agree on which entries they take.
 func snapshotted(e *idemEntry) bool { return e.completed() && e.err == nil }
 
 // idemTail returns what follows a snapshotted entry's key in the
@@ -274,13 +269,10 @@ func decodeSessionExtra(data []byte, cache bool) (*sessionExtra, error) {
 // newDormantSession restores a session from a decoded snapshot without
 // building it. It checks everything a restore must: the tuning (shards,
 // batch size, max pending) that the snapshot's Extra section carries,
-// with shards, when non-nil, as the shard count; the idempotency cache in
-// that section; and every entry, without a table. The session takes the
-// snapshot's tallies and keeps an exact-size copy of data, the
-// snapshot's bytes, until its first use builds it (wake). Restoring onto
-// a different shard count is legal and preserves byte-identical
-// behaviour: the router partitions the restored keys exactly as it would
-// have partitioned the events that created them.
+// with shards, when non-nil, in place of its shards word; the
+// idempotency cache in that section; and every entry, without a table.
+// The session takes the snapshot's tallies and keeps an exact-size copy
+// of data, the snapshot's bytes, until its first use builds it (wake).
 func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
 	cfg, err := restoredConfig(snap, shards, flt, rec)
 	if err != nil {
@@ -299,8 +291,9 @@ func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int,
 
 // restoredConfig returns the checked config of a session restored from
 // snap: its scheme and machine, the tuning its Extra section carries,
-// and shards, when non-nil, as the shard count. It checks the whole
-// section, idempotency cache included, without building the cache.
+// and shards, when non-nil, checked in place of its shards word. It
+// checks the whole section, idempotency cache included, without building
+// the cache.
 func restoredConfig(snap *eval.Snapshot, shards *int, flt *fault.Injector, rec EventRecorder) (SessionConfig, error) {
 	extra, err := decodeSessionExtra(snap.Extra, false)
 	if err != nil {

@@ -93,7 +93,7 @@ func runThroughputFloorOpts(t *testing.T, opts serve.Options, contentType string
 
 // TestThroughputFloor is the JSON acceptance load test: the batched
 // endpoint must sustain at least 100k events/sec end to end (JSON in,
-// sharded prediction, JSON out) on the development machine. Skipped in
+// prediction, JSON out) on the development machine. Skipped in
 // -short runs and under the race detector, where the floor would measure
 // the instrumentation instead of the service.
 func TestThroughputFloor(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -273,8 +274,9 @@ func TestWireNegotiation(t *testing.T) {
 
 // TestWireOfflineEquivalence is the binary twin of TestOfflineEquivalence:
 // a trace replayed as COHWIRE1 frames returns, per event, exactly the
-// bitmap eval.Engine.Step produces — at 1, 2, and 8 shards — and the
-// session's confusion counts match eval.Evaluate.
+// bitmap eval.Engine.Step produces — with sessions created at 1, 2 and 8
+// shards, counts the server accepts and ignores — and the session's
+// confusion counts match eval.Evaluate.
 func TestWireOfflineEquivalence(t *testing.T) {
 	tr := genTrace(t, "em3d", 3)
 	m := core.Machine{Nodes: 16, LineBytes: 64}
@@ -412,11 +414,13 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 // the whole route table, with a reused request and a minimal writer, so
 // that the count is the handler's own: 6 allocations for an unkeyed post
 // and 9 for a keyed one (its idempotency entry, its done channel and its
-// cached frame), whatever the batch size.
+// cached frame), whatever the batch size. The collector is off while it
+// counts: a collection empties the sync.Pools the handler draws from.
 func TestWireHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a race build allocates more")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
 	h := srv.Handler()
@@ -470,11 +474,14 @@ func TestWireHandlerAllocs(t *testing.T) {
 // through the whole route table, as TestWireHandlerAllocs does for
 // COHWIRE1: 15 allocations, the JSON decoder's own, whatever the batch
 // size, because the events decode into the pooled slice (a fresh slice
-// per post took 22 at 64 events and 33 at 4096).
+// per post took 22 at 64 events and 33 at 4096). The collector is off
+// while it counts: a collection empties the pools, and the posts that
+// refill them would round the average past the bound.
 func TestJSONHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a race build allocates more")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	srv := serve.NewServer(serve.Options{})
 	defer srv.Shutdown()
 	h := srv.Handler()

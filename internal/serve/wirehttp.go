@@ -8,7 +8,7 @@ package serve
 // for COHWIRE1 neither in its Content-Type nor in its Accept. Body bytes,
 // decoded events, prediction slots and the encoded reply all live in a
 // per-request *wireBuf recycled through a sync.Pool, so the steady-state
-// cost of a COHWIRE1 post is the codec kernels plus the shard work. A
+// cost of a COHWIRE1 post is the codec kernels plus the kernel's work. A
 // keyed post (every post the Go client sends) allocates one thing more:
 // its reply frame at its exact size, which the idempotency cache keeps
 // for replays until the client acknowledges it (an Idempotency-Ack
@@ -62,9 +62,8 @@ func wantsWire(r *http.Request) bool {
 // reply whole, with its content type; it writes nothing. The reply lives
 // in buf or in the idempotency cache. Along the way it stamps the flight
 // record: byte sizes, event count, and the decode and encode stage times
-// (queue, batch and exec are stamped below, in the session and the shard
-// workers). A content type other than COHWIRE1 or JSON is refused with
-// 415.
+// (queue and exec are stamped below, in the session). A content type
+// other than COHWIRE1 or JSON is refused with 415.
 func (s *Server) events(r *http.Request, buf *wireBuf, rec *flight.Record) (ctype string, reply []byte, err error) {
 	sess, err := s.session(r)
 	if err != nil {

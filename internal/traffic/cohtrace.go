@@ -7,7 +7,7 @@
 // `predserve -record file.cohtrace` captures the accepted event stream,
 // `predload -replay file.cohtrace` reproduces it (same sessions, same
 // batching, same request IDs), and the served predictions and confusion
-// come back byte-identical at any shard count.
+// come back byte-identical.
 //
 // COHTRACE1 follows internal/codec's discipline:
 //
@@ -15,6 +15,8 @@
 //	magic   := "COHTRACE1"                                (9 bytes)
 //	record  := kind payload
 //	kind 1  := session: seq scheme:string nodes line_bytes shards
+//	           (shards: what the session reported, 1 to 64; a replay
+//	           checks its range and otherwise ignores it)
 //	kind 2  := request: session arrival_ns id:string block
 //	string  := len:uvarint byte*len
 //
@@ -60,7 +62,7 @@ const (
 	// maxTraceBatch bounds one request's event count, matching the serve
 	// layer's batch limit (serve.MaxBatchEvents).
 	maxTraceBatch = 1 << 16
-	// maxTraceShards matches the serve layer's shard-pool cap.
+	// maxTraceShards matches the serve layer's range check on shards.
 	maxTraceShards = 64
 	// minTraceRecordBytes is the smallest record (an empty-id request
 	// header); it bounds the declared record count before any allocation.

@@ -75,14 +75,12 @@ type GenConfig struct {
 	Batch         int           // events per request
 	Mix           []MixEntry    // weighted workload mix
 	Scheme        string        // predictor scheme for every session
-	Shards        int           // requested shard count (0 = server default)
 }
 
 // PlanSession is one session the run will create.
 type PlanSession struct {
 	Scheme   string
 	Nodes    int
-	Shards   int
 	Workload string
 }
 
@@ -184,7 +182,6 @@ func BuildPlan(cfg GenConfig) (*Plan, error) {
 		plan.Sessions = append(plan.Sessions, PlanSession{
 			Scheme:   cfg.Scheme,
 			Nodes:    16,
-			Shards:   cfg.Shards,
 			Workload: name,
 		})
 		evs, err := sessionEvents(traces, name, cfg.Seed+int64(i), cfg.SessionEvents)

@@ -23,7 +23,7 @@ const (
 )
 
 // goldenOutcome is the pinned replay result: per-session predictions and
-// confusion, identical at every shard count.
+// confusion.
 type goldenOutcome struct {
 	Sessions []goldenSession `json:"sessions"`
 }
@@ -58,17 +58,16 @@ func outcomeOf(res *ReplayResult) goldenOutcome {
 }
 
 // replayGoldenTrace replays the committed incident against a fresh
-// in-process server at the given shard count.
-func replayGoldenTrace(t *testing.T, recs []TraceRecord, shards int) goldenOutcome {
+// in-process server.
+func replayGoldenTrace(t *testing.T, recs []TraceRecord) goldenOutcome {
 	t.Helper()
-	res := replayAgainstFreshServer(t, recs, shards)
-	return outcomeOf(res)
+	return outcomeOf(replayAgainstFreshServer(t, recs))
 }
 
 // TestGoldenChaosIncident is the replay-regression gate: the committed
 // chaos-incident trace (recorded under drops, injected 500s, and resets)
 // must keep replaying to byte-for-byte the committed predictions and
-// confusion, at one shard and at eight. Any change to the predictor
+// confusion. Any change to the predictor
 // core, the serve pipeline, the codec, or the replayer that shifts a
 // single served bitmap fails here first.
 func TestGoldenChaosIncident(t *testing.T) {
@@ -91,11 +90,8 @@ func TestGoldenChaosIncident(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 8} {
-		got := replayGoldenTrace(t, recs, shards)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: replay outcome drifted from the committed golden\n(regenerate with -update-golden only if the change is intended)", shards)
-		}
+	if got := replayGoldenTrace(t, recs); !reflect.DeepEqual(got, want) {
+		t.Fatal("replay outcome drifted from the committed golden\n(regenerate with -update-golden only if the change is intended)")
 	}
 }
 
@@ -113,7 +109,7 @@ func regenerateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := replayGoldenTrace(t, recs, 2)
+	out := replayGoldenTrace(t, recs)
 	raw, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

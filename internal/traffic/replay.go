@@ -4,7 +4,7 @@ package traffic
 // same sessions, same batching, same request IDs, in the recorded total
 // order. Because a session's batches replay serially in their recorded
 // order, the served predictions and final confusion are byte-identical
-// to the original run at any shard count — the record/replay analogue of
+// to the original run — the record/replay analogue of
 // the offline-equivalence guarantee, and the property the headline
 // chaos-replay test pins.
 
@@ -35,10 +35,6 @@ type ReplayOptions struct {
 	BaseURL string
 	// Binary posts COHWIRE1 frames; false posts JSON.
 	Binary bool
-	// Shards overrides every recorded session's shard count when
-	// positive — the knob the replay-equivalence tests turn to prove the
-	// stream trains identically at shards 1, 2, and 8.
-	Shards int
 	// Seed seeds the client (request-ID minting for control calls).
 	Seed int64
 	// Paced sleeps requests to their recorded arrival offsets instead of
@@ -78,15 +74,10 @@ func Replay(recs []TraceRecord, opts ReplayOptions) (*ReplayResult, error) {
 		switch rec.Kind {
 		case TraceKindSession:
 			s := rec.Session
-			shards := s.Shards
-			if opts.Shards > 0 {
-				shards = opts.Shards
-			}
 			resp, err := c.CreateSession(serve.CreateSessionRequest{
 				Scheme:    s.Scheme,
 				Nodes:     s.Nodes,
 				LineBytes: s.LineBytes,
-				Shards:    shards,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("traffic: replaying session %d: %w", s.Seq, err)

@@ -100,15 +100,15 @@ func chaosRun(t *testing.T, evs []trace.Event, seed int64) (data []byte, preds [
 }
 
 // replayAgainstFreshServer replays recs at a fresh fault-free in-process
-// server, overriding the recorded shard counts when shards is positive.
-func replayAgainstFreshServer(t *testing.T, recs []TraceRecord, shards int) *ReplayResult {
+// server.
+func replayAgainstFreshServer(t *testing.T, recs []TraceRecord) *ReplayResult {
 	t.Helper()
 	srv := serve.NewServer(serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Shutdown() }()
-	res, err := Replay(recs, ReplayOptions{BaseURL: ts.URL, Binary: true, Shards: shards, Seed: 1})
+	res, err := Replay(recs, ReplayOptions{BaseURL: ts.URL, Binary: true, Seed: 1})
 	if err != nil {
-		t.Fatalf("shards=%d: replay: %v", shards, err)
+		t.Fatalf("replay: %v", err)
 	}
 	return res
 }
@@ -116,9 +116,9 @@ func replayAgainstFreshServer(t *testing.T, recs []TraceRecord, shards int) *Rep
 // TestChaosRecordReplayEquivalence is the headline proof: record a
 // seeded chaos run (drops, injected 500s, connection resets, client
 // retries under idempotency keys), then replay the captured COHTRACE1
-// stream against fresh fault-free servers at shard counts 1, 2, and 8 —
-// every replay serves predictions and confusion byte-identical to what
-// the original chaotic run produced.
+// stream against a fresh fault-free server — the replay serves
+// predictions and confusion byte-identical to what the original chaotic
+// run produced.
 func TestChaosRecordReplayEquivalence(t *testing.T) {
 	tr := genTestTrace(t, "em3d", 11)
 	evs := tr.Events
@@ -139,33 +139,24 @@ func TestChaosRecordReplayEquivalence(t *testing.T) {
 			len(recs), wantRecords)
 	}
 
-	for _, shards := range []int{1, 2, 8} {
-		srv := serve.NewServer(serve.Options{})
-		ts := httptest.NewServer(srv.Handler())
-		res, err := Replay(recs, ReplayOptions{BaseURL: ts.URL, Binary: true, Shards: shards, Seed: 1})
-		ts.Close()
-		srv.Shutdown()
-		if err != nil {
-			t.Fatalf("shards=%d: replay: %v", shards, err)
+	res := replayAgainstFreshServer(t, recs)
+	if len(res.Sessions) != 2 {
+		t.Fatalf("replayed %d sessions, want 2", len(res.Sessions))
+	}
+	for s := 0; s < 2; s++ {
+		got, want := res.Sessions[s].Predictions, wantPreds[s]
+		if len(got) != len(want) {
+			t.Fatalf("session %d: %d predictions, want %d", s, len(got), len(want))
 		}
-		if len(res.Sessions) != 2 {
-			t.Fatalf("shards=%d: replayed %d sessions, want 2", shards, len(res.Sessions))
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("session %d: prediction %d is %#x, recorded run served %#x",
+					s, i, got[i], want[i])
+			}
 		}
-		for s := 0; s < 2; s++ {
-			got, want := res.Sessions[s].Predictions, wantPreds[s]
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d session %d: %d predictions, want %d", shards, s, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d session %d: prediction %d is %#x, recorded run served %#x",
-						shards, s, i, got[i], want[i])
-				}
-			}
-			if gc := confusionOf(res.Sessions[s].Stats); gc != wantConfs[s] {
-				t.Fatalf("shards=%d session %d: confusion %+v, recorded run produced %+v",
-					shards, s, gc, wantConfs[s])
-			}
+		if gc := confusionOf(res.Sessions[s].Stats); gc != wantConfs[s] {
+			t.Fatalf("session %d: confusion %+v, recorded run produced %+v",
+				s, gc, wantConfs[s])
 		}
 	}
 }

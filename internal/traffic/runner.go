@@ -94,7 +94,6 @@ func Run(plan *Plan, opts RunOptions) (*Report, error) {
 		resp, err := c.CreateSession(serve.CreateSessionRequest{
 			Scheme: ps.Scheme,
 			Nodes:  ps.Nodes,
-			Shards: ps.Shards,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("traffic: creating session %d: %w", i, err)
