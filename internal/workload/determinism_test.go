@@ -24,6 +24,35 @@ var fingerprints = map[string]uint64{
 	"water":    0x50ef4e15a5acf766,
 }
 
+// defaultFingerprints pins, at default scale and seed 1, the four kernels
+// the benchmark harness simulates before it serves their traces. The
+// recipe is fingerprints'. A simulator change that alters only what the
+// larger inputs reach (more quanta, more lock contention, longer barrier
+// phases) fails here, not at test scale.
+var defaultFingerprints = map[string]uint64{
+	"barnes": 0xd3cfdce57549dfd9,
+	"em3d":   0xe5ce49efab718f58,
+	"mp3d":   0x3db50dc18b6557dc,
+	"ocean":  0xba210bb82e9e9c0b,
+}
+
+// fingerprint simulates b on 16 processors from seed and returns its
+// COHPRED2 trace bytes and their fingerprint: FNV-1a over the bytes,
+// then over the machine.Stats printed with %+v.
+func fingerprint(t *testing.T, b Benchmark, seed int64) ([]byte, uint64) {
+	t.Helper()
+	m := machine.New(machine.DefaultConfig())
+	b.Run(m, 16, seed)
+	var buf bytes.Buffer
+	if err := m.Finish().Write(&buf); err != nil {
+		t.Fatalf("%s: serialize: %v", b.Name(), err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	fmt.Fprintf(h, "%+v", m.Stats())
+	return buf.Bytes(), h.Sum64()
+}
+
 // TestSameSeedIdenticalTraces is the seed-audit regression test: every
 // benchmark, run twice with the same seed, must serialize to byte-identical
 // traces. All randomness in sched and workload flows through explicitly
@@ -33,27 +62,32 @@ var fingerprints = map[string]uint64{
 // pinned fingerprint, so a change to the simulator that alters what it
 // simulates fails here too.
 func TestSameSeedIdenticalTraces(t *testing.T) {
-	serialize := func(b Benchmark, seed int64) ([]byte, machine.Stats) {
-		m := machine.New(machine.DefaultConfig())
-		b.Run(m, 16, seed)
-		var buf bytes.Buffer
-		if err := m.Finish().Write(&buf); err != nil {
-			t.Fatalf("%s: serialize: %v", b.Name(), err)
-		}
-		return buf.Bytes(), m.Stats()
-	}
 	for _, b := range All(ScaleTest) {
-		first, stats := serialize(b, 42)
-		second, _ := serialize(b, 42)
+		first, got := fingerprint(t, b, 42)
+		second, _ := fingerprint(t, b, 42)
 		if !bytes.Equal(first, second) {
 			t.Errorf("%s: same-seed runs serialized differently (%d vs %d bytes)",
 				b.Name(), len(first), len(second))
 		}
-		h := fnv.New64a()
-		h.Write(first)
-		fmt.Fprintf(h, "%+v", stats)
-		if got, want := h.Sum64(), fingerprints[b.Name()]; got != want {
+		if want := fingerprints[b.Name()]; got != want {
 			t.Errorf("%s: fingerprint %016x, pinned %016x", b.Name(), got, want)
+		}
+	}
+}
+
+// TestDefaultScaleFingerprints checks defaultFingerprints. The four
+// simulations take about a second, so -short skips them.
+func TestDefaultScaleFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale simulation in short mode")
+	}
+	for _, b := range All(ScaleDefault) {
+		want, ok := defaultFingerprints[b.Name()]
+		if !ok {
+			continue
+		}
+		if _, got := fingerprint(t, b, 1); got != want {
+			t.Errorf("%s: default-scale fingerprint %016x, pinned %016x", b.Name(), got, want)
 		}
 	}
 }
