@@ -324,6 +324,23 @@ func BenchmarkTraceGenerationAll(b *testing.B) {
 	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
 }
 
+// BenchmarkServingTraceGeneration measures simulation throughput
+// (accesses/s) on what the benchmark harness simulates in its set-up: the
+// four serving kernels at default scale, seed 1, here one after another.
+func BenchmarkServingTraceGeneration(b *testing.B) {
+	var accesses uint64
+	for i := 0; i < b.N; i++ {
+		for _, name := range []string{"em3d", "ocean", "mp3d", "barnes"} {
+			w, err := workload.ByName(name, workload.ScaleDefault)
+			if err != nil {
+				b.Fatal(err)
+			}
+			accesses += simulate(w)
+		}
+	}
+	b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
+}
+
 // simulate runs w on a fresh machine, seed 1, and returns the loads and
 // stores the machine served.
 func simulate(w workload.Benchmark) uint64 {
