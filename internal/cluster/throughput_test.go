@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"testing"
-	"time"
 
 	"cohpredict/internal/flight"
 	"cohpredict/internal/obs"
@@ -36,7 +35,8 @@ func hammerEvents(n, nodes int) []trace.Event {
 // router does not cost the wire path its floor: COHWIRE1 batches
 // proxied through predroute to a single backend must still sustain
 // 500k events/sec end to end — the same floor the backend holds when
-// hit directly. Skipped in -short runs and under the race detector,
+// hit directly — over the time the VM's CPUs were not stolen
+// (unstolenTimer). Skipped in -short runs and under the race detector,
 // like every throughput floor in this repo.
 func TestThroughputFloorClusterWire(t *testing.T) {
 	if testing.Short() {
@@ -68,7 +68,7 @@ func TestThroughputFloorClusterWire(t *testing.T) {
 	tc.doRaw(t, "POST", path, bodies[0], hdr)
 
 	const rounds = 16
-	start := time.Now()
+	timer := startUnstolen()
 	var total uint64
 	for r := 0; r < rounds; r++ {
 		code, _, body := tc.doRaw(t, "POST", path, bodies[r%len(bodies)], hdr)
@@ -77,9 +77,9 @@ func TestThroughputFloorClusterWire(t *testing.T) {
 		}
 		total += uint64(batch)
 	}
-	elapsed := time.Since(start)
+	elapsed := timer.elapsed()
 	rate := float64(total) / elapsed.Seconds()
-	t.Logf("sustained %.0f events/sec through the router (%d events in %v)", rate, total, elapsed)
+	t.Logf("sustained %.0f events/sec through the router (%d events in %v unstolen)", rate, total, elapsed)
 	if rate < 500_000 {
 		t.Fatalf("routed throughput %.0f events/sec below the 500000 floor", rate)
 	}

@@ -3,7 +3,6 @@ package serve_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"cohpredict/internal/flight"
 	"cohpredict/internal/obs"
@@ -40,7 +39,8 @@ func wireEncode(evs []serve.EventRequest) []byte {
 }
 
 // runThroughputFloor replays pre-encoded batches through the events
-// endpoint and fails if the sustained rate drops below floor events/sec.
+// endpoint and fails if the sustained rate, over the time the VM's CPUs
+// were not stolen (unstolenTimer), drops below floor events/sec.
 func runThroughputFloor(t *testing.T, contentType string, bodies [][]byte, batch int, floor float64) {
 	runThroughputFloorOpts(t, serve.Options{}, contentType, bodies, batch, floor)
 }
@@ -74,7 +74,7 @@ func runThroughputFloorOpts(t *testing.T, opts serve.Options, contentType string
 	c.doRaw("POST", path, bodies[0], hdr)
 
 	const rounds = 16
-	start := time.Now()
+	timer := startUnstolen()
 	var total uint64
 	for r := 0; r < rounds; r++ {
 		code, _, body := c.doRaw("POST", path, bodies[r%len(bodies)], hdr)
@@ -83,9 +83,9 @@ func runThroughputFloorOpts(t *testing.T, opts serve.Options, contentType string
 		}
 		total += uint64(batch)
 	}
-	elapsed := time.Since(start)
+	elapsed := timer.elapsed()
 	rate := float64(total) / elapsed.Seconds()
-	t.Logf("sustained %.0f events/sec (%d events in %v)", rate, total, elapsed)
+	t.Logf("sustained %.0f events/sec (%d events in %v unstolen)", rate, total, elapsed)
 	if rate < floor {
 		t.Fatalf("throughput %.0f events/sec below the %.0f floor", rate, floor)
 	}
