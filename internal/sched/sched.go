@@ -4,7 +4,7 @@
 // processor, with barriers and locks — while keeping execution fully
 // deterministic for a given seed.
 //
-// Threads run as goroutines under a cooperative scheduler that admits
+// Threads run as coroutines under a cooperative scheduler that admits
 // exactly one thread at a time, so kernels need no synchronisation of their
 // own Go state. A thread yields the processor after a randomly sized quantum
 // of memory accesses (modelling the arbitrary interleavings an out-of-order
@@ -13,10 +13,11 @@
 // synchronisation lines, so synchronisation traffic — a major source of
 // migratory sharing — appears in the coherence trace like any other sharing.
 //
-// There is no scheduler goroutine: the thread that yields draws the next
-// thread itself and hands it the processor with one send on its resume
-// channel, or keeps running if it drew itself. Run learns of completion, a
-// deadlock or a thread's panic over one channel.
+// The thread that gives up the processor draws the next thread itself. If
+// it drew itself it keeps running with no switch; otherwise it yields to
+// Run, whose loop resumes the drawn thread with one coroutine switch. Run
+// returns when every thread has finished and panics when none is runnable;
+// a thread's panic propagates out of its coroutine to Run's caller.
 package sched
 
 import (
@@ -70,12 +71,9 @@ type Runtime struct {
 	rng     *rand.Rand
 	threads []*Thread
 	cand    []*Thread // reused by pass: the runnable threads in ID order
+	next    *Thread   // pass's draw, which Run resumes; nil if none runnable
 	live    int
 	maxQ    int
-
-	// done ends Run: nil once every thread has finished, else the value
-	// (a deadlock or a thread's panic) Run re-raises.
-	done chan interface{}
 
 	barAddr    uint64
 	barArrived int
@@ -92,8 +90,13 @@ type Thread struct {
 
 	rt      *Runtime
 	state   threadState
-	resume  chan struct{}
 	quantum int
+
+	// resume runs the thread's coroutine until it suspends or its body
+	// has returned; suspend, called on the coroutine, gives the processor
+	// back to Run. Both come from start.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
 }
 
 // Config parameterises a Runtime.
@@ -132,17 +135,15 @@ func New(mem Memory, cfg Config) *Runtime {
 		live:     cfg.Threads,
 		maxQ:     cfg.MaxQuantum,
 		cand:     make([]*Thread, 0, cfg.Threads),
-		done:     make(chan interface{}),
 		barAddr:  cfg.SyncBase,
 		nextSync: cfg.SyncBase + syncLine,
 	}
 	rt.threads = make([]*Thread, cfg.Threads)
 	for i := range rt.threads {
 		t := &Thread{
-			ID:     i,
-			Rng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*0x5851F42D4C957F2D)),
-			rt:     rt,
-			resume: make(chan struct{}),
+			ID:  i,
+			Rng: rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*0x5851F42D4C957F2D)),
+			rt:  rt,
 		}
 		t.quantum = t.newQuantum()
 		rt.threads[i] = t
@@ -158,64 +159,56 @@ func (rt *Runtime) NewLock() *Lock {
 	return l
 }
 
-// Run executes body once per thread and blocks until all threads finish.
+// Run executes body once per thread and returns when all threads finish.
 // It panics on deadlock (all live threads blocked), which indicates a
-// kernel bug, and re-raises a panic from any thread body.
+// kernel bug, and a panic from any thread body propagates out of it. After
+// a deadlock or a panic the threads still suspended stay suspended: Run
+// never stops their coroutines, since a stopped thread would resume and
+// run on (one waiting in Lock would spin forever).
 func (rt *Runtime) Run(body func(*Thread)) {
 	for _, t := range rt.threads {
-		go func() {
-			<-t.resume
-			defer func() {
-				r := recover()
-				t.state = finished
-				rt.live--
-				rt.maybeReleaseBarrier()
-				if r != nil {
-					rt.done <- r
-					return
-				}
-				rt.pass(t)
-			}()
-			body(t)
-		}()
+		t.start(body)
 	}
 	rt.pass(nil)
-	if p := <-rt.done; p != nil {
-		//predlint:ignore panicfree re-raises a deadlock or a workload thread's own panic
-		panic(p)
+	for rt.next != nil {
+		rt.next.resume()
 	}
+	if rt.live > 0 {
+		//predlint:ignore panicfree a deadlock is a kernel bug
+		panic(fmt.Sprintf("sched: deadlock — %d live threads, none runnable", rt.live))
+	}
+}
+
+// finish runs on t's coroutine once its body has returned: it marks t
+// finished, releases a barrier the other live threads all wait at, and
+// draws the next thread.
+func (t *Thread) finish() {
+	rt := t.rt
+	t.state = finished
+	rt.live--
+	rt.maybeReleaseBarrier()
+	rt.pass(t)
 }
 
 func (t *Thread) newQuantum() int { return 1 + t.Rng.Intn(t.rt.maxQ) }
 
 // pass draws the next thread from the runnable ones for from, the thread
-// giving up the processor (nil for Run's first pick), and hands it the
-// processor; it reports whether from drew itself and keeps running. When
-// every thread has finished, or none is runnable, it tells Run instead.
+// giving up the processor (nil for Run's first pick), into rt.next, or
+// sets it nil when none is runnable (every thread has finished, or a
+// deadlock). It reports whether from drew itself and keeps running.
 func (rt *Runtime) pass(from *Thread) bool {
 	cand := rt.cand[:0]
-	allDone := true
 	for _, t := range rt.threads {
 		if t.state == runnable {
 			cand = append(cand, t)
 		}
-		if t.state != finished {
-			allDone = false
-		}
 	}
-	switch {
-	case allDone:
-		rt.done <- nil
-	case len(cand) == 0:
-		rt.done <- fmt.Sprintf("sched: deadlock — %d live threads, none runnable", rt.live)
-	default:
-		next := cand[rt.rng.Intn(len(cand))]
-		if next == from {
-			return true
-		}
-		next.resume <- struct{}{}
+	rt.next = nil
+	if len(cand) == 0 {
+		return false
 	}
-	return false
+	rt.next = cand[rt.rng.Intn(len(cand))]
+	return rt.next == from
 }
 
 // park gives up the processor; the thread resumes when a later pick
@@ -223,7 +216,7 @@ func (rt *Runtime) pass(from *Thread) bool {
 // never resumes.
 func (t *Thread) park() {
 	if !t.rt.pass(t) {
-		<-t.resume
+		t.suspend(struct{}{})
 	}
 }
 

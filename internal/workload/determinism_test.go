@@ -24,11 +24,11 @@ var fingerprints = map[string]uint64{
 	"water":    0x50ef4e15a5acf766,
 }
 
-// defaultFingerprints pins, at default scale and seed 1, the four kernels
-// the benchmark harness simulates before it serves their traces. The
-// recipe is fingerprints'. A simulator change that alters only what the
-// larger inputs reach (more quanta, more lock contention, longer barrier
-// phases) fails here, not at test scale.
+// defaultFingerprints pins, with the recipe of fingerprints, the four
+// kernels the benchmark harness simulates before it serves their traces,
+// at default scale and seed 1. A simulator change that alters only what
+// the larger inputs reach (more quanta, more lock contention, longer
+// barrier phases) fails here, not at test scale.
 var defaultFingerprints = map[string]uint64{
 	"barnes": 0xd3cfdce57549dfd9,
 	"em3d":   0xe5ce49efab718f58,
