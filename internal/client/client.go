@@ -38,7 +38,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -495,20 +494,14 @@ func (c *Client) Snapshot(id string) ([]byte, error) {
 	return c.do(http.MethodGet, "/v1/sessions/"+id+"/snapshot", nil, "", "", postIDs{}, Retryable)
 }
 
-// Restore creates session id from a binary snapshot; shards > 0 is sent
-// as the ?shards= query, which the server range-checks and otherwise
-// ignores. Like CreateSession it retries only provably
-// state-free refusals (429, 503): a blind retry of a PUT whose response
-// was lost would turn the success into a spurious 409, so a transport
-// failure surfaces as-is.
+// Restore creates session id from a binary snapshot. Like CreateSession
+// it retries only provably state-free refusals (429, 503): a blind retry
+// of a PUT whose response was lost would turn the success into a
+// spurious 409, so a transport failure surfaces as-is.
 //
 //predlint:ignore testonly the client session API is the library's user surface
-func (c *Client) Restore(id string, snap []byte, shards int) (*serve.CreateSessionResponse, error) {
-	path := "/v1/sessions/" + id + "/snapshot"
-	if shards > 0 {
-		path += "?shards=" + strconv.Itoa(shards)
-	}
-	data, err := c.do(http.MethodPut, path, snap, "application/octet-stream", "", postIDs{}, retrySafeResponse)
+func (c *Client) Restore(id string, snap []byte) (*serve.CreateSessionResponse, error) {
+	data, err := c.do(http.MethodPut, "/v1/sessions/"+id+"/snapshot", snap, "application/octet-stream", "", postIDs{}, retrySafeResponse)
 	if err != nil {
 		return nil, err
 	}

@@ -375,7 +375,7 @@ func TestClusterBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if _, err := cl.Restore("copy", snap, 3); err != nil {
+	if _, err := cl.Restore("copy", snap); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	p1, err := cl.PostEvents(sess.ID, evs[200:400])
@@ -393,7 +393,7 @@ func TestClusterBasics(t *testing.T) {
 	}
 
 	// A duplicate restore under a live id is refused.
-	if _, err := cl.Restore("copy", snap, 0); err == nil {
+	if _, err := cl.Restore("copy", snap); err == nil {
 		t.Fatal("duplicate restore succeeded")
 	}
 
@@ -436,7 +436,7 @@ func TestCreateSkipsRestoredID(t *testing.T) {
 	// Restore under the id the NEXT create would mint ("c1" exists, so
 	// the counter's next product is "c2") — the DR shape after a router
 	// restart reset nextID.
-	if _, err := cl.Restore("c2", snap, 0); err != nil {
+	if _, err := cl.Restore("c2", snap); err != nil {
 		t.Fatalf("restore as c2: %v", err)
 	}
 

@@ -5,7 +5,8 @@
 // hit it?" — the per-instance discipline a multi-node router needs before
 // it can make health and rebalancing decisions.
 //
-// Every event post gets a pooled Record stamped through its life:
+// Every event post carries a Record, stored in the request's pooled
+// buffer and stamped through its life:
 //
 //	decode → queue-wait → execute → encode
 //
@@ -19,11 +20,10 @@
 // At Finish the record is promoted tail-based: requests that erred, were
 // hit by an injected fault, or ran slower than the threshold always land
 // in the bounded slow-log; of the rest, one in Sample lands in the main
-// ring. Both rings are lock-free fixed-size arrays of atomic pointers
-// with swap-ownership semantics: a writer publishes a record with a
-// single Swap (recycling whatever it displaced), and a reader drains by
-// swapping nil in — every record is owned by exactly one party at all
-// times, so the capture path is race-free without a lock anywhere.
+// ring. Promotion copies the record into the ring under the recorder's
+// one mutex, so the request's buffer is free for its next use the moment
+// Finish returns. Each ring grows to its size and then overwrites its
+// oldest entry.
 //
 // Captures read DESTRUCTIVELY: GET /v1/debug/requests (or /slow) drains
 // the ring it reads, so two consecutive captures never report the same
@@ -60,8 +60,8 @@ var epoch = time.Now()
 // every stamp and stage duration derives from it.
 func Nanos() int64 { return int64(time.Since(epoch)) }
 
-// Transport and route labels. They select which per-route/per-transport
-// histogram family a record observes into.
+// Transport and route labels. The transport selects which histogram
+// family a record observes into; every record is on the events route.
 const (
 	TransportJSON = "json"
 	TransportWire = "wire"
@@ -132,28 +132,32 @@ type Options struct {
 	Slow int
 }
 
-// histSet is one (route, transport) family's pre-resolved histogram
-// handles; records hold a pointer so Finish observes without any lookup.
+// histSet is one transport's pre-resolved histogram handles, so Finish
+// observes without any lookup.
 type histSet struct {
-	request *obs.Histogram // serve_request_seconds_<route>_<transport>
-	queue   *obs.Histogram // serve_queue_wait_seconds_<route>_<transport>
-	exec    *obs.Histogram // serve_shard_exec_seconds_<route>_<transport>
+	request *obs.Histogram // serve_request_seconds_events_<transport>
+	queue   *obs.Histogram // serve_queue_wait_seconds_events_<transport>
+	exec    *obs.Histogram // serve_shard_exec_seconds_events_<transport>
+}
+
+func newHistSet(reg *obs.Registry, transport string) histSet {
+	key := RouteEvents + "_" + transport
+	return histSet{
+		request: reg.Histogram("serve_request_seconds_"+key, LatencyBuckets),
+		queue:   reg.Histogram("serve_queue_wait_seconds_"+key, LatencyBuckets),
+		exec:    reg.Histogram("serve_shard_exec_seconds_"+key, LatencyBuckets),
+	}
 }
 
 // Record is one request's flight trace, written only by the request's
-// goroutine. All methods are nil-safe so an untraced call path
-// (standalone sessions, disabled recorder) costs one pointer test.
-// Ownership moves by handoff only — pool Get, ring Swap, Finish — and
-// the //predlint:owned contract makes touching a record after handing it
-// off a lint finding.
-//
-//predlint:owned
+// goroutine into storage it owns (serve keeps it in the request's pooled
+// buffer); Finish copies a promoted record out. All methods are nil-safe
+// so an untraced call path (standalone sessions, disabled recorder)
+// costs one pointer test.
 type Record struct {
 	id        string
 	session   string
-	route     string
 	transport string
-	hist      *histSet
 
 	seq      uint64
 	status   int
@@ -172,12 +176,6 @@ type Record struct {
 	fault    uint32 // Fault* bits
 	queueNS  int64  // derived at Finish
 	totalNS  int64  // derived at Finish
-}
-
-// reset clears a pooled record for reuse. The recorder owns the record
-// exclusively here (pool Get / ring Swap both order the handoff).
-func (r *Record) reset() {
-	*r = Record{}
 }
 
 // SetID records the client-supplied X-Request-ID. Safe on nil.
@@ -273,60 +271,35 @@ func (r *Record) NoteExec(start, exec int64) {
 	}
 }
 
-// ring is a fixed-size lock-free capture ring. put publishes a record
-// with one Swap and returns whatever it displaced (the caller recycles
-// it); drain swaps nil into every slot, taking ownership of the
-// contents. Ownership moves only through those swaps, so concurrent
-// writers and a draining reader never share a live record.
+// ring is a bounded capture buffer: it grows to size records, then each
+// put overwrites the oldest.
 type ring struct {
-	slots []atomic.Pointer[Record]
-	next  atomic.Uint64
+	recs []Record
+	next int // the slot the next put overwrites once recs is full
+	size int
 }
 
-func newRing(n int) *ring { return &ring{slots: make([]atomic.Pointer[Record], n)} }
-
-// put publishes r into the ring, transferring ownership; the displaced
-// record comes back for the caller to recycle.
-//
-//predlint:handoff
-func (g *ring) put(r *Record) *Record {
-	i := g.next.Add(1) - 1
-	return g.slots[i%uint64(len(g.slots))].Swap(r)
-}
-
-func (g *ring) drain() []*Record {
-	out := make([]*Record, 0, len(g.slots))
-	for i := range g.slots {
-		if r := g.slots[i].Swap(nil); r != nil {
-			out = append(out, r)
-		}
+func (g *ring) put(r *Record) {
+	if len(g.recs) < g.size {
+		g.recs = append(g.recs, *r)
+		return
 	}
-	return out
+	g.recs[g.next] = *r
+	g.next = (g.next + 1) % g.size
 }
 
-// Recorder is the flight recorder: a record pool, the two capture rings,
-// and the pre-resolved RED histogram families.
+// Recorder is the flight recorder: the two capture rings and the
+// pre-resolved RED histogram families of the two transports.
 type Recorder struct {
 	sample uint64
 	slowNS int64
+	json   histSet
+	wire   histSet
 
-	seq  atomic.Uint64
-	pool sync.Pool
-	ring *ring
-	slow *ring
+	seq atomic.Uint64
 
-	// evJSON and evWire are the two event-path families, resolved once in
-	// New so Begin's hot path never touches the map or its mutex. (Begin
-	// used to read hists lock-free for these keys, racing histSet's
-	// insert of a novel route/transport pair — a concurrent map
-	// read/write the guardedby annotation below now makes impossible to
-	// reintroduce.)
-	evJSON *histSet
-	evWire *histSet
-
-	mu    sync.Mutex
-	hists map[string]*histSet //predlint:guardedby mu
-	reg   *obs.Registry
+	mu         sync.Mutex
+	ring, slow ring //predlint:guardedby mu
 }
 
 // New builds a recorder. A nil *Recorder is also valid: Begin returns a
@@ -344,70 +317,32 @@ func New(o Options) *Recorder {
 	if o.Slow <= 0 {
 		o.Slow = DefaultSlowSize
 	}
-	r := &Recorder{
+	return &Recorder{
 		sample: uint64(o.Sample),
 		slowNS: int64(o.SlowThreshold),
-		ring:   newRing(o.Ring),
-		slow:   newRing(o.Slow),
-		hists:  make(map[string]*histSet),
-		reg:    o.Registry,
+		json:   newHistSet(o.Registry, TransportJSON),
+		wire:   newHistSet(o.Registry, TransportWire),
+		ring:   ring{size: o.Ring},
+		slow:   ring{size: o.Slow},
 	}
-	r.pool.New = func() interface{} { return new(Record) }
-	// Pre-resolve the known families so the event path never takes the
-	// resolution mutex (or touches the guarded map) at all.
-	r.evJSON = r.histSet(RouteEvents, TransportJSON)
-	r.evWire = r.histSet(RouteEvents, TransportWire)
-	return r
 }
 
-// histSet resolves (creating on first use) the histogram family for a
-// (route, transport) pair.
-func (rec *Recorder) histSet(route, transport string) *histSet {
-	key := route + "_" + transport
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	hs := rec.hists[key]
-	if hs == nil {
-		hs = &histSet{
-			request: rec.reg.Histogram("serve_request_seconds_"+key, LatencyBuckets),
-			queue:   rec.reg.Histogram("serve_queue_wait_seconds_"+key, LatencyBuckets),
-			exec:    rec.reg.Histogram("serve_shard_exec_seconds_"+key, LatencyBuckets),
-		}
-		rec.hists[key] = hs
-	}
-	return hs
-}
-
-// Begin starts tracing one request: a pooled record, reset, with its
-// histogram family resolved and the start instant stamped. Safe on a nil
-// recorder (returns nil, and every Record method tolerates nil).
-func (rec *Recorder) Begin(route, transport string) *Record {
+// Begin starts tracing one request in r, storage the caller owns: it
+// clears r and stamps the transport and the start instant. It returns
+// r, or nil on a nil recorder, so every later stamp is a no-op there.
+func (rec *Recorder) Begin(r *Record, transport string) *Record {
 	if rec == nil {
 		return nil
 	}
-	r := rec.pool.Get().(*Record)
-	r.reset()
-	r.route, r.transport = route, transport
-	switch {
-	case route == RouteEvents && transport == TransportJSON:
-		r.hist = rec.evJSON
-	case route == RouteEvents && transport == TransportWire:
-		r.hist = rec.evWire
-	default:
-		r.hist = rec.histSet(route, transport)
-	}
-	r.start = Nanos()
+	*r = Record{transport: transport, start: Nanos()}
 	return r
 }
 
 // Finish completes a record: derives the stage durations, observes the
-// RED histograms, and promotes the record — to the slow-log if it erred,
-// carried a fault, or crossed the slow threshold; to the main ring if it
-// hit the sampling stride; back to the pool otherwise. After Finish the
-// caller must not touch the record (enforced by the goroutineown check
-// through the handoff annotation). Safe on nil recorder or record.
-//
-//predlint:handoff
+// RED histograms, and copies the record into the slow-log if it erred,
+// carried a fault, or crossed the slow threshold, or into the main ring
+// if it hit the sampling stride. The caller may reuse r as soon as
+// Finish returns. Safe on nil recorder or record.
 func (rec *Recorder) Finish(r *Record, status int) {
 	if rec == nil || r == nil {
 		return
@@ -418,28 +353,25 @@ func (rec *Recorder) Finish(r *Record, status int) {
 		r.queueNS = r.execAt - r.enqueue
 	}
 	r.seq = rec.seq.Add(1)
-	if hs := r.hist; hs != nil {
-		hs.request.Observe(float64(r.totalNS) / 1e9)
-		hs.queue.Observe(float64(r.queueNS) / 1e9)
-		hs.exec.Observe(float64(r.execNS) / 1e9)
+	hs := &rec.json
+	if r.transport == TransportWire {
+		hs = &rec.wire
 	}
-	switch {
-	case status >= 400 || r.fault != 0 || r.totalNS >= rec.slowNS:
-		rec.recycle(rec.slow.put(r))
-	case r.seq%rec.sample == 0:
-		rec.recycle(rec.ring.put(r))
-	default:
-		rec.pool.Put(r)
-	}
-}
+	hs.request.Observe(float64(r.totalNS) / 1e9)
+	hs.queue.Observe(float64(r.queueNS) / 1e9)
+	hs.exec.Observe(float64(r.execNS) / 1e9)
 
-// recycle returns a displaced record to the pool.
-//
-//predlint:handoff
-func (rec *Recorder) recycle(r *Record) {
-	if r != nil {
-		rec.pool.Put(r)
+	slow := status >= 400 || r.fault != 0 || r.totalNS >= rec.slowNS
+	if !slow && r.seq%rec.sample != 0 {
+		return
 	}
+	rec.mu.Lock()
+	if slow {
+		rec.slow.put(r)
+	} else {
+		rec.ring.put(r)
+	}
+	rec.mu.Unlock()
 }
 
 // Capture kinds.
@@ -484,8 +416,8 @@ type Capture struct {
 
 // Capture drains the named ring into a deterministic document: entries
 // sorted by finish sequence (ascending — oldest first). The read is
-// destructive: drained records return to the pool, so a second capture
-// reports only requests finished since. Safe on a nil recorder.
+// destructive: a second capture reports only requests finished since.
+// Safe on a nil recorder.
 func (rec *Recorder) Capture(kind string) Capture {
 	c := Capture{Kind: kind, Requests: []Entry{}}
 	if rec == nil {
@@ -494,17 +426,17 @@ func (rec *Recorder) Capture(kind string) Capture {
 	c.Sample = int(rec.sample)
 	c.SlowNS = rec.slowNS
 	c.Seen = rec.seq.Load()
-	g := rec.ring
+	rec.mu.Lock()
+	g := &rec.ring
 	if kind == KindSlow {
-		g = rec.slow
+		g = &rec.slow
 	}
-	recs := g.drain()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	for _, r := range recs {
+	for i := range g.recs {
+		r := &g.recs[i]
 		c.Requests = append(c.Requests, Entry{
 			Seq:       r.seq,
 			ID:        r.id,
-			Route:     r.route,
+			Route:     RouteEvents,
 			Transport: r.transport,
 			Session:   r.session,
 			Status:    r.status,
@@ -520,7 +452,9 @@ func (rec *Recorder) Capture(kind string) Capture {
 			ExecNS:    r.execNS,
 			EncodeNS:  r.encodeNS,
 		})
-		rec.pool.Put(r)
 	}
+	g.recs, g.next = g.recs[:0], 0
+	rec.mu.Unlock()
+	sort.Slice(c.Requests, func(i, j int) bool { return c.Requests[i].Seq < c.Requests[j].Seq })
 	return c
 }

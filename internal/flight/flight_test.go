@@ -20,7 +20,7 @@ func TestNanosMonotonic(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var rec *Recorder
-	r := rec.Begin(RouteEvents, TransportJSON)
+	r := rec.Begin(new(Record), TransportJSON)
 	if r != nil {
 		t.Fatalf("nil recorder Begin = %v, want nil", r)
 	}
@@ -60,16 +60,16 @@ func TestDefaults(t *testing.T) {
 	if rec.slowNS != int64(DefaultSlowThreshold) {
 		t.Fatalf("slowNS = %d, want %d", rec.slowNS, int64(DefaultSlowThreshold))
 	}
-	if len(rec.ring.slots) != DefaultRingSize || len(rec.slow.slots) != DefaultSlowSize {
+	if rec.ring.size != DefaultRingSize || rec.slow.size != DefaultSlowSize {
 		t.Fatalf("ring sizes = %d/%d, want %d/%d",
-			len(rec.ring.slots), len(rec.slow.slots), DefaultRingSize, DefaultSlowSize)
+			rec.ring.size, rec.slow.size, DefaultRingSize, DefaultSlowSize)
 	}
 }
 
 func TestLifecycleAndCapture(t *testing.T) {
 	reg := obs.New()
 	rec := New(Options{Registry: reg, Sample: 1, SlowThreshold: time.Hour})
-	r := rec.Begin(RouteEvents, TransportWire)
+	r := rec.Begin(new(Record), TransportWire)
 	if r == nil {
 		t.Fatal("Begin returned nil on live recorder")
 	}
@@ -131,8 +131,9 @@ func TestLifecycleAndCapture(t *testing.T) {
 
 func TestSamplingStride(t *testing.T) {
 	rec := New(Options{Sample: 4, SlowThreshold: time.Hour})
+	var r Record
 	for i := 0; i < 8; i++ {
-		rec.Finish(rec.Begin(RouteEvents, TransportJSON), 200)
+		rec.Finish(rec.Begin(&r, TransportJSON), 200)
 	}
 	c := rec.Capture(KindRequests)
 	if len(c.Requests) != 2 {
@@ -164,7 +165,7 @@ func TestSlowPromotion(t *testing.T) {
 			// Sample huge: nothing reaches the main ring by sampling, so
 			// anything captured got there by promotion.
 			rec := New(Options{Sample: 1 << 30, SlowThreshold: time.Hour})
-			r := rec.Begin(RouteEvents, TransportJSON)
+			r := rec.Begin(new(Record), TransportJSON)
 			tc.stamp(r)
 			rec.Finish(r, tc.status)
 			slow := rec.Capture(KindSlow)
@@ -183,7 +184,7 @@ func TestSlowPromotion(t *testing.T) {
 
 func TestReplayFlagSurvivesCapture(t *testing.T) {
 	rec := New(Options{Sample: 1, SlowThreshold: time.Hour})
-	r := rec.Begin(RouteEvents, TransportJSON)
+	r := rec.Begin(new(Record), TransportJSON)
 	r.MarkReplay()
 	rec.Finish(r, 200)
 	c := rec.Capture(KindRequests)
@@ -194,7 +195,7 @@ func TestReplayFlagSurvivesCapture(t *testing.T) {
 
 func TestNoteExec(t *testing.T) {
 	rec := New(Options{Sample: 1, SlowThreshold: time.Hour})
-	r := rec.Begin(RouteEvents, TransportWire)
+	r := rec.Begin(new(Record), TransportWire)
 	r.SetEnqueue(400)
 	r.NoteExec(500, 70)
 	if r.batches != 1 || r.execAt != 500 || r.execNS != 70 {
@@ -235,8 +236,9 @@ func TestFaultNames(t *testing.T) {
 
 func TestRingDisplacement(t *testing.T) {
 	rec := New(Options{Sample: 1, SlowThreshold: time.Hour, Ring: 2, Slow: 2})
+	var r Record
 	for i := 0; i < 5; i++ {
-		rec.Finish(rec.Begin(RouteEvents, TransportJSON), 200)
+		rec.Finish(rec.Begin(&r, TransportJSON), 200)
 	}
 	c := rec.Capture(KindRequests)
 	if len(c.Requests) != 2 {
@@ -250,7 +252,7 @@ func TestRingDisplacement(t *testing.T) {
 
 func TestCaptureJSONShape(t *testing.T) {
 	rec := New(Options{Sample: 1, SlowThreshold: time.Hour})
-	r := rec.Begin(RouteEvents, TransportJSON)
+	r := rec.Begin(new(Record), TransportJSON)
 	r.SetID("abc")
 	rec.Finish(r, 200)
 	b, err := json.Marshal(rec.Capture(KindRequests))
@@ -270,30 +272,44 @@ func TestCaptureJSONShape(t *testing.T) {
 
 func TestRecordReuseIsClean(t *testing.T) {
 	rec := New(Options{Sample: 1, SlowThreshold: time.Hour, Ring: 1})
-	r := rec.Begin(RouteEvents, TransportWire)
+	var r Record
+	rec.Begin(&r, TransportWire)
 	r.SetID("dirty")
 	r.SetEvents(99)
 	r.MarkFault(FaultDrop)
 	r.MarkReplay()
-	rec.Finish(r, 503) // → slow ring
-	rec.Capture(KindSlow)
+	rec.Finish(&r, 503) // → slow ring
 
-	// The pooled record must come back blank.
-	r2 := rec.Begin(RouteEvents, TransportJSON)
-	if r2.ID() != "" || r2.events != 0 || r2.fault != 0 || r2.replay {
+	// Begin on the same storage must leave it blank but for its stamps.
+	r2 := rec.Begin(&r, TransportJSON)
+	if r2 != &r || r2.ID() != "" || r2.events != 0 || r2.fault != 0 || r2.replay || r2.status != 0 {
 		t.Fatalf("reused record not reset: %+v", r2)
 	}
 	rec.Finish(r2, 200)
 }
 
-func TestHistSetLazyResolution(t *testing.T) {
-	reg := obs.New()
-	rec := New(Options{Registry: reg, Sample: 1, SlowThreshold: time.Hour})
-	r := rec.Begin("snapshot", TransportJSON) // unknown family: resolved lazily
-	rec.Finish(r, 200)
-	snap := reg.Snapshot()
-	if h, ok := snap.Histograms["serve_request_seconds_snapshot_json"]; !ok || h.Count != 1 {
-		t.Fatalf("lazy family not observed: ok=%v", ok)
+// TestFinishCopiesRecord: Finish copies a promoted record into its ring,
+// so the caller's storage can carry the next request at once without
+// touching what the capture reports.
+func TestFinishCopiesRecord(t *testing.T) {
+	rec := New(Options{Sample: 1, SlowThreshold: time.Hour})
+	var r Record
+	rec.Begin(&r, TransportWire)
+	r.SetID("first")
+	r.SetEvents(64)
+	rec.Finish(&r, 200)
+
+	rec.Begin(&r, TransportJSON)
+	r.SetID("second")
+	r.SetEvents(7)
+	r.MarkFault(FaultReset)
+	c := rec.Capture(KindRequests)
+	if len(c.Requests) != 1 {
+		t.Fatalf("captured %d requests, want 1", len(c.Requests))
+	}
+	e := c.Requests[0]
+	if e.ID != "first" || e.Events != 64 || e.Status != 200 || e.Transport != TransportWire || len(e.Faults) != 0 {
+		t.Fatalf("capture shows the reused storage, not the finished request: %+v", e)
 	}
 }
 
@@ -306,8 +322,9 @@ func TestConcurrentStampingAndCapture(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var own Record
 			for i := 0; i < perWorker; i++ {
-				r := rec.Begin(RouteEvents, TransportWire)
+				r := rec.Begin(&own, TransportWire)
 				r.SetEvents(1)
 				r.SetEnqueue(Nanos())
 				r.NoteExec(Nanos(), 1)

@@ -6,42 +6,31 @@ import (
 	"go/types"
 )
 
-// checkAtomicOnly enforces atomic access discipline on two kinds of
-// struct fields:
+// checkAtomicOnly keeps the tree on one atomic style, the sync/atomic
+// types (atomic.Uint64, atomic.Value, atomic.Pointer[T], ...):
 //
-//   - every field whose type comes from sync/atomic (atomic.Uint64,
-//     atomic.Value, atomic.Pointer[T], ...) — these are auto-enrolled,
-//     no annotation needed;
-//   - plain-typed fields annotated //predlint:atomic — the legacy style
-//     where a uint64 is only ever touched through atomic.LoadUint64 /
-//     atomic.StoreUint64 on its address.
-//
-// An atomic-typed field may only be used as the receiver of a method
-// call (or method value). Using it in value context copies the atomic —
-// the copy's state is disconnected from the original — and taking its
-// address hands out a channel for plain access, so both are findings;
-// the one sanctioned address-taking is passing &x.f straight to a
-// sync/atomic package function, which is exactly how annotated plain
-// fields must be accessed (anything else on those is a plain load/store
-// finding). Pre-publication writes to annotated plain fields through
-// function-local values are exempt, mirroring the guardedby rule.
+//   - a struct field of such a type may only be used as the receiver of
+//     a method call (or method value). Using it in value context copies
+//     the atomic — the copy's state is disconnected from the original —
+//     and taking its address hands out a channel for plain access, so
+//     both are findings;
+//   - every use of a sync/atomic package-level function
+//     (atomic.LoadUint64, atomic.AddInt32, ...) is a finding: such a
+//     function works on a plain variable, which any other line can read
+//     or write plainly, and nothing would check that it does not.
 func checkAtomicOnly(c *Context) {
-	auto, ann := c.collectAtomicTargets()
-	if len(auto) == 0 && len(ann) == 0 {
-		return
-	}
+	fields := c.collectAtomicFields()
 	for _, pkg := range c.Pkgs {
 		for _, file := range pkg.Files {
-			w := &atomicWalker{c: c, pkg: pkg, auto: auto, ann: ann}
+			w := &atomicWalker{c: c, pkg: pkg, fields: fields}
 			w.file(file)
 		}
 	}
 }
 
-// collectAtomicTargets gathers the auto-enrolled sync/atomic fields and
-// the //predlint:atomic annotated plain fields.
-func (c *Context) collectAtomicTargets() (auto, ann map[types.Object]bool) {
-	auto, ann = map[types.Object]bool{}, map[types.Object]bool{}
+// collectAtomicFields gathers every struct field of a sync/atomic type.
+func (c *Context) collectAtomicFields() map[types.Object]bool {
+	out := map[types.Object]bool{}
 	for _, pkg := range c.Pkgs {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -50,20 +39,9 @@ func (c *Context) collectAtomicTargets() (auto, ann map[types.Object]bool) {
 					return true
 				}
 				for _, field := range st.Fields.List {
-					text, pos := fieldDirective(field, atomicMarker)
-					if text != "" {
-						c.consume(pos)
-					}
 					for _, name := range field.Names {
-						obj := pkg.Info.Defs[name]
-						if obj == nil {
-							continue
-						}
-						switch {
-						case isAtomicType(obj.Type()):
-							auto[obj] = true
-						case text != "":
-							ann[obj] = true
+						if obj := pkg.Info.Defs[name]; obj != nil && isAtomicType(obj.Type()) {
+							out[obj] = true
 						}
 					}
 				}
@@ -71,7 +49,7 @@ func (c *Context) collectAtomicTargets() (auto, ann map[types.Object]bool) {
 			})
 		}
 	}
-	return auto, ann
+	return out
 }
 
 // isAtomicType reports whether t is a named type (or generic instance)
@@ -85,137 +63,71 @@ func isAtomicType(t types.Type) bool {
 }
 
 // atomicWalker scans one file with an explicit ancestor stack, so each
-// target-field selector can be classified by its use context.
+// atomic-field selector can be classified by its use context.
 type atomicWalker struct {
-	c     *Context
-	pkg   *Package
-	auto  map[types.Object]bool
-	ann   map[types.Object]bool
-	stack []ast.Node
-	fn    *ast.FuncDecl // enclosing function, for the local-base exemption
+	c      *Context
+	pkg    *Package
+	fields map[types.Object]bool
+	stack  []ast.Node
 }
 
 func (w *atomicWalker) file(f *ast.File) {
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok {
-			w.fn = fd
-		} else {
-			w.fn = nil
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			w.stack = w.stack[:len(w.stack)-1]
+			return false
 		}
-		w.stack = w.stack[:0]
-		ast.Inspect(decl, func(n ast.Node) bool {
-			if n == nil {
-				w.stack = w.stack[:len(w.stack)-1]
-				return false
-			}
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				w.classify(sel)
-			}
-			w.stack = append(w.stack, n)
-			return true
-		})
-	}
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			w.classify(n)
+		case *ast.Ident:
+			w.packageFunc(n)
+		}
+		w.stack = append(w.stack, n)
+		return true
+	})
 }
 
-// parent returns the i-th ancestor of the node under inspection (1 = its
-// direct parent).
-func (w *atomicWalker) parent(i int) ast.Node {
-	if len(w.stack) < i {
-		return nil
+// packageFunc reports a use of a sync/atomic package-level function.
+func (w *atomicWalker) packageFunc(id *ast.Ident) {
+	fn, ok := w.pkg.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return
 	}
-	return w.stack[len(w.stack)-i]
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+		return // a typed atomic's method: the sanctioned style
+	}
+	w.c.reportf("atomiconly", "atomiconly/func", id.Pos(),
+		"sync/atomic.%s on a plain variable: declare the variable with a sync/atomic type and use its methods", id.Name)
 }
 
 func (w *atomicWalker) classify(sel *ast.SelectorExpr) {
 	selection, ok := w.pkg.Info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
+	if !ok || selection.Kind() != types.FieldVal || !w.fields[selection.Obj()] {
 		return
 	}
-	obj := selection.Obj()
-	isAuto, isAnn := w.auto[obj], w.ann[obj]
-	if !isAuto && !isAnn {
-		return
-	}
-	field := obj.Name()
-	parent := w.parent(1)
-
-	// &x.f straight into a sync/atomic call is the sanctioned address
-	// form for both kinds of field.
-	if u, ok := parent.(*ast.UnaryExpr); ok && u.Op == token.AND && u.X == sel {
-		if w.atomicCallArg(u) {
-			return
-		}
-		if isAuto {
+	field := selection.Obj().Name()
+	switch p := w.stack[len(w.stack)-1].(type) { // the selector's parent
+	case *ast.UnaryExpr:
+		if p.Op == token.AND && p.X == sel {
 			w.c.reportf("atomiconly", "atomiconly/escape", sel.Sel.Pos(),
 				"address of atomic field %s escapes: anything holding it can bypass the atomic API", field)
-		} else {
-			w.c.reportf("atomiconly", "atomiconly/escape", sel.Sel.Pos(),
-				"address of //predlint:atomic field %s taken outside a sync/atomic call", field)
-		}
-		return
-	}
-
-	if isAuto {
-		// Receiver of a method call or method value: the only legal use.
-		if p, ok := parent.(*ast.SelectorExpr); ok && p.X == sel {
-			if ms, ok := w.pkg.Info.Selections[p]; ok && ms.Kind() == types.MethodVal {
-				return
-			}
-		}
-		if w.assignTarget(sel, parent) {
-			w.c.reportf("atomiconly", "atomiconly/plain-access", sel.Sel.Pos(),
-				"plain store to atomic field %s: use its Store method", field)
 			return
 		}
-		w.c.reportf("atomiconly", "atomiconly/copy", sel.Sel.Pos(),
-			"atomic field %s used by value: the copy's state is disconnected from the original", field)
-		return
-	}
-
-	// Annotated plain field: every other access is a plain load/store.
-	if w.fn != nil && w.localBaseExpr(sel.X) {
-		return // pre-publication construction through a local value
-	}
-	w.c.reportf("atomiconly", "atomiconly/plain-access", sel.Sel.Pos(),
-		"plain access to //predlint:atomic field %s: go through sync/atomic on its address", field)
-}
-
-// assignTarget reports whether sel is a direct assignment LHS or IncDec
-// operand.
-func (w *atomicWalker) assignTarget(sel *ast.SelectorExpr, parent ast.Node) bool {
-	switch p := parent.(type) {
+	case *ast.SelectorExpr:
+		// Receiver of a method call or method value: the only legal use.
+		if ms, ok := w.pkg.Info.Selections[p]; ok && p.X == sel && ms.Kind() == types.MethodVal {
+			return
+		}
 	case *ast.AssignStmt:
 		for _, lhs := range p.Lhs {
 			if lhs == sel {
-				return true
+				w.c.reportf("atomiconly", "atomiconly/plain-access", sel.Sel.Pos(),
+					"plain store to atomic field %s: use its Store method", field)
+				return
 			}
 		}
-	case *ast.IncDecStmt:
-		return p.X == sel
 	}
-	return false
-}
-
-// atomicCallArg reports whether the &field expression is an argument to
-// a sync/atomic package function (atomic.AddUint64(&x.n, 1), ...).
-func (w *atomicWalker) atomicCallArg(u *ast.UnaryExpr) bool {
-	call, ok := w.parent(2).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	for _, a := range call.Args {
-		if a == u {
-			path, _ := pkgFunc(w.pkg.Info, call)
-			return path == "sync/atomic"
-		}
-	}
-	return false
-}
-
-// localBaseExpr mirrors gbWalker.localBase for the atomic walker: true
-// when the access bottoms out in a variable declared in the enclosing
-// function body.
-func (w *atomicWalker) localBaseExpr(e ast.Expr) bool {
-	gw := &gbWalker{c: w.c, pkg: w.pkg, fn: w.fn}
-	return gw.localBase(e)
+	w.c.reportf("atomiconly", "atomiconly/copy", sel.Sel.Pos(),
+		"atomic field %s used by value: the copy's state is disconnected from the original", field)
 }

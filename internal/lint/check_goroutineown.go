@@ -7,14 +7,13 @@ import (
 )
 
 // checkGoroutineOwn enforces single-owner handoff on types annotated
-// //predlint:owned (the flight ring's Records, serve's pooled wireBufs and
-// per-post dispatch states): once a value of such a type is handed to
-// another owner, the handing function may not touch it again. A handoff is
+// //predlint:owned (serve's pooled wireBufs): once a value of such a type
+// is handed to another owner, the handing function may not touch it
+// again. A handoff is
 //
 //   - a channel send of the value,
 //   - Put on a sync.Pool,
-//   - Swap on an atomic.Pointer (the ring's publication primitive),
-//   - passing the value to a function annotated //predlint:handoff.
+//   - Swap on an atomic.Pointer.
 //
 // The analysis is a forward poison walk per function on the shared
 // interpreter (walk, in flow.go): a handed-off variable is poisoned, any
@@ -26,7 +25,6 @@ import (
 // exit, which is the idiomatic place to hand a pooled value back.
 func checkGoroutineOwn(c *Context) {
 	owned := c.collectOwnedTypes()
-	handoff := c.collectHandoffFuncs()
 	if len(owned) == 0 {
 		return
 	}
@@ -35,7 +33,7 @@ func checkGoroutineOwn(c *Context) {
 			if fd.Body == nil {
 				return
 			}
-			w := &ownWalker{c: c, pkg: pkg, owned: owned, handoff: handoff}
+			w := &ownWalker{c: c, pkg: pkg, owned: owned}
 			walk(w, fd.Body.List, poisonSet{})
 		})
 	}
@@ -80,27 +78,6 @@ func (c *Context) collectOwnedTypes() map[types.Object]bool {
 	return out
 }
 
-// collectHandoffFuncs finds //predlint:handoff function declarations.
-func (c *Context) collectHandoffFuncs() map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, pkg := range c.Pkgs {
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-			if fd.Doc == nil {
-				return
-			}
-			for _, cmt := range fd.Doc.List {
-				if directiveText(cmt.Text) == handoffMarker {
-					c.consume(cmt.Pos())
-					if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-						out[obj] = true
-					}
-				}
-			}
-		})
-	}
-	return out
-}
-
 // poisonSet maps a handed-off variable to how and where it was handed
 // off.
 type poisonSet map[types.Object]poisonInfo
@@ -114,10 +91,9 @@ type poisonInfo struct {
 // through the statements; its flow methods report uses and apply
 // handoffs.
 type ownWalker struct {
-	c       *Context
-	pkg     *Package
-	owned   map[types.Object]bool
-	handoff map[types.Object]bool
+	c     *Context
+	pkg   *Package
+	owned map[types.Object]bool
 }
 
 // isOwned reports whether t is (a pointer to) an annotated owned type.
@@ -243,37 +219,31 @@ func (w *ownWalker) eval(p poisonSet, exprs ...ast.Expr) {
 	}
 }
 
-// handoffKind classifies a call as a handoff: sync.Pool.Put,
-// atomic.Pointer.Swap, or a //predlint:handoff function.
+// handoffKind classifies a call as a handoff: sync.Pool.Put or
+// atomic.Pointer.Swap.
 func (w *ownWalker) handoffKind(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if obj := w.pkg.Info.Uses[fun]; obj != nil && w.handoff[obj] {
-			return "passed to handoff function " + fun.Name
-		}
-	case *ast.SelectorExpr:
-		if obj := w.pkg.Info.Uses[fun.Sel]; obj != nil && w.handoff[obj] {
-			return "passed to handoff function " + fun.Sel.Name
-		}
-		tv, ok := w.pkg.Info.Types[fun.X]
-		if !ok {
-			return ""
-		}
-		t := tv.Type
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil {
-			return ""
-		}
-		pkgPath, typeName := named.Obj().Pkg().Path(), named.Obj().Name()
-		if fun.Sel.Name == "Put" && pkgPath == "sync" && typeName == "Pool" {
-			return "Put back to its pool"
-		}
-		if fun.Sel.Name == "Swap" && pkgPath == "sync/atomic" {
-			return "swapped into " + types.ExprString(fun.X)
-		}
+	fun, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	tv, ok := w.pkg.Info.Types[fun.X]
+	if !ok {
+		return ""
+	}
+	t := tv.Type
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	pkgPath, typeName := named.Obj().Pkg().Path(), named.Obj().Name()
+	if fun.Sel.Name == "Put" && pkgPath == "sync" && typeName == "Pool" {
+		return "Put back to its pool"
+	}
+	if fun.Sel.Name == "Swap" && pkgPath == "sync/atomic" {
+		return "swapped into " + types.ExprString(fun.X)
 	}
 	return ""
 }

@@ -13,9 +13,9 @@ import (
 //     ran, so a filtered -checks run never misfires);
 //   - an ignore without a reason string, or naming an unknown check, is
 //     a finding — every exception stays explained and spellable;
-//   - a guardedby/atomic/owned/handoff/hotpath marker that no check
-//     matched to a declaration is dangling: it documents an invariant
-//     nothing enforces;
+//   - a guardedby/owned/hotpath marker that no check matched to a
+//     declaration is dangling: it documents an invariant nothing
+//     enforces;
 //   - any other predlint: spelling is an unknown directive (usually a
 //     typo that would otherwise silently enforce nothing).
 //
@@ -95,12 +95,8 @@ func (c *Context) auditDirective(cmt *ast.Comment) {
 		}
 	case guardedbyPrefix:
 		c.auditAnnotation(cmt, text, "guardedby", "a struct field")
-	case atomicMarker:
-		c.auditAnnotation(cmt, text, "atomiconly", "a struct field")
 	case ownedMarker:
 		c.auditAnnotation(cmt, text, "goroutineown", "a type declaration")
-	case handoffMarker:
-		c.auditAnnotation(cmt, text, "goroutineown", "a function declaration")
 	default:
 		c.reportDirectivef("staleignore", "staleignore/unknown-directive", text, cmt.Pos(),
 			"unknown predlint directive %q: probably a typo, certainly unenforced", word)

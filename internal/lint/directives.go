@@ -11,9 +11,7 @@ import (
 //	//predlint:ignore check1,check2 reason...
 //	//predlint:hotpath
 //	//predlint:guardedby mu            (struct field)
-//	//predlint:atomic                  (struct field)
 //	//predlint:owned                   (type declaration)
-//	//predlint:handoff                 (function declaration)
 //
 // An ignore comment suppresses the named checks on its own line and on
 // the line below it, so it works both as a trailing comment and as a
@@ -50,9 +48,7 @@ const (
 	ignorePrefix    = "predlint:ignore"
 	hotpathMarker   = "predlint:hotpath"
 	guardedbyPrefix = "predlint:guardedby"
-	atomicMarker    = "predlint:atomic"
 	ownedMarker     = "predlint:owned"
-	handoffMarker   = "predlint:handoff"
 )
 
 func collectDirectives(root string, fset *token.FileSet, pkgs []*Package) *directives {

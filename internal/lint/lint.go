@@ -16,8 +16,9 @@
 //   - exhaustive: switches over the taxonomy enums cover every constant;
 //   - guardedby: fields annotated //predlint:guardedby mu are only
 //     touched while that mutex is held on every path through the function;
-//   - atomiconly: sync/atomic-typed fields (and //predlint:atomic
-//     annotations) are never plain-accessed, copied, or address-escaped;
+//   - atomiconly: sync/atomic-typed fields are never plain-accessed,
+//     copied, or address-escaped, and no code calls sync/atomic's
+//     package-level functions;
 //   - goroutineown: //predlint:owned values are not touched after being
 //     handed off to another goroutine (send, pool Put, pointer Swap);
 //   - testonly: every exported name and method of a library package is
@@ -267,12 +268,12 @@ func Checks() []Check {
 		},
 		{
 			Name: "atomiconly",
-			Desc: "sync/atomic-typed fields and fields annotated //predlint:atomic are never plain-accessed, copied by value, or address-escaped",
+			Desc: "sync/atomic-typed fields are never plain-accessed, copied by value, or address-escaped, and sync/atomic's package-level functions are never called",
 			run:  checkAtomicOnly,
 		},
 		{
 			Name: "goroutineown",
-			Desc: "values of types annotated //predlint:owned are not touched after being handed off (sent, pooled, swapped, or passed to a //predlint:handoff function)",
+			Desc: "values of types annotated //predlint:owned are not touched after being handed off (sent on a channel, Put to a sync.Pool, or swapped into an atomic.Pointer)",
 			run:  checkGoroutineOwn,
 		},
 		{

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,11 +15,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // fixtureConfig retargets the checks at the small module under
 // testdata/fixture, which packs one violation (and one accepted pattern)
 // per check into a handful of tiny packages.
-func fixtureConfig(t *testing.T) *Config {
-	t.Helper()
+func fixtureConfig() (*Config, error) {
 	root, err := filepath.Abs(filepath.Join("testdata", "fixture"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	return &Config{
 		Root:                 root,
@@ -37,14 +37,40 @@ func fixtureConfig(t *testing.T) *Config {
 			"fixture/hot.Missing",      // no such function: finding
 			"fixture/nosuchpkg.Kernel", // no such package: finding
 		},
-	}
+	}, nil
 }
 
+// runFixture runs the named checks (every check when none is named) over
+// the fixture module.
 func runFixture(t *testing.T, checks ...string) Result {
 	t.Helper()
-	cfg := fixtureConfig(t)
+	cfg, err := fixtureConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Checks = checks
 	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// fullFixture is the run of every check over the fixture, computed once
+// and shared by the tests that read it: loading and type-checking the
+// fixture module and its standard-library imports from source is most
+// of a run's time.
+var fullFixture = sync.OnceValues(func() (Result, error) {
+	cfg, err := fixtureConfig()
+	if err != nil {
+		return Result{}, err
+	}
+	return Run(cfg)
+})
+
+func fixtureResult(t *testing.T) Result {
+	t.Helper()
+	res, err := fullFixture()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +81,7 @@ func runFixture(t *testing.T, checks ...string) Result {
 // its fixture violation, none firing on the accepted patterns — against
 // testdata/findings.golden (regenerate with go test -run Golden -update).
 func TestFixtureGolden(t *testing.T) {
-	res := runFixture(t)
+	res := fixtureResult(t)
 	var sb strings.Builder
 	for _, f := range res.Findings {
 		sb.WriteString(f.String())
@@ -81,7 +107,7 @@ func TestFixtureGolden(t *testing.T) {
 // lib.Guard, lib.Kept, conc.Racy, own.Peek) are counted as suppressed and
 // absent from the findings.
 func TestFixtureSuppression(t *testing.T) {
-	res := runFixture(t)
+	res := fixtureResult(t)
 	if res.Suppressed != 5 {
 		t.Errorf("suppressed = %d, want 5", res.Suppressed)
 	}
@@ -110,7 +136,7 @@ func TestFixtureCheckFilter(t *testing.T) {
 // fixture finding, so a check silently dying would fail here rather than
 // only in the golden diff.
 func TestEveryCheckFires(t *testing.T) {
-	res := runFixture(t)
+	res := fixtureResult(t)
 	fired := map[string]bool{}
 	for _, f := range res.Findings {
 		fired[f.Check] = true
@@ -125,7 +151,7 @@ func TestEveryCheckFires(t *testing.T) {
 // TestJSONShape pins the -json document: the field names the CI contract
 // depends on, and one fully-populated finding.
 func TestJSONShape(t *testing.T) {
-	res := runFixture(t)
+	res := fixtureResult(t)
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +184,7 @@ func TestJSONShape(t *testing.T) {
 // testdata/findings.json.golden: field names, code values, and the
 // directive text riding on staleignore findings are all CI contract.
 func TestJSONGolden(t *testing.T) {
-	res := runFixture(t)
+	res := fixtureResult(t)
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +209,7 @@ func TestJSONGolden(t *testing.T) {
 // by its check name, and directive text appears exactly on the findings
 // that are about a directive.
 func TestFindingCodes(t *testing.T) {
-	res := runFixture(t)
+	res := fixtureResult(t)
 	for _, f := range res.Findings {
 		if f.Code == "" {
 			t.Errorf("finding without code: %s", f)
@@ -229,7 +255,10 @@ func TestSelfClean(t *testing.T) {
 // TestFindingsNeverNil: a clean subset run still marshals findings as []
 // not null.
 func TestFindingsNeverNil(t *testing.T) {
-	cfg := fixtureConfig(t)
+	cfg, err := fixtureConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Checks = []string{"obsnil"}
 	cfg.ObsHandleTypes = nil // nothing to flag
 	res, err := Run(cfg)

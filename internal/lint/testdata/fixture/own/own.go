@@ -55,24 +55,12 @@ func SwapThenRead(slot *atomic.Pointer[Buf]) []byte {
 	return buf.b
 }
 
-// retire is an annotated handoff sink.
-//
-//predlint:handoff
-func retire(b *Buf) { _ = b }
-
-// RetireThenUse reuses the buffer after the annotated handoff: finding.
-func RetireThenUse() int {
-	buf := new(Buf)
-	retire(buf)
-	return len(buf.b)
-}
-
 // MaybeRetire hands off only on a terminating branch, so the tail use is
 // clean: accepted.
 func MaybeRetire(done bool) *Buf {
 	buf := new(Buf)
 	if done {
-		retire(buf)
+		pool.Put(buf)
 		return nil
 	}
 	return buf
@@ -103,12 +91,17 @@ func NoReason() {}
 //predlint:ignore frobcheck fixture names an unknown check
 func Typo() {}
 
+// dangling carries annotations where nothing reads them and directives
+// predlint does not know: a typo and the two retired kinds, handoff and
+// atomic.
 func dangling() {
 	//predlint:owned
 	//predlint:guardedby mu
 	//predlint:hotpath
 	//predlint:frobnicate
 	//predlint:ignore
+	//predlint:handoff
+	//predlint:atomic
 	x := 0
 	_ = x
 }
@@ -170,7 +163,7 @@ func Renew(n int) int {
 	return len(buf.b)
 }
 
-// Classify retires the buffer on one arm of a type switch, so the use
+// Classify puts the buffer back on one arm of a type switch, so the use
 // after the switch may follow the handoff: finding.
 func Classify(v interface{}) int {
 	buf := new(Buf)
@@ -178,7 +171,7 @@ func Classify(v interface{}) int {
 	case int:
 		buf.b = make([]byte, x)
 	case string:
-		retire(buf)
+		pool.Put(buf)
 	}
 	return len(buf.b)
 }

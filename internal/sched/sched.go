@@ -108,13 +108,11 @@ type Config struct {
 	// MaxQuantum bounds the number of memory accesses a thread performs
 	// before the scheduler may switch (default 16).
 	MaxQuantum int
-	// SyncBase is the base address of the runtime's synchronisation
-	// region (barrier counter and locks); workload layouts must stay
-	// below it. Defaults to DefaultSyncBase.
-	SyncBase uint64
 }
 
-// DefaultSyncBase is the default base address of synchronisation lines.
+// DefaultSyncBase is the base address of the runtime's synchronisation
+// region (barrier counter and locks); workload layouts must stay below
+// it.
 const DefaultSyncBase uint64 = 1 << 40
 
 // New prepares a runtime; Run is the usual entry point.
@@ -126,17 +124,14 @@ func New(mem Memory, cfg Config) *Runtime {
 	if cfg.MaxQuantum <= 0 {
 		cfg.MaxQuantum = 16
 	}
-	if cfg.SyncBase == 0 {
-		cfg.SyncBase = DefaultSyncBase
-	}
 	rt := &Runtime{
 		mem:      mem,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		live:     cfg.Threads,
 		maxQ:     cfg.MaxQuantum,
 		cand:     make([]*Thread, 0, cfg.Threads),
-		barAddr:  cfg.SyncBase,
-		nextSync: cfg.SyncBase + syncLine,
+		barAddr:  DefaultSyncBase,
+		nextSync: DefaultSyncBase + syncLine,
 	}
 	rt.threads = make([]*Thread, cfg.Threads)
 	for i := range rt.threads {

@@ -88,10 +88,10 @@ func fetchSlow(t *testing.T, base string) []flight.Entry {
 // client: batches are dropped, delayed, failed with 500s, and acked with
 // connection resets; before the middle batch the server is
 // checkpointed, discarded without drain, and a fresh server restores the
-// snapshot (requesting restoreShards shards) to finish the stream. With binary
-// set the client posts COHWIRE1 frames, so the same faults hammer the
-// pooled wire path instead of the JSON one.
-func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreShards int, seed int64, binary bool) chaosOutcome {
+// snapshot to finish the stream. With binary set the client posts
+// COHWIRE1 frames, so the same faults hammer the pooled wire path instead
+// of the JSON one.
+func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards int, seed int64, binary bool) chaosOutcome {
 	t.Helper()
 	const chunk = 173
 	batches := (len(tr.Events) + chunk - 1) / chunk
@@ -148,7 +148,7 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 				Sleep:      func(time.Duration) {},
 				Binary:     binary,
 			})
-			if _, err := cl.Restore(id, snap, restoreShards); err != nil {
+			if _, err := cl.Restore(id, snap); err != nil {
 				t.Fatalf("restore after kill: %v", err)
 			}
 			kills++
@@ -182,9 +182,9 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 // keys), and one mid-stream kill+checkpoint+restore, the served
 // predictions and final confusion counts are byte-identical to the
 // fault-free eval.Evaluate golden path, over both the JSON and COHWIRE1
-// transports. Each cell creates its session at 1, 2 or 8 shards and
-// restores it at another count: the server range-checks and ignores
-// both, since a session runs one table.
+// transports. Each cell creates its session at 1, 2 or 8 shards: the
+// server range-checks and ignores the count, since a session runs one
+// table.
 func TestChaosEquivalence(t *testing.T) {
 	tr := genTrace(t, "em3d", 3)
 	m := core.Machine{Nodes: 16, LineBytes: 64}
@@ -201,9 +201,6 @@ func TestChaosEquivalence(t *testing.T) {
 		// the concurrency the hammer is here to shake.
 		schemes = schemes[:1]
 	}
-	// Each restore asks for another shard count than its create did.
-	reshard := map[int]int{1: 2, 2: 8, 8: 1}
-
 	for _, schemeStr := range schemes {
 		sc, err := core.ParseScheme(schemeStr)
 		if err != nil {
@@ -219,7 +216,7 @@ func TestChaosEquivalence(t *testing.T) {
 		for _, shards := range []int{1, 2, 8} {
 			for _, transport := range []string{"json", "cohwire"} {
 				t.Run(fmt.Sprintf("%s/shards=%d/%s", schemeStr, shards, transport), func(t *testing.T) {
-					out := runChaos(t, tr, schemeStr, shards, reshard[shards], 42, transport == "cohwire")
+					out := runChaos(t, tr, schemeStr, shards, 42, transport == "cohwire")
 
 					// The chaos must actually have happened.
 					f := out.faults
@@ -264,7 +261,7 @@ func TestChaosEquivalence(t *testing.T) {
 func TestChaosFaultsExplainable(t *testing.T) {
 	tr := genTrace(t, "em3d", 3)
 	const seed = 77
-	out := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 8, seed, true)
+	out := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, seed, true)
 	f := out.faults
 	if f.Drops == 0 || f.Errors == 0 || f.Resets == 0 || f.Delays == 0 {
 		t.Fatalf("fault mix too tame to prove anything: %+v", f)
@@ -330,8 +327,8 @@ func TestChaosFaultsExplainable(t *testing.T) {
 // draws the delay point once, so delays replay as exactly as the rest.
 func TestChaosReproducible(t *testing.T) {
 	tr := genTrace(t, "em3d", 3)
-	a := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 8, 1234, true)
-	b := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 8, 1234, true)
+	a := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 1234, true)
+	b := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 1234, true)
 
 	if a.faults != b.faults {
 		t.Fatalf("fault decisions differ across identically-seeded runs:\n  %+v\n  %+v", a.faults, b.faults)
@@ -345,7 +342,7 @@ func TestChaosReproducible(t *testing.T) {
 		t.Fatalf("stats differ across identically-seeded runs")
 	}
 
-	c := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 8, 5678, true)
+	c := runChaos(t, tr, "union(dir+add8)2[forwarded]", 2, 5678, true)
 	if a.faults.Drops == c.faults.Drops && a.faults.Errors == c.faults.Errors &&
 		a.faults.Resets == c.faults.Resets {
 		t.Fatalf("different seeds injected identical fault mixes (%+v) — seed is not wired through", a.faults)

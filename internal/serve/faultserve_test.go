@@ -333,19 +333,19 @@ func TestSnapshotRestoreHTTP(t *testing.T) {
 	}
 
 	// Endpoint edge cases.
-	if _, err := cl.Restore(sess.ID, snap, 0); err == nil {
+	if _, err := cl.Restore(sess.ID, snap); err == nil {
 		t.Fatal("restore over an existing session id succeeded, want 409")
 	}
-	if _, err := cl.Restore("broken", []byte("not a snapshot"), 0); err == nil {
+	if _, err := cl.Restore("broken", []byte("not a snapshot")); err == nil {
 		t.Fatal("restore of garbage bytes succeeded, want 400")
 	}
 	if _, err := cl.Snapshot("nope"); err == nil {
 		t.Fatal("snapshot of unknown session succeeded, want 404")
 	}
 
-	// Restore asking for another shard count and race the two sessions
-	// through the rest of the trace: byte-identical behaviour.
-	if _, err := cl.Restore("twin", snap, 5); err != nil {
+	// Restore a twin and race the two sessions through the rest of the
+	// trace: byte-identical behaviour.
+	if _, err := cl.Restore("twin", snap); err != nil {
 		t.Fatal(err)
 	}
 	for lo := half; lo < len(tr.Events); lo += 97 {

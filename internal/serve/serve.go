@@ -205,7 +205,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if mediaType(r.Header.Get("Content-Type")) == ContentTypeWire {
 		transport = flight.TransportWire
 	}
-	rec := s.opts.Flight.Begin(flight.RouteEvents, transport)
+	buf := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(buf)
+	rec := s.opts.Flight.Begin(&buf.rec, transport)
 	rec.SetID(r.Header.Get("X-Request-ID"))
 	if id := rec.ID(); id != "" {
 		w.Header().Set("X-Request-ID", id)
@@ -219,8 +221,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	buf := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(buf)
 	status := http.StatusOK
 	ctype, reply, err := s.events(r, buf, rec)
 	if err != nil {

@@ -6,13 +6,14 @@ package serve
 // with Session.postFrame, and reply with the COHWIRE1 frame — or with that
 // frame transcoded into the JSON EventsResponse when the request asked
 // for COHWIRE1 neither in its Content-Type nor in its Accept. Body bytes,
-// decoded events, prediction slots and the encoded reply all live in a
-// per-request *wireBuf recycled through a sync.Pool, so the steady-state
-// cost of a COHWIRE1 post is the codec kernels plus the kernel's work. A
-// keyed post (every post the Go client sends) allocates one thing more:
-// its reply frame at its exact size, which the idempotency cache keeps
-// for replays until the client acknowledges it (an Idempotency-Ack
-// header on a later post names the key) or 1024 later keys evict it.
+// decoded events, prediction slots, the encoded reply and the flight
+// record all live in a per-request *wireBuf recycled through a
+// sync.Pool, so the steady-state cost of a COHWIRE1 post is the codec
+// kernels plus the kernel's work. A keyed post (every post the Go client
+// sends) allocates one thing more: its reply frame at its exact size,
+// which the idempotency cache keeps for replays until the client
+// acknowledges it (an Idempotency-Ack header on a later post names the
+// key) or 1024 later keys evict it.
 
 import (
 	"fmt"
@@ -27,10 +28,10 @@ import (
 )
 
 // wireBuf is one request's worth of reusable buffers. Slices are stored
-// at whatever capacity they grew to; every use re-slices to length 0.
-// A wireBuf has exactly one owner — the handler between Get and the
-// deferred Put — so touching one after it returns to the pool is a
-// goroutineown finding.
+// at whatever capacity they grew to; every use re-slices to length 0,
+// and flight.Recorder.Begin clears the record. A wireBuf has exactly one
+// owner — the handler between Get and the deferred Put — so touching one
+// after it returns to the pool is a goroutineown finding.
 //
 //predlint:owned
 type wireBuf struct {
@@ -38,6 +39,7 @@ type wireBuf struct {
 	evs   []trace.Event
 	preds []bitmap.Bitmap
 	out   []byte
+	rec   flight.Record
 }
 
 var wireBufs = sync.Pool{New: func() interface{} { return new(wireBuf) }}
