@@ -52,15 +52,16 @@ race:
 # structure the new guardedby/atomiconly annotations claim to protect
 # exercised concurrently. Static checking proves lock discipline on every
 # path; this proves the locks are the *right* locks at runtime. -short
-# trims the scheme matrix to keep the CI step tight. Then four tests run
+# trims the scheme matrix to keep the CI step tight. Then six tests run
 # twenty times each, since a single pass rarely reaches their
 # interleavings: concurrent posts meeting a kernel panic under the table
 # lock, keyed posts racing snapshots (exactly-once across a restore),
+# posts racing on one key, duplicates racing the key's acknowledgement,
 # and the first uses of a dormant restored session racing each other, or
 # racing its DELETE.
 race-hammer:
 	$(GO) test -race -short -count=1 ./internal/serve -run 'TestChaos'
-	$(GO) test -race -count=20 ./internal/serve -run 'TestPostPanicPoisonsSession|TestSnapshotRaceExactlyOnce|TestConcurrentWakeBuildsOnce|TestDeleteRacingWake'
+	$(GO) test -race -count=20 ./internal/serve -run 'TestPostPanicPoisonsSession|TestSnapshotRaceExactlyOnce|TestIdemConcurrentSameKey|TestAckRacesReplays|TestConcurrentWakeBuildsOnce|TestDeleteRacingWake'
 
 # Benchmark the sweep engine only (serial baseline + parallel family).
 bench:

@@ -45,7 +45,9 @@ import (
 	"cohpredict/internal/serve"
 )
 
-// Defaults for the zero Options value.
+// Defaults: the default transport bounds each HTTP attempt (not the
+// whole retry loop) by DefaultTimeout, and a zero MaxRetries takes
+// DefaultMaxRetries.
 const (
 	DefaultTimeout    = 5 * time.Second
 	DefaultMaxRetries = 8
@@ -64,8 +66,6 @@ const (
 type Options struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Timeout bounds each HTTP attempt (not the whole retry loop).
-	Timeout time.Duration
 	// MaxRetries bounds retries per request (attempts = 1 + MaxRetries).
 	MaxRetries int
 	// Seed drives backoff jitter and idempotency-key generation; two
@@ -172,9 +172,6 @@ type Client struct {
 
 // New builds a client for the server at opts.BaseURL.
 func New(opts Options) *Client {
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultTimeout
-	}
 	if opts.MaxRetries < 0 {
 		opts.MaxRetries = 0
 	} else if opts.MaxRetries == 0 {
@@ -183,7 +180,7 @@ func New(opts Options) *Client {
 	h := opts.HTTP
 	if h == nil {
 		h = &http.Client{
-			Timeout:   opts.Timeout,
+			Timeout:   DefaultTimeout,
 			Transport: &http.Transport{DisableKeepAlives: true},
 			// A redirect is returned, not followed: attempt() turns it
 			// into a non-retryable *APIError.

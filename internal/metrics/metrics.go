@@ -41,14 +41,6 @@ func (c *Confusion) AddBitmaps(predicted, actual bitmap.Bitmap, nodes int) {
 	c.TN += uint64(nodes - tp - fp - fn)
 }
 
-// Merge adds the counts of o into c.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // Decisions returns the total number of binary decisions tallied.
 func (c Confusion) Decisions() uint64 { return c.TP + c.FP + c.TN + c.FN }
 

@@ -79,15 +79,6 @@ func TestAddBitmapsIgnoresHighBits(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	b := Confusion{TP: 10, FP: 20, TN: 30, FN: 40}
-	a.Merge(b)
-	if a != (Confusion{TP: 11, FP: 22, TN: 33, FN: 44}) {
-		t.Errorf("Merge = %+v", a)
-	}
-}
-
 func TestDegreeOfSharing(t *testing.T) {
 	c := Confusion{TP: 8, FN: 8, TN: 144} // 16 of 160 decisions positive
 	got := c.DegreeOfSharing(16)

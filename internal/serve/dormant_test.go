@@ -169,7 +169,7 @@ func TestConcurrentWakeBuildsOnce(t *testing.T) {
 				}
 				return
 			}
-			preds, err := c.tryPostKeyed("d", "race", evs, g%3 == 1)
+			preds, err := c.tryPostPreds("d", "race", evs, g%3 == 1)
 			if err != nil {
 				t.Error(err)
 			} else if !slices.Equal(preds, want) {

@@ -51,8 +51,7 @@ func ReencodeSessionExtra(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, size := idemSize(x.order, x.idem)
-	b := appendExtraHead(make([]byte, 0, maxExtraHead+size), x.tuning, x.flush, n)
+	b := appendExtraHead(make([]byte, 0, maxExtraHead+idemSize(x.order, x.idem)), x.tuning, x.flush, len(x.order))
 	return appendIdem(b, x.order, x.idem), nil
 }
 
@@ -127,7 +126,9 @@ func NewSessionFromSnapshot(id string, snap *eval.Snapshot, shards *int, flt *fa
 		return nil, err
 	}
 	s := newSession(id, cfg, om)
-	s.baseConf, s.baseEvents = snap.Conf, snap.Events
+	s.tableMu.Lock()
+	s.eng.conf, s.eng.events = snap.Conf, snap.Events
+	s.tableMu.Unlock()
 	if err := s.build(snap, extra); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,9 @@
 package serve
 
-// White-box tests for the idempotency-cache invariants: a snapshot never
-// bakes an incomplete entry, eviction never drops an in-flight entry, a
-// permanent kernel failure keeps its entry so replays fail fast without
-// re-training, and an acknowledgement touches only a completed,
-// successful entry.
+// White-box tests for the idempotency-cache invariants: eviction drops
+// the oldest key, a post that fails caches nothing, an acknowledgement
+// touches only a cached key, and the snapshot section's decoder refuses
+// what it cannot re-encode.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"cohpredict/internal/bitmap"
 	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 	"cohpredict/internal/trace"
@@ -45,109 +43,48 @@ func newTestSession(t *testing.T, shards int) *Session {
 	return s
 }
 
-// TestEncodeSessionExtraSkipsIncompleteEntries: only completed, successful
-// idempotency entries reach a snapshot. An entry of a keyed post that has
-// not trained (still open, or failed) must not be serialized — a
-// restored session would answer a replay of that key with zero
-// predictions and the batch would silently never train.
-func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
+// TestIdemEvictionDropsOldest: past maxIdemKeys keys the cache evicts
+// its oldest, so it never holds more. The newest key still replays, and a
+// post under the evicted key trains again and evicts the next oldest.
+func TestIdemEvictionDropsOldest(t *testing.T) {
 	s := newTestSession(t, 1)
-	complete := &idemEntry{done: make(chan struct{}), frame: AppendWireReply(nil, []bitmap.Bitmap{3, 5})}
-	close(complete.done)
-	open := &idemEntry{done: make(chan struct{})}
-	failed := &idemEntry{done: make(chan struct{}), err: errors.New("injected")}
-	close(failed.done)
-	s.idemMu.Lock()
-	s.idem["complete"] = complete
-	s.idem["open"] = open
-	s.idem["failed"] = failed
-	s.idemOrder = append(s.idemOrder, "complete", "open", "failed")
-	s.idemMu.Unlock()
+	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}}
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	for i := 0; i <= maxIdemKeys; i++ {
+		if _, err := s.PostFrame(key(i), evs, new(WireBuf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func(k string) bool {
+		s.tableMu.Lock()
+		defer s.tableMu.Unlock()
+		if len(s.eng.idem) != len(s.eng.idemOrder) {
+			t.Fatalf("the cache maps %d keys and orders %d", len(s.eng.idem), len(s.eng.idemOrder))
+		}
+		_, ok := s.eng.idem[k]
+		return ok
+	}
+	if st := s.Stats(); st.IdemKeys != maxIdemKeys || cached(key(0)) || !cached(key(1)) {
+		t.Fatalf("after %d keys: %d cached, the oldest cached %v, the next %v; want %d, the oldest alone evicted",
+			maxIdemKeys+1, st.IdemKeys, cached(key(0)), cached(key(1)), maxIdemKeys)
+	}
 
-	// The section as AppendSnapshot writes it.
-	tuning := SessionTuning{Shards: 1}
-	s.idemMu.Lock()
-	n, size := idemSize(s.idemOrder, s.idem)
-	section := appendIdem(appendExtraHead(nil, tuning, 0, n), s.idemOrder, s.idem)
-	s.idemMu.Unlock()
-	if head := appendExtraHead(nil, tuning, 0, n); len(section) != len(head)+size {
-		t.Fatalf("section is %d bytes, its measured length %d", len(section), len(head)+size)
+	events := s.Stats().Events
+	if _, err := s.PostFrame(key(maxIdemKeys), evs, new(WireBuf)); err != nil || s.Stats().Events != events {
+		t.Fatalf("the newest key: err %v, events %d → %d; want a replay", err, events, s.Stats().Events)
 	}
-	extra, err := decodeSessionExtra(section, true)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := s.PostFrame(key(0), evs, new(WireBuf)); err != nil || s.Stats().Events != events+1 {
+		t.Fatalf("the evicted key: err %v, events %d → %d; want it trained again", err, events, s.Stats().Events)
 	}
-	if len(extra.order) != 1 || extra.order[0] != "complete" {
-		t.Fatalf("snapshot idem entries = %q, want only the completed one", extra.order)
-	}
-	if preds, err := DecodeWireReply(extra.idem["complete"].frame); err != nil || len(preds) != 2 {
-		t.Fatalf("preds = %v (%v), want the 2 recorded predictions", preds, err)
+	if st := s.Stats(); st.IdemKeys != maxIdemKeys || !cached(key(0)) || cached(key(1)) {
+		t.Fatalf("after the evicted key came back: %d cached; want %d, with the next oldest evicted", st.IdemKeys, maxIdemKeys)
 	}
 }
 
-// TestIdemEvictionSkipsInFlight: FIFO eviction removes the oldest
-// *completed* entry, never one whose winner is still running — evicting an
-// in-flight entry would let a concurrent retry of the same key win the map
-// slot and train the batch twice. When every entry is in flight, the cache
-// briefly exceeds the cap instead of evicting anything.
-func TestIdemEvictionSkipsInFlight(t *testing.T) {
-	s := newTestSession(t, 1)
-	open := &idemEntry{done: make(chan struct{})}
-	s.idemMu.Lock()
-	s.idem["open"] = open
-	s.idemOrder = append(s.idemOrder, "open")
-	for i := 0; i < maxIdemKeys-1; i++ {
-		k := fmt.Sprintf("k%04d", i)
-		e := &idemEntry{done: make(chan struct{})}
-		close(e.done)
-		s.idem[k] = e
-		s.idemOrder = append(s.idemOrder, k)
-	}
-	s.idemMu.Unlock()
-
-	// At capacity with the in-flight entry oldest: a fresh key evicts the
-	// oldest completed entry, not the open one.
-	if _, err := s.PostFrame("fresh", nil, new(WireBuf)); err != nil {
-		t.Fatal(err)
-	}
-	s.idemMu.Lock()
-	_, openAlive := s.idem["open"]
-	_, oldestAlive := s.idem["k0000"]
-	n := len(s.idemOrder)
-	s.idemMu.Unlock()
-	if !openAlive {
-		t.Fatal("eviction removed the in-flight entry")
-	}
-	if oldestAlive {
-		t.Fatal("oldest completed entry survived eviction")
-	}
-	if n != maxIdemKeys {
-		t.Fatalf("cache size %d, want %d", n, maxIdemKeys)
-	}
-
-	s2 := newTestSession(t, 1)
-	s2.idemMu.Lock()
-	for i := 0; i < maxIdemKeys; i++ {
-		k := fmt.Sprintf("k%04d", i)
-		s2.idem[k] = &idemEntry{done: make(chan struct{})}
-		s2.idemOrder = append(s2.idemOrder, k)
-	}
-	s2.idemMu.Unlock()
-	if _, err := s2.PostFrame("fresh", nil, new(WireBuf)); err != nil {
-		t.Fatal(err)
-	}
-	s2.idemMu.Lock()
-	n2 := len(s2.idemOrder)
-	s2.idemMu.Unlock()
-	if n2 != maxIdemKeys+1 {
-		t.Fatalf("all-in-flight cache size %d, want %d (no eviction)", n2, maxIdemKeys+1)
-	}
-}
-
-// TestPostKeyedShardFailureKeepsEntry: a kernel failure is permanent, so
-// a keyed post records it in the idempotency entry instead of releasing
-// the key — a replay of the key fails fast without reaching the engine.
-func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
+// TestPoisonedKeyCachesNothing: a keyed post to a poisoned session fails
+// with ErrShardFailed and leaves no trace: its key is not cached and no
+// event trains. A retry of the key is admitted and fails the same way.
+func TestPoisonedKeyCachesNothing(t *testing.T) {
 	s := newTestSession(t, 1)
 	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}}
 	if _, err := s.PostFrame("warm", evs, new(WireBuf)); err != nil {
@@ -155,23 +92,14 @@ func TestPostKeyedShardFailureKeepsEntry(t *testing.T) {
 	}
 
 	poison(s)
-	_, err := s.PostFrame("poisoned", evs, new(WireBuf))
-	if !errors.Is(err, ErrShardFailed) {
-		t.Fatalf("err = %v, want ErrShardFailed", err)
+	before := s.Stats()
+	for i := 0; i < 2; i++ {
+		if _, err := s.PostFrame("poisoned", evs, new(WireBuf)); !errors.Is(err, ErrShardFailed) {
+			t.Fatalf("post %d of the key: err = %v, want ErrShardFailed", i, err)
+		}
 	}
-	s.idemMu.Lock()
-	e := s.idem["poisoned"]
-	s.idemMu.Unlock()
-	if e == nil || !e.completed() || !errors.Is(e.err, ErrShardFailed) {
-		t.Fatalf("poisoned entry = %+v, want kept with the recorded failure", e)
-	}
-
-	trained := s.Stats().Events
-	if _, err := s.PostFrame("poisoned", evs, new(WireBuf)); !errors.Is(err, ErrShardFailed) {
-		t.Fatalf("replay err = %v, want the recorded ErrShardFailed", err)
-	}
-	if got := s.Stats().Events; got != trained {
-		t.Fatalf("replay re-trained: %d events, want %d", got, trained)
+	if after := s.Stats(); after != before {
+		t.Fatalf("posts to a poisoned session changed its stats: %+v, want %+v", after, before)
 	}
 }
 
@@ -213,7 +141,7 @@ func TestDecodeSessionExtraCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("control section rejected: %v", err)
 	}
-	if preds, err := DecodeWireReply(x.idem["k"].frame); err != nil || len(preds) != 2 || preds[0] != 0x80 || preds[1] != 5 {
+	if preds, err := DecodeWireReply(x.idem["k"]); err != nil || len(preds) != 2 || preds[0] != 0x80 || preds[1] != 5 {
 		t.Fatalf("restored frame decodes to %v (%v), want [0x80 5]", preds, err)
 	}
 	for _, bad := range [][]byte{
@@ -228,9 +156,9 @@ func TestDecodeSessionExtraCanonical(t *testing.T) {
 }
 
 // TestAckChangesNothingElse: an acknowledgement takes effect only on a
-// completed, successful entry. One naming the post's own key, an unknown
-// key, an entry still in flight or one failed by ErrShardFailed changes
-// nothing, and none of them fails its post.
+// cached key. One naming the post's own key, an unknown key or one whose
+// post failed by ErrShardFailed changes nothing, and none of them fails
+// its post.
 func TestAckChangesNothingElse(t *testing.T) {
 	s := newTestSession(t, 1)
 	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}}
@@ -247,22 +175,11 @@ func TestAckChangesNothingElse(t *testing.T) {
 		t.Fatalf("a post acknowledging an unknown key failed: %v", err)
 	}
 
-	open := &idemEntry{done: make(chan struct{})}
-	s.idemMu.Lock()
-	s.idem["open"] = open
-	s.idemOrder = append(s.idemOrder, "open")
-	_, unknownAdded := s.idem["unknown"]
-	s.idemMu.Unlock()
+	s.tableMu.Lock()
+	_, unknownAdded := s.eng.idem["unknown"]
+	s.tableMu.Unlock()
 	if unknownAdded {
 		t.Fatal("acknowledging an unknown key added it to the cache")
-	}
-	if _, err := post("during", "open"); err != nil {
-		t.Fatalf("a post acknowledging an in-flight entry failed: %v", err)
-	}
-	open.frame = AppendWireReply(nil, []bitmap.Bitmap{3, 5})
-	close(open.done)
-	if frame, err := post("open", ""); err != nil || !bytes.Equal(frame, open.frame) {
-		t.Fatalf("an entry acknowledged in flight: replay got %x (%v), want its reply", frame, err)
 	}
 
 	poison(s)
@@ -296,7 +213,7 @@ func TestAckedTailIsOutOfRange(t *testing.T) {
 // racing the key's acknowledgement each see the whole reply or none of
 // it — the original frame or ErrKeyAcknowledged — and once the
 // acknowledgement has returned, every duplicate is refused. Under the
-// race detector this pins that frame is read under idemMu.
+// race detector this pins that the cache is read under tableMu.
 func TestAckRacesReplays(t *testing.T) {
 	s := newTestSession(t, 2)
 	evs := []trace.Event{{PID: 1, Dir: 0, Addr: 64, FutureReaders: 2}, {PID: 2, Dir: 1, Addr: 128, FutureReaders: 5}}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,10 +12,12 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"cohpredict/internal/codec"
 	"cohpredict/internal/core"
 	"cohpredict/internal/eval"
+	"cohpredict/internal/fault"
 	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 	"cohpredict/internal/trace"
@@ -37,20 +40,20 @@ func sharingEvents(n int) []trace.Event {
 	return evs
 }
 
-// postKeyed posts evs under key as JSON or as a COHWIRE1 frame and
+// postPreds posts evs under key as JSON or as a COHWIRE1 frame and
 // returns the predictions from the reply.
-func (c *client) postKeyed(id, key string, evs []trace.Event, wire bool) []uint64 {
+func (c *client) postPreds(id, key string, evs []trace.Event, wire bool) []uint64 {
 	c.t.Helper()
-	preds, err := c.tryPostKeyed(id, key, evs, wire)
+	preds, err := c.tryPostPreds(id, key, evs, wire)
 	if err != nil {
 		c.t.Fatal(err)
 	}
 	return preds
 }
 
-// tryPostKeyed is postKeyed returning its failure, so that goroutines
+// tryPostPreds is postPreds returning its failure, so that goroutines
 // other than the test's can post.
-func (c *client) tryPostKeyed(id, key string, evs []trace.Event, wire bool) ([]uint64, error) {
+func (c *client) tryPostPreds(id, key string, evs []trace.Event, wire bool) ([]uint64, error) {
 	hdr := map[string]string{"Idempotency-Key": key}
 	var body []byte
 	if wire {
@@ -106,12 +109,12 @@ func TestIdemReplayCrossTransport(t *testing.T) {
 
 	for _, firstWire := range []bool{false, true} {
 		key := fmt.Sprintf("cross-%v", firstWire)
-		first := c.postKeyed(id, key, evs, firstWire)
+		first := c.postPreds(id, key, evs, firstWire)
 		if slices.Max(first) == 0 {
 			t.Fatalf("%s: every prediction is empty; the replay check needs real bitmaps", key)
 		}
 		events, hits := c.stats(id).Events, replays.Value()
-		again := c.postKeyed(id, key, evs, !firstWire)
+		again := c.postPreds(id, key, evs, !firstWire)
 		if len(again) != len(first) {
 			t.Fatalf("%s: replay returned %d predictions, original %d", key, len(again), len(first))
 		}
@@ -133,58 +136,103 @@ func TestIdemReplayCrossTransport(t *testing.T) {
 // session call the events route makes and through HTTP posts in either
 // encoding — train the batch once, and every one of them gets the
 // winner's reply: the same frame bytes, or the predictions decoded from
-// them.
+// them. In the stalled input every admitted post stalls at the chaos
+// delay point, so duplicates pass the lookup before admission while the
+// first post is still in flight, and only the lookup under the table
+// lock keeps them from training.
 func TestIdemConcurrentSameKey(t *testing.T) {
-	srv := serve.NewServer(serve.Options{})
-	defer srv.Shutdown()
-	c, closeTS := newClient(t, srv)
-	defer closeTS()
-	id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 4}).ID
-	sess := srv.SessionByID(id)
-	evs := sharingEvents(512)
-	if _, err := sess.PostFrame("warm", evs, new(serve.WireBuf)); err != nil {
-		t.Fatal(err)
-	}
-
-	const racers = 8
-	frames := make([][]byte, racers)
-	preds := make([][]uint64, racers)
-	errs := make([]error, racers)
-	var wg sync.WaitGroup
-	for g := 0; g < racers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				frames[g], errs[g] = sess.PostFrame("race-key", evs, new(serve.WireBuf))
-				return
+	for _, tc := range []struct {
+		name  string
+		fault *fault.Injector
+	}{
+		{"unstalled", nil},
+		{"stalled", fault.New(fault.Config{Seed: 3, Delay: 1, MaxDelay: 20 * time.Millisecond}, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := serve.NewServer(serve.Options{Fault: tc.fault})
+			defer srv.Shutdown()
+			c, closeTS := newClient(t, srv)
+			defer closeTS()
+			id := c.createSession(serve.CreateSessionRequest{Scheme: "last(add8)1", Shards: 4}).ID
+			sess := srv.SessionByID(id)
+			evs := sharingEvents(512)
+			if _, err := sess.PostFrame("warm", evs, new(serve.WireBuf)); err != nil {
+				t.Fatal(err)
 			}
-			preds[g], errs[g] = c.tryPostKeyed(id, "race-key", evs, g%4 == 1)
-		}(g)
+
+			const racers = 8
+			frames := make([][]byte, racers)
+			preds := make([][]uint64, racers)
+			errs := make([]error, racers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < racers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					<-start
+					if g%2 == 0 {
+						frames[g], errs[g] = sess.PostFrame("race-key", evs, new(serve.WireBuf))
+						return
+					}
+					preds[g], errs[g] = c.tryPostPreds(id, "race-key", evs, g%4 == 1)
+				}(g)
+			}
+			close(start)
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Fatalf("racer %d: %v", g, err)
+				}
+			}
+			want, err := serve.DecodeWireReplyInto(frames[0], []uint64(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < racers; g++ {
+				if g%2 == 0 {
+					if !bytes.Equal(frames[g], frames[0]) {
+						t.Fatalf("racer %d got different frame bytes", g)
+					}
+					continue
+				}
+				if !slices.Equal(preds[g], want) {
+					t.Fatalf("racer %d got predictions that differ from the cached frame", g)
+				}
+			}
+			if got := sess.Stats().Events; got != 2*uint64(len(evs)) {
+				t.Fatalf("trained %d events, want %d: the racing key must train once", got, 2*len(evs))
+			}
+		})
 	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("racer %d: %v", g, err)
-		}
-	}
-	want, err := serve.DecodeWireReplyInto(frames[0], []uint64(nil))
+}
+
+// TestReplayAfterClose: a closed session still answers a duplicate of a
+// cached key with the original frame, since the key is looked up before
+// the post is admitted, and refuses a new key with ErrDraining.
+func TestReplayAfterClose(t *testing.T) {
+	sess, err := serve.NewSession("closed", serve.SessionConfig{
+		Scheme: mustScheme(t, "last(add8)1"), Machine: core.Machine{Nodes: 16, LineBytes: 64},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := 0; g < racers; g++ {
-		if g%2 == 0 {
-			if !bytes.Equal(frames[g], frames[0]) {
-				t.Fatalf("racer %d got different frame bytes", g)
-			}
-			continue
-		}
-		if !slices.Equal(preds[g], want) {
-			t.Fatalf("racer %d got predictions that differ from the cached frame", g)
-		}
+	evs := sharingEvents(64)
+	want, err := sess.PostFrame("k", evs, new(serve.WireBuf))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sess.Stats().Events; got != 2*uint64(len(evs)) {
-		t.Fatalf("trained %d events, want %d: the racing key must train once", got, 2*len(evs))
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if frame, err := sess.PostFrame("k", evs, new(serve.WireBuf)); err != nil || !bytes.Equal(frame, want) {
+		t.Fatalf("a duplicate after Close: got %x (%v), want the original frame", frame, err)
+	}
+	if _, err := sess.PostFrame("new", evs, new(serve.WireBuf)); !errors.Is(err, serve.ErrDraining) {
+		t.Fatalf("a new key after Close: err = %v, want ErrDraining", err)
+	}
+	if got := sess.Stats().Events; got != uint64(len(evs)) {
+		t.Fatalf("trained %d events, want %d", got, len(evs))
 	}
 }
 

@@ -141,8 +141,8 @@ func TestPostPanicPoisonsSession(t *testing.T) {
 // every key is posted to it again: a key the snapshot carries must replay
 // its original reply without training, and every other key must train
 // exactly once, so the restored session's events plus those the re-posts
-// train equal the keys' events. A keyed post completes its cache entry
-// before it releases the table lock; completing it after would let a
+// train equal the keys' events. A keyed post caches its reply frame
+// before it releases the table lock; caching it after would let a
 // snapshot hold a post's events without its key, and a re-post would
 // train them twice.
 func TestSnapshotRaceExactlyOnce(t *testing.T) {

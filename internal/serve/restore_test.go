@@ -42,7 +42,7 @@ func snapshotOf(t *testing.T) []byte {
 	defer closeTS()
 	id := c.createSession(serve.CreateSessionRequest{Scheme: "union(pid+dir+add10)2[forwarded]", Shards: 2}).ID
 	for _, k := range []string{"a", "b", "c"} {
-		c.postKeyed(id, k, sharingEvents(64), true)
+		c.postPreds(id, k, sharingEvents(64), true)
 	}
 	data, _ := c.snapshot(id)
 	return data

@@ -117,47 +117,6 @@ func (c *SessionConfig) fillDefaults() error {
 	return nil
 }
 
-// idemEntry is one idempotency-cache slot. The winner of a key closes done
-// after filling frame — the post's encoded COHWIRE1 reply, sized to fit,
-// whose bytes are never written again — or err. A winner that trains
-// completes its entry before it releases the table lock, so a snapshot,
-// which holds that lock, takes exactly the keys whose events its table
-// holds. Duplicates wait on done and serve those bytes without
-// re-training the engine. An acknowledgement (Session.acknowledge) later
-// drops a successful entry's frame, under the session's idemMu, and a
-// duplicate is then refused; so frame is read under idemMu too. (This
-// rule is a comment, not a guardedby mark: predlint's guardedby names a
-// sibling mutex.)
-type idemEntry struct {
-	done  chan struct{}
-	frame []byte
-	err   error
-}
-
-// complete caches the winner's reply frame for preds, encoded once at
-// its exact size, and releases the key's duplicates; it returns the
-// frame. A nil entry (an unkeyed post) returns nil.
-func (e *idemEntry) complete(preds []bitmap.Bitmap, st *flight.Record) []byte {
-	if e == nil {
-		return nil
-	}
-	frame := encodeReply(nil, preds, st)
-	e.frame = frame
-	close(e.done)
-	return frame
-}
-
-// completed reports whether the entry's winner has finished: done is
-// closed, err is final, and frame is safe to read under idemMu.
-func (e *idemEntry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Session hosts one live prediction engine behind the API: one predictor
 // table, read and trained in request order under tableMu, as eval.Apply
 // runs it offline. A post runs on its caller's goroutine; a session
@@ -179,23 +138,13 @@ type Session struct {
 	tableMu sync.Mutex
 	eng     engine //predlint:guardedby tableMu
 
-	// Tallies restored from a snapshot; added on top of the engine's
-	// tallies by Stats (restored history lives in the table, but the
-	// scores that produced it belong to the pre-restore run).
-	baseConf   metrics.Confusion
-	baseEvents uint64
-
-	// Idempotency cache: key → completed (or in-flight) batch result, in
-	// FIFO insertion order for eviction.
-	idemMu    sync.Mutex
-	idem      map[string]*idemEntry //predlint:guardedby idemMu
-	idemOrder []string              //predlint:guardedby idemMu
-
 	om *serveMetrics
 }
 
-// engine is a session's predictor: its table and the tallies of what it
-// scored. A Session guards it with tableMu.
+// engine is a session's predictor: its table, the tallies of what it
+// scored (a restored session's start at its snapshot's), and the
+// idempotency cache of the keyed posts that trained it. A Session guards
+// it with tableMu.
 type engine struct {
 	update core.UpdateMode
 	keyer  core.Keyer
@@ -205,6 +154,13 @@ type engine struct {
 	events uint64
 	// fail poisons the session once a post panics in the kernel.
 	fail error
+	// idem maps a cached key to its COHWIRE1 reply frame, whose bytes are
+	// never written again, or to nil once the client has acknowledged it;
+	// idemOrder holds the keys oldest first, for FIFO eviction. A keyed
+	// post caches its frame in the tableMu hold that trains its events,
+	// so the cache holds exactly the keys whose events the table holds.
+	idem      map[string][]byte
+	idemOrder []string
 }
 
 // NewSession validates the config and builds the session's table.
@@ -230,9 +186,9 @@ func newSession(id string, cfg SessionConfig, om *serveMetrics) *Session {
 			update: cfg.Scheme.Update,
 			keyer:  cfg.Scheme.Index.Keyer(cfg.Machine),
 			nodes:  cfg.Machine.Nodes,
+			idem:   make(map[string][]byte),
 		},
-		idem: make(map[string]*idemEntry),
-		om:   om,
+		om: om,
 	}
 }
 
@@ -246,14 +202,12 @@ func (s *Session) build(snap *eval.Snapshot, extra *sessionExtra) error {
 		if err := snap.Restore(table); err != nil {
 			return err
 		}
-		if extra.idem != nil {
-			s.idemMu.Lock()
-			s.idem, s.idemOrder = extra.idem, extra.order
-			s.idemMu.Unlock()
-		}
 	}
 	s.tableMu.Lock()
 	s.eng.table = table
+	if extra != nil && extra.idem != nil {
+		s.eng.idem, s.eng.idemOrder = extra.idem, extra.order
+	}
 	s.tableMu.Unlock()
 	return nil
 }
@@ -330,55 +284,73 @@ func (s *Session) release(n int) {
 //
 //predlint:ignore testonly only the _perfbench harness calls it; ROADMAP's benchmark item deletes it
 func (s *Session) PostInto(evs []trace.Event, preds []bitmap.Bitmap) error {
-	_, err := s.post(evs, preds, nil, nil)
+	_, err := s.post("", evs, preds, nil)
 	return err
 }
 
-// post admits evs, then runs them through the table under tableMu on the
-// caller's goroutine, stamping st (which may be nil: untraced). Each
-// admitted post draws the chaos delay point once, before the lock, and
-// the panic point once, under it. With e, a keyed post's cache entry,
-// the reply frame is encoded and e completed before the lock is
-// released, and post returns the frame.
-func (s *Session) post(evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record, e *idemEntry) ([]byte, error) {
+// post admits evs, then trains them (train) on the caller's goroutine,
+// stamping st (which may be nil: untraced), and returns a keyed post's
+// reply frame. Each admitted post draws the chaos delay point once,
+// before the table lock, and the panic point once, under it. An empty
+// batch is not admitted and trains nothing.
+func (s *Session) post(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) ([]byte, error) {
 	if len(evs) > MaxBatchEvents {
 		return nil, fmt.Errorf("serve: batch of %d events exceeds limit %d", len(evs), MaxBatchEvents)
 	}
 	if len(preds) != len(evs) {
 		return nil, fmt.Errorf("serve: %d prediction slots for %d events", len(preds), len(evs))
 	}
-	if len(evs) == 0 {
-		return e.complete(preds, st), nil
+	if len(evs) > 0 {
+		if err := s.admit(len(evs)); err != nil {
+			return nil, err
+		}
+		defer s.release(len(evs))
+		s.om.queueDepth.Add(float64(len(evs)))
+		defer s.om.queueDepth.Add(-float64(len(evs)))
+		st.SetEnqueue(flight.Nanos())
+		if d := s.cfg.Fault.Delay("post.delay"); d > 0 {
+			st.MarkFault(flight.FaultDelay)
+			time.Sleep(d)
+		}
 	}
-	if err := s.admit(len(evs)); err != nil {
-		return nil, err
-	}
-	defer s.release(len(evs))
-	s.om.queueDepth.Add(float64(len(evs)))
-	defer s.om.queueDepth.Add(-float64(len(evs)))
-	st.SetEnqueue(flight.Nanos())
-	if d := s.cfg.Fault.Delay("post.delay"); d > 0 {
-		st.MarkFault(flight.FaultDelay)
-		time.Sleep(d)
-	}
-
-	var frame []byte
-	s.tableMu.Lock()
-	err := s.eng.run(evs, preds, st, s.cfg.Fault, s.om)
-	if err == nil {
-		frame = e.complete(preds, st)
-	}
-	s.tableMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// Record only what trained cleanly: a failed post is retried by the
-	// client and would otherwise appear twice in the trace. evs is not
-	// retained past this call (recorder contract).
-	if s.cfg.Record != nil {
+	frame, trained, err := s.train(key, evs, preds, st)
+	// Record only what trained: a failed post is retried by the client and
+	// would otherwise appear twice in the trace. evs is not retained past
+	// this call (recorder contract).
+	if trained && s.cfg.Record != nil {
 		s.cfg.Record.RecordEvents(s.ID, st.ID(), evs)
 	}
-	return frame, nil
+	return frame, err
+}
+
+// train runs a post's events through the table in one tableMu hold. A
+// keyed post looks its key up first: if a duplicate cached it while this
+// one waited, this one is a replay and trains nothing. Otherwise the
+// events train, and a keyed post encodes its reply frame once, at its
+// exact size, and caches it before the lock is released, evicting the
+// oldest key past maxIdemKeys. trained reports whether events trained.
+func (s *Session) train(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) (frame []byte, trained bool, err error) {
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	if frame, ok := s.eng.idem[key]; ok { // "" is never cached
+		frame, err := s.replay(frame, st)
+		return frame, false, err
+	}
+	if len(evs) > 0 {
+		if err := s.eng.run(evs, preds, st, s.cfg.Fault, s.om); err != nil {
+			return nil, false, err
+		}
+	}
+	if key != "" {
+		frame = encodeReply(nil, preds, st)
+		s.eng.idem[key] = frame
+		s.eng.idemOrder = append(s.eng.idemOrder, key)
+		if len(s.eng.idemOrder) > maxIdemKeys {
+			delete(s.eng.idem, s.eng.idemOrder[0])
+			s.eng.idemOrder = s.eng.idemOrder[1:]
+		}
+	}
+	return frame, len(evs) > 0, nil
 }
 
 // run applies evs to the table in order and scores them; the caller
@@ -429,25 +401,35 @@ func (g *engine) process(evs []trace.Event, preds []bitmap.Bitmap) {
 }
 
 // postFrame posts evs and returns the COHWIRE1 reply frame: the one post
-// the events route makes, for either encoding. An empty key posts once;
-// any other goes through the idempotency cache (postKeyed). ack, when it
-// names an earlier key, is acknowledged first. buf lends the pooled
-// prediction slots and, for an unkeyed post, the output buffer the frame
-// is encoded into, valid until buf goes back to the pool. A keyed post's
-// frame is the idempotency cache's copy, which nobody writes to.
+// the events route makes, for either encoding. ack, when it names an
+// earlier key, is acknowledged first. A keyed post whose key is cached is
+// a replay (replay), answered before admission, so it neither queues nor
+// draws a fault point; any other post goes through post. buf lends the
+// pooled prediction slots and, for an unkeyed post, the output buffer the
+// frame is encoded into, valid until buf goes back to the pool. A keyed
+// post's frame is the idempotency cache's copy, which nobody writes to.
 func (s *Session) postFrame(key, ack string, evs []trace.Event, buf *wireBuf, st *flight.Record) ([]byte, error) {
 	if ack != "" && ack != key {
 		s.acknowledge(ack)
+	}
+	if len(key) > maxIdemKeyLen {
+		return nil, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
+	}
+	if key != "" {
+		s.tableMu.Lock()
+		frame, cached := s.eng.idem[key]
+		s.tableMu.Unlock()
+		if cached {
+			return s.replay(frame, st)
+		}
 	}
 	if cap(buf.preds) < len(evs) {
 		buf.preds = make([]bitmap.Bitmap, len(evs))
 	}
 	preds := buf.preds[:len(evs)]
-	if key != "" {
-		return s.postKeyed(key, evs, preds, st)
-	}
-	if _, err := s.post(evs, preds, st, nil); err != nil {
-		return nil, err
+	frame, err := s.post(key, evs, preds, st)
+	if err != nil || key != "" {
+		return frame, err
 	}
 	buf.out = encodeReply(buf.out[:0], preds, st)
 	return buf.out, nil
@@ -462,95 +444,27 @@ func encodeReply(dst []byte, preds []bitmap.Bitmap, st *flight.Record) []byte {
 	return dst
 }
 
-// acknowledge drops the reply frame of key's entry once the client
-// holds the reply, keeping the key, which refuses any later post under
-// it. Only a completed, successful entry is acknowledged: an unknown
-// key, an in-flight entry or a failed one is left as it is.
-func (s *Session) acknowledge(key string) {
-	s.idemMu.Lock()
-	if e := s.idem[key]; e != nil && e.completed() && e.err == nil {
-		e.frame = nil
+// replay answers a post under a cached key whose reply is frame: with
+// the frame, marked a replay on st, or with ErrKeyAcknowledged once the
+// key is acknowledged (a nil frame).
+func (s *Session) replay(frame []byte, st *flight.Record) ([]byte, error) {
+	if frame == nil {
+		return nil, ErrKeyAcknowledged
 	}
-	s.idemMu.Unlock()
+	s.om.idemHits.Inc()
+	st.MarkReplay()
+	return frame, nil
 }
 
-// postKeyed runs a keyed post through the idempotency cache. The first
-// arrival of key trains the engine with preds (len(evs) caller-owned
-// slots) as its response buffer, and post encodes the reply frame once
-// at its exact size and caches it; a duplicate waits for the original and gets
-// the same frame, marked a replay on st, its preds untouched, or
-// ErrKeyAcknowledged once the key is acknowledged. A retryably-failed
-// attempt releases the key so the retry can run.
-func (s *Session) postKeyed(key string, evs []trace.Event, preds []bitmap.Bitmap, st *flight.Record) ([]byte, error) {
-	if len(key) > maxIdemKeyLen {
-		return nil, fmt.Errorf("serve: idempotency key of %d bytes exceeds limit %d", len(key), maxIdemKeyLen)
+// acknowledge drops key's reply frame once the client holds the reply,
+// keeping the key, which refuses any later post under it. A key that is
+// not cached, unknown or not yet trained, is left as it is.
+func (s *Session) acknowledge(key string) {
+	s.tableMu.Lock()
+	if _, ok := s.eng.idem[key]; ok {
+		s.eng.idem[key] = nil
 	}
-
-	s.idemMu.Lock()
-	if e, ok := s.idem[key]; ok {
-		s.idemMu.Unlock()
-		<-e.done
-		if e.err != nil {
-			return nil, e.err
-		}
-		s.idemMu.Lock()
-		frame := e.frame
-		s.idemMu.Unlock()
-		if frame == nil {
-			return nil, ErrKeyAcknowledged
-		}
-		s.om.idemHits.Inc()
-		st.MarkReplay()
-		return frame, nil
-	}
-	e := &idemEntry{done: make(chan struct{})}
-	s.idem[key] = e
-	s.idemOrder = append(s.idemOrder, key)
-	if len(s.idemOrder) > maxIdemKeys {
-		// Evict the oldest *completed* entry. An entry still in flight
-		// must survive: evicting it would let a concurrent retry of the
-		// same key win the map slot and train the batch a second time.
-		// If every entry is in flight the cache briefly exceeds the cap
-		// instead (bounded by the number of concurrent requests).
-		for i, k := range s.idemOrder {
-			if s.idem[k].completed() {
-				delete(s.idem, k)
-				s.idemOrder = append(s.idemOrder[:i], s.idemOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	s.idemMu.Unlock()
-
-	frame, err := s.post(evs, preds, st, e)
-	if err != nil {
-		if errors.Is(err, ErrShardFailed) {
-			// Permanent: every retry fails identically. Keep the entry
-			// with the recorded error so a replay of this key fails fast
-			// without touching the engine.
-			e.err = err
-			close(e.done)
-			return nil, err
-		}
-		// Nothing was trained (drops and backlog refuse before the
-		// lock): release the key so the client's retry re-runs instead
-		// of replaying an error.
-		s.idemMu.Lock()
-		if s.idem[key] == e {
-			delete(s.idem, key)
-			for i, k := range s.idemOrder {
-				if k == key {
-					s.idemOrder = append(s.idemOrder[:i], s.idemOrder[i+1:]...)
-					break
-				}
-			}
-		}
-		s.idemMu.Unlock()
-		e.err = err
-		close(e.done)
-		return nil, err
-	}
-	return frame, nil
+	s.tableMu.Unlock()
 }
 
 // Stats is a session's aggregated state: exact once every Post has
@@ -565,25 +479,17 @@ type Stats struct {
 	IdemReplyBytes int
 }
 
-// Stats adds the engine's tallies to any snapshot-restored baseline, and
-// measures the idempotency cache.
+// Stats reads the engine's tallies and measures the idempotency cache.
 func (s *Session) Stats() Stats {
-	st := Stats{Confusion: s.baseConf, Events: s.baseEvents}
 	s.tableMu.Lock()
-	st.Confusion.Merge(s.eng.conf)
-	st.Events += s.eng.events
+	defer s.tableMu.Unlock()
+	st := Stats{Confusion: s.eng.conf, Events: s.eng.events, IdemKeys: len(s.eng.idemOrder)}
 	if s.eng.table != nil {
 		st.TableEntries = uint64(s.eng.table.Entries())
 	}
-	s.tableMu.Unlock()
-	s.idemMu.Lock()
-	st.IdemKeys = len(s.idemOrder)
-	for _, k := range s.idemOrder {
-		if e := s.idem[k]; e.completed() {
-			st.IdemReplyBytes += len(e.frame)
-		}
+	for _, k := range s.eng.idemOrder {
+		st.IdemReplyBytes += len(s.eng.idem[k])
 	}
-	s.idemMu.Unlock()
 	return st
 }
 

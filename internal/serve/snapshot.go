@@ -62,27 +62,21 @@ type SessionTuning struct {
 }
 
 // sessionExtra is a decoded Extra section: the tuning, the retired flush
-// slot, and the idempotency cache, ready to install in a session.
+// slot, and the idempotency cache, ready to install in a session's
+// engine.
 type sessionExtra struct {
 	tuning SessionTuning
 	flush  uint64 // the retired flush slot, ignored on restore
-	idem   map[string]*idemEntry
+	idem   map[string][]byte
 	order  []string
 }
 
-// closedDone is the done channel of every restored cache entry, which is
-// complete from the start.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
 // AppendSnapshot appends the session's COHSNAP1 snapshot to dst —
 // scheme, machine, table, tallies, tuning, and the idempotency cache —
-// under the table lock, so it falls between two posts. The snapshot
-// restores (Server.RestoreSnapshot) into a session whose future
-// predictions and stats are byte-identical to this one's.
+// under the table lock, so it falls between two posts and carries
+// exactly the keys whose events its table holds. The snapshot restores
+// (Server.RestoreSnapshot) into a session whose future predictions and
+// stats are byte-identical to this one's.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
@@ -92,21 +86,16 @@ func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	hdr := eval.Snapshot{
 		Scheme:  s.cfg.Scheme,
 		Machine: s.cfg.Machine,
-		Events:  s.baseEvents + s.eng.events,
-		Conf:    s.baseConf,
+		Events:  s.eng.events,
+		Conf:    s.eng.conf,
 	}
-	hdr.Conf.Merge(s.eng.conf)
 	tuning := SessionTuning{Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, MaxPending: s.cfg.MaxPending}
 
-	// The section's length precedes it, so the cache is measured first;
-	// idemMu is held until it is written, so both walks see one cache.
-	s.idemMu.Lock()
-	defer s.idemMu.Unlock()
-	n, size := idemSize(s.idemOrder, s.idem)
+	// The section's length precedes it, so the cache is measured first.
 	var head [maxExtraHead]byte
-	h := appendExtraHead(head[:0], tuning, 0, n)
-	dst = eval.AppendSnapshot(dst, &hdr, len(h)+size, s.eng.table)
-	dst = appendIdem(append(dst, h...), s.idemOrder, s.idem)
+	h := appendExtraHead(head[:0], tuning, 0, len(s.eng.idemOrder))
+	dst = eval.AppendSnapshot(dst, &hdr, len(h)+idemSize(s.eng.idemOrder, s.eng.idem), s.eng.table)
+	dst = appendIdem(append(dst, h...), s.eng.idemOrder, s.eng.idem)
 	s.om.snapshots.Inc()
 	return dst, nil
 }
@@ -122,49 +111,29 @@ func appendExtraHead(b []byte, t SessionTuning, flush uint64, n int) []byte {
 	return codec.AppendUvarint(b, uint64(n))
 }
 
-// snapshotted reports whether a cache entry belongs in a snapshot: only a
-// completed, successful one. A keyed post completes its entry before it
-// releases the table lock, and AppendSnapshot holds that lock, so the
-// entries it takes are exactly the keyed posts whose events its table
-// holds. An entry still open belongs to a post that has not trained (or
-// never will), and one with an error trained nothing either: baking
-// either into the snapshot would make the restored session answer a
-// replay of the key with zero predictions, and the batch would silently
-// never train. Under the lock an open entry can only go on to fail, so
-// two walks of one cache agree on which entries they take.
-func snapshotted(e *idemEntry) bool { return e.completed() && e.err == nil }
-
-// idemTail returns what follows a snapshotted entry's key in the
-// section: its reply frame's tail, or ackedTail once it is acknowledged.
-// The caller holds idemMu.
-func idemTail(e *idemEntry) []byte {
-	if e.frame == nil {
+// idemTail returns what follows a cached key in the section: its reply
+// frame's tail, or ackedTail once it is acknowledged.
+func idemTail(frame []byte) []byte {
+	if frame == nil {
 		return ackedTail
 	}
-	return e.frame[wireHeaderLen:]
+	return frame[wireHeaderLen:]
 }
 
-// idemSize returns how many of the cache's entries a snapshot takes, and
-// the bytes they fill in the section. The caller holds idemMu.
-func idemSize(order []string, idem map[string]*idemEntry) (n, size int) {
+// idemSize returns the bytes the cache's entries fill in the section.
+func idemSize(order []string, idem map[string][]byte) (size int) {
 	for _, k := range order {
-		if e := idem[k]; snapshotted(e) {
-			n++
-			size += codec.UvarintLen(uint64(len(k))) + len(k) + len(idemTail(e))
-		}
+		size += codec.UvarintLen(uint64(len(k))) + len(k) + len(idemTail(idem[k]))
 	}
-	return n, size
+	return size
 }
 
-// appendIdem appends the entries idemSize counts, in cache order, under
-// the same idemMu hold.
-func appendIdem(b []byte, order []string, idem map[string]*idemEntry) []byte {
+// appendIdem appends the cache's entries, in cache order.
+func appendIdem(b []byte, order []string, idem map[string][]byte) []byte {
 	for _, k := range order {
-		if e := idem[k]; snapshotted(e) {
-			b = codec.AppendUvarint(b, uint64(len(k)))
-			b = append(b, k...)
-			b = append(b, idemTail(e)...)
-		}
+		b = codec.AppendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
+		b = append(b, idemTail(idem[k])...)
 	}
 	return b
 }
@@ -240,16 +209,15 @@ func decodeSessionExtra(data []byte, cache bool) (*sessionExtra, error) {
 	var keyStore strings.Builder
 	keyStore.Grow(keyBytes) // never outgrown, so earlier keys stay valid
 	frames := make([]byte, 0, frameBytes)
-	entries := make([]idemEntry, n)
-	x.idem = make(map[string]*idemEntry, n)
+	x.idem = make(map[string][]byte, n)
 	x.order = make([]string, n)
-	for i := range entries {
+	for i := range x.order {
 		kl, k, _ := codec.Uvarint(items) // checked above
 		start := keyStore.Len()
 		keyStore.Write(items[k : k+int(kl)])
 		key := keyStore.String()[start:]
 		items = items[k+int(kl):]
-		entries[i] = idemEntry{done: closedDone}
+		var frame []byte // nil: acknowledged
 		if tails[i] == 0 {
 			items = items[len(ackedTail):]
 		} else {
@@ -258,9 +226,9 @@ func decodeSessionExtra(data []byte, cache bool) (*sessionExtra, error) {
 			frames = append(frames, wireKindReply)
 			frames = append(frames, items[:tails[i]]...)
 			items = items[tails[i]:]
-			entries[i].frame = frames[f:len(frames):len(frames)]
+			frame = frames[f:len(frames):len(frames)]
 		}
-		x.idem[key] = &entries[i]
+		x.idem[key] = frame
 		x.order[i] = key
 	}
 	return x, nil
@@ -282,7 +250,9 @@ func newDormantSession(id string, data []byte, snap *eval.Snapshot, shards *int,
 		return nil, err
 	}
 	s := newSession(id, cfg, om)
-	s.baseConf, s.baseEvents = snap.Conf, snap.Events
+	s.tableMu.Lock()
+	s.eng.conf, s.eng.events = snap.Conf, snap.Events
+	s.tableMu.Unlock()
 	s.snap = make([]byte, len(data))
 	copy(s.snap, data)
 	s.om.dormant(1, len(s.snap))

@@ -413,9 +413,9 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 // TestWireHandlerAllocs pins what a warm COHWIRE1 post allocates through
 // the whole route table, with a reused request and a minimal writer, so
 // that the count is the handler's own: 6 allocations for an unkeyed post
-// and 9 for a keyed one (its idempotency entry, its done channel and its
-// cached frame), whatever the batch size. The collector is off while it
-// counts: a collection empties the sync.Pools the handler draws from.
+// and 7 for a keyed one (its cached frame), whatever the batch size. The
+// collector is off while it counts: a collection empties the sync.Pools
+// the handler draws from.
 func TestWireHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a race build allocates more")
@@ -436,7 +436,7 @@ func TestWireHandlerAllocs(t *testing.T) {
 		keyed  bool
 		events int
 		most   float64
-	}{{false, 64, 6}, {false, 4096, 6}, {true, 64, 9}, {true, 4096, 9}} {
+	}{{false, 64, 6}, {false, 4096, 6}, {true, 64, 7}, {true, 4096, 7}} {
 		frame := serve.AppendWireBatch(nil, sharingEvents(tc.events))
 		body := bytes.NewReader(frame)
 		req := httptest.NewRequest("POST", "/v1/sessions/"+sess.ID+"/events", nil)
