@@ -58,10 +58,14 @@ race:
 # lock, keyed posts racing snapshots (exactly-once across a restore),
 # posts racing on one key, duplicates racing the key's acknowledgement,
 # and the first uses of a dormant restored session racing each other, or
-# racing its DELETE.
+# racing its DELETE. Four more race the router's COHWIRE2 streams: a
+# backend's Shutdown under in-flight frames, Router.Close under posts, a
+# reset on one stream among busy others, and a pooled stream to a backend
+# that restarted.
 race-hammer:
 	$(GO) test -race -short -count=1 ./internal/serve -run 'TestChaos'
 	$(GO) test -race -count=20 ./internal/serve -run 'TestPostPanicPoisonsSession|TestSnapshotRaceExactlyOnce|TestIdemConcurrentSameKey|TestAckRacesReplays|TestConcurrentWakeBuildsOnce|TestDeleteRacingWake'
+	$(GO) test -race -count=20 ./internal/cluster -run 'TestShutdownRacesStreamFrames|TestRouterCloseRacesPosts|TestResetFailsOnlyItsRequest|TestRestartedBackendRedialedOnce'
 
 # Benchmark the sweep engine only (serial baseline + parallel family).
 bench:
@@ -83,7 +87,8 @@ obs-demo:
 # dormant snapshot restore (differential against the eager one), the
 # engine-checkpoint wire decoder, the snapshot entry kernels
 # (differential against the Reader), the COHTRACE1 trace decoders, the
-# COHPRED2 trace reader, and the cluster control-plane codecs.
+# COHPRED2 trace reader, the COHWIRE2 stream frame reader and decoder,
+# and the cluster control-plane codecs.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventRequest -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireBatch -fuzztime=10s
@@ -92,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireDecodeDifferential -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeSessionExtra -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDormantRestore -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeStreamFrame -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzImportEntries -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceFile -fuzztime=10s
@@ -142,7 +148,7 @@ cover:
 		internal/core=93 internal/search=92 \
 		internal/sched=96 internal/cache=90 internal/directory=90 internal/machine=88 \
 		internal/flight=85 internal/lint=85 internal/traffic=85 internal/cluster=85 cmd/predtrace=80 cmd/predload=55 \
-		internal/serve/wire.go=85 \
+		internal/serve/wire.go=85 internal/serve/stream.go=88 internal/cluster/pool.go=90 \
 		internal/lint/flow.go=90 \
 		internal/lint/check_guardedby.go=85 internal/lint/check_atomiconly.go=85 \
 		internal/lint/check_goroutineown.go=90 internal/lint/check_staleignore.go=90

@@ -42,6 +42,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -127,6 +128,7 @@ type node struct {
 	url     string      // base URL, no trailing slash
 	standby bool        // the designated warm standby
 	healthy atomic.Bool // health mark: probes and proxy failures flip it
+	streams pool        // the router's COHWIRE2 streams to it
 }
 
 // entry is one cluster session's routing-table row. home is the
@@ -162,7 +164,6 @@ type Router struct {
 	backends []*node // serving nodes, configured order, immutable
 	standby  *node   // nil when no standby configured
 	ring     ring
-	client   *http.Client // the one transport: proxying and probes
 	cm       *clusterMetrics
 	// parkWait is parkTimeout; white-box tests shorten it.
 	parkWait time.Duration
@@ -202,37 +203,31 @@ func New(opts Options) (*Router, error) {
 	rt := &Router{
 		opts:     opts,
 		sessions: make(map[string]*entry),
-		client: &http.Client{
-			Timeout:   proxyTimeout,
-			Transport: &http.Transport{MaxIdleConnsPerHost: 64},
-		},
 		cm:       newClusterMetrics(opts.Registry),
 		parkWait: parkTimeout,
 	}
 	seen := make(map[string]bool)
 	for _, raw := range opts.Backends {
-		u, err := normalizeURL(raw)
+		n, err := newNode(raw)
 		if err != nil {
 			return nil, err
 		}
-		if seen[u] {
-			return nil, fmt.Errorf("cluster: backend %s configured twice", u)
+		if seen[n.url] {
+			return nil, fmt.Errorf("cluster: backend %s configured twice", n.url)
 		}
-		seen[u] = true
-		n := &node{url: u}
-		n.healthy.Store(true)
+		seen[n.url] = true
 		rt.backends = append(rt.backends, n)
 	}
 	if opts.Standby != "" {
-		u, err := normalizeURL(opts.Standby)
+		n, err := newNode(opts.Standby)
 		if err != nil {
 			return nil, err
 		}
-		if seen[u] {
-			return nil, fmt.Errorf("cluster: standby %s is also a serving backend", u)
+		if seen[n.url] {
+			return nil, fmt.Errorf("cluster: standby %s is also a serving backend", n.url)
 		}
-		rt.standby = &node{url: u, standby: true}
-		rt.standby.healthy.Store(true)
+		n.standby = true
+		rt.standby = n
 	}
 	rt.ring = buildRing(rt.backends)
 	rt.cm.backendsHealthy.Set(float64(len(rt.backends)))
@@ -251,26 +246,40 @@ func New(opts Options) (*Router, error) {
 	return rt, nil
 }
 
-// normalizeURL validates a backend base URL and strips any trailing
-// slash so path joins stay canonical.
-func normalizeURL(raw string) (string, error) {
+// newNode validates a backend base URL and builds its healthy node. The
+// URL is kept without a trailing slash. Its streams address the backend's
+// root, so a URL with a path is refused.
+func newNode(raw string) (*node, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
-		return "", fmt.Errorf("cluster: backend URL %q: %w", raw, err)
+		return nil, fmt.Errorf("cluster: backend URL %q: %w", raw, err)
 	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return "", fmt.Errorf("cluster: backend URL %q: want http or https", raw)
+	switch {
+	case u.Scheme != "http" && u.Scheme != "https":
+		return nil, fmt.Errorf("cluster: backend URL %q: want http or https", raw)
+	case u.Host == "":
+		return nil, fmt.Errorf("cluster: backend URL %q has no host", raw)
+	case strings.Trim(u.Path, "/") != "" || u.RawQuery != "":
+		return nil, fmt.Errorf("cluster: backend URL %q has a path or query", raw)
 	}
-	if u.Host == "" {
-		return "", fmt.Errorf("cluster: backend URL %q has no host", raw)
+	secure, port := u.Scheme == "https", u.Port()
+	if port == "" {
+		port = "80"
+		if secure {
+			port = "443"
+		}
 	}
-	return strings.TrimRight(raw, "/"), nil
+	n := &node{url: strings.TrimRight(raw, "/")}
+	n.streams.secure, n.streams.addr = secure, net.JoinHostPort(u.Hostname(), port)
+	n.healthy.Store(true)
+	return n, nil
 }
 
-// Close stops the background loops and closes the router's idle
-// connections to its backends, so that none holds a backend's graceful
-// shutdown open. The router's HTTP handler stays usable (the caller owns
-// the listener); Close is idempotent.
+// Close stops the background loops and closes the router's streams to its
+// backends: the idle ones at once, and the busy ones as their requests
+// finish. The router's HTTP handler stays usable (the caller owns the
+// listener); a request after Close dials a stream and closes it after
+// the reply. Close is idempotent.
 func (rt *Router) Close() {
 	if rt.closed.Swap(true) {
 		return
@@ -279,7 +288,12 @@ func (rt *Router) Close() {
 		close(rt.loopStop)
 	}
 	rt.loopWG.Wait()
-	rt.client.CloseIdleConnections()
+	for _, n := range rt.backends {
+		n.streams.drop(true)
+	}
+	if rt.standby != nil {
+		rt.standby.streams.drop(true)
+	}
 }
 
 // Handler returns the router's full route table: the proxied predserve

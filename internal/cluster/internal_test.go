@@ -107,10 +107,15 @@ func TestShipFailureClearsShippedMark(t *testing.T) {
 	defer backend.Close()
 
 	// A standby that speaks just enough of the serve API: healthy,
-	// accepts deletes, and fails restore PUTs once armed.
+	// accepts deletes, and fails restore PUTs once armed. A serve.Server
+	// answers its stream upgrade, and the stream's frames come back to
+	// this handler, the one its http.Server serves.
 	var failPut atomic.Bool
+	streams := serve.NewServer(serve.Options{}).Handler()
 	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
+		case r.URL.Path == "/v1/stream":
+			streams.ServeHTTP(w, r)
 		case r.URL.Path == "/healthz":
 			w.WriteHeader(http.StatusOK)
 		case r.Method == http.MethodDelete:

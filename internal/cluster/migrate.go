@@ -11,7 +11,6 @@ package cluster
 // instead of training twice).
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 )
@@ -104,7 +103,7 @@ func (rt *Router) Migrate(cid, target string) error {
 	// state the target starts from, so the shipped mark stays true.
 	finish(tgt)
 	if src != rt.standby {
-		_, _ = rt.forward(src, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
+		rt.send(src, http.MethodDelete, sessionPath(cid, ""))
 	}
 	rt.cm.migrationsTotal.Inc()
 	rt.opts.Log.Infof("cluster: migrated %s: %s -> %s", cid, src.url, tgt.url)
@@ -119,43 +118,37 @@ func (rt *Router) Migrate(cid, target string) error {
 // the failed step; down is the node a transport failure came from, for
 // the caller to probe.
 func (rt *Router) copySession(cid string, src, dst *node, clear func()) (down *node, err error) {
-	snap, err := rt.forward(src, http.MethodGet, "/v1/sessions/"+cid+"/snapshot", nil, nil)
-	if err != nil {
+	snap := newCall()
+	defer snap.release()
+	snap.request(http.MethodGet, sessionPath(cid, "/snapshot"), nil, nil)
+	if err := rt.forward(src, snap); err != nil {
 		return src, fmt.Errorf("snapshot: %w", err)
 	}
-	if snap.status != http.StatusOK {
-		return nil, fmt.Errorf("snapshot: backend %s returned %d: %s", src.url, snap.status, snap.body)
+	if snap.Status != http.StatusOK {
+		return nil, fmt.Errorf("snapshot: backend %s returned %d: %s", src.url, snap.Status, snap.Body)
 	}
 	if clear != nil {
 		clear()
 	}
-	_, _ = rt.forward(dst, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
-	hdr := make(http.Header, 1)
-	hdr.Set("Content-Type", snap.header.Get("Content-Type"))
-	put, err := rt.forward(dst, http.MethodPut, "/v1/sessions/"+cid+"/snapshot", snap.body, hdr)
-	if err != nil {
+	rt.send(dst, http.MethodDelete, sessionPath(cid, ""))
+	put := newCall()
+	defer put.release()
+	put.request(http.MethodPut, sessionPath(cid, "/snapshot"), http.Header{"Content-Type": {snap.ContentType}}, snap.Body)
+	if err := rt.forward(dst, put); err != nil {
 		return dst, fmt.Errorf("restore: %w", err)
 	}
-	if put.status != http.StatusCreated {
-		return nil, fmt.Errorf("restore: backend %s returned %d: %s", dst.url, put.status, put.body)
+	if put.Status != http.StatusCreated {
+		return nil, fmt.Errorf("restore: backend %s returned %d: %s", dst.url, put.Status, put.Body)
 	}
 	return nil, nil
 }
 
 // probe asks one node's /healthz, within probeTimeout.
 func (rt *Router) probe(n *node) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	c := newCall()
+	defer c.release()
+	c.request(http.MethodGet, "/healthz", nil, nil)
+	return n.streams.exchange(c, probeTimeout) == nil && c.Status == http.StatusOK
 }
 
 // noteBackendFailure is the fast detection path: a proxy transport

@@ -1,8 +1,10 @@
 package cluster
 
 // This file is the router's data plane: the proxied predserve API. The
-// router speaks the exact serve wire contract on both sides — bodies
-// (JSON or COHWIRE1) and session ids pass through untouched, because
+// router speaks the exact serve wire contract on both sides, HTTP to its
+// clients and the same requests as COHWIRE2 frames to its backends
+// (pool.go) — bodies (JSON or COHWIRE1) and session ids pass through
+// untouched, because
 // each backend holds a session under its cluster id ("cN"): the router
 // creates sessions there under the ids it mints (PUT /v1/sessions/{id}),
 // and a restore under the id its path names. A transport failure
@@ -12,12 +14,12 @@ package cluster
 // resilient client retries them onto the post-failover route safely.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"cohpredict/internal/serve"
 )
@@ -28,68 +30,44 @@ import (
 // stale. Tests use it to pin the 404 re-resolve path.
 var testHookPreForward func(cid string)
 
-// proxyResponse is one backend response, fully buffered.
-type proxyResponse struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// forward issues one request to a backend and buffers the response.
-// Transport-level failures (dial, reset, timeout) return an error; any
-// HTTP response, including 5xx, returns a proxyResponse.
-func (rt *Router) forward(n *node, method, path string, body []byte, hdr http.Header) (*proxyResponse, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, n.url+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
+// forward sends c's request to n and reads the reply into c. A transport
+// failure (dial, reset, timeout, a malformed reply) returns an error; any
+// reply, including a 5xx, returns nil.
+func (rt *Router) forward(n *node, c *call) error {
 	rt.cm.proxiedTotal.Inc()
-	resp, err := rt.client.Do(req)
-	if err != nil {
+	if err := n.streams.exchange(c, proxyTimeout); err != nil {
 		rt.cm.proxyErrors.Inc()
-		return nil, err
+		return err
 	}
-	defer resp.Body.Close()
-	data, err := serve.ReadBody(nil, io.LimitReader(resp.Body, maxSnapshotBytes+1), resp.ContentLength, maxSnapshotBytes)
-	if err != nil {
-		rt.cm.proxyErrors.Inc()
-		return nil, err
-	}
-	if len(data) > maxSnapshotBytes {
-		return nil, fmt.Errorf("cluster: backend %s response exceeds %d bytes", n.url, maxSnapshotBytes)
-	}
-	return &proxyResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return nil
 }
 
-// copyHeaders extracts the request headers the serve contract cares
-// about; hop-by-hop and incidental headers stay behind.
-func copyHeaders(r *http.Request) http.Header {
-	hdr := make(http.Header, 5)
-	for _, k := range []string{"Content-Type", "Accept", "Idempotency-Key", "Idempotency-Ack", "X-Request-Id"} {
-		if v := r.Header.Get(k); v != "" {
-			hdr.Set(k, v)
-		}
-	}
-	return hdr
+// send forwards a bodiless request whose reply the caller does not read:
+// the router's best-effort deletes.
+func (rt *Router) send(n *node, method, target string) {
+	c := newCall()
+	c.request(method, target, nil, nil)
+	_ = rt.forward(n, c)
+	c.release()
 }
 
-// writeProxied relays a buffered backend response to the client.
-func writeProxied(w http.ResponseWriter, pr *proxyResponse) {
-	for _, k := range []string{"Content-Type", "X-Request-Id"} {
-		if v := pr.header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
+// sessionPath is the backend target of session cid's route suffix.
+func sessionPath(cid, suffix string) string {
+	return "/v1/sessions/" + url.PathEscape(cid) + suffix
+}
+
+// writeProxied relays a backend's reply to the client.
+func writeProxied(w http.ResponseWriter, c *call) {
+	h := w.Header()
+	if c.ContentType != "" {
+		h["Content-Type"] = []string{c.ContentType}
 	}
-	w.Header().Set("Content-Length", fmt.Sprintf("%d", len(pr.body)))
-	w.WriteHeader(pr.status)
-	_, _ = w.Write(pr.body)
+	if c.RequestID != "" {
+		h["X-Request-Id"] = []string{c.RequestID}
+	}
+	h["Content-Length"] = []string{strconv.Itoa(len(c.Body))}
+	w.WriteHeader(c.Status)
+	_, _ = w.Write(c.Body)
 }
 
 // badGateway maps a router→backend transport failure to the client:
@@ -100,12 +78,15 @@ func (rt *Router) badGateway(n *node, err error) error {
 		fmt.Errorf("cluster: backend %s unreachable: %w", n.url, err))
 }
 
-func (rt *Router) readBody(r *http.Request, limit int64) ([]byte, error) {
-	body, err := serve.ReadRequest(nil, r, limit)
+// readBody reads the client request's body into c.in, at most limit
+// bytes.
+func (c *call) readBody(r *http.Request, limit int64) error {
+	body, err := serve.ReadRequest(c.in[:0], r, limit)
+	c.in = body
 	if err != nil {
-		return nil, httpErr(http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: reading body: %w", err))
+		return httpErr(http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: reading body: %w", err))
 	}
-	return body, nil
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -126,8 +107,9 @@ const maxCreateAttempts = 8
 // an id lost at the table insert, moves the create to the next id, at
 // most maxCreateAttempts times.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
-	body, err := rt.readBody(r, maxBodyBytes)
-	if err != nil {
+	c := newCall()
+	defer c.release()
+	if err := c.readBody(r, maxBodyBytes); err != nil {
 		return err
 	}
 	for attempt := 0; attempt < maxCreateAttempts; attempt++ {
@@ -136,15 +118,15 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		if n == nil {
 			return ErrNoBackend
 		}
-		pr, ferr := rt.forward(n, http.MethodPut, "/v1/sessions/"+cid, body, copyHeaders(r))
-		if ferr != nil {
+		c.request(http.MethodPut, sessionPath(cid, ""), r.Header, c.in)
+		if ferr := rt.forward(n, c); ferr != nil {
 			return rt.badGateway(n, ferr)
 		}
-		if pr.status == http.StatusConflict {
+		if c.Status == http.StatusConflict {
 			continue
 		}
-		if pr.status == http.StatusCreated {
-			ok, err := rt.register(n, cid, pr.body)
+		if c.Status == http.StatusCreated {
+			ok, err := rt.register(n, cid, c.Body)
 			if err != nil {
 				return err
 			}
@@ -152,7 +134,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) error {
 				continue
 			}
 		}
-		writeProxied(w, pr)
+		writeProxied(w, c)
 		return nil
 	}
 	return httpErr(http.StatusServiceUnavailable,
@@ -175,7 +157,7 @@ func (rt *Router) register(n *node, cid string, echo []byte) (bool, error) {
 	}
 	rt.mu.Unlock()
 	if taken {
-		_, _ = rt.forward(n, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
+		rt.send(n, http.MethodDelete, sessionPath(cid, ""))
 	}
 	return !taken, nil
 }
@@ -231,11 +213,12 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	body, err := rt.readBody(r, maxBodyBytes)
-	if err != nil {
+	c := newCall()
+	defer c.release()
+	if err := c.readBody(r, maxBodyBytes); err != nil {
 		return err
 	}
-	hdr := copyHeaders(r)
+	c.request(http.MethodPost, r.URL.EscapedPath(), r.Header, c.in)
 	for attempt := 0; ; attempt++ {
 		n, rerr := rt.resolve(e)
 		if rerr != nil {
@@ -244,16 +227,16 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) error {
 		if testHookPreForward != nil {
 			testHookPreForward(cid)
 		}
-		pr, ferr := rt.forward(n, http.MethodPost, "/v1/sessions/"+cid+"/events", body, hdr)
+		ferr := rt.forward(n, c)
 		e.release()
 		if ferr != nil {
 			return rt.badGateway(n, ferr)
 		}
-		if pr.status == http.StatusNotFound && attempt == 0 && e.moved(n) {
+		if c.Status == http.StatusNotFound && attempt == 0 && e.moved(n) {
 			rt.cm.staleRetries.Inc()
 			continue
 		}
-		writeProxied(w, pr)
+		writeProxied(w, c)
 		return nil
 	}
 }
@@ -278,12 +261,15 @@ func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	pr, ferr := rt.forward(n, http.MethodGet, r.URL.Path, nil, copyHeaders(r))
+	c := newCall()
+	defer c.release()
+	c.request(http.MethodGet, r.URL.EscapedPath(), r.Header, nil)
+	ferr := rt.forward(n, c)
 	e.release()
 	if ferr != nil {
 		return rt.badGateway(n, ferr)
 	}
-	writeProxied(w, pr)
+	writeProxied(w, c)
 	return nil
 }
 
@@ -298,24 +284,21 @@ func (rt *Router) handleSnapshotPut(w http.ResponseWriter, r *http.Request) erro
 	if _, err := rt.lookup(cid); err == nil {
 		return errExists(cid)
 	}
-	body, err := rt.readBody(r, maxSnapshotBytes)
-	if err != nil {
+	c := newCall()
+	defer c.release()
+	if err := c.readBody(r, maxSnapshotBytes); err != nil {
 		return err
 	}
 	n := rt.ring.owner(cid)
 	if n == nil {
 		return ErrNoBackend
 	}
-	q := ""
-	if raw := r.URL.RawQuery; raw != "" {
-		q = "?" + raw
-	}
-	pr, ferr := rt.forward(n, http.MethodPut, "/v1/sessions/"+cid+"/snapshot"+q, body, copyHeaders(r))
-	if ferr != nil {
+	c.request(http.MethodPut, r.URL.RequestURI(), r.Header, c.in)
+	if ferr := rt.forward(n, c); ferr != nil {
 		return rt.badGateway(n, ferr)
 	}
-	if pr.status == http.StatusCreated {
-		ok, err := rt.register(n, cid, pr.body)
+	if c.Status == http.StatusCreated {
+		ok, err := rt.register(n, cid, c.Body)
 		if err != nil {
 			return err
 		}
@@ -323,7 +306,7 @@ func (rt *Router) handleSnapshotPut(w http.ResponseWriter, r *http.Request) erro
 			return errExists(cid)
 		}
 	}
-	writeProxied(w, pr)
+	writeProxied(w, c)
 	return nil
 }
 
@@ -356,16 +339,19 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) error {
 		e.deleting.Store(false)
 		return rerr
 	default:
-		pr, ferr := rt.forward(n, http.MethodDelete, "/v1/sessions/"+cid, nil, copyHeaders(r))
+		c := newCall()
+		defer c.release()
+		c.request(http.MethodDelete, r.URL.EscapedPath(), r.Header, nil)
+		ferr := rt.forward(n, c)
 		e.release()
-		if ferr != nil || pr.status != http.StatusOK {
+		if ferr != nil || c.Status != http.StatusOK {
 			// The home refused or was not reached, so a later delete may
 			// try again.
 			e.deleting.Store(false)
 			if ferr != nil {
 				return rt.badGateway(n, ferr)
 			}
-			writeProxied(w, pr)
+			writeProxied(w, c)
 			return nil
 		}
 	}
@@ -376,7 +362,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	// under the same id keeps its copy.
 	rt.shipMu.Lock()
 	if rt.unregister(e) && rt.standby != nil && rt.standby.healthy.Load() && rt.standby != n {
-		_, _ = rt.forward(rt.standby, http.MethodDelete, "/v1/sessions/"+cid, nil, nil)
+		rt.send(rt.standby, http.MethodDelete, sessionPath(cid, ""))
 	}
 	rt.shipMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]string{"id": cid, "status": "deleted"})
@@ -421,11 +407,12 @@ func (rt *Router) handleClusterStatus(w http.ResponseWriter, r *http.Request) er
 // handleMigrate runs one live migration, synchronously: the response
 // arrives after the flip (or the rollback).
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) error {
-	body, err := rt.readBody(r, maxBodyBytes)
-	if err != nil {
+	c := newCall()
+	defer c.release()
+	if err := c.readBody(r, maxBodyBytes); err != nil {
 		return err
 	}
-	req, derr := DecodeMigrateRequest(body)
+	req, derr := DecodeMigrateRequest(c.in)
 	if derr != nil {
 		return httpErr(http.StatusBadRequest, derr)
 	}

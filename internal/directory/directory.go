@@ -13,6 +13,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/trace"
@@ -60,12 +61,14 @@ type Stats struct {
 }
 
 // Directory is the (logically centralised, physically distributed) full-map
-// directory. Addresses passed in must already be line-aligned.
+// directory. Addresses passed in must already be line-aligned. Each
+// coherence transaction looks its block up once: Read, ReadExclusive,
+// Write and Writeback return the block's home with their result.
 type Directory struct {
 	nodes int
 	// blocks maps a block address to its entry's index in states, which
 	// holds the entries by value in first-touch order.
-	blocks map[uint64]int
+	blocks blockIndex
 	states []blockState
 	// events is the event log in chunks of 1<<eventChunkBits; nEvents
 	// counts the events in it.
@@ -92,7 +95,7 @@ func New(nodes int) *Directory {
 		//predlint:ignore panicfree construction-time node-count bounds
 		panic(fmt.Sprintf("directory: node count %d out of range", nodes))
 	}
-	return &Directory{nodes: nodes, blocks: make(map[uint64]int)}
+	return &Directory{nodes: nodes}
 }
 
 // SetEventHook registers an observer called with each prediction event at
@@ -103,8 +106,8 @@ func (d *Directory) SetEventHook(f func(trace.Event)) { d.eventHook = f }
 // Stats returns a copy of the activity counters.
 func (d *Directory) Stats() Stats {
 	s := d.stats
-	if d.blocks != nil {
-		s.BlocksTouched = uint64(len(d.blocks))
+	if d.states != nil {
+		s.BlocksTouched = uint64(len(d.states))
 	}
 	return s
 }
@@ -116,7 +119,7 @@ func (d *Directory) lookup(addr uint64, pid int) *blockState {
 	if st := d.find(addr); st != nil {
 		return st
 	}
-	d.blocks[addr] = len(d.states)
+	d.blocks.insert(addr, len(d.states))
 	d.states = append(d.states, blockState{
 		owner:     -1,
 		openEvent: noEvent,
@@ -127,7 +130,7 @@ func (d *Directory) lookup(addr uint64, pid int) *blockState {
 
 // find returns the block's entry, or nil if the block was never touched.
 func (d *Directory) find(addr uint64) *blockState {
-	if i, ok := d.blocks[addr]; ok {
+	if i := d.blocks.find(addr); i >= 0 {
 		return &d.states[i]
 	}
 	return nil
@@ -138,14 +141,16 @@ func (d *Directory) event(i int) *trace.Event {
 	return &d.events[i>>eventChunkBits][i&(1<<eventChunkBits-1)]
 }
 
-// Home returns the block's home node, assigning it to pid, the first
-// toucher, if the block is new.
-func (d *Directory) Home(addr uint64, pid int) int { return d.lookup(addr, pid).home }
-
 // Read registers a load by pid that missed in its caches. It returns the
-// node whose cache must downgrade a Modified copy (-1 if none).
-func (d *Directory) Read(pid int, addr uint64) (downgrade int) {
+// node whose cache must downgrade a Modified copy (-1 if none), and the
+// block's home, which a new block takes from pid, its first toucher.
+func (d *Directory) Read(pid int, addr uint64) (downgrade, home int) {
 	st := d.lookup(addr, pid)
+	return d.read(st, pid), st.home
+}
+
+// read registers a load miss on st by pid.
+func (d *Directory) read(st *blockState, pid int) (downgrade int) {
 	d.stats.ReadMisses++
 	downgrade = -1
 	if st.hasOwner && st.owner != pid && st.sharers.Has(st.owner) && st.readers.IsEmpty() {
@@ -163,8 +168,8 @@ func (d *Directory) Read(pid int, addr uint64) (downgrade int) {
 // Write registers a store by pid (identified by static store pc) that needs
 // exclusive ownership. It closes the block's current epoch, emits a
 // prediction event, opens the new epoch, and returns the nodes whose cached
-// copies must be invalidated (never including pid).
-func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
+// copies must be invalidated (never including pid) with the block's home.
+func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate bitmap.Bitmap, home int) {
 	st := d.lookup(addr, pid)
 	d.stats.WriteEvents++
 
@@ -208,8 +213,8 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 	// Invalidate every cached copy except the new owner's. The sharer
 	// bitmap includes the previous owner unless it wrote the line back;
 	// a limited-pointer directory that overflowed must broadcast.
-	invalidate = d.invalidationTargets(st, pid).Nodes()
-	d.stats.Invalidations += uint64(len(invalidate))
+	invalidate = d.invalidationTargets(st, pid)
+	d.stats.Invalidations += uint64(invalidate.Count())
 
 	// Open the new epoch.
 	st.hasOwner = true
@@ -218,21 +223,23 @@ func (d *Directory) Write(pid int, pc uint64, addr uint64) (invalidate []int) {
 	st.readers = bitmap.Empty
 	st.sharers = bitmap.New(pid)
 	st.openEvent = d.nEvents - 1
-	return invalidate
+	return invalidate, st.home
 }
 
-// Writeback registers a dirty L2 eviction by pid. Ownership of the block
-// returns to the home memory; the epoch stays open (future readers keep
-// accumulating until the next write).
-func (d *Directory) Writeback(pid int, addr uint64) {
+// Writeback registers a dirty L2 eviction by pid and returns the block's
+// home. Ownership of the block returns to the home memory; the epoch stays
+// open (future readers keep accumulating until the next write). A block the
+// directory never saw is only given its home, pid.
+func (d *Directory) Writeback(pid int, addr uint64) (home int) {
 	st := d.find(addr)
 	if st == nil {
-		return
+		return d.lookup(addr, pid).home
 	}
 	d.stats.Writebacks++
 	st.sharers = st.sharers.Clear(pid)
 	// The epoch's writer identity is retained for forwarded-update
 	// attribution even though the cached copy is gone.
+	return st.home
 }
 
 // Finish resolves the ground truth of all still-open epochs (their readers
@@ -257,7 +264,69 @@ func (d *Directory) Finish() *trace.Trace {
 	}
 	t := &trace.Trace{Nodes: d.nodes, Events: events}
 	d.events = nil
-	d.blocks = nil
+	d.blocks = blockIndex{}
 	d.states = nil
 	return t
+}
+
+// blockIndex maps block addresses to their entries' indexes in states: an
+// open-addressing table, probed linearly from a multiplicative hash of the
+// address, and doubled before it is half full.
+type blockIndex struct {
+	slots []blockSlot
+	shift uint // 64 - log2(len(slots))
+	n     int
+}
+
+// blockSlot is one table slot; at is the entry's index + 1, 0 when empty.
+type blockSlot struct {
+	addr uint64
+	at   int32
+}
+
+const blockHashMul = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
+
+// find returns the index of addr's entry, or -1.
+func (x *blockIndex) find(addr uint64) int {
+	if x.n == 0 {
+		return -1
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := (addr * blockHashMul) >> x.shift; ; i = (i + 1) & mask {
+		switch s := &x.slots[i]; {
+		case s.at == 0:
+			return -1
+		case s.addr == addr:
+			return int(s.at) - 1
+		}
+	}
+}
+
+// insert records that addr's entry, new to the index, is at index at.
+func (x *blockIndex) insert(addr uint64, at int) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow()
+	}
+	mask := uint64(len(x.slots) - 1)
+	i := (addr * blockHashMul) >> x.shift
+	for x.slots[i].at != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = blockSlot{addr: addr, at: int32(at + 1)}
+	x.n++
+}
+
+// grow doubles the table (to 1024 slots at first) and re-inserts every
+// entry.
+func (x *blockIndex) grow() {
+	old := x.slots
+	size := max(2*len(old), 1024)
+	x.slots = make([]blockSlot, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	x.n = 0
+	for _, s := range old {
+		if s.at != 0 {
+			x.insert(s.addr, int(s.at)-1)
+		}
+	}
 }

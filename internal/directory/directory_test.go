@@ -16,13 +16,20 @@ func sharersOf(d *Directory, addr uint64) bitmap.Bitmap {
 	return bitmap.Empty
 }
 
+// homeOf returns the block's home node, assigning it to pid, the first
+// toucher, if the block is new.
+func homeOf(d *Directory, addr uint64, pid int) int { return d.lookup(addr, pid).home }
+
+// victims lists the nodes a Write invalidates.
+func victims(inv bitmap.Bitmap, _ int) []int { return inv.Nodes() }
+
 func TestFirstTouchHome(t *testing.T) {
 	d := New(16)
-	if got := d.Home(0x1000, 5); got != 5 {
+	if got := homeOf(d, 0x1000, 5); got != 5 {
 		t.Fatalf("Home = %d, want first toucher 5", got)
 	}
 	// Home is sticky regardless of later touchers.
-	if got := d.Home(0x1000, 9); got != 5 {
+	if got := homeOf(d, 0x1000, 9); got != 5 {
 		t.Fatalf("Home changed to %d", got)
 	}
 }
@@ -30,16 +37,16 @@ func TestFirstTouchHome(t *testing.T) {
 func TestWriteEventSequence(t *testing.T) {
 	d := New(16)
 	// Node 0 writes block, nodes 1 and 2 read it, node 3 writes.
-	if inv := d.Write(0, 100, 0); len(inv) != 0 {
+	if inv := victims(d.Write(0, 100, 0)); len(inv) != 0 {
 		t.Fatalf("cold write invalidates %v", inv)
 	}
-	if down := d.Read(1, 0); down != 0 {
+	if down, _ := d.Read(1, 0); down != 0 {
 		t.Fatalf("first reader should downgrade owner 0, got %d", down)
 	}
-	if down := d.Read(2, 0); down != -1 {
+	if down, _ := d.Read(2, 0); down != -1 {
 		t.Fatalf("second reader downgrade = %d, want -1", down)
 	}
-	inv := d.Write(3, 200, 0)
+	inv := victims(d.Write(3, 200, 0))
 	want := map[int]bool{0: true, 1: true, 2: true}
 	if len(inv) != 3 {
 		t.Fatalf("invalidate = %v", inv)
@@ -115,7 +122,7 @@ func TestColdReadsThenWrite(t *testing.T) {
 	d := New(8)
 	d.Read(1, 0)
 	d.Read(2, 0)
-	inv := d.Write(3, 9, 0)
+	inv := victims(d.Write(3, 9, 0))
 	if len(inv) != 2 {
 		t.Fatalf("invalidate = %v", inv)
 	}
@@ -133,7 +140,7 @@ func TestSameWriterReinvalidatesOwnReaders(t *testing.T) {
 	d := New(8)
 	d.Write(0, 7, 0)
 	d.Read(1, 0)
-	inv := d.Write(0, 7, 0) // same writer upgrades again
+	inv := victims(d.Write(0, 7, 0)) // same writer upgrades again
 	if len(inv) != 1 || inv[0] != 1 {
 		t.Fatalf("invalidate = %v", inv)
 	}
@@ -159,7 +166,7 @@ func TestWritebackClearsSharer(t *testing.T) {
 	}
 	// Next writer invalidates nobody but still knows the previous
 	// writer for forwarded update.
-	inv := d.Write(1, 2, 0)
+	inv := victims(d.Write(1, 2, 0))
 	if len(inv) != 0 {
 		t.Fatalf("invalidate = %v", inv)
 	}
@@ -212,5 +219,41 @@ func TestNewPanicsOnBadNodeCount(t *testing.T) {
 			}()
 			New(n)
 		}()
+	}
+}
+
+// TestTransactionsReturnHome: every transaction returns its block's home,
+// the first toucher's node, across enough blocks to grow the index
+// several times; a writeback of a block never seen gives it its home.
+func TestTransactionsReturnHome(t *testing.T) {
+	d := New(16)
+	const blocks = 5000
+	for i := 0; i < blocks; i++ {
+		addr, pid := uint64(i)*line, i%16
+		var home int
+		switch i % 4 {
+		case 0:
+			_, home = d.Read(pid, addr)
+		case 1:
+			_, home = d.Write(pid, 1, addr)
+		case 2:
+			_, _, home = d.ReadExclusive(pid, 1, addr)
+		case 3:
+			home = d.Writeback(pid, addr)
+		}
+		if home != pid {
+			t.Fatalf("block %d: home %d, want its first toucher %d", i, home, pid)
+		}
+	}
+	for i := blocks - 1; i >= 0; i-- {
+		if _, home := d.Write((i+1)%16, 2, uint64(i)*line); home != i%16 {
+			t.Fatalf("block %d: home moved to %d", i, home)
+		}
+	}
+	if got := d.Stats().BlocksTouched; got != blocks {
+		t.Fatalf("BlocksTouched = %d, want %d", got, blocks)
+	}
+	if d.find(blocks*line) != nil {
+		t.Fatal("an untouched block has an entry")
 	}
 }

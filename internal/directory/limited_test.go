@@ -14,8 +14,8 @@ func TestLimitedWithinPointersActsLikeFullMap(t *testing.T) {
 		d.Read(1, 0)
 		d.Read(2, 0)
 	}
-	fInv := full.Write(5, 2, 0)
-	lInv := lim.Write(5, 2, 0)
+	fInv := victims(full.Write(5, 2, 0))
+	lInv := victims(lim.Write(5, 2, 0))
 	if len(fInv) != len(lInv) {
 		t.Fatalf("full %v vs limited %v", fInv, lInv)
 	}
@@ -30,7 +30,7 @@ func TestLimitedOverflowBroadcasts(t *testing.T) {
 	for pid := 1; pid <= 5; pid++ {
 		d.Read(pid, 0) // 6 sharers incl. owner > 2 pointers
 	}
-	inv := d.Write(7, 2, 0)
+	inv := victims(d.Write(7, 2, 0))
 	// Broadcast: every node except the writer gets an invalidation.
 	if len(inv) != 15 {
 		t.Fatalf("broadcast victims = %d, want 15", len(inv))

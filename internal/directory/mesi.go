@@ -15,12 +15,12 @@ import "cohpredict/internal/bitmap"
 // ReadExclusive registers a load by pid (from static load site pc) that
 // missed in its caches, granting Exclusive state when no other cached copy
 // exists. It returns the node whose Modified copy must be downgraded (-1 if
-// none) and whether the requester received exclusivity.
-func (d *Directory) ReadExclusive(pid int, pc uint64, addr uint64) (downgrade int, exclusive bool) {
+// none), whether the requester received exclusivity, and the block's home.
+func (d *Directory) ReadExclusive(pid int, pc uint64, addr uint64) (downgrade int, exclusive bool, home int) {
 	st := d.lookup(addr, pid)
 	if !st.sharers.IsEmpty() {
 		// Cached copies exist: ordinary shared read.
-		return d.Read(pid, addr), false
+		return d.read(st, pid), false, st.home
 	}
 	d.stats.ReadMisses++
 	d.stats.ExclusiveGrants++
@@ -44,5 +44,5 @@ func (d *Directory) ReadExclusive(pid int, pc uint64, addr uint64) (downgrade in
 	st.readers = bitmap.Empty
 	st.sharers = bitmap.New(pid)
 	st.openEvent = noEvent
-	return -1, true
+	return -1, true, st.home
 }

@@ -8,7 +8,7 @@ import (
 
 func TestExclusiveGrantOnColdRead(t *testing.T) {
 	d := New(16)
-	down, ex := d.ReadExclusive(3, 99, 0)
+	down, ex, _ := d.ReadExclusive(3, 99, 0)
 	if !ex || down != -1 {
 		t.Fatalf("cold read: ex=%v down=%d", ex, down)
 	}
@@ -18,7 +18,7 @@ func TestExclusiveGrantOnColdRead(t *testing.T) {
 	// A second reader must NOT get exclusivity, and must trigger an
 	// intervention at the silent owner (which may have modified the
 	// line without telling anyone).
-	down, ex = d.ReadExclusive(5, 99, 0)
+	down, ex, _ = d.ReadExclusive(5, 99, 0)
 	if ex {
 		t.Fatal("second reader granted exclusivity")
 	}
@@ -32,10 +32,10 @@ func TestSilentEpochAttribution(t *testing.T) {
 	// Node 3 gets E via load pc 99, silently writes, then node 7 reads
 	// and node 9 writes.
 	d.ReadExclusive(3, 99, 0)
-	if down, _ := d.ReadExclusive(7, 50, 0); down != 3 {
+	if down, _, _ := d.ReadExclusive(7, 50, 0); down != 3 {
 		t.Fatalf("reader should downgrade silent owner 3, got %d", down)
 	}
-	inv := d.Write(9, 200, 0)
+	inv := victims(d.Write(9, 200, 0))
 	if len(inv) != 2 { // nodes 3 and 7 hold copies
 		t.Fatalf("invalidate = %v", inv)
 	}
@@ -71,7 +71,7 @@ func TestExclusiveGrantClosesOpenEpoch(t *testing.T) {
 func TestNoGrantWhileShared(t *testing.T) {
 	d := New(16)
 	d.Read(1, 0)
-	if _, ex := d.ReadExclusive(2, 9, 0); ex {
+	if _, ex, _ := d.ReadExclusive(2, 9, 0); ex {
 		t.Fatal("grant despite existing sharer")
 	}
 }

@@ -212,6 +212,12 @@ func DefaultConfig(root, modulePath string) *Config {
 			modulePath + "/internal/serve.AppendWireReply",
 			modulePath + "/internal/serve.DecodeWireBatchInto",
 			modulePath + "/internal/serve.DecodeWireReplyInto",
+			// The COHWIRE2 frame kernels every router↔backend request
+			// and reply passes through, twice each.
+			modulePath + "/internal/serve.decodeStreamFrame",
+			modulePath + "/internal/serve.appendStreamHead",
+			modulePath + "/internal/serve.streamString",
+			modulePath + "/internal/serve.checkTarget",
 			// The flight recorder's stamping kernels run on every post:
 			// plain stores by the request's own goroutine, zero
 			// allocation.

@@ -9,6 +9,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cohpredict/internal/bitmap"
 	"cohpredict/internal/cache"
@@ -178,24 +179,22 @@ func (m *Machine) Load(pid int, pc, addr uint64) {
 	line := m.line(addr)
 	outcome, ev := m.nodes[pid].Access(line, false)
 	if ev.Dirty() {
-		m.dir.Writeback(pid, ev.Addr)
-		m.net.Send(pid, m.dir.Home(ev.Addr, pid))
+		m.net.Send(pid, m.dir.Writeback(pid, ev.Addr))
 	}
 	if outcome != cache.MissClean {
 		return
 	}
-	home := m.dir.Home(line, pid)
-	m.net.Send(pid, home) // request
-	var owner int
+	var owner, home int
 	if m.cfg.MESI {
 		var exclusive bool
-		owner, exclusive = m.dir.ReadExclusive(pid, pc, line)
+		owner, exclusive, home = m.dir.ReadExclusive(pid, pc, line)
 		if exclusive {
 			m.nodes[pid].MarkExclusive(line)
 		}
 	} else {
-		owner = m.dir.Read(pid, line)
+		owner, home = m.dir.Read(pid, line)
 	}
+	m.net.Send(pid, home) // request
 	if owner >= 0 {
 		m.nodes[owner].Downgrade(line)
 		m.net.Send(home, owner) // intervention
@@ -215,18 +214,17 @@ func (m *Machine) Store(pid int, pc, addr uint64) {
 	line := m.line(addr)
 	outcome, ev := m.nodes[pid].Access(line, true)
 	if ev.Dirty() {
-		m.dir.Writeback(pid, ev.Addr)
-		m.net.Send(pid, m.dir.Home(ev.Addr, pid))
+		m.net.Send(pid, m.dir.Writeback(pid, ev.Addr))
 	}
 	if outcome == cache.Hit {
 		return
 	}
 	m.perNode[pid].StoreMisses++
 	m.predictPCs.add(pid, pc)
-	home := m.dir.Home(line, pid)
+	victims, home := m.dir.Write(pid, pc, line)
 	m.net.Send(pid, home) // request / upgrade
-	victims := m.dir.Write(pid, pc, line)
-	for _, v := range victims {
+	for ; !victims.IsEmpty(); victims &= victims - 1 {
+		v := bits.TrailingZeros64(uint64(victims))
 		m.nodes[v].Invalidate(line)
 		m.net.Send(home, v) // invalidation
 		m.net.Send(v, home) // acknowledgment (with access bit)

@@ -23,6 +23,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Memory is the interface workloads issue accesses against; the machine
@@ -70,10 +71,12 @@ type Runtime struct {
 	mem     Memory
 	rng     *rand.Rand
 	threads []*Thread
-	cand    []*Thread // reused by pass: the runnable threads in ID order
-	next    *Thread   // pass's draw, which Run resumes; nil if none runnable
-	live    int
-	maxQ    int
+	// runnable holds the runnable threads in ID order, kept in step with
+	// every state change (setState), so a draw scans nothing.
+	runnable []*Thread
+	next     *Thread // pass's draw, which Run resumes; nil if none runnable
+	live     int
+	maxQ     int
 
 	barAddr    uint64
 	barArrived int
@@ -129,7 +132,7 @@ func New(mem Memory, cfg Config) *Runtime {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		live:     cfg.Threads,
 		maxQ:     cfg.MaxQuantum,
-		cand:     make([]*Thread, 0, cfg.Threads),
+		runnable: make([]*Thread, 0, cfg.Threads),
 		barAddr:  DefaultSyncBase,
 		nextSync: DefaultSyncBase + syncLine,
 	}
@@ -143,6 +146,7 @@ func New(mem Memory, cfg Config) *Runtime {
 		t.quantum = t.newQuantum()
 		rt.threads[i] = t
 	}
+	rt.runnable = append(rt.runnable, rt.threads...)
 	return rt
 }
 
@@ -179,7 +183,7 @@ func (rt *Runtime) Run(body func(*Thread)) {
 // draws the next thread.
 func (t *Thread) finish() {
 	rt := t.rt
-	t.state = finished
+	t.setState(finished)
 	rt.live--
 	rt.maybeReleaseBarrier()
 	rt.pass(t)
@@ -187,22 +191,36 @@ func (t *Thread) finish() {
 
 func (t *Thread) newQuantum() int { return 1 + t.Rng.Intn(t.rt.maxQ) }
 
+// setState moves t to state s, inserting t into the runnable list or
+// deleting it from there when s makes it runnable or stops it being so.
+func (t *Thread) setState(s threadState) {
+	was, now := t.state == runnable, s == runnable
+	t.state = s
+	if was == now {
+		return
+	}
+	rt := t.rt
+	i := 0
+	for i < len(rt.runnable) && rt.runnable[i].ID < t.ID {
+		i++
+	}
+	if now {
+		rt.runnable = slices.Insert(rt.runnable, i, t)
+	} else {
+		rt.runnable = slices.Delete(rt.runnable, i, i+1)
+	}
+}
+
 // pass draws the next thread from the runnable ones for from, the thread
 // giving up the processor (nil for Run's first pick), into rt.next, or
 // sets it nil when none is runnable (every thread has finished, or a
 // deadlock). It reports whether from drew itself and keeps running.
 func (rt *Runtime) pass(from *Thread) bool {
-	cand := rt.cand[:0]
-	for _, t := range rt.threads {
-		if t.state == runnable {
-			cand = append(cand, t)
-		}
-	}
 	rt.next = nil
-	if len(cand) == 0 {
+	if len(rt.runnable) == 0 {
 		return false
 	}
-	rt.next = cand[rt.rng.Intn(len(cand))]
+	rt.next = rt.runnable[rt.rng.Intn(len(rt.runnable))]
 	return rt.next == from
 }
 
@@ -242,7 +260,7 @@ func (t *Thread) Lock(l *Lock) {
 	t.access(false, pcLockAcquire, l.addr) // test
 	for l.held {
 		l.waiters = append(l.waiters, t.ID)
-		t.state = waitingLock
+		t.setState(waitingLock)
 		t.park()
 		t.access(false, pcLockAcquire, l.addr) // re-test after wake-up
 	}
@@ -263,7 +281,7 @@ func (t *Thread) Unlock(l *Lock) {
 	for _, id := range l.waiters {
 		w := t.rt.threads[id]
 		if w.state == waitingLock {
-			w.state = runnable
+			w.setState(runnable)
 		}
 	}
 	l.waiters = l.waiters[:0]
@@ -280,7 +298,7 @@ func (t *Thread) Barrier() {
 		rt.releaseBarrier()
 		return
 	}
-	t.state = waitingBarrier
+	t.setState(waitingBarrier)
 	t.park()
 	t.access(false, pcBarrierSpin, rt.barAddr) // read the release flag
 }
@@ -289,7 +307,7 @@ func (rt *Runtime) releaseBarrier() {
 	rt.barArrived = 0
 	for _, w := range rt.threads {
 		if w.state == waitingBarrier {
-			w.state = runnable
+			w.setState(runnable)
 		}
 	}
 }

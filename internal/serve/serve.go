@@ -18,6 +18,8 @@
 //	GET    /metrics                 Prometheus text (internal/obs), or the
 //	                                obs.Snapshot JSON for Accept: application/json
 //	GET    /debug/pprof/...         runtime profiles
+//	GET    /v1/stream               upgrade to a COHWIRE2 stream (stream.go),
+//	                                which carries the routes above
 //
 // Each session is one predictor table behind one lock: a post is
 // admitted against a bounded queue (explicit 429 backpressure), then
@@ -38,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"slices"
@@ -98,6 +101,9 @@ type Server struct {
 	sessions map[string]*Session
 	nextID   int
 	draining bool
+	// streams are the hijacked COHWIRE2 connections being served, which
+	// Shutdown closes.
+	streams map[net.Conn]bool //predlint:guardedby mu
 }
 
 // NewServer builds a server with the given options.
@@ -127,6 +133,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.wrap(s.handleDeleteSession))
 	mux.HandleFunc("GET /healthz", s.wrap(s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.wrap(s.handleMetrics))
+	mux.HandleFunc("GET "+streamPath, s.handleStream)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -666,14 +673,20 @@ func WriteMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry) err
 }
 
 // Shutdown drains the server: new sessions and new events are refused,
-// every live session drains (in-flight batches finish, statistics are
-// published), and the session registry empties. The HTTP listener itself
-// is the caller's to close (http.Server.Shutdown); call this after it.
-// The returned error joins any kernel panics the drained sessions were
-// carrying — a SIGTERM drain must not swallow them.
+// every stream is closed, every live session drains (in-flight batches
+// finish, statistics are published), and the session registry empties.
+// The HTTP listener itself is the caller's to close (http.Server.Shutdown);
+// call this after it. Hijacked streams outlive that, so Shutdown closes
+// them before it drains: a frame in flight fails at once, and nothing
+// answers on a stream afterwards. The returned error joins any kernel
+// panics the drained sessions were carrying — a SIGTERM drain must not
+// swallow them.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	s.draining = true
+	for c := range s.streams {
+		_ = c.Close() // its goroutine sees the close and ends the stream
+	}
 	sessions := make([]*Session, 0, len(s.sessions))
 	//predlint:ignore determinism drain order is immaterial: each Close only waits out its own posts
 	for id, sess := range s.sessions {
